@@ -13,18 +13,7 @@ of the experiment harness itself is tracked across PRs:
    per-job size for smoke runs; ``REPRO_BENCH_JOBS`` sets workers);
 4. **warm cache** -- serial rerun against the now-warm result cache.
 
-A fifth serial pass runs the same sweep on the ``fast`` execution
-backend (event-driven tick skipping, see ARCHITECTURE.md "Execution
-backends"); its wall time and speedup over the reference backend are
-recorded as ``fast_serial_s`` / ``fast_speedup`` and its results must
-be bit-identical to the reference baseline.  A companion pass does the
-same for the ``batch`` backend (dense hot-window rounds with bulk stat
-retirement on top of the fast loop), recorded as ``batch_serial_s`` /
-``batch_speedup`` / ``batch_backend_identical``; both speedups are
-gating, with env-overridable floors (``REPRO_BENCH_FAST_FLOOR``,
-``REPRO_BENCH_BATCH_FLOOR``).
-
-A sixth pass drives the sweep through the execution fabric with two
+A fifth pass drives the sweep through the execution fabric with two
 loopback workers (``dispatch="fabric"``, ``workers=("spawn:2",)``)
 and records ``fabric_loopback_s`` / ``fabric_loopback_speedup``.
 Identity with the serial baseline is asserted; the speedup itself is
@@ -102,18 +91,7 @@ def test_runner_scaling(tmp_path):
     cores = _effective_cores()
     jobs = BENCH_JOBS if BENCH_JOBS > 1 else max(2, cores)
 
-    # The fast backend must be exercised with cache=None: `backend` is
-    # ephemeral (excluded from job fingerprints precisely because the
-    # results are byte-identical), so a shared cache would short-circuit
-    # the very simulation this pass is timing.
-    fast_specs = [dataclasses.replace(
-        s, params=s.params.replace(backend="fast")) for s in specs]
-    batch_specs = [dataclasses.replace(
-        s, params=s.params.replace(backend="batch")) for s in specs]
-
     cold = run_many(specs, jobs=1, cache=cache, arenas="off")
-    fast = run_many(fast_specs, jobs=1, cache=None, arenas="off")
-    batch = run_many(batch_specs, jobs=1, cache=None, arenas="off")
     arena_serial = run_many(specs, jobs=1, cache=None, arenas="auto",
                             trace_dir=trace_dir)
     parallel = run_many(specs, jobs=jobs, cache=None, arenas="auto",
@@ -124,8 +102,6 @@ def test_runner_scaling(tmp_path):
     warm = run_many(specs, jobs=1, cache=cache, arenas="off")
 
     # All paths must agree bit-for-bit with the generator baseline.
-    _assert_identical(cold, fast, "fast backend")
-    _assert_identical(cold, batch, "batch backend")
     _assert_identical(cold, arena_serial, "arena replay")
     _assert_identical(cold, parallel, "fork-server pool")
     _assert_identical(cold, fabric, "fabric loopback")
@@ -137,8 +113,6 @@ def test_runner_scaling(tmp_path):
 
     warm_speedup = cold.wall_time / max(warm.wall_time, 1e-9)
     arena_speedup = cold.wall_time / max(arena_serial.wall_time, 1e-9)
-    fast_speedup = cold.wall_time / max(fast.wall_time, 1e-9)
-    batch_speedup = cold.wall_time / max(batch.wall_time, 1e-9)
     fabric_speedup = cold.wall_time / max(fabric.wall_time, 1e-9)
     if cores > 1:
         parallel_speedup = cold.wall_time / max(parallel.wall_time, 1e-9)
@@ -157,8 +131,6 @@ def test_runner_scaling(tmp_path):
         "effective_cores": cores,
         "fell_back_to_serial": parallel.fell_back_to_serial,
         "serial_cold_s": round(cold.wall_time, 3),
-        "fast_serial_s": round(fast.wall_time, 3),
-        "batch_serial_s": round(batch.wall_time, 3),
         "arena_serial_s": round(arena_serial.wall_time, 3),
         "trace_gen_s": round(arena_serial.trace_gen_s, 3),
         "sim_s": round(arena_serial.sim_s, 3),
@@ -166,8 +138,6 @@ def test_runner_scaling(tmp_path):
         "fabric_loopback_s": round(fabric.wall_time, 3),
         "warm_cache_s": round(warm.wall_time, 3),
         "arena_serial_speedup": round(arena_speedup, 2),
-        "fast_speedup": round(fast_speedup, 2),
-        "batch_speedup": round(batch_speedup, 2),
         "parallel_speedup": None if parallel_speedup is None
         else round(parallel_speedup, 2),
         "parallel_regression": regression,
@@ -178,13 +148,9 @@ def test_runner_scaling(tmp_path):
         "fabric_loopback_gating": False,
         "fabric_dispatch": fabric.dispatch,
         "arena_generator_identical": True,   # asserted above
-        "fast_backend_identical": True,      # asserted above
-        "batch_backend_identical": True,     # asserted above
         "fabric_loopback_identical": True,   # asserted above
         "warm_cache_speedup": round(warm_speedup, 2),
         "serial_throughput_instr_per_s": round(cold.throughput),
-        "fast_throughput_instr_per_s": round(fast.throughput),
-        "batch_throughput_instr_per_s": round(batch.throughput),
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
     verdict = " [REGRESSION: pool slower than serial]" \
@@ -192,9 +158,6 @@ def test_runner_scaling(tmp_path):
     parallel_txt = "skipped (1 core)" if parallel_speedup is None \
         else f"{parallel_speedup:.2f}x"
     print(f"\nserial {cold.wall_time:.2f}s | "
-          f"fast backend {fast.wall_time:.2f}s ({fast_speedup:.2f}x) | "
-          f"batch backend {batch.wall_time:.2f}s "
-          f"({batch_speedup:.2f}x) | "
           f"arena serial {arena_serial.wall_time:.2f}s "
           f"({arena_speedup:.2f}x, trace gen "
           f"{arena_serial.trace_gen_s:.2f}s + sim "
@@ -209,30 +172,6 @@ def test_runner_scaling(tmp_path):
 
     assert warm_speedup >= 5.0, (
         f"warm cache rerun only {warm_speedup:.1f}x faster than cold")
-    # Floor for the fast backend, calibrated to what certified tick
-    # skipping actually buys on this sweep (see ARCHITECTURE.md: the
-    # honest win is bounded by the ~1 active tick per instruction that
-    # must still run the full pipeline model -- ~1.25x at benchmark
-    # sizes, ~1.1x at CI smoke sizes where setup overhead dilutes it).
-    # The floor guards against a true regression (a fast backend that
-    # stopped skipping would land at ~1.0x); override for slower or
-    # noisier hosts via REPRO_BENCH_FAST_FLOOR.
-    fast_floor = float(os.environ.get("REPRO_BENCH_FAST_FLOOR", "1.05"))
-    assert fast_speedup >= fast_floor, (
-        f"fast backend only {fast_speedup:.2f}x over reference "
-        f"(floor {fast_floor}x)")
-    # The batch backend's rounds only engage on hot windows, so at worst
-    # it degrades to the fast loop plus (backed-off) planning cost; the
-    # floor asserts it never loses to the reference baseline outright.
-    # The issue's 5x aspiration is documented as unreachable in pure
-    # Python (ARCHITECTURE.md "Execution backends"): honest measured
-    # wins at bench sizes are ~1.2-1.5x, within host noise of the fast
-    # backend.  Override via REPRO_BENCH_BATCH_FLOOR on noisy hosts.
-    batch_floor = float(os.environ.get("REPRO_BENCH_BATCH_FLOOR",
-                                       "1.0"))
-    assert batch_speedup >= batch_floor, (
-        f"batch backend only {batch_speedup:.2f}x over reference "
-        f"(floor {batch_floor}x)")
     if cores >= 4 and not parallel.fell_back_to_serial:
         assert parallel_speedup >= 1.5, (
             f"pool speedup {parallel_speedup:.2f}x < 1.5x "

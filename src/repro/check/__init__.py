@@ -6,7 +6,12 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
   (:class:`~repro.check.invariants.InvariantChecker`) that wraps a
   machine's coherence directory, caches, store buffers and cores and
   validates protocol/ordering/accounting invariants on every transition.
-  Enabled via ``SystemParams.check``.
+  Enabled via ``SystemParams.check``.  A sanitized run takes the same
+  main loop with tick certification off, stepping every core through
+  the reference ``ProcessorCore.tick`` at every grid point, so it is
+  also the oracle the certified-skip path must match byte for byte
+  (``tests/test_fastpath.py``, and ``run_litmus_suite`` with and
+  without ``check``).
 * :mod:`repro.check.litmus` -- hand-written consistency litmus traces
   (message passing, Dekker/store buffering, migratory handoff) replayed
   on small machines, asserting each consistency model forbids or allows
@@ -14,7 +19,7 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
 * :mod:`repro.check.lint` -- static analysis for the simulator sources
   (``repro lint``): per-file determinism rules plus whole-program
   contract passes (snapshot completeness, ephemeral-parameter purity,
-  backend-surface equivalence).
+  tick-surface equivalence).
 
 :mod:`repro.check.mutations` seeds deliberate protocol bugs and proves
 the sanitizer and litmus harness detect every one of them (the

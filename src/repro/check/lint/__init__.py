@@ -4,8 +4,8 @@ The simulator's claims rest on bit-exact reproducibility: identical
 configurations must produce identical cycle counts on any host, any
 Python build, any process.  The single-file rules catch the ways Python
 lets nondeterminism creep in; the whole-program contract passes audit
-the conventions the checkpointing, caching and fast-backend subsystems
-rely on:
+the conventions the checkpointing, caching and tick-skipping
+subsystems rely on:
 
 ======  ==================================================================
 code    rule
@@ -30,10 +30,10 @@ R006    no per-instruction object allocation on the tick hot path:
         a ``tick()`` body churn the allocator millions of times per
         simulated second -- hoist them or reuse scratch structures
 R007    no membership tests (``x in d``) or attribute-chain lookups
-        (``a.b.c``) inside the fast backend's active-cycle loop
-        (``_run_fast`` in ``system/machine.py``): the loop runs once
-        per simulated event, so every repeated lookup must be bound to
-        a local before the loop
+        (``a.b.c``) inside the main cycle loop (``Machine.run`` in
+        ``system/machine.py``): the loop runs once per simulated
+        event, so every repeated lookup must be bound to a local
+        before the loop
 R008    no blocking socket operation (``accept``, ``connect``,
         ``recv*``, ``send``/``sendall``, ``makefile``) inside
         ``run/fabric/`` without an explicit ``settimeout`` armed in the
@@ -45,9 +45,9 @@ R010    snapshot completeness: every attribute the tick path mutates is
 R011    ephemeral-parameter purity: ``SystemParams`` fields are either
         fingerprinted configuration or on the explicit ephemeral
         registry, and ephemeral fields are only read at approved gates
-R012    backend-surface equivalence: ``tick`` and ``tick_fast``+
-        ``settle`` (and ``run`` / ``_run_fast``) write the same
-        attribute surface, modulo declared certification scratch
+R012    tick-surface equivalence: ``tick`` and ``tick_fast`` +
+        ``settle`` write the same attribute surface, modulo declared
+        certification scratch
 R013    durable writes go through :mod:`repro.run.atomicio`: no bare
         ``open(..., "w")``, ``os.replace``/``os.rename`` or
         ``Path.write_text``/``write_bytes`` inside ``repro/run/`` or

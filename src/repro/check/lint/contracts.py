@@ -7,8 +7,8 @@ Each pass audits a convention the repo's headline claims rest on:
   path mutates;
 * **R011** -- fingerprint-stable caching requires ephemeral
   ``SystemParams`` fields to stay out of simulation behaviour;
-* **R012** -- backend identity requires ``tick``/``tick_fast`` (and
-  ``run``/``_run_fast``) to touch the same attribute surface.
+* **R012** -- certified tick skipping requires ``tick`` and
+  ``tick_fast`` + ``settle`` to touch the same attribute surface.
 
 The deliberate exceptions are declared here, next to the passes, each
 with its justification: an auditor reading this module sees the whole
@@ -30,11 +30,11 @@ from repro.check.lint.symbols import ClassInfo, MethodInfo, ModuleInfo, \
 #: tooling rather than the simulated machine.  Must match
 #: ``repro.params.EPHEMERAL_FIELDS`` exactly -- the pass cross-checks.
 EPHEMERAL_REGISTRY: FrozenSet[str] = frozenset({
-    "check", "watchdog_cycles", "watchdog_node_cycles", "backend"})
+    "check", "watchdog_cycles", "watchdog_node_cycles"})
 
 #: Approved readers of ephemeral fields (path suffix -> function names).
 #: Everything here is a *gate*: code that dispatches on the knob before
-#: simulation starts (backend/checker selection, watchdog arming) or
+#: simulation starts (checker attachment, watchdog arming) or
 #: that records it in host-side artifacts (triage bundles, checkpoint
 #: eligibility).  A read anywhere else is how an ephemeral would leak
 #: into cycle math.
@@ -42,10 +42,7 @@ EPHEMERAL_READ_GATES: Dict[str, FrozenSet[str]] = {
     "params.py": frozenset({"__post_init__"}),      # value validation
     "system/machine.py": frozenset({
         "__init__",        # attaches the sanitizer when check=True
-        "run",             # backend dispatch + watchdog arming
-        "_run_fast",       # watchdog arming on the fast loop
-        "_run_batch",      # watchdog arming on the batch loop (armed
-                           # runs degrade to the fast-loop clone)
+        "run",             # watchdog arming
     }),
     "run/triage.py": frozenset({"write_bundle"}),   # bundles re-arm the
                                                     # watchdog on replay
@@ -59,7 +56,7 @@ EPHEMERAL_READ_GATES: Dict[str, FrozenSet[str]] = {
 #: survives into a checkpoint *by design*.
 SNAPSHOT_SCRATCH: Dict[Tuple[str, str], str] = {
     ("ProcessorCore", "tick_quiet"):
-        "no-op certification flag; consumed by the fast loop within the "
+        "no-op certification flag; consumed by Machine.run within the "
         "same grid step and recomputed on the next tick",
     ("SmtCore", "tick_quiet"):
         "same certification flag, aggregated over SMT contexts",
@@ -72,49 +69,18 @@ SNAPSHOT_SCRATCH: Dict[Tuple[str, str], str] = {
     ("ProcessorCore", "lock_table"):
         "machine-wide shared table; captured once by Machine.snapshot "
         "and reinstalled in place by Machine.restore",
-    ("Machine", "effective_backend"):
-        "host-side record of which loop implementation the last run() "
-        "used (surfaced in result payloads); never read by simulation "
-        "and meaningless across a checkpoint boundary",
 }
 
-#: Backend write-surface pairs (R012).  ``allowed_fast_extra`` lists the
-#: certification scratch only the fast path writes; the reference loop
-#: never reads it and snapshots never capture it (see SNAPSHOT_SCRATCH).
-#: ``allowed_reference_extra`` is the converse: dispatch-wrapper writes
-#: (``Machine.run`` records ``effective_backend`` before delegating)
-#: that no inner loop needs to repeat.
-_BACKEND_RECORD = frozenset({"effective_backend"})
-_SPAN_SCRATCH = frozenset({"_span_nums", "_span_instr", "_span_dirty"})
+#: Write-surface pairs (R012).  ``allowed_fast_extra`` lists the
+#: certification scratch only the certifying path writes; the
+#: reference tick never reads it and snapshots never capture it (see
+#: SNAPSHOT_SCRATCH).
 SURFACE_PAIRS = (
     {"class": "ProcessorCore",
      "reference": ("tick",),
      "fast": ("tick_fast", "settle"),
      "allowed_fast_extra": frozenset({"tick_quiet",
                                       "storebuf.drain_activity"})},
-    # The batch backend's dense in-round cycle: identical state effects,
-    # retire statistics batched into the span accumulators (flushed by
-    # span_flush) instead of written through per cycle.
-    # The in-order issue pointer and SMT seat accounting are written on
-    # branches the planner's eligibility gate excludes (tick_span is
-    # only reached for single-context out-of-order cores), so the span
-    # path legitimately lacks them.
-    {"class": "ProcessorCore",
-     "reference": ("tick",),
-     "fast": ("tick_span", "span_flush", "settle"),
-     "allowed_fast_extra": _SPAN_SCRATCH,
-     "allowed_reference_extra": frozenset({"_inorder_ptr",
-                                           "shared.retire_slots"})},
-    {"class": "Machine",
-     "reference": ("run",),
-     "fast": ("_run_fast",),
-     "allowed_fast_extra": frozenset(),
-     "allowed_reference_extra": _BACKEND_RECORD},
-    {"class": "Machine",
-     "reference": ("run",),
-     "fast": ("_run_batch",),
-     "allowed_fast_extra": frozenset(),
-     "allowed_reference_extra": _BACKEND_RECORD},
 )
 
 #: Methods that run outside the tick path (R010 ignores their writes):
@@ -307,9 +273,9 @@ def _surface(cls: ClassInfo, roots: Sequence[str]) -> Set[str]:
     return writes
 
 
-def _check_backend_surfaces(index: ProgramIndex,
-                            classes: Dict[str, ClassInfo]
-                            ) -> List[LintViolation]:
+def _check_tick_surfaces(index: ProgramIndex,
+                         classes: Dict[str, ClassInfo]
+                         ) -> List[LintViolation]:
     violations: List[LintViolation] = []
     for pair in SURFACE_PAIRS:
         cls = classes.get(pair["class"])
@@ -336,10 +302,9 @@ def _check_backend_surfaces(index: ProgramIndex,
                 cls.path, anchor.lineno, "R012",
                 f"{cls.name}.{fast_label} writes "
                 f"{sorted(extra)} which the reference path "
-                f"({ref_label}) never writes -- the backends' write "
-                f"surfaces have diverged"))
-        missing = ref_surface - fast_surface \
-            - pair.get("allowed_reference_extra", frozenset())
+                f"({ref_label}) never writes -- the two tick paths' "
+                f"write surfaces have diverged"))
+        missing = ref_surface - fast_surface
         if missing:
             violations.append(LintViolation(
                 cls.path, anchor.lineno, "R012",
@@ -361,6 +326,6 @@ def run_contracts(index: ProgramIndex) -> List[LintViolation]:
         for cls in module.classes.values():
             classes_by_name.setdefault(cls.name, cls)
             violations.extend(_check_snapshot_completeness(index, cls))
-    violations.extend(_check_backend_surfaces(index, classes_by_name))
+    violations.extend(_check_tick_surfaces(index, classes_by_name))
     violations.sort(key=lambda v: (v.path, v.line, v.code, v.message))
     return violations

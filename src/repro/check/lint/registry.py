@@ -117,14 +117,13 @@ RULE_TABLE = (
         """)),
     Rule(
         "R007",
-        "unhoisted lookup inside the fast backend's cycle loop",
+        "unhoisted lookup inside the main cycle loop",
         "file",
         _explain("""
-        The certified-skip loop (``_run_fast`` in ``system/machine.py``)
-        runs once per simulated event; membership tests and
-        attribute-chain lookups inside it repeat dictionary probes the
-        reference loop amortizes.  Bind lookups to locals before the
-        loop.
+        The main loop (``Machine.run`` in ``system/machine.py``) runs
+        once per simulated event; membership tests and attribute-chain
+        lookups inside it repeat dictionary probes on every grid step.
+        Bind lookups to locals before the loop.
         """)),
     Rule(
         "R008",
@@ -142,21 +141,6 @@ RULE_TABLE = (
         Block-forever semantics, where genuinely wanted, are built from
         bounded slices (see ``Channel.recv_json``), which keeps every
         wait interruptible and observable.
-        """)),
-    Rule(
-        "R009",
-        "numpy import outside the batch backend's scan kernels",
-        "file",
-        _explain("""
-        numpy is an accelerator for the batch backend's round planner
-        (vectorized window classification in ``cpu/batch.py``) and
-        nothing else.  Importing it anywhere else in ``src/repro`` would
-        let array semantics (dtype promotion, float accumulation,
-        platform-dependent BLAS behaviour) creep into simulated state,
-        and would break the pure-python fallback the simulator
-        guarantees when numpy is absent.  The allowed modules are listed
-        in ``repro.check.lint.rules_file._NUMPY_SUFFIXES``; they must
-        guard the import with a ``try``/``except ImportError`` fallback.
         """)),
     Rule(
         "R010",
@@ -192,14 +176,14 @@ RULE_TABLE = (
         fields are either part of the simulated configuration (and enter
         serialized configs and cache fingerprints) or on the explicit
         ephemeral registry (``check``, ``watchdog_cycles``,
-        ``watchdog_node_cycles``, ``backend``) -- tooling knobs that
-        must never change simulated results.  The pass cross-checks the
+        ``watchdog_node_cycles``) -- tooling knobs that must never
+        change simulated results.  The pass cross-checks the
         registry against ``repro.params.EPHEMERAL_FIELDS`` and the
         fingerprint exclusion set in ``repro.params_io``, and flags any
         read of an ephemeral field outside the approved gate list
-        (machine construction/main-loop dispatch, watchdog arming,
+        (machine construction, watchdog arming in the main loop,
         triage bundle capture, checkpoint eligibility).  A read anywhere
-        else is exactly how ``backend`` or ``check`` would leak into
+        else is exactly how ``check`` or a watchdog knob would leak into
         cycle math.
 
         Escape hatches: extend
@@ -209,23 +193,29 @@ RULE_TABLE = (
         """)),
     Rule(
         "R012",
-        "backend write-surfaces diverge (tick vs tick_fast, run vs _run_fast)",
+        "tick write-surfaces diverge (tick vs tick_fast + settle)",
         "program",
         _explain("""
-        Contract: the fast backend is certified byte-identical to the
-        reference loop.  The attribute-write surface (every plain
+        Contract: certified tick skipping is byte-identical to ticking
+        every core at every grid point.  ``Machine.run`` steps a core
+        through ``ProcessorCore.tick_fast`` and skips it while its last
+        tick was a certified no-op, crediting the skipped cycles in the
+        next tick or in ``settle`` at exit; sanitized runs
+        (``check=True``) step every core through the reference
+        ``tick`` instead, which is the oracle the identity tests
+        compare against.  The attribute-write surface (every plain
         ``self.X`` / ``self.X.Y`` assignment, aliases resolved, closed
-        over intra-class calls) of ``ProcessorCore.tick`` must equal
-        that of ``tick_fast`` + ``settle``, and ``Machine.run``'s must
-        equal ``_run_fast``'s.  A fast-only write (or a reference write
-        the fast path lost) is a divergence waiting for an input that
-        exercises it -- caught here without running a simulation.
+        over intra-class calls) of ``tick`` must therefore equal that
+        of ``tick_fast`` + ``settle``.  A fast-only write (or a
+        reference write the fast path lost) is a divergence waiting for
+        an input that exercises it -- caught here without running a
+        simulation.
 
         Known asymmetries are declared next to the pass
         (``repro.check.lint.contracts.SURFACE_PAIRS``): the fast side
         may additionally write its certification scratch
         (``tick_quiet``, ``storebuf.drain_activity``), which the
-        reference loop never reads and snapshots never capture.
+        reference tick never reads and snapshots never capture.
         """)),
     Rule(
         "R013",

@@ -1,4 +1,4 @@
-"""Single-file AST rules (R001-R009, R013) and the pragma grammar.
+"""Single-file AST rules (R001-R008, R013) and the pragma grammar.
 
 ``_FileLinter`` walks one module's AST and reports the per-file
 determinism rules; the whole-program contract passes live in
@@ -15,15 +15,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.check.lint.registry import RULES, LintViolation
 
-#: Files holding the fast backends' cycle loops (R007) and the function
+#: Files holding the simulator's main loop (R007) and the function
 #: names the rule applies to inside them.
-_FAST_SUFFIXES = ("system/machine.py",)
-_FAST_FUNCS = ("_run_fast", "run_fast", "_run_batch")
-
-#: The only modules allowed to import numpy (R009): the batch planner's
-#: vectorized scan kernels.  Everything else stays pure python so the
-#: simulator runs -- and certifies -- without the accelerator dep.
-_NUMPY_SUFFIXES = ("cpu/batch.py",)
+_LOOP_SUFFIXES = ("system/machine.py",)
+_LOOP_FUNCS = ("run",)
 
 #: Modules whose loops are the simulator's per-instruction hot path
 #: (R006).  Matched by normalized path suffix.
@@ -141,15 +136,13 @@ class _FileLinter(ast.NodeVisitor):
         normalized = path.replace(os.sep, "/")
         self._hot_file = any(normalized.endswith(suffix)
                              for suffix in _HOT_SUFFIXES)
-        self._fast_file = any(normalized.endswith(suffix)
-                              for suffix in _FAST_SUFFIXES)
+        self._loop_file = any(normalized.endswith(suffix)
+                              for suffix in _LOOP_SUFFIXES)
         self._fabric_file = _FABRIC_FRAGMENT in normalized
         self._durable_file = any(fragment in normalized
                                  for fragment in _DURABLE_FRAGMENTS) \
             and not any(normalized.endswith(suffix)
                         for suffix in _DURABLE_EXEMPT_SUFFIXES)
-        self._numpy_ok = any(normalized.endswith(suffix)
-                             for suffix in _NUMPY_SUFFIXES)
         self._func_stack: List[str] = []
         self._loop_depth = 0
 
@@ -220,7 +213,6 @@ class _FileLinter(ast.NodeVisitor):
                 self._random_aliases.add(name)
             if alias.name in _WALL_CLOCK:
                 self._time_aliases[name] = alias.name
-            self._check_numpy_import(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -233,20 +225,7 @@ class _FileLinter(ast.NodeVisitor):
                 self._wall_funcs[bound] = node.module
             if node.module == "datetime" and alias.name == "datetime":
                 self._time_aliases[bound] = "datetime"
-        if node.module:
-            self._check_numpy_import(node, node.module)
         self.generic_visit(node)
-
-    def _check_numpy_import(self, node: ast.AST, module: str) -> None:
-        """R009: numpy stays confined to the batch scan kernels."""
-        if not self._numpy_ok and \
-                (module == "numpy" or module.startswith("numpy.")):
-            self._report(
-                node, "R009",
-                f"import of {module} outside the batch backend's scan "
-                f"kernels ({', '.join(_NUMPY_SUFFIXES)}) -- array "
-                f"semantics must not reach simulated state, and the "
-                f"pure-python fallback must keep working")
 
     # -- R001 / R002: calls ----------------------------------------------------
 
@@ -413,30 +392,29 @@ class _FileLinter(ast.NodeVisitor):
                      f"it, reuse a scratch structure, or suppress with "
                      f"a pragma if this branch is rare")
 
-    # -- R007: fast-backend cycle-loop lookups ---------------------------------
+    # -- R007: main-loop lookups ----------------------------------------------
 
-    def _in_fast_loop(self) -> bool:
-        return self._fast_file and self._loop_depth > 0 and \
-            any(name in _FAST_FUNCS for name in self._func_stack)
+    def _in_main_loop(self) -> bool:
+        return self._loop_file and self._loop_depth > 0 and \
+            any(name in _LOOP_FUNCS for name in self._func_stack)
 
     def visit_Compare(self, node: ast.Compare) -> None:
-        if self._in_fast_loop() and \
+        if self._in_main_loop() and \
                 any(isinstance(op, (ast.In, ast.NotIn))
                     for op in node.ops):
             self._report(node, "R007",
-                         "membership test inside the fast backend's "
-                         "cycle loop -- the loop runs once per simulated "
-                         "event; use a flat array or hoist the lookup")
+                         "membership test inside the main cycle loop "
+                         "-- the loop runs once per simulated event; "
+                         "use a flat array or hoist the lookup")
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self._in_fast_loop() and \
+        if self._in_main_loop() and \
                 isinstance(node.value, ast.Attribute):
             self._report(node, "R007",
                          f"attribute-chain lookup ...{node.value.attr}."
-                         f"{node.attr} inside the fast backend's cycle "
-                         f"loop -- bind intermediates to locals before "
-                         f"the loop")
+                         f"{node.attr} inside the main cycle loop -- "
+                         f"bind intermediates to locals before the loop")
         self.generic_visit(node)
 
     def visit_List(self, node: ast.List) -> None:

@@ -57,19 +57,6 @@ def _ephemeral_read_in_tick(source: str) -> str:
     return mutated
 
 
-def _numpy_import_in_core(source: str) -> str:
-    """Insert a numpy import at the top of cpu/core.py."""
-    pattern = re.compile(r"^(from __future__ import annotations\n)",
-                         re.MULTILINE)
-    mutated, count = pattern.subn(
-        r"\1import numpy\n", source, count=1)
-    if count != 1:
-        raise AssertionError(
-            "mutation anchor 'from __future__ import annotations' not "
-            "found in cpu/core.py -- update the static teeth test")
-    return mutated
-
-
 def _fabric_socket_no_timeout(source: str) -> str:
     """Append a helper that blocks on a socket with no timeout armed."""
     return source + (
@@ -114,17 +101,11 @@ STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
         _ephemeral_read_in_tick,
         "R011"),
     "fast-only-write": (
-        "write self._fast_scratch only in tick_fast() -- a backend "
+        "write self._fast_scratch only in tick_fast() -- a tick "
         "write-surface divergence",
         os.path.join("cpu", "core.py"),
         _fast_only_write,
         "R012"),
-    "numpy-import-outside-batch": (
-        "import numpy in cpu/core.py -- array semantics escaping the "
-        "batch backend's scan kernels",
-        os.path.join("cpu", "core.py"),
-        _numpy_import_in_core,
-        "R009"),
     "fabric-socket-no-timeout": (
         "add a socket recv with no settimeout to the fabric protocol "
         "-- a lost peer would wedge the wait forever",

@@ -11,7 +11,7 @@ about:
   paths (``self.X`` -> ``X``, ``self.X.Y`` -> ``X.Y``), with local
   aliases resolved (``sb = self.storebuf; sb.flag = ...`` ->
   ``storebuf.flag``); subscript stores are deliberately excluded, so
-  both backends' in-place container updates don't create noise;
+  both tick paths' in-place container updates don't create noise;
 * ``attr_reads`` -- names ``X`` loaded via ``self.X`` (snapshot coverage);
 * ``calls`` -- intra-class ``self.m(...)`` edges (contract passes close
   write sets over them);
@@ -100,7 +100,7 @@ class _MethodVisitor(ast.NodeVisitor):
                 if isinstance(target.value, ast.Attribute) else None
             if chain is not None and len(chain) == 1:
                 # self.X[...] = ... mutates X for checkpoint purposes,
-                # but stays off the R012 surface (both backends update
+                # but stays off the R012 surface (both tick paths update
                 # containers in place through method calls too).
                 self.info.attr_writes.setdefault(chain[0], node)
 

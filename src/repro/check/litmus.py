@@ -133,13 +133,12 @@ def _thread(ops: Sequence[Instruction], pc: int) -> Iterator[Instruction]:
 def _build_machine(model: ConsistencyModel, impl: ConsistencyImpl,
                    threads: Sequence[Sequence[Instruction]],
                    check: bool = True,
-                   migratory_protocol: bool = False,
-                   backend: str = "reference") -> Machine:
+                   migratory_protocol: bool = False) -> Machine:
     params = default_system(
         n_nodes=2, mesh_width=1,
         consistency=model, consistency_impl=impl,
         migratory_protocol=migratory_protocol,
-        check=check, backend=backend)
+        check=check)
     generators = [
         _thread(ops, _PC_BASE + (i + len(threads)) * _PC_STRIDE)
         for i, ops in enumerate(threads)]
@@ -164,8 +163,7 @@ def _run(machine: Machine, tap: MemTap,
 # -- traces -----------------------------------------------------------------
 
 def message_passing(model: ConsistencyModel, impl: ConsistencyImpl,
-                    check: bool = True,
-                    backend: str = "reference") -> LitmusResult:
+                    check: bool = True) -> LitmusResult:
     """MP: P0 stores data then flag; P1 loads flag then data."""
     pc0, pc1 = _PC_BASE, _PC_BASE + _PC_STRIDE
     # P1 pre-owns the data line dirty, so P0's ST data is a slow
@@ -182,8 +180,7 @@ def message_passing(model: ConsistencyModel, impl: ConsistencyImpl,
                               deps=(1,), latency=1),
                   Instruction(OP_LOAD, pc1 + 12, ADDR_DATA,
                               deps=(2,), latency=1)])
-    machine = _build_machine(model, impl, [thread0, thread1], check,
-                             backend=backend)
+    machine = _build_machine(model, impl, [thread0, thread1], check)
     tap = MemTap(machine, [ADDR_DATA, ADDR_FLAG])
     _run(machine, tap, [(0, ADDR_DATA, True), (0, ADDR_FLAG, True),
                         (1, ADDR_FLAG, False), (1, ADDR_DATA, False)])
@@ -208,8 +205,7 @@ def message_passing(model: ConsistencyModel, impl: ConsistencyImpl,
 
 
 def store_buffering(model: ConsistencyModel, impl: ConsistencyImpl,
-                    check: bool = True,
-                    backend: str = "reference") -> LitmusResult:
+                    check: bool = True) -> LitmusResult:
     """SB/Dekker: P0 stores x, loads y; P1 stores y, loads x."""
     pc0, pc1 = _PC_BASE, _PC_BASE + _PC_STRIDE
     # Each thread pre-owns the line it will *load*, so the load is a fast
@@ -227,8 +223,7 @@ def store_buffering(model: ConsistencyModel, impl: ConsistencyImpl,
                               deps=(1,), latency=1),
                   Instruction(OP_LOAD, pc1 + 12, ADDR_X,
                               deps=(2,), latency=1)])
-    machine = _build_machine(model, impl, [thread0, thread1], check,
-                             backend=backend)
+    machine = _build_machine(model, impl, [thread0, thread1], check)
     tap = MemTap(machine, [ADDR_X, ADDR_Y])
     _run(machine, tap, [(0, ADDR_X, True), (0, ADDR_Y, False),
                         (1, ADDR_Y, True), (1, ADDR_X, False)])
@@ -245,8 +240,7 @@ def store_buffering(model: ConsistencyModel, impl: ConsistencyImpl,
                         passed, detail)
 
 
-def migratory_handoff(protocol: bool, check: bool = True,
-                      backend: str = "reference") -> LitmusResult:
+def migratory_handoff(protocol: bool, check: bool = True) -> LitmusResult:
     """Read-then-write handoff between two threads must be classified as
     migratory by the directory heuristic (paper footnote 2); with the
     adaptive protocol on, the dirty read must hand over exclusive
@@ -266,8 +260,7 @@ def migratory_handoff(protocol: bool, check: bool = True,
                   Instruction(OP_STORE, pc1 + 8, ADDR_M,
                               deps=(1,), latency=1)])
     machine = _build_machine(model, impl, [thread0, thread1], check,
-                             migratory_protocol=protocol,
-                             backend=backend)
+                             migratory_protocol=protocol)
     tap = MemTap(machine, [ADDR_M])
     _run(machine, tap, [(0, ADDR_M, True), (0, ADDR_M, False),
                         (1, ADDR_M, False), (1, ADDR_M, True)])
@@ -287,22 +280,19 @@ def migratory_handoff(protocol: bool, check: bool = True,
                         detail)
 
 
-def run_litmus_suite(check: bool = True,
-                     backend: str = "reference") -> List[LitmusResult]:
+def run_litmus_suite(check: bool = True) -> List[LitmusResult]:
     """The full matrix: MP and SB under SC/PC/RC x all three
     implementations, plus the migratory-handoff directory cases.
 
-    ``backend`` selects the machine main loop (sanitized runs decline
-    the fast path, so pass ``check=False`` to actually exercise it);
-    the ``backend-identity`` CI job runs the suite on both backends
-    and requires identical witnesses."""
+    ``check=True`` runs every trace under the invariant sanitizer (every
+    core stepped through the reference tick at every grid point);
+    ``check=False`` takes the certified-skip path.  Both must yield
+    identical witnesses (the test suite asserts it)."""
     results: List[LitmusResult] = []
     for model in MODELS:
         for impl in IMPLS:
-            results.append(message_passing(model, impl, check, backend))
-            results.append(store_buffering(model, impl, check, backend))
-    results.append(migratory_handoff(protocol=False, check=check,
-                                     backend=backend))
-    results.append(migratory_handoff(protocol=True, check=check,
-                                     backend=backend))
+            results.append(message_passing(model, impl, check))
+            results.append(store_buffering(model, impl, check))
+    results.append(migratory_handoff(protocol=False, check=check))
+    results.append(migratory_handoff(protocol=True, check=check))
     return results

@@ -383,15 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--compare-arena", action="store_true",
                          help="materialize + replay a trace arena and "
                               "report speedup and byte-identity")
-    profile.add_argument("--backend", default="reference",
-                         choices=["reference", "fast", "batch"],
-                         help="execution backend to profile "
-                              "(default: reference)")
-    profile.add_argument("--compare-backends", action="store_true",
-                         help="profile the job under both backends; "
-                              "per-subsystem speedup table plus a "
-                              "byte-identity check (exit 1 on "
-                              "divergence)")
     profile.add_argument("--json", action="store_true", dest="as_json",
                          help="emit the report as JSON")
     replay = sub.add_parser(
@@ -532,9 +523,7 @@ def cmd_profile(args, quick: bool) -> int:
     warmup = args.warmup if args.warmup is not None else warm
     report = profile_run(workload, instructions=instructions,
                          warmup=warmup, seed=args.seed, top=args.top,
-                         compare_arena=args.compare_arena,
-                         backend=args.backend,
-                         compare_backends=args.compare_backends)
+                         compare_arena=args.compare_arena)
     if args.as_json:
         print(json.dumps(report, indent=2))
     else:
@@ -542,9 +531,6 @@ def cmd_profile(args, quick: bool) -> int:
     arena = report.get("arena")
     if arena is not None and arena.get("materialized") \
             and not arena.get("identical"):
-        return 1
-    backends = report.get("backends")
-    if backends is not None and not backends.get("identical"):
         return 1
     return 0
 

@@ -10,7 +10,7 @@ instructions across all processors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.workloads import Workload
@@ -42,13 +42,6 @@ class SimulationResult:
     l2_mshr: MshrOccupancyGroup
     stream_buffer_hit_rate: float = 0.0
     idle_fraction: float = 0.0
-    #: Which execution backend actually ran (the machine silently falls
-    #: back to "reference" when a determinism checker is attached, so
-    #: ``params.backend`` alone can lie about what produced the numbers).
-    #: Excluded from comparisons and ``to_dict`` because backends are
-    #: certified identical: the same run on another backend must still
-    #: compare equal, and cached result dicts stay backend-agnostic.
-    effective_backend: str = field(default="reference", compare=False)
 
     @property
     def execution_time(self) -> int:
@@ -182,8 +175,6 @@ def assemble_result(machine: Machine, workload_name: str, cycles: int,
         l2_mshr=machine.l2_mshr_stats,
         stream_buffer_hit_rate=sb_hits / sb_total if sb_total else 0.0,
         idle_fraction=idle / total_with_idle if total_with_idle else 0.0,
-        effective_backend=getattr(machine, "effective_backend",
-                                  "reference"),
     )
 
 

@@ -44,7 +44,6 @@ from repro.stats.breakdown import (
     CPU_STALL,
     IDLE,
     INSTR,
-    N_CATEGORIES,
     READ_DIRTY,
     READ_DTLB,
     READ_L1,
@@ -128,54 +127,19 @@ class TraceBuffer:
 
     Instructions are kept from the oldest unretired one onward so the core
     can rewind after consistency-violation rollbacks and context switches.
-
-    ``peek`` (used by the batch backend's round planner) reads ahead of
-    the fetch point without consuming: draws pulled from the source for a
-    peek are parked in a side queue that :meth:`get` drains before
-    touching the source again, so fetch observes exactly the stream it
-    would have seen without the lookahead.  A source exhaustion hit while
-    peeking is deferred -- the saved exception re-raises at the fetch
-    that would have triggered it.
     """
 
-    __slots__ = ("_source", "_base", "_buf", "_peek", "_peek_stop")
+    __slots__ = ("_source", "_base", "_buf")
 
     def __init__(self, source: Iterator):
         self._source = source
         self._base = 0
         self._buf: deque = deque()
-        self._peek: deque = deque()
-        self._peek_stop: Optional[BaseException] = None
 
     def get(self, seq: int):
-        buf = self._buf
-        while seq - self._base >= len(buf):
-            if self._peek:
-                buf.append(self._peek.popleft())
-            elif self._peek_stop is not None:
-                raise self._peek_stop
-            else:
-                buf.append(next(self._source))
-        return buf[seq - self._base]
-
-    def peek(self, seq: int):
-        """The instruction at ``seq`` without consuming it, or ``None``
-        when the source ends before reaching it."""
-        buf = self._buf
-        idx = seq - self._base
-        if idx < len(buf):
-            return buf[idx]
-        idx -= len(buf)
-        peeked = self._peek
-        while idx >= len(peeked):
-            if self._peek_stop is not None:
-                return None
-            try:
-                peeked.append(next(self._source))
-            except Exception as exc:
-                self._peek_stop = exc
-                return None
-        return peeked[idx]
+        while seq - self._base >= len(self._buf):
+            self._buf.append(next(self._source))
+        return self._buf[seq - self._base]
 
     def release_through(self, seq: int) -> None:
         """Instructions up to and including ``seq`` are retired."""
@@ -198,15 +162,9 @@ class TraceBuffer:
                 "buf": copy.deepcopy(self._buf, memo)}
 
     def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot` (source untouched).
-
-        The peek cache is dropped: peeked-but-unconsumed draws are not
-        part of ``consumed``, so the fresh source a restored run seeks
-        by that count re-yields them in order."""
+        """Install state captured by :meth:`snapshot` (source untouched)."""
         self._base = state["base"]
         self._buf = state["buf"]
-        self._peek = deque()
-        self._peek_stop = None
 
 
 class ProcessorCore:
@@ -279,23 +237,9 @@ class ProcessorCore:
 
         # True iff the most recent tick_fast() was certifiably a no-op
         # (nothing changed beyond the per-cycle stall accounting, which
-        # gap crediting reproduces exactly).  The fast backend skips a
-        # quiet core's ticks until its reported wake cycle.
+        # gap crediting reproduces exactly).  Machine.run skips a quiet
+        # core's ticks until its reported wake cycle.
         self.tick_quiet = False
-
-        # Batch-backend round scratch (tick_span/_span_retire/span_flush):
-        # per-round retire statistics accumulated as integer numerators in
-        # units of 1/issue_width.  Every per-cycle charge the reference
-        # path makes is an integer multiple of 1/issue_width, so when the
-        # width is a power of two each charge is a dyadic rational that
-        # float addition handles exactly -- folding a round's charges in
-        # one accumulate() is bit-identical to making them cycle by cycle.
-        # Always flushed (zero) at round end, so never checkpointed.
-        self._span_nums = [0] * N_CATEGORIES
-        self._span_instr = 0
-        self._span_dirty = False
-        self._span_exact = (self._issue_width & (self._issue_width - 1)) == 0
-        self._inv_width = 1.0 / self._issue_width
 
     # ------------------------------------------------------------------ process
 
@@ -425,12 +369,6 @@ class ProcessorCore:
         self._rollback_to = state["rollback_to"]
         self._issue_wake = state["issue_wake"]
         self._mem_inflight = state["mem_inflight"]
-        # Round accumulators are scratch: span_flush() empties them
-        # before _run_batch returns, so no checkpoint ever observes a
-        # nonzero value -- reinstall the flushed state.
-        self._span_nums = [0] * N_CATEGORIES
-        self._span_instr = 0
-        self._span_dirty = False
 
     # ------------------------------------------------------------------ tick
 
@@ -567,11 +505,11 @@ class ProcessorCore:
     def settle(self, now: int) -> None:
         """Charge the stall accounting a skipped span up to ``now``.
 
-        The fast backend calls this once at run() exit for cores whose
-        last tick predates the final grid point, reproducing exactly the
-        per-cycle charges the reference backend made over that span (the
-        skipped ticks were certified no-ops, so each would have charged
-        1.0 cycle to the unchanged ``_gap_category``).
+        Machine.run calls this once at exit for cores whose last tick
+        predates the final grid point, reproducing exactly the per-cycle
+        charges ticking them over that span would have made (the skipped
+        ticks were certified no-ops, so each would have charged 1.0 cycle
+        to the unchanged ``_gap_category``).
         """
         lag = now - self._last_now
         if lag <= 0:
@@ -582,153 +520,6 @@ class ProcessorCore:
         else:
             self.stats.stall(self._gap_category, lag)
         self._last_now = now
-
-    def tick_span(self, now: int) -> bool:
-        """One dense in-round cycle for the batch backend.
-
-        State effects are byte-identical to :meth:`tick` at the same
-        cycle, except that retirement statistics are batched into the
-        round accumulators (:meth:`span_flush` folds them into ``stats``
-        at round end) and the next-event computation is skipped -- the
-        round ticks every cycle, so wake times are not needed.  Ticking
-        a core at a cycle the reference grid would have skipped is a
-        certified no-op plus the exact stall charge gap crediting would
-        have made, so dense ticking stays identical (see the batch
-        planner's eligibility gate in :mod:`repro.cpu.batch`; only
-        called for single-context out-of-order cores with a process,
-        under release consistency).
-
-        Returns True when the cycle touched state the round plan did not
-        predict -- a cache miss on this node or an op outside the hot
-        set at the retire head -- telling the machine to end the round
-        after the current cycle.  Classification is a performance
-        heuristic only: a mispredicted cycle still executes faithfully
-        through the ordinary phase methods.
-        """
-        gap = now - self._last_now - 1
-        if gap > 0:
-            self.stats.stall(self._gap_category, gap)
-        self._last_now = now
-
-        memsys = self.memsys
-        misses = memsys.l1d_misses + memsys.l1i_misses + memsys.l2_misses
-        completions = self._completions
-        if completions and completions[0][0] <= now:
-            self._process_completions(now)
-        if self._memq:
-            self._process_memq(now)
-        storebuf = self.storebuf
-        if storebuf._entries:
-            storebuf.drain(now)
-        if self._ready:
-            self._issue_ooo(now)
-        else:
-            self._issue_wake = 0  # what _issue_ooo computes when idle
-        if now >= self._fetch_blocked_until and \
-                len(self._window) < self._window_size:
-            self._fetch(now)
-        nonhot = self._span_retire(now)
-        if memsys.l1d_misses + memsys.l1i_misses + memsys.l2_misses \
-                != misses:
-            return True
-        return nonhot
-
-    def span_flush(self) -> None:
-        """Fold the round's batched retire statistics into ``stats``.
-
-        Exact: each numerator times 1/width reproduces the rational sum
-        of the per-cycle charges it replaces (all dyadic, far below the
-        53-bit mantissa limit).  Idempotent; the batch backend calls it
-        at round end and on the exception path.
-        """
-        if not self._span_dirty:
-            return
-        self._span_dirty = False
-        nums = self._span_nums
-        inv = self._inv_width
-        self.stats.accumulate([n * inv for n in nums], self._span_instr)
-        self._span_nums = [0] * N_CATEGORIES
-        self._span_instr = 0
-
-    def _span_retire(self, now: int) -> bool:
-        """:meth:`_retire` for in-round cycles: identical state effects,
-        with the per-cycle busy/stall/instruction charges accumulated
-        into the round's integer numerators when the issue width is a
-        power of two (charged directly otherwise).  Handles every opcode
-        the reference path does, so a misclassified round stays correct.
-        Returns True when an op outside the batch hot set (lock, fence,
-        syscall, prefetch, flush) reached the retire head.
-        """
-        width = self._issue_width
-        retired = 0
-        stall_category: Optional[int] = None
-        nonhot = False
-        window = self._window
-        entries = self._entries
-        consistency = self.consistency
-        trace = self._trace
-        while retired < width:
-            if not window:
-                if now < self._fetch_blocked_until:
-                    stall_category = INSTR if self._fetch_block_instr \
-                        else CPU_STALL
-                else:
-                    stall_category = CPU_STALL
-                break
-            entry = window[0]
-            if entry.state != ST_DONE:
-                stall_category = self._classify_stall(entry)
-                break
-            op = entry.instr.op
-            if op > OP_BRANCH:
-                nonhot = True
-            if op == OP_MB and not self.storebuf.empty:
-                stall_category = SYNC
-                break
-            if op in (OP_STORE, OP_LOCK_REL) and not self._sc_mode:
-                if op == OP_LOCK_REL:
-                    self.lock_table.pop(entry.instr.addr, None)
-                if not self.storebuf.push_store(entry.instr.addr,
-                                                entry.instr.pc):
-                    stall_category = WRITE
-                    break
-            elif op == OP_LOCK_REL:  # SC: already performed in order
-                self.lock_table.pop(entry.instr.addr, None)
-            elif op == OP_WMB:
-                self.storebuf.push_barrier()
-            elif op == OP_FLUSH:
-                self.memsys.flush_line(now, entry.instr.addr)
-            window.popleft()
-            del entries[entry.seq]
-            if op in _MEMQ_OPS:
-                self._mem_inflight -= 1
-            consistency.note_removed(entry.seq)
-            trace.release_through(entry.seq)
-            retired += 1
-            self.retired += 1
-            if op == OP_SYSCALL:
-                self.syscall_retired = True
-                break
-        if self._span_exact:
-            nums = self._span_nums
-            nums[BUSY] += retired
-            self._span_instr += retired
-            self._span_dirty = True
-            if retired < width and stall_category is not None:
-                nums[stall_category] += width - retired
-                self._gap_category = stall_category
-            else:
-                self._gap_category = CPU_STALL
-        else:
-            stats = self.stats
-            stats.instructions += retired
-            stats.busy(retired / width)
-            if retired < width and stall_category is not None:
-                stats.stall(stall_category, 1.0 - retired / width)
-                self._gap_category = stall_category
-            else:
-                self._gap_category = CPU_STALL
-        return nonhot
 
     # ------------------------------------------------------------------ fetch
 
@@ -974,8 +765,8 @@ class ProcessorCore:
         """Give queued memory ops a chance to perform.
 
         Returns True when the pass changed any state (entries dropped,
-        accesses or lock probes attempted, prefetches issued) -- the fast
-        backend uses this to certify no-op ticks.  Blocked entries are
+        accesses or lock probes attempted, prefetches issued) -- tick_fast
+        uses this to certify no-op ticks.  Blocked entries are
         re-examined without leaving any trace: ``retry_at`` is never
         rewritten on the consistency-blocked path (it is already <= now
         there, and every comparison is strict), so polling a blocked

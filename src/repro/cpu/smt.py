@@ -192,7 +192,7 @@ class SmtCore:
         """Bring a skipped core's accounting and shared-pool state up to
         ``now`` (see ProcessorCore.settle).  Quiet contexts consume no
         shared bandwidth, so refreshing the pools at ``now`` reproduces
-        the reference backend's end-of-run pipeline state exactly."""
+        the end-of-run pipeline state of ticking every cycle exactly."""
         self.shared.refresh(now)
         for ctx in self.contexts:
             ctx.settle(now)

@@ -48,9 +48,9 @@ class StoreBuffer:
         self.stores_pushed = 0
         self.barriers_pushed = 0
         # Set by drain() when a pass changed state (pops, issues, retry
-        # reschedules, prefetches).  The fast backend resets it before
-        # calling drain and reads it afterwards to certify no-op ticks;
-        # it is scratch, never checkpointed.
+        # reschedules, prefetches).  ProcessorCore.tick_fast resets it
+        # before calling drain and reads it afterwards to certify no-op
+        # ticks; it is scratch, never checkpointed.
         self.drain_activity = False
 
     def __len__(self) -> int:

@@ -91,19 +91,6 @@ class CacheArray:
         """Number of valid lines (testing / introspection)."""
         return sum(len(s) for s in self._sets)
 
-    def resident_lines(self) -> set:
-        """All valid line numbers, as one flat set.
-
-        The batch backend's round planner mirrors the tag state into
-        struct-of-arrays membership tables with this; it is a read-only
-        copy (LRU order is irrelevant to residency), so building it
-        never perturbs the simulated state.
-        """
-        lines: set = set()
-        for s in self._sets:
-            lines.update(s)
-        return lines
-
     def snapshot(self, memo=None) -> Dict[str, object]:
         """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
         return {"sets": copy.deepcopy(self._sets, memo)}

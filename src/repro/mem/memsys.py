@@ -416,38 +416,6 @@ class NodeMemorySystem:
                 self.l2.invalidate(line)
                 self.l2.insert(line, dirty=False)
 
-    # -- tag-state mirror (batch backend) -------------------------------------
-
-    def hot_tag_state(self) -> dict:
-        """Read-only mirror of the tag/translation state the batch
-        backend's round planner classifies against.
-
-        ``l1d``/``l1i`` are the resident line sets minus lines with an
-        in-flight miss (an MSHR hit coalesces -- that is a latency the
-        planner's closed-form accounting cannot predict, so such lines
-        are simply not hot); ``writable`` and ``frames`` alias live
-        structures and must not be mutated or kept across a round;
-        ``dpages``/``ipages`` are the TLB-resident virtual page sets, or
-        ``None`` for a perfect TLB.  Building the mirror reads tags
-        without touching LRU order, counters, or the page table (in
-        particular it never calls ``frame_of``, which allocates on first
-        touch), so planning never perturbs simulated state.
-        """
-        l1d = self.l1d.resident_lines()
-        for line in self.l1d_mshrs._entries:
-            l1d.discard(line)
-        l1i = self.l1i.resident_lines()
-        return {
-            "l1d": l1d,
-            "l1i": l1i,
-            "writable": self._writable,
-            "frames": self.page_table._frames,
-            "dpages": None if self.dtlb.params.perfect
-            else set(self.dtlb._entries),
-            "ipages": None if self.itlb.params.perfect
-            else set(self.itlb._entries),
-        }
-
     # -- external coherence actions -------------------------------------------
 
     def line_dirty(self, line: int) -> bool:

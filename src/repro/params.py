@@ -156,14 +156,14 @@ class SchedulerParams:
 
 
 #: The ephemeral registry: SystemParams fields that configure tooling
-#: (checkers, watchdogs, backend selection) rather than the simulated
-#: machine.  They are excluded from serialization and cache
-#: fingerprints, and the static contract auditor (rule R011) forbids
-#: reading them outside a short list of dispatch gates.  Must stay a
-#: literal set: ``repro lint`` cross-checks it against its own registry
-#: and ``repro.params_io`` aliases it for fingerprint exclusion.
+#: (checkers, watchdogs) rather than the simulated machine.  They are
+#: excluded from serialization and cache fingerprints, and the static
+#: contract auditor (rule R011) forbids reading them outside a short
+#: list of gates.  Must stay a literal set: ``repro lint``
+#: cross-checks it against its own registry and ``repro.params_io``
+#: aliases it for fingerprint exclusion.
 EPHEMERAL_FIELDS = frozenset({
-    "check", "watchdog_cycles", "watchdog_node_cycles", "backend"})
+    "check", "watchdog_cycles", "watchdog_node_cycles"})
 
 
 @dataclass(frozen=True)
@@ -205,16 +205,6 @@ class SystemParams:
                                             # ephemeral like `check`
     watchdog_node_cycles: int = 0           # same, per node with a runnable
                                             # process (0 = off)
-    backend: str = "reference"              # main-loop implementation:
-                                            # "reference" (uniform grid),
-                                            # "fast" (certified tick
-                                            # skipping), or "batch" (fast
-                                            # plus dense hot-window rounds
-                                            # with bulk stat retirement);
-                                            # results are byte-identical,
-                                            # so this is ephemeral like
-                                            # `check` and excluded from
-                                            # fingerprints
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -223,10 +213,6 @@ class SystemParams:
             raise ValueError("n_nodes must be a multiple of mesh_width")
         if self.l1i.line_size != self.l2.line_size and self.stream_buffer_entries:
             raise ValueError("stream buffer requires matching L1I/L2 line sizes")
-        if self.backend not in ("reference", "fast", "batch"):
-            raise ValueError(
-                f"backend must be 'reference', 'fast' or 'batch', got "
-                f"{self.backend!r}")
 
     @property
     def page_size(self) -> int:

@@ -41,8 +41,7 @@ _ENUMS = {
 
 # Fields that configure tooling rather than the simulated machine; they
 # must not leak into saved configs or cache fingerprints (a sanitizer-on
-# run produces bit-identical results to a sanitizer-off run, and the fast
-# backend produces bit-identical results to the reference backend).
+# run produces bit-identical results to a sanitizer-off run).
 # Aliases the single registry in repro.params; the static contract
 # auditor (R011) verifies the two cannot drift apart.
 _EPHEMERAL = EPHEMERAL_FIELDS

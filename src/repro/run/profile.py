@@ -12,12 +12,6 @@ regressions before they reach the benchmarks.
 job, replays it, and reports the replay speedup and a byte-identity
 check against the generator path -- a quick local version of the
 cross-check the benchmark and CI smoke enforce.
-
-``--backend fast|reference`` selects the execution backend to profile
-(see ARCHITECTURE.md "Execution backends"), and ``--compare-backends``
-profiles the same job under both, printing a per-subsystem speedup
-table plus a byte-identity check; the CLI exits nonzero if the
-backends ever disagree.
 """
 
 from __future__ import annotations
@@ -162,12 +156,9 @@ def profile_run(kind: str = "oltp",
                 seed: int = 0,
                 top: int = 10,
                 compare_arena: bool = False,
-                trace_dir: Optional[str] = None,
-                backend: str = "reference",
-                compare_backends: bool = False) -> Dict[str, Any]:
+                trace_dir: Optional[str] = None) -> Dict[str, Any]:
     """Profile one simulation; return a JSON-friendly report dict."""
-    spec = JobSpec(default_system().replace(backend=backend),
-                   WorkloadSpec(kind),
+    spec = JobSpec(default_system(), WorkloadSpec(kind),
                    instructions=instructions, warmup=warmup, seed=seed)
     total_instr = instructions + warmup
 
@@ -186,7 +177,6 @@ def profile_run(kind: str = "oltp",
     ]
     report: Dict[str, Any] = {
         "workload": kind,
-        "backend": backend,
         "instructions": instructions,
         "warmup": warmup,
         "seed": seed,
@@ -203,59 +193,6 @@ def profile_run(kind: str = "oltp",
     }
     if compare_arena:
         report["arena"] = _compare_arena(spec, result, trace_dir)
-    if compare_backends:
-        report["backends"] = _compare_backends(spec)
-    return report
-
-
-#: Backends profiled by ``--compare-backends``, reference first (it is
-#: the baseline every speedup is computed against).
-_BACKENDS = ("reference", "fast", "batch")
-
-
-def _compare_backends(spec: JobSpec) -> Dict[str, Any]:
-    """Profile the job under every backend; per-subsystem speedups and a
-    byte-identity verdict (the CLI exits nonzero on divergence)."""
-    import dataclasses
-
-    runs: Dict[str, Any] = {}
-    for backend in _BACKENDS:
-        bspec = dataclasses.replace(
-            spec, params=spec.params.replace(backend=backend))
-        result, wall_s, by_subsystem, _functions = _profile_once(bspec)
-        runs[backend] = (result.to_dict(), wall_s, by_subsystem)
-
-    ref_dict, ref_wall, ref_sub = runs["reference"]
-    names = sorted(
-        {name for _d, _w, sub in runs.values() for name in sub},
-        key=lambda n: ref_sub.get(n, 0.0), reverse=True)
-    subsystems = []
-    for name in names:
-        ref_s = ref_sub.get(name, 0.0)
-        row: Dict[str, Any] = {"name": name,
-                               "reference_s": round(ref_s, 4)}
-        for backend in _BACKENDS[1:]:
-            b_s = runs[backend][2].get(name, 0.0)
-            row[f"{backend}_s"] = round(b_s, 4)
-            row[f"{backend}_speedup"] = \
-                round(ref_s / b_s, 2) if b_s > 1e-9 else None
-        # Historical aliases: fast was the first alternative backend and
-        # downstream tooling reads these keys.
-        row["speedup"] = row["fast_speedup"]
-        subsystems.append(row)
-    report: Dict[str, Any] = {
-        "reference_wall_s": round(ref_wall, 4),
-        "subsystems": subsystems,
-    }
-    for backend in _BACKENDS[1:]:
-        b_dict, b_wall, _sub = runs[backend]
-        report[f"{backend}_wall_s"] = round(b_wall, 4)
-        report[f"{backend}_speedup"] = \
-            round(ref_wall / b_wall, 2) if b_wall else 0.0
-        report[f"{backend}_identical"] = b_dict == ref_dict
-    report["speedup"] = report["fast_speedup"]
-    report["identical"] = all(
-        report[f"{backend}_identical"] for backend in _BACKENDS[1:])
     return report
 
 
@@ -299,7 +236,6 @@ def _compare_arena(spec: JobSpec, generator_result,
 def format_report(report: Dict[str, Any]) -> str:
     lines = [
         f"workload {report['workload']}  "
-        f"backend {report.get('backend', 'reference')}  "
         f"instr {report['instructions']:,} (+{report['warmup']:,} warmup)"
         f"  seed {report['seed']}",
         f"cycles {report['cycles']:,}  wall {report['wall_s']:.2f}s  "
@@ -332,29 +268,4 @@ def format_report(report: Dict[str, Any]) -> str:
                 f" vs replay {arena['replay_s']:.2f}s "
                 f"({arena['replay_speedup']:.2f}x), results {verdict}, "
                 f"{arena['arena_bytes']:,} bytes on disk")
-    backends = report.get("backends")
-    if backends is not None:
-        verdict = "identical" if backends["identical"] else "DIVERGED"
-        lines.append("")
-        lines.append(
-            f"backend cross-check: reference "
-            f"{backends['reference_wall_s']:.2f}s vs fast "
-            f"{backends['fast_wall_s']:.2f}s "
-            f"({backends['fast_speedup']:.2f}x) vs batch "
-            f"{backends['batch_wall_s']:.2f}s "
-            f"({backends['batch_speedup']:.2f}x), results {verdict}")
-        lines.append("  per-subsystem exclusive time "
-                     "(reference -> fast -> batch):")
-        for sub in backends["subsystems"]:
-            if sub["reference_s"] < 0.001 and sub["fast_s"] < 0.001 \
-                    and sub["batch_s"] < 0.001:
-                continue
-            fast_x = "   n/a" if sub["fast_speedup"] is None \
-                else f"{sub['fast_speedup']:>5.2f}x"
-            batch_x = "   n/a" if sub["batch_speedup"] is None \
-                else f"{sub['batch_speedup']:>5.2f}x"
-            lines.append(f"  {sub['name']:<10s} "
-                         f"{sub['reference_s']:>8.3f}s -> "
-                         f"{sub['fast_s']:>8.3f}s {fast_x} -> "
-                         f"{sub['batch_s']:>8.3f}s {batch_x}")
     return "\n".join(lines)

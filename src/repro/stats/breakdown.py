@@ -56,24 +56,6 @@ class ExecutionBreakdown:
     def stall(self, category: int, cycles: float) -> None:
         self.cycles[category] += cycles
 
-    def accumulate(self, cycles, instructions: int) -> None:
-        """Bulk-add a per-category cycle vector plus an instruction count
-        (the batch backend's per-round flush).
-
-        Bit-identical to making the same charges through busy()/stall()
-        cycle by cycle as long as every charge is exactly representable
-        (the batch backend only batches integer multiples of
-        1/issue_width with a power-of-two width): exact float additions
-        commute and associate, and adding 0.0 is the identity on a
-        non-negative accumulator.
-        """
-        own = self.cycles
-        for i in range(N_CATEGORIES):
-            c = cycles[i]
-            if c:
-                own[i] += c
-        self.instructions += instructions
-
     def reset(self) -> None:
         self.cycles = [0.0] * N_CATEGORIES
         self.instructions = 0

@@ -46,14 +46,24 @@ class PipeTracer:
         self.max_cycles = max_cycles
         self.window_chars = window_chars
         self.lines: List[str] = []
+        # Machine.run steps a core through tick_fast and skips it while
+        # its last tick was certified quiet.  A traced core takes the
+        # reference tick on both entry points and is never quiet, so it
+        # is recorded at every grid point (results are unchanged: the
+        # two ticks have identical effects).  Attach before run().
         self._original_tick = core.tick
+        self._original_tick_fast = core.tick_fast
         core.tick = self._traced_tick  # type: ignore[assignment]
+        core.tick_fast = self._traced_tick  # type: ignore[assignment]
 
     def detach(self) -> None:
         self.core.tick = self._original_tick  # type: ignore[assignment]
+        self.core.tick_fast = \
+            self._original_tick_fast  # type: ignore[assignment]
 
     def _traced_tick(self, now: int) -> int:
         result = self._original_tick(now)
+        self.core.tick_quiet = False
         if len(self.lines) < self.max_cycles:
             self.lines.append(self._snapshot(now))
         return result

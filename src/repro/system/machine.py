@@ -15,7 +15,6 @@ the simulation cost.
 from __future__ import annotations
 
 import copy
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cpu.core import (
@@ -25,7 +24,6 @@ from repro.cpu.core import (
     ProcessorCore,
     WindowEntry,
 )
-from repro.cpu.batch import MIN_ROUND, PLAN_BACKOFF, make_planner
 from repro.cpu.smt import SmtCore
 from repro.mem.coherence import CoherentMemory
 from repro.mem.interconnect import MeshNetwork
@@ -49,22 +47,6 @@ LIVELOCK_TRANSFERS = 8
 
 class DeadlockError(RuntimeError):
     """The simulation cannot make progress (indicates a modelling bug)."""
-
-
-#: Backends already warned about falling back to the reference loop under
-#: an attached checker (one warning per backend per interpreter).
-_warned_checker_fallback: set = set()
-
-
-def _warn_checker_fallback(backend: str) -> None:
-    if backend in _warned_checker_fallback:
-        return
-    _warned_checker_fallback.add(backend)
-    warnings.warn(
-        f"params.backend == {backend!r} but the invariant checker is "
-        f"attached; running the reference loop instead (the checker's "
-        f"wrappers require every core to be polled each grid cycle)",
-        RuntimeWarning, stacklevel=3)
 
 
 class WedgeError(RuntimeError):
@@ -140,10 +122,6 @@ class Machine:
         self.now = 0
         self.idle_cycles = 0
         self._measure_started_at = 0
-        # The loop implementation the last run() actually used ("reference"
-        # when a checker forces the reference path); recorded in result
-        # payloads so fallbacks are visible.
-        self.effective_backend = "reference"
 
         # Opt-in runtime sanitizer (repro.check).  Attached last so it
         # wraps fully-constructed components; with ``check`` off nothing
@@ -184,121 +162,24 @@ class Machine:
 
         Returns the number of cycles elapsed during this call.
 
-        With ``params.backend == "fast"`` the certified-skip loop
-        (:meth:`_run_fast`) is used instead of the uniform grid walk, and
-        with ``"batch"`` the dense-round variant (:meth:`_run_batch`);
-        both produce byte-identical state and statistics.  Sanitized runs
-        (``params.check``) always take the reference path: the invariant
-        checker's wrappers assume every core is polled every grid cycle.
-        A forced fallback is announced once per backend and recorded in
-        ``effective_backend``.
-        """
-        backend = self.params.backend
-        if self.checker is None:
-            self.effective_backend = backend
-            if backend == "fast":
-                return self._run_fast(instructions, max_cycles)
-            if backend == "batch":
-                return self._run_batch(instructions, max_cycles)
-        else:
-            self.effective_backend = "reference"
-            if backend != "reference":
-                _warn_checker_fallback(backend)
-        target = self.total_retired() + instructions
-        start_cycle = self.now
-        deadline = self.now + max_cycles
-        # The cycle loop runs millions of iterations; bind the per-cycle
-        # lookups once (same objects, pure speedup).
-        cores = self.cores
-        schedulers = self.schedulers
-        dispatch_if_idle = self._dispatch_if_idle
-        handle_syscall = self._handle_syscall
-        indexed_cores = list(enumerate(cores))
-        now = self.now
-        # Forward-progress watchdog (off by default: one extra branch per
-        # iteration).  All of its bookkeeping lives in run()-locals so
-        # checkpoints never capture it.
-        wd_global = self.params.watchdog_cycles
-        wd_node = self.params.watchdog_node_cycles
-        wd_on = wd_global > 0 or wd_node > 0
-        if wd_on:
-            if self.memory._ping is None:
-                self.memory._ping = {}
-            wd_total = self.total_retired()
-            wd_cycle = now
-            wd_node_retired = [core.retired for core in cores]
-            wd_node_cycle = [now] * len(cores)
-        while True:
-            total_now = sum(core.retired for core in cores)
-            if total_now >= target:
-                break
-            if wd_on:
-                if total_now != wd_total:
-                    wd_total = total_now
-                    wd_cycle = now
-                    self.memory._ping.clear()
-                elif wd_global and now - wd_cycle >= wd_global:
-                    raise self._classify_wedge(now, node=None)
-                if wd_node:
-                    for cpu, core in indexed_cores:
-                        r = core.retired
-                        if r != wd_node_retired[cpu] or core.process is None:
-                            wd_node_retired[cpu] = r
-                            wd_node_cycle[cpu] = now
-                        elif now - wd_node_cycle[cpu] >= wd_node:
-                            raise self._classify_wedge(now, node=cpu)
-            if now >= deadline:
-                raise DeadlockError(
-                    f"exceeded {max_cycles} cycles at "
-                    f"{self.total_retired()} retired instructions")
-            next_time = FAR_FUTURE
-            for cpu, core in indexed_cores:
-                dispatch_if_idle(cpu)
-                t = core.tick(now)
-                if core.syscall_retired:
-                    handle_syscall(cpu)
-                    t = now + 1
-                if t < next_time:
-                    next_time = t
-            for core in cores:
-                core.apply_pending_rollback(now)
-                if core._rollback_to is not None:  # pragma: no cover
-                    next_time = now + 1
-            # Idle CPUs wake when a blocked process becomes ready.
-            for cpu, core in indexed_cores:
-                if core.process is None:
-                    wake = schedulers[cpu].earliest_wake()
-                    if wake is not None:
-                        candidate = wake if wake > now else now + 1
-                        if candidate < next_time:
-                            next_time = candidate
-            if next_time >= FAR_FUTURE:
-                raise DeadlockError(
-                    f"no core can make progress at cycle {now}")
-            now = max(now + 1, next_time)
-            self.now = now
-        if self.checker is not None:
-            self.checker.check_run_end()
-        return now - start_cycle
+        The loop walks a grid of cycle numbers: each step jumps to the
+        earliest cycle at which any core reports it can make progress.
+        At a grid point a core is ticked only when it is *due*: (a) its
+        previous tick was not certified as a no-op (``tick_quiet``),
+        (b) its reported wake cycle has arrived, (c) it took a rollback
+        squash, or (d) the scheduler can seat a process on a free slot.
+        A skipped core is brought up to date by gap crediting inside its
+        next real tick (or by ``settle()`` at exit): each skipped cycle
+        charges 1.0 cycle to the core's unchanged stall category, exactly
+        what ticking it there would have charged.
 
-    def _run_fast(self, instructions: int, max_cycles: int) -> int:
-        """Certified-skip main loop (``SystemParams.backend == "fast"``).
-
-        Visits exactly the same grid of cycle numbers as :meth:`run`, but
-        only ticks a core at a grid point when something can actually
-        happen there.  A core is *due* when (a) its previous tick was not
-        certified as a no-op (``tick_quiet``), (b) its reported wake
-        cycle has arrived, (c) it took a rollback squash, or (d) the
-        scheduler can seat a process on a free slot.  Skipped ticks are
-        reproduced exactly by gap crediting inside the next real tick
-        (or by ``settle()`` at exit): each skipped cycle would have
-        charged 1.0 cycle to the core's unchanged stall category.
-
-        Because every wake a skipped core contributes to the grid is the
-        value its own tick would have returned (certification), the grid
-        -- and therefore every cycle count, stall breakdown, watchdog
-        trip, and checkpoint snapshot -- is byte-identical to the
-        reference backend's.
+        Sanitized runs (``params.check``) walk the same grid with
+        certification off: every core is due at every grid point and is
+        stepped through the reference ``tick``, which the invariant
+        checker wraps.  Because every wake a skipped core contributes to
+        the grid is the value its own tick would have returned, both
+        modes visit the same grid -- every cycle count, stall breakdown,
+        watchdog trip and checkpoint snapshot is byte-identical.
         """
         target = self.total_retired() + instructions
         start_cycle = self.now
@@ -310,6 +191,12 @@ class Machine:
         indexed_cores = list(enumerate(cores))
         now = self.now
         smt = self.params.processor.smt_contexts > 1
+        certify = self.checker is None
+        # Each core's step function, bound once per call: the certifying
+        # tick_fast, or the reference tick (the checker wraps it per
+        # instance) with certification off.
+        stepped = [(cpu, core, core.tick_fast if certify else core.tick)
+                   for cpu, core in indexed_cores]
         # Flat per-core event state, indexed by cpu: the last wake each
         # core reported, whether that wake is certified (the core may be
         # skipped until then), the retired count last observed (for an
@@ -321,6 +208,9 @@ class Machine:
         sched_wake = [s.earliest_wake() for s in schedulers]
         total_now = sum(retired_seen)
         last_step = -1
+        # Forward-progress watchdog (off by default: one extra branch per
+        # iteration).  All of its bookkeeping lives in run()-locals so
+        # checkpoints never capture it.
         wd_global = self.params.watchdog_cycles
         wd_node = self.params.watchdog_node_cycles
         wd_on = wd_global > 0 or wd_node > 0
@@ -356,7 +246,7 @@ class Machine:
                     f"{self.total_retired()} retired instructions")
             last_step = now
             next_time = FAR_FUTURE
-            for cpu, core in indexed_cores:
+            for cpu, core, step in stepped:
                 if quiet[cpu] and wake[cpu] > now:
                     w = sched_wake[cpu]
                     if w is None or w > now:
@@ -371,13 +261,13 @@ class Machine:
                             next_time = t
                         continue
                 dispatch_if_idle(cpu)
-                t = core.tick_fast(now)
+                t = step(now)
                 if core.syscall_retired:
                     handle_syscall(cpu)
                     t = now + 1
                     quiet[cpu] = False
                 else:
-                    quiet[cpu] = core.tick_quiet
+                    quiet[cpu] = certify and core.tick_quiet
                 wake[cpu] = t
                 r = core.retired
                 if r != retired_seen[cpu]:
@@ -404,209 +294,13 @@ class Machine:
                     f"no core can make progress at cycle {now}")
             now = max(now + 1, next_time)
             self.now = now
-        # The reference loop ticks every core at every grid point, so at
-        # exit each core's accounting extends through the last one; bring
-        # skipped cores up to it so snapshots are byte-identical.
+        # Bring skipped cores' accounting up to the last grid point, as
+        # if each had been ticked there (a no-op for cores that were).
         if last_step >= 0:
             for core in cores:
                 core.settle(last_step)
-        return now - start_cycle
-
-    def _run_batch(self, instructions: int, max_cycles: int) -> int:
-        """Dense-round main loop (``SystemParams.backend == "batch"``).
-
-        The certified-skip loop of :meth:`_run_fast`, augmented with
-        *rounds* planned by :mod:`repro.cpu.batch`: spans of cycles over
-        which every active core's window, store buffer, and upcoming
-        instructions classify as resident and hazard-free against a
-        mirrored copy of the cache/TLB tag state.  Inside a round the
-        span cores are ticked densely every cycle
-        (:meth:`~repro.cpu.core.ProcessorCore.tick_span`) with
-        retirement statistics batched per round -- no per-cycle
-        next-event computation, wake certification, or grid bookkeeping.
-
-        Identity argument, in two halves.  (1) Dense ticking: a tick at
-        a cycle the reference grid skipped is a no-op plus the exact
-        1.0-cycle stall charge that gap crediting attributes for that
-        cycle anyway, so extra ticks change nothing once accounting
-        settles.  (2) Classification independence: in-round memory
-        traffic flows through the ordinary access paths -- the planner's
-        hot sets are consulted only while *planning*, never while
-        executing -- so a misclassified round is merely slow, not wrong.
-        Any unpredicted event (a cache miss, a non-hot op at retire, a
-        syscall) poisons the round after its cycle completes faithfully,
-        and the loop falls back to certified skipping.  Rounds are also
-        capped so the instruction target cannot be crossed inside one,
-        keeping the exit grid walk (and the final ``self.now``) exact.
-
-        The planner declines ineligible configurations (non-RC
-        consistency, in-order cores, SMT) and watchdog-armed runs; the
-        loop then degrades to exactly :meth:`_run_fast`.
-        """
-        target = self.total_retired() + instructions
-        start_cycle = self.now
-        deadline = self.now + max_cycles
-        cores = self.cores
-        schedulers = self.schedulers
-        dispatch_if_idle = self._dispatch_if_idle
-        handle_syscall = self._handle_syscall
-        indexed_cores = list(enumerate(cores))
-        now = self.now
-        smt = self.params.processor.smt_contexts > 1
-        wake = [now] * len(cores)
-        quiet = [False] * len(cores)
-        retired_seen = [core.retired for core in cores]
-        sched_wake = [s.earliest_wake() for s in schedulers]
-        total_now = sum(retired_seen)
-        last_step = -1
-        wd_global = self.params.watchdog_cycles
-        wd_node = self.params.watchdog_node_cycles
-        wd_on = wd_global > 0 or wd_node > 0
-        if wd_on:
-            if self.memory._ping is None:
-                self.memory._ping = {}
-            ping = self.memory._ping
-            wd_total = total_now
-            wd_cycle = now
-            wd_node_retired = list(retired_seen)
-            wd_node_cycle = [now] * len(cores)
-        # Watchdog trip cycles are part of the observable contract, and
-        # rounds do not track per-cycle forward progress; armed runs
-        # simply never use rounds.
-        planner = None if wd_on else make_planner(self)
-        next_plan_at = now
-        # Failed plans back off exponentially: miss-dense phases (OLTP's
-        # steady state) would otherwise pay the hot-set mirroring cost
-        # every PLAN_BACKOFF cycles for nothing.  Backoff only delays
-        # *planning*, never ticking, so it cannot affect simulated state.
-        plan_backoff = PLAN_BACKOFF
-        max_retire = self.params.processor.issue_width * len(cores)
-        while True:
-            if total_now >= target:
-                break
-            if wd_on:
-                if total_now != wd_total:
-                    wd_total = total_now
-                    wd_cycle = now
-                    ping.clear()
-                elif wd_global and now - wd_cycle >= wd_global:
-                    raise self._classify_wedge(now, node=None)
-                if wd_node:
-                    for cpu, core in indexed_cores:
-                        r = retired_seen[cpu]
-                        if r != wd_node_retired[cpu] or core.process is None:
-                            wd_node_retired[cpu] = r
-                            wd_node_cycle[cpu] = now
-                        elif now - wd_node_cycle[cpu] >= wd_node:
-                            raise self._classify_wedge(now, node=cpu)
-            if now >= deadline:
-                raise DeadlockError(
-                    f"exceeded {max_cycles} cycles at "
-                    f"{self.total_retired()} retired instructions")
-            if planner is not None and now >= next_plan_at:
-                limit = (target - total_now - 1) // max_retire
-                if limit < MIN_ROUND:
-                    # Endgame: the remaining budget no longer fits a
-                    # round (and only shrinks); stop planning this run.
-                    next_plan_at = deadline
-                    plan = None
-                else:
-                    plan = planner.plan(now, wake, quiet, sched_wake,
-                                        limit)
-                if plan is None:
-                    if next_plan_at <= now:
-                        next_plan_at = now + plan_backoff
-                        plan_backoff = min(plan_backoff * 2, 1024)
-                else:
-                    round_end, span = plan
-                    poisoned = False
-                    try:
-                        while True:
-                            self.now = now
-                            last_step = now
-                            for cpu, core in span:
-                                if core.tick_span(now):
-                                    poisoned = True
-                                if core.syscall_retired:
-                                    handle_syscall(cpu)
-                                    poisoned = True
-                                r = core.retired
-                                if r != retired_seen[cpu]:
-                                    total_now += r - retired_seen[cpu]
-                                    retired_seen[cpu] = r
-                            done = poisoned or now >= round_end or \
-                                total_now >= target
-                            now += 1
-                            if done or now >= deadline:
-                                break
-                    finally:
-                        # Fold the batched statistics in and force every
-                        # span core due at the next grid cycle (a forced
-                        # tick of a core the grid would have skipped is
-                        # a certified no-op; see tick_span).
-                        for cpu, core in span:
-                            core.span_flush()
-                            wake[cpu] = now
-                            quiet[cpu] = False
-                            sched_wake[cpu] = \
-                                schedulers[cpu].earliest_wake()
-                    self.now = now
-                    plan_backoff = PLAN_BACKOFF
-                    next_plan_at = now + PLAN_BACKOFF if poisoned else now
-                    continue
-            last_step = now
-            next_time = FAR_FUTURE
-            for cpu, core in indexed_cores:
-                if quiet[cpu] and wake[cpu] > now:
-                    w = sched_wake[cpu]
-                    if w is None or w > now:
-                        seat = False
-                    elif smt:
-                        seat = core.free_slots() > 0
-                    else:
-                        seat = core.process is None
-                    if not seat:
-                        t = wake[cpu]
-                        if t < next_time:
-                            next_time = t
-                        continue
-                dispatch_if_idle(cpu)
-                t = core.tick_fast(now)
-                if core.syscall_retired:
-                    handle_syscall(cpu)
-                    t = now + 1
-                    quiet[cpu] = False
-                else:
-                    quiet[cpu] = core.tick_quiet
-                wake[cpu] = t
-                r = core.retired
-                if r != retired_seen[cpu]:
-                    total_now += r - retired_seen[cpu]
-                    retired_seen[cpu] = r
-                sched_wake[cpu] = schedulers[cpu].earliest_wake()
-                if t < next_time:
-                    next_time = t
-            for cpu, core in indexed_cores:
-                if core._rollback_to is None:
-                    continue
-                core.apply_pending_rollback(now)
-                quiet[cpu] = False  # squashed state invalidates the wake
-            # Idle CPUs wake when a blocked process becomes ready.
-            for cpu, core in indexed_cores:
-                if core.process is None:
-                    w = sched_wake[cpu]
-                    if w is not None:
-                        candidate = w if w > now else now + 1
-                        if candidate < next_time:
-                            next_time = candidate
-            if next_time >= FAR_FUTURE:
-                raise DeadlockError(
-                    f"no core can make progress at cycle {now}")
-            now = max(now + 1, next_time)
-            self.now = now
-        if last_step >= 0:
-            for core in cores:
-                core.settle(last_step)
+        if self.checker is not None:
+            self.checker.check_run_end()
         return now - start_cycle
 
     # ---------------------------------------------------------------- watchdog

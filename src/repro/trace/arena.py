@@ -276,10 +276,51 @@ class TraceArena:
         return [self.replay(pid, skip=skip)
                 for pid, skip in enumerate(skips)]
 
-    def replay(self, pid: int, skip: int = 0) -> "ArenaStream":
+    def replay(self, pid: int, skip: int = 0) -> Iterator[Instruction]:
         """Lazy instruction stream of one process, starting ``skip``
         instructions in (index arithmetic -- no decode of the prefix)."""
-        return ArenaStream(self, pid, skip)
+        start = self._starts[pid] + skip
+        n = self.counts[pid] - skip
+        op = self._op
+        meta = self._meta
+        lat = self._lat
+        pc = self._pc
+        addr = self._addr
+        extra = self._extra
+        path = self.path
+
+        def _iter():
+            i = start
+            end = start + n
+            while i < end:
+                o = op[i]
+                if o == OP_BRANCH:
+                    m = meta[i]
+                    yield Instruction(o, pc[i], addr=addr[i],
+                                      latency=lat[i], taken=bool(m & 4),
+                                      target=extra[i], branch_kind=m & 3)
+                else:
+                    nd = meta[i] >> 3
+                    if nd:
+                        e = extra[i]
+                        if nd == 1:
+                            deps = (e & 0xFFFF,)
+                        elif nd == 2:
+                            deps = (e & 0xFFFF, (e >> 16) & 0xFFFF)
+                        else:
+                            deps = (e & 0xFFFF, (e >> 16) & 0xFFFF,
+                                    (e >> 32) & 0xFFFF)
+                    else:
+                        deps = ()
+                    yield Instruction(o, pc[i], addr=addr[i], deps=deps,
+                                      latency=lat[i])
+                i += 1
+            raise ArenaExhausted(
+                f"process {pid} consumed all {n} materialized "
+                f"instructions of {path.name}; re-running on the "
+                f"generator path")
+
+        return _iter()
 
     @property
     def total_instructions(self) -> int:
@@ -292,73 +333,6 @@ class TraceArena:
         if self._mapping is not None:
             self._mapping.close()
             self._mapping = None
-
-
-class ArenaStream:
-    """One process's lazy instruction iterator over an arena.
-
-    Behaves exactly like the closure generator it replaced -- same
-    decode, and :class:`ArenaExhausted` once at the end of the
-    materialized stream (plain ``StopIteration`` on any draw after
-    that, matching a dead generator frame) -- while exposing its
-    position and the underlying struct-of-arrays views, so the batch
-    backend's round planner can classify upcoming instructions
-    zero-copy, without decoding or consuming them.
-
-    Index bookkeeping: a core's sequence number ``s`` (counted from
-    process start, surviving checkpoint restore because restores re-seek
-    by instructions consumed) lives at absolute arena index
-    ``base + s``.
-    """
-
-    __slots__ = ("arena", "pid", "pos", "end", "base")
-
-    def __init__(self, arena: TraceArena, pid: int, skip: int):
-        self.arena = arena
-        self.pid = pid
-        self.base = arena._starts[pid]
-        self.pos = self.base + skip
-        self.end = self.base + arena.counts[pid]
-
-    def __iter__(self) -> "ArenaStream":
-        return self
-
-    def __next__(self) -> Instruction:
-        i = self.pos
-        if i >= self.end:
-            if i > self.end:
-                raise StopIteration
-            self.pos = i + 1
-            arena = self.arena
-            raise ArenaExhausted(
-                f"process {self.pid} consumed all "
-                f"{self.end - self.base} materialized "
-                f"instructions of {arena.path.name}; re-running on the "
-                f"generator path")
-        arena = self.arena
-        o = arena._op[i]
-        if o == OP_BRANCH:
-            m = arena._meta[i]
-            ins = Instruction(o, arena._pc[i], addr=arena._addr[i],
-                              latency=arena._lat[i], taken=bool(m & 4),
-                              target=arena._extra[i], branch_kind=m & 3)
-        else:
-            nd = arena._meta[i] >> 3
-            if nd:
-                e = arena._extra[i]
-                if nd == 1:
-                    deps = (e & 0xFFFF,)
-                elif nd == 2:
-                    deps = (e & 0xFFFF, (e >> 16) & 0xFFFF)
-                else:
-                    deps = (e & 0xFFFF, (e >> 16) & 0xFFFF,
-                            (e >> 32) & 0xFFFF)
-            else:
-                deps = ()
-            ins = Instruction(o, arena._pc[i], addr=arena._addr[i],
-                              deps=deps, latency=arena._lat[i])
-        self.pos = i + 1
-        return ins
 
 
 # ------------------------------------------------------------------ loading

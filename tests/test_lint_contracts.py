@@ -202,8 +202,8 @@ class TestR011EphemeralPurity:
         violations = _lint_sources(tmp_path, {"system/machine.py": """
             class Machine:
                 def run(self, until):
-                    backend = self.params.backend
-                    return backend
+                    armed = self.params.watchdog_cycles
+                    return armed
             """})
         assert violations == []
 
@@ -226,7 +226,7 @@ class TestR011EphemeralPurity:
     def test_pragma_escape(self, tmp_path):
         violations = _lint_sources(tmp_path, {"run/helper.py": """
             def helper(params):
-                return params.backend  # repro-lint: disable=R011
+                return params.check  # repro-lint: disable=R011
             """})
         assert violations == []
 
@@ -236,21 +236,19 @@ class TestR011EphemeralPurity:
                 check: bool = False
                 watchdog_cycles: int = 0
                 watchdog_node_cycles: int = 0
-                backend: str = "reference"
             """})
         assert _codes(violations) == ["R011"]
         assert "EPHEMERAL_FIELDS" in violations[0].message
 
     def test_params_py_registry_must_match(self, tmp_path):
         violations = _lint_sources(tmp_path, {"params.py": """
-            EPHEMERAL_FIELDS = frozenset({"check", "backend"})
+            EPHEMERAL_FIELDS = frozenset({"check"})
 
 
             class SystemParams:
                 check: bool = False
                 watchdog_cycles: int = 0
                 watchdog_node_cycles: int = 0
-                backend: str = "reference"
             """})
         assert _codes(violations) == ["R011"]
 
