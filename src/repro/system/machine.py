@@ -180,6 +180,13 @@ class Machine:
         the grid is the value its own tick would have returned, both
         modes visit the same grid -- every cycle count, stall breakdown,
         watchdog trip and checkpoint snapshot is byte-identical.
+
+        Scheduler-wake invariant: only dispatch (``_dispatch_if_idle``)
+        and syscall handling (``_handle_syscall``) change a run queue or
+        a process's ``blocked_until`` -- a core's tick never does.  So
+        each cpu's earliest scheduler wake is cached and recomputed only
+        after one of those two calls on that cpu, and dispatch is tried
+        only when the core has a free slot (no process, or SMT).
         """
         target = self.total_retired() + instructions
         start_cycle = self.now
@@ -201,7 +208,8 @@ class Machine:
         # core reported, whether that wake is certified (the core may be
         # skipped until then), the retired count last observed (for an
         # incremental machine-wide total), and the cached earliest wake
-        # of each scheduler (only a cpu's own tick can change it).
+        # of each scheduler (refreshed only after dispatch or syscall
+        # handling on that cpu -- see the docstring).
         wake = [now] * len(cores)
         quiet = [False] * len(cores)
         retired_seen = [core.retired for core in cores]
@@ -260,10 +268,13 @@ class Machine:
                         if t < next_time:
                             next_time = t
                         continue
-                dispatch_if_idle(cpu)
+                if smt or core.process is None:
+                    dispatch_if_idle(cpu)
+                    sched_wake[cpu] = schedulers[cpu].earliest_wake()
                 t = step(now)
                 if core.syscall_retired:
                     handle_syscall(cpu)
+                    sched_wake[cpu] = schedulers[cpu].earliest_wake()
                     t = now + 1
                     quiet[cpu] = False
                 else:
@@ -273,16 +284,13 @@ class Machine:
                 if r != retired_seen[cpu]:
                     total_now += r - retired_seen[cpu]
                     retired_seen[cpu] = r
-                sched_wake[cpu] = schedulers[cpu].earliest_wake()
                 if t < next_time:
                     next_time = t
             for cpu, core in indexed_cores:
-                if core._rollback_to is None:
-                    continue
-                core.apply_pending_rollback(now)
-                quiet[cpu] = False  # squashed state invalidates the wake
-            # Idle CPUs wake when a blocked process becomes ready.
-            for cpu, core in indexed_cores:
+                if core._rollback_to is not None:
+                    core.apply_pending_rollback(now)
+                    quiet[cpu] = False  # squashed state invalidates the wake
+                # Idle CPUs wake when a blocked process becomes ready.
                 if core.process is None:
                     w = sched_wake[cpu]
                     if w is not None:
@@ -292,7 +300,7 @@ class Machine:
             if next_time >= FAR_FUTURE:
                 raise DeadlockError(
                     f"no core can make progress at cycle {now}")
-            now = max(now + 1, next_time)
+            now = next_time if next_time > now else now + 1
             self.now = now
         # Bring skipped cores' accounting up to the last grid point, as
         # if each had been ticked there (a no-op for cores that were).

@@ -86,7 +86,10 @@ class CodeWalker:
         self._hot_n = min(hot_routines, len(self._routines))
         self._stack: List[int] = []
         start, length = self._routines[0]
-        self._pc = start
+        #: PC of the next instruction.  Straight-line code advances it by
+        #: ``INSTR_BYTES`` per instruction (the assembler does this
+        #: itself); :meth:`end_block` and the phase/loop jumps move it.
+        self.pc = start
         self._routine_end = start + length
 
     def _carve_routines(self, code_bytes: int,
@@ -163,16 +166,10 @@ class CodeWalker:
         idx = (phase % n_phases) * len(self._routines) // n_phases
         start, length = self._routines[idx]
         self._stack.clear()
-        self._pc = start
+        self.pc = start
         self._routine_end = start + length
 
     # -- public walking API --------------------------------------------------
-
-    def block(self, n_instrs: int) -> List[int]:
-        """Return ``n_instrs`` sequential PCs and advance the walk."""
-        pcs = [self._pc + i * INSTR_BYTES for i in range(n_instrs)]
-        self._pc += n_instrs * INSTR_BYTES
-        return pcs
 
     def end_block(self) -> BranchDescriptor:
         """Terminate the current basic block with a branch.
@@ -183,7 +180,7 @@ class CodeWalker:
         variations are dynamic.  Returns the branch descriptor and
         repositions the walk at the branch's actual successor.
         """
-        br_pc = self._pc
+        br_pc = self.pc
         fallthrough = br_pc + INSTR_BYTES
         rng = self._rng
         at_end = br_pc >= self._routine_end
@@ -223,21 +220,17 @@ class CodeWalker:
                 target = fallthrough
             desc = BranchDescriptor(br_pc, taken, target, BR_COND)
 
-        self._pc = desc.target if desc.taken else fallthrough
+        self.pc = desc.target if desc.taken else fallthrough
         if desc.kind == BR_RETURN:
             # Re-derive the routine end loosely; precision is not needed for
             # fetch behaviour, only for stream lengths.
-            self._routine_end = self._pc + 2 * self._line
+            self._routine_end = self.pc + 2 * self._line
         return desc
 
     def jump_to_loop_head(self, head_pc: int) -> None:
         """Force the walk to a loop head (used by the DSS scan kernel)."""
-        self._pc = head_pc
+        self.pc = head_pc
         self._routine_end = head_pc + 8 * self._line
-
-    @property
-    def pc(self) -> int:
-        return self._pc
 
     @property
     def n_routines(self) -> int:

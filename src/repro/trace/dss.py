@@ -161,7 +161,7 @@ class DssTraceGenerator(SemanticHelpers):
                 else:
                     srcs = (rng.choice(field_tags),)
                     chain_depth = 1
-                op, chain_tag = self.alu(dep_tags=srcs, fp=is_fp)
+                op, chain_tag = self.alu(srcs, is_fp)
                 yield op
             tags = [chain_tag if chain_tag is not None else field_tags[-1]]
 
@@ -172,7 +172,7 @@ class DssTraceGenerator(SemanticHelpers):
                 off = rng.randrange(self.layout.hot_private_bytes // 8) * 8
                 hot_addr = self.layout.hot_private_addr(self.pid, off)
                 if rng.random() < p.hot_store_fraction:
-                    yield self.store(hot_addr, dep_tags=(tags[-1],))
+                    yield self.store(hot_addr, (tags[-1],))
                 else:
                     op, tag = self.load(hot_addr)
                     yield op

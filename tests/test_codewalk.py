@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 
-from repro.trace.codewalk import CodeWalker
+from repro.trace.codewalk import INSTR_BYTES, CodeWalker
 from repro.trace.instr import BR_CALL, BR_COND, BR_JUMP, BR_RETURN
 
 
@@ -12,12 +12,22 @@ def walker(seed=1, code_bytes=64 * 1024, **kw):
                       rng=random.Random(seed), **kw)
 
 
+def straight(w, n):
+    """Walk ``n`` straight-line instructions the way the assembler does
+    (step ``pc`` by one instruction each); return their PCs."""
+    pcs = [w.pc + i * INSTR_BYTES for i in range(n)]
+    w.pc += n * INSTR_BYTES
+    return pcs
+
+
 class TestBlocks:
     def test_block_pcs_sequential(self):
+        """A basic block is straight-line code closed by its branch: the
+        branch sits right after the block's last instruction."""
         w = walker()
-        pcs = w.block(5)
-        assert len(pcs) == 5
-        assert all(b - a == 4 for a, b in zip(pcs, pcs[1:]))
+        for _ in range(200):
+            pcs = straight(w, 5)
+            assert w.end_block().pc == pcs[-1] + INSTR_BYTES
 
     def test_block_len_deterministic_per_pc(self):
         w1, w2 = walker(seed=1), walker(seed=2)
@@ -28,7 +38,7 @@ class TestBlocks:
     def test_pcs_stay_in_code_region(self):
         w = walker(code_bytes=8 * 1024)
         for _ in range(2000):
-            pcs = w.block(4)
+            pcs = straight(w, 4)
             assert all(0x100000 <= pc < 0x100000 + 8 * 1024 + 64 * 16
                        for pc in pcs)
             w.end_block()
@@ -41,7 +51,7 @@ class TestBranches:
         w = walker()
         per_site = {}
         for _ in range(6000):
-            w.block(4)
+            straight(w, 4)
             desc = w.end_block()
             per_site.setdefault(desc.pc, Counter())[desc.kind] += 1
         revisited = {pc: c for pc, c in per_site.items()
@@ -55,7 +65,7 @@ class TestBranches:
         w = walker()
         kinds = Counter()
         for _ in range(3000):
-            w.block(4)
+            straight(w, 4)
             kinds[w.end_block().kind] += 1
         assert set(kinds) == {BR_COND, BR_CALL, BR_RETURN, BR_JUMP}
         assert kinds[BR_COND] > kinds[BR_CALL]
@@ -64,7 +74,7 @@ class TestBranches:
         w = walker()
         kinds = Counter()
         for _ in range(5000):
-            w.block(4)
+            straight(w, 4)
             kinds[w.end_block().kind] += 1
         # Returns can only follow calls; counts track each other.
         assert abs(kinds[BR_CALL] - kinds[BR_RETURN]) <= 10
@@ -72,9 +82,9 @@ class TestBranches:
     def test_not_taken_falls_through(self):
         w = walker()
         for _ in range(2000):
-            w.block(4)
+            straight(w, 4)
             desc = w.end_block()
-            next_pc = w.block(1)[0]
+            next_pc = w.pc
             if desc.taken:
                 assert next_pc == desc.target
             else:
@@ -85,7 +95,7 @@ class TestBranches:
                    jump_target_variability=0.0)
         targets = {}
         for _ in range(5000):
-            w.block(4)
+            straight(w, 4)
             desc = w.end_block()
             if desc.kind in (BR_CALL, BR_JUMP):
                 if desc.pc in targets:
@@ -100,7 +110,7 @@ class TestStreams:
         w = walker(avg_routine_lines=2)
         lines = []
         for _ in range(4000):
-            for pc in w.block(4):
+            for pc in straight(w, 4):
                 lines.append(pc >> 6)
             w.end_block()
         transitions = [b - a for a, b in zip(lines, lines[1:]) if b != a]
@@ -121,10 +131,10 @@ class TestStreams:
     def test_enter_phase_clears_stack(self):
         w = walker()
         for _ in range(50):
-            w.block(4)
+            straight(w, 4)
             w.end_block()
         w.enter_phase(0, 4)
-        w.block(4)
+        straight(w, 4)
         desc = w.end_block()
         assert desc.kind != BR_RETURN or desc.target  # no stale stack pop
 
@@ -135,7 +145,7 @@ class TestLocality:
                    call_target_variability=0.0, hot_fraction=0.0)
         spans = []
         for _ in range(4000):
-            w.block(4)
+            straight(w, 4)
             desc = w.end_block()
             if desc.kind == BR_CALL:
                 spans.append(abs(desc.target - desc.pc))

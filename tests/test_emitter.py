@@ -103,6 +103,24 @@ class TestDependences:
         out = assemble_ops([op])
         assert all(i.deps == () for i in out)
 
+    def test_pruning_keeps_dependence_at_max_distance(self):
+        """Fixed-PC ops get no inserted branches, so op ``i`` sits at
+        position ``i``: each depends on the ops exactly MAX_DEP_DISTANCE
+        and MAX_DEP_DISTANCE + 1 back, across many prunings."""
+        h = Helper()
+        sops, tags = [], []
+        for i in range(10 * MAX_DEP_DISTANCE):
+            dep = (tags[i - MAX_DEP_DISTANCE],
+                   tags[i - MAX_DEP_DISTANCE - 1]) \
+                if i > MAX_DEP_DISTANCE else ()
+            op, tag = h.alu(dep_tags=dep, fixed_pc=0x1000)
+            sops.append(op)
+            tags.append(tag)
+        out = assemble_ops(sops)
+        assert len(out) == len(sops)
+        for instr in out[MAX_DEP_DISTANCE + 1:]:
+            assert instr.deps == (MAX_DEP_DISTANCE,)
+
     def test_deps_always_positive_and_bounded(self):
         h = Helper()
         tags = []

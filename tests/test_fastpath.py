@@ -10,7 +10,7 @@ oracle.  These tests pin it:
 
 * results (``SimulationResult.to_dict``) and full machine snapshots are
   byte-identical across workloads, consistency models, SMT, in-order
-  cores, chunked and watchdog-armed runs;
+  cores, chunked, watchdog-armed and idle-heavy runs;
 * the forward-progress watchdog trips at the identical cycle with the
   identical classification (``now`` never skips past a pending
   watchdog deadline);
@@ -26,6 +26,7 @@ oracle.  These tests pin it:
 """
 
 import dataclasses
+import functools
 from collections import OrderedDict, deque
 
 import pytest
@@ -140,6 +141,11 @@ MATRIX = [
     ("oltp-watchdog-armed", BASE.replace(
         watchdog_cycles=200000, watchdog_node_cycles=150000),
         oltp_workload, {}),
+    # One process per CPU: every commit syscall idles its CPU until the
+    # cached scheduler wake seats the process again.
+    ("oltp-idle", BASE,
+     functools.partial(oltp_workload, processes_per_cpu=1),
+     {"instr": 6000}),
 ]
 
 
