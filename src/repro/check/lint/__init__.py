@@ -34,11 +34,6 @@ R007    no membership tests (``x in d``) or attribute-chain lookups
         ``system/machine.py``): the loop runs once per simulated
         event, so every repeated lookup must be bound to a local
         before the loop
-R008    no blocking socket operation (``accept``, ``connect``,
-        ``recv*``, ``send``/``sendall``, ``makefile``) inside
-        ``run/fabric/`` without an explicit ``settimeout`` armed in the
-        enclosing function -- a lost peer must expire a lease, never
-        wedge a coordinator thread
 R010    snapshot completeness: every attribute the tick path mutates is
         captured by ``snapshot()`` or reinstalled by ``restore()``, and
         restore never reads a state key snapshot doesn't write

@@ -126,23 +126,6 @@ RULE_TABLE = (
         Bind lookups to locals before the loop.
         """)),
     Rule(
-        "R008",
-        "blocking socket operation without an explicit timeout (fabric)",
-        "file",
-        _explain("""
-        Every blocking socket call inside ``run/fabric/`` (``accept``,
-        ``connect``, ``recv``/``recv_into``/``recvfrom``, ``send``/
-        ``sendall``, ``makefile``) must live in a function that arms an
-        explicit deadline with ``settimeout(...)`` first.  A socket
-        defaulting to block-forever turns any lost peer -- a worker
-        killed mid-job, a dropped frame, a network partition -- into a
-        silently wedged coordinator thread, defeating the lease/
-        heartbeat failover machinery the fabric exists to provide.
-        Block-forever semantics, where genuinely wanted, are built from
-        bounded slices (see ``Channel.recv_json``), which keeps every
-        wait interruptible and observable.
-        """)),
-    Rule(
         "R010",
         "snapshot()/restore() misses a tick-path mutable attribute",
         "program",

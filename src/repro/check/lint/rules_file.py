@@ -1,4 +1,4 @@
-"""Single-file AST rules (R001-R008, R013) and the pragma grammar.
+"""Single-file AST rules (R001-R007, R013) and the pragma grammar.
 
 ``_FileLinter`` walks one module's AST and reports the per-file
 determinism rules; the whole-program contract passes live in
@@ -24,9 +24,6 @@ _LOOP_FUNCS = ("run",)
 #: (R006).  Matched by normalized path suffix.
 _HOT_SUFFIXES = ("cpu/core.py", "mem/cache.py")
 
-#: Path fragment marking the sweep-fabric transport modules (R008).
-_FABRIC_FRAGMENT = "run/fabric/"
-
 #: Path fragments marking the durable-artifact tree (R013): everything
 #: under the runner and trace packages persists through
 #: :mod:`repro.run.atomicio` or not at all.
@@ -41,11 +38,6 @@ _RAW_REPLACE = {"replace", "rename"}
 
 #: ``pathlib`` write helpers that bypass the tmp + rename dance (R013).
 _RAW_PATH_WRITE = {"write_text", "write_bytes"}
-
-#: Socket methods that block indefinitely unless a timeout is armed
-#: (R008).  ``settimeout`` in the enclosing function is the exemption.
-_BLOCKING_SOCKET = {"accept", "connect", "recv", "recvfrom",
-                    "recv_into", "sendall", "makefile", "send"}
 
 #: Functions in hot modules that are allowed to allocate: setup,
 #: teardown and reporting run once per simulation, not per instruction.
@@ -138,7 +130,6 @@ class _FileLinter(ast.NodeVisitor):
                              for suffix in _HOT_SUFFIXES)
         self._loop_file = any(normalized.endswith(suffix)
                               for suffix in _LOOP_SUFFIXES)
-        self._fabric_file = _FABRIC_FRAGMENT in normalized
         self._durable_file = any(fragment in normalized
                                  for fragment in _DURABLE_FRAGMENTS) \
             and not any(normalized.endswith(suffix)
@@ -163,46 +154,8 @@ class _FileLinter(ast.NodeVisitor):
         if tree is None:
             tree = ast.parse(self.source, filename=self.path)
         self._collect_set_symbols(tree)
-        if self._fabric_file:
-            self._check_fabric_sockets(tree)
         self.visit(tree)
         return self.violations
-
-    # -- R008: unbounded socket waits in the fabric ----------------------------
-
-    def _check_fabric_sockets(self, tree: ast.AST) -> None:
-        """R008: blocking socket call with no ``settimeout`` in scope.
-
-        Ownership is the innermost enclosing function: a function that
-        arms any ``settimeout(...)`` is trusted for all of its blocking
-        calls (the bounded-slice pattern), everything else -- including
-        module level -- is flagged.
-        """
-        def scan(node: ast.AST, guarded: bool) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                    scan(child, self._arms_timeout(child))
-                    continue
-                if not guarded and isinstance(child, ast.Call) and \
-                        isinstance(child.func, ast.Attribute) and \
-                        child.func.attr in _BLOCKING_SOCKET:
-                    self._report(
-                        child, "R008",
-                        f"blocking socket operation .{child.func.attr}"
-                        f"(...) without an explicit settimeout in the "
-                        f"enclosing function -- a lost peer would wedge "
-                        f"this wait forever")
-                scan(child, guarded)
-
-        scan(tree, False)
-
-    @staticmethod
-    def _arms_timeout(func: ast.AST) -> bool:
-        return any(isinstance(sub, ast.Call)
-                   and isinstance(sub.func, ast.Attribute)
-                   and sub.func.attr == "settimeout"
-                   for sub in ast.walk(func))
 
     # -- imports -------------------------------------------------------------
 

@@ -57,13 +57,6 @@ def _ephemeral_read_in_tick(source: str) -> str:
     return mutated
 
 
-def _fabric_socket_no_timeout(source: str) -> str:
-    """Append a helper that blocks on a socket with no timeout armed."""
-    return source + (
-        "\n\ndef _r008_probe(sock):\n"
-        "    return sock.recv(4)\n")
-
-
 def _raw_durable_write(source: str) -> str:
     """Append a helper that publishes a cache file with bare open()."""
     return source + (
@@ -106,12 +99,6 @@ STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
         os.path.join("cpu", "core.py"),
         _fast_only_write,
         "R012"),
-    "fabric-socket-no-timeout": (
-        "add a socket recv with no settimeout to the fabric protocol "
-        "-- a lost peer would wedge the wait forever",
-        os.path.join("run", "fabric", "protocol.py"),
-        _fabric_socket_no_timeout,
-        "R008"),
     "raw-durable-write": (
         "publish a cache file with bare open(..., 'w') in run/cache.py "
         "-- a durable write dodging atomicio's tmp + rename dance",

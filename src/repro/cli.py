@@ -11,8 +11,7 @@ Usage::
     python -m repro lint [paths...]             # determinism linter
     python -m repro profile [oltp|dss|tpcc]     # hot-path profiling harness
     python -m repro replay BUNDLE               # re-run a crash-triage bundle
-    python -m repro sweep [oltp|dss|tpcc]       # seed sweep (fabric-capable)
-    python -m repro worker --connect HOST:PORT  # serve jobs for a coordinator
+    python -m repro sweep [oltp|dss|tpcc]       # seed sweep
     python -m repro gc [--dry-run]              # retention GC for cache debris
 
 ``--quick`` runs small simulations (~seconds each) for smoke testing;
@@ -40,16 +39,6 @@ Runner options (accepted before or after the subcommand):
     everywhere; results are byte-identical either way.
 ``--trace-dir DIR``
     Store trace arenas at ``DIR`` (equivalent to ``REPRO_TRACE_DIR``).
-``--workers SPECS``
-    Fabric worker specs, comma-separated: ``spawn:N`` forks local
-    workers, ``ssh:HOST`` (or a bare hostname) launches one over ssh,
-    ``wait:N`` expects N external ``repro worker`` processes to dial
-    in.  Implies ``--dispatch fabric`` (default: ``REPRO_WORKERS``).
-``--dispatch local|fabric``
-    Execution strategy: ``local`` (process pool, then serial) or
-    ``fabric`` (multi-host coordinator with worker leases and
-    failover, degrading to local when all workers are lost).  Results
-    are byte-identical either way (default: ``REPRO_DISPATCH``).
 
 Resilience options (accepted before or after the subcommand):
 
@@ -210,12 +199,12 @@ def cmd_sweep_status() -> int:
 
 
 def cmd_sweep(args, quick: bool) -> int:
-    """Run a seed sweep through the configured dispatcher chain.
+    """Run a seed sweep on the local runner.
 
-    One job per seed for the chosen workload; with ``--workers`` the
-    sweep fans out over the fabric (and degrades to local execution if
-    every worker is lost).  Exits nonzero when any job exhausted its
-    retries.
+    One job per seed for the chosen workload; with ``--jobs N`` the
+    sweep fans out over the process pool (and degrades to serial
+    execution if the pool is unavailable).  Exits nonzero when any job
+    exhausted its retries.
     """
     from repro.params import default_system
     from repro.run.jobs import JobSpec, WorkloadSpec
@@ -231,7 +220,7 @@ def cmd_sweep(args, quick: bool) -> int:
     print(report.format_summary())
     if report.fell_back_to_serial:
         print("sweep: degraded to serial execution "
-              "(workers/pool unavailable)")
+              "(process pool unavailable)")
     manifest = run.shared_manifest()
     if manifest is not None:
         print(manifest.format_summary())
@@ -313,17 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "resume from the newest one (default "
                              "$REPRO_CHECKPOINT_EVERY or 100000; 0 "
                              "disables writes)")
-    common.add_argument("--workers", default=argparse.SUPPRESS,
-                        metavar="SPECS",
-                        help="fabric worker specs, comma-separated "
-                             "(spawn:N, ssh:HOST, wait:N); implies "
-                             "--dispatch fabric (default: "
-                             "$REPRO_WORKERS)")
-    common.add_argument("--dispatch", default=argparse.SUPPRESS,
-                        choices=["local", "fabric"],
-                        help="execution strategy (default: "
-                             "$REPRO_DISPATCH, or fabric when workers "
-                             "are given)")
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -397,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "start")
     sweep = sub.add_parser(
         "sweep", parents=[common],
-        help="run a seed sweep through the configured dispatcher "
-             "(local pool or multi-host fabric)")
+        help="run a seed sweep on the local runner (process pool "
+             "with --jobs N, else serial)")
     sweep.add_argument("workload", nargs="?", default="oltp",
                        choices=["oltp", "dss", "tpcc"])
     sweep.add_argument("--seeds", type=int, default=8, metavar="N",
@@ -409,16 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "the workload's benchmark size; --quick "
                             "shrinks it)")
     sweep.add_argument("--warmup", type=int, default=None, metavar="N")
-    worker = sub.add_parser(
-        "worker",
-        help="serve simulation jobs to a fabric coordinator")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address to dial")
-    worker.add_argument("--name", default=None,
-                        help="advisory worker name (the coordinator "
-                             "assigns the canonical one)")
-    worker.add_argument("--quiet", action="store_true",
-                        help="suppress per-event stderr logging")
     gc = sub.add_parser(
         "gc", parents=[common],
         help="apply retention caps to checkpoints, triage bundles, "
@@ -537,19 +505,8 @@ def cmd_profile(args, quick: bool) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "worker":
-        # Workers are configured by the coordinator's welcome frame
-        # (fault plan, cache dir, checkpoint interval); configuring the
-        # local runner here would grow a stray cache in the worker's
-        # working directory.
-        from repro.run.fabric.worker import serve_worker
-        return serve_worker(args.connect, name=args.name,
-                            quiet=args.quiet)
     quick = getattr(args, "quick", False)
     no_cache = getattr(args, "no_cache", False)
-    raw_workers = getattr(args, "workers", None)
-    workers = tuple(part.strip() for part in raw_workers.split(",")
-                    if part.strip()) if raw_workers is not None else None
     run.configure(jobs=getattr(args, "jobs", None) or run.default_jobs(),
                   use_cache=not no_cache,
                   cache_dir=(None if no_cache
@@ -561,9 +518,7 @@ def main(argv=None) -> int:
                   else None,
                   trace_dir=getattr(args, "trace_dir", None),
                   checkpoint_every=getattr(args, "checkpoint_every",
-                                           None),
-                  dispatch=getattr(args, "dispatch", None),
-                  workers=workers)
+                                           None))
 
     if args.command == "lint":
         from repro.check.lint import RULES, explain_rule, run_lint

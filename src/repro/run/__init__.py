@@ -43,13 +43,6 @@ from repro.run.atomicio import (
 )
 from repro.run.audit import AuditFinding, AuditReport, audit_state
 from repro.run.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
-from repro.run.dispatch import (
-    DISPATCH_ENV,
-    WORKERS_ENV,
-    Dispatcher,
-    default_dispatch,
-    default_workers,
-)
 from repro.run.checkpoint import (
     CHECKPOINT_EVERY_ENV,
     DEFAULT_CHECKPOINT_EVERY,
@@ -85,8 +78,6 @@ __all__ = [
     "ARENAS_ENV", "default_arena_mode",
     "CheckpointStore", "CHECKPOINT_EVERY_ENV",
     "DEFAULT_CHECKPOINT_EVERY", "checkpoint_every_from_env",
-    "Dispatcher", "DISPATCH_ENV", "WORKERS_ENV",
-    "default_dispatch", "default_workers",
 ]
 
 _jobs: int = default_jobs()
@@ -97,8 +88,6 @@ _resume: bool = False
 _arenas: str = default_arena_mode()
 _trace_dir: Optional[str] = None
 _checkpoint_every: int = checkpoint_every_from_env()
-_dispatch: str = default_dispatch()
-_workers: Tuple[str, ...] = default_workers()
 if os.environ.get("REPRO_CACHE") == "1":
     _cache = ResultCache()
     _manifest = SweepManifest(_cache.path / MANIFEST_NAME)
@@ -116,8 +105,6 @@ class RunnerState:
     arenas: str = "auto"
     trace_dir: Optional[str] = None
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-    dispatch: str = "local"
-    workers: Tuple[str, ...] = ()
 
 
 def configure(jobs: Optional[int] = None,
@@ -152,14 +139,22 @@ def configure(jobs: Optional[int] = None,
     :data:`DEFAULT_CHECKPOINT_EVERY`, overridable via
     ``REPRO_CHECKPOINT_EVERY``).  Checkpoints only activate when the
     result cache is enabled -- they live beside it.
-    ``dispatch``: execution strategy -- ``local`` (pool + serial; the
-    default) or ``fabric`` (multi-host coordinator, degrading to local).
-    ``workers``: fabric worker specs (``spawn:N``, ``ssh:HOST``,
-    ``wait:N``); giving workers without a mode implies ``fabric``.
+    ``dispatch`` and ``workers`` remain only so existing callers that
+    pass ``dispatch="local", workers=()`` keep working; they store
+    nothing, and any other value raises :class:`ValueError` because
+    the multi-host execution mode they selected has been removed.
     Arguments left as ``None`` keep their current value.
     """
     global _jobs, _cache, _manifest, _policy, _resume, _arenas, \
-        _trace_dir, _checkpoint_every, _dispatch, _workers
+        _trace_dir, _checkpoint_every
+    if dispatch not in (None, "local"):
+        raise ValueError(
+            f"dispatch={dispatch!r} is no longer supported: the "
+            f"multi-host fabric was removed; sweeps always run locally")
+    if workers:
+        raise ValueError(
+            f"workers={tuple(workers)!r} is no longer supported: the "
+            f"multi-host fabric was removed; sweeps always run locally")
     if jobs is not None:
         _jobs = max(1, int(jobs))
     if cache_dir is not None:
@@ -197,16 +192,6 @@ def configure(jobs: Optional[int] = None,
         _trace_dir = str(trace_dir) if trace_dir else None
     if checkpoint_every is not None:
         _checkpoint_every = max(0, int(checkpoint_every))
-    if workers is not None:
-        _workers = tuple(str(spec).strip() for spec in workers
-                         if str(spec).strip())
-        if dispatch is None and _workers:
-            _dispatch = "fabric"
-    if dispatch is not None:
-        if dispatch not in ("local", "fabric"):
-            raise ValueError(
-                f"dispatch must be 'local' or 'fabric', got {dispatch!r}")
-        _dispatch = dispatch
 
 
 def runner_defaults() -> Tuple[int, Optional[ResultCache]]:
@@ -219,8 +204,7 @@ def runner_state() -> RunnerState:
     return RunnerState(jobs=_jobs, cache=_cache, policy=_policy,
                        manifest=_manifest, resume=_resume,
                        arenas=_arenas, trace_dir=_trace_dir,
-                       checkpoint_every=_checkpoint_every,
-                       dispatch=_dispatch, workers=_workers)
+                       checkpoint_every=_checkpoint_every)
 
 
 def shared_cache() -> Optional[ResultCache]:

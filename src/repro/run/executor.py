@@ -170,7 +170,6 @@ class RunReport:
     fell_back_to_serial: bool = False
     trace_gen_s: float = 0.0  # time spent packing/writing trace arenas
     arena_jobs: int = 0       # jobs dispatched with an arena reference
-    dispatch: str = "serial"  # dispatcher that finished the batch
 
     @property
     def results(self) -> List[Optional[SimulationResult]]:
@@ -229,8 +228,6 @@ class RunReport:
         text = (f"{len(self.outcomes)} jobs ({self.cache_hits} cached) in "
                 f"{self.wall_time:.2f}s with {self.jobs} worker(s), "
                 f"{self.throughput:,.0f} simulated instr/s")
-        if self.dispatch not in ("serial", "pool"):
-            text += f" via {self.dispatch}"
         if self.arena_jobs:
             text += f", {self.arena_jobs} replayed from arenas"
         if self.trace_gen_s > 0:
@@ -694,9 +691,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
              resume: Optional[bool] = None,
              arenas: Optional[str] = None,
              trace_dir: Optional[str] = None,
-             checkpoint_every: Optional[int] = None,
-             dispatch: Optional[Any] = None,
-             workers: Optional[Sequence[str]] = None) -> RunReport:
+             checkpoint_every: Optional[int] = None) -> RunReport:
     """Execute ``specs`` and return a report with results in input order.
 
     Arguments left as ``None`` pick up the process-wide configuration
@@ -713,21 +708,16 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     cache is in use.  Failed jobs (retries exhausted) appear as
     outcomes with ``result=None`` rather than aborting the sweep.
 
-    ``dispatch`` selects the execution strategy chain (see
-    :func:`repro.run.dispatch.resolve_chain`): ``"local"`` (pool then
-    serial; the historical behaviour), ``"fabric"`` (multi-host
-    coordinator, degrading to pool then serial), a ready
-    :class:`~repro.run.dispatch.Dispatcher`, or an explicit list.
-    ``workers`` supplies fabric worker specs (``spawn:N`` /
-    ``ssh:HOST`` / ``wait:N``).  Whatever the chain, completed outcomes
-    survive strategy failures: each fallback re-runs only the jobs
-    still missing an outcome, and byte-identical results are guaranteed
-    because every strategy executes the same per-job path.
+    With ``jobs > 1`` and at least two pending jobs the misses run on
+    the fork-server pool (:func:`_run_pool`); whatever still lacks an
+    outcome afterwards -- all of it when the pool was skipped, the
+    remainder when it broke -- runs serially in-process.  Completed
+    outcomes survive a pool failure, and results are byte-identical
+    either way because both paths execute the same per-job code.
     """
     if jobs is None or cache is None or policy is None \
             or manifest is None or resume is None or arenas is None \
-            or trace_dir is None or checkpoint_every is None \
-            or dispatch is None or workers is None:
+            or trace_dir is None or checkpoint_every is None:
         from repro.run import runner_state
         state = runner_state()
         jobs = state.jobs if jobs is None else jobs
@@ -739,8 +729,6 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         trace_dir = state.trace_dir if trace_dir is None else trace_dir
         if checkpoint_every is None:
             checkpoint_every = state.checkpoint_every
-        dispatch = state.dispatch if dispatch is None else dispatch
-        workers = state.workers if workers is None else workers
     jobs = max(1, int(jobs))
     checkpoint_every = max(0, int(checkpoint_every))
     if arenas is True:
@@ -779,34 +767,23 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
             pending = [p for p in pending if outcomes[p[0]] is None]
 
     fell_back = False
-    used = "serial"
-    if pending:
-        from repro.run.dispatch import DispatchContext, resolve_chain
+    if jobs > 1 and len(pending) > 1:
         arena_paths = {index: str(handle.path)
                        for index, handle in arena_handles.items()}
-        ctx = DispatchContext(cache=cache, outcomes=outcomes,
-                              policy=policy, manifest=manifest,
-                              workloads=arena_handles,
-                              arena_paths=arena_paths,
-                              checkpoint_every=checkpoint_every,
-                              jobs=jobs)
-        chain = resolve_chain(dispatch, jobs, len(pending),
-                              workers=workers or ())
-        for strategy in chain:
-            remaining = [p for p in pending if outcomes[p[0]] is None]
-            if not remaining:
-                break
-            if strategy.run(remaining, ctx):
-                used = strategy.name
-        fell_back = used == "serial" and chain[0].name != "serial"
+        fell_back = not _run_pool(pending, min(jobs, len(pending)), cache,
+                                  outcomes, policy, manifest, arena_paths,
+                                  checkpoint_every=checkpoint_every)
+    remaining = [p for p in pending if outcomes[p[0]] is None]
+    if remaining:
+        _run_serial(remaining, cache, outcomes, policy, manifest,
+                    arena_handles, checkpoint_every=checkpoint_every)
 
     report = RunReport(outcomes=[o for o in outcomes if o is not None],
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002
                        jobs=1 if (jobs == 1 or fell_back) else jobs,
                        fell_back_to_serial=fell_back,
                        trace_gen_s=trace_gen_s,
-                       arena_jobs=len(arena_handles),
-                       dispatch=used)
+                       arena_jobs=len(arena_handles))
     assert len(report.outcomes) == len(specs)
     _TOTALS["wall_s"] += report.wall_time
     _TOTALS["trace_gen_s"] += report.trace_gen_s

@@ -24,16 +24,6 @@ Recognised keys:
 ``midcrash:P``  per-checkpoint-boundary probability the attempt crashes
                 *mid-simulation*, right after a checkpoint was written
                 (exercises checkpoint resume, see repro.run.checkpoint)
-``workerdie:P`` probability a fabric worker process exits abruptly
-                (``os._exit``) right after acknowledging a job --
-                exercises lease expiry and coordinator re-dispatch
-                (see repro.run.fabric)
-``netdrop:P``   per-message probability a fabric transport frame is
-                silently dropped (never the hello/welcome handshake)
-``netdup:P``    per-message probability a fabric transport frame is
-                delivered twice
-``netslow:P``   per-message probability a fabric send is delayed by
-                ``netslow_s`` seconds
 ``torn:P``      per-durable-write probability the stored bytes are
                 truncated at a hash-derived offset while the rename
                 still completes (a torn write the next read must
@@ -53,7 +43,6 @@ Recognised keys:
                 cache)
 ``seed:N``      integer folded into every fault decision (default 0)
 ``hang_s:S``    injected hang duration in seconds (default 30)
-``netslow_s:S`` injected transport delay in seconds (default 0.2)
 
 Every decision is a pure function of ``(seed, kind, fingerprint,
 attempt)`` hashed through sha256 -- no global RNG state, no wall clock
@@ -84,18 +73,13 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: sensible ``--job-timeout`` yet bounded, so abandoned workers drain.
 DEFAULT_HANG_SECONDS = 30.0
 
-#: Default injected transport delay (seconds).  Short: a slow link must
-#: stay below lease timeouts, or every netslow roll doubles as netdrop.
-DEFAULT_NETSLOW_SECONDS = 0.2
-
 #: Disk-fault kinds, in the fixed order :meth:`FaultPlan.disk_fault`
 #: rolls them (first firing kind wins for a given write).
 DISK_FAULT_KINDS: Tuple[str, ...] = (
     "torn", "shortwrite", "enospc", "eio", "renamecrash", "fsyncdrop")
 
-_PROB_KEYS = ("crash", "hang", "corrupt", "midcrash",
-              "workerdie", "netdrop", "netdup",
-              "netslow") + DISK_FAULT_KINDS
+_PROB_KEYS = ("crash", "hang", "corrupt",
+              "midcrash") + DISK_FAULT_KINDS
 
 
 class InjectedCrash(Exception):
@@ -124,10 +108,6 @@ class FaultPlan:
     hang: float = 0.0
     corrupt: float = 0.0
     midcrash: float = 0.0
-    workerdie: float = 0.0
-    netdrop: float = 0.0
-    netdup: float = 0.0
-    netslow: float = 0.0
     torn: float = 0.0
     shortwrite: float = 0.0
     enospc: float = 0.0
@@ -136,7 +116,6 @@ class FaultPlan:
     fsyncdrop: float = 0.0
     seed: int = 0
     hang_seconds: float = DEFAULT_HANG_SECONDS
-    netslow_seconds: float = DEFAULT_NETSLOW_SECONDS
 
     # ------------------------------------------------------------- parsing
 
@@ -165,12 +144,10 @@ class FaultPlan:
                 values["seed"] = int(raw)
             elif key == "hang_s":
                 values["hang_seconds"] = float(raw)
-            elif key == "netslow_s":
-                values["netslow_seconds"] = float(raw)
             else:
                 raise ValueError(
                     f"unknown {FAULTS_ENV} key {key!r}; expected one of "
-                    f"{sorted(_PROB_KEYS + ('seed', 'hang_s', 'netslow_s'))}")
+                    f"{sorted(_PROB_KEYS + ('seed', 'hang_s'))}")
         return cls(**values)
 
     @property

@@ -193,14 +193,13 @@ def run_entry(spec_dict: Dict[str, Any], attempt: int,
               checkpoint_every: int) -> Dict[str, Any]:
     """Execute one job dict with full worker semantics; never raises.
 
-    This is the single per-job execution path shared by the fork-server
-    pool (:func:`_execute_batch`) and the fabric worker
-    (:mod:`repro.run.fabric.worker`): the clock starts before fault
-    injection, faults come from the explicit ``plan`` (never the
-    worker's inherited environment), checkpoints/triage land under
-    ``cache_dir`` when one is given, and any exception -- injected or
-    real -- is folded into the returned outcome dict so one bad job
-    cannot poison its neighbours or its transport.
+    This is the per-job execution path of every pool worker (called
+    once per chunk entry by :func:`_execute_batch`): the clock starts
+    before fault injection, faults come from the explicit ``plan``
+    (never the worker's inherited environment), checkpoints/triage land
+    under ``cache_dir`` when one is given, and any exception --
+    injected or real -- is folded into the returned outcome dict so one
+    bad job cannot poison its neighbours in the chunk.
     """
     start = time.perf_counter()  # repro-lint: disable=R002
     info: Dict[str, Any] = {}

@@ -36,12 +36,6 @@ _MANIFEST_FORMAT = 1
 _TERMINAL = ("done",)
 
 
-def _wall_now() -> float:
-    """Wall clock for worker-health ages; never feeds simulated state."""
-    import time
-    return time.time()  # repro-lint: disable=R002
-
-
 @dataclass
 class JobRecord:
     """Execution bookkeeping for one job fingerprint."""
@@ -93,9 +87,6 @@ class SweepManifest:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.records: Dict[str, JobRecord] = {}
-        #: Fabric worker health, name -> fields (status, connected_at,
-        #: last_heartbeat, jobs_done, jobs_failed, lease, lease_since).
-        self.workers: Dict[str, Dict[str, object]] = {}
         self.load_error: Optional[str] = None
         self._swept_orphans = False
         self._load()
@@ -109,11 +100,6 @@ class SweepManifest:
             for entry in data.get("jobs", []):
                 record = JobRecord.from_dict(entry)
                 self.records[record.fingerprint] = record
-            workers = data.get("workers")
-            if isinstance(workers, dict):
-                self.workers = {str(name): dict(fields)
-                                for name, fields in workers.items()
-                                if isinstance(fields, dict)}
         except FileNotFoundError:
             pass
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -138,9 +124,6 @@ class SweepManifest:
             "jobs": [self.records[key].to_dict()
                      for key in sorted(self.records)],
         }
-        if self.workers:
-            payload["workers"] = {name: self.workers[name]
-                                  for name in sorted(self.workers)}
         if not self._swept_orphans:
             self._swept_orphans = True
             atomicio.sweep_orphans(self.path.parent)
@@ -233,20 +216,6 @@ class SweepManifest:
         self.flush()
         return True
 
-    def mark_worker(self, name: str, flush: bool = True,
-                    **fields: object) -> None:
-        """Merge health ``fields`` into one fabric worker's record.
-
-        The coordinator calls this on join/grant/result/loss (flushed)
-        and on heartbeats (``flush=False`` -- the caller throttles
-        writes), so ``repro sweep-status`` can show worker health even
-        while -- or after -- a sweep runs.
-        """
-        record = self.workers.setdefault(str(name), {})
-        record.update(fields)
-        if flush:
-            self.flush()
-
     # ------------------------------------------------------------ queries
 
     def __len__(self) -> int:
@@ -300,27 +269,4 @@ class SweepManifest:
                     f"  {record.fingerprint[:12]}  {record.status:<8s} "
                     f"attempts={record.attempts}{origin}{offset}  "
                     f"{record.label}{note}")
-        if self.workers:
-            lines.append("workers:")
-            now = _wall_now()
-            for name in sorted(self.workers):
-                fields = self.workers[name]
-                status = str(fields.get("status", "?"))
-                done = int(fields.get("jobs_done", 0) or 0)
-                failed = int(fields.get("jobs_failed", 0) or 0)
-                beat = fields.get("last_heartbeat")
-                beat_age = f"{max(0.0, now - float(beat)):.1f}s ago" \
-                    if isinstance(beat, (int, float)) else "never"
-                lease = str(fields.get("lease", "") or "")
-                lease_since = fields.get("lease_since")
-                if lease and isinstance(lease_since, (int, float)):
-                    held = (f"lease {lease} "
-                            f"({max(0.0, now - float(lease_since)):.1f}s)")
-                elif lease:
-                    held = f"lease {lease}"
-                else:
-                    held = "idle"
-                lines.append(
-                    f"  {name:<8s} {status:<9s} done={done} "
-                    f"failed={failed} heartbeat={beat_age}  {held}")
         return "\n".join(lines)

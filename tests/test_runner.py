@@ -201,6 +201,20 @@ class TestRunnerDefaults:
         assert state.policy.job_timeout == 90.0
         assert state.resume is True
 
+    def test_configure_dispatch_compat_arguments(self, monkeypatch):
+        monkeypatch.setattr(repro.run, "_jobs", 2)
+        before = repro.run.runner_state()
+        repro.run.configure(dispatch="local", workers=())
+        assert repro.run.runner_state() == before
+        assert not hasattr(before, "dispatch")
+        assert not hasattr(before, "workers")
+        with pytest.raises(ValueError, match="removed"):
+            repro.run.configure(jobs=4, dispatch="fabric")
+        with pytest.raises(ValueError, match="removed"):
+            repro.run.configure(jobs=4, workers=("spawn:2",))
+        # A rejected call applies none of its other arguments.
+        assert repro.run.runner_state() == before
+
     def test_seed_sweep_uses_runner_cache(self, monkeypatch, tmp_path):
         cache = ResultCache(tmp_path)
         monkeypatch.setattr(repro.run, "_jobs", 1)
