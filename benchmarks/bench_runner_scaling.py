@@ -17,7 +17,7 @@ Checked invariants: all paths return bit-identical results, and the
 warm-cache rerun is at least 5x faster than the cold serial run.
 Parallel speedup expectations scale with the cores actually available
 (``os.sched_getaffinity``): with 4+ cores the pool must beat serial by
-1.5x, with 2-3 cores it must at least not lose.  On a single effective
+1.5x, with 2-3 cores by 1.3x.  On a single effective
 core real parallelism is impossible, so ``parallel_speedup`` is
 reported as ``null`` and ``parallel_regression`` as ``"skipped"``
 rather than mislabelling the inevitable pool overhead a regression.
@@ -49,6 +49,14 @@ def _effective_cores() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return multiprocessing.cpu_count()
+
+
+def _pool_floor(cores: int):
+    """Least pool-over-serial speedup ``cores`` must reach (``None``: one
+    core, where real parallelism is impossible)."""
+    if cores >= 4:
+        return 1.5
+    return 1.3 if cores >= 2 else None
 
 
 def _sweep_specs(instructions=None, warmup=None):
@@ -100,9 +108,10 @@ def test_runner_scaling(tmp_path):
 
     warm_speedup = cold.wall_time / max(warm.wall_time, 1e-9)
     arena_speedup = cold.wall_time / max(arena_serial.wall_time, 1e-9)
-    if cores > 1:
+    floor = _pool_floor(cores)
+    if floor is not None:
         parallel_speedup = cold.wall_time / max(parallel.wall_time, 1e-9)
-        regression = parallel_speedup < 1.0
+        regression = parallel_speedup < floor
     else:
         # Real parallelism is impossible on one effective core; the
         # pool's fork/IPC overhead is expected, not a regression.
@@ -131,7 +140,7 @@ def test_runner_scaling(tmp_path):
         "serial_throughput_instr_per_s": round(cold.throughput),
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
-    verdict = " [REGRESSION: pool slower than serial]" \
+    verdict = f" [REGRESSION: pool under {floor}x serial]" \
         if regression is True else ""
     parallel_txt = "skipped (1 core)" if parallel_speedup is None \
         else f"{parallel_speedup:.2f}x"
@@ -147,13 +156,9 @@ def test_runner_scaling(tmp_path):
 
     assert warm_speedup >= 5.0, (
         f"warm cache rerun only {warm_speedup:.1f}x faster than cold")
-    if cores >= 4 and not parallel.fell_back_to_serial:
-        assert parallel_speedup >= 1.5, (
-            f"pool speedup {parallel_speedup:.2f}x < 1.5x "
-            f"with {cores} cores")
-    elif cores >= 2 and not parallel.fell_back_to_serial:
-        assert parallel_speedup >= 1.0, (
-            f"pool slower than serial ({parallel_speedup:.2f}x) "
+    if floor is not None and not parallel.fell_back_to_serial:
+        assert parallel_speedup >= floor, (
+            f"pool speedup {parallel_speedup:.2f}x < {floor}x "
             f"with {cores} cores")
 
 

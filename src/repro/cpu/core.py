@@ -849,8 +849,7 @@ class ProcessorCore:
         window = self._window
         entries = self._entries
         consistency = self.consistency
-        trace = self._trace
-        stats = self.stats
+        last_seq = -1
         while retired < width:
             if not window:
                 if now < self._fetch_blocked_until:
@@ -885,15 +884,17 @@ class ProcessorCore:
             if op in _MEMQ_OPS:
                 self._mem_inflight -= 1
             consistency.note_removed(entry.seq)
-            trace.release_through(entry.seq)
+            last_seq = entry.seq
             retired += 1
-            self.retired += 1
-            stats.instructions += 1
             if self.shared is not None:
                 self.shared.retire_slots -= 1
             if op == OP_SYSCALL:
                 self.syscall_retired = True
                 break
+        if retired:
+            self._trace.release_through(last_seq)
+            self.retired += retired
+            self.stats.instructions += retired
         # Busy fraction is measured against the full machine width so
         # SMT contexts' breakdowns sum like the paper's per-CPU bars.
         machine_width = self._issue_width

@@ -45,6 +45,9 @@ class StoreBuffer:
         self.overlap = overlap
         self.wants_prefetch = wants_prefetch
         self._entries: deque = deque()
+        # Stores (not barriers) in ``_entries``; derived, so restore()
+        # recounts it instead of checkpointing it.
+        self._stores = 0
         self.stores_pushed = 0
         self.barriers_pushed = 0
         # Set by drain() when a pass changed state (pops, issues, retry
@@ -54,11 +57,11 @@ class StoreBuffer:
         self.drain_activity = False
 
     def __len__(self) -> int:
-        return sum(1 for e in self._entries if not e.is_barrier)
+        return self._stores
 
     @property
     def full(self) -> bool:
-        return len(self) >= self.capacity
+        return self._stores >= self.capacity
 
     @property
     def empty(self) -> bool:
@@ -66,9 +69,10 @@ class StoreBuffer:
 
     def push_store(self, addr: int, pc: int) -> bool:
         """Append a retired store; False if the buffer is full."""
-        if self.full:
+        if self._stores >= self.capacity:
             return False
         self._entries.append(_BufferedStore(addr, pc))
+        self._stores += 1
         self.stores_pushed += 1
         return True
 
@@ -95,16 +99,20 @@ class StoreBuffer:
                 continue
             if head.issued and head.done_at <= now:
                 self._entries.popleft()
+                self._stores -= 1
                 self.drain_activity = True
                 continue
             break
         if not self._entries:
             return None
 
-        outstanding = sum(1 for e in self._entries
-                          if e.issued and e.done_at > now)
-        next_event = min((e.done_at for e in self._entries
-                          if e.issued and e.done_at > now), default=None)
+        outstanding = 0
+        next_event = None
+        for e in self._entries:
+            if e.issued and e.done_at > now:
+                outstanding += 1
+                if next_event is None or e.done_at < next_event:
+                    next_event = e.done_at
 
         for e in self._entries:
             if e.is_barrier:
@@ -143,6 +151,7 @@ class StoreBuffer:
 
     def reset(self) -> None:
         self._entries.clear()
+        self._stores = 0
 
     def snapshot(self, memo=None) -> dict:
         """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
@@ -165,5 +174,6 @@ class StoreBuffer:
             e.retry_at = retry_at
             e.prefetched = prefetched
             self._entries.append(e)
+        self._stores = sum(1 for e in self._entries if not e.is_barrier)
         self.stores_pushed = state["stores_pushed"]
         self.barriers_pushed = state["barriers_pushed"]

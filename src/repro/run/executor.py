@@ -612,24 +612,23 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                     return False
                 continue
 
-            if not active:
-                if not queue:
-                    break
-                # Everything is backing off; sleep until the earliest.
-                wake_at = min(item[0] for item in queue)
-                time.sleep(max(0.01, min(wake_at - now, 0.5)))
-                continue
-
-            # Wake on first completion, next deadline, or next retry.
-            horizon = min(record[1] for record in active.values())
-            if queue:
-                horizon = min(horizon, min(item[0] for item in queue))
+            # Block until something can change: an active or zombie
+            # future completes (a finished zombie frees a slot too), an
+            # attempt reaches its deadline, or a backoff-held retry comes
+            # due.  Jobs that wait only for a free slot set no timer --
+            # a slot frees only on completion -- so the parent never
+            # polls while the workers simulate.
+            horizon = min([record[1] for record in active.values()]
+                          + [item[0] for item in queue if item[0] > now],
+                          default=math.inf)
             wait_for = None if horizon == math.inf \
-                else max(0.0, min(horizon - now, 0.5))
-            done, _ = wait(list(active), timeout=wait_for,
+                else max(0.0, horizon - now)
+            done, _ = wait(list(active) + zombies, timeout=wait_for,
                            return_when=FIRST_COMPLETED)
 
             for future in done:
+                if future not in active:
+                    continue            # a zombie drained; slot freed
                 entries, _deadline = active.pop(future)
                 at = time.perf_counter()  # repro-lint: disable=R002
                 try:

@@ -59,6 +59,21 @@ def find_fault_seed(predicate, limit=200000):
     raise AssertionError("no suitable fault seed in search range")
 
 
+def _count_pool_waits(monkeypatch):
+    """Record every ``concurrent.futures.wait`` call (the pool imports
+    it at call time, so the patch reaches it); returns the timeouts."""
+    import concurrent.futures
+    calls = []
+    real_wait = concurrent.futures.wait
+
+    def counting_wait(fs, timeout=None, return_when="ALL_COMPLETED"):
+        calls.append(timeout)
+        return real_wait(fs, timeout=timeout, return_when=return_when)
+
+    monkeypatch.setattr(concurrent.futures, "wait", counting_wait)
+    return calls
+
+
 @pytest.fixture(autouse=True)
 def clean_runner(monkeypatch):
     """Isolate each test from process-wide runner state and fault env."""
@@ -279,6 +294,49 @@ class TestPoolResilience:
         hung = [o for o in report.outcomes if o.attempts > 1]
         assert hung and all(not o.failed for o in hung)
         assert [r.dump() for r in report.results] == baseline
+
+    def test_pool_zombie_slot_does_not_poll(self, monkeypatch):
+        # The first attempt hangs and is abandoned almost at once, so its
+        # zombie holds one of the two slots while the rest of the sweep
+        # (and the retry) queue for the other.  The queued jobs wait on
+        # completions, not on a timer.
+        specs = [tiny_spec(seed=s) for s in range(6)]
+        fingerprints = [spec.fingerprint() for spec in specs]
+
+        def only_first_hangs_once(seed):
+            plan = FaultPlan(hang=0.3, seed=seed)
+            first = [plan.roll("hang", fp, 0) for fp in fingerprints]
+            return first == [True] + [False] * 5 and \
+                not plan.roll("hang", fingerprints[0], 1)
+
+        fault_seed = find_fault_seed(only_first_hangs_once)
+        monkeypatch.setenv("REPRO_FAULTS",
+                           f"hang:0.3,hang_s:6,seed:{fault_seed}")
+        budgets = iter([0.05])
+
+        def deadline_for(policy, started):
+            # Only the first submission (spec 0) gets the short budget.
+            return started + next(budgets, policy.job_timeout)
+
+        monkeypatch.setattr(RetryPolicy, "deadline_for", deadline_for)
+        calls = _count_pool_waits(monkeypatch)
+        policy = RetryPolicy(retries=2, job_timeout=30.0, **FAST_BACKOFF)
+        report = run_many(specs, jobs=2, cache=None, policy=policy)
+        assert not report.failures and not report.fell_back_to_serial
+        assert [o.attempts for o in report.outcomes] == [2] + [1] * 5
+        assert report.results[0].dump() == specs[0].run().dump()
+        assert len(calls) <= 2 * len(specs), \
+            f"parent woke {len(calls)} times for {len(specs)} jobs"
+
+    def test_pool_parent_blocks_while_slots_are_busy(self, monkeypatch):
+        # Jobs that wait only for a free slot set no timer: the parent
+        # wakes about once per completed chunk instead of spinning.
+        specs = [tiny_spec(seed=s) for s in range(6)]
+        calls = _count_pool_waits(monkeypatch)
+        report = run_many(specs, jobs=2, cache=None)
+        assert not report.failures and not report.fell_back_to_serial
+        assert 0 < len(calls) <= 2 * len(specs), \
+            f"parent woke {len(calls)} times for {len(specs)} jobs"
 
     def test_serial_fallback_reruns_only_missing_outcomes(
             self, monkeypatch):

@@ -139,3 +139,35 @@ class TestRetry:
         sb.push_store(0x100, 0)
         sb.reset()
         assert sb.empty
+
+
+def _recount(sb):
+    return sum(1 for e in sb._entries if not e.is_barrier)
+
+
+class TestOccupancyCount:
+    def test_count_matches_recount_through_drains_and_restore(self):
+        # Slow single-overlap drain, so pushes outrun it and the buffer
+        # fills, rejects stores, and empties again behind barriers.
+        mem = FakeMemsys(latency=20)
+        sb = StoreBuffer(4, mem, overlap=1)
+        states, seen_full, rejected = [], False, 0
+        for now in range(0, 300, 3):
+            if now % 9 == 0:
+                sb.push_barrier()
+            if now < 150 and not sb.push_store(0x40 * now, now):
+                rejected += 1
+            sb.drain(now)
+            assert len(sb) == _recount(sb)
+            assert sb.full == (_recount(sb) >= sb.capacity)
+            seen_full = seen_full or sb.full
+            states.append(sb.snapshot())
+        assert seen_full and rejected and sb.empty
+        for state in states:
+            other = StoreBuffer(4, mem, overlap=1)
+            other.restore(state)
+            assert len(other) == _recount(other)
+            assert other.full == (_recount(other) >= other.capacity)
+        sb.restore(states[20])
+        sb.reset()
+        assert len(sb) == 0 and not sb.full
