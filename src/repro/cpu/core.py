@@ -88,9 +88,16 @@ _MEMQ_OPS = frozenset((OP_LOAD, OP_STORE, OP_LOCK_ACQ, OP_LOCK_REL))
 _ORDERING_OPS = frozenset((OP_MB, OP_WMB, OP_SYSCALL))
 _LOAD_OPS = frozenset((OP_LOAD, OP_LOCK_ACQ))
 _STORE_OPS = frozenset((OP_STORE, OP_LOCK_REL))
+# Functional-unit class of each op: 0 int+branch (the default), 1 fp,
+# 2 address generation.  Out-of-order cores keep one ready heap per class.
 _FU_CLASS = {OP_FP: 1, OP_LOAD: 2, OP_STORE: 2, OP_LOCK_ACQ: 2,
              OP_LOCK_REL: 2, OP_PREFETCH: 2, OP_FLUSH: 2}
+_FU_CLASSES = (0, 1, 2)
+_ONE_CLASS = ((0,), (1,), (2,))
 _EXCLUSIVE_OPS = frozenset((OP_STORE, OP_LOCK_REL, OP_LOCK_ACQ))
+# Ops with work to do at retirement besides leaving the window.
+_RETIRE_OPS = frozenset((OP_MB, OP_WMB, OP_STORE, OP_LOCK_REL, OP_FLUSH,
+                         OP_SYSCALL))
 
 FAR_FUTURE = 1 << 60
 MISPREDICT_RESTART = 3   # pipeline restart after a resolved misprediction
@@ -101,16 +108,11 @@ LOCK_SPIN_INTERVAL = 120  # retry period for a contended lock
 class WindowEntry:
     __slots__ = ("seq", "instr", "state", "done_at", "pending", "dependents",
                  "category", "tlb_miss", "retry_at", "prefetched",
-                 "mispredicted", "uid")
-
-    _next_uid = 0  # tie-breaker: heap tuples may compare entries whose
-                   # seqs collide across context switches
+                 "mispredicted")
 
     def __init__(self, seq: int, instr):
         self.seq = seq
         self.instr = instr
-        self.uid = WindowEntry._next_uid
-        WindowEntry._next_uid += 1
         self.state = ST_WAIT
         self.done_at = 0
         self.pending = 0
@@ -120,6 +122,15 @@ class WindowEntry:
         self.retry_at = 0
         self.prefetched = False
         self.mispredicted = False
+
+    def __lt__(self, other: "WindowEntry") -> bool:
+        # Heap items are (seq, entry) and (done_at, seq, entry), so two
+        # entries are compared only when their keys tie.  Live entries of
+        # one core have distinct seqs, so a tie involves at least one
+        # squashed entry (a seq reused after a squash or context switch)
+        # and at most one live one.  Squashed items are dropped when
+        # popped whatever their order, so ties may break arbitrarily.
+        return False
 
 
 class TraceBuffer:
@@ -199,7 +210,9 @@ class ProcessorCore:
         self._trace: Optional[TraceBuffer] = None
         self._entries: Dict[int, WindowEntry] = {}
         self._window: deque = deque()
-        self._ready: List = []       # heap of (seq, entry)
+        # Out-of-order only: one heap of (seq, entry) per FU class
+        # (in-order cores issue by walking the window and never push).
+        self._ready: List[List] = [[], [], []]
         self._completions: List = []  # heap of (done_at, seq, entry)
         self._memq: List[int] = []
         self._next_seq = 0
@@ -300,7 +313,7 @@ class ProcessorCore:
         """Mutable pipeline state for mid-run checkpointing.
 
         ``memo`` is the machine-wide deepcopy memo: window entries appear
-        in ``_entries``, the window deque and both heaps (lazy cleanup
+        in ``_entries``, the window deque and the heaps (lazy cleanup
         relies on object identity), and each entry's ``instr`` is the same
         object held by the process's trace buffer (``bp_outcome`` is cached
         on it in place), so all of them must be copied through one memo.
@@ -446,10 +459,8 @@ class ProcessorCore:
             sb_event = None  # drain() on an empty buffer returns None
         if self._out_of_order:
             ready = self._ready
-            if ready:
-                n_ready = len(ready)
-                self._issue_ooo(now)
-                if self._issue_wake == 1 or len(ready) != n_ready:
+            if ready[0] or ready[1] or ready[2]:
+                if self._issue_ooo(now) or self._issue_wake == 1:
                     active = True
             else:
                 self._issue_wake = 0  # what _issue_ooo computes when idle
@@ -524,82 +535,105 @@ class ProcessorCore:
     # ------------------------------------------------------------------ fetch
 
     def _fetch(self, now: int) -> None:
+        """Fetch and dispatch up to the fetch width into the window."""
         if now < self._fetch_blocked_until:
             return
         trace = self._trace
+        buf = trace._buf
+        base = trace._base
+        next_instr = trace._source.__next__
         window = self._window
         limit = self._window_size
         shared = self.shared
         slots = self._issue_width if shared is None \
             else shared.fetch_slots
+        memsys = self.memsys
+        line_shift = memsys.line_shift
+        entries = self._entries
+        ready = self._ready if self._out_of_order else None
+        fu_class = _FU_CLASS.get
+        heappush = heapq.heappush
+        first = seq = self._next_seq
+        cur_line = self._cur_fetch_line
         while slots > 0 and len(window) < limit:
-            instr = trace.get(self._next_seq)
-            line = instr.pc >> self.memsys.line_shift
-            if line != self._cur_fetch_line:
-                ready_at, _cat = self.memsys.access_instr(now, instr.pc)
-                self._cur_fetch_line = line
+            # seq never passes the buffer's end (fetch is sequential and
+            # squashes only move it back), so pos <= len(buf).
+            pos = seq - base
+            if pos < len(buf):
+                instr = buf[pos]  # refetch after a squash
+            else:
+                instr = next_instr()
+                buf.append(instr)
+            line = instr.pc >> line_shift
+            if line != cur_line:
+                ready_at, _cat = memsys.access_instr(now, instr.pc)
+                cur_line = line
                 if ready_at > now:
                     self._fetch_blocked_until = ready_at
                     self._fetch_block_instr = True
-                    return
-            if instr.op == OP_BRANCH and (
+                    break
+            op = instr.op
+            if op == OP_BRANCH and (
                     self._unresolved_branches >=
                     self.proc.max_spec_branches):
-                return
-            if instr.op in _MEMQ_OPS and \
+                break
+            is_memq = op in _MEMQ_OPS
+            if is_memq and \
                     self._mem_inflight >= self.proc.mem_queue_size:
-                return  # no load/store-queue slot; wake on retirement
-            entry = self._dispatch(instr, now)
-            self.memsys.l1i_accesses += 1  # per-reference I-miss rates
-            self._next_seq += 1
+                break  # no load/store-queue slot; wake on retirement
+
+            # Dispatch into the window.
+            entry = WindowEntry(seq, instr)
+            pending = 0
+            for distance in instr.deps:
+                producer = entries.get(seq - distance)
+                if producer is not None and producer.state != ST_DONE:
+                    pending += 1
+                    producer.dependents.append(seq)
+            entries[seq] = entry
+            window.append(entry)
+            if is_memq:
+                self._mem_inflight += 1
+                if op in _LOAD_OPS:
+                    self.consistency.note_dispatch(seq, is_load=True)
+                elif self._sc_mode:
+                    self.consistency.note_dispatch(seq, is_load=False)
+            if op in _ORDERING_OPS:
+                entry.state = ST_DONE  # ordering enforced at retirement
+                entry.pending = pending
+            elif pending:
+                entry.pending = pending
+            else:
+                entry.state = ST_READY
+                if ready is not None:
+                    heappush(ready[fu_class(op, 0)], (seq, entry))
+            seq += 1
             slots -= 1
-            if shared is not None:
-                shared.fetch_slots -= 1
-            if instr.op == OP_BRANCH:
+            if op == OP_BRANCH:
                 self._unresolved_branches += 1
                 if instr.bp_outcome is None:
                     instr.bp_outcome = self.bpred.observe(
                         instr.pc, instr.branch_kind, instr.taken,
                         instr.target)
-                mispredicted = instr.bp_outcome
                 if instr.taken:
-                    self._cur_fetch_line = -1  # redirect re-checks the line
-                if mispredicted:
+                    cur_line = -1  # redirect re-checks the line
+                if instr.bp_outcome:
                     entry.mispredicted = True
                     self._fetch_blocked_until = FAR_FUTURE
                     self._fetch_block_instr = False
-                    return
-
-    def _dispatch(self, instr, now: int) -> WindowEntry:
-        seq = self._next_seq
-        entry = WindowEntry(seq, instr)
-        entries = self._entries
-        for distance in instr.deps:
-            producer = entries.get(seq - distance)
-            if producer is not None and producer.state != ST_DONE:
-                entry.pending += 1
-                producer.dependents.append(seq)
-        entries[seq] = entry
-        self._window.append(entry)
-
-        op = instr.op
-        if op in _MEMQ_OPS:
-            self._mem_inflight += 1
-        if op in _ORDERING_OPS:
-            entry.state = ST_DONE  # ordering enforced at retirement
-        elif entry.pending == 0:
-            entry.state = ST_READY
-            heapq.heappush(self._ready, (seq, entry.uid, entry))
-        if op in _LOAD_OPS:
-            self.consistency.note_dispatch(seq, is_load=True)
-        elif op in _STORE_OPS and self._sc_mode:
-            self.consistency.note_dispatch(seq, is_load=False)
-        return entry
+                    break
+        self._cur_fetch_line = cur_line
+        fetched = seq - first
+        if fetched:
+            self._next_seq = seq
+            memsys.l1i_accesses += fetched  # per-reference I-miss rates
+            if shared is not None:
+                shared.fetch_slots -= fetched
 
     # ------------------------------------------------------------------ issue
 
     def _issue(self, now: int) -> None:
-        if self.proc.out_of_order:
+        if self._out_of_order:
             self._issue_ooo(now)
         else:
             self._issue_inorder(now)
@@ -614,45 +648,76 @@ class ProcessorCore:
             return self.shared.fu
         return self._fu_template.copy()
 
-    def _fu_class(self, op: int) -> int:
-        return _FU_CLASS.get(op, 0)
+    def _issue_ooo(self, now: int) -> bool:
+        """Issue the oldest ready entries whose FU class has a unit left.
 
-    def _issue_ooo(self, now: int) -> None:
-        slots = self._issue_width if self.shared is None \
-            else self.shared.issue_slots
-        fu = self._fu_budget()
-        skipped = []
+        Each step takes the lowest-seq live head among the classes that
+        still have a unit, which issues exactly what one seq-ordered heap
+        would (pop oldest first, skip exhausted classes, stop at the slot
+        limit) without ever popping an entry it cannot issue.  Stale
+        heads (squashed entries) are dropped on the way.  Returns True
+        iff state changed: something issued or a stale item was dropped.
+        """
+        shared = self.shared
+        if shared is None:
+            slots = self._issue_width
+            fu = self._fu_template.copy()
+        else:
+            slots = shared.issue_slots
+            fu = shared.fu
         ready = self._ready
         entries = self._entries
-        fu_class = _FU_CLASS.get
+        completions = self._completions
         heappop, heappush = heapq.heappop, heapq.heappush
+        before = len(ready[0]) + len(ready[1]) + len(ready[2])
+        heads = [FAR_FUTURE, FAR_FUTURE, FAR_FUTURE]
+        stale_heads = _FU_CLASSES
         issued = 0
-        fu_starved = False
-        while ready and slots > 0:
-            seq, _uid, entry = heappop(ready)
-            if entries.get(seq) is not entry or \
-                    entry.state != ST_READY:
-                continue  # stale (squashed or already handled)
-            cls = fu_class(entry.instr.op, 0)
-            if fu[cls] <= 0:
-                fu_starved = True
-                skipped.append((seq, entry.uid, entry))
-                continue
-            fu[cls] -= 1
-            slots -= 1
+        while True:
+            # Refresh the live head of each class whose head may have
+            # moved (all of them at first, then the one that issued).
+            for cls in stale_heads:
+                head = FAR_FUTURE
+                if fu[cls] > 0:
+                    heap = ready[cls]
+                    while heap:
+                        seq, entry = heap[0]
+                        if entries.get(seq) is entry and \
+                                entry.state == ST_READY:
+                            head = seq
+                            break
+                        heappop(heap)  # stale
+                heads[cls] = head
+            if slots <= 0:
+                break
+            h0, h1, h2 = heads
+            if h0 < h1:
+                cls = 0 if h0 < h2 else 2
+            else:
+                cls = 1 if h1 < h2 else 2
+            if heads[cls] == FAR_FUTURE:
+                break  # nothing ready in a class with a unit left
+            seq, entry = heappop(ready[cls])
+            entry.state = ST_EXEC
+            done_at = now + entry.instr.latency
+            entry.done_at = done_at
+            heappush(completions, (done_at, seq, entry))
             issued += 1
-            if self.shared is not None:
-                self.shared.issue_slots -= 1
-            self._start_execution(entry, now)
-        for item in skipped:
-            heappush(ready, item)
-        # Wake classification for skip-ahead: FU budgets replenish every
-        # cycle, so FU starvation (or remaining issue-bandwidth demand)
-        # needs a next-cycle tick; otherwise wakes are event-driven.
-        if issued or fu_starved or (ready and slots == 0):
+            slots -= 1
+            fu[cls] -= 1
+            stale_heads = _ONE_CLASS[cls]
+        if shared is not None:
+            shared.issue_slots -= issued
+        # Wake classification for skip-ahead: FU budgets and issue slots
+        # replenish every cycle, so a non-empty ready heap (or an issue
+        # this cycle) needs a next-cycle tick; otherwise wakes are
+        # event-driven.
+        if issued or ready[0] or ready[1] or ready[2]:
             self._issue_wake = 1   # poll next cycle
         else:
             self._issue_wake = 0   # nothing ready
+        return issued > 0 or \
+            len(ready[0]) + len(ready[1]) + len(ready[2]) != before
 
     def _issue_inorder(self, now: int) -> None:
         """Issue strictly in program order; stall at the first instruction
@@ -678,7 +743,7 @@ class ProcessorCore:
                 continue
             if entry.state != ST_READY:
                 break  # data dependence: in-order issue stalls here
-            cls = self._fu_class(entry.instr.op)
+            cls = _FU_CLASS.get(entry.instr.op, 0)
             if fu[cls] <= 0:
                 self._issue_wake = 1   # fresh units next cycle
                 break
@@ -687,77 +752,71 @@ class ProcessorCore:
             issued += 1
             if self.shared is not None:
                 self.shared.issue_slots -= 1
-            self._start_execution(entry, now)
+            entry.state = ST_EXEC
+            entry.done_at = now + entry.instr.latency
+            heapq.heappush(self._completions, (entry.done_at, seq, entry))
             seq += 1
             self._inorder_ptr = seq
         if issued:
             self._issue_wake = 1
 
-    def _start_execution(self, entry: WindowEntry, now: int) -> None:
-        entry.state = ST_EXEC
-        entry.done_at = now + entry.instr.latency
-        heapq.heappush(self._completions,
-                       (entry.done_at, entry.uid, entry))
-
     # ------------------------------------------------------------------ completion
 
     def _process_completions(self, now: int) -> None:
+        """Finish every execution and memory access due by ``now`` and
+        wake the dependents of what became done."""
         completions = self._completions
         entries = self._entries
+        memq = self._memq
+        sc_mode = self._sc_mode
+        ready = self._ready if self._out_of_order else None
+        heappop, heappush = heapq.heappop, heapq.heappush
         while completions and completions[0][0] <= now:
-            _t, _uid, entry = heapq.heappop(completions)
-            seq = entry.seq
+            _t, seq, entry = heappop(completions)
             if entries.get(seq) is not entry:
                 continue  # squashed
-            if entry.state == ST_EXEC:
-                self._finish_execution(entry, now)
-            elif entry.state == ST_MEMACC:
+            state = entry.state
+            if state == ST_EXEC:
+                op = entry.instr.op
+                if op in _LOAD_OPS or (sc_mode and op in _STORE_OPS):
+                    # Address generated; awaits permission to perform.
+                    # PC/RC stores are done once their address is ready:
+                    # they perform from the store buffer after retirement.
+                    entry.state = ST_MEMQ
+                    memq.append(seq)
+                    continue
+                if op == OP_BRANCH:
+                    self._unresolved_branches -= 1
+                    if entry.mispredicted:
+                        entry.mispredicted = False
+                        self._fetch_blocked_until = now + MISPREDICT_RESTART
+                        self._fetch_block_instr = False
+                elif op == OP_PREFETCH:
+                    self.memsys.prefetch_data(now, entry.instr.addr,
+                                              exclusive=True,
+                                              pc=entry.instr.pc)
+                    entry.state = ST_DONE
+                    continue
+                elif op == OP_FLUSH:
+                    entry.state = ST_DONE  # effect applied at retirement
+                    continue
+                entry.state = ST_DONE
+            elif state == ST_MEMACC:
                 entry.state = ST_DONE
                 self.consistency.note_complete(seq)
-                self._wake_dependents(entry)
-
-    def _finish_execution(self, entry: WindowEntry, now: int) -> None:
-        op = entry.instr.op
-        if op == OP_BRANCH:
-            self._unresolved_branches -= 1
-            if entry.mispredicted:
-                entry.mispredicted = False
-                self._fetch_blocked_until = now + MISPREDICT_RESTART
-                self._fetch_block_instr = False
-            entry.state = ST_DONE
-            self._wake_dependents(entry)
-        elif op == OP_PREFETCH:
-            self.memsys.prefetch_data(now, entry.instr.addr, exclusive=True,
-                                      pc=entry.instr.pc)
-            entry.state = ST_DONE
-        elif op == OP_FLUSH:
-            entry.state = ST_DONE  # effect applied at retirement
-        elif op in (OP_LOAD, OP_LOCK_ACQ):
-            entry.state = ST_MEMQ  # address generated; awaits permission
-            self._memq.append(entry.seq)
-        elif op in (OP_STORE, OP_LOCK_REL):
-            if self._sc_mode:
-                entry.state = ST_MEMQ
-                self._memq.append(entry.seq)
             else:
-                # PC/RC: stores are done once the address is ready; they
-                # perform from the store buffer after retirement.
-                entry.state = ST_DONE
-                self._wake_dependents(entry)
-        else:
-            entry.state = ST_DONE
-            self._wake_dependents(entry)
-
-    def _wake_dependents(self, entry: WindowEntry) -> None:
-        entries = self._entries
-        for dseq in entry.dependents:
-            dep = entries.get(dseq)
-            if dep is None or dep.pending == 0:
                 continue
-            dep.pending -= 1
-            if dep.pending == 0 and dep.state == ST_WAIT:
-                dep.state = ST_READY
-                heapq.heappush(self._ready, (dseq, dep.uid, dep))
+            # Wake the dependents.
+            for dseq in entry.dependents:
+                dep = entries.get(dseq)
+                if dep is None or dep.pending == 0:
+                    continue
+                dep.pending -= 1
+                if dep.pending == 0 and dep.state == ST_WAIT:
+                    dep.state = ST_READY
+                    if ready is not None:
+                        heappush(ready[_FU_CLASS.get(dep.instr.op, 0)],
+                                 (dseq, dep))
 
     # ------------------------------------------------------------------ memory queue
 
@@ -829,8 +888,7 @@ class ProcessorCore:
             entry.done_at = result.done_at
             entry.category = result.category
             entry.tlb_miss = result.tlb_miss
-            heapq.heappush(self._completions,
-                           (entry.done_at, entry.uid, entry))
+            heapq.heappush(self._completions, (entry.done_at, seq, entry))
             if op == OP_LOAD and unit.load_is_speculative(seq):
                 line = self.memsys.page_table.translate_line(
                     entry.instr.addr, self.memsys.line_shift)
@@ -863,27 +921,29 @@ class ProcessorCore:
                 stall_category = self._classify_stall(entry)
                 break
             op = entry.instr.op
-            if op == OP_MB and not self.storebuf.empty:
-                stall_category = SYNC
-                break
-            if op in (OP_STORE, OP_LOCK_REL) and not self._sc_mode:
-                if op == OP_LOCK_REL:
-                    self.lock_table.pop(entry.instr.addr, None)
-                if not self.storebuf.push_store(entry.instr.addr,
-                                                entry.instr.pc):
-                    stall_category = WRITE
+            if op in _RETIRE_OPS:
+                if op == OP_MB and not self.storebuf.empty:
+                    stall_category = SYNC
                     break
-            elif op == OP_LOCK_REL:  # SC: already performed in order
-                self.lock_table.pop(entry.instr.addr, None)
-            elif op == OP_WMB:
-                self.storebuf.push_barrier()
-            elif op == OP_FLUSH:
-                self.memsys.flush_line(now, entry.instr.addr)
+                if op in _STORE_OPS and not self._sc_mode:
+                    if op == OP_LOCK_REL:
+                        self.lock_table.pop(entry.instr.addr, None)
+                    if not self.storebuf.push_store(entry.instr.addr,
+                                                    entry.instr.pc):
+                        stall_category = WRITE
+                        break
+                elif op == OP_LOCK_REL:  # SC: already performed in order
+                    self.lock_table.pop(entry.instr.addr, None)
+                elif op == OP_WMB:
+                    self.storebuf.push_barrier()
+                elif op == OP_FLUSH:
+                    self.memsys.flush_line(now, entry.instr.addr)
             window.popleft()
             del entries[entry.seq]
             if op in _MEMQ_OPS:
+                # Only memory ops are ever noted by the consistency unit.
                 self._mem_inflight -= 1
-            consistency.note_removed(entry.seq)
+                consistency.note_removed(entry.seq)
             last_seq = entry.seq
             retired += 1
             if self.shared is not None:
@@ -944,6 +1004,13 @@ class ProcessorCore:
         self._fetch_block_instr = False
         self._cur_fetch_line = -1
         # Ready/completion heaps are cleaned lazily via identity checks.
+        # Keep it lazy: squashed entries' completion times stay in
+        # _completions and feed _next_event, and through it the global
+        # grid of Machine.run.  A store pushed into the store buffer at
+        # retire issues at the next grid point (that tick's wake was
+        # computed before the push), so stale completion times are
+        # load-bearing: purging them here changes results until that
+        # model defect is fixed.
 
     def _on_line_removed(self, line: int) -> None:
         """Invalidation/replacement hook: speculative-load violations."""

@@ -63,7 +63,7 @@ from repro.system.machine import Machine
 from repro.trace.arena import ArenaError, TraceArena, _RecordingWorkload
 
 #: On-disk checkpoint file format version.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 MAGIC = b"RPCKPT01"
 

@@ -22,7 +22,6 @@ from repro.cpu.core import (
     ST_MEMACC,
     ST_MEMQ,
     ProcessorCore,
-    WindowEntry,
 )
 from repro.cpu.smt import SmtCore
 from repro.mem.coherence import CoherentMemory
@@ -38,7 +37,7 @@ from repro.trace.instr import OP_LOCK_ACQ, OP_NAMES
 
 #: Version stamp embedded in Machine.snapshot() payloads; bump whenever
 #: the captured state shape changes incompatibly.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 #: Exclusive-ownership transfers on a single line, with no instruction
 #: retiring anywhere, before the watchdog calls it a coherence livelock.
@@ -394,7 +393,6 @@ class Machine:
             "schedulers": [s.snapshot(memo) for s in self.schedulers],
             "nodes": [nd.snapshot(memo) for nd in self.nodes],
             "cores": [c.snapshot(memo) for c in self.cores],
-            "next_uid": WindowEntry._next_uid,
         }
 
     def restore(self, state: Dict[str, object]) -> None:
@@ -434,12 +432,6 @@ class Machine:
             node.restore(sub)
         for core, sub in zip(self.cores, state["cores"]):
             core.restore(sub, by_pid)
-        # Monotonic tie-breaker: future entries must sort after every
-        # restored one; other machines in this interpreter may have pushed
-        # the class counter further, which is fine (only relative order
-        # within one core's heaps matters).
-        if state["next_uid"] > WindowEntry._next_uid:
-            WindowEntry._next_uid = state["next_uid"]
 
     def trace_consumed(self) -> List[int]:
         """Per-pid count of instructions already pulled from each trace

@@ -236,6 +236,33 @@ class TestRoundTripProperty:
         assert 0 < info["resumed_from"] < 1800
         assert result.to_dict() == baseline
 
+    def test_format_1_checkpoint_is_quarantined(self, tmp_path):
+        """A checkpoint of the previous format (heap items that carried a
+        uid tie-breaker, a ``next_uid`` key) is never restored: it is
+        quarantined and the job cold-starts to the uninterrupted result."""
+        assert ckpt.CHECKPOINT_FORMAT == 2
+        params = small_params()
+        baseline = run_simulation(params, oltp_workload(), seed=4,
+                                  **SMALL).to_dict()
+        store = CheckpointStore(tmp_path / "ck")
+        with pytest.raises(InjectedCrash):
+            ckpt.run_job(params, oltp_workload(), seed=4, store=store,
+                         every=1000, faults=CrashAfterCheckpoints(1),
+                         **SMALL)
+        [path] = store.checkpoint_files()
+        payload = CheckpointStore.load_file(path)
+        payload["format"] = 1
+        payload["machine"]["next_uid"] = 12345
+        path.unlink()
+        store.save(payload)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            result, info = ckpt.run_job(params, oltp_workload(), seed=4,
+                                        store=store, **SMALL)
+        assert store.quarantined == 1
+        assert (store.directory / ckpt.QUARANTINE_DIR / path.name).exists()
+        assert info["resumed_from"] == 0
+        assert result.to_dict() == baseline
+
     def test_seed_mismatch_forces_cold_start(self, tmp_path):
         store = CheckpointStore(tmp_path / "ck")
         params = small_params()

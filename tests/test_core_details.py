@@ -1,16 +1,29 @@
-"""Detailed core-pipeline tests: trace buffer, squash, structural limits."""
+"""Detailed core-pipeline tests: trace buffer, squash, structural
+limits, per-FU-class issue."""
 
 import dataclasses
+import heapq
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cpu.core import TraceBuffer
+from repro.core.workloads import dss_workload
+from repro.cpu.core import (
+    _FU_CLASS,
+    ST_EXEC,
+    ST_READY,
+    TraceBuffer,
+    WindowEntry,
+)
 from repro.params import default_system
 from repro.system.machine import Machine
 from repro.trace.instr import (
     BR_COND,
     OP_BRANCH,
+    OP_FP,
     OP_INT,
     OP_LOAD,
     OP_MB,
@@ -163,3 +176,140 @@ class TestRollbackMechanics:
         # Simulation continues cleanly after the squash.
         m.run(500)
         assert m.total_retired() >= 1000
+
+
+class TestInOrderReadyHeaps:
+    def test_inorder_run_leaves_ready_heaps_empty(self):
+        """In-order cores issue by walking the window; nothing may feed
+        the out-of-order ready heaps (nobody would ever pop them)."""
+        params = default_system()
+        params = params.replace(processor=dataclasses.replace(
+            params.processor, out_of_order=False))
+        m = Machine(params, dss_workload().generators(params.n_nodes,
+                                                      seed=0))
+        m.run(6000)
+        assert m.total_retired() >= 6000
+        for core in m.cores:
+            assert core._ready == [[], [], []]
+
+
+# ------------------------------------------------------- per-class issue
+
+#: Ops standing for each FU class: int+branch, fp, address generation.
+_CLASS_OPS = ((OP_INT, OP_BRANCH), (OP_FP,), (OP_LOAD, OP_STORE))
+
+
+class _LoggedInstr:
+    """Instruction stand-in that logs when issue reads its latency, so a
+    test sees the order in which entries issued."""
+
+    def __init__(self, op, seq, log):
+        self.op = op
+        self._seq = seq
+        self._log = log
+
+    @property
+    def latency(self):
+        self._log.append(self._seq)
+        return 1
+
+
+def _reference_issue(items, entries, fu, slots):
+    """The single-heap rule: pop oldest first, drop stale items, skip
+    entries whose FU class is used up, stop at the slot limit."""
+    issued = []
+    for seq, entry in sorted(items, key=lambda item: item[0]):
+        if slots == 0:
+            break
+        if entries.get(seq) is not entry or entry.state != ST_READY:
+            continue
+        cls = _FU_CLASS.get(entry.instr.op, 0)
+        if fu[cls] <= 0:
+            continue
+        fu[cls] -= 1
+        slots -= 1
+        issued.append(seq)
+    return issued, fu, slots
+
+
+@st.composite
+def ready_sets(draw):
+    """Live ready entries over the three FU classes plus stale items:
+    squashed entries (possibly sharing a live seq) and live entries that
+    already left the ready state."""
+    seqs = draw(st.lists(st.integers(0, 60), max_size=24, unique=True))
+    live = [(seq, draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+            for seq in seqs]
+    stale = draw(st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 2),
+                  st.integers(0, 1), st.booleans()),
+        max_size=12))
+    shared = draw(st.booleans())
+    fu = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    slots = draw(st.integers(0 if shared else 1, 6))
+    return live, stale, shared, fu, slots
+
+
+class TestPerClassIssue:
+    @given(ready_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_issue_matches_single_heap_rule(self, case):
+        live, stale, shared, fu, slots = case
+        core = Machine(default_system(n_nodes=1, mesh_width=1),
+                       [iter(())]).cores[0]
+        log = []
+        items = []
+        entries = {}
+        for seq, cls, pick in live:
+            op = _CLASS_OPS[cls][pick % len(_CLASS_OPS[cls])]
+            entry = WindowEntry(seq, _LoggedInstr(op, seq, log))
+            entry.state = ST_READY
+            entries[seq] = entry
+            items.append((seq, entry))
+        for seq, cls, pick, in_window in stale:
+            op = _CLASS_OPS[cls][pick % len(_CLASS_OPS[cls])]
+            entry = WindowEntry(seq, _LoggedInstr(op, seq, log))
+            if in_window and seq not in entries:
+                entry.state = ST_EXEC  # live, but no longer ready
+                entries[seq] = entry
+            else:
+                entry.state = ST_READY  # squashed: not in the window
+            items.append((seq, entry))
+        expected, expected_fu, expected_slots = _reference_issue(
+            items, entries, list(fu), slots)
+
+        core._entries = entries
+        core._ready = [[], [], []]
+        for seq, entry in items:
+            heapq.heappush(core._ready[_FU_CLASS.get(entry.instr.op, 0)],
+                           (seq, entry))
+        before = sum(len(heap) for heap in core._ready)
+        if shared:
+            # SMT-style pool: units and slots a sibling may already have
+            # used up this cycle.
+            pool = SimpleNamespace(issue_slots=slots, fu=list(fu))
+            core.shared = pool
+        else:
+            core._issue_width = slots
+            core._fu_template = list(fu)
+        changed = core._issue_ooo(now=100)
+
+        assert log == expected
+        assert all(entries[seq].state == ST_EXEC for seq in expected)
+        if shared:
+            assert pool.fu == expected_fu
+            assert pool.issue_slots == expected_slots
+        else:
+            assert core._fu_template == fu  # the template is not consumed
+        after = sum(len(heap) for heap in core._ready)
+        assert changed == (bool(expected) or after != before)
+        left = [entry for heap in core._ready for seq, entry in heap
+                if entries.get(seq) is entry and entry.state == ST_READY]
+        if left:
+            assert core._issue_wake == 1
+        if core._issue_wake == 0:
+            assert not any(core._ready)
+        # No live ready entry is lost: each issued or is still queued.
+        assert sorted(entry.seq for entry in left) == sorted(
+            seq for seq, entry in entries.items()
+            if entry.state == ST_READY)

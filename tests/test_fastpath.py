@@ -36,7 +36,7 @@ from repro.check.litmus import run_litmus_suite
 from repro.core.experiment import assemble_result
 from repro.core.workloads import dss_workload, oltp_workload, \
     tpcc_workload
-from repro.cpu.core import ProcessorCore, WindowEntry
+from repro.cpu.core import ProcessorCore
 from repro.params import ConsistencyImpl, ConsistencyModel, \
     default_system
 from repro.params_io import params_from_dict, params_to_dict
@@ -79,9 +79,6 @@ def canon(obj):
 
 
 def build_machine(params, workload, seed=0):
-    # WindowEntry uids are a process-global counter; reset so snapshots
-    # of sequentially built machines compare equal.
-    WindowEntry._next_uid = 0
     return Machine(params, workload.generators(params.n_nodes,
                                                seed=seed))
 
