@@ -18,8 +18,8 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
   the right outcomes.
 * :mod:`repro.check.lint` -- static analysis for the simulator sources
   (``repro lint``): per-file determinism rules plus whole-program
-  contract passes (snapshot completeness, ephemeral-parameter purity,
-  tick-surface equivalence).
+  contract passes (ephemeral-parameter purity, tick-surface
+  equivalence, durable-write discipline).
 
 :mod:`repro.check.mutations` seeds deliberate protocol bugs and proves
 the sanitizer and litmus harness detect every one of them (the

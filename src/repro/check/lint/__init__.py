@@ -4,8 +4,7 @@ The simulator's claims rest on bit-exact reproducibility: identical
 configurations must produce identical cycle counts on any host, any
 Python build, any process.  The single-file rules catch the ways Python
 lets nondeterminism creep in; the whole-program contract passes audit
-the conventions the checkpointing, caching and tick-skipping
-subsystems rely on:
+the conventions the caching and tick-skipping subsystems rely on:
 
 ======  ==================================================================
 code    rule
@@ -34,9 +33,6 @@ R007    no membership tests (``x in d``) or attribute-chain lookups
         ``system/machine.py``): the loop runs once per simulated
         event, so every repeated lookup must be bound to a local
         before the loop
-R010    snapshot completeness: every attribute the tick path mutates is
-        captured by ``snapshot()`` or reinstalled by ``restore()``, and
-        restore never reads a state key snapshot doesn't write
 R011    ephemeral-parameter purity: ``SystemParams`` fields are either
         fingerprinted configuration or on the explicit ephemeral
         registry, and ephemeral fields are only read at approved gates
@@ -61,7 +57,7 @@ Suppressions::
 ``repro lint`` runs this over ``src/repro`` and exits nonzero on any
 finding; CI enforces a clean run plus the static teeth test
 (``repro.check.lint.selftest``), which seeds one violation per contract
-pass and asserts it is detected.  ``repro lint --explain R010`` prints
+pass and asserts it is detected.  ``repro lint --explain R011`` prints
 a rule's long-form contract; ``--format json|sarif``, ``--baseline``
 and ``--write-baseline`` support tooling integration.
 """

@@ -1,10 +1,7 @@
-"""Whole-program contract passes: R010, R011, R012.
+"""Whole-program contract passes: R011, R012.
 
 Each pass audits a convention the repo's headline claims rest on:
 
-* **R010** -- byte-identical checkpoint resume requires ``snapshot()``
-  to capture (or ``restore()`` to recompute) every attribute the tick
-  path mutates;
 * **R011** -- fingerprint-stable caching requires ephemeral
   ``SystemParams`` fields to stay out of simulation behaviour;
 * **R012** -- certified tick skipping requires ``tick`` and
@@ -19,12 +16,10 @@ from __future__ import annotations
 
 import ast
 import os
-import re
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.check.lint.registry import LintViolation
-from repro.check.lint.symbols import ClassInfo, MethodInfo, ModuleInfo, \
-    ProgramIndex
+from repro.check.lint.symbols import ClassInfo, ModuleInfo, ProgramIndex
 
 #: The ephemeral registry (R011): SystemParams fields that configure
 #: tooling rather than the simulated machine.  Must match
@@ -35,9 +30,8 @@ EPHEMERAL_REGISTRY: FrozenSet[str] = frozenset({
 #: Approved readers of ephemeral fields (path suffix -> function names).
 #: Everything here is a *gate*: code that dispatches on the knob before
 #: simulation starts (checker attachment, watchdog arming) or
-#: that records it in host-side artifacts (triage bundles, checkpoint
-#: eligibility).  A read anywhere else is how an ephemeral would leak
-#: into cycle math.
+#: that records it in host-side artifacts (triage bundles).  A read
+#: anywhere else is how an ephemeral would leak into cycle math.
 EPHEMERAL_READ_GATES: Dict[str, FrozenSet[str]] = {
     "params.py": frozenset({"__post_init__"}),      # value validation
     "system/machine.py": frozenset({
@@ -46,35 +40,12 @@ EPHEMERAL_READ_GATES: Dict[str, FrozenSet[str]] = {
     }),
     "run/triage.py": frozenset({"write_bundle"}),   # bundles re-arm the
                                                     # watchdog on replay
-    "run/checkpoint.py": frozenset({
-        "supports_checkpointing",                   # checker wrappers
-    }),                                             # can't be snapshotted
-}
-
-#: Deliberately un-snapshotted scratch (R010), (class, attribute) ->
-#: justification.  Everything here is run-local state that never
-#: survives into a checkpoint *by design*.
-SNAPSHOT_SCRATCH: Dict[Tuple[str, str], str] = {
-    ("ProcessorCore", "tick_quiet"):
-        "no-op certification flag; consumed by Machine.run within the "
-        "same grid step and recomputed on the next tick",
-    ("SmtCore", "tick_quiet"):
-        "same certification flag, aggregated over SMT contexts",
-    ("StoreBuffer", "drain_activity"):
-        "per-tick drain-activity probe for no-op certification; never "
-        "read across ticks",
-    ("CoherentMemory", "_ping"):
-        "forward-progress watchdog scratch; disarmed unless a watchdog "
-        "is configured and never affects timing",
-    ("ProcessorCore", "lock_table"):
-        "machine-wide shared table; captured once by Machine.snapshot "
-        "and reinstalled in place by Machine.restore",
 }
 
 #: Write-surface pairs (R012).  ``allowed_fast_extra`` lists the
 #: certification scratch only the certifying path writes; the
-#: reference tick never reads it and snapshots never capture it (see
-#: SNAPSHOT_SCRATCH).
+#: reference tick never reads it, and it is not machine state (the
+#: identity oracle's ``machine_state`` walk skips it too).
 SURFACE_PAIRS = (
     {"class": "ProcessorCore",
      "reference": ("tick",),
@@ -83,65 +54,9 @@ SURFACE_PAIRS = (
                                       "storebuf.drain_activity"})},
 )
 
-#: Methods that run outside the tick path (R010 ignores their writes):
-#: construction, checkpointing itself, and once-per-run reporting.
-_COLD_METHOD = re.compile(
-    r"^(__\w+__|snapshot|restore|reset\w*|format\w*|describe\w*|"
-    r"dump\w*|summary\w*|to_dict|from_dict|stats\w*|report\w*)$")
-
 
 def _norm(path: str) -> str:
     return path.replace(os.sep, "/")
-
-
-# --------------------------------------------------------------------- R010
-
-def _check_snapshot_completeness(index: ProgramIndex,
-                                 cls: ClassInfo) -> List[LintViolation]:
-    snapshot = cls.methods.get("snapshot")
-    restore = cls.methods.get("restore")
-    if snapshot is None or restore is None:
-        return []
-    violations: List[LintViolation] = []
-
-    hot_roots = [name for name in cls.methods
-                 if not _COLD_METHOD.match(name)]
-    covered = snapshot.attr_reads | set(restore.attr_writes)
-    reported: Set[str] = set()
-    for method_name in sorted(cls.closure(hot_roots)):
-        method = cls.methods[method_name]
-        for attr in sorted(method.attr_writes):
-            if attr in covered or attr in reported:
-                continue
-            if (cls.name, attr) in SNAPSHOT_SCRATCH:
-                continue
-            node = method.attr_writes[attr]
-            if index.suppressed(cls.path, node, "R010"):
-                continue
-            reported.add(attr)
-            violations.append(LintViolation(
-                cls.path, getattr(node, "lineno", cls.node.lineno),
-                "R010",
-                f"{cls.name}.{method_name} mutates self.{attr} on the "
-                f"tick path, but {cls.name}.snapshot() never captures "
-                f"it and restore() never reinstalls it -- checkpoint "
-                f"resume would silently lose the value"))
-
-    # Key symmetry: restore() must only read keys snapshot() writes.
-    # (The converse -- a snapshot key restore ignores -- is legal:
-    # e.g. Process stores "pid" for external re-linking.)
-    if not snapshot.opaque_return and snapshot.dict_keys:
-        for key in sorted(set(restore.state_keys) - snapshot.dict_keys):
-            node = restore.state_keys[key]
-            if index.suppressed(cls.path, node, "R010"):
-                continue
-            violations.append(LintViolation(
-                cls.path, getattr(node, "lineno", cls.node.lineno),
-                "R010",
-                f"{cls.name}.restore() reads state[{key!r}] but "
-                f"snapshot() never writes that key -- the "
-                f"snapshot/restore key sets have diverged"))
-    return violations
 
 
 # --------------------------------------------------------------------- R011
@@ -325,7 +240,6 @@ def run_contracts(index: ProgramIndex) -> List[LintViolation]:
         violations.extend(_check_ephemeral_reads(index, module))
         for cls in module.classes.values():
             classes_by_name.setdefault(cls.name, cls)
-            violations.extend(_check_snapshot_completeness(index, cls))
     violations.extend(_check_tick_surfaces(index, classes_by_name))
     violations.sort(key=lambda v: (v.path, v.line, v.code, v.message))
     return violations

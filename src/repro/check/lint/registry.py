@@ -126,31 +126,6 @@ RULE_TABLE = (
         Bind lookups to locals before the loop.
         """)),
     Rule(
-        "R010",
-        "snapshot()/restore() misses a tick-path mutable attribute",
-        "program",
-        _explain("""
-        Contract: byte-identical checkpoint resume.  For every class
-        defining both ``snapshot()`` and ``restore()``, each ``self.X``
-        assigned on the tick path (any method not clearly cold:
-        ``__init__``, ``snapshot``/``restore``, ``reset*``, ``to_dict``,
-        formatting/reporting helpers) must either be read by
-        ``snapshot()`` (captured) or assigned by ``restore()`` (a
-        derived cache legitimately recomputed on restore, like
-        ``MshrFile._min_done``).  The pass also checks key symmetry:
-        ``restore()`` reading a ``state["key"]`` that ``snapshot()``'s
-        dict literal never writes means resume would KeyError or install
-        stale defaults.
-
-        Escape hatches: run-local scratch that deliberately never enters
-        a checkpoint (watchdog ping tables, no-op certification flags)
-        is listed with a justification in
-        ``repro.check.lint.contracts.SNAPSHOT_SCRATCH``; a
-        ``# repro-lint: disable=R010`` pragma on the ``snapshot`` def
-        line works for per-class waivers, and ``--baseline`` grandfathers
-        existing findings.
-        """)),
-    Rule(
         "R011",
         "ephemeral SystemParams field read outside its gate list",
         "program",
@@ -165,7 +140,7 @@ RULE_TABLE = (
         fingerprint exclusion set in ``repro.params_io``, and flags any
         read of an ephemeral field outside the approved gate list
         (machine construction, watchdog arming in the main loop,
-        triage bundle capture, checkpoint eligibility).  A read anywhere
+        triage bundle capture).  A read anywhere
         else is exactly how ``check`` or a watchdog knob would leak into
         cycle math.
 
@@ -198,7 +173,7 @@ RULE_TABLE = (
         (``repro.check.lint.contracts.SURFACE_PAIRS``): the fast side
         may additionally write its certification scratch
         (``tick_quiet``, ``storebuf.drain_activity``), which the
-        reference tick never reads and snapshots never capture.
+        reference tick never reads.
         """)),
     Rule(
         "R013",
@@ -206,7 +181,7 @@ RULE_TABLE = (
         "file",
         _explain("""
         Every durable artifact the runner persists (cache entries, the
-        sweep manifest, checkpoints, arenas, triage bundles, the gc
+        sweep manifest, arenas, triage bundles, the gc
         journal) must be published through
         :mod:`repro.run.atomicio` -- the audited tmp + fsync + rename
         primitive that also hosts deterministic disk-fault injection.

@@ -31,18 +31,6 @@ class StaticMutationResult:
         return f"[{status}] {self.name}: {self.description}{suffix}"
 
 
-def _drop_snapshot_field(source: str) -> str:
-    """Remove the ``"retired"`` entry from ProcessorCore.snapshot()."""
-    pattern = re.compile(r'^\s*"retired": self\.retired,\s*\n',
-                         re.MULTILINE)
-    mutated, count = pattern.subn("", source, count=1)
-    if count != 1:
-        raise AssertionError(
-            "mutation anchor '\"retired\": self.retired,' not found in "
-            "cpu/core.py -- update the static teeth test")
-    return mutated
-
-
 def _ephemeral_read_in_tick(source: str) -> str:
     """Insert a ``params.check`` read into ProcessorCore.tick()."""
     pattern = re.compile(r"^(    def tick\(self\b[^\n]*\n)",
@@ -81,12 +69,6 @@ def _fast_only_write(source: str) -> str:
 #: name -> (description, target path relative to the lint root,
 #:          source transformer, rule code expected to fire)
 STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
-    "snapshot-field-dropped": (
-        "drop 'retired' from ProcessorCore.snapshot() -- checkpoint "
-        "resume would lose the retirement count",
-        os.path.join("cpu", "core.py"),
-        _drop_snapshot_field,
-        "R010"),
     "ephemeral-read-in-tick": (
         "read params.check inside ProcessorCore.tick() -- an ephemeral "
         "knob leaking into per-cycle behaviour",

@@ -1,25 +1,16 @@
-"""Whole-program symbol table feeding the contract passes (R010-R012).
+"""Whole-program symbol table feeding the contract passes (R011, R012).
 
 The :class:`ProgramIndex` holds one :class:`ModuleInfo` per linted file;
 each records, per class and per method, the facts the contracts reason
 about:
 
-* ``attr_writes`` -- names ``X`` assigned via ``self.X = ...``,
-  ``self.X op= ...`` or ``self.X[...] = ...`` (subscript stores count as
-  a mutation of ``X`` for snapshot completeness);
 * ``dotted_writes`` -- plain attribute-assignment targets as dotted
   paths (``self.X`` -> ``X``, ``self.X.Y`` -> ``X.Y``), with local
   aliases resolved (``sb = self.storebuf; sb.flag = ...`` ->
   ``storebuf.flag``); subscript stores are deliberately excluded, so
   both tick paths' in-place container updates don't create noise;
-* ``attr_reads`` -- names ``X`` loaded via ``self.X`` (snapshot coverage);
 * ``calls`` -- intra-class ``self.m(...)`` edges (contract passes close
-  write sets over them);
-* ``state_keys`` -- constant keys ``restore()`` reads off its state
-  parameter (``state["k"]`` / ``state.get("k", ...)``);
-* ``dict_keys`` / ``opaque_return`` -- constant keys of the dict
-  literal(s) ``snapshot()`` returns, or the fact that the return value
-  is not a visible literal.
+  write sets over them).
 
 Ephemeral-parameter reads (R011) are collected module-wide: every
 ``<something>.params.<field>`` / ``params.<field>`` load of a field on
@@ -29,7 +20,7 @@ the ephemeral registry, tagged with its enclosing function and class.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.check.lint.rules_file import parse_pragmas, suppressed
 
@@ -47,34 +38,23 @@ def _self_chain(node: ast.AST) -> Optional[List[str]]:
 
 class MethodInfo:
     """Facts about one method body (nested defs included: anything a
-    method does at runtime belongs to its write/read surface)."""
+    method does at runtime belongs to its write surface)."""
 
     def __init__(self, name: str, node: ast.AST):
         self.name = name
         self.node = node
-        self.attr_writes: Dict[str, ast.AST] = {}
         self.dotted_writes: Dict[str, ast.AST] = {}
-        self.attr_reads: Set[str] = set()
         self.calls: Set[str] = set()
-        self.state_keys: Dict[str, ast.AST] = {}
-        self.dict_keys: Set[str] = set()
-        self.opaque_return = False
 
     def merge(self, other: "MethodInfo") -> None:
         """Property getter/setter pairs share a name; union their facts."""
-        self.attr_writes.update(other.attr_writes)
         self.dotted_writes.update(other.dotted_writes)
-        self.attr_reads |= other.attr_reads
         self.calls |= other.calls
-        self.state_keys.update(other.state_keys)
-        self.dict_keys |= other.dict_keys
-        self.opaque_return |= other.opaque_return
 
 
 class _MethodVisitor(ast.NodeVisitor):
-    def __init__(self, info: MethodInfo, state_param: Optional[str]):
+    def __init__(self, info: MethodInfo):
         self.info = info
-        self.state_param = state_param
         self.aliases: Dict[str, List[str]] = {}
 
     # -- assignment targets --------------------------------------------------
@@ -89,20 +69,8 @@ class _MethodVisitor(ast.NodeVisitor):
             return
         if isinstance(target, ast.Attribute):
             chain = self._target_chain(target)
-            if chain is None:
-                return
-            self.info.dotted_writes.setdefault(".".join(chain), node)
-            if len(chain) == 1:
-                self.info.attr_writes.setdefault(chain[0], node)
-            return
-        if isinstance(target, ast.Subscript):
-            chain = self._target_chain(target.value) \
-                if isinstance(target.value, ast.Attribute) else None
-            if chain is not None and len(chain) == 1:
-                # self.X[...] = ... mutates X for checkpoint purposes,
-                # but stays off the R012 surface (both tick paths update
-                # containers in place through method calls too).
-                self.info.attr_writes.setdefault(chain[0], node)
+            if chain is not None:
+                self.info.dotted_writes.setdefault(".".join(chain), node)
 
     def _target_chain(self, target: ast.AST) -> Optional[List[str]]:
         """Dotted path of an attribute target, aliases resolved."""
@@ -142,47 +110,14 @@ class _MethodVisitor(ast.NodeVisitor):
             self._record_target(node.target, node)
         self.generic_visit(node)
 
-    # -- reads, calls, state keys --------------------------------------------
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.ctx, ast.Load) and \
-                isinstance(node.value, ast.Name) and \
-                node.value.id == "self":
-            self.info.attr_reads.add(node.attr)
-        self.generic_visit(node)
+    # -- calls ---------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and \
-                isinstance(func.value, ast.Name):
-            if func.value.id == "self":
-                self.info.calls.add(func.attr)
-            elif func.value.id == self.state_param and \
-                    func.attr == "get" and node.args and \
-                    isinstance(node.args[0], ast.Constant) and \
-                    isinstance(node.args[0].value, str):
-                self.info.state_keys.setdefault(node.args[0].value, node)
-        self.generic_visit(node)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.value, ast.Name) and \
-                node.value.id == self.state_param and \
-                isinstance(node.slice, ast.Constant) and \
-                isinstance(node.slice.value, str):
-            self.info.state_keys.setdefault(node.slice.value, node)
-        self.generic_visit(node)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        value = node.value
-        if isinstance(value, ast.Dict):
-            for key in value.keys:
-                if isinstance(key, ast.Constant) and \
-                        isinstance(key.value, str):
-                    self.info.dict_keys.add(key.value)
-                else:
-                    self.info.opaque_return = True
-        elif value is not None:
-            self.info.opaque_return = True
+                isinstance(func.value, ast.Name) and \
+                func.value.id == "self":
+            self.info.calls.add(func.attr)
         self.generic_visit(node)
 
 
@@ -241,11 +176,7 @@ class _ModuleVisitor(ast.NodeVisitor):
             # body (nested defs included) with the method visitor.
             owner = self._class_stack[-1]
             info = MethodInfo(node.name, node)
-            args = node.args.posonlyargs + node.args.args
-            state_param = None
-            if node.name == "restore" and len(args) >= 2:
-                state_param = args[1].arg
-            _MethodVisitor(info, state_param).visit(node)
+            _MethodVisitor(info).visit(node)
             if node.name in owner.methods:
                 owner.methods[node.name].merge(info)
             else:

@@ -254,7 +254,7 @@ def _static_detector(name: str) -> Callable[[], str]:
 
 def _register_static_mutations() -> None:
     """Seeded *source* mutations caught by the contract passes of
-    ``repro lint`` (R010-R012) rather than by running a simulation.
+    ``repro lint`` (R011-R013) rather than by running a simulation.
     The mutation context is a no-op: the seeded violation lives in an
     in-memory source override inside the detector, never on disk."""
     from repro.check.lint.selftest import STATIC_MUTATIONS

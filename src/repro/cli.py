@@ -9,7 +9,6 @@ Usage::
     python -m repro validate                    # internal consistency checks
     python -m repro check [--skip-mutations]    # litmus + sanitizer suite
     python -m repro lint [paths...]             # determinism linter
-    python -m repro profile [oltp|dss|tpcc]     # hot-path profiling harness
     python -m repro replay BUNDLE               # re-run a crash-triage bundle
     python -m repro sweep [oltp|dss|tpcc]       # seed sweep
     python -m repro gc [--dry-run]              # retention GC for cache debris
@@ -56,15 +55,10 @@ Resilience options (accepted before or after the subcommand):
     sweep manifest (written next to the cache) and execute only the
     incomplete remainder.  ``repro sweep-status`` prints the manifest
     without running anything.
-``--checkpoint-every N``
-    Write a mid-simulation checkpoint every ``N`` retired instructions
-    (default 100000, or ``REPRO_CHECKPOINT_EVERY``; 0 disables writes).
-    A killed or crashed attempt resumes from its newest valid
-    checkpoint instead of a cold start, and any failed attempt leaves a
-    replayable triage bundle under ``triage/`` beside the result cache
-    -- ``repro replay <bundle>`` re-runs it deterministically,
-    ``--from-checkpoint`` jumping straight to the checkpointed region.
-    Checkpoints require the result cache (they live beside it).
+
+A failed attempt reruns from the start, and leaves a replayable triage
+bundle under ``triage/`` beside the result cache; ``repro replay
+<bundle>`` re-runs it deterministically.
 
 Deterministic fault injection for exercising all of the above is
 enabled with ``REPRO_FAULTS=crash:0.2,hang:0.1,corrupt:0.1,seed:7``
@@ -75,7 +69,6 @@ never change simulated cycle counts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -295,13 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="continue an interrupted sweep from its "
                              "manifest; only the incomplete remainder "
                              "executes")
-    common.add_argument("--checkpoint-every", type=int,
-                        default=argparse.SUPPRESS, metavar="N",
-                        help="write a mid-simulation checkpoint every N "
-                             "retired instructions; killed attempts "
-                             "resume from the newest one (default "
-                             "$REPRO_CHECKPOINT_EVERY or 100000; 0 "
-                             "disables writes)")
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,35 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", metavar="FILE",
                       help="record the current findings as a baseline "
                            "and exit 0")
-    profile = sub.add_parser(
-        "profile", parents=[common],
-        help="cProfile one simulation; per-subsystem cost and instr/s")
-    profile.add_argument("workload", nargs="?", default="oltp",
-                         choices=["oltp", "dss", "tpcc"])
-    profile.add_argument("--instructions", type=int, default=None,
-                         metavar="N",
-                         help="measured instructions (default: the "
-                              "workload's benchmark size; --quick "
-                              "shrinks it)")
-    profile.add_argument("--warmup", type=int, default=None, metavar="N")
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--top", type=int, default=10, metavar="N",
-                         help="hottest functions to list (default 10)")
-    profile.add_argument("--compare-arena", action="store_true",
-                         help="materialize + replay a trace arena and "
-                              "report speedup and byte-identity")
-    profile.add_argument("--json", action="store_true", dest="as_json",
-                         help="emit the report as JSON")
     replay = sub.add_parser(
         "replay", parents=[common],
         help="re-run a crash-triage bundle deterministically")
     replay.add_argument("bundle",
                         help="bundle directory (or its job.json) written "
                              "under triage/ beside the result cache")
-    replay.add_argument("--from-checkpoint", action="store_true",
-                        help="resume from the checkpoint copied into the "
-                             "bundle instead of replaying from a cold "
-                             "start")
     sweep = sub.add_parser(
         "sweep", parents=[common],
         help="run a seed sweep on the local runner (process pool "
@@ -389,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--warmup", type=int, default=None, metavar="N")
     gc = sub.add_parser(
         "gc", parents=[common],
-        help="apply retention caps to checkpoints, triage bundles, "
-             "arenas and quarantined entries beside the result cache")
+        help="apply retention caps to triage bundles, arenas and "
+             "quarantined entries beside the result cache")
     gc.add_argument("--dry-run", action="store_true",
                     help="print the eviction plan without deleting")
     gc.add_argument("--verbose", action="store_true",
@@ -401,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser(
         "audit-state", parents=[common],
         help="walk every durable artifact (entries, manifest, "
-             "checkpoints, arenas, triage, gc journal), verify "
-             "checksums and assert the durability contract")
+             "arenas, triage, gc journal), verify checksums and assert "
+             "the durability contract")
     audit.add_argument("audit_dir", nargs="?", default=None,
                        metavar="CACHE_DIR",
                        help="directory to audit (default: the active "
@@ -435,7 +398,6 @@ def cmd_replay(args) -> int:
     failure was host-side: an injected fault, OOM, a kill -- exit 0).
     Fault injection (``REPRO_FAULTS``) is deliberately not consulted.
     """
-    from repro.run import checkpoint as ckpt
     from repro.run import triage
     from repro.run.jobs import JobSpec
     from repro.system.machine import WedgeError
@@ -457,15 +419,8 @@ def cmd_replay(args) -> int:
             watchdog_node_cycles=int(watchdog.get("node_cycles", 0)
                                      or 0)),
         spec.workload, spec.instructions, spec.warmup, spec.seed)
-    store = None
-    if args.from_checkpoint:
-        if data.get("checkpoint"):
-            store = ckpt.CheckpointStore(data["__dir__"])
-        else:
-            print("replay: bundle holds no checkpoint; replaying from a "
-                  "cold start")
     try:
-        result, info = ckpt.run_spec(spec, store=store, every=0)
+        result = spec.run()
     except WedgeError as exc:
         print(f"replay: wedge reproduced: {exc}")
         return 1
@@ -473,33 +428,8 @@ def cmd_replay(args) -> int:
         print(f"replay: failure reproduced: "
               f"{type(exc).__name__}: {exc}")
         return 1
-    if info.get("resumed_from"):
-        print(f"replay: resumed from checkpoint at "
-              f"{info['resumed_from']} retired instructions")
     print(f"replay: completed cleanly: {result.cycles} cycles, "
           f"IPC {result.ipc:.3f} -- the recorded failure was host-side")
-    return 0
-
-
-def cmd_profile(args, quick: bool) -> int:
-    from repro.run.profile import format_report, profile_run
-    workload = args.workload
-    sizes_key = "dss" if workload == "dss" else "oltp"
-    instr, warm = _sizes(sizes_key, quick)
-    instructions = args.instructions if args.instructions is not None \
-        else instr
-    warmup = args.warmup if args.warmup is not None else warm
-    report = profile_run(workload, instructions=instructions,
-                         warmup=warmup, seed=args.seed, top=args.top,
-                         compare_arena=args.compare_arena)
-    if args.as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_report(report))
-    arena = report.get("arena")
-    if arena is not None and arena.get("materialized") \
-            and not arena.get("identical"):
-        return 1
     return 0
 
 
@@ -516,9 +446,7 @@ def main(argv=None) -> int:
                   resume=getattr(args, "resume", None),
                   arenas="off" if getattr(args, "no_arenas", False)
                   else None,
-                  trace_dir=getattr(args, "trace_dir", None),
-                  checkpoint_every=getattr(args, "checkpoint_every",
-                                           None))
+                  trace_dir=getattr(args, "trace_dir", None))
 
     if args.command == "lint":
         from repro.check.lint import RULES, explain_rule, run_lint
@@ -543,8 +471,6 @@ def main(argv=None) -> int:
                              durability=getattr(args, "durability",
                                                 False))
         return 0 if ok else 1
-    if args.command == "profile":
-        return cmd_profile(args, quick)
     if args.command == "replay":
         return cmd_replay(args)
     if args.command == "sweep-status":

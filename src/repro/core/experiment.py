@@ -150,13 +150,7 @@ class SimulationResult:
 
 def assemble_result(machine: Machine, workload_name: str, cycles: int,
                     instructions: int) -> SimulationResult:
-    """Collect a :class:`SimulationResult` from a finished machine.
-
-    Shared by :func:`run_simulation` and the checkpointing runner
-    (:mod:`repro.run.checkpoint`): both must derive every figure input
-    from the machine the same way so a resumed run is byte-identical to
-    a monolithic one.
-    """
+    """Collect a :class:`SimulationResult` from a finished machine."""
     breakdown = machine.breakdown()
     idle = breakdown.cycles[-1]  # IDLE is the last category
     total_with_idle = sum(breakdown.cycles)
@@ -187,11 +181,17 @@ def run_simulation(params: SystemParams, workload: Workload,
     ``instructions`` counts retired instructions summed over all CPUs; the
     same total work is simulated for every configuration so execution
     times are directly comparable (as in the paper's normalized charts).
+    An exception raised while the machine runs carries the machine as
+    ``__machine__``, so crash triage can record where it stopped.
     """
     generators = workload.generators(params.n_nodes, seed=seed)
     machine = Machine(params, generators)
-    if warmup:
-        machine.run(warmup)
-        machine.reset_stats()
-    cycles = machine.run(instructions)
+    try:
+        if warmup:
+            machine.run(warmup)
+            machine.reset_stats()
+        cycles = machine.run(instructions)
+    except Exception as exc:
+        exc.__machine__ = machine
+        raise
     return assemble_result(machine, workload.name, cycles, instructions)

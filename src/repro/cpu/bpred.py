@@ -112,27 +112,3 @@ class BranchPredictor:
         if not self.predictions:
             return 0.0
         return self.mispredictions / self.predictions
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"pa_hist": list(self._pa_hist),
-                "pa_pht": list(self._pa_pht),
-                "g_hist": self._g_hist,
-                "g_pht": list(self._g_pht),
-                "choice": list(self._choice),
-                "btb": OrderedDict(self._btb),
-                "ras": list(self._ras),
-                "predictions": self.predictions,
-                "mispredictions": self.mispredictions}
-
-    def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._pa_hist = list(state["pa_hist"])
-        self._pa_pht = list(state["pa_pht"])
-        self._g_hist = state["g_hist"]
-        self._g_pht = list(state["g_pht"])
-        self._choice = list(state["choice"])
-        self._btb = OrderedDict(state["btb"])
-        self._ras = list(state["ras"])
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]

@@ -162,29 +162,3 @@ class ConsistencyUnit:
             return None
         self.rollbacks += 1
         return min(group)
-
-    # -- checkpointing ----------------------------------------------------------
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"incomplete_mem": set(self._incomplete_mem),
-                "incomplete_loads": set(self._incomplete_loads),
-                "mem_heap": list(self._mem_heap),
-                "load_heap": list(self._load_heap),
-                "spec_by_line": {line: set(group) for line, group
-                                 in self._spec_by_line.items()},
-                "spec_lines_by_seq": dict(self._spec_lines_by_seq),
-                "rollbacks": self.rollbacks,
-                "prefetches": self.prefetches}
-
-    def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._incomplete_mem = set(state["incomplete_mem"])
-        self._incomplete_loads = set(state["incomplete_loads"])
-        self._mem_heap = list(state["mem_heap"])
-        self._load_heap = list(state["load_heap"])
-        self._spec_by_line = {line: set(group) for line, group
-                              in state["spec_by_line"].items()}
-        self._spec_lines_by_seq = dict(state["spec_lines_by_seq"])
-        self.rollbacks = state["rollbacks"]
-        self.prefetches = state["prefetches"]

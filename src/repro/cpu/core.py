@@ -21,7 +21,6 @@ Stall accounting implements the paper's retire-based convention (see
 
 from __future__ import annotations
 
-import copy
 import heapq
 from collections import deque
 from typing import Dict, Iterator, List, Optional
@@ -160,22 +159,8 @@ class TraceBuffer:
 
     @property
     def consumed(self) -> int:
-        """Instructions pulled from the source so far (checkpoint restore
-        advances a fresh source by this count before resuming)."""
+        """Instructions pulled from the source so far."""
         return self._base + len(self._buf)
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing.  The source iterator
-        is wiring: a restored run re-seeks a fresh stream by ``consumed``.
-        ``memo`` must be shared with the owning core's snapshot so buffered
-        Instruction objects keep their identity with window entries."""
-        return {"base": self._base,
-                "buf": copy.deepcopy(self._buf, memo)}
-
-    def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot` (source untouched)."""
-        self._base = state["base"]
-        self._buf = state["buf"]
 
 
 class ProcessorCore:
@@ -307,82 +292,6 @@ class ProcessorCore:
     def reset_stats(self) -> None:
         self.stats.reset()
 
-    # ------------------------------------------------------------------ checkpoint
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable pipeline state for mid-run checkpointing.
-
-        ``memo`` is the machine-wide deepcopy memo: window entries appear
-        in ``_entries``, the window deque and the heaps (lazy cleanup
-        relies on object identity), and each entry's ``instr`` is the same
-        object held by the process's trace buffer (``bp_outcome`` is cached
-        on it in place), so all of them must be copied through one memo.
-        """
-        if memo is None:
-            memo = {}
-        dc = copy.deepcopy
-        return {
-            "bpred": self.bpred.snapshot(memo),
-            "consistency": self.consistency.snapshot(memo),
-            "storebuf": self.storebuf.snapshot(memo),
-            "stats": self.stats.snapshot(memo),
-            "retired": self.retired,
-            "process": None if self.process is None else self.process.pid,
-            "entries": dc(self._entries, memo),
-            "window": dc(self._window, memo),
-            "ready": dc(self._ready, memo),
-            "completions": dc(self._completions, memo),
-            "memq": list(self._memq),
-            "next_seq": self._next_seq,
-            "inorder_ptr": self._inorder_ptr,
-            "fetch_blocked_until": self._fetch_blocked_until,
-            "fetch_block_instr": self._fetch_block_instr,
-            "cur_fetch_line": self._cur_fetch_line,
-            "unresolved_branches": self._unresolved_branches,
-            "last_now": self._last_now,
-            "gap_category": self._gap_category,
-            "syscall_retired": self.syscall_retired,
-            "rollback_to": self._rollback_to,
-            "issue_wake": self._issue_wake,
-            "mem_inflight": self._mem_inflight,
-        }
-
-    def restore(self, state: dict, processes_by_pid: Dict[int, object]
-                ) -> None:
-        """Install state captured by :meth:`snapshot` onto a freshly
-        constructed core (hooks/wiring come from ``__init__``).  The state
-        must already be isolated (Machine.restore deep-copies the whole
-        blob once, preserving entry/instr identity)."""
-        self.bpred.restore(state["bpred"])
-        self.consistency.restore(state["consistency"])
-        self.storebuf.restore(state["storebuf"])
-        self.stats.restore(state["stats"])
-        self.retired = state["retired"]
-        pid = state["process"]
-        if pid is None:
-            self.process = None
-            self._trace = None
-        else:
-            self.process = processes_by_pid[pid]
-            self._trace = self.process.trace
-        self._entries = state["entries"]
-        self._window = state["window"]
-        self._ready = state["ready"]
-        self._completions = state["completions"]
-        self._memq = list(state["memq"])
-        self._next_seq = state["next_seq"]
-        self._inorder_ptr = state["inorder_ptr"]
-        self._fetch_blocked_until = state["fetch_blocked_until"]
-        self._fetch_block_instr = state["fetch_block_instr"]
-        self._cur_fetch_line = state["cur_fetch_line"]
-        self._unresolved_branches = state["unresolved_branches"]
-        self._last_now = state["last_now"]
-        self._gap_category = state["gap_category"]
-        self.syscall_retired = state["syscall_retired"]
-        self._rollback_to = state["rollback_to"]
-        self._issue_wake = state["issue_wake"]
-        self._mem_inflight = state["mem_inflight"]
-
     # ------------------------------------------------------------------ tick
 
     def tick(self, now: int) -> int:
@@ -439,7 +348,7 @@ class ProcessorCore:
         completions = self._completions
         if completions and completions[0][0] <= now:
             # At least one heap pop is guaranteed, and pops (even of
-            # squashed entries) mutate checkpoint state.
+            # squashed entries) mutate machine state.
             self._process_completions(now)
             active = True
         if self._memq:
@@ -448,7 +357,7 @@ class ProcessorCore:
             if self._process_memq(now):
                 active = True
             elif len(unit._mem_heap) + len(unit._load_heap) != heaps:
-                active = True  # lazy heap cleanup mutated snapshot state
+                active = True  # lazy heap cleanup mutated machine state
         storebuf = self.storebuf
         if storebuf._entries:
             storebuf.drain_activity = False
@@ -829,7 +738,7 @@ class ProcessorCore:
         re-examined without leaving any trace: ``retry_at`` is never
         rewritten on the consistency-blocked path (it is already <= now
         there, and every comparison is strict), so polling a blocked
-        queue at different times produces byte-identical checkpoints.
+        queue at different times leaves byte-identical machine state.
         """
         if not self._memq:
             return False

@@ -57,22 +57,6 @@ class SharedPipeline:
         big = 1 << 30
         self.fu = [big] * 3 if self._infinite else list(self._fus)
 
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"cycle": self.cycle,
-                "fetch_slots": self.fetch_slots,
-                "issue_slots": self.issue_slots,
-                "retire_slots": self.retire_slots,
-                "fu": list(self.fu)}
-
-    def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self.cycle = state["cycle"]
-        self.fetch_slots = state["fetch_slots"]
-        self.issue_slots = state["issue_slots"]
-        self.retire_slots = state["retire_slots"]
-        self.fu = list(state["fu"])
-
 
 class SmtCore:
     """``n`` hardware contexts multiplexed over one pipeline.
@@ -218,20 +202,3 @@ class SmtCore:
     def reset_stats(self) -> None:
         for ctx in self.contexts:
             ctx.stats.reset()
-
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing: the shared pipeline
-        pools plus every context (all through one machine-wide memo)."""
-        if memo is None:
-            memo = {}
-        return {"shared": self.shared.snapshot(memo),
-                "contexts": [ctx.snapshot(memo) for ctx in self.contexts]}
-
-    def restore(self, state: dict, processes_by_pid: dict) -> None:
-        """Install state captured by :meth:`snapshot` onto a freshly
-        constructed SMT core."""
-        self.shared.restore(state["shared"])
-        for ctx, sub in zip(self.contexts, state["contexts"]):
-            ctx.restore(sub, processes_by_pid)

@@ -45,15 +45,14 @@ class StoreBuffer:
         self.overlap = overlap
         self.wants_prefetch = wants_prefetch
         self._entries: deque = deque()
-        # Stores (not barriers) in ``_entries``; derived, so restore()
-        # recounts it instead of checkpointing it.
+        # Stores (not barriers) in ``_entries``.
         self._stores = 0
         self.stores_pushed = 0
         self.barriers_pushed = 0
         # Set by drain() when a pass changed state (pops, issues, retry
         # reschedules, prefetches).  ProcessorCore.tick_fast resets it
         # before calling drain and reads it afterwards to certify no-op
-        # ticks; it is scratch, never checkpointed.
+        # ticks; it is scratch, not machine state.
         self.drain_activity = False
 
     def __len__(self) -> int:
@@ -152,28 +151,3 @@ class StoreBuffer:
     def reset(self) -> None:
         self._entries.clear()
         self._stores = 0
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        entries = []
-        for e in self._entries:
-            entries.append((e.addr, e.pc, e.issued, e.done_at, e.retry_at,
-                            e.is_barrier, e.prefetched))
-        return {"entries": entries,
-                "stores_pushed": self.stores_pushed,
-                "barriers_pushed": self.barriers_pushed}
-
-    def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._entries.clear()
-        for addr, pc, issued, done_at, retry_at, is_barrier, prefetched \
-                in state["entries"]:
-            e = _BufferedStore(addr, pc, is_barrier=is_barrier)
-            e.issued = issued
-            e.done_at = done_at
-            e.retry_at = retry_at
-            e.prefetched = prefetched
-            self._entries.append(e)
-        self._stores = sum(1 for e in self._entries if not e.is_barrier)
-        self.stores_pushed = state["stores_pushed"]
-        self.barriers_pushed = state["barriers_pushed"]

@@ -9,7 +9,6 @@ distributions via :class:`repro.stats.mshr.MshrOccupancy`.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -91,14 +90,6 @@ class CacheArray:
         """Number of valid lines (testing / introspection)."""
         return sum(len(s) for s in self._sets)
 
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"sets": copy.deepcopy(self._sets, memo)}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._sets = state["sets"]
-
 
 class MshrEntry:
     __slots__ = ("line", "done_at", "is_read", "exclusive", "started_at")
@@ -125,7 +116,7 @@ class MshrFile:
         self._entries: Dict[int, MshrEntry] = {}
         # Lower bound on min(done_at) over live entries; lets expire()
         # return without scanning when nothing can have completed yet.
-        # Derived cache only -- never checkpointed.
+        # Derived cache only.
         self._min_done = 1 << 62
 
     def expire(self, now: int) -> None:
@@ -174,15 +165,3 @@ class MshrFile:
                                         entry.is_read)
             entry.done_at = done_at
         entry.exclusive = entry.exclusive or exclusive
-
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint).
-        ``stats`` is a shared collector owned by the machine and snapshotted
-        there, not here."""
-        return {"entries": copy.deepcopy(self._entries, memo)}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._entries = state["entries"]
-        self._min_done = min(
-            (e.done_at for e in self._entries.values()), default=1 << 62)

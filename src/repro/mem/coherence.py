@@ -25,7 +25,6 @@ subsequent remote read is serviced by memory instead of cache-to-cache.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -167,7 +166,7 @@ class CoherentMemory:
         # exclusive-ownership transfers per line since the last retirement
         # machine-wide -- repeated transfers on one line with no progress
         # is the coherence-livelock signature.  None = disarmed (default);
-        # never snapshotted, never affects timing.
+        # never affects timing.
         self._ping: Optional[Dict[int, int]] = None
 
     # -- helpers -----------------------------------------------------------
@@ -417,23 +416,3 @@ class CoherentMemory:
         e.sharers.discard(node)
         if e.state == DIR_SHARED and not e.sharers:
             e.state = DIR_INVALID
-
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint).
-        Hooks are wiring (rebuilt when the node memory systems register
-        themselves) and ``_ping`` is run-local, so neither is captured."""
-        return {"dir_next_free": list(self._dir_next_free),
-                "mem_next_free": list(self._mem_next_free),
-                "entries": copy.deepcopy(self._entries, memo),
-                "stats": copy.deepcopy(self.stats, memo),
-                "migratory_exclusive_grants": self.migratory_exclusive_grants}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._dir_next_free = list(state["dir_next_free"])
-        self._mem_next_free = list(state["mem_next_free"])
-        self._entries = state["entries"]
-        self.stats = state["stats"]
-        self.migratory_exclusive_grants = state["migratory_exclusive_grants"]

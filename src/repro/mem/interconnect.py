@@ -48,13 +48,3 @@ class MeshNetwork:
 
     def reset_contention(self) -> None:
         self._ni_next_free = [0] * self.n_nodes
-
-    def snapshot(self, memo=None):
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"ni_next_free": list(self._ni_next_free),
-                "messages": self.messages}
-
-    def restore(self, state) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._ni_next_free = list(state["ni_next_free"])
-        self.messages = state["messages"]

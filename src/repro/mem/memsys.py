@@ -442,68 +442,6 @@ class NodeMemorySystem:
         if self.violation_hook is not None:
             self.violation_hook(line)
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint).
-        Coherence hooks and ``violation_hook`` are wiring, re-registered
-        when a fresh machine is constructed."""
-        return {
-            "l1i": self.l1i.snapshot(memo),
-            "l1d": self.l1d.snapshot(memo),
-            "l2": self.l2.snapshot(memo),
-            "itlb": self.itlb.snapshot(memo),
-            "dtlb": self.dtlb.snapshot(memo),
-            "l1d_mshrs": self.l1d_mshrs.snapshot(memo),
-            "l2_mshrs": self.l2_mshrs.snapshot(memo),
-            "stream_buffer": self.stream_buffer.snapshot(memo),
-            "nlp_table": dict(self._nlp_table),
-            "nlp_buffer": dict(self._nlp_buffer),
-            "nlp_last_line": self._nlp_last_line,
-            "nlp_prefetches": self.nlp_prefetches,
-            "nlp_hits": self.nlp_hits,
-            "writable": set(self._writable),
-            "l1d_port_cycle": self._l1d_port_cycle,
-            "l1d_port_used": self._l1d_port_used,
-            "l2_next_free": self._l2_next_free,
-            "l1i_accesses": self.l1i_accesses,
-            "l1i_misses": self.l1i_misses,
-            "l1d_accesses": self.l1d_accesses,
-            "l1d_misses": self.l1d_misses,
-            "l2_accesses": self.l2_accesses,
-            "l2_misses": self.l2_misses,
-            "prefetches": self.prefetches,
-            "flush_hints": self.flush_hints,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self.l1i.restore(state["l1i"])
-        self.l1d.restore(state["l1d"])
-        self.l2.restore(state["l2"])
-        self.itlb.restore(state["itlb"])
-        self.dtlb.restore(state["dtlb"])
-        self.l1d_mshrs.restore(state["l1d_mshrs"])
-        self.l2_mshrs.restore(state["l2_mshrs"])
-        self.stream_buffer.restore(state["stream_buffer"])
-        self._nlp_table = dict(state["nlp_table"])
-        self._nlp_buffer = dict(state["nlp_buffer"])
-        self._nlp_last_line = state["nlp_last_line"]
-        self.nlp_prefetches = state["nlp_prefetches"]
-        self.nlp_hits = state["nlp_hits"]
-        self._writable = set(state["writable"])
-        self._l1d_port_cycle = state["l1d_port_cycle"]
-        self._l1d_port_used = state["l1d_port_used"]
-        self._l2_next_free = state["l2_next_free"]
-        self.l1i_accesses = state["l1i_accesses"]
-        self.l1i_misses = state["l1i_misses"]
-        self.l1d_accesses = state["l1d_accesses"]
-        self.l1d_misses = state["l1d_misses"]
-        self.l2_accesses = state["l2_accesses"]
-        self.l2_misses = state["l2_misses"]
-        self.prefetches = state["prefetches"]
-        self.flush_hints = state["flush_hints"]
-
     # -- statistics -------------------------------------------------------------
 
     @property

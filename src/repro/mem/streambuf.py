@@ -104,23 +104,3 @@ class InstructionStreamBuffer:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def snapshot(self, memo=None):
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint).
-        The ``fetch_line`` callback is wiring, rebuilt on construction."""
-        return {"entries": [(e.line, e.ready_at) for e in self._entries],
-                "next_line": self._next_line,
-                "hits": self.hits,
-                "misses": self.misses,
-                "prefetches_issued": self.prefetches_issued,
-                "flushes": self.flushes}
-
-    def restore(self, state) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._entries = [_StreamEntry(line, ready_at)
-                         for line, ready_at in state["entries"]]
-        self._next_line = state["next_line"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.prefetches_issued = state["prefetches_issued"]
-        self.flushes = state["flushes"]

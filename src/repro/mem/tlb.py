@@ -57,16 +57,6 @@ class PageTable:
     def pages_mapped(self) -> int:
         return len(self._frames)
 
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"frames": dict(self._frames),
-                "next_frame": self._next_frame}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._frames = dict(state["frames"])
-        self._next_frame = state["next_frame"]
-
 
 class Tlb:
     """Fully-associative LRU TLB."""
@@ -97,15 +87,3 @@ class Tlb:
     def miss_rate(self) -> float:
         total = self.hits + self.misses
         return self.misses / total if total else 0.0
-
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"entries": OrderedDict(self._entries),
-                "hits": self.hits,
-                "misses": self.misses}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._entries = OrderedDict(state["entries"])
-        self.hits = state["hits"]
-        self.misses = state["misses"]

@@ -43,12 +43,6 @@ from repro.run.atomicio import (
 )
 from repro.run.audit import AuditFinding, AuditReport, audit_state
 from repro.run.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
-from repro.run.checkpoint import (
-    CHECKPOINT_EVERY_ENV,
-    DEFAULT_CHECKPOINT_EVERY,
-    CheckpointStore,
-    checkpoint_every_from_env,
-)
 from repro.run.executor import (
     ARENAS_ENV,
     DEFAULT_POLICY,
@@ -76,8 +70,6 @@ __all__ = [
     "configure", "runner_defaults", "runner_state",
     "shared_cache", "shared_manifest", "retry_policy",
     "ARENAS_ENV", "default_arena_mode",
-    "CheckpointStore", "CHECKPOINT_EVERY_ENV",
-    "DEFAULT_CHECKPOINT_EVERY", "checkpoint_every_from_env",
 ]
 
 _jobs: int = default_jobs()
@@ -87,7 +79,6 @@ _policy: RetryPolicy = DEFAULT_POLICY
 _resume: bool = False
 _arenas: str = default_arena_mode()
 _trace_dir: Optional[str] = None
-_checkpoint_every: int = checkpoint_every_from_env()
 if os.environ.get("REPRO_CACHE") == "1":
     _cache = ResultCache()
     _manifest = SweepManifest(_cache.path / MANIFEST_NAME)
@@ -104,7 +95,6 @@ class RunnerState:
     resume: bool
     arenas: str = "auto"
     trace_dir: Optional[str] = None
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
 
 
 def configure(jobs: Optional[int] = None,
@@ -134,19 +124,20 @@ def configure(jobs: Optional[int] = None,
     (booleans accepted).
     ``trace_dir``: where arenas are stored (default: ``traces/`` beside
     the result cache when one is active, else ``REPRO_TRACE_DIR``).
-    ``checkpoint_every``: mid-simulation checkpoint interval in retired
-    instructions (0 disables writes; default
-    :data:`DEFAULT_CHECKPOINT_EVERY`, overridable via
-    ``REPRO_CHECKPOINT_EVERY``).  Checkpoints only activate when the
-    result cache is enabled -- they live beside it.
-    ``dispatch`` and ``workers`` remain only so existing callers that
-    pass ``dispatch="local", workers=()`` keep working; they store
-    nothing, and any other value raises :class:`ValueError` because
-    the multi-host execution mode they selected has been removed.
+    ``checkpoint_every``, ``dispatch`` and ``workers`` remain only so
+    existing callers that pass a non-negative ``checkpoint_every`` and
+    ``dispatch="local", workers=()`` keep working; they store nothing.
+    Any other value raises :class:`ValueError`, because the mid-job
+    checkpoints and the multi-host execution mode they selected have
+    been removed.
     Arguments left as ``None`` keep their current value.
     """
     global _jobs, _cache, _manifest, _policy, _resume, _arenas, \
-        _trace_dir, _checkpoint_every
+        _trace_dir
+    if checkpoint_every is not None and int(checkpoint_every) < 0:
+        raise ValueError(
+            f"checkpoint_every={checkpoint_every!r} is no longer "
+            f"supported: mid-job checkpoints were removed")
     if dispatch not in (None, "local"):
         raise ValueError(
             f"dispatch={dispatch!r} is no longer supported: the "
@@ -190,8 +181,6 @@ def configure(jobs: Optional[int] = None,
                 f"arenas must be 'auto', 'on' or 'off', got {arenas!r}")
     if trace_dir is not None:
         _trace_dir = str(trace_dir) if trace_dir else None
-    if checkpoint_every is not None:
-        _checkpoint_every = max(0, int(checkpoint_every))
 
 
 def runner_defaults() -> Tuple[int, Optional[ResultCache]]:
@@ -203,8 +192,7 @@ def runner_state() -> RunnerState:
     """Full runner configuration consumed by :func:`run_many`."""
     return RunnerState(jobs=_jobs, cache=_cache, policy=_policy,
                        manifest=_manifest, resume=_resume,
-                       arenas=_arenas, trace_dir=_trace_dir,
-                       checkpoint_every=_checkpoint_every)
+                       arenas=_arenas, trace_dir=_trace_dir)
 
 
 def shared_cache() -> Optional[ResultCache]:

@@ -1,8 +1,8 @@
 """Audited atomic file I/O for every durable runner artifact.
 
 Every artifact the sweep stack persists -- result-cache entries, the
-sweep manifest, mid-run checkpoints, trace arenas, triage bundles, and
-the gc journal -- used to carry its own copy of the same tmp + rename
+sweep manifest, trace arenas, triage bundles, and the gc journal --
+used to carry its own copy of the same tmp + rename
 dance.  This module is the single implementation: one write primitive
 (``mkstemp`` in the target directory, write, flush, fsync, ``os.replace``,
 directory fsync), one sha256 framing scheme for binary artifacts, one
@@ -13,7 +13,7 @@ Durability policy is declared per call:
 * **best-effort** (the default): a storage failure degrades to a
   structured one-time :class:`DurabilityWarning` per (category, error
   kind) and a ``False`` return -- the artifact is recomputable
-  (cache entries, checkpoints, arenas, triage bundles, gc state), so
+  (cache entries, arenas, triage bundles, gc state), so
   the sweep continues.
 * **critical** (``critical=True``): the write must land or the caller
   must hear about it; failures raise :class:`CriticalWriteError`.  The
@@ -54,9 +54,8 @@ from repro.run.faults import (FaultPlan, InjectedCrash, InjectedDiskFault,
                               plan_from_env)
 
 #: The known artifact categories (any string is accepted; these are the
-#: six the recovery audit walks).
-CATEGORIES = ("cache", "manifest", "checkpoint", "arena", "triage",
-              "gcstate")
+#: five the recovery audit walks).
+CATEGORIES = ("cache", "manifest", "arena", "triage", "gcstate")
 
 #: Age (seconds) after which an orphaned ``*.tmp`` file is considered
 #: abandoned and swept.  Generous enough that a live concurrent
@@ -256,8 +255,7 @@ def write_framed(path: Union[str, Path], magic: bytes, blob: bytes, *,
                  fsync: bool = True, plan: Any = _UNSET) -> bool:
     """Write ``magic + sha256(blob) + blob`` atomically.
 
-    The standard binary framing (checkpoints use it): a fixed magic
-    string, the 64-hex ascii digest of the payload, then the payload.
+    The standard binary framing: a fixed magic string, the 64-hex ascii digest of the payload, then the payload.
     """
     digest = hashlib.sha256(blob).hexdigest().encode("ascii")
     return atomic_write_bytes(path, magic + digest + blob,

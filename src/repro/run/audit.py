@@ -2,7 +2,7 @@
 
 ``repro audit-state [CACHE_DIR]`` (and ``repro check --durability``)
 walks every artifact category the runner persists -- cache entries, the
-sweep manifest, checkpoints, arenas, triage bundles, the gc journal --
+sweep manifest, arenas, triage bundles, the gc journal --
 and checks the **durability contract**:
 
 * every artifact's checksum verifies (corrupt-but-recoverable files
@@ -10,9 +10,6 @@ and checks the **durability contract**:
   so nothing is lost);
 * the manifest parses and charges each attempt at most once per job
   (duplicate attempt numbers in an attempt log are *violations*);
-* checkpoint chains are monotone and honest: the retired count encoded
-  in a ``ck-<retired>.ckpt`` file name must match its payload
-  (a mismatch is a *violation* -- fallback ordering would lie);
 * completed outcomes survive: a ``done`` manifest record whose cache
   entry is missing or corrupt is a *warning* (cache puts are
   best-effort by contract -- the job recomputes on resume, losing no
@@ -32,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.run import atomicio
 
@@ -45,8 +42,8 @@ class AuditFinding:
     """One classified observation about the durable tree."""
 
     severity: str      # violation | warning | note
-    category: str      # cache | manifest | checkpoint | arena |
-    #                    triage | gcstate | orphan
+    category: str      # cache | manifest | arena | triage |
+    #                    gcstate | orphan
     path: str
     message: str
 
@@ -165,13 +162,6 @@ def _audit_manifest(report: AuditReport, cache_dir: Path,
                     f"job {record.fingerprint[:12]}: attempt "
                     f"{number} charged more than once")
             attempts_seen.add(number)
-        offsets = [int(entry.get("start_offset", 0))
-                   for entry in sorted(record.attempt_log,
-                                       key=lambda e: e["attempt"])]
-        if any(offset < 0 for offset in offsets):
-            report.add("violation", "manifest", path,
-                       f"job {record.fingerprint[:12]}: negative "
-                       f"resume offset in attempt log")
         if record.status == "done" and not record.cached \
                 and record.fingerprint not in valid_entries:
             report.add(
@@ -179,45 +169,6 @@ def _audit_manifest(report: AuditReport, cache_dir: Path,
                 f"job {record.fingerprint[:12]} is done but its cache "
                 f"entry is missing or corrupt (best-effort put may "
                 f"have degraded; the job recomputes on resume)")
-
-
-def _audit_checkpoints(report: AuditReport, cache_dir: Path) -> None:
-    from repro.run import checkpoint as ckpt
-    for directory in ckpt.job_checkpoint_dirs(cache_dir):
-        previous = -1
-        for path in sorted(directory.glob("ck-*.ckpt")):
-            report.count("checkpoints")
-            try:
-                encoded = int(path.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                report.add("warning", "checkpoint", path,
-                           "unparseable file name")
-                continue
-            try:
-                payload = ckpt.CheckpointStore.load_file(path)
-            except OSError as exc:
-                report.add("warning", "checkpoint", path,
-                           f"unreadable ({exc})")
-                continue
-            except ckpt.CorruptCheckpoint as exc:
-                report.add("warning", "checkpoint", path,
-                           f"corrupt ({exc}); the loader quarantines "
-                           f"it and falls back to the previous one")
-                continue
-            retired = int(payload.get("retired", -1))
-            if retired != encoded:
-                report.add(
-                    "violation", "checkpoint", path,
-                    f"file name encodes {encoded} retired but the "
-                    f"payload says {retired} -- newest-wins fallback "
-                    f"ordering would lie")
-                continue
-            if retired <= previous:
-                report.add(
-                    "violation", "checkpoint", path,
-                    f"chain is not monotone ({retired} after "
-                    f"{previous})")
-            previous = retired
 
 
 def _audit_arenas(report: AuditReport, cache_dir: Path) -> None:
@@ -271,10 +222,8 @@ def _audit_gc_state(report: AuditReport, cache_dir: Path) -> None:
 
 
 def _orphan_directories(cache_dir: Path) -> List[Path]:
-    from repro.run import checkpoint as ckpt
     from repro.run import triage
     directories = [cache_dir, cache_dir / "traces"]
-    directories.extend(ckpt.job_checkpoint_dirs(cache_dir))
     directories.extend(triage.bundle_dirs(cache_dir))
     return directories
 
@@ -327,7 +276,6 @@ def audit_state(cache_dir: Union[str, Path],
         return report
     valid_entries = _audit_cache_entries(report, cache_dir)
     _audit_manifest(report, cache_dir, valid_entries)
-    _audit_checkpoints(report, cache_dir)
     _audit_arenas(report, cache_dir)
     _audit_triage(report, cache_dir)
     _audit_gc_state(report, cache_dir)

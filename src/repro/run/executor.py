@@ -47,9 +47,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SimulationResult
+from repro.run import triage
 from repro.run.cache import ResultCache
-from repro.run.checkpoint import CheckpointStore
-from repro.run.checkpoint import run_spec as _run_spec_checkpointed
 from repro.run.faults import plan_from_env
 from repro.run.jobs import JobSpec
 from repro.run.manifest import SweepManifest
@@ -66,31 +65,6 @@ def default_arena_mode() -> str:
     """Arena policy from ``REPRO_ARENAS`` (default ``auto``)."""
     mode = os.environ.get(ARENAS_ENV, "auto").strip().lower()
     return mode if mode in _ARENA_MODES else "auto"
-
-
-def _execute_payload(payload: Dict[str, Any], attempt: int = 0
-                     ) -> Tuple[Dict[str, Any], float]:
-    """Worker entry point: rebuild the job, run it, ship the result back.
-
-    Fault injection (``REPRO_FAULTS``) happens here, *before* the
-    simulation runs, so an injected crash or hang never perturbs
-    simulated state -- a retried attempt recomputes the identical
-    result.  (The chunked pool path uses
-    :func:`repro.run.forkserver._execute_batch` instead; this single-job
-    entry remains for tools and tests that dispatch one payload.)
-    """
-    spec = JobSpec.from_dict(payload)
-    # Host-side wall time for throughput reporting only; never feeds
-    # simulated state.  The clock starts before fault injection so an
-    # injected hang is charged to the attempt, like any real stall.
-    start = time.perf_counter()  # repro-lint: disable=R002
-    plan = plan_from_env()
-    if plan is not None:
-        fingerprint = spec.fingerprint()
-        plan.maybe_crash(fingerprint, attempt)
-        plan.maybe_hang(fingerprint, attempt)
-    result = spec.run()
-    return result.to_dict(), time.perf_counter() - start  # repro-lint: disable=R002
 
 
 @dataclass(frozen=True)
@@ -150,9 +124,6 @@ class JobOutcome:
     cached: bool = False
     attempts: int = 1     # executed attempts (0 for cache hits)
     error: str = ""
-    ckpt_s: float = 0.0   # host seconds spent writing checkpoints
-    resumed_from: int = 0  # retired-instruction offset the winning
-    #                        attempt resumed from (0 = cold start)
     bundle: str = ""      # triage bundle path for a failed job ("" none)
 
     @property
@@ -202,20 +173,15 @@ class RunReport:
 
     @property
     def checkpoint_s(self) -> float:
-        """Host seconds spent writing checkpoints across all jobs."""
-        return sum(o.ckpt_s for o in self.outcomes)
-
-    @property
-    def resumed(self) -> int:
-        """Jobs whose winning attempt restarted from a checkpoint."""
-        return sum(1 for o in self.outcomes if o.resumed_from > 0)
+        """Always 0.0: mid-job checkpoints were removed.  Kept because
+        the repository benchmark (``perfbench/harness.py``) reads it."""
+        return 0.0
 
     @property
     def sim_s(self) -> float:
-        """Wall time net of arena packing/writing and checkpoint
-        overhead: pure simulation time."""
-        return max(0.0, self.wall_time - self.trace_gen_s
-                   - self.checkpoint_s)
+        """Wall time net of arena packing/writing: pure simulation
+        time."""
+        return max(0.0, self.wall_time - self.trace_gen_s)
 
     @property
     def throughput(self) -> float:
@@ -232,12 +198,8 @@ class RunReport:
             text += f", {self.arena_jobs} replayed from arenas"
         if self.trace_gen_s > 0:
             text += f" (trace gen {self.trace_gen_s:.2f}s)"
-        if self.checkpoint_s > 0:
-            text += f" (checkpoints {self.checkpoint_s:.2f}s)"
         if self.retried:
             text += f", {self.retried} retried"
-        if self.resumed:
-            text += f", {self.resumed} resumed from checkpoints"
         if self.failures:
             text += f", {len(self.failures)} FAILED"
         return text
@@ -245,10 +207,10 @@ class RunReport:
 
 #: Process-wide execution totals accumulated across ``run_many`` calls.
 #: ``repro report`` samples these around each phase to attribute wall
-#: time to simulation vs. arena generation vs. checkpoint writes.
+#: time to simulation vs. arena generation.
 _TOTALS: Dict[str, float] = {
-    "wall_s": 0.0, "trace_gen_s": 0.0, "checkpoint_s": 0.0,
-    "jobs": 0, "cache_hits": 0, "resumed": 0, "failed": 0,
+    "wall_s": 0.0, "trace_gen_s": 0.0,
+    "jobs": 0, "cache_hits": 0, "failed": 0,
 }
 
 
@@ -271,54 +233,37 @@ def _failure_text(exc: BaseException) -> str:
 
 def _serial_attempt(spec: JobSpec, attempt: int,
                     workload: Optional[Any] = None,
-                    cache: Optional[ResultCache] = None,
-                    checkpoint_every: int = 0
-                    ) -> Tuple[SimulationResult, float, Dict[str, Any]]:
-    """One in-process attempt, with the same fault hooks as a worker.
+                    cache: Optional[ResultCache] = None
+                    ) -> Tuple[SimulationResult, float]:
+    """One in-process attempt through the workers' path
+    (:func:`repro.run.triage.run_attempt`); returns ``(result,
+    elapsed)``.
 
     The clock starts before fault injection: the serial path enforces
     ``job_timeout`` post-hoc from this elapsed time, so a hang must be
     charged to the attempt for the timeout to ever trip.  ``workload``
     optionally substitutes a trace arena or recording wrapper for the
     spec's own generators (see :meth:`JobSpec.run`).  With a ``cache``,
-    the attempt runs through the checkpointing runner: it resumes from
-    the newest checkpoint left by a prior attempt, writes checkpoints
-    every ``checkpoint_every`` retired instructions, and emits a triage
-    bundle beside the cache on failure.  Returns ``(result, elapsed,
-    info)`` where ``info`` carries ``ckpt_s`` / ``resumed_from``.
+    a failed attempt leaves a triage bundle beside it.
     """
     start = time.perf_counter()  # repro-lint: disable=R002
-    plan = plan_from_env()
-    if plan is not None:
-        fingerprint = spec.fingerprint()
-        plan.maybe_crash(fingerprint, attempt)
-        plan.maybe_hang(fingerprint, attempt)
-    if cache is not None:
-        store = CheckpointStore.for_job(cache.path, spec.fingerprint()) \
-            if checkpoint_every > 0 else None
-        result, info = _run_spec_checkpointed(
-            spec, workload=workload, store=store, every=checkpoint_every,
-            faults=plan, attempt=attempt, triage_dir=cache.path)
-    else:
-        result = spec.run(workload=workload)
-        info = {}
-    return result, time.perf_counter() - start, info  # repro-lint: disable=R002
+    result = triage.run_attempt(
+        spec, attempt, workload=workload, faults=plan_from_env(),
+        cache_dir=cache.path if cache is not None else None)
+    return result, time.perf_counter() - start  # repro-lint: disable=R002
 
 
 def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
             attempts: int, cache: Optional[ResultCache],
-            manifest: Optional[SweepManifest], ckpt_s: float = 0.0,
-            resumed_from: int = 0) -> JobOutcome:
+            manifest: Optional[SweepManifest]) -> JobOutcome:
     """Record a successful completion (cache write is best-effort)."""
     if cache is not None:
         cache.put(spec, result)
     if manifest is not None:
         fingerprint = spec.fingerprint()
-        manifest.mark_attempt(fingerprint, attempts - 1, "ok",
-                              start_offset=resumed_from)
+        manifest.mark_attempt(fingerprint, attempts - 1, "ok")
         manifest.mark_done(fingerprint)
-    return JobOutcome(spec, result, elapsed, attempts=attempts,
-                      ckpt_s=ckpt_s, resumed_from=resumed_from)
+    return JobOutcome(spec, result, elapsed, attempts=attempts)
 
 
 def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
@@ -336,23 +281,19 @@ def _run_serial(pending: Sequence[Tuple[int, JobSpec]],
                 outcomes: List[Optional[JobOutcome]],
                 policy: RetryPolicy = DEFAULT_POLICY,
                 manifest: Optional[SweepManifest] = None,
-                workloads: Optional[Dict[int, Any]] = None,
-                checkpoint_every: int = 0) -> None:
+                workloads: Optional[Dict[int, Any]] = None) -> None:
     workloads = workloads or {}
     for index, spec in pending:
         outcomes[index] = _run_one_serial(spec, cache, policy, manifest,
-                                          workload=workloads.get(index),
-                                          checkpoint_every=checkpoint_every)
+                                          workload=workloads.get(index))
 
 
 def _run_one_serial(spec: JobSpec, cache: Optional[ResultCache],
                     policy: RetryPolicy,
                     manifest: Optional[SweepManifest],
-                    workload: Optional[Any] = None,
-                    checkpoint_every: int = 0) -> JobOutcome:
+                    workload: Optional[Any] = None) -> JobOutcome:
     fingerprint = spec.fingerprint()
     total_elapsed = 0.0
-    total_ckpt_s = 0.0
     error = ""
     bundle = ""
     for attempt in range(policy.retries + 1):
@@ -361,21 +302,19 @@ def _run_one_serial(spec: JobSpec, cache: Optional[ResultCache],
         if manifest is not None:
             manifest.mark_running(fingerprint)
         try:
-            result, elapsed, info = _serial_attempt(
-                spec, attempt, workload=workload, cache=cache,
-                checkpoint_every=checkpoint_every)
+            result, elapsed = _serial_attempt(spec, attempt,
+                                              workload=workload,
+                                              cache=cache)
         except Exception as exc:   # noqa: BLE001 -- per-job isolation
             error = _failure_text(exc)
             bundle = getattr(exc, "__triage_bundle__", bundle)
             if manifest is not None:
-                manifest.mark_attempt(
-                    fingerprint, attempt, "failed", error,
-                    start_offset=getattr(exc, "__resumed_from__", 0))
+                manifest.mark_attempt(fingerprint, attempt, "failed",
+                                      error)
                 if attempt < policy.retries:
                     manifest.mark_retrying(fingerprint, error)
             continue
         total_elapsed += elapsed
-        total_ckpt_s += float(info.get("ckpt_s", 0.0))
         if policy.job_timeout is not None and elapsed > policy.job_timeout:
             # The serial path cannot interrupt a running attempt, so the
             # timeout is enforced after the fact: discard and retry,
@@ -383,15 +322,13 @@ def _run_one_serial(spec: JobSpec, cache: Optional[ResultCache],
             error = (f"timeout: attempt took {elapsed:.2f}s "
                      f"(limit {policy.job_timeout:.2f}s)")
             if manifest is not None:
-                manifest.mark_attempt(
-                    fingerprint, attempt, "timeout", error,
-                    start_offset=int(info.get("resumed_from", 0)))
+                manifest.mark_attempt(fingerprint, attempt, "timeout",
+                                      error)
                 if attempt < policy.retries:
                     manifest.mark_retrying(fingerprint, error)
             continue
         return _finish(spec, result, total_elapsed, attempt + 1, cache,
-                       manifest, ckpt_s=total_ckpt_s,
-                       resumed_from=int(info.get("resumed_from", 0)))
+                       manifest)
     return _fail(spec, error, total_elapsed, policy.retries + 1, manifest,
                  bundle=bundle)
 
@@ -419,9 +356,7 @@ def _materialize_arenas(pending: Sequence[Tuple[int, JobSpec]],
                         policy: RetryPolicy,
                         manifest: Optional[SweepManifest],
                         trace_dir: Path,
-                        mode: str,
-                        checkpoint_every: int = 0
-                        ) -> Tuple[Dict[int, Any], float]:
+                        mode: str) -> Tuple[Dict[int, Any], float]:
     """Group pending jobs by arena key; ensure each group's arena exists.
 
     Missing arenas are materialized by running the group's *first*
@@ -460,8 +395,7 @@ def _materialize_arenas(pending: Sequence[Tuple[int, JobSpec]],
             except Exception:  # noqa: BLE001 -- job isolation owns this
                 recorder, recording = None, None
             outcomes[index] = _run_one_serial(
-                spec, cache, policy, manifest, workload=recording,
-                checkpoint_every=checkpoint_every)
+                spec, cache, policy, manifest, workload=recording)
             if recorder is not None and not outcomes[index].failed:
                 started = time.perf_counter()  # repro-lint: disable=R002
                 wrote = recorder.write(path)
@@ -493,8 +427,7 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
               outcomes: List[Optional[JobOutcome]],
               policy: RetryPolicy = DEFAULT_POLICY,
               manifest: Optional[SweepManifest] = None,
-              arena_paths: Optional[Dict[int, str]] = None,
-              checkpoint_every: int = 0) -> bool:
+              arena_paths: Optional[Dict[int, str]] = None) -> bool:
     """Run misses on the persistent pool; ``False`` if it was unusable.
 
     Jobs are dispatched in chunks (:func:`_chunk_size` per future): each
@@ -541,7 +474,7 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
 
     def settle(index: int, spec: JobSpec, attempt: int, elapsed: float,
                error: str, at: float, kind: str = "failed",
-               start_offset: int = 0, bundle: str = "") -> None:
+               bundle: str = "") -> None:
         """Failed attempt: schedule a retry or record the failure.
 
         The attempt log is written first: the host deadline and a late
@@ -550,7 +483,7 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
         """
         if manifest is not None:
             manifest.mark_attempt(spec.fingerprint(), attempt, kind,
-                                  error, start_offset=start_offset)
+                                  error)
         if attempt < policy.retries:
             if manifest is not None:
                 manifest.mark_retrying(spec.fingerprint(), error)
@@ -573,8 +506,7 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
             entries[0][1].to_dict(),
             [(spec.to_dict(), attempt, arena_paths.get(index))
              for index, spec, attempt, _elapsed in entries],
-            cache_dir=str(cache.path) if cache is not None else None,
-            checkpoint_every=checkpoint_every)
+            cache_dir=str(cache.path) if cache is not None else None)
         future = pool.submit(forkserver._execute_batch, payload)
         active[future] = (entries, policy.deadline_for(at))
 
@@ -651,16 +583,12 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                         result = SimulationResult.from_dict(job["result"])
                         outcomes[index] = _finish(
                             spec, result, elapsed + attempt_time,
-                            attempt + 1, cache, manifest,
-                            ckpt_s=float(job.get("ckpt_s", 0.0)),
-                            resumed_from=int(job.get("resumed_from", 0)))
+                            attempt + 1, cache, manifest)
                     else:
                         settle(index, spec, attempt,
                                elapsed + attempt_time,
                                job.get("error", "worker returned no "
                                                 "outcome"), at,
-                               start_offset=int(job.get("start_offset",
-                                                        0)),
                                bundle=str(job.get("bundle", "")))
 
             # Abandon overdue attempts and retry them.
@@ -689,8 +617,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
              manifest: Optional[SweepManifest] = None,
              resume: Optional[bool] = None,
              arenas: Optional[str] = None,
-             trace_dir: Optional[str] = None,
-             checkpoint_every: Optional[int] = None) -> RunReport:
+             trace_dir: Optional[str] = None) -> RunReport:
     """Execute ``specs`` and return a report with results in input order.
 
     Arguments left as ``None`` pick up the process-wide configuration
@@ -700,12 +627,10 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     ``arenas`` is ``auto`` / ``on`` / ``off`` (booleans accepted);
     ``trace_dir`` overrides where arenas are stored (default: a
     ``traces/`` directory beside the result cache when one is active).
-    ``checkpoint_every`` is the mid-simulation checkpoint interval in
-    retired instructions (0 disables writes; resuming from checkpoints
-    left by earlier attempts stays on).  Checkpoints and triage bundles
-    need somewhere durable to live, so both activate only when a result
-    cache is in use.  Failed jobs (retries exhausted) appear as
-    outcomes with ``result=None`` rather than aborting the sweep.
+    Triage bundles need somewhere durable to live, so they are written
+    only when a result cache is in use.  Failed jobs (retries exhausted)
+    appear as outcomes with ``result=None`` rather than aborting the
+    sweep.
 
     With ``jobs > 1`` and at least two pending jobs the misses run on
     the fork-server pool (:func:`_run_pool`); whatever still lacks an
@@ -716,7 +641,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     """
     if jobs is None or cache is None or policy is None \
             or manifest is None or resume is None or arenas is None \
-            or trace_dir is None or checkpoint_every is None:
+            or trace_dir is None:
         from repro.run import runner_state
         state = runner_state()
         jobs = state.jobs if jobs is None else jobs
@@ -726,10 +651,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         resume = state.resume if resume is None else resume
         arenas = state.arenas if arenas is None else arenas
         trace_dir = state.trace_dir if trace_dir is None else trace_dir
-        if checkpoint_every is None:
-            checkpoint_every = state.checkpoint_every
     jobs = max(1, int(jobs))
-    checkpoint_every = max(0, int(checkpoint_every))
     if arenas is True:
         arenas = "on"
     elif arenas is False:
@@ -762,7 +684,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         if directory is not None:
             arena_handles, trace_gen_s = _materialize_arenas(
                 pending, cache, outcomes, policy, manifest, directory,
-                arenas, checkpoint_every=checkpoint_every)
+                arenas)
             pending = [p for p in pending if outcomes[p[0]] is None]
 
     fell_back = False
@@ -770,12 +692,11 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         arena_paths = {index: str(handle.path)
                        for index, handle in arena_handles.items()}
         fell_back = not _run_pool(pending, min(jobs, len(pending)), cache,
-                                  outcomes, policy, manifest, arena_paths,
-                                  checkpoint_every=checkpoint_every)
+                                  outcomes, policy, manifest, arena_paths)
     remaining = [p for p in pending if outcomes[p[0]] is None]
     if remaining:
         _run_serial(remaining, cache, outcomes, policy, manifest,
-                    arena_handles, checkpoint_every=checkpoint_every)
+                    arena_handles)
 
     report = RunReport(outcomes=[o for o in outcomes if o is not None],
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002
@@ -786,9 +707,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     assert len(report.outcomes) == len(specs)
     _TOTALS["wall_s"] += report.wall_time
     _TOTALS["trace_gen_s"] += report.trace_gen_s
-    _TOTALS["checkpoint_s"] += report.checkpoint_s
     _TOTALS["jobs"] += len(report.outcomes)
     _TOTALS["cache_hits"] += report.cache_hits
-    _TOTALS["resumed"] += report.resumed
     _TOTALS["failed"] += len(report.failures)
     return report

@@ -3,8 +3,7 @@
 The resilience layer (retries, timeouts, cache quarantine) is only
 trustworthy if every recovery path can be demonstrated on demand.  This
 module injects *host-side* faults -- worker crashes at job start,
-crashes mid-simulation (right after a checkpoint lands), hangs past the
-job timeout, corrupted cache writes, and storage failures on every
+hangs past the job timeout, corrupted cache writes, and storage failures on every
 durable artifact write (torn writes, short writes, ENOSPC, EIO, crash
 between temp file and rename, dropped fsync) -- without ever
 touching simulated state: a fault delays or re-runs a job, but the
@@ -21,9 +20,6 @@ Recognised keys:
 ``hang:P``      probability a job attempt sleeps ``hang_s`` seconds
                 before running (long enough to trip ``--job-timeout``)
 ``corrupt:P``   probability a cache write is truncated or bit-flipped
-``midcrash:P``  per-checkpoint-boundary probability the attempt crashes
-                *mid-simulation*, right after a checkpoint was written
-                (exercises checkpoint resume, see repro.run.checkpoint)
 ``torn:P``      per-durable-write probability the stored bytes are
                 truncated at a hash-derived offset while the rename
                 still completes (a torn write the next read must
@@ -78,8 +74,7 @@ DEFAULT_HANG_SECONDS = 30.0
 DISK_FAULT_KINDS: Tuple[str, ...] = (
     "torn", "shortwrite", "enospc", "eio", "renamecrash", "fsyncdrop")
 
-_PROB_KEYS = ("crash", "hang", "corrupt",
-              "midcrash") + DISK_FAULT_KINDS
+_PROB_KEYS = ("crash", "hang", "corrupt") + DISK_FAULT_KINDS
 
 
 class InjectedCrash(Exception):
@@ -107,7 +102,6 @@ class FaultPlan:
     crash: float = 0.0
     hang: float = 0.0
     corrupt: float = 0.0
-    midcrash: float = 0.0
     torn: float = 0.0
     shortwrite: float = 0.0
     enospc: float = 0.0
@@ -177,25 +171,6 @@ class FaultPlan:
                 f"injected crash (job {fingerprint[:12]}, "
                 f"attempt {attempt})")
 
-    def maybe_midcrash(self, fingerprint: str, attempt: int,
-                       boundary: int) -> None:
-        """Raise :class:`InjectedCrash` right after the checkpoint at
-        ``boundary`` retired instructions was written, if selected.
-
-        The boundary index is folded into the roll key, so one attempt
-        rolls independently at every checkpoint, and a retried attempt
-        rolls independently again past the boundary it resumed from --
-        retries therefore make forward progress and eventually finish.
-        """
-        if self.midcrash <= 0.0:
-            return
-        if self._unit(f"midcrash:{boundary}", fingerprint,
-                      attempt) < self.midcrash:
-            raise InjectedCrash(
-                f"injected mid-run crash (job {fingerprint[:12]}, "
-                f"attempt {attempt}, after checkpoint at {boundary} "
-                f"retired)")
-
     def maybe_hang(self, fingerprint: str, attempt: int = 0) -> bool:
         """Sleep ``hang_seconds`` if selected; returns whether it fired."""
         if not self.roll("hang", fingerprint, attempt):
@@ -237,7 +212,7 @@ class FaultPlan:
         """Which disk fault (if any) fires for one durable write.
 
         ``category`` is the artifact category (``cache`` /
-        ``manifest`` / ``checkpoint`` / ``arena`` / ``triage`` /
+        ``manifest`` / ``arena`` / ``triage`` /
         ``gcstate``), ``op`` the operation name, and ``seq`` the
         category-local operation sequence number.  Kinds roll in
         :data:`DISK_FAULT_KINDS` order and the first hit wins, so a

@@ -35,6 +35,7 @@ import time
 import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.run import triage
 from repro.run.faults import FAULTS_ENV, plan_from_env
 from repro.run.jobs import JobSpec
 
@@ -164,14 +165,12 @@ def apply_delta(base_flat: Dict[Tuple[str, ...], Any],
 def make_batch_payload(base: Dict[str, Any],
                        entries: Sequence[Tuple[Dict[str, Any], int,
                                                Optional[str]]],
-                       cache_dir: Optional[str] = None,
-                       checkpoint_every: int = 0) -> Dict[str, Any]:
+                       cache_dir: Optional[str] = None) -> Dict[str, Any]:
     """Build one chunk payload from ``(job dict, attempt, arena path)``
     triples.  Captures the parent's current fault plan explicitly so
     persistent workers never act on a stale inherited environment.
-    ``cache_dir`` (when set) is where workers keep checkpoints and write
-    crash-triage bundles; ``checkpoint_every`` is the checkpoint
-    interval in retired instructions (0 disables checkpoint writes).
+    ``cache_dir`` (when set) is where workers write crash-triage
+    bundles.
     """
     base_flat = flatten(base)
     return {
@@ -181,7 +180,6 @@ def make_batch_payload(base: Dict[str, Any],
                  for job, attempt, arena in entries],
         "faults": os.environ.get(FAULTS_ENV, ""),
         "cache_dir": cache_dir,
-        "checkpoint_every": int(checkpoint_every),
     }
 
 
@@ -189,60 +187,41 @@ def make_batch_payload(base: Dict[str, Any],
 
 def run_entry(spec_dict: Dict[str, Any], attempt: int,
               arena: Optional[str], plan,
-              cache_dir: Optional[str],
-              checkpoint_every: int) -> Dict[str, Any]:
+              cache_dir: Optional[str]) -> Dict[str, Any]:
     """Execute one job dict with full worker semantics; never raises.
 
     This is the per-job execution path of every pool worker (called
     once per chunk entry by :func:`_execute_batch`): the clock starts
     before fault injection, faults come from the explicit ``plan``
-    (never the worker's inherited environment), checkpoints/triage land
+    (never the worker's inherited environment), triage bundles land
     under ``cache_dir`` when one is given, and any exception --
     injected or real -- is folded into the returned outcome dict so one
     bad job cannot poison its neighbours in the chunk.
     """
     start = time.perf_counter()  # repro-lint: disable=R002
-    info: Dict[str, Any] = {}
     try:
         spec = JobSpec.from_dict(spec_dict)
-        if plan is not None:
-            fingerprint = spec.fingerprint()
-            plan.maybe_crash(fingerprint, attempt)
-            plan.maybe_hang(fingerprint, attempt)
-        workload = _arena_workload(arena)
-        if cache_dir:
-            from repro.run import checkpoint as ckpt
-            store = ckpt.CheckpointStore.for_job(
-                cache_dir, spec.fingerprint()) \
-                if checkpoint_every > 0 else None
-            result, info = ckpt.run_spec(
-                spec, workload=workload, store=store,
-                every=checkpoint_every, faults=plan, attempt=attempt,
-                triage_dir=cache_dir)
-        else:
-            result = spec.run(workload=workload)
+        result = triage.run_attempt(spec, attempt,
+                                    workload=_arena_workload(arena),
+                                    faults=plan, cache_dir=cache_dir)
     except Exception as exc:  # noqa: BLE001 -- per-job isolation
         return {
             "ok": False,
             "error": f"{type(exc).__name__}: {exc}",
             "elapsed": time.perf_counter() - start,  # repro-lint: disable=R002
             "bundle": getattr(exc, "__triage_bundle__", ""),
-            "start_offset": getattr(exc, "__resumed_from__", 0),
         }
     return {
         "ok": True,
         "result": result.to_dict(),
         "elapsed": time.perf_counter() - start,  # repro-lint: disable=R002
-        "ckpt_s": float(info.get("ckpt_s", 0.0)),
-        "resumed_from": int(info.get("resumed_from", 0)),
     }
 
 
 def _execute_batch(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Worker entry point: run every job of one chunk independently.
 
-    Mirrors the single-job ``_execute_payload`` semantics per job
-    through the shared :func:`run_entry` path: faults come from the
+    Every job goes through :func:`run_entry`: faults come from the
     payload's captured plan (not the worker's environment), and any
     exception -- injected or real -- is isolated to its job's outcome
     so one bad job cannot poison its chunk-mates.
@@ -250,10 +229,9 @@ def _execute_batch(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     base_flat = flatten(payload["base"])
     plan = plan_from_env(payload.get("faults", ""))
     cache_dir = payload.get("cache_dir")
-    every = int(payload.get("checkpoint_every", 0) or 0)
     return [run_entry(apply_delta(base_flat, entry["delta"]),
                       entry["attempt"], entry.get("arena"), plan,
-                      cache_dir, every)
+                      cache_dir)
             for entry in payload["jobs"]]
 
 

@@ -1,11 +1,13 @@
 """Retention GC for cache-adjacent artifacts: plan first, then apply.
 
-Long sweep campaigns accrete four kinds of disk debris under the result
-cache: per-job **checkpoint** directories (``checkpoints/<fp>/``),
-crash-**triage** bundles (``triage/<fp12>-aN/``), shared trace
-**arenas** (``traces/*.arena``), and **quarantined** corrupt cache
-entries (``quarantine/*.json``).  Results themselves are never touched
--- they are the product; everything here is recoverable scaffolding.
+Long sweep campaigns accrete three kinds of disk debris under the
+result cache: crash-**triage** bundles (``triage/<fp12>-aN/``), shared
+trace **arenas** (``traces/*.arena``), and **quarantined** corrupt
+cache entries (``quarantine/*.json``).  Results themselves are never
+touched -- they are the product; everything here is recoverable
+scaffolding.  Caches written before mid-job checkpoints were removed
+may also hold a ``checkpoints/`` tree; nothing reads it, so every
+collection evicts it whole, whatever the rules say.
 
 ``repro gc`` builds a :class:`GcPlan` from per-category
 :class:`RetentionRule` caps (age, count, total bytes -- applied in that
@@ -15,17 +17,15 @@ order, evicting oldest first) and only deletes when asked
 still considers in flight (``pending``/``running``/``retrying``) are
 *pinned* -- reported, counted against the caps, but never evicted --
 so a GC run concurrent with (or between resumes of) a sweep cannot eat
-the checkpoint a job is about to resume from or the bundle of a crash
-that has not been triaged.
+the bundle of a crash that has not been triaged.
 
-A fifth category, **orphans**, covers ``*.tmp`` files abandoned by
+A fourth category, **orphans**, covers ``*.tmp`` files abandoned by
 writers that died between ``mkstemp`` and the final rename (including
-injected ``renamecrash`` faults): the cache root, every per-job
-checkpoint directory, the trace and triage trees.  Race safety: any
-item -- orphan or artifact -- whose newest mtime is younger than
-:data:`GC_GRACE_S` is pinned outright, so a gc run concurrent with a
-live sweep can never eat an in-flight temp file or a just-renamed
-artifact, even under ``--max-age-days 0``.
+injected ``renamecrash`` faults): the cache root, the trace and triage
+trees.  Race safety: any item -- orphan or artifact -- whose newest
+mtime is younger than :data:`GC_GRACE_S` is pinned outright, so a gc
+run concurrent with a live sweep can never eat an in-flight temp file
+or a just-renamed artifact, even under ``--max-age-days 0``.
 
 After :meth:`GcPlan.apply`, :func:`write_gc_state` journals the run
 (``gc-state.json``, checksummed via
@@ -78,11 +78,14 @@ class RetentionRule:
     max_bytes: Optional[int] = None
 
 
-#: Default retention policy per category.  Checkpoints and arenas are
-#: cheap to regenerate, so age alone bounds them; triage bundles and
+#: Subdirectory of a cache written before mid-job checkpoints were
+#: removed; collected whole (see the module docstring).
+LEGACY_CHECKPOINT_DIR = "checkpoints"
+
+#: Default retention policy per category.  Arenas are cheap to
+#: regenerate, so age and size bound them; triage bundles and
 #: quarantined entries are evidence, so a count cap keeps the newest.
 DEFAULT_RULES: Dict[str, RetentionRule] = {
-    "checkpoints": RetentionRule(max_age_s=7 * _DAY),
     "triage": RetentionRule(max_age_s=7 * _DAY, max_count=50),
     "arenas": RetentionRule(max_age_s=7 * _DAY,
                             max_bytes=2 * 1024 * 1024 * 1024),
@@ -191,8 +194,8 @@ def _tree_stat(path: Path) -> Tuple[float, int]:
     """``(newest mtime, total bytes)`` over a file or directory tree.
 
     The newest mtime anywhere in the tree is the item's age -- a
-    checkpoint directory whose latest snapshot is fresh must read as
-    fresh even if the directory inode itself is old.
+    bundle directory whose latest file is fresh must read as fresh even
+    if the directory inode itself is old.
     """
     try:
         stat = path.stat()
@@ -213,33 +216,30 @@ def _tree_stat(path: Path) -> Tuple[float, int]:
     return newest, total
 
 
-def _pinned_fingerprints(manifest) -> Tuple[set, set]:
-    """``(full fingerprints, fp12 prefixes)`` of in-flight jobs."""
-    full: set = set()
+def _pinned_fingerprints(manifest) -> set:
+    """The fp12 prefixes of in-flight jobs."""
     short: set = set()
     if manifest is not None:
         for fingerprint in sorted(manifest.records):
             if manifest.records[fingerprint].status in PINNED_STATUSES:
-                full.add(fingerprint)
                 short.add(fingerprint[:12])
-    return full, short
+    return short
 
 
 def collect_items(cache_dir: Union[str, Path],
                   manifest=None) -> List[GcItem]:
     """Inventory every GC-eligible artifact under ``cache_dir``."""
-    from repro.run import checkpoint as ckpt
     from repro.run import triage
     cache_dir = Path(cache_dir)
-    pinned_full, pinned_short = _pinned_fingerprints(manifest)
+    pinned_short = _pinned_fingerprints(manifest)
     items: List[GcItem] = []
 
-    for directory in ckpt.job_checkpoint_dirs(cache_dir):
-        mtime, size = _tree_stat(directory)
-        pinned = directory.name in pinned_full
-        items.append(GcItem(
-            "checkpoints", directory, mtime, size, pinned=pinned,
-            pin_reason="job in flight" if pinned else ""))
+    legacy = cache_dir / LEGACY_CHECKPOINT_DIR
+    if legacy.is_dir():
+        mtime, size = _tree_stat(legacy)
+        items.append(GcItem("checkpoints", legacy, mtime, size,
+                            evict=True,
+                            evict_reason="legacy checkpoint tree"))
 
     for directory in triage.bundle_dirs(cache_dir):
         mtime, size = _tree_stat(directory)
@@ -270,12 +270,10 @@ def collect_items(cache_dir: Union[str, Path],
 
 def _orphan_tmp_files(cache_dir: Path) -> List[Path]:
     """Every abandoned ``*.tmp`` across the durable tree, sorted:
-    the cache root (entries + manifest), per-job checkpoint
-    directories, the trace dir, and triage bundles."""
-    from repro.run import checkpoint as ckpt
+    the cache root (entries + manifest), the trace dir, and triage
+    bundles."""
     from repro.run import triage
     directories = [cache_dir, cache_dir / "traces"]
-    directories.extend(ckpt.job_checkpoint_dirs(cache_dir))
     directories.extend(triage.bundle_dirs(cache_dir))
     strays: List[Path] = []
     for directory in directories:
@@ -300,7 +298,8 @@ def plan_gc(cache_dir: Union[str, Path],
         # (an in-progress temp file, a just-renamed artifact).  Pin it
         # unconditionally; the next collection gets it once it is
         # genuinely stale.
-        if not item.pinned and item.age_s(now) < GC_GRACE_S:
+        if not item.pinned and not item.evict \
+                and item.age_s(now) < GC_GRACE_S:
             item.pinned = True
             item.pin_reason = (f"younger than grace window "
                                f"({GC_GRACE_S:.0f}s)")

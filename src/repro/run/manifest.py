@@ -46,10 +46,10 @@ class JobRecord:
     attempts: int = 0
     cached: bool = False      # last completion served from the cache
     error: str = ""           # last failure text ("" when clean)
-    #: Per-attempt outcome entries ({attempt, outcome, error,
-    #: start_offset}), deduplicated by attempt number: the host timeout
-    #: and a late worker failure can both try to close one attempt, and
-    #: exactly one record must win (see SweepManifest.mark_attempt).
+    #: Per-attempt outcome entries ({attempt, outcome, error}),
+    #: deduplicated by attempt number: the host timeout and a late
+    #: worker failure can both try to close one attempt, and exactly one
+    #: record must win (see SweepManifest.mark_attempt).
     attempt_log: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -68,7 +68,6 @@ class JobRecord:
                     "attempt": int(entry["attempt"]),
                     "outcome": str(entry.get("outcome", "")),
                     "error": str(entry.get("error", "")),
-                    "start_offset": int(entry.get("start_offset", 0)),
                 })
         return cls(
             fingerprint=str(data["fingerprint"]),
@@ -191,7 +190,7 @@ class SweepManifest:
         self.flush()
 
     def mark_attempt(self, fingerprint: str, attempt: int, outcome: str,
-                     error: str = "", start_offset: int = 0) -> bool:
+                     error: str = "") -> bool:
         """Record one attempt's outcome; first writer wins per attempt.
 
         Two host-side paths can race to close the same attempt: the
@@ -199,8 +198,7 @@ class SweepManifest:
         (or its in-simulator watchdog) reports a failure for it.  The
         attempt number keys the log, so the second writer is a no-op
         and the manifest holds exactly one outcome per attempt.
-        ``start_offset`` is the retired-instruction count the attempt
-        resumed from (0 = cold start); returns whether the entry landed.
+        Returns whether the entry landed.
         """
         record = self._record(fingerprint)
         attempt = int(attempt)
@@ -211,7 +209,6 @@ class SweepManifest:
             "attempt": attempt,
             "outcome": outcome,
             "error": error,
-            "start_offset": int(start_offset),
         })
         self.flush()
         return True
@@ -261,12 +258,8 @@ class SweepManifest:
                 note = f"  [{record.error}]" if record.error else ""
                 origin = " (cached)" if record.cached and \
                     record.status == "done" else ""
-                resumed = max(
-                    (int(entry.get("start_offset", 0))
-                     for entry in record.attempt_log), default=0)
-                offset = f" resumed@{resumed}" if resumed else ""
                 lines.append(
                     f"  {record.fingerprint[:12]}  {record.status:<8s} "
-                    f"attempts={record.attempts}{origin}{offset}  "
+                    f"attempts={record.attempts}{origin}  "
                     f"{record.label}{note}")
         return "\n".join(lines)

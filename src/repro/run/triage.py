@@ -11,12 +11,8 @@ failure offline, under ``<cache>/triage/<fingerprint[:12]>-a<attempt>/``:
     The full job description (``JobSpec.to_dict()``), fingerprint,
     model version, attempt number, the error type/message, the
     structured wedge classification when the watchdog tripped, the
-    watchdog configuration, and the checkpoint offset the attempt
-    resumed from.
-``ck-*.ckpt``
-    A copy of the newest checkpoint the attempt wrote (when
-    checkpointing was active), so ``repro replay --from-checkpoint``
-    can jump straight to the interesting region.
+    watchdog configuration, and the retired count and cycle the
+    machine had reached.
 ``stream-tail.json``
     The tail of each process's buffered instruction stream at the time
     of death -- the instructions in flight (unretired or buffered ahead
@@ -26,6 +22,8 @@ failure offline, under ``<cache>/triage/<fingerprint[:12]>-a<attempt>/``:
 re-runs it deterministically; because the simulator is deterministic,
 the failure either reproduces exactly (a simulated wedge or modelling
 bug) or the run completes (the original failure was host-side).
+:func:`run_attempt` is the one job-attempt path of the runner, serial
+and pooled alike, and writes the bundle when an attempt fails.
 
 Bundle writes go through :mod:`repro.run.atomicio` (atomic,
 fault-injected) and are best-effort: an unwritable cache degrades to a
@@ -37,9 +35,11 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
+from repro.core.experiment import SimulationResult
 from repro.run import atomicio
+from repro.run.faults import FaultPlan
 from repro.run.jobs import MODEL_VERSION, JobSpec
 from repro.system.machine import Machine, WedgeError
 from repro.trace.instr import OP_NAMES
@@ -92,15 +92,12 @@ def _stream_tails(machine: Machine) -> List[Dict[str, Any]]:
 
 def write_bundle(cache_dir: Union[str, Path], *, spec: JobSpec,
                  fingerprint: str, attempt: int, error: BaseException,
-                 machine: Optional[Machine] = None,
-                 checkpoints: Sequence[Path] = (),
-                 resumed_from: int = 0) -> Optional[Path]:
+                 machine: Optional[Machine] = None) -> Optional[Path]:
     """Write one triage bundle; returns its directory or ``None``.
 
-    ``checkpoints`` is the failing job's checkpoint file list (oldest
-    first); the newest is copied into the bundle.  ``machine`` may be
-    ``None`` when the failure predates machine construction (the bundle
-    then holds the job description and error only).
+    ``machine`` may be ``None`` when the failure predates machine
+    construction (the bundle then holds the job description and error
+    only).
     """
     directory = bundle_dir(cache_dir, fingerprint, attempt)
     payload: Dict[str, Any] = {
@@ -114,24 +111,14 @@ def write_bundle(cache_dir: Union[str, Path], *, spec: JobSpec,
         else None,
         "watchdog": {"cycles": spec.params.watchdog_cycles,
                      "node_cycles": spec.params.watchdog_node_cycles},
-        "resumed_from": int(resumed_from),
         "retired": machine.total_retired() if machine is not None
         else None,
         "cycle": machine.now if machine is not None else None,
-        "checkpoint": None,
     }
     try:
         directory.mkdir(parents=True, exist_ok=True)
         atomicio.sweep_orphans(directory)
         ok = True
-        if checkpoints:
-            newest = checkpoints[-1]
-            if atomicio.atomic_write_bytes(directory / newest.name,
-                                           newest.read_bytes(),
-                                           category="triage"):
-                payload["checkpoint"] = newest.name
-            else:
-                ok = False
         if machine is not None:
             ok &= atomicio.atomic_write_json(
                 directory / "stream-tail.json", _stream_tails(machine),
@@ -147,6 +134,38 @@ def write_bundle(cache_dir: Union[str, Path], *, spec: JobSpec,
             stacklevel=2)
         return None
     return directory
+
+
+def run_attempt(spec: JobSpec, attempt: int = 0, *,
+                workload: Optional[Any] = None,
+                faults: Optional[FaultPlan] = None,
+                cache_dir: Optional[Union[str, Path]] = None
+                ) -> SimulationResult:
+    """One attempt of ``spec``: injected host faults, then
+    :meth:`JobSpec.run`.
+
+    Faults fire before the simulation starts, so they never perturb
+    simulated state.  When the attempt fails and a ``cache_dir`` is
+    given, a bundle is written beneath it -- with the failed machine's
+    retired count, cycle and stream tails when the failure came from
+    inside the simulation -- and its path is attached to the exception
+    as ``__triage_bundle__``.
+    """
+    try:
+        if faults is not None:
+            fingerprint = spec.fingerprint()
+            faults.maybe_crash(fingerprint, attempt)
+            faults.maybe_hang(fingerprint, attempt)
+        return spec.run(workload=workload)
+    except Exception as exc:
+        if cache_dir is not None:
+            bundle = write_bundle(
+                cache_dir, spec=spec, fingerprint=spec.fingerprint(),
+                attempt=attempt, error=exc,
+                machine=getattr(exc, "__machine__", None))
+            if bundle is not None:
+                exc.__triage_bundle__ = str(bundle)
+        raise
 
 
 def load_bundle(path: Union[str, Path]) -> Dict[str, Any]:
@@ -190,8 +209,4 @@ def format_bundle(data: Dict[str, Any]) -> str:
                      f"{wedge['cycle']}, {wedge['retired']} retired")
         if wedge.get("detail"):
             lines.append(f"             {wedge['detail']}")
-    if data.get("resumed_from"):
-        lines.append(f"resumed from {data['resumed_from']} retired")
-    if data.get("checkpoint"):
-        lines.append(f"checkpoint   {data['checkpoint']}")
     return "\n".join(lines)

@@ -60,16 +60,6 @@ class ExecutionBreakdown:
         self.cycles = [0.0] * N_CATEGORIES
         self.instructions = 0
 
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"cycles": list(self.cycles),
-                "instructions": self.instructions}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self.cycles = list(state["cycles"])
-        self.instructions = state["instructions"]
-
     # -- aggregation & reporting --------------------------------------------
 
     @property

@@ -35,17 +35,6 @@ class MshrOccupancy:
         self._events_all.clear()
         self._events_read.clear()
 
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"events_all": list(self._events_all),
-                "events_read": list(self._events_read)}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot` (in place, so
-        :class:`~repro.mem.cache.MshrFile` references stay valid)."""
-        self._events_all = list(state["events_all"])
-        self._events_read = list(state["events_read"])
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot: the raw (time, delta) event lists,
         so distributions recompute exactly after a round trip."""
@@ -118,16 +107,6 @@ class MshrOccupancyGroup:
     def reset(self) -> None:
         for collector in self.collectors:
             collector.reset()
-
-    def snapshot(self, memo=None) -> Dict[str, object]:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint)."""
-        return {"collectors": [c.snapshot(memo) for c in self.collectors]}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install state captured by :meth:`snapshot` onto the existing
-        collectors (identity preserved: MSHR files hold references)."""
-        for collector, sub in zip(self.collectors, state["collectors"]):
-            collector.restore(sub)
 
     def to_dict(self) -> Dict[str, object]:
         return {"max_n": self.max_n,

@@ -14,7 +14,6 @@ the simulation cost.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cpu.core import (
@@ -34,10 +33,6 @@ from repro.stats.mshr import MshrOccupancyGroup
 from repro.system.process import Process
 from repro.system.scheduler import CpuScheduler
 from repro.trace.instr import OP_LOCK_ACQ, OP_NAMES
-
-#: Version stamp embedded in Machine.snapshot() payloads; bump whenever
-#: the captured state shape changes incompatibly.
-SNAPSHOT_FORMAT = 2
 
 #: Exclusive-ownership transfers on a single line, with no instruction
 #: retiring anywhere, before the watchdog calls it a coherence livelock.
@@ -178,7 +173,7 @@ class Machine:
         checker wraps.  Because every wake a skipped core contributes to
         the grid is the value its own tick would have returned, both
         modes visit the same grid -- every cycle count, stall breakdown,
-        watchdog trip and checkpoint snapshot is byte-identical.
+        watchdog trip and machine state is byte-identical.
 
         Scheduler-wake invariant: only dispatch (``_dispatch_if_idle``)
         and syscall handling (``_handle_syscall``) change a run queue or
@@ -216,8 +211,7 @@ class Machine:
         total_now = sum(retired_seen)
         last_step = -1
         # Forward-progress watchdog (off by default: one extra branch per
-        # iteration).  All of its bookkeeping lives in run()-locals so
-        # checkpoints never capture it.
+        # iteration).  Its bookkeeping lives in run()-locals.
         wd_global = self.params.watchdog_cycles
         wd_node = self.params.watchdog_node_cycles
         wd_on = wd_global > 0 or wd_node > 0
@@ -365,77 +359,9 @@ class Machine:
         return WedgeError("unknown", now, node=node, retired=retired,
                           detail="no core matched a known wedge signature")
 
-    # ---------------------------------------------------------------- checkpoint
-
-    def snapshot(self) -> Dict[str, object]:
-        """Capture all mutable simulation state as a picklable dict.
-
-        One deepcopy memo is threaded through every component so shared
-        objects (window entries across heaps, instructions shared between
-        window entries and trace buffers, processes across schedulers and
-        cores) keep their identity inside the snapshot.  Wiring -- hooks,
-        callbacks, generators, the checker -- is never captured: restore
-        targets a freshly constructed machine that already has it.
-        """
-        memo: dict = {}
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "now": self.now,
-            "idle_cycles": self.idle_cycles,
-            "measure_started_at": self._measure_started_at,
-            "lock_table": dict(self.lock_table),
-            "page_table": self.page_table.snapshot(memo),
-            "mesh": self.mesh.snapshot(memo),
-            "memory": self.memory.snapshot(memo),
-            "l1d_mshr_stats": self.l1d_mshr_stats.snapshot(memo),
-            "l2_mshr_stats": self.l2_mshr_stats.snapshot(memo),
-            "processes": [p.snapshot(memo) for p in self.processes],
-            "schedulers": [s.snapshot(memo) for s in self.schedulers],
-            "nodes": [nd.snapshot(memo) for nd in self.nodes],
-            "cores": [c.snapshot(memo) for c in self.cores],
-        }
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Install a :meth:`snapshot` onto this machine.
-
-        Must be called on a freshly constructed, never-run machine built
-        from the same params with fresh generators.  After restoring, the
-        caller re-seeks each process's trace source past the consumed
-        prefix (``trace_consumed``) -- or builds the generators pre-seeked
-        (arena replay) -- before calling :meth:`run` again.
-        """
-        if state.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"snapshot format {state.get('format')!r} != "
-                f"{SNAPSHOT_FORMAT}")
-        # One fresh deepcopy isolates this machine from the stored payload
-        # (so a later restore from the same checkpoint starts clean) while
-        # preserving the identity relationships within the snapshot.
-        state = copy.deepcopy(state)
-        self.now = state["now"]
-        self.idle_cycles = state["idle_cycles"]
-        self._measure_started_at = state["measure_started_at"]
-        # Cores hold references to the lock table: mutate it in place.
-        self.lock_table.clear()
-        self.lock_table.update(state["lock_table"])
-        self.page_table.restore(state["page_table"])
-        self.mesh.restore(state["mesh"])
-        self.memory.restore(state["memory"])
-        self.l1d_mshr_stats.restore(state["l1d_mshr_stats"])
-        self.l2_mshr_stats.restore(state["l2_mshr_stats"])
-        by_pid = {p.pid: p for p in self.processes}
-        for process, sub in zip(self.processes, state["processes"]):
-            process.restore(sub)
-        for sched, sub in zip(self.schedulers, state["schedulers"]):
-            sched.restore(sub, by_pid)
-        for node, sub in zip(self.nodes, state["nodes"]):
-            node.restore(sub)
-        for core, sub in zip(self.cores, state["cores"]):
-            core.restore(sub, by_pid)
-
     def trace_consumed(self) -> List[int]:
         """Per-pid count of instructions already pulled from each trace
-        source (a restored machine's fresh sources must skip these)."""
+        source."""
         return [p.trace.consumed for p in self.processes]
 
     # ---------------------------------------------------------------- statistics

@@ -31,24 +31,6 @@ class Process:
         self.blocked_until = until
         self.syscalls += 1
 
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing (repro.run.checkpoint).
-        ``memo`` must be the machine-wide deepcopy memo (trace-buffer
-        instructions are shared with core window entries)."""
-        return {"pid": self.pid,
-                "resume_seq": self.resume_seq,
-                "blocked_until": self.blocked_until,
-                "syscalls": self.syscalls,
-                "trace": self.trace.snapshot(memo)}
-
-    def restore(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot`; the trace keeps its
-        fresh source iterator (the restorer re-seeks it separately)."""
-        self.resume_seq = state["resume_seq"]
-        self.blocked_until = state["blocked_until"]
-        self.syscalls = state["syscalls"]
-        self.trace.restore(state["trace"])
-
     def ready(self, now: int) -> bool:
         return now >= self.blocked_until
 

@@ -44,15 +44,3 @@ class CpuScheduler:
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def snapshot(self, memo=None) -> dict:
-        """Mutable state for mid-run checkpointing; processes are recorded
-        by pid and re-linked on restore."""
-        return {"queue": [p.pid for p in self._queue],
-                "context_switches": self.context_switches}
-
-    def restore(self, state: dict, processes_by_pid: dict) -> None:
-        """Install state captured by :meth:`snapshot`."""
-        self._queue = deque(processes_by_pid[pid]
-                            for pid in state["queue"])
-        self.context_switches = state["context_switches"]

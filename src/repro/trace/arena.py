@@ -198,8 +198,8 @@ def write_arena(path: Union[str, Path],
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = b"".join((MAGIC, len(header_bytes).to_bytes(4, "little"),
                      header_bytes, body))
-    # Deferred import: repro.run.checkpoint imports this module, so a
-    # top-level import of the repro.run package would be circular.
+    # Deferred import: importing repro.run.atomicio loads the whole
+    # repro.run package, which the trace layer needs only here.
     from repro.run import atomicio
     atomicio.sweep_orphans(path.parent)
     if not atomicio.atomic_write_bytes(path, blob, category="arena"):
@@ -256,31 +256,20 @@ class TraceArena:
 
     # -- Workload protocol -------------------------------------------------
 
-    def generators(self, n_cpus: int, seed: int = 0,
-                   skips: Optional[Sequence[int]] = None) -> List[Iterator]:
+    def generators(self, n_cpus: int, seed: int = 0) -> List[Iterator]:
         """Replay iterators for every process, validated against the
-        arena's recorded machine shape.  ``skips`` (one entry per
-        process) starts each stream that many instructions in -- an O(1)
-        seek used by checkpoint restore (repro.run.checkpoint)."""
+        arena's recorded machine shape."""
         if n_cpus != self.n_nodes or seed != self.seed:
             raise ArenaMismatch(
                 f"arena {self.path.name} was materialized for "
                 f"n_nodes={self.n_nodes} seed={self.seed}, requested "
                 f"n_nodes={n_cpus} seed={seed}")
-        if skips is None:
-            skips = [0] * len(self.counts)
-        if len(skips) != len(self.counts):
-            raise ArenaMismatch(
-                f"arena {self.path.name} holds {len(self.counts)} "
-                f"streams, got {len(skips)} skip offsets")
-        return [self.replay(pid, skip=skip)
-                for pid, skip in enumerate(skips)]
+        return [self.replay(pid) for pid in range(len(self.counts))]
 
-    def replay(self, pid: int, skip: int = 0) -> Iterator[Instruction]:
-        """Lazy instruction stream of one process, starting ``skip``
-        instructions in (index arithmetic -- no decode of the prefix)."""
-        start = self._starts[pid] + skip
-        n = self.counts[pid] - skip
+    def replay(self, pid: int) -> Iterator[Instruction]:
+        """Lazy instruction stream of one process."""
+        start = self._starts[pid]
+        n = self.counts[pid]
         op = self._op
         meta = self._meta
         lat = self._lat

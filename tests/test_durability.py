@@ -40,7 +40,6 @@ from repro.run import (
     run_many,
 )
 from repro.run import atomicio
-from repro.run import checkpoint as ckpt
 from repro.run import gc as run_gc
 from repro.run import triage
 from repro.run.faults import DISK_FAULT_KINDS
@@ -63,8 +62,6 @@ def clean_runner(monkeypatch):
     monkeypatch.setattr(repro.run, "_manifest", None)
     monkeypatch.setattr(repro.run, "_policy", DEFAULT_POLICY)
     monkeypatch.setattr(repro.run, "_resume", False)
-    monkeypatch.setattr(repro.run, "_checkpoint_every",
-                        repro.run.DEFAULT_CHECKPOINT_EVERY)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     atomicio.reset_state()
     yield
@@ -127,10 +124,10 @@ class TestAtomicWrite:
                                         critical=True)
 
     def test_framed_round_trip_and_validation(self, tmp_path):
-        target = tmp_path / "blob.ckpt"
+        target = tmp_path / "blob.bin"
         magic = b"TESTMAG1"
         assert atomicio.write_framed(target, magic, b"hello",
-                                     category="checkpoint")
+                                     category="arena")
         assert atomicio.read_framed(target, magic) == b"hello"
         with pytest.raises(FramedReadError, match="bad magic"):
             atomicio.read_framed(target, b"OTHERMAG")
@@ -229,10 +226,10 @@ class TestDiskFaultInjection:
         assert atomicio.orphan_tmp_files(tmp_path) == []
 
     def test_torn_write_renames_damaged_bytes(self, tmp_path):
-        target = tmp_path / "blob.ckpt"
+        target = tmp_path / "blob.bin"
         magic = b"TESTMAG1"
         assert atomicio.write_framed(target, magic, b"p" * 100,
-                                     category="checkpoint",
+                                     category="arena",
                                      plan=_plan(torn=1.0))
         assert target.exists()
         assert len(target.read_bytes()) < len(magic) + 64 + 100
@@ -319,8 +316,7 @@ class _BoundaryPlan:
         return size // 2 if size > 1 else 0
 
 
-def _sweep(cache_dir, *, arenas="off", checkpoint_every=0,
-           seeds=(0, 1)):
+def _sweep(cache_dir, *, arenas="off", seeds=(0, 1)):
     cache_dir = Path(cache_dir)
     cache = ResultCache(cache_dir)
     manifest = SweepManifest(cache_dir / MANIFEST_NAME)
@@ -329,8 +325,7 @@ def _sweep(cache_dir, *, arenas="off", checkpoint_every=0,
         specs, jobs=1, cache=cache, manifest=manifest,
         policy=RetryPolicy(retries=3, job_timeout=60, **FAST_BACKOFF),
         resume=True, arenas=arenas,
-        trace_dir=str(cache_dir / "traces"),
-        checkpoint_every=checkpoint_every)
+        trace_dir=str(cache_dir / "traces"))
 
 
 def _dumps(report):
@@ -349,15 +344,13 @@ class TestCrashAtEveryWriteBoundary:
     boundary; a resumed sweep must match the fault-free baseline
     byte-for-byte and leave zero audit violations."""
 
-    @pytest.mark.parametrize("category,arenas,every", [
-        ("cache", "off", 0),
-        ("checkpoint", "off", 400),
-        ("arena", "on", 0),
+    @pytest.mark.parametrize("category,arenas", [
+        ("cache", "off"),
+        ("arena", "on"),
     ])
     def test_writer_death_at_every_boundary(self, tmp_path, monkeypatch,
-                                            category, arenas, every):
-        base = _sweep(tmp_path / "base", arenas=arenas,
-                      checkpoint_every=every)
+                                            category, arenas):
+        base = _sweep(tmp_path / "base", arenas=arenas)
         assert not base.failures
         base_dumps = _dumps(base)
         boundaries = atomicio.sequence_numbers().get(category, 0)
@@ -373,8 +366,7 @@ class TestCrashAtEveryWriteBoundary:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    _sweep(workdir, arenas=arenas,
-                           checkpoint_every=every)
+                    _sweep(workdir, arenas=arenas)
                 except InjectedCrash:
                     pass     # writer death escaped run_many: a real
                     #          process kill looks exactly like this
@@ -385,8 +377,7 @@ class TestCrashAtEveryWriteBoundary:
             atomicio.reset_state()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                resumed = _sweep(workdir, arenas=arenas,
-                                 checkpoint_every=every)
+                resumed = _sweep(workdir, arenas=arenas)
             assert not resumed.failures
             assert _dumps(resumed) == base_dumps, \
                 f"resume after {category} boundary {seq} diverged"
@@ -457,7 +448,7 @@ class TestCrashAtEveryWriteBoundary:
 
     def test_sweep_survives_total_storage_failure(self, tmp_path,
                                                   monkeypatch):
-        base = _sweep(tmp_path / "base", checkpoint_every=400)
+        base = _sweep(tmp_path / "base")
         base_dumps = _dumps(base)
         # Every best-effort write fails with disk-full; only the
         # critical manifest lands.  The sweep must still complete with
@@ -465,7 +456,7 @@ class TestCrashAtEveryWriteBoundary:
         monkeypatch.setenv("REPRO_FAULTS", "enospc:1,seed:0")
         workdir = tmp_path / "full-disk"
         with pytest.warns(DurabilityWarning):
-            report = _sweep(workdir, checkpoint_every=400)
+            report = _sweep(workdir)
         assert not report.failures
         assert _dumps(report) == base_dumps
         monkeypatch.delenv("REPRO_FAULTS")
@@ -476,8 +467,7 @@ class TestCrashAtEveryWriteBoundary:
         """The CI chaos-smoke recipe in miniature: a mixed
         torn+enospc+renamecrash plan, re-invoked until the sweep
         completes, must converge on the fault-free baseline."""
-        base = _sweep(tmp_path / "base", arenas="on",
-                      checkpoint_every=400)
+        base = _sweep(tmp_path / "base", arenas="on")
         base_dumps = _dumps(base)
         monkeypatch.setenv(
             "REPRO_FAULTS",
@@ -488,8 +478,7 @@ class TestCrashAtEveryWriteBoundary:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    report = _sweep(workdir, arenas="on",
-                                    checkpoint_every=400)
+                    report = _sweep(workdir, arenas="on")
                     break
                 except InjectedCrash:
                     continue    # process died mid-write: run again
@@ -500,7 +489,7 @@ class TestCrashAtEveryWriteBoundary:
         atomicio.reset_state()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            resumed = _sweep(workdir, arenas="on", checkpoint_every=400)
+            resumed = _sweep(workdir, arenas="on")
         assert _dumps(resumed) == base_dumps
         _assert_clean_audit(workdir)
 
@@ -583,10 +572,10 @@ class TestManifestCriticality:
 class TestGcRaceSafety:
     def test_grace_window_pins_fresh_artifacts(self, tmp_path):
         now = atomicio.time_now()
-        ckdir = tmp_path / "checkpoints" / ("a" * 64)
-        ckdir.mkdir(parents=True)
-        (ckdir / "ck-000000000400.ckpt").write_bytes(b"fresh")
-        rules = {"checkpoints": run_gc.RetentionRule(max_age_s=0.0)}
+        bundle = tmp_path / "triage" / ("a" * 12 + "-a0")
+        bundle.mkdir(parents=True)
+        (bundle / "job.json").write_bytes(b"fresh")
+        rules = {"triage": run_gc.RetentionRule(max_age_s=0.0)}
         plan = run_gc.plan_gc(tmp_path, rules=rules, now=now)
         assert plan.evictions == []
         (pinned,) = plan.pinned
@@ -618,7 +607,7 @@ class TestGcRaceSafety:
         assert plan.evictions == []
 
     def test_audit_clean_after_gc_on_a_real_sweep(self, tmp_path):
-        _sweep(tmp_path, arenas="on", checkpoint_every=400)
+        _sweep(tmp_path, arenas="on")
         # Age everything past the caps, then collect with audit cross-
         # check: gc plus the journal write must leave zero violations.
         old = atomicio.time_now() - 30 * 86400
@@ -643,7 +632,7 @@ class TestAuditState:
         assert len(report.notes) == 1
 
     def test_clean_sweep_audits_clean(self, tmp_path):
-        _sweep(tmp_path, arenas="on", checkpoint_every=400)
+        _sweep(tmp_path, arenas="on")
         report = _assert_clean_audit(tmp_path)
         assert report.scanned.get("entries") == 2
         assert report.scanned.get("manifest") == 1
@@ -684,19 +673,6 @@ class TestAuditState:
         report = audit_state(tmp_path)
         assert not report.ok
         assert any("charged more than once" in f.message
-                   for f in report.violations)
-
-    def test_dishonest_checkpoint_name_is_a_violation(self, tmp_path):
-        from repro.run.jobs import MODEL_VERSION
-        store = ckpt.CheckpointStore.for_job(tmp_path, "c" * 64)
-        saved = store.save({"format": ckpt.CHECKPOINT_FORMAT,
-                            "model_version": MODEL_VERSION,
-                            "retired": 400})
-        assert saved is not None
-        saved.rename(saved.with_name("ck-000000000999.ckpt"))
-        report = audit_state(tmp_path)
-        assert not report.ok
-        assert any("fallback ordering would lie" in f.message
                    for f in report.violations)
 
     def test_stale_orphans_warn_and_sweep_on_request(self, tmp_path):

@@ -8,14 +8,17 @@ with certification off: every core is stepped through the reference
 skipping is *instruction-for-instruction equivalence* with that
 oracle.  These tests pin it:
 
-* results (``SimulationResult.to_dict``) and full machine snapshots are
-  byte-identical across workloads, consistency models, SMT, in-order
-  cores, chunked, watchdog-armed and idle-heavy runs;
+* results (``SimulationResult.to_dict``) and full machine state (the
+  reflective walk of ``machine_state.py``) are byte-identical across
+  workloads, consistency models, SMT, in-order cores, chunked,
+  watchdog-armed and idle-heavy runs;
 * the forward-progress watchdog trips at the identical cycle with the
   identical classification (``now`` never skips past a pending
   watchdog deadline);
-* checkpoint-interval boundaries land on the same retired-instruction
-  counts with the same ``now`` and byte-identical snapshots;
+* a run in chunks stops at the same retired-instruction counts with
+  the same ``now`` and byte-identical machine state at every chunk end;
+* the state walk itself sees a one-field change in each major
+  component of an otherwise identical run;
 * the litmus suite yields identical witnesses with and without the
   sanitizer;
 * sanitized runs never take the certifying ``tick_fast`` and plain runs
@@ -27,9 +30,9 @@ oracle.  These tests pin it:
 
 import dataclasses
 import functools
-from collections import OrderedDict, deque
 
 import pytest
+from machine_state import machine_state
 
 from repro.check.invariants import InvariantChecker
 from repro.check.litmus import run_litmus_suite
@@ -45,38 +48,6 @@ from repro.system.machine import Machine, WedgeError
 
 
 # --------------------------------------------------------------- helpers
-
-def canon(obj):
-    """Order-insensitive deep canonical form for snapshot comparison.
-
-    Dicts and sets are sorted (insertion order of an ``OrderedDict`` is
-    semantic -- LRU order -- and preserved); generic objects compare by
-    class name plus attributes.
-    """
-    if isinstance(obj, OrderedDict):
-        return ("od", [(canon(k), canon(v)) for k, v in obj.items()])
-    if isinstance(obj, dict):
-        return ("d", sorted(((canon(k), canon(v))
-                             for k, v in obj.items()), key=repr))
-    if isinstance(obj, (set, frozenset)):
-        return ("s", sorted((canon(x) for x in obj), key=repr))
-    if isinstance(obj, (list, tuple, deque)):
-        return ("l", [canon(x) for x in obj])
-    if isinstance(obj, (int, float, str, bool, bytes, type(None))):
-        return obj
-    attrs = {}
-    if hasattr(obj, "__slots__"):
-        names = []
-        for klass in type(obj).__mro__:
-            names.extend(getattr(klass, "__slots__", ()))
-        for name in names:
-            if hasattr(obj, name):
-                attrs[name] = getattr(obj, name)
-    if hasattr(obj, "__dict__"):
-        attrs.update(obj.__dict__)
-    return (type(obj).__name__,
-            sorted(((k, canon(v)) for k, v in attrs.items()), key=repr))
-
 
 def build_machine(params, workload, seed=0):
     return Machine(params, workload.generators(params.n_nodes,
@@ -96,7 +67,7 @@ def one_run(params, workload, instr, warmup, seed=0, chunks=None):
     else:
         cycles = m.run(instr)
     res = assemble_result(m, workload.name, cycles, instr)
-    return res.to_dict(), canon(m.snapshot())
+    return res.to_dict(), machine_state(m)
 
 
 def assert_identical(params, workload, instr=2500, warmup=1000, seed=0,
@@ -106,7 +77,7 @@ def assert_identical(params, workload, instr=2500, warmup=1000, seed=0,
                       warmup, seed, chunks)
     assert plain[0] == checked[0], "results diverged from the sanitized run"
     assert plain[1] == checked[1], \
-        "snapshots diverged from the sanitized run"
+        "machine state diverged from the sanitized run"
 
 
 BASE = default_system()
@@ -191,12 +162,12 @@ def test_watchdog_trips_at_identical_cycle():
     assert trips[False] == trips[True]
 
 
-# ---------------------------------------------- checkpoint boundaries
+# -------------------------------------------------- chunk boundaries
 
-def test_checkpoint_boundaries_identical():
-    """Interval-chunked runs (the ``--checkpoint-every`` driver loop)
-    stop at the same retired counts with the same ``now`` and
-    byte-identical snapshots with and without the sanitizer."""
+def test_chunked_run_boundaries_identical():
+    """A run in fixed-size chunks (as warmup then measure splits every
+    job) stops at the same retired counts with the same ``now`` and
+    byte-identical machine state with and without the sanitizer."""
     every, target = 600, 3000
     states = {}
     for check in (False, True):
@@ -207,18 +178,88 @@ def test_checkpoint_boundaries_identical():
             boundary = (total // every + 1) * every
             m.run(min(boundary, target) - total)
             total = m.total_retired()
-            boundaries.append((total, m.now, canon(m.snapshot())))
+            boundaries.append((total, m.now, machine_state(m)))
         states[check] = boundaries
     plain, checked = states[False], states[True]
     assert len(plain) == len(checked)
-    for (p_total, p_now, p_snap), (c_total, c_now, c_snap) in \
+    for (p_total, p_now, p_state), (c_total, c_now, c_state) in \
             zip(plain, checked):
         assert p_total == c_total, \
-            "checkpoint boundary hit a different retired count"
+            "chunk boundary hit a different retired count"
         assert p_now == c_now, \
-            "machine time diverged at a checkpoint boundary"
-        assert p_snap == c_snap, \
-            "snapshot diverged at a checkpoint boundary"
+            "machine time diverged at a chunk boundary"
+        assert p_state == c_state, \
+            "machine state diverged at a chunk boundary"
+
+
+# ------------------------------------------------- the state walk
+
+def _set_lru_swap(cache):
+    """Swap the two oldest lines of the first set holding two or more."""
+    lines = next(s for s in cache._sets if len(s) >= 2)
+    oldest = next(iter(lines))
+    lines.move_to_end(oldest)
+    return lambda: lines.move_to_end(oldest, last=False)
+
+
+def _edit(obj, name, change=lambda value: value + 1):
+    """Apply ``change`` to ``obj.name``; returns the undo."""
+    before = getattr(obj, name)
+    setattr(obj, name, change(before))
+    return lambda: setattr(obj, name, before)
+
+
+def _first_directory_entry(memory):
+    return memory._entries[min(memory._entries)]
+
+
+#: One seeded change per major component: (label, change) where the
+#: change edits the machine and returns its undo.
+SEEDED_CHANGES = [
+    ("bpred global history",
+     lambda m: _edit(m.cores[0].bpred, "_g_hist", lambda h: h ^ 1)),
+    ("store buffer count",
+     lambda m: _edit(m.cores[0].storebuf, "stores_pushed")),
+    ("L1D LRU order", lambda m: _set_lru_swap(m.nodes[0].l1d)),
+    ("L2 LRU order", lambda m: _set_lru_swap(m.nodes[1].l2)),
+    ("directory last writer",
+     lambda m: _edit(_first_directory_entry(m.memory), "last_writer")),
+    ("scheduler switches",
+     lambda m: _edit(m.schedulers[0], "context_switches")),
+    ("core sequence number", lambda m: _edit(m.cores[0], "_next_seq")),
+]
+
+
+def test_machine_state_sees_each_seeded_change():
+    """Two identical runs have equal state; a one-field change in any
+    of the seeded components makes them differ, and undoing it makes
+    them equal again."""
+    def run():
+        m = build_machine(BASE, oltp_workload())
+        m.run(1000)
+        m.reset_stats()
+        m.run(2500)
+        return m
+    reference, other = run(), run()
+    expected = machine_state(reference)
+    assert machine_state(other) == expected
+    for label, change in SEEDED_CHANGES:
+        undo = change(other)
+        assert machine_state(other) != expected, \
+            f"machine_state missed a change to the {label}"
+        undo()
+        assert machine_state(other) == expected, label
+
+
+@pytest.mark.parametrize("row", ["oltp", "oltp-inorder", "oltp-smt2"])
+def test_plain_and_sanitized_states_equal(row):
+    """The walk skips exactly what the sanitizer adds: plain and
+    sanitized runs of an OoO, an in-order and an SMT row give equal
+    state."""
+    _name, params, workload, _kw = next(m for m in MATRIX if m[0] == row)
+    plain = one_run(params, workload(), 1500, 500)
+    checked = one_run(params.replace(check=True), workload(), 1500, 500)
+    assert plain == checked
 
 
 # ------------------------------------------------------------ litmus

@@ -1,5 +1,5 @@
 """Tests for the fork-server pool and batched dispatch
-(:mod:`repro.run.forkserver`) plus the profiling harness.
+(:mod:`repro.run.forkserver`).
 
 The delta codec is exercised on real JobSpec dicts, pool persistence
 across calls is checked directly, and the headline guarantee -- a
@@ -16,7 +16,6 @@ from repro.params import default_system
 from repro.run import DEFAULT_POLICY, JobSpec, RetryPolicy, WorkloadSpec, \
     run_many
 from repro.run import forkserver
-from repro.run.profile import format_report, profile_run
 
 TINY = dict(instructions=1200, warmup=400)
 FAST_POLICY = RetryPolicy(retries=4, backoff_base=0.001,
@@ -191,26 +190,3 @@ class TestPoolVsSerial:
                           trace_dir=str(tmp_path))
         assert [r.to_dict() for r in pooled.results] == \
             [r.to_dict() for r in serial.results]
-
-
-class TestProfileHarness:
-    def test_profile_run_smoke(self):
-        report = profile_run("oltp", instructions=800, warmup=400,
-                             seed=0, top=5)
-        assert report["cycles"] > 0
-        assert report["instr_per_s"] > 0
-        assert report["subsystems"], "no subsystem attribution"
-        shares = sum(s["share"] for s in report["subsystems"])
-        assert 0.99 <= shares <= 1.01
-        assert len(report["top_functions"]) <= 5
-        text = format_report(report)
-        assert "instr/s" in text
-
-    def test_profile_arena_comparison_is_identical(self, tmp_path):
-        report = profile_run("oltp", instructions=800, warmup=400,
-                             seed=0, top=3, compare_arena=True,
-                             trace_dir=str(tmp_path))
-        comparison = report["arena"]
-        assert comparison["materialized"] is True
-        assert comparison["identical"] is True
-        assert comparison["arena_bytes"] > 0

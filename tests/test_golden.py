@@ -41,7 +41,8 @@ _HINT_PCS = tuple(0x0100_0000 + 4 * i for i in range(6 * 16))
 
 #: name -> (workload factory, CPUs, instructions hashed per process).
 #: DSS runs one CPU's four processes past the end of their first row
-#: batch (~11k instructions), so its checkpoint path is covered too.
+#: batch (~11k instructions), so the generator's blocking database
+#: checkpoint I/O between batches is covered too.
 TRACE_CASES = {
     "oltp": (oltp_workload, 2, 2000),
     "dss": (dss_workload, 1, 12000),

@@ -1,4 +1,4 @@
-"""Tests for the whole-program contract passes (R010/R011/R012),
+"""Tests for the whole-program contract passes (R011/R012),
 the E001 syntax-error diagnostic, report formats, baselines and the
 static teeth test."""
 
@@ -32,154 +32,6 @@ def _codes(violations):
     return sorted(v.code for v in violations)
 
 
-class TestR010SnapshotCompleteness:
-    def test_missed_tick_attribute_flagged(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def tick(self, now):
-                    self.count = now
-                    self.lost = now + 1
-
-                def snapshot(self):
-                    return {"count": self.count}
-
-                def restore(self, state):
-                    self.count = state["count"]
-            """})
-        assert _codes(violations) == ["R010"]
-        assert "self.lost" in violations[0].message
-
-    def test_restore_recomputed_cache_is_covered(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def tick(self, now):
-                    self.count = now
-                    self._cache = now * 2
-
-                def snapshot(self):
-                    return {"count": self.count}
-
-                def restore(self, state):
-                    self.count = state["count"]
-                    self._cache = self.count * 2
-            """})
-        assert violations == []
-
-    def test_cold_methods_do_not_count(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def __init__(self):
-                    self.wiring = object()
-
-                def reset_stats(self):
-                    self.scratch = 0
-
-                def tick(self, now):
-                    self.count = now
-
-                def snapshot(self):
-                    return {"count": self.count}
-
-                def restore(self, state):
-                    self.count = state["count"]
-            """})
-        assert violations == []
-
-    def test_closure_over_helper_calls(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def tick(self, now):
-                    self._helper(now)
-
-                def _helper(self, now):
-                    self.deep = now
-
-                def snapshot(self):
-                    return {}
-
-                def restore(self, state):
-                    pass
-            """})
-        assert _codes(violations) == ["R010"]
-        assert "self.deep" in violations[0].message
-
-    def test_restore_key_snapshot_never_writes(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def tick(self, now):
-                    self.count = now
-
-                def snapshot(self):
-                    return {"count": self.count}
-
-                def restore(self, state):
-                    self.count = state["count"]
-                    self.other = state.get("other", 0)
-            """})
-        assert _codes(violations) == ["R010"]
-        assert "'other'" in violations[0].message
-
-    def test_snapshot_only_key_is_legal(self, tmp_path):
-        # e.g. Process stores "pid" for external re-linking; restore
-        # ignoring a snapshot key is not a violation.
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def tick(self, now):
-                    self.count = now
-
-                def snapshot(self):
-                    return {"count": self.count, "pid": 7}
-
-                def restore(self, state):
-                    self.count = state["count"]
-            """})
-        assert violations == []
-
-    def test_declared_scratch_is_exempt(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-                    self.tick_quiet = False
-
-                def snapshot(self):
-                    return {"count": self.count}
-
-                def restore(self, state):
-                    self.count = state["count"]
-            """})
-        assert violations == []
-
-    def test_pragma_suppresses_at_write_site(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def tick(self, now):
-                    self.scratch = now  # repro-lint: disable=R010
-
-                def snapshot(self):
-                    return {}
-
-                def restore(self, state):
-                    pass
-            """})
-        assert violations == []
-
-    def test_subscript_store_counts_as_mutation(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"widget.py": """
-            class Widget:
-                def tick(self, now):
-                    self.table[now] = 1
-
-                def snapshot(self):
-                    return {}
-
-                def restore(self, state):
-                    pass
-            """})
-        assert _codes(violations) == ["R010"]
-        assert "self.table" in violations[0].message
-
-
 class TestR011EphemeralPurity:
     def test_ungated_read_flagged(self, tmp_path):
         violations = _lint_sources(tmp_path, {"cpu/core.py": """
@@ -187,12 +39,6 @@ class TestR011EphemeralPurity:
                 def tick(self, now):
                     if self.params.check:
                         self.count = now
-
-                def snapshot(self):
-                    return {"count": self.count}
-
-                def restore(self, state):
-                    self.count = state["count"]
             """})
         assert _codes(violations) == ["R011"]
         assert "'check'" in violations[0].message
@@ -443,9 +289,9 @@ class TestReportFormats:
         assert "R001" in out and "R004" not in out
 
     def test_explain_known_rule(self):
-        text = explain_rule("R010")
-        assert text.startswith("R010")
-        assert "snapshot" in text
+        text = explain_rule("R012")
+        assert text.startswith("R012")
+        assert "tick_fast" in text
         assert "whole-program" in text
 
     def test_explain_unknown_rule(self):

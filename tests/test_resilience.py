@@ -82,8 +82,6 @@ def clean_runner(monkeypatch):
     monkeypatch.setattr(repro.run, "_manifest", None)
     monkeypatch.setattr(repro.run, "_policy", DEFAULT_POLICY)
     monkeypatch.setattr(repro.run, "_resume", False)
-    monkeypatch.setattr(repro.run, "_checkpoint_every",
-                        repro.run.DEFAULT_CHECKPOINT_EVERY)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
@@ -612,13 +610,25 @@ class TestSweepManifest:
         attempts_before = {spec.fingerprint():
                            manifest.get(spec.fingerprint()).attempts
                            for spec in specs[:4]}
+        # The manifest as a checkout with mid-job checkpoints wrote it:
+        # every attempt-log entry carries a nonzero resume offset.
+        path = cache.path / MANIFEST_NAME
+        raw = json.loads(path.read_text())
+        for job in raw["jobs"]:
+            for entry in job["attempt_log"]:
+                entry["start_offset"] = 80001
+        path.write_text(json.dumps(raw))
         # A "new process" after the kill: reload the manifest from disk.
-        reloaded = SweepManifest(cache.path / MANIFEST_NAME)
-        assert len(reloaded) == 4
+        reloaded = SweepManifest(path)
+        assert len(reloaded) == 4 and reloaded.load_error is None
+        assert "resumed@" not in reloaded.format_status()
         second = run_many(specs, jobs=1, cache=cache, manifest=reloaded,
                           resume=True)
         assert not second.failures
         assert second.cache_hits == 4   # completed jobs did not re-run
+        assert [r.to_dict() for r in second.results[:4]] == \
+            [r.to_dict() for r in first.results]
+        assert "start_offset" not in path.read_text()
         for spec in specs[:4]:
             record = reloaded.get(spec.fingerprint())
             assert record.status == "done" and record.cached

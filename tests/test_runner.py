@@ -205,13 +205,18 @@ class TestRunnerDefaults:
         monkeypatch.setattr(repro.run, "_jobs", 2)
         before = repro.run.runner_state()
         repro.run.configure(dispatch="local", workers=())
+        repro.run.configure(checkpoint_every=100_000)
+        repro.run.configure(checkpoint_every=0)
         assert repro.run.runner_state() == before
+        assert not hasattr(before, "checkpoint_every")
         assert not hasattr(before, "dispatch")
         assert not hasattr(before, "workers")
         with pytest.raises(ValueError, match="removed"):
             repro.run.configure(jobs=4, dispatch="fabric")
         with pytest.raises(ValueError, match="removed"):
             repro.run.configure(jobs=4, workers=("spawn:2",))
+        with pytest.raises(ValueError, match="removed"):
+            repro.run.configure(jobs=4, checkpoint_every=-1)
         # A rejected call applies none of its other arguments.
         assert repro.run.runner_state() == before
 
