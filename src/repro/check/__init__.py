@@ -7,19 +7,19 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
   machine's coherence directory, caches, store buffers and cores and
   validates protocol/ordering/accounting invariants on every transition.
   Enabled via ``SystemParams.check``.  A sanitized run takes the same
-  main loop with tick certification off, stepping every core through
-  the reference ``ProcessorCore.tick`` at every grid point, so it is
-  also the oracle the certified-skip path must match byte for byte
-  (``tests/test_fastpath.py``, and ``run_litmus_suite`` with and
-  without ``check``).
+  main loop and the same ``ProcessorCore.tick`` with tick skipping
+  off, stepping every core at every grid point, so the sanitizer
+  checks the code plain runs execute and the sanitized run is the
+  oracle skipping must match byte for byte (``tests/test_fastpath.py``,
+  and ``run_litmus_suite`` with and without ``check``).
 * :mod:`repro.check.litmus` -- hand-written consistency litmus traces
   (message passing, Dekker/store buffering, migratory handoff) replayed
   on small machines, asserting each consistency model forbids or allows
   the right outcomes.
 * :mod:`repro.check.lint` -- static analysis for the simulator sources
   (``repro lint``): per-file determinism rules plus whole-program
-  contract passes (ephemeral-parameter purity, tick-surface
-  equivalence, durable-write discipline).
+  contract rules (ephemeral-parameter purity, durable-write
+  discipline).
 
 :mod:`repro.check.mutations` seeds deliberate protocol bugs and proves
 the sanitizer and litmus harness detect every one of them (the

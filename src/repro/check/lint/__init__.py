@@ -3,8 +3,8 @@
 The simulator's claims rest on bit-exact reproducibility: identical
 configurations must produce identical cycle counts on any host, any
 Python build, any process.  The single-file rules catch the ways Python
-lets nondeterminism creep in; the whole-program contract passes audit
-the conventions the caching and tick-skipping subsystems rely on:
+lets nondeterminism creep in; the contract rules audit the conventions
+the result cache and the durable-state layer rely on:
 
 ======  ==================================================================
 code    rule
@@ -36,9 +36,6 @@ R007    no membership tests (``x in d``) or attribute-chain lookups
 R011    ephemeral-parameter purity: ``SystemParams`` fields are either
         fingerprinted configuration or on the explicit ephemeral
         registry, and ephemeral fields are only read at approved gates
-R012    tick-surface equivalence: ``tick`` and ``tick_fast`` +
-        ``settle`` write the same attribute surface, modulo declared
-        certification scratch
 R013    durable writes go through :mod:`repro.run.atomicio`: no bare
         ``open(..., "w")``, ``os.replace``/``os.rename`` or
         ``Path.write_text``/``write_bytes`` inside ``repro/run/`` or

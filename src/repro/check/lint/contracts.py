@@ -1,13 +1,10 @@
-"""Whole-program contract passes: R011, R012.
+"""Whole-program contract pass: R011.
 
-Each pass audits a convention the repo's headline claims rest on:
+**R011** audits a convention the repo's headline claims rest on:
+fingerprint-stable caching requires ephemeral ``SystemParams`` fields
+to stay out of simulation behaviour.
 
-* **R011** -- fingerprint-stable caching requires ephemeral
-  ``SystemParams`` fields to stay out of simulation behaviour;
-* **R012** -- certified tick skipping requires ``tick`` and
-  ``tick_fast`` + ``settle`` to touch the same attribute surface.
-
-The deliberate exceptions are declared here, next to the passes, each
+The deliberate exceptions are declared here, next to the pass, each
 with its justification: an auditor reading this module sees the whole
 trust surface in one place.
 """
@@ -16,10 +13,10 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.check.lint.registry import LintViolation
-from repro.check.lint.symbols import ClassInfo, ModuleInfo, ProgramIndex
+from repro.check.lint.symbols import ModuleInfo, ProgramIndex
 
 #: The ephemeral registry (R011): SystemParams fields that configure
 #: tooling rather than the simulated machine.  Must match
@@ -41,19 +38,6 @@ EPHEMERAL_READ_GATES: Dict[str, FrozenSet[str]] = {
     "run/triage.py": frozenset({"write_bundle"}),   # bundles re-arm the
                                                     # watchdog on replay
 }
-
-#: Write-surface pairs (R012).  ``allowed_fast_extra`` lists the
-#: certification scratch only the certifying path writes; the
-#: reference tick never reads it, and it is not machine state (the
-#: identity oracle's ``machine_state`` walk skips it too).
-SURFACE_PAIRS = (
-    {"class": "ProcessorCore",
-     "reference": ("tick",),
-     "fast": ("tick_fast", "settle"),
-     "allowed_fast_extra": frozenset({"tick_quiet",
-                                      "storebuf.drain_activity"})},
-)
-
 
 def _norm(path: str) -> str:
     return path.replace(os.sep, "/")
@@ -108,19 +92,19 @@ def _check_ephemeral_registry(module: ModuleInfo
 
     system_params = module.classes.get("SystemParams")
     if system_params is not None and path.endswith("params.py"):
-        fields = {stmt.target.id for stmt in system_params.node.body
+        fields = {stmt.target.id for stmt in system_params.body
                   if isinstance(stmt, ast.AnnAssign) and
                   isinstance(stmt.target, ast.Name)}
         stray = EPHEMERAL_REGISTRY - fields
         if stray:
             violations.append(LintViolation(
-                module.path, system_params.node.lineno, "R011",
+                module.path, system_params.lineno, "R011",
                 f"ephemeral registry names non-existent SystemParams "
                 f"field(s) {sorted(stray)}"))
         declared = _module_assignment(module, "EPHEMERAL_FIELDS")
         if declared is None:
             violations.append(LintViolation(
-                module.path, system_params.node.lineno, "R011",
+                module.path, system_params.lineno, "R011",
                 "params.py must declare EPHEMERAL_FIELDS (the explicit "
                 "ephemeral registry) next to SystemParams"))
         else:
@@ -179,67 +163,13 @@ def _check_ephemeral_reads(index: ProgramIndex,
     return violations
 
 
-# --------------------------------------------------------------------- R012
-
-def _surface(cls: ClassInfo, roots: Sequence[str]) -> Set[str]:
-    writes: Set[str] = set()
-    for name in cls.closure(roots):
-        writes |= set(cls.methods[name].dotted_writes)
-    return writes
-
-
-def _check_tick_surfaces(index: ProgramIndex,
-                         classes: Dict[str, ClassInfo]
-                         ) -> List[LintViolation]:
-    violations: List[LintViolation] = []
-    for pair in SURFACE_PAIRS:
-        cls = classes.get(pair["class"])
-        if cls is None:
-            continue
-        # A pair only binds when its whole surface exists: a class
-        # implementing just a subset (another repo layout, a synthetic
-        # test double) has nothing meaningful to compare.
-        ref_roots = list(pair["reference"])
-        fast_roots = list(pair["fast"])
-        if not all(r in cls.methods for r in ref_roots) or \
-                not all(r in cls.methods for r in fast_roots):
-            continue
-        ref_surface = _surface(cls, ref_roots)
-        fast_surface = _surface(cls, fast_roots)
-        anchor = cls.methods[fast_roots[0]].node
-        if index.suppressed(cls.path, anchor, "R012"):
-            continue
-        ref_label = "/".join(pair["reference"])
-        fast_label = "/".join(pair["fast"])
-        extra = fast_surface - ref_surface - pair["allowed_fast_extra"]
-        if extra:
-            violations.append(LintViolation(
-                cls.path, anchor.lineno, "R012",
-                f"{cls.name}.{fast_label} writes "
-                f"{sorted(extra)} which the reference path "
-                f"({ref_label}) never writes -- the two tick paths' "
-                f"write surfaces have diverged"))
-        missing = ref_surface - fast_surface
-        if missing:
-            violations.append(LintViolation(
-                cls.path, anchor.lineno, "R012",
-                f"{cls.name}.{ref_label} writes {sorted(missing)} "
-                f"but the fast path ({fast_label}) never does -- "
-                f"certified skipping would lose those updates"))
-    return violations
-
-
 # ------------------------------------------------------------------ driver
 
 def run_contracts(index: ProgramIndex) -> List[LintViolation]:
     """All whole-program passes over one :class:`ProgramIndex`."""
     violations: List[LintViolation] = []
-    classes_by_name: Dict[str, ClassInfo] = {}
     for module in index.files.values():
         violations.extend(_check_ephemeral_registry(module))
         violations.extend(_check_ephemeral_reads(index, module))
-        for cls in module.classes.values():
-            classes_by_name.setdefault(cls.name, cls)
-    violations.extend(_check_tick_surfaces(index, classes_by_name))
     violations.sort(key=lambda v: (v.path, v.line, v.code, v.message))
     return violations

@@ -150,32 +150,6 @@ RULE_TABLE = (
         as usual.
         """)),
     Rule(
-        "R012",
-        "tick write-surfaces diverge (tick vs tick_fast + settle)",
-        "program",
-        _explain("""
-        Contract: certified tick skipping is byte-identical to ticking
-        every core at every grid point.  ``Machine.run`` steps a core
-        through ``ProcessorCore.tick_fast`` and skips it while its last
-        tick was a certified no-op, crediting the skipped cycles in the
-        next tick or in ``settle`` at exit; sanitized runs
-        (``check=True``) step every core through the reference
-        ``tick`` instead, which is the oracle the identity tests
-        compare against.  The attribute-write surface (every plain
-        ``self.X`` / ``self.X.Y`` assignment, aliases resolved, closed
-        over intra-class calls) of ``tick`` must therefore equal that
-        of ``tick_fast`` + ``settle``.  A fast-only write (or a
-        reference write the fast path lost) is a divergence waiting for
-        an input that exercises it -- caught here without running a
-        simulation.
-
-        Known asymmetries are declared next to the pass
-        (``repro.check.lint.contracts.SURFACE_PAIRS``): the fast side
-        may additionally write its certification scratch
-        (``tick_quiet``, ``storebuf.drain_activity``), which the
-        reference tick never reads.
-        """)),
-    Rule(
         "R013",
         "durable write bypassing repro.run.atomicio",
         "file",

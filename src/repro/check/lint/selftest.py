@@ -53,19 +53,6 @@ def _raw_durable_write(source: str) -> str:
         "        fh.write(text)\n")
 
 
-def _fast_only_write(source: str) -> str:
-    """Insert a fast-path-only attribute write into tick_fast()."""
-    pattern = re.compile(r"^(    def tick_fast\(self\b[^\n]*\n)",
-                         re.MULTILINE)
-    mutated, count = pattern.subn(
-        r"\1        self._fast_scratch = 0\n", source, count=1)
-    if count != 1:
-        raise AssertionError(
-            "mutation anchor 'def tick_fast(self' not found in "
-            "cpu/core.py -- update the static teeth test")
-    return mutated
-
-
 #: name -> (description, target path relative to the lint root,
 #:          source transformer, rule code expected to fire)
 STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
@@ -75,12 +62,6 @@ STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
         os.path.join("cpu", "core.py"),
         _ephemeral_read_in_tick,
         "R011"),
-    "fast-only-write": (
-        "write self._fast_scratch only in tick_fast() -- a tick "
-        "write-surface divergence",
-        os.path.join("cpu", "core.py"),
-        _fast_only_write,
-        "R012"),
     "raw-durable-write": (
         "publish a cache file with bare open(..., 'w') in run/cache.py "
         "-- a durable write dodging atomicio's tmp + rename dance",

@@ -145,26 +145,17 @@ class SmtCore:
 
     # -- execution ----------------------------------------------------------
 
-    def tick(self, now: int) -> int:
-        self.shared.refresh(now)
-        next_event = FAR_FUTURE
-        for ctx in self.contexts:
-            t = ctx.tick(now)
-            if t < next_event:
-                next_event = t
-        return next_event
-
-    # True iff every context's most recent tick_fast() was a no-op, in
-    # which case the whole-core tick only refreshed the (unconsumed)
-    # shared pools -- which settle() reproduces at the skipped-to cycle.
+    # True iff every context's most recent tick() was a no-op, in which
+    # case the whole-core tick only refreshed the (unconsumed) shared
+    # pools -- which settle() reproduces at the skipped-to cycle.
     tick_quiet = False
 
-    def tick_fast(self, now: int) -> int:
+    def tick(self, now: int) -> int:
         self.shared.refresh(now)
         next_event = FAR_FUTURE
         quiet = True
         for ctx in self.contexts:
-            t = ctx.tick_fast(now)
+            t = ctx.tick(now)
             if t < next_event:
                 next_event = t
             if not ctx.tick_quiet:

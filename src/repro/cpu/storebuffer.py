@@ -50,7 +50,7 @@ class StoreBuffer:
         self.stores_pushed = 0
         self.barriers_pushed = 0
         # Set by drain() when a pass changed state (pops, issues, retry
-        # reschedules, prefetches).  ProcessorCore.tick_fast resets it
+        # reschedules, prefetches).  ProcessorCore.tick resets it
         # before calling drain and reads it afterwards to certify no-op
         # ticks; it is scratch, not machine state.
         self.drain_activity = False

@@ -5,7 +5,7 @@ sweep manifest, trace arenas, triage bundles, and the gc journal --
 used to carry its own copy of the same tmp + rename
 dance.  This module is the single implementation: one write primitive
 (``mkstemp`` in the target directory, write, flush, fsync, ``os.replace``,
-directory fsync), one sha256 framing scheme for binary artifacts, one
+directory fsync), one checksummed JSON format for side-state, one
 quarantine helper for corrupt files, and one orphaned-``*.tmp`` sweeper.
 
 Durability policy is declared per call:
@@ -74,7 +74,7 @@ class CriticalWriteError(OSError):
 
 
 class FramedReadError(ValueError):
-    """A framed or checked artifact failed magic/checksum validation."""
+    """A checked artifact failed format/checksum validation."""
 
 
 class DurabilityWarning(RuntimeWarning):
@@ -248,42 +248,6 @@ def atomic_write_json(path: Union[str, Path], payload: Any, *,
                              stacklevel=stacklevel)
 
 
-# --------------------------------------------------------------- framing
-
-def write_framed(path: Union[str, Path], magic: bytes, blob: bytes, *,
-                 category: str, critical: bool = False,
-                 fsync: bool = True, plan: Any = _UNSET) -> bool:
-    """Write ``magic + sha256(blob) + blob`` atomically.
-
-    The standard binary framing: a fixed magic string, the 64-hex ascii digest of the payload, then the payload.
-    """
-    digest = hashlib.sha256(blob).hexdigest().encode("ascii")
-    return atomic_write_bytes(path, magic + digest + blob,
-                              category=category, critical=critical,
-                              fsync=fsync, plan=plan, stacklevel=4)
-
-
-def read_framed(path: Union[str, Path], magic: bytes) -> bytes:
-    """Read and verify a framed file; the payload on success.
-
-    Raises :class:`FramedReadError` on bad magic or checksum mismatch
-    and ``OSError`` when the file cannot be read at all.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:len(magic)] != magic:
-        raise FramedReadError(f"bad magic {data[:len(magic)]!r}")
-    stored = data[len(magic):len(magic) + 64]
-    blob = data[len(magic) + 64:]
-    computed = hashlib.sha256(blob).hexdigest().encode("ascii")
-    if computed != stored:
-        raise FramedReadError(
-            f"checksum mismatch (stored "
-            f"{stored[:12].decode('ascii', 'replace')}..., computed "
-            f"{computed[:12].decode('ascii')}...)")
-    return blob
-
-
 def body_checksum(body: Any) -> str:
     """Canonical sha256 over a JSON-serialisable body."""
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
@@ -295,9 +259,9 @@ def write_checked_json(path: Union[str, Path], body: Any, *,
                        plan: Any = _UNSET) -> bool:
     """Write ``{"format", "checksum", "body"}`` JSON atomically.
 
-    The JSON sibling of :func:`write_framed`: the stored checksum is
-    over the canonical encoding of ``body``, so the recovery audit can
-    verify the artifact without knowing its schema.
+    The stored checksum is over the canonical encoding of ``body``, so
+    the recovery audit can verify the artifact without knowing its
+    schema.
     """
     payload = {"format": CHECKED_JSON_FORMAT,
                "checksum": body_checksum(body),

@@ -169,10 +169,10 @@ class Machine:
 
         Sanitized runs (``params.check``) walk the same grid with
         certification off: every core is due at every grid point and is
-        stepped through the reference ``tick``, which the invariant
-        checker wraps.  Because every wake a skipped core contributes to
-        the grid is the value its own tick would have returned, both
-        modes visit the same grid -- every cycle count, stall breakdown,
+        stepped through the same ``tick``, which the invariant checker
+        wraps.  Because every wake a skipped core contributes to the
+        grid is the value its own tick would have returned, both modes
+        visit the same grid -- every cycle count, stall breakdown,
         watchdog trip and machine state is byte-identical.
 
         Scheduler-wake invariant: only dispatch (``_dispatch_if_idle``)
@@ -193,11 +193,9 @@ class Machine:
         now = self.now
         smt = self.params.processor.smt_contexts > 1
         certify = self.checker is None
-        # Each core's step function, bound once per call: the certifying
-        # tick_fast, or the reference tick (the checker wraps it per
-        # instance) with certification off.
-        stepped = [(cpu, core, core.tick_fast if certify else core.tick)
-                   for cpu, core in indexed_cores]
+        # Each core's step function, bound once per call (under the
+        # sanitizer that is the checker's per-instance wrapper).
+        stepped = [(cpu, core, core.tick) for cpu, core in indexed_cores]
         # Flat per-core event state, indexed by cpu: the last wake each
         # core reported, whether that wake is certified (the core may be
         # skipped until then), the retired count last observed (for an

@@ -251,7 +251,7 @@ class TestDriver:
     def test_rule_catalog(self):
         assert set(RULES) == {"R001", "R002", "R003", "R004", "R005",
                               "R006", "R007",
-                              "R011", "R012", "R013"}
+                              "R011", "R013"}
 
 
 class TestR006HotPathAllocation:

@@ -3,7 +3,7 @@
 ``Machine.run`` ticks a core at a grid point only when something can
 happen there, and credits the skipped cycles to the core's unchanged
 stall category.  A sanitized run (``check=True``) takes the same loop
-with certification off: every core is stepped through the reference
+with certification off: every core is stepped through
 ``ProcessorCore.tick`` at every grid point.  The whole contract of
 skipping is *instruction-for-instruction equivalence* with that
 oracle.  These tests pin it:
@@ -21,11 +21,14 @@ oracle.  These tests pin it:
   component of an otherwise identical run;
 * the litmus suite yields identical witnesses with and without the
   sanitizer;
-* sanitized runs never take the certifying ``tick_fast`` and plain runs
-  do; there is no backend option, and the sanitizer does not change a
-  job's cache fingerprint;
+* both modes step cores through the one ``ProcessorCore.tick`` (under
+  the sanitizer, through the checker's wrapper); there is no backend
+  option, and the sanitizer does not change a job's cache fingerprint;
 * skipping is actually engaged: a plain run ticks far fewer times than
-  the sanitized one.
+  the sanitized one;
+* the guards inside ``tick`` match the unguarded reference step of
+  ``reference_tick.py`` on every matrix row (plain and sanitized runs
+  share ``tick``, so only that reference can catch a wrong guard).
 """
 
 import dataclasses
@@ -33,6 +36,7 @@ import functools
 
 import pytest
 from machine_state import machine_state
+from reference_tick import reference_tick
 
 from repro.check.invariants import InvariantChecker
 from repro.check.litmus import run_litmus_suite
@@ -130,11 +134,9 @@ KNOWN_DEFECT_ROW = "oltp-pc-prefetch"
 KNOWN_DEFECT = "without exclusive ownership"
 
 
-@pytest.mark.parametrize("name,params,workload,kw",
-                         MATRIX, ids=[m[0] for m in MATRIX])
-def test_backend_identity(name, params, workload, kw, monkeypatch):
-    """The two ways ``Machine.run`` executes -- certified skipping and
-    the sanitized reference walk -- are byte-identical."""
+def assert_row_identical(name, params, workload, kw, monkeypatch):
+    """:func:`assert_identical` on one ``MATRIX`` row, recording the
+    known defect's sanitizer violations on its row instead of raising."""
     if name != KNOWN_DEFECT_ROW:
         assert_identical(params, workload(), **kw)
         return
@@ -144,6 +146,33 @@ def test_backend_identity(name, params, workload, kw, monkeypatch):
     assert_identical(params, workload(), **kw)
     assert seen, "the known prefetch defect is gone: drop this special case"
     assert all(KNOWN_DEFECT in message for message in seen), seen
+
+
+@pytest.mark.parametrize("name,params,workload,kw",
+                         MATRIX, ids=[m[0] for m in MATRIX])
+def test_backend_identity(name, params, workload, kw, monkeypatch):
+    """The two ways ``Machine.run`` executes -- certified skipping and
+    the sanitized walk of every grid point -- are byte-identical."""
+    assert_row_identical(name, params, workload, kw, monkeypatch)
+
+
+@pytest.mark.parametrize("name,params,workload,kw",
+                         MATRIX, ids=[m[0] for m in MATRIX])
+def test_guards_match_unguarded_reference(name, params, workload, kw,
+                                          monkeypatch):
+    """A plain run (guarded ``tick``, skipping on) is byte-identical to
+    a sanitized run whose physical cores step through the unguarded
+    :func:`reference_tick`, installed before the checker wraps them."""
+    attach = InvariantChecker.attach
+
+    def attach_over_reference(self):
+        for core in self.machine.cores:
+            for physical in core.physical_cores():
+                physical.tick = functools.partial(reference_tick,
+                                                  physical)
+        attach(self)
+    monkeypatch.setattr(InvariantChecker, "attach", attach_over_reference)
+    assert_row_identical(name, params, workload, kw, monkeypatch)
 
 
 # ----------------------------------------------- watchdog equivalence
@@ -274,30 +303,26 @@ def test_litmus_witnesses_identical():
 
 # ---------------------------------------------------- execution gating
 
-def test_sanitized_runs_decline_fast(monkeypatch):
-    """check=True steps every core through the reference ``tick``: the
-    sanitizer's wrappers assume every core is polled every grid
-    cycle."""
-    def boom(self, now):
-        raise AssertionError("tick_fast used under the sanitizer")
-    monkeypatch.setattr(ProcessorCore, "tick_fast", boom)
-    params = BASE.replace(check=True, n_nodes=1, mesh_width=1)
-    m = build_machine(params, oltp_workload())
-    m.run(300)  # must not hit the patched certifying tick
-
-
-def test_fast_backend_is_dispatched(monkeypatch):
-    """Plain runs step cores through the certifying ``tick_fast``."""
+def test_both_modes_step_through_tick(monkeypatch):
+    """Plain and sanitized runs both step cores through
+    ``ProcessorCore.tick``; under the sanitizer every call goes through
+    the checker's ``_wrap_tick``, so ``checker.checks`` grows with it."""
     calls = []
-    original = ProcessorCore.tick_fast
+    original = ProcessorCore.tick
 
     def spy(self, now):
         calls.append(now)
         return original(self, now)
-    monkeypatch.setattr(ProcessorCore, "tick_fast", spy)
-    m = build_machine(BASE, oltp_workload())
-    m.run(300)
-    assert calls, "a plain run never reached tick_fast"
+    monkeypatch.setattr(ProcessorCore, "tick", spy)
+    for check in (False, True):
+        calls.clear()
+        params = BASE.replace(check=check, n_nodes=1, mesh_width=1)
+        m = build_machine(params, oltp_workload())
+        m.run(300)
+        assert calls, f"a check={check} run never reached tick"
+        if check:
+            assert "_wrap_tick" in m.cores[0].tick.__qualname__
+            assert m.checker.checks >= len(calls)
 
 
 def test_backend_validation():
@@ -325,26 +350,24 @@ def test_backend_is_ephemeral_for_fingerprints():
 
 def test_plain_runs_skip_ticks(monkeypatch):
     """Skipping is engaged on the plain path: on a 2.5k-instruction
-    OLTP run it makes fewer than half as many ``tick_fast`` calls as
-    the sanitized run makes ``tick`` calls (which tick every core at
-    every grid point), while retiring identically."""
-    calls = {"tick": 0, "tick_fast": 0}
+    OLTP run it makes fewer than half as many ``tick`` calls as the
+    sanitized run (which ticks every core at every grid point), while
+    retiring identically."""
+    calls = {False: 0, True: 0}
+    mode = [False]
+    original = ProcessorCore.tick
 
-    def counted(name):
-        original = getattr(ProcessorCore, name)
-
-        def wrapper(self, now):
-            calls[name] += 1
-            return original(self, now)
-        monkeypatch.setattr(ProcessorCore, name, wrapper)
-    counted("tick")
-    counted("tick_fast")
+    def counted(self, now):
+        calls[mode[0]] += 1
+        return original(self, now)
+    monkeypatch.setattr(ProcessorCore, "tick", counted)
 
     ends = {}
     for check in (False, True):
+        mode[0] = check
         m = build_machine(BASE.replace(check=check), oltp_workload())
         m.run(2500)
         ends[check] = (m.now, m.total_retired())
     assert ends[False] == ends[True]
-    assert calls["tick"] > 0 and calls["tick_fast"] > 0
-    assert calls["tick_fast"] * 2 < calls["tick"], calls
+    assert calls[False] > 0 and calls[True] > 0
+    assert calls[False] * 2 < calls[True], calls

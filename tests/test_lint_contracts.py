@@ -1,4 +1,4 @@
-"""Tests for the whole-program contract passes (R011/R012),
+"""Tests for the whole-program contract pass (R011),
 the E001 syntax-error diagnostic, report formats, baselines and the
 static teeth test."""
 
@@ -107,97 +107,6 @@ class TestR011EphemeralPurity:
         assert repro.params_io._EPHEMERAL == EPHEMERAL_REGISTRY
 
 
-class TestR012BackendSurfaces:
-    def test_fast_only_write_flagged(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-
-                def tick_fast(self, now):
-                    self.count = now
-                    self.extra = 1
-
-                def settle(self, now):
-                    pass
-            """})
-        assert _codes(violations) == ["R012"]
-        assert "'extra'" in violations[0].message
-
-    def test_reference_only_write_flagged(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-                    self.only_ref = 1
-
-                def tick_fast(self, now):
-                    self.count = now
-
-                def settle(self, now):
-                    pass
-            """})
-        assert _codes(violations) == ["R012"]
-        assert "'only_ref'" in violations[0].message
-
-    def test_settle_completes_the_fast_surface(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-                    self.gap = 0
-
-                def tick_fast(self, now):
-                    self.count = now
-
-                def settle(self, now):
-                    self.gap = 0
-            """})
-        assert violations == []
-
-    def test_alias_resolved_dotted_write(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.storebuf.flag = True
-
-                def tick_fast(self, now):
-                    sb = self.storebuf
-                    sb.flag = True
-
-                def settle(self, now):
-                    pass
-            """})
-        assert violations == []
-
-    def test_allowed_certification_scratch(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-
-                def tick_fast(self, now):
-                    self.count = now
-                    self.tick_quiet = True
-                    self.storebuf.drain_activity = False
-
-                def settle(self, now):
-                    pass
-            """})
-        assert violations == []
-
-    def test_other_class_names_not_audited(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class SomethingElse:
-                def tick(self, now):
-                    self.count = now
-
-                def tick_fast(self, now):
-                    pass
-            """})
-        assert violations == []
-
-
 class TestSyntaxErrorDiagnostic:
     def test_e001_instead_of_traceback(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -289,9 +198,9 @@ class TestReportFormats:
         assert "R001" in out and "R004" not in out
 
     def test_explain_known_rule(self):
-        text = explain_rule("R012")
-        assert text.startswith("R012")
-        assert "tick_fast" in text
+        text = explain_rule("R011")
+        assert text.startswith("R011")
+        assert "EPHEMERAL_READ_GATES" in text
         assert "whole-program" in text
 
     def test_explain_unknown_rule(self):
@@ -312,10 +221,10 @@ class TestStaticTeeth:
         assert missed == [], [str(r) for r in missed]
 
     def test_result_format(self):
-        results = run_static_teeth_test(["fast-only-write"])
+        results = run_static_teeth_test(["raw-durable-write"])
         assert len(results) == 1
-        assert str(results[0]).startswith("[DETECTED] fast-only-write")
-        assert "R012" in results[0].detail
+        assert str(results[0]).startswith("[DETECTED] raw-durable-write")
+        assert "R013" in results[0].detail
 
     def test_real_tree_is_clean(self):
         violations, checked = lint_paths([default_lint_root()])

@@ -98,16 +98,16 @@ class MidRunFault(RuntimeError):
 
 
 def fail_after_ticks(monkeypatch, ticks):
-    """Make the certifying tick raise once it has run ``ticks`` times."""
-    original = ProcessorCore.tick_fast
+    """Make the core step raise once it has run ``ticks`` times."""
+    original = ProcessorCore.tick
     calls = [0]
 
-    def tick_fast(self, now):
+    def tick(self, now):
         calls[0] += 1
         if calls[0] > ticks:
             raise MidRunFault(f"test fault at cycle {now}")
         return original(self, now)
-    monkeypatch.setattr(ProcessorCore, "tick_fast", tick_fast)
+    monkeypatch.setattr(ProcessorCore, "tick", tick)
 
 
 class TestTriageBundles:
