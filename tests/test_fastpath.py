@@ -303,10 +303,9 @@ def test_litmus_witnesses_identical():
 
 # ---------------------------------------------------- execution gating
 
-def test_both_modes_step_through_tick(monkeypatch):
-    """Plain and sanitized runs both step cores through
-    ``ProcessorCore.tick``; under the sanitizer every call goes through
-    the checker's ``_wrap_tick``, so ``checker.checks`` grows with it."""
+def run_spying_on_tick(monkeypatch, check):
+    """Run a 1-node OLTP machine for 300 instructions with a spy on
+    ``ProcessorCore.tick``; return the machine and the spied cycles."""
     calls = []
     original = ProcessorCore.tick
 
@@ -314,15 +313,29 @@ def test_both_modes_step_through_tick(monkeypatch):
         calls.append(now)
         return original(self, now)
     monkeypatch.setattr(ProcessorCore, "tick", spy)
-    for check in (False, True):
-        calls.clear()
-        params = BASE.replace(check=check, n_nodes=1, mesh_width=1)
-        m = build_machine(params, oltp_workload())
-        m.run(300)
-        assert calls, f"a check={check} run never reached tick"
-        if check:
-            assert "_wrap_tick" in m.cores[0].tick.__qualname__
-            assert m.checker.checks >= len(calls)
+    params = BASE.replace(check=check, n_nodes=1, mesh_width=1)
+    m = build_machine(params, oltp_workload())
+    m.run(300)
+    return m, calls
+
+
+def test_sanitized_runs_decline_fast(monkeypatch):
+    """A sanitized run steps cores through ``ProcessorCore.tick`` only
+    via the checker's ``_wrap_tick``, so ``checker.checks`` grows with
+    every call."""
+    m, calls = run_spying_on_tick(monkeypatch, check=True)
+    assert calls, "a check=True run never reached tick"
+    assert "_wrap_tick" in m.cores[0].tick.__qualname__
+    assert m.checker.checks >= len(calls)
+
+
+def test_fast_backend_is_dispatched(monkeypatch):
+    """A plain run steps cores through ``ProcessorCore.tick`` directly,
+    with no checker in between."""
+    m, calls = run_spying_on_tick(monkeypatch, check=False)
+    assert calls, "a check=False run never reached tick"
+    assert m.checker is None
+    assert "_wrap_tick" not in m.cores[0].tick.__qualname__
 
 
 def test_backend_validation():
