@@ -27,7 +27,7 @@ from repro.cpu.consistency import ConsistencyUnit
 from repro.cpu.core import ProcessorCore
 from repro.mem.coherence import CoherentMemory
 from repro.params import ConsistencyImpl, ConsistencyModel, default_system
-from repro.stats.breakdown import ExecutionBreakdown
+from repro.stats.breakdown import BUSY, ExecutionBreakdown
 from repro.system.machine import WedgeError
 
 
@@ -114,18 +114,31 @@ def mutate_time_warp():
 
 @contextlib.contextmanager
 def mutate_lost_stall_time():
-    """Half of every stall cycle vanishes from the execution-time
-    breakdown (the paper's accounting no longer conserves time)."""
-    orig = ExecutionBreakdown.stall
+    """Half of the stall time charged through ``ExecutionBreakdown.stall``
+    (gap crediting, idle, settle) and at retirement vanishes from the
+    execution-time breakdown (the paper's accounting no longer conserves
+    time)."""
+    orig_stall = ExecutionBreakdown.stall
+    orig_retire = ProcessorCore._retire
 
     def stall(self, category, cycles):
-        orig(self, category, cycles * 0.5)
+        orig_stall(self, category, cycles * 0.5)
+
+    def retire(self, now):
+        cycles = self.stats.cycles
+        charged = list(cycles)
+        orig_retire(self, now)
+        for category, was in enumerate(charged):
+            if category != BUSY:
+                cycles[category] -= (cycles[category] - was) * 0.5
 
     ExecutionBreakdown.stall = stall
+    ProcessorCore._retire = retire
     try:
         yield
     finally:
-        ExecutionBreakdown.stall = orig
+        ExecutionBreakdown.stall = orig_stall
+        ProcessorCore._retire = orig_retire
 
 
 @contextlib.contextmanager
@@ -236,7 +249,8 @@ MUTATIONS: Dict[str, tuple] = {
         _oltp_detector()),
     "lost-stall": (
         mutate_lost_stall_time,
-        "half of every stall cycle vanishes from the breakdown",
+        "half of the stall time charged by stall() and at retirement "
+        "vanishes from the breakdown",
         _oltp_detector()),
     "lost-lock-release": (
         mutate_lost_lock_release,

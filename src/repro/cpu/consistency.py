@@ -25,6 +25,8 @@ Three implementations per model, cumulative:
 
 The unit tracks in-window memory operations in program order and answers
 "may this operation perform now?"; the core owns issue/retire mechanics.
+Under RC every answer is "yes" and no load is ever speculative, so the
+core never consults the unit and it holds no state.
 """
 
 from __future__ import annotations
@@ -40,8 +42,13 @@ class ConsistencyUnit:
 
     Ordering queries reduce to "is there an incomplete memory op (or
     load) older than seq?", answered in O(log n) from lazy min-heaps of
-    incomplete seqs -- these queries run for every queued memory op every
-    active cycle, so they must be cheap.
+    incomplete seqs.  Under SC and PC the core asks for each queued
+    memory op on every memory-queue pass, and notes each memory op's
+    dispatch, completion and removal, so all of these must be cheap.
+    Under RC the core calls none of them (see ``ProcessorCore._ordered``):
+    the RC branches of ``may_perform_load`` and ``load_is_speculative``
+    only keep the unit's answers right for every model when it is used
+    on its own.
     """
 
     def __init__(self, model: ConsistencyModel, impl: ConsistencyImpl):

@@ -75,6 +75,7 @@ ST_EXEC = 2      # in a functional unit (address generation for memory ops)
 ST_MEMQ = 3      # memory op awaiting permission/resources to perform
 ST_MEMACC = 4    # memory access outstanding
 ST_DONE = 5
+ST_GONE = 6      # retired or squashed: heap items naming it are stale
 
 _CAT_TO_READ = {
     CAT_L1_HIT: READ_L1, CAT_L2_HIT: READ_L2, CAT_LOCAL: READ_LOCAL,
@@ -106,8 +107,7 @@ LOCK_SPIN_INTERVAL = 120  # retry period for a contended lock
 
 class WindowEntry:
     __slots__ = ("seq", "instr", "state", "done_at", "pending", "dependents",
-                 "category", "tlb_miss", "retry_at", "prefetched",
-                 "mispredicted")
+                 "category", "retry_at", "prefetched", "mispredicted")
 
     def __init__(self, seq: int, instr):
         self.seq = seq
@@ -116,8 +116,7 @@ class WindowEntry:
         self.done_at = 0
         self.pending = 0
         self.dependents: List[int] = []
-        self.category = CAT_L1_HIT
-        self.tlb_miss = False
+        self.category = READ_L1  # read-stall category, set at perform
         self.retry_at = 0
         self.prefetched = False
         self.mispredicted = False
@@ -127,7 +126,7 @@ class WindowEntry:
         # entries are compared only when their keys tie.  Live entries of
         # one core have distinct seqs, so a tie involves at least one
         # squashed entry (a seq reused after a squash or context switch)
-        # and at most one live one.  Squashed items are dropped when
+        # and at most one live one.  ST_GONE items are dropped when
         # popped whatever their order, so ties may break arbitrarily.
         return False
 
@@ -136,7 +135,10 @@ class TraceBuffer:
     """Window onto a process's instruction stream supporting re-fetch.
 
     Instructions are kept from the oldest unretired one onward so the core
-    can rewind after consistency-violation rollbacks and context switches.
+    can rewind after consistency-violation rollbacks and context switches:
+    ``_buf[i]`` is the instruction of seq ``_base + i``.  The core reads
+    and extends it in ``_fetch`` and releases the retired prefix in
+    ``_retire``.
     """
 
     __slots__ = ("_source", "_base", "_buf")
@@ -145,17 +147,6 @@ class TraceBuffer:
         self._source = source
         self._base = 0
         self._buf: deque = deque()
-
-    def get(self, seq: int):
-        while seq - self._base >= len(self._buf):
-            self._buf.append(next(self._source))
-        return self._buf[seq - self._base]
-
-    def release_through(self, seq: int) -> None:
-        """Instructions up to and including ``seq`` are retired."""
-        while self._base <= seq and self._buf:
-            self._buf.popleft()
-            self._base += 1
 
     @property
     def consumed(self) -> int:
@@ -181,7 +172,13 @@ class ProcessorCore:
             capacity=64, memsys=memsys, overlap=overlap,
             wants_prefetch=(self.consistency.wants_prefetch and
                             params.consistency is ConsistencyModel.PC))
-        memsys.violation_hook = self._on_line_removed
+        # Only SC and PC order memory operations.  Under RC every ordering
+        # query answers "yes" and no load is speculative, so the core
+        # keeps no ordering state in the unit, never consults it, and
+        # needs no violation hook.
+        self._ordered = params.consistency is not ConsistencyModel.RC
+        if self._ordered:
+            memsys.violation_hook = self._on_line_removed
 
         self.stats = ExecutionBreakdown()
         self.retired = 0
@@ -193,7 +190,10 @@ class ProcessorCore:
         # Pipeline state.
         self.process = None          # assigned by the machine/scheduler
         self._trace: Optional[TraceBuffer] = None
-        self._entries: Dict[int, WindowEntry] = {}
+        # Live entries in program order.  Their seqs are contiguous (fetch
+        # appends the next seq, retire pops the head, a squash pops the
+        # tail), so the live entry of seq s is window[s - window[0].seq];
+        # an entry leaving the window takes state ST_GONE.
         self._window: deque = deque()
         # Out-of-order only: one heap of (seq, entry) per FU class
         # (in-order cores issue by walking the window and never push).
@@ -226,6 +226,8 @@ class ProcessorCore:
         self._issue_width = self.proc.issue_width
         self._window_size = self.proc.window_size
         self._out_of_order = self.proc.out_of_order
+        self._max_spec_branches = self.proc.max_spec_branches
+        self._mem_queue_size = self.proc.mem_queue_size
         if self.proc.infinite_functional_units:
             big = 1 << 30
             self._fu_template = [big, big, big]
@@ -254,7 +256,8 @@ class ProcessorCore:
         self._fetch_block_instr = False
         self._cur_fetch_line = -1
         self._mem_inflight = 0
-        self.consistency.reset()
+        if self._ordered:
+            self.consistency.reset()
         self.storebuf.reset()
 
     def preempt(self, now: int):
@@ -309,7 +312,8 @@ class ProcessorCore:
         also change nothing (all pending event times are absolute, so a
         certified-idle core's wake stays valid until something external
         -- a rollback or the scheduler -- intervenes).  The unguarded
-        phase sequence this must match lives in ``tests/reference_tick.py``.
+        phase sequence this must match, wake computation included, lives
+        in ``tests/reference_tick.py``.
         """
         gap = now - self._last_now - 1
         if gap > 0:
@@ -330,11 +334,14 @@ class ProcessorCore:
             self._process_completions(now)
             active = True
         if self._memq:
-            unit = self.consistency
-            heaps = len(unit._mem_heap) + len(unit._load_heap)
+            ordered = self._ordered
+            if ordered:
+                unit = self.consistency
+                heaps = len(unit._mem_heap) + len(unit._load_heap)
             if self._process_memq(now):
                 active = True
-            elif len(unit._mem_heap) + len(unit._load_heap) != heaps:
+            elif ordered and \
+                    len(unit._mem_heap) + len(unit._load_heap) != heaps:
                 active = True  # lazy heap cleanup mutated machine state
         storebuf = self.storebuf
         if storebuf._entries:
@@ -356,8 +363,9 @@ class ProcessorCore:
             self._issue_inorder(now)
             if self._issue_wake == 1 or self._inorder_ptr != ptr:
                 active = True
+        window = self._window
         if now >= self._fetch_blocked_until and \
-                len(self._window) < self._window_size:
+                len(window) < self._window_size:
             trace = self._trace
             consumed = trace._base + len(trace._buf)
             seq = self._next_seq
@@ -369,7 +377,6 @@ class ProcessorCore:
                     self._cur_fetch_line != line or \
                     trace._base + len(trace._buf) != consumed:
                 active = True
-        window = self._window
         if self.shared is not None:
             # SMT retire bandwidth interacts with sibling contexts; take
             # the full path (it may legitimately charge nothing when the
@@ -388,7 +395,7 @@ class ProcessorCore:
         else:
             # Nothing can retire: charge the cycle to the blocking
             # category exactly as _retire's zero-retirement path would
-            # (busy(0.0) is an exact no-op on the accumulator).
+            # (adding 0.0 busy is an exact no-op on the accumulator).
             if window:
                 category = self._classify_stall(window[0])
             elif now < self._fetch_blocked_until and self._fetch_block_instr:
@@ -398,7 +405,37 @@ class ProcessorCore:
             self.stats.cycles[category] += 1.0
             self._gap_category = category
         self.tick_quiet = not active
-        return self._next_event(now, sb_event)
+
+        # Wake: the earliest future cycle at which this core can make
+        # progress.  Every real candidate is finite, so FAR_FUTURE doubles
+        # as the empty-set sentinel.
+        if self._issue_wake == 1:
+            return now + 1
+        best = FAR_FUTURE if sb_event is None else sb_event
+        if completions:
+            t = completions[0][0]
+            if t < best:
+                best = t
+        memq = self._memq
+        if memq:
+            head = window[0].seq if window else 0
+            live = len(window)
+            for seq in memq:
+                i = seq - head
+                if not 0 <= i < live:
+                    return now + 1
+                t = window[i].retry_at
+                if t > now and t < best:
+                    best = t
+                # retry_at <= now: consistency-blocked; it wakes with the
+                # next completion, which is already among the candidates.
+        fbu = self._fetch_blocked_until
+        if fbu != FAR_FUTURE and fbu < best and \
+                len(window) < self._window_size:
+            best = fbu
+        if best == FAR_FUTURE:
+            return now + 1 if window else FAR_FUTURE
+        return best if best > now else now + 1
 
     # Compat alias: exists only because the frozen perfbench/layers.py
     # patches ProcessorCore.__dict__["tick_fast"].  Nothing calls it.
@@ -440,13 +477,16 @@ class ProcessorCore:
             else shared.fetch_slots
         memsys = self.memsys
         line_shift = memsys.line_shift
-        entries = self._entries
+        ordered = self._ordered
         ready = self._ready if self._out_of_order else None
         fu_class = _FU_CLASS.get
         heappush = heapq.heappush
         first = seq = self._next_seq
+        # Fetch only appends, so the head seq stays put and seq - head is
+        # the window's length (and the index the next entry takes).
+        head = window[0].seq if window else seq
         cur_line = self._cur_fetch_line
-        while slots > 0 and len(window) < limit:
+        while slots > 0 and seq - head < limit:
             # seq never passes the buffer's end (fetch is sequential and
             # squashes only move it back), so pos <= len(buf).
             pos = seq - base
@@ -464,31 +504,31 @@ class ProcessorCore:
                     self._fetch_block_instr = True
                     break
             op = instr.op
-            if op == OP_BRANCH and (
-                    self._unresolved_branches >=
-                    self.proc.max_spec_branches):
+            if op == OP_BRANCH and \
+                    self._unresolved_branches >= self._max_spec_branches:
                 break
             is_memq = op in _MEMQ_OPS
-            if is_memq and \
-                    self._mem_inflight >= self.proc.mem_queue_size:
+            if is_memq and self._mem_inflight >= self._mem_queue_size:
                 break  # no load/store-queue slot; wake on retirement
 
             # Dispatch into the window.
             entry = WindowEntry(seq, instr)
             pending = 0
+            depth = seq - head
             for distance in instr.deps:
-                producer = entries.get(seq - distance)
-                if producer is not None and producer.state != ST_DONE:
-                    pending += 1
-                    producer.dependents.append(seq)
-            entries[seq] = entry
+                if 0 < distance <= depth:
+                    producer = window[depth - distance]
+                    if producer.state != ST_DONE:
+                        pending += 1
+                        producer.dependents.append(seq)
             window.append(entry)
             if is_memq:
                 self._mem_inflight += 1
-                if op in _LOAD_OPS:
-                    self.consistency.note_dispatch(seq, is_load=True)
-                elif self._sc_mode:
-                    self.consistency.note_dispatch(seq, is_load=False)
+                if ordered:
+                    if op in _LOAD_OPS:
+                        self.consistency.note_dispatch(seq, is_load=True)
+                    elif self._sc_mode:
+                        self.consistency.note_dispatch(seq, is_load=False)
             if op in _ORDERING_OPS:
                 entry.state = ST_DONE  # ordering enforced at retirement
                 entry.pending = pending
@@ -523,25 +563,16 @@ class ProcessorCore:
 
     # ------------------------------------------------------------------ issue
 
-    def _fu_budget(self) -> List[int]:
-        """[int+branch, fp, agu] slots for this cycle.
-
-        Under SMT this is the *shared* pool object itself, so units a
-        context consumes are gone for its siblings this cycle.
-        """
-        if self.shared is not None:
-            return self.shared.fu
-        return self._fu_template.copy()
-
     def _issue_ooo(self, now: int) -> bool:
         """Issue the oldest ready entries whose FU class has a unit left.
 
-        Each step takes the lowest-seq live head among the classes that
+        Each step takes the lowest-seq ready head among the classes that
         still have a unit, which issues exactly what one seq-ordered heap
         would (pop oldest first, skip exhausted classes, stop at the slot
         limit) without ever popping an entry it cannot issue.  Stale
-        heads (squashed entries) are dropped on the way.  Returns True
-        iff state changed: something issued or a stale item was dropped.
+        heads (entries no longer ST_READY) are dropped on the way.
+        Returns True iff state changed: something issued or a stale item
+        was dropped.
         """
         shared = self.shared
         if shared is None:
@@ -551,15 +582,13 @@ class ProcessorCore:
             slots = shared.issue_slots
             fu = shared.fu
         ready = self._ready
-        entries = self._entries
         completions = self._completions
         heappop, heappush = heapq.heappop, heapq.heappush
-        before = len(ready[0]) + len(ready[1]) + len(ready[2])
         heads = [FAR_FUTURE, FAR_FUTURE, FAR_FUTURE]
         stale_heads = _FU_CLASSES
-        issued = 0
+        issued = dropped = 0
         while True:
-            # Refresh the live head of each class whose head may have
+            # Refresh the ready head of each class whose head may have
             # moved (all of them at first, then the one that issued).
             for cls in stale_heads:
                 head = FAR_FUTURE
@@ -567,11 +596,11 @@ class ProcessorCore:
                     heap = ready[cls]
                     while heap:
                         seq, entry = heap[0]
-                        if entries.get(seq) is entry and \
-                                entry.state == ST_READY:
+                        if entry.state == ST_READY:
                             head = seq
                             break
                         heappop(heap)  # stale
+                        dropped += 1
                 heads[cls] = head
             if slots <= 0:
                 break
@@ -601,27 +630,35 @@ class ProcessorCore:
             self._issue_wake = 1   # poll next cycle
         else:
             self._issue_wake = 0   # nothing ready
-        return issued > 0 or \
-            len(ready[0]) + len(ready[1]) + len(ready[2]) != before
+        return issued > 0 or dropped > 0
 
     def _issue_inorder(self, now: int) -> None:
         """Issue strictly in program order; stall at the first instruction
         whose operands are not ready (the paper's in-order model)."""
-        slots = self._issue_width if self.shared is None \
-            else self.shared.issue_slots
-        fu = self._fu_budget()
-        entries = self._entries
+        shared = self.shared
+        if shared is None:
+            slots = self._issue_width
+            fu = self._fu_template.copy()
+        else:
+            # The shared pool itself: units a context consumes are gone
+            # for its siblings this cycle.
+            slots = shared.issue_slots
+            fu = shared.fu
+        window = self._window
+        head = window[0].seq if window else self._next_seq
+        live = len(window)
         seq = self._inorder_ptr
         issued = 0
         self._issue_wake = 0
         while slots > 0:
-            entry = entries.get(seq)
-            if entry is None:
-                if seq >= self._next_seq:
-                    break  # nothing fetched yet
-                seq += 1   # retired/squashed gap
+            i = seq - head
+            if i < 0:
+                seq = head  # skip entries that retired unissued (fences)
                 self._inorder_ptr = seq
                 continue
+            if i >= live:
+                break  # nothing fetched yet
+            entry = window[i]
             if entry.state in (ST_EXEC, ST_MEMQ, ST_MEMACC, ST_DONE):
                 seq += 1
                 self._inorder_ptr = seq
@@ -635,8 +672,8 @@ class ProcessorCore:
             fu[cls] -= 1
             slots -= 1
             issued += 1
-            if self.shared is not None:
-                self.shared.issue_slots -= 1
+            if shared is not None:
+                shared.issue_slots -= 1
             entry.state = ST_EXEC
             entry.done_at = now + entry.instr.latency
             heapq.heappush(self._completions, (entry.done_at, seq, entry))
@@ -651,15 +688,16 @@ class ProcessorCore:
         """Finish every execution and memory access due by ``now`` and
         wake the dependents of what became done."""
         completions = self._completions
-        entries = self._entries
+        window = self._window
+        head = window[0].seq if window else 0
+        live = len(window)
         memq = self._memq
         sc_mode = self._sc_mode
+        ordered = self._ordered
         ready = self._ready if self._out_of_order else None
         heappop, heappush = heapq.heappop, heapq.heappush
         while completions and completions[0][0] <= now:
             _t, seq, entry = heappop(completions)
-            if entries.get(seq) is not entry:
-                continue  # squashed
             state = entry.state
             if state == ST_EXEC:
                 op = entry.instr.op
@@ -688,13 +726,18 @@ class ProcessorCore:
                 entry.state = ST_DONE
             elif state == ST_MEMACC:
                 entry.state = ST_DONE
-                self.consistency.note_complete(seq)
+                if ordered:
+                    self.consistency.note_complete(seq)
             else:
-                continue
-            # Wake the dependents.
+                continue  # ST_GONE: retired or squashed
+            # Wake the dependents (seqs past the window's end were
+            # squashed and not refetched yet).
             for dseq in entry.dependents:
-                dep = entries.get(dseq)
-                if dep is None or dep.pending == 0:
+                i = dseq - head
+                if i >= live:
+                    continue
+                dep = window[i]
+                if dep.pending == 0:
                     continue
                 dep.pending -= 1
                 if dep.pending == 0 and dep.state == ST_WAIT:
@@ -719,64 +762,71 @@ class ProcessorCore:
         if not self._memq:
             return False
         changed = False
+        ordered = self._ordered
         unit = self.consistency
-        entries = self._entries
+        window = self._window
+        head = window[0].seq if window else 0
+        live = len(window)
         memsys = self.memsys
+        completions = self._completions
         still_queued: List[int] = []
         for seq in self._memq:
-            entry = entries.get(seq)
+            i = seq - head
+            entry = window[i] if 0 <= i < live else None
             if entry is None or entry.state != ST_MEMQ:
                 changed = True  # stale seq dropped from the queue
                 continue
             if entry.retry_at > now:
                 still_queued.append(seq)
                 continue
-            op = entry.instr.op
-            if op in _LOAD_OPS:
-                allowed = unit.may_perform_load(seq)
-            else:
-                allowed = unit.may_perform_store(seq)
-            if not allowed:
-                if unit.wants_prefetch and not entry.prefetched:
-                    memsys.prefetch_data(
-                        now, entry.instr.addr,
-                        exclusive=op in _EXCLUSIVE_OPS,
-                        pc=entry.instr.pc)
-                    entry.prefetched = True
-                    changed = True
-                # Consistency-blocked: the op becomes performable only
-                # when an older memory op completes, so the next
-                # completion event (not per-cycle polling) re-examines it.
-                still_queued.append(seq)
-                continue
+            instr = entry.instr
+            op = instr.op
+            if ordered:
+                if op in _LOAD_OPS:
+                    allowed = unit.may_perform_load(seq)
+                else:
+                    allowed = unit.may_perform_store(seq)
+                if not allowed:
+                    if unit.wants_prefetch and not entry.prefetched:
+                        memsys.prefetch_data(
+                            now, instr.addr,
+                            exclusive=op in _EXCLUSIVE_OPS, pc=instr.pc)
+                        entry.prefetched = True
+                        changed = True
+                    # Consistency-blocked: the op becomes performable only
+                    # when an older memory op completes, so the next
+                    # completion event (not per-cycle polling) re-examines
+                    # it.
+                    still_queued.append(seq)
+                    continue
             changed = True  # lock probe / memory access attempted
             if op == OP_LOCK_ACQ:
-                holder = self.lock_table.get(entry.instr.addr)
+                holder = self.lock_table.get(instr.addr)
                 if holder is not None and holder != self.process.pid:
                     entry.retry_at = now + LOCK_SPIN_INTERVAL
                     still_queued.append(seq)
                     continue
-                self.lock_table[entry.instr.addr] = self.process.pid
-            is_write = op in _EXCLUSIVE_OPS
-            result = memsys.access_data(now, entry.instr.addr,
-                                        is_write, entry.instr.pc)
+                self.lock_table[instr.addr] = self.process.pid
+            result = memsys.access_data(now, instr.addr,
+                                        op in _EXCLUSIVE_OPS, instr.pc)
             if result.stalled:
                 entry.retry_at = result.retry_at
                 if op == OP_LOCK_ACQ:
                     # Retry the whole acquire; drop the provisional grab.
-                    if self.lock_table.get(entry.instr.addr) == \
+                    if self.lock_table.get(instr.addr) == \
                             self.process.pid:
-                        del self.lock_table[entry.instr.addr]
+                        del self.lock_table[instr.addr]
                 still_queued.append(seq)
                 continue
             entry.state = ST_MEMACC
-            entry.done_at = result.done_at
-            entry.category = result.category
-            entry.tlb_miss = result.tlb_miss
-            heapq.heappush(self._completions, (entry.done_at, seq, entry))
-            if op == OP_LOAD and unit.load_is_speculative(seq):
-                line = self.memsys.page_table.translate_line(
-                    entry.instr.addr, self.memsys.line_shift)
+            done_at = result.done_at
+            entry.done_at = done_at
+            entry.category = READ_DTLB if result.tlb_miss \
+                else _CAT_TO_READ[result.category]
+            heapq.heappush(completions, (done_at, seq, entry))
+            if ordered and op == OP_LOAD and unit.load_is_speculative(seq):
+                line = memsys.page_table.translate_line(
+                    instr.addr, memsys.line_shift)
                 unit.note_speculative_load(seq, line)
         self._memq = still_queued
         return changed
@@ -785,13 +835,13 @@ class ProcessorCore:
 
     def _retire(self, now: int) -> None:
         width = self._issue_width
-        if self.shared is not None:
-            width = min(width, self.shared.retire_slots)
+        shared = self.shared
+        if shared is not None:
+            width = min(width, shared.retire_slots)
         retired = 0
         stall_category: Optional[int] = None
         window = self._window
-        entries = self._entries
-        consistency = self.consistency
+        ordered = self._ordered
         last_seq = -1
         while retired < width:
             if not window:
@@ -824,28 +874,38 @@ class ProcessorCore:
                 elif op == OP_FLUSH:
                     self.memsys.flush_line(now, entry.instr.addr)
             window.popleft()
-            del entries[entry.seq]
-            if op in _MEMQ_OPS:
-                # Only memory ops are ever noted by the consistency unit.
-                self._mem_inflight -= 1
-                consistency.note_removed(entry.seq)
+            entry.state = ST_GONE
             last_seq = entry.seq
+            if op in _MEMQ_OPS:
+                self._mem_inflight -= 1
+                if ordered:
+                    # Only memory ops are ever noted by the unit.
+                    self.consistency.note_removed(last_seq)
             retired += 1
-            if self.shared is not None:
-                self.shared.retire_slots -= 1
+            if shared is not None:
+                shared.retire_slots -= 1
             if op == OP_SYSCALL:
                 self.syscall_retired = True
                 break
+        cycles = self.stats.cycles
         if retired:
-            self._trace.release_through(last_seq)
+            # Release the retired prefix of the trace buffer (squashes
+            # never rewind past the window head).
+            trace = self._trace
+            buf = trace._buf
+            base = trace._base
+            while base <= last_seq and buf:
+                buf.popleft()
+                base += 1
+            trace._base = base
             self.retired += retired
             self.stats.instructions += retired
         # Busy fraction is measured against the full machine width so
         # SMT contexts' breakdowns sum like the paper's per-CPU bars.
         machine_width = self._issue_width
-        self.stats.busy(retired / machine_width)
+        cycles[BUSY] += retired / machine_width
         if retired < machine_width and stall_category is not None:
-            self.stats.stall(stall_category, 1.0 - retired / machine_width)
+            cycles[stall_category] += 1.0 - retired / machine_width
             self._gap_category = stall_category
         else:
             self._gap_category = CPU_STALL
@@ -855,11 +915,7 @@ class ProcessorCore:
         if op in (OP_LOCK_ACQ, OP_LOCK_REL, OP_MB, OP_WMB):
             return SYNC
         if entry.state == ST_MEMACC:
-            if op == OP_STORE:
-                return WRITE
-            if entry.tlb_miss:
-                return READ_DTLB
-            return _CAT_TO_READ[entry.category]
+            return WRITE if op == OP_STORE else entry.category
         if entry.state == ST_MEMQ:
             return WRITE if op == OP_STORE else READ_L1
         if op == OP_LOAD:
@@ -873,29 +929,34 @@ class ProcessorCore:
     def _squash_from(self, seq: int, now: int, penalty: int) -> None:
         """Remove all entries with seq >= ``seq`` and refetch from there."""
         window = self._window
-        entries = self._entries
+        ordered = self._ordered
         while window and window[-1].seq >= seq:
             entry = window.pop()
-            del entries[entry.seq]
-            if entry.instr.op in _MEMQ_OPS:
+            op = entry.instr.op
+            if op in _MEMQ_OPS:
                 self._mem_inflight -= 1
-            self.consistency.note_removed(entry.seq)
-            if entry.instr.op == OP_BRANCH and entry.state != ST_DONE:
+            if ordered:
+                self.consistency.note_removed(entry.seq)
+            if op == OP_BRANCH and entry.state != ST_DONE:
                 self._unresolved_branches -= 1
+            entry.state = ST_GONE
         self._memq = [s for s in self._memq if s < seq]
         self._next_seq = seq
         self._inorder_ptr = min(self._inorder_ptr, seq)
         self._fetch_blocked_until = now + penalty
         self._fetch_block_instr = False
         self._cur_fetch_line = -1
-        # Ready/completion heaps are cleaned lazily via identity checks.
-        # Keep it lazy: squashed entries' completion times stay in
-        # _completions and feed _next_event, and through it the global
-        # grid of Machine.run.  A store pushed into the store buffer at
-        # retire issues at the next grid point (that tick's wake was
-        # computed before the push), so stale completion times are
-        # load-bearing: purging them here changes results until that
-        # model defect is fixed.
+        # Ready/completion heaps are cleaned lazily: their items name
+        # ST_GONE entries now, and pops drop them.  Surviving producers'
+        # ``dependents`` keep the squashed seqs, so a refetched consumer
+        # is woken once per registration (a known model defect, pinned by
+        # tests/test_core_details.py).  Keep the heaps lazy too: squashed
+        # entries' completion times stay in _completions and feed the
+        # tick's wake, and through it the global grid of Machine.run.
+        # A store pushed into the store buffer at retire issues at the
+        # next grid point (that tick's wake was computed before the
+        # push), so stale completion times are load-bearing: purging
+        # them here changes results until that model defect is fixed.
 
     def _on_line_removed(self, line: int) -> None:
         """Invalidation/replacement hook: speculative-load violations."""
@@ -911,41 +972,7 @@ class ProcessorCore:
             return
         seq = self._rollback_to
         self._rollback_to = None
-        if seq not in self._entries:
-            return
+        window = self._window
+        if not window or not 0 <= seq - window[0].seq < len(window):
+            return  # retired or squashed meanwhile
         self._squash_from(seq, now, penalty=ROLLBACK_RESTART)
-
-    # ------------------------------------------------------------------ skip-ahead
-
-    def _next_event(self, now: int, sb_event: Optional[int]) -> int:
-        """Earliest future cycle at which this core can make progress.
-
-        Tracks the minimum directly instead of building a candidate
-        list; every real candidate is finite, so ``FAR_FUTURE`` doubles
-        as the empty-set sentinel.
-        """
-        best = FAR_FUTURE if sb_event is None else sb_event
-        completions = self._completions
-        if completions:
-            t = completions[0][0]
-            if t < best:
-                best = t
-        entries = self._entries
-        for seq in self._memq:
-            entry = entries.get(seq)
-            if entry is None:
-                return now + 1
-            t = entry.retry_at
-            if t > now and t < best:
-                best = t
-            # retry_at <= now: consistency-blocked; it wakes with the
-            # next completion, which is already among the candidates.
-        if self._issue_wake == 1:
-            return now + 1
-        fbu = self._fetch_blocked_until
-        if fbu != FAR_FUTURE and fbu < best and \
-                len(self._window) < self._window_size:
-            best = fbu
-        if best == FAR_FUTURE:
-            return now + 1 if self._window else FAR_FUTURE
-        return best if best > now else now + 1

@@ -85,8 +85,10 @@ class SmtCore:
                                  lock_table)
             core.shared = self.shared
             self.contexts.append(core)
-        # Coherence violation hook must fan out to every context.
-        memsys.violation_hook = self._on_line_removed
+        # Coherence violation hook must fan out to every context (each
+        # context registered itself only if its model orders memory).
+        if memsys.violation_hook is not None:
+            memsys.violation_hook = self._on_line_removed
 
     # -- aggregate accessors (Machine interface) ---------------------------
 

@@ -94,6 +94,19 @@ class NodeMemorySystem:
         # (MESI E or M at the node level).
         self._writable = set()
 
+        # Hot-path scalars hoisted out of the frozen params dataclasses
+        # (and the page shift) so access_instr/access_data do flat
+        # attribute reads instead of chasing params.* chains.
+        self._perfect_icache = params.perfect_icache
+        self._perfect_dcache = params.perfect_dcache
+        self._branch_iprefetch = params.branch_iprefetch
+        self._l1d_ports = params.l1d.request_ports
+        self._l1d_hit = params.l1d.hit_time
+        self._l2_hit = params.l2.hit_time
+        self._itlb_miss = params.itlb.miss_latency
+        self._dtlb_miss = params.dtlb.miss_latency
+        self._page_shift = page_table.page_shift
+
         # Resource occupancy (contention): L1D ports per cycle, L2 port.
         self._l1d_port_cycle = -1
         self._l1d_port_used = 0
@@ -123,7 +136,7 @@ class NodeMemorySystem:
 
     def _translate(self, vaddr: int, tlb: Tlb) -> Tuple[int, bool]:
         """(physical line, tlb_missed)."""
-        vpage = vaddr >> self.page_table.page_shift
+        vpage = vaddr >> self._page_shift
         hit = tlb.access(vpage)
         line = self.page_table.translate_line(vaddr, self.line_shift)
         return line, not hit
@@ -137,16 +150,16 @@ class NodeMemorySystem:
         fetch proceeds without a stall (L1I hit with its 1-cycle pipelined
         hit time).
         """
-        if self.params.perfect_icache:
+        if self._perfect_icache:
             return now, CAT_L1_HIT
         line, tlb_miss = self._translate(vaddr, self.itlb)
-        t = now + (self.itlb.params.miss_latency if tlb_miss else 0)
-        if self.params.branch_iprefetch:
+        t = now + self._itlb_miss if tlb_miss else now
+        if self._branch_iprefetch:
             self._nlp_observe(line, t)
         # l1i_accesses counts instruction *references* (one per fetched
         # instruction, incremented by the core); only misses count here.
         if self.l1i.lookup(line):
-            return t if tlb_miss else now, CAT_L1_HIT
+            return t, CAT_L1_HIT
         self.l1i_misses += 1
 
         buffered = self._nlp_buffer.pop(line, None)
@@ -189,7 +202,7 @@ class NodeMemorySystem:
         self._l2_next_free = start + self._l2_occupancy
         self.l2_accesses += 1
         if self.l2.lookup(line):
-            return start + self.params.l2.hit_time, CAT_L2_HIT
+            return start + self._l2_hit, CAT_L2_HIT
         self.l2_misses += 1
         done, svc, _excl = self._directory_read(line, start)
         self._fill_l2(line)
@@ -202,7 +215,7 @@ class NodeMemorySystem:
         start = max(now + 1, self._l2_next_free)
         self._l2_next_free = start + self._l2_occupancy
         if self.l2.lookup(line, touch=False):
-            return start + self.params.l2.hit_time
+            return start + self._l2_hit
         done, _svc, _excl = self._directory_read(line, start)
         return done
 
@@ -220,7 +233,7 @@ class NodeMemorySystem:
         """Load/store/RMW access.  See module docstring for semantics."""
         # L1D request ports (dual-ported in the base system).
         if self._l1d_port_cycle == now:
-            if self._l1d_port_used >= self.params.l1d.request_ports:
+            if self._l1d_port_used >= self._l1d_ports:
                 return _stall(now + 1)
             self._l1d_port_used += 1
         else:
@@ -228,28 +241,32 @@ class NodeMemorySystem:
             self._l1d_port_used = 1
 
         line, tlb_miss = self._translate(vaddr, self.dtlb)
-        t = now + (self.dtlb.params.miss_latency if tlb_miss else 0)
+        t = now + self._dtlb_miss if tlb_miss else now
+        l1d_hit = self._l1d_hit
 
-        if self.params.perfect_dcache:
+        if self._perfect_dcache:
             self.l1d_accesses += 1
-            return MemResult(t + self.params.l1d.hit_time, CAT_L1_HIT,
-                             tlb_miss)
+            return MemResult(t + l1d_hit, CAT_L1_HIT, tlb_miss)
 
-        self.l1d_mshrs.expire(now)
-        self.l2_mshrs.expire(now)
+        l1d_mshrs = self.l1d_mshrs
+        l2_mshrs = self.l2_mshrs
+        if now >= l1d_mshrs._min_done:
+            l1d_mshrs.expire(now)
+        if now >= l2_mshrs._min_done:
+            l2_mshrs.expire(now)
 
         # Coalesce with an in-flight miss to the same line.
-        entry = self.l1d_mshrs.get(line)
+        entry = l1d_mshrs.get(line)
         if entry is not None:
             self.l1d_accesses += 1
             if is_write and not entry.exclusive:
                 done, svc = self.coherent.write(
                     self.node_id, line, max(t, entry.done_at), pc)
-                self.l1d_mshrs.extend(entry, done, exclusive=True)
+                l1d_mshrs.extend(entry, done, exclusive=True)
                 self._writable.add(line)
                 self.l1d.mark_dirty(line)
                 return MemResult(done, _SVC_TO_CAT[svc], tlb_miss)
-            done = max(entry.done_at, t + self.params.l1d.hit_time)
+            done = max(entry.done_at, t + l1d_hit)
             if is_write:
                 self.l1d.mark_dirty(line)
             return MemResult(done, CAT_L2_HIT, tlb_miss)
@@ -260,15 +277,14 @@ class NodeMemorySystem:
                 self.l1d_accesses += 1
                 if is_write:
                     self.l1d.mark_dirty(line)
-                return MemResult(t + self.params.l1d.hit_time, CAT_L1_HIT,
-                                 tlb_miss)
+                return MemResult(t + l1d_hit, CAT_L1_HIT, tlb_miss)
             # Write hit on a shared line: upgrade.
-            if self.l1d_mshrs.full:
-                return _stall(self.l1d_mshrs.earliest_done())
+            if l1d_mshrs.full:
+                return _stall(l1d_mshrs.earliest_done())
             self.l1d_accesses += 1
             done, svc = self.coherent.write(self.node_id, line, t, pc)
-            self.l1d_mshrs.register(line, now, done, is_read=False,
-                                    exclusive=True)
+            l1d_mshrs.register(line, now, done, is_read=False,
+                               exclusive=True)
             self._writable.add(line)
             self.l1d.mark_dirty(line)
             self.l2.mark_dirty(line)
@@ -276,12 +292,12 @@ class NodeMemorySystem:
 
         # L1 miss.  Structural hazards stall *before* any statistics or
         # resource occupancy so retries are not double-counted.
-        if self.l1d_mshrs.full:
-            return _stall(self.l1d_mshrs.earliest_done())
-        l2_entry = self.l2_mshrs.get(line)
+        if l1d_mshrs.full:
+            return _stall(l1d_mshrs.earliest_done())
+        l2_entry = l2_mshrs.get(line)
         l2_hit = l2_entry is None and self.l2.lookup(line)
-        if l2_entry is None and not l2_hit and self.l2_mshrs.full:
-            return _stall(self.l2_mshrs.earliest_done())
+        if l2_entry is None and not l2_hit and l2_mshrs.full:
+            return _stall(l2_mshrs.earliest_done())
 
         self.l1d_accesses += 1
         self.l1d_misses += 1
@@ -290,27 +306,27 @@ class NodeMemorySystem:
         self.l2_accesses += 1
 
         if l2_entry is not None:
-            done = max(l2_entry.done_at, start + self.params.l2.hit_time)
+            done = max(l2_entry.done_at, start + self._l2_hit)
             exclusive = l2_entry.exclusive
             if is_write and not exclusive:
                 done, svc = self.coherent.write(self.node_id, line, done, pc)
-                self.l2_mshrs.extend(l2_entry, done, exclusive=True)
+                l2_mshrs.extend(l2_entry, done, exclusive=True)
                 exclusive = True
             category = CAT_L2_HIT
         elif l2_hit:
             if is_write and line not in self._writable:
                 done, svc = self.coherent.write(
-                    self.node_id, line, start + self.params.l2.hit_time, pc)
+                    self.node_id, line, start + self._l2_hit, pc)
                 category = _SVC_TO_CAT[svc]
                 exclusive = True
             else:
-                done = start + self.params.l2.hit_time
+                done = start + self._l2_hit
                 category = CAT_L2_HIT
                 exclusive = line in self._writable
         else:
             # L2 miss: directory transaction.
             self.l2_misses += 1
-            issue = start + self.params.l2.hit_time  # tag check before miss
+            issue = start + self._l2_hit  # tag check before miss
             if is_write:
                 done, svc = self.coherent.write(self.node_id, line, issue, pc)
                 exclusive = True
@@ -318,12 +334,12 @@ class NodeMemorySystem:
                 done, svc, excl = self._directory_read(line, issue, pc)
                 exclusive = excl
             category = _SVC_TO_CAT[svc]
-            self.l2_mshrs.register(line, now, done, is_read=not is_write,
-                                   exclusive=exclusive)
+            l2_mshrs.register(line, now, done, is_read=not is_write,
+                              exclusive=exclusive)
             self._fill_l2(line, dirty=is_write)
 
-        self.l1d_mshrs.register(line, now, done, is_read=not is_write,
-                                exclusive=is_write or exclusive)
+        l1d_mshrs.register(line, now, done, is_read=not is_write,
+                           exclusive=is_write or exclusive)
         if is_write or exclusive:
             self._writable.add(line)
         victim = self.l1d.insert(line, dirty=is_write)

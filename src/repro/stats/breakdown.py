@@ -50,9 +50,6 @@ class ExecutionBreakdown:
         self.cycles = [0.0] * N_CATEGORIES
         self.instructions = 0
 
-    def busy(self, fraction: float) -> None:
-        self.cycles[BUSY] += fraction
-
     def stall(self, category: int, cycles: float) -> None:
         self.cycles[category] += cycles
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.workloads import dss_workload, oltp_workload
 from repro.cpu.consistency import ConsistencyUnit
-from repro.params import ConsistencyImpl, ConsistencyModel
+from repro.params import ConsistencyImpl, ConsistencyModel, default_system
+from repro.system.machine import Machine
 
 SC = ConsistencyModel.SC
 PC = ConsistencyModel.PC
@@ -163,3 +165,55 @@ class TestSpeculativeLoads:
         u.reset()
         assert u.check_violation(9) is None
         assert u.may_perform_load(5)
+
+
+# ----------------------------------------------- the core under RC
+
+#: Every ConsistencyUnit method the core may call while simulating.
+UNIT_METHODS = ("reset", "note_dispatch", "note_complete", "note_removed",
+                "may_perform_load", "may_perform_store",
+                "load_is_speculative", "note_speculative_load",
+                "check_violation")
+
+
+def run_counting_unit_calls(params, workload, instructions, monkeypatch):
+    """Run ``instructions`` on a fresh machine while counting calls of
+    the unit's methods; returns (machine, call counts)."""
+    machine = Machine(params, workload.generators(params.n_nodes, seed=0))
+    calls = dict.fromkeys(UNIT_METHODS, 0)
+    for name in UNIT_METHODS:
+        original = getattr(ConsistencyUnit, name)
+
+        def counted(self, *args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(self, *args, **kw)
+        monkeypatch.setattr(ConsistencyUnit, name, counted)
+    machine.run(instructions)
+    return machine, calls
+
+
+class TestCoreUnderRc:
+    """Only SC and PC order memory operations, so under RC the core
+    never consults the unit and the unit holds no ordering state."""
+
+    @pytest.mark.parametrize("workload", [oltp_workload, dss_workload],
+                             ids=["oltp", "dss"])
+    def test_rc_run_keeps_no_ordering_state(self, workload, monkeypatch):
+        params = default_system()
+        assert params.consistency is RC
+        machine, calls = run_counting_unit_calls(
+            params, workload(), 20_000, monkeypatch)
+        assert sum(calls.values()) == 0, calls
+        for core in machine.cores:
+            for physical in core.physical_cores():
+                u = physical.consistency
+                assert not u._mem_heap and not u._load_heap
+                assert not u._incomplete_mem and not u._incomplete_loads
+                assert not u._spec_by_line and not u._spec_lines_by_seq
+
+    def test_pc_run_consults_the_unit(self, monkeypatch):
+        """Control for the call counter: PC orders loads."""
+        params = default_system(consistency=PC)
+        _machine, calls = run_counting_unit_calls(
+            params, oltp_workload(), 2_000, monkeypatch)
+        assert calls["note_dispatch"] and calls["may_perform_load"]

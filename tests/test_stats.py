@@ -23,20 +23,20 @@ from repro.stats.sharing import sharing_characterization
 class TestExecutionBreakdown:
     def test_busy_and_stall_accumulate(self):
         bd = ExecutionBreakdown()
-        bd.busy(0.75)
+        bd.stall(BUSY, 0.75)
         bd.stall(READ_DIRTY, 0.25)
         assert bd.cycles[BUSY] == 0.75
         assert bd.total == pytest.approx(1.0)
 
     def test_cpu_combines_busy_and_fu(self):
         bd = ExecutionBreakdown()
-        bd.busy(0.5)
+        bd.stall(BUSY, 0.5)
         bd.stall(CPU_STALL, 0.5)
         assert bd.cpu == 1.0
 
     def test_idle_excluded_from_total(self):
         bd = ExecutionBreakdown()
-        bd.busy(1.0)
+        bd.stall(BUSY, 1.0)
         bd.stall(IDLE, 5.0)
         assert bd.total == 1.0
 
@@ -48,7 +48,7 @@ class TestExecutionBreakdown:
 
     def test_merge(self):
         a, b = ExecutionBreakdown(), ExecutionBreakdown()
-        a.busy(1.0)
+        a.stall(BUSY, 1.0)
         a.instructions = 10
         b.stall(SYNC, 2.0)
         b.instructions = 5
@@ -59,27 +59,27 @@ class TestExecutionBreakdown:
 
     def test_shares_sum_to_one(self):
         bd = ExecutionBreakdown()
-        bd.busy(2.0)
+        bd.stall(BUSY, 2.0)
         bd.stall(WRITE, 1.0)
         bd.stall(INSTR, 1.0)
         assert sum(bd.shares().values()) == pytest.approx(1.0)
 
     def test_summary_row_keys(self):
         bd = ExecutionBreakdown()
-        bd.busy(1.0)
+        bd.stall(BUSY, 1.0)
         row = bd.summary_row()
         assert set(row) == {"cpu", "read", "write", "sync", "instr"}
         assert sum(row.values()) == pytest.approx(1.0)
 
     def test_ipc(self):
         bd = ExecutionBreakdown()
-        bd.busy(100.0)
+        bd.stall(BUSY, 100.0)
         bd.instructions = 150
         assert bd.ipc == 1.5
 
     def test_reset(self):
         bd = ExecutionBreakdown()
-        bd.busy(1.0)
+        bd.stall(BUSY, 1.0)
         bd.instructions = 7
         bd.reset()
         assert bd.total == 0
@@ -87,7 +87,7 @@ class TestExecutionBreakdown:
 
     def test_format_bar_contains_label(self):
         bd = ExecutionBreakdown()
-        bd.busy(1.0)
+        bd.stall(BUSY, 1.0)
         assert "mylabel" in bd.format_bar("mylabel")
 
 
