@@ -65,8 +65,7 @@ class SimulationResult:
 
         The encoding is exact (raw counters and cycle lists, no derived
         ratios), so ``from_dict(to_dict(r))`` reproduces every figure
-        table byte-for-byte.  This is what the result cache stores and
-        what worker processes ship back to the parent.
+        table byte-for-byte.  This is what the result cache stores.
         """
         from repro.params_io import params_to_dict
         return {

@@ -44,12 +44,11 @@ from repro.run.atomicio import (
 from repro.run.audit import AuditFinding, AuditReport, audit_state
 from repro.run.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
 from repro.run.executor import (
-    ARENAS_ENV,
     DEFAULT_POLICY,
     JobOutcome,
     RetryPolicy,
     RunReport,
-    default_arena_mode,
+    arena_mode,
     default_jobs,
     run_many,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "AuditFinding", "AuditReport", "audit_state",
     "configure", "runner_defaults", "runner_state",
     "shared_cache", "shared_manifest", "retry_policy",
-    "ARENAS_ENV", "default_arena_mode",
 ]
 
 _jobs: int = default_jobs()
@@ -77,7 +75,7 @@ _cache: Optional[ResultCache] = None
 _manifest: Optional[SweepManifest] = None
 _policy: RetryPolicy = DEFAULT_POLICY
 _resume: bool = False
-_arenas: str = default_arena_mode()
+_arenas: str = "auto"
 _trace_dir: Optional[str] = None
 if os.environ.get("REPRO_CACHE") == "1":
     _cache = ResultCache()
@@ -170,15 +168,7 @@ def configure(jobs: Optional[int] = None,
     if resume is not None:
         _resume = bool(resume)
     if arenas is not None:
-        if arenas is True:
-            _arenas = "on"
-        elif arenas is False:
-            _arenas = "off"
-        elif arenas in ("auto", "on", "off"):
-            _arenas = arenas
-        else:
-            raise ValueError(
-                f"arenas must be 'auto', 'on' or 'off', got {arenas!r}")
+        _arenas = arena_mode(arenas)
     if trace_dir is not None:
         _trace_dir = str(trace_dir) if trace_dir else None
 

@@ -7,21 +7,25 @@ for.  Dispatch policy:
 
 * every spec is first looked up in the result cache (when one is given);
 * jobs sharing a workload/seed/run-size are grouped onto a **trace
-  arena** (:mod:`repro.trace.arena`): the group's first member runs
-  serially while recording its instruction streams, which are packed and
+  arena** (:mod:`repro.trace.arena`): the group's first member runs in
+  process while recording its instruction streams, which are packed and
   persisted once, and the remaining members replay the arena instead of
   regenerating their traces;
-* remaining misses run either serially in-process (``jobs=1``, the
-  deterministic baseline) or on the **persistent fork-server pool**
-  (:mod:`repro.run.forkserver`) in chunked batches -- one pickle of a
-  base job plus per-job deltas per chunk;
-* if the pool cannot be created or dies (restricted environments without
-  ``fork``/semaphores, interpreter shutdown), the executor falls back to
-  the serial path instead of failing the sweep.
+* the remaining misses go through one scheduling loop (:func:`_run`)
+  that owns retries, backoff, timeouts and the manifest, and hands
+  chunks of jobs to one of two chunk runners: the **persistent
+  fork-server pool** (:mod:`repro.run.forkserver`) for ``jobs > 1``
+  with at least two pending jobs, each chunk one pickle of plain job
+  dicts; otherwise the **in-process runner**, one job at a time;
+* if the pool cannot be created or breaks (restricted environments
+  without ``fork``/semaphores, interpreter shutdown), the same loop
+  carries on with the in-process runner instead of failing the sweep.
 
-Failures are isolated **per job**: an attempt that raises any exception
-is retried up to :attr:`RetryPolicy.retries` times with deterministic
-exponential backoff, an attempt that exceeds
+Both runners execute every attempt through
+:func:`~repro.run.forkserver.run_entry`, so results are byte-identical
+whichever runs them.  Failures are isolated **per job**: an attempt that
+raises any exception is retried up to :attr:`RetryPolicy.retries` times
+with deterministic exponential backoff, an attempt that exceeds
 :attr:`RetryPolicy.job_timeout` is abandoned and retried, and only a job
 that exhausts its retries is reported as a *failed*
 :class:`JobOutcome` (``result=None``) -- the rest of the sweep keeps
@@ -47,24 +51,28 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SimulationResult
-from repro.run import triage
 from repro.run.cache import ResultCache
 from repro.run.faults import plan_from_env
 from repro.run.jobs import JobSpec
 from repro.run.manifest import SweepManifest
 
-#: Environment override for arena usage: ``auto`` (default: share
-#: traces across sweep groups of 2+), ``on`` (materialize even for
-#: singleton groups), ``off`` (generator path only).
-ARENAS_ENV = "REPRO_ARENAS"
 
-_ARENA_MODES = ("auto", "on", "off")
+def arena_mode(value: Any) -> str:
+    """Normalize an ``arenas`` setting to ``auto``, ``on`` or ``off``.
 
-
-def default_arena_mode() -> str:
-    """Arena policy from ``REPRO_ARENAS`` (default ``auto``)."""
-    mode = os.environ.get(ARENAS_ENV, "auto").strip().lower()
-    return mode if mode in _ARENA_MODES else "auto"
+    ``auto`` shares traces across sweep groups of 2+ jobs, ``on``
+    materializes even singleton groups, ``off`` keeps every job on the
+    generator path; ``True``/``False`` mean ``on``/``off``.  Anything
+    else raises :class:`ValueError`.
+    """
+    if value is True:
+        return "on"
+    if value is False:
+        return "off"
+    if value in ("auto", "on", "off"):
+        return value
+    raise ValueError(
+        f"arenas must be 'auto', 'on' or 'off', got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,11 +81,13 @@ class RetryPolicy:
 
     ``retries`` is the number of *additional* attempts after the first
     failure; ``job_timeout`` (seconds, ``None`` = unlimited) bounds one
-    attempt's wall time.  On the process pool an overdue attempt is
-    abandoned (the worker is left to drain) and retried; on the serial
-    path the attempt cannot be interrupted, so the timeout is enforced
-    post-hoc -- an over-budget attempt is discarded and retried, giving
-    both paths the same observable semantics.
+    attempt's wall time.  An attempt is over budget if its deadline
+    passes while it is in flight (the pool abandons it, leaving the
+    worker to drain) or if its measured time exceeds ``job_timeout``
+    when its result is collected; either way it is discarded and
+    retried.  The in-process runner cannot interrupt an attempt, so only
+    the second rule reaches it, and it judges the same attempts over
+    budget as the pool.
 
     Backoff between attempts is exponential with a deterministic
     fingerprint-derived jitter -- no wall-clock or global RNG feeds the
@@ -231,28 +241,6 @@ def _failure_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _serial_attempt(spec: JobSpec, attempt: int,
-                    workload: Optional[Any] = None,
-                    cache: Optional[ResultCache] = None
-                    ) -> Tuple[SimulationResult, float]:
-    """One in-process attempt through the workers' path
-    (:func:`repro.run.triage.run_attempt`); returns ``(result,
-    elapsed)``.
-
-    The clock starts before fault injection: the serial path enforces
-    ``job_timeout`` post-hoc from this elapsed time, so a hang must be
-    charged to the attempt for the timeout to ever trip.  ``workload``
-    optionally substitutes a trace arena or recording wrapper for the
-    spec's own generators (see :meth:`JobSpec.run`).  With a ``cache``,
-    a failed attempt leaves a triage bundle beside it.
-    """
-    start = time.perf_counter()  # repro-lint: disable=R002
-    result = triage.run_attempt(
-        spec, attempt, workload=workload, faults=plan_from_env(),
-        cache_dir=cache.path if cache is not None else None)
-    return result, time.perf_counter() - start  # repro-lint: disable=R002
-
-
 def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
             attempts: int, cache: Optional[ResultCache],
             manifest: Optional[SweepManifest]) -> JobOutcome:
@@ -274,63 +262,6 @@ def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
         manifest.mark_failed(spec.fingerprint(), error)
     return JobOutcome(spec, None, elapsed, attempts=attempts, error=error,
                       bundle=bundle)
-
-
-def _run_serial(pending: Sequence[Tuple[int, JobSpec]],
-                cache: Optional[ResultCache],
-                outcomes: List[Optional[JobOutcome]],
-                policy: RetryPolicy = DEFAULT_POLICY,
-                manifest: Optional[SweepManifest] = None,
-                workloads: Optional[Dict[int, Any]] = None) -> None:
-    workloads = workloads or {}
-    for index, spec in pending:
-        outcomes[index] = _run_one_serial(spec, cache, policy, manifest,
-                                          workload=workloads.get(index))
-
-
-def _run_one_serial(spec: JobSpec, cache: Optional[ResultCache],
-                    policy: RetryPolicy,
-                    manifest: Optional[SweepManifest],
-                    workload: Optional[Any] = None) -> JobOutcome:
-    fingerprint = spec.fingerprint()
-    total_elapsed = 0.0
-    error = ""
-    bundle = ""
-    for attempt in range(policy.retries + 1):
-        if attempt:
-            time.sleep(policy.backoff_delay(fingerprint, attempt))
-        if manifest is not None:
-            manifest.mark_running(fingerprint)
-        try:
-            result, elapsed = _serial_attempt(spec, attempt,
-                                              workload=workload,
-                                              cache=cache)
-        except Exception as exc:   # noqa: BLE001 -- per-job isolation
-            error = _failure_text(exc)
-            bundle = getattr(exc, "__triage_bundle__", bundle)
-            if manifest is not None:
-                manifest.mark_attempt(fingerprint, attempt, "failed",
-                                      error)
-                if attempt < policy.retries:
-                    manifest.mark_retrying(fingerprint, error)
-            continue
-        total_elapsed += elapsed
-        if policy.job_timeout is not None and elapsed > policy.job_timeout:
-            # The serial path cannot interrupt a running attempt, so the
-            # timeout is enforced after the fact: discard and retry,
-            # matching the pool's observable behaviour.
-            error = (f"timeout: attempt took {elapsed:.2f}s "
-                     f"(limit {policy.job_timeout:.2f}s)")
-            if manifest is not None:
-                manifest.mark_attempt(fingerprint, attempt, "timeout",
-                                      error)
-                if attempt < policy.retries:
-                    manifest.mark_retrying(fingerprint, error)
-            continue
-        return _finish(spec, result, total_elapsed, attempt + 1, cache,
-                       manifest)
-    return _fail(spec, error, total_elapsed, policy.retries + 1, manifest,
-                 bundle=bundle)
 
 
 # ------------------------------------------------------------------ arenas
@@ -360,7 +291,7 @@ def _materialize_arenas(pending: Sequence[Tuple[int, JobSpec]],
     """Group pending jobs by arena key; ensure each group's arena exists.
 
     Missing arenas are materialized by running the group's *first*
-    member serially with a recording tee (full retry/timeout/fault
+    member in process with a recording tee (full retry/timeout/fault
     semantics apply -- the recording job is an ordinary job); its
     outcome is filled in directly and the remaining members become arena
     consumers.  Returns ``(index -> arena handle, seconds spent
@@ -394,8 +325,8 @@ def _materialize_arenas(pending: Sequence[Tuple[int, JobSpec]],
                 recording = recorder.workload()
             except Exception:  # noqa: BLE001 -- job isolation owns this
                 recorder, recording = None, None
-            outcomes[index] = _run_one_serial(
-                spec, cache, policy, manifest, workload=recording)
+            _run([(index, spec)], 1, cache, outcomes, policy, manifest,
+                 {index: recording})
             if recorder is not None and not outcomes[index].failed:
                 started = time.perf_counter()  # repro-lint: disable=R002
                 wrote = recorder.write(path)
@@ -408,69 +339,89 @@ def _materialize_arenas(pending: Sequence[Tuple[int, JobSpec]],
     return handles, trace_gen_s
 
 
-# -------------------------------------------------------------------- pool
+# ------------------------------------------------------------- scheduling
 
-def _chunk_size(n_pending: int, jobs: int, policy: RetryPolicy) -> int:
-    """Jobs per dispatch chunk.
+def _chunk_size(n_pending: int, slots: int, policy: RetryPolicy) -> int:
+    """Jobs per pool dispatch chunk.
 
     With a ``job_timeout`` every chunk is a single job so each attempt
-    keeps its own deadline; otherwise aim for ~4 chunks per worker (load
+    keeps its own deadline; otherwise aim for ~4 chunks per slot (load
     balance) capped at 8 jobs per pickle.
     """
     if policy.job_timeout is not None:
         return 1
-    return max(1, min(8, math.ceil(n_pending / (jobs * 4))))
+    return max(1, min(8, math.ceil(n_pending / (slots * 4))))
 
 
-def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
-              cache: Optional[ResultCache],
-              outcomes: List[Optional[JobOutcome]],
-              policy: RetryPolicy = DEFAULT_POLICY,
-              manifest: Optional[SweepManifest] = None,
-              arena_paths: Optional[Dict[int, str]] = None) -> bool:
-    """Run misses on the persistent pool; ``False`` if it was unusable.
+def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
+         cache: Optional[ResultCache],
+         outcomes: List[Optional[JobOutcome]],
+         policy: RetryPolicy,
+         manifest: Optional[SweepManifest],
+         workloads: Dict[int, Any]) -> bool:
+    """Run every ``pending`` job to an outcome: the runner's one
+    scheduling loop.  Returns whether the pool was wanted but could not
+    be used (or broke), so the in-process runner took over.
 
-    Jobs are dispatched in chunks (:func:`_chunk_size` per future): each
-    chunk ships one base job dict plus per-job deltas and an optional
-    arena reference, and returns per-job outcome dicts, so one pickle
-    amortizes over the chunk while failure isolation stays per job.
+    The loop owns the retry queue, backoff, deadlines, zombies, manifest
+    marks and outcomes.  It hands chunks of jobs to one of two chunk
+    runners, both of which return a future of per-job outcome dicts from
+    :func:`~repro.run.forkserver.run_entry`:
 
-    Scheduling is slot-limited (at most ``jobs`` in-flight futures) so a
-    submitted chunk starts essentially immediately and its deadline can
-    be measured from submission (timeouts force single-job chunks).  An
-    overdue future is abandoned -- the worker keeps draining in the
-    background as a *zombie* occupying one slot until its bounded work
-    finishes -- and the job is retried.  If zombies ever occupy every
-    slot the pool is recycled wholesale; a run that ends with zombies
-    outstanding also recycles it so the next sweep starts with clean
-    workers.  Job-level failures are consumed per entry; only pool-level
-    breakage (no semaphores, dead workers) aborts to the serial
-    fallback, which re-runs exactly the jobs without an outcome.
+    * the persistent fork-server pool, for ``jobs > 1`` with at least
+      two pending jobs.  The pool keeps ``jobs`` workers (so a small
+      sweep does not re-fork it) while at most ``min(jobs, pending)``
+      chunks are in flight; each chunk ships plain job dicts with their
+      attempt number and arena path;
+    * the in-process runner otherwise: one slot, one job per chunk, and
+      a future that is already done when it is returned.  It takes the
+      ``workloads`` objects as they are -- arena handles, or the
+      recording tee of an arena's first member, which cannot cross a
+      process boundary.
+
+    Scheduling is slot-limited, so a submitted chunk starts essentially
+    at once and its deadline is measured from submission (timeouts force
+    single-job chunks).  An overdue future is abandoned -- the worker
+    keeps draining in the background as a *zombie* holding one worker
+    until its bounded work finishes -- and the job is retried.  If
+    zombies ever hold every worker the pool is recycled; a run that ends
+    with zombies outstanding also recycles it so the next sweep starts
+    with clean workers.  If the pool cannot be built or breaks, the jobs
+    in flight are requeued at their current attempt and the loop carries
+    on with the in-process runner, so completed outcomes survive and
+    only jobs without one run again.
     """
-    try:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:                                # pragma: no cover
-        return False
+    from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+                                    Future, wait)
     from repro.run import forkserver
 
-    pool = forkserver.get_pool(jobs)
-    if pool is None:
-        return False
-    arena_paths = arena_paths or {}
-    chunk = _chunk_size(len(pending), jobs, policy)
+    cache_dir = str(cache.path) if cache is not None else None
+    timeout_error = (f"timeout: attempt exceeded {policy.job_timeout:.2f}s"
+                     if policy.job_timeout is not None else "")
+    wants_pool = jobs > 1 and len(pending) > 1
+    pool = forkserver.get_pool(jobs) if wants_pool else None
+    fell_back = wants_pool and pool is None
+
+    def runner_shape(pool) -> Tuple[int, int, int]:
+        """``(workers, slots, jobs per chunk)`` of the runner in use."""
+        if pool is None:
+            return 1, 1, 1
+        slots = min(jobs, len(pending))
+        return jobs, slots, _chunk_size(len(pending), slots, policy)
+
+    workers, slots, chunk = runner_shape(pool)
 
     # Jobs waiting to (re)submit: (not-before time, index, spec, attempt,
-    # elapsed-so-far, last error).  `active` maps future -> (chunk
-    # entries, deadline); `zombies` holds abandoned futures still
-    # draining a worker.
-    queue: List[Tuple[float, int, JobSpec, int, float, str]] = []
+    # elapsed-so-far).  `active` maps future -> (chunk entries,
+    # deadline); `zombies` holds abandoned futures still draining a
+    # worker.
+    queue: List[Tuple[float, int, JobSpec, int, float]] = []
     active: Dict[Any, Tuple[List[Tuple[int, JobSpec, int, float]],
                             float]] = {}
     zombies: List[Any] = []
     now = time.perf_counter()  # repro-lint: disable=R002
     for index, spec in pending:
-        queue.append((now, index, spec, 0, 0.0, ""))
+        queue.append((now, index, spec, 0, 0.0))
 
     def settle(index: int, spec: JobSpec, attempt: int, elapsed: float,
                error: str, at: float, kind: str = "failed",
@@ -488,64 +439,79 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
             if manifest is not None:
                 manifest.mark_retrying(spec.fingerprint(), error)
             delay = policy.backoff_delay(spec.fingerprint(), attempt + 1)
-            queue.append((at + delay, index, spec, attempt + 1, elapsed,
-                          error))
+            queue.append((at + delay, index, spec, attempt + 1, elapsed))
         else:
             outcomes[index] = _fail(spec, error, elapsed, attempt + 1,
                                     manifest, bundle=bundle)
 
-    def submit(ready: List[Tuple[float, int, JobSpec, int, float, str]],
+    def submit(entries: List[Tuple[int, JobSpec, int, float]],
                at: float) -> None:
-        """Dispatch one chunk of ready queue items as a single future."""
-        entries = [(index, spec, attempt, elapsed)
-                   for (_nb, index, spec, attempt, elapsed, _e) in ready]
+        """Hand one chunk to the runner in use as a single future."""
         if manifest is not None:
             for _index, spec, _attempt, _elapsed in entries:
                 manifest.mark_running(spec.fingerprint())
-        payload = forkserver.make_batch_payload(
-            entries[0][1].to_dict(),
-            [(spec.to_dict(), attempt, arena_paths.get(index))
-             for index, spec, attempt, _elapsed in entries],
-            cache_dir=str(cache.path) if cache is not None else None)
-        future = pool.submit(forkserver._execute_batch, payload)
+        if pool is not None:
+            payload = forkserver.make_batch_payload(
+                [(spec.to_dict(), attempt,
+                  str(workloads[index].path) if index in workloads
+                  else None)
+                 for index, spec, attempt, _elapsed in entries],
+                cache_dir=cache_dir)
+            try:
+                future = pool.submit(forkserver._execute_batch, payload)
+            except BrokenExecutor as exc:    # broke between calls
+                future = Future()
+                future.set_exception(exc)
+        else:
+            (index, spec, attempt, _elapsed), = entries
+            future = Future()
+            future.set_result([forkserver.run_entry(
+                spec.to_dict(), attempt, workloads.get(index),
+                plan_from_env(), cache_dir)])
         active[future] = (entries, policy.deadline_for(at))
+
+    def restart(at: float, rebuild: bool) -> None:
+        """Recycle the pool and requeue the jobs in flight at their
+        current attempt (they were not at fault).  Carry on with a fresh
+        pool when ``rebuild`` asks for one and it can be built, else with
+        the in-process runner."""
+        nonlocal pool, fell_back, workers, slots, chunk, zombies
+        forkserver.recycle_pool()
+        for entries, _deadline in active.values():
+            for index, spec, attempt, elapsed in entries:
+                queue.append((at, index, spec, attempt, elapsed))
+        active.clear()
+        zombies = []
+        pool = forkserver.get_pool(jobs) if rebuild else None
+        fell_back = fell_back or pool is None
+        workers, slots, chunk = runner_shape(pool)
 
     try:
         while queue or active:
             now = time.perf_counter()  # repro-lint: disable=R002
             zombies = [future for future in zombies if not future.done()]
 
-            # Submit ready work in chunks while slots are free.
-            free = jobs - len(active) - len(zombies)
+            # Submit ready work in chunks, lowest input index first,
+            # while slots are free.
+            free = min(slots, workers - len(zombies)) - len(active)
             if free > 0 and queue:
-                queue.sort(key=lambda item: item[0])
-                ready = [item for item in queue if item[0] <= now]
-                held = [item for item in queue if item[0] > now]
+                ready = sorted((item for item in queue if item[0] <= now),
+                               key=lambda item: item[1])
+                queue = [item for item in queue if item[0] > now]
                 while free > 0 and ready:
-                    submit(ready[:chunk], now)
+                    submit([item[1:] for item in ready[:chunk]], now)
                     ready = ready[chunk:]
                     free -= 1
-                queue = held + ready
+                queue += ready
 
-            # Every slot wedged on an abandoned attempt: recycle the
+            # Every worker wedged on an abandoned attempt: recycle the
             # pool so pending retries are not starved forever.
-            if len(zombies) >= jobs and (queue or active):
-                forkserver.recycle_pool()
-                for future, (entries, _deadline) in active.items():
-                    # Innocent in-flight jobs requeue at the same
-                    # attempt; they were not at fault.
-                    for index, spec, attempt, elapsed in entries:
-                        queue.append((now, index, spec, attempt, elapsed,
-                                      ""))
-                active.clear()
-                zombies = []
-                pool = forkserver.get_pool(jobs)
-                if pool is None:
-                    return False
+            if len(zombies) >= workers:
+                restart(now, rebuild=True)
                 continue
 
             # Block until something can change: an active or zombie
-            # future completes (a finished zombie frees a slot too), an
+            # future completes (a finished zombie frees a worker too), an
             # attempt reaches its deadline, or a backoff-held retry comes
             # due.  Jobs that wait only for a free slot set no timer --
             # a slot frees only on completion -- so the parent never
@@ -555,22 +521,26 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                           default=math.inf)
             wait_for = None if horizon == math.inf \
                 else max(0.0, horizon - now)
-            done, _ = wait(list(active) + zombies, timeout=wait_for,
-                           return_when=FIRST_COMPLETED)
+            if active or zombies:
+                done, _ = wait(list(active) + zombies, timeout=wait_for,
+                               return_when=FIRST_COMPLETED)
+            else:
+                time.sleep(wait_for)    # only backoff-held retries left
+                done = set()
 
-            for future in done:
-                if future not in active:
-                    continue            # a zombie drained; slot freed
+            # Collect in submission order.  A collected attempt is over
+            # budget if its measured time exceeds the timeout, wherever
+            # it ran.
+            at = time.perf_counter()  # repro-lint: disable=R002
+            broken = False
+            for future in [f for f in active if f in done]:
                 entries, _deadline = active.pop(future)
-                at = time.perf_counter()  # repro-lint: disable=R002
                 try:
                     batch = future.result()
-                except BrokenProcessPool:
-                    # Pool-level breakage: recycle and bail out; the
-                    # serial fallback re-runs every job without an
-                    # outcome yet.
-                    forkserver.recycle_pool()
-                    return False
+                except BrokenExecutor:
+                    broken = True
+                    queue.extend((at,) + entry for entry in entries)
+                    continue
                 except Exception as exc:  # noqa: BLE001 -- per-future
                     for index, spec, attempt, elapsed in entries:
                         settle(index, spec, attempt, elapsed,
@@ -579,19 +549,26 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 for (index, spec, attempt, elapsed), job in \
                         zip(entries, batch):
                     attempt_time = float(job.get("elapsed", 0.0))
-                    if job.get("ok"):
-                        result = SimulationResult.from_dict(job["result"])
-                        outcomes[index] = _finish(
-                            spec, result, elapsed + attempt_time,
-                            attempt + 1, cache, manifest)
-                    else:
-                        settle(index, spec, attempt,
-                               elapsed + attempt_time,
+                    elapsed += attempt_time
+                    if not job.get("ok"):
+                        settle(index, spec, attempt, elapsed,
                                job.get("error", "worker returned no "
                                                 "outcome"), at,
                                bundle=str(job.get("bundle", "")))
+                    elif policy.job_timeout is not None and \
+                            attempt_time > policy.job_timeout:
+                        settle(index, spec, attempt, elapsed, timeout_error,
+                               at, kind="timeout")
+                    else:
+                        outcomes[index] = _finish(spec, job["result"],
+                                                  elapsed, attempt + 1,
+                                                  cache, manifest)
+            if broken:
+                restart(at, rebuild=False)
+                continue
 
-            # Abandon overdue attempts and retry them.
+            # Abandon attempts whose deadline passed in flight, and retry
+            # them.
             now = time.perf_counter()  # repro-lint: disable=R002
             for future in [f for f, record in active.items()
                            if record[1] <= now]:
@@ -599,11 +576,9 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 if not future.cancel():
                     zombies.append(future)
                 for index, spec, attempt, elapsed in entries:
-                    settle(index, spec, attempt, elapsed,
-                           f"timeout: attempt exceeded "
-                           f"{policy.job_timeout:.2f}s", now,
-                           kind="timeout")
-        return True
+                    settle(index, spec, attempt, elapsed, timeout_error,
+                           now, kind="timeout")
+        return fell_back
     finally:
         # The pool outlives this call (warm workers for the next sweep)
         # unless abandoned attempts are still draining inside it.
@@ -622,22 +597,21 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
 
     Arguments left as ``None`` pick up the process-wide configuration
     (see :func:`repro.run.configure` / ``REPRO_JOBS`` /
-    ``REPRO_ARENAS`` / ``REPRO_TRACE_DIR``): worker count, shared cache,
-    retry policy, sweep manifest, resume mode, and arena policy.
-    ``arenas`` is ``auto`` / ``on`` / ``off`` (booleans accepted);
-    ``trace_dir`` overrides where arenas are stored (default: a
-    ``traces/`` directory beside the result cache when one is active).
-    Triage bundles need somewhere durable to live, so they are written
-    only when a result cache is in use.  Failed jobs (retries exhausted)
-    appear as outcomes with ``result=None`` rather than aborting the
-    sweep.
+    ``REPRO_TRACE_DIR``): worker count, shared cache, retry policy,
+    sweep manifest, resume mode, and arena policy.  ``arenas`` is
+    ``auto`` / ``on`` / ``off`` (booleans accepted; anything else raises
+    :class:`ValueError`); ``trace_dir`` overrides where arenas are
+    stored (default: a ``traces/`` directory beside the result cache
+    when one is active).  Triage bundles need somewhere durable to live,
+    so they are written only when a result cache is in use.  Failed jobs
+    (retries exhausted) appear as outcomes with ``result=None`` rather
+    than aborting the sweep.
 
-    With ``jobs > 1`` and at least two pending jobs the misses run on
-    the fork-server pool (:func:`_run_pool`); whatever still lacks an
-    outcome afterwards -- all of it when the pool was skipped, the
-    remainder when it broke -- runs serially in-process.  Completed
-    outcomes survive a pool failure, and results are byte-identical
-    either way because both paths execute the same per-job code.
+    The misses run through :func:`_run`: on the fork-server pool with
+    ``jobs > 1`` and at least two pending jobs, else in process, and in
+    process too for whatever still lacks an outcome when the pool
+    cannot be used.  Results are byte-identical either way because both
+    runners execute the same per-attempt code.
     """
     if jobs is None or cache is None or policy is None \
             or manifest is None or resume is None or arenas is None \
@@ -652,12 +626,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         arenas = state.arenas if arenas is None else arenas
         trace_dir = state.trace_dir if trace_dir is None else trace_dir
     jobs = max(1, int(jobs))
-    if arenas is True:
-        arenas = "on"
-    elif arenas is False:
-        arenas = "off"
-    elif arenas not in _ARENA_MODES:
-        arenas = "auto"
+    arenas = arena_mode(arenas)
 
     start = time.perf_counter()  # repro-lint: disable=R002
     if manifest is not None:
@@ -678,32 +647,24 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
             pending.append((index, spec))
 
     trace_gen_s = 0.0
-    arena_handles: Dict[int, Any] = {}
+    workloads: Dict[int, Any] = {}
     if pending and arenas != "off":
         directory = _resolve_trace_dir(trace_dir, cache)
         if directory is not None:
-            arena_handles, trace_gen_s = _materialize_arenas(
+            workloads, trace_gen_s = _materialize_arenas(
                 pending, cache, outcomes, policy, manifest, directory,
                 arenas)
             pending = [p for p in pending if outcomes[p[0]] is None]
 
-    fell_back = False
-    if jobs > 1 and len(pending) > 1:
-        arena_paths = {index: str(handle.path)
-                       for index, handle in arena_handles.items()}
-        fell_back = not _run_pool(pending, min(jobs, len(pending)), cache,
-                                  outcomes, policy, manifest, arena_paths)
-    remaining = [p for p in pending if outcomes[p[0]] is None]
-    if remaining:
-        _run_serial(remaining, cache, outcomes, policy, manifest,
-                    arena_handles)
+    fell_back = bool(pending) and _run(pending, jobs, cache, outcomes,
+                                       policy, manifest, workloads)
 
     report = RunReport(outcomes=[o for o in outcomes if o is not None],
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002
                        jobs=1 if (jobs == 1 or fell_back) else jobs,
                        fell_back_to_serial=fell_back,
                        trace_gen_s=trace_gen_s,
-                       arena_jobs=len(arena_handles))
+                       arena_jobs=len(workloads))
     assert len(report.outcomes) == len(specs)
     _TOTALS["wall_s"] += report.wall_time
     _TOTALS["trace_gen_s"] += report.trace_gen_s

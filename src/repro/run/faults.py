@@ -44,8 +44,8 @@ Every decision is a pure function of ``(seed, kind, fingerprint,
 attempt)`` hashed through sha256 -- no global RNG state, no wall clock
 -- so a sweep re-run with the same plan injects exactly the same faults,
 and a retried attempt of the same job rolls independently (which is what
-lets retries eventually succeed).  Worker processes inherit the
-environment variable, so pool workers and the serial path inject
+lets retries eventually succeed).  Each pool chunk carries the
+parent's plan string, so pool workers and the in-process runner inject
 identically.
 
 Disk faults roll per ``(artifact category, op, sequence number)``

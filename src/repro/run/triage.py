@@ -22,8 +22,10 @@ failure offline, under ``<cache>/triage/<fingerprint[:12]>-a<attempt>/``:
 re-runs it deterministically; because the simulator is deterministic,
 the failure either reproduces exactly (a simulated wedge or modelling
 bug) or the run completes (the original failure was host-side).
-:func:`run_attempt` is the one job-attempt path of the runner, serial
-and pooled alike, and writes the bundle when an attempt fails.
+:func:`run_attempt` is the one job-attempt path of the runner, in
+process and pooled alike (both reach it through
+:func:`repro.run.forkserver.run_entry`), and writes the bundle when an
+attempt fails.
 
 Bundle writes go through :mod:`repro.run.atomicio` (atomic,
 fault-injected) and are best-effort: an unwritable cache degrades to a

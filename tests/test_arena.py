@@ -279,6 +279,13 @@ class TestExecutorIntegration:
         assert report.arena_jobs == 0
         assert not any(tmp_path.iterdir())
 
+    def test_unknown_mode_rejected(self):
+        # run_many and configure share one normalization: both raise.
+        with pytest.raises(ValueError, match="arenas"):
+            run_many([_spec(seed=0)], jobs=1, arenas="sometimes")
+        with pytest.raises(ValueError, match="arenas"):
+            repro.run.configure(arenas="sometimes")
+
     def test_trace_dir_defaults_beside_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         specs = [_spec(seed=0), _spec(seed=0)]

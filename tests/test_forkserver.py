@@ -1,10 +1,10 @@
 """Tests for the fork-server pool and batched dispatch
 (:mod:`repro.run.forkserver`).
 
-The delta codec is exercised on real JobSpec dicts, pool persistence
+Chunk payloads are exercised on real JobSpec dicts, pool persistence
 across calls is checked directly, and the headline guarantee -- a
 fork-server sweep under ``REPRO_FAULTS`` produces byte-identical
-results to the serial generator path -- is asserted end to end.
+results to the in-process generator path -- is asserted end to end.
 """
 
 import os
@@ -32,7 +32,6 @@ def clean_runner(monkeypatch):
     monkeypatch.setattr(repro.run, "_arenas", "auto")
     monkeypatch.setattr(repro.run, "_trace_dir", None)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_START_METHOD", raising=False)
 
 
 def _spec(seed=0, kind="oltp", **sizes):
@@ -41,66 +40,30 @@ def _spec(seed=0, kind="oltp", **sizes):
                    **sizes)
 
 
-class TestDeltaCodec:
-    def test_flatten_unflatten_roundtrip(self):
-        data = _spec().to_dict()
-        flat = forkserver.flatten(data)
-        assert forkserver.unflatten(flat) == data
-
-    def test_delta_between_real_jobspecs(self):
-        import dataclasses
-        base = default_system()
-        small = JobSpec(base, WorkloadSpec("oltp"), seed=0, **TINY)
-        wide = JobSpec(
-            base.replace(processor=dataclasses.replace(
-                base.processor, window_size=128)),
-            WorkloadSpec("oltp"), seed=3, **TINY)
-        base_flat = forkserver.flatten(small.to_dict())
-        delta = forkserver.encode_delta(base_flat, wide.to_dict())
-        assert forkserver.apply_delta(base_flat, delta) == \
-            wide.to_dict()
-        # The delta only carries what actually differs.
-        changed = {path for path, _ in delta["set"]}
-        assert any("window_size" in path for path in changed)
-        assert len(changed) < len(base_flat) / 2
-
-    def test_identical_jobs_produce_empty_delta(self):
-        base_flat = forkserver.flatten(_spec().to_dict())
-        delta = forkserver.encode_delta(base_flat, _spec().to_dict())
-        assert delta["set"] == [] and delta["drop"] == []
-
-    def test_dropped_keys_round_trip(self):
-        base = {"a": 1, "nested": {"x": 1, "y": 2}}
-        other = {"a": 1, "nested": {"x": 1}}
-        base_flat = forkserver.flatten(base)
-        delta = forkserver.encode_delta(base_flat, other)
-        assert forkserver.apply_delta(base_flat, delta) == other
-
-
 class TestBatchPayload:
     def test_payload_ships_faults_string(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.5,seed:7")
         spec = _spec()
-        payload = forkserver.make_batch_payload(
-            spec.to_dict(), [(spec.to_dict(), 1, None)])
+        payload = forkserver.make_batch_payload([(spec.to_dict(), 1, None)])
         assert payload["faults"] == "crash:0.5,seed:7"
+        assert payload["jobs"] == [{"job": spec.to_dict(), "attempt": 1,
+                                    "arena": None}]
 
     def test_execute_batch_runs_jobs(self):
         spec_a, spec_b = _spec(seed=0), _spec(seed=1)
         payload = forkserver.make_batch_payload(
-            spec_a.to_dict(),
             [(spec_a.to_dict(), 1, None), (spec_b.to_dict(), 1, None)])
         out = forkserver._execute_batch(payload)
         assert [entry["ok"] for entry in out] == [True, True]
-        assert out[0]["result"] == spec_a.run().to_dict()
-        assert out[1]["result"] == spec_b.run().to_dict()
+        assert out[0]["result"].to_dict() == spec_a.run().to_dict()
+        assert out[1]["result"].to_dict() == spec_b.run().to_dict()
 
     def test_execute_batch_isolates_per_job_errors(self):
         good = _spec(seed=0)
         bad = good.to_dict()
         bad["workload"]["kind"] = "no-such-workload"
         payload = forkserver.make_batch_payload(
-            good.to_dict(), [(bad, 1, None), (good.to_dict(), 1, None)])
+            [(bad, 1, None), (good.to_dict(), 1, None)])
         out = forkserver._execute_batch(payload)
         assert out[0]["ok"] is False and out[0]["error"]
         assert out[1]["ok"] is True
@@ -137,15 +100,22 @@ class TestPoolLifecycle:
         finally:
             forkserver.recycle_pool()
 
-    def test_start_method_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        assert forkserver.pick_method() == "spawn"
-
-    def test_bogus_override_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_START_METHOD", "teleport")
-        with pytest.warns(RuntimeWarning, match="teleport"):
-            assert forkserver.pick_method() in ("fork", "forkserver",
-                                                "spawn")
+    def test_small_sweeps_reuse_the_pool(self):
+        # The pool keeps its configured size: a sweep with fewer pending
+        # jobs than workers uses fewer slots instead of re-forking it.
+        forkserver.recycle_pool()
+        try:
+            run_many([_spec(seed=s) for s in (0, 1)], jobs=3,
+                     arenas="off")
+            pool = forkserver._pool
+            if pool is None:
+                pytest.skip("no usable multiprocessing start method")
+            report = run_many([_spec(seed=s) for s in (2, 3, 4)], jobs=3,
+                              arenas="off")
+            assert not report.fell_back_to_serial
+            assert forkserver._pool is pool
+        finally:
+            forkserver.recycle_pool()
 
 
 class TestPoolVsSerial:

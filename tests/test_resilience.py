@@ -12,6 +12,7 @@ fault-free results byte-for-byte.
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core import figures as F
 from repro.core.sweep import seed_sweep
 from repro.core.workloads import oltp_workload
 from repro.params import default_system
+from repro.run import forkserver, triage
 from repro.run import (
     DEFAULT_POLICY,
     MANIFEST_NAME,
@@ -72,6 +74,28 @@ def _count_pool_waits(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "wait", counting_wait)
     return calls
+
+
+class _HalfDonePool:
+    """Stand-in for the fork-server pool: completes the first chunk it
+    is given, then fails every later one as a broken pool would."""
+
+    def __init__(self):
+        self.chunks = 0
+
+    def submit(self, fn, payload):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+        self.chunks += 1
+        future = Future()
+        if self.chunks == 1:
+            future.set_result([
+                {"ok": True, "elapsed": 0.0,
+                 "result": JobSpec.from_dict(entry["job"]).run()}
+                for entry in payload["jobs"]])
+        else:
+            future.set_exception(BrokenProcessPool("worker died"))
+        return future
 
 
 @pytest.fixture(autouse=True)
@@ -340,39 +364,52 @@ class TestPoolResilience:
             self, monkeypatch):
         specs = [tiny_spec(seed=s) for s in range(3)]
         executed = []
-        real_serial = executor._run_one_serial
+        real_entry = forkserver.run_entry
 
-        def half_done_pool(pending, jobs, cache, outcomes, policy,
-                           manifest, arena_paths=None, **kw):
-            # Complete the first pending job, then report the pool dead.
-            index, spec = pending[0]
-            outcomes[index] = executor._finish(
-                spec, spec.run(), 0.0, 1, cache, manifest)
-            return False
+        def tracking_entry(job, *args, **kwargs):
+            executed.append(job["seed"])
+            return real_entry(job, *args, **kwargs)
 
-        def tracking_serial(spec, cache, policy, manifest,
-                            workload=None, **kw):
-            executed.append(spec.seed)
-            return real_serial(spec, cache, policy, manifest,
-                               workload=workload, **kw)
-
-        monkeypatch.setattr(executor, "_run_pool", half_done_pool)
-        monkeypatch.setattr(executor, "_run_one_serial", tracking_serial)
+        # The fake pool completes the first job, then reports itself dead.
+        monkeypatch.setattr(forkserver, "get_pool",
+                            lambda jobs: _HalfDonePool())
+        monkeypatch.setattr(forkserver, "run_entry", tracking_entry)
         report = run_many(specs, jobs=2, cache=None)
         assert report.fell_back_to_serial and report.jobs == 1
         # Seed 0 completed on the "pool" and must not re-run.
         assert executed == [1, 2]
         assert len(report.outcomes) == 3 and not report.failures
 
+    def test_pool_broken_before_the_sweep_falls_back(self, monkeypatch):
+        # A pool whose worker died between sweeps refuses every submit;
+        # the same loop then runs the whole sweep in process.
+        class DeadPool:
+            def submit(self, fn, payload):
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool("a worker died since the last sweep")
+
+        monkeypatch.setattr(forkserver, "get_pool", lambda jobs: DeadPool())
+        specs = [tiny_spec(seed=s) for s in range(3)]
+        report = run_many(specs, jobs=2, cache=None)
+        assert report.fell_back_to_serial and not report.failures
+        assert [o.attempts for o in report.outcomes] == [1, 1, 1]
+
     def test_pool_runs_only_for_two_or_more_pending_jobs(
             self, tmp_path, monkeypatch):
         calls = []
+        executed = []
+        real_entry = forkserver.run_entry
 
-        def sentinel_pool(pending, jobs, *args, **kwargs):
-            calls.append(([index for index, _spec in pending], jobs))
-            return False        # decline; the serial path finishes
+        def declining_pool(jobs):
+            calls.append(jobs)
+            return None         # decline; the in-process runner finishes
 
-        monkeypatch.setattr(executor, "_run_pool", sentinel_pool)
+        def tracking_entry(job, *args, **kwargs):
+            executed.append(job["seed"])
+            return real_entry(job, *args, **kwargs)
+
+        monkeypatch.setattr(forkserver, "get_pool", declining_pool)
+        monkeypatch.setattr(forkserver, "run_entry", tracking_entry)
         cache = ResultCache(tmp_path / "cache")
         specs = [tiny_spec(seed=s) for s in range(7)]
 
@@ -383,9 +420,93 @@ class TestPoolResilience:
         assert calls == [] and single.cache_hits == 3
         assert not single.fell_back_to_serial
 
+        executed.clear()
         pooled = run_many(specs[4:], jobs=2, cache=cache, arenas="off")
-        assert calls == [([0, 1, 2], 2)]
+        assert calls == [2] and executed == [4, 5, 6]
         assert pooled.fell_back_to_serial and not pooled.failures
+
+    def test_serial_and_pool_agree_on_attempt_history(self, monkeypatch,
+                                                      tmp_path):
+        # One crash-and-hang plan, run by the in-process runner (jobs=1)
+        # and by the pool (jobs=2): the same attempts fail, time out and
+        # succeed, and the results are the same bytes.
+        specs = [tiny_spec(seed=s) for s in range(4)]
+        fingerprints = [spec.fingerprint() for spec in specs]
+        retries = 2
+
+        def expected_history(plan, fingerprint):
+            kinds = []
+            for attempt in range(retries + 1):
+                if plan.roll("crash", fingerprint, attempt):
+                    kinds.append("failed")
+                elif plan.roll("hang", fingerprint, attempt):
+                    kinds.append("timeout")
+                else:
+                    kinds.append("ok")
+                    break
+            return kinds
+
+        def crash_hang_and_exhaustion(seed):
+            plan = FaultPlan(crash=0.4, hang=0.2, seed=seed)
+            histories = [expected_history(plan, fp) for fp in fingerprints]
+            kinds = [kind for history in histories for kind in history]
+            return "failed" in kinds and kinds.count("timeout") == 1 \
+                and any("ok" not in history for history in histories)
+
+        fault_seed = find_fault_seed(crash_hang_and_exhaustion)
+        monkeypatch.setenv("REPRO_FAULTS",
+                           f"crash:0.4,hang:0.2,hang_s:2,seed:{fault_seed}")
+        # The 2s hang doubles the 1s budget; a clean attempt takes ~0.1s.
+        policy = RetryPolicy(retries=retries, job_timeout=1.0,
+                             **FAST_BACKOFF)
+
+        def run(jobs):
+            manifest = SweepManifest(tmp_path / f"manifest-{jobs}.json")
+            report = run_many(specs, jobs=jobs, cache=None, policy=policy,
+                              manifest=manifest, arenas="off")
+            assert not report.fell_back_to_serial
+            per_job = [(o.attempts, o.failed, o.error.split(":")[0])
+                       for o in report.outcomes]
+            per_attempt = [
+                [entry["outcome"] for entry in sorted(
+                    manifest.get(fp).attempt_log,
+                    key=lambda entry: entry["attempt"])]
+                for fp in fingerprints]
+            results = [json.dumps(r.to_dict(), sort_keys=True)
+                       if r is not None else None for r in report.results]
+            return per_job, per_attempt, results
+
+        in_process, pooled = run(1), run(2)
+        assert in_process == pooled
+        plan = plan_from_env()
+        assert in_process[1] == [expected_history(plan, fp)
+                                 for fp in fingerprints]
+
+        # A raised attempt's time counts toward the job's wall time on
+        # both runners.
+        if forkserver.pick_method() != "fork":
+            pytest.skip("pool workers see the patch below only when forked")
+        monkeypatch.delenv("REPRO_FAULTS")
+        real_attempt = triage.run_attempt
+
+        def slow_failure(spec, attempt=0, **kwargs):
+            if attempt == 0:
+                time.sleep(0.3)
+                raise RuntimeError("slow failure")
+            return real_attempt(spec, attempt, **kwargs)
+
+        monkeypatch.setattr(triage, "run_attempt", slow_failure)
+        forkserver.recycle_pool()       # fork fresh workers that see it
+        try:
+            for jobs in (1, 2):
+                report = run_many(specs[:2], jobs=jobs, cache=None,
+                                  policy=RetryPolicy(retries=1,
+                                                     **FAST_BACKOFF),
+                                  arenas="off")
+                assert [o.attempts for o in report.outcomes] == [2, 2]
+                assert all(o.wall_time >= 0.3 for o in report.outcomes)
+        finally:
+            forkserver.recycle_pool()
 
     def test_mixed_cached_failed_retried_accounting(self, tmp_path,
                                                     monkeypatch):
