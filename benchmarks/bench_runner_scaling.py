@@ -1,17 +1,15 @@
-"""Runner scaling: serial vs trace arenas vs fork-server pool vs cache.
+"""Runner scaling: serial vs fork-server pool vs cache.
 
-Runs a small OLTP configuration sweep four ways and records the wall
+Runs a small OLTP configuration sweep three ways and records the wall
 times in ``BENCH_runner.json`` at the repo root so the perf trajectory
 of the experiment harness itself is tracked across PRs:
 
-1. **serial cold** -- generator path, no arenas (the baseline);
-2. **arena serial** -- same sweep with trace arenas materialized and
-   replayed in-process (``trace_gen_s`` is reported separately from
-   ``sim_s`` so the arena win is attributable);
-3. **parallel** -- fork-server pool with warm arenas and batched
-   dispatch (``REPRO_BENCH_INSTR``/``REPRO_BENCH_WARMUP`` shrink the
-   per-job size for smoke runs; ``REPRO_BENCH_JOBS`` sets workers);
-4. **warm cache** -- serial rerun against the now-warm result cache.
+1. **serial cold** -- in process, filling a fresh result cache (the
+   baseline);
+2. **parallel** -- fork-server pool with batched dispatch
+   (``REPRO_BENCH_INSTR``/``REPRO_BENCH_WARMUP`` shrink the per-job
+   size for smoke runs; ``REPRO_BENCH_JOBS`` sets workers);
+3. **warm cache** -- serial rerun against the now-warm result cache.
 
 Checked invariants: all paths return bit-identical results, and the
 warm-cache rerun is at least 5x faster than the cold serial run.
@@ -75,34 +73,26 @@ def _sweep_specs(instructions=None, warmup=None):
 def _assert_identical(reference, other, label):
     assert [r.to_dict() for r in other.results] == \
         [r.to_dict() for r in reference.results], \
-        f"{label} results diverged from the serial generator path"
+        f"{label} results diverged from the serial run"
 
 
 def test_runner_scaling(tmp_path):
     specs = _sweep_specs()
     cache = ResultCache(tmp_path / "cache")
-    trace_dir = str(tmp_path / "traces")
     cores = _effective_cores()
     jobs = BENCH_JOBS if BENCH_JOBS > 1 else max(2, cores)
 
-    cold = run_many(specs, jobs=1, cache=cache, arenas="off")
-    arena_serial = run_many(specs, jobs=1, cache=None, arenas="auto",
-                            trace_dir=trace_dir)
-    parallel = run_many(specs, jobs=jobs, cache=None, arenas="auto",
-                        trace_dir=trace_dir)
-    warm = run_many(specs, jobs=1, cache=cache, arenas="off")
+    cold = run_many(specs, jobs=1, cache=cache)
+    parallel = run_many(specs, jobs=jobs, cache=None)
+    warm = run_many(specs, jobs=1, cache=cache)
 
-    # All paths must agree bit-for-bit with the generator baseline.
-    _assert_identical(cold, arena_serial, "arena replay")
+    # All paths must agree bit-for-bit with the serial baseline.
     _assert_identical(cold, parallel, "fork-server pool")
     _assert_identical(cold, warm, "warm cache")
     assert cold.cache_misses == len(specs)
     assert warm.cache_hits == len(specs)
-    assert arena_serial.arena_jobs > 0, \
-        "arena path never engaged (nothing was materialized)"
 
     warm_speedup = cold.wall_time / max(warm.wall_time, 1e-9)
-    arena_speedup = cold.wall_time / max(arena_serial.wall_time, 1e-9)
     floor = _pool_floor(cores)
     if floor is not None:
         parallel_speedup = cold.wall_time / max(parallel.wall_time, 1e-9)
@@ -121,16 +111,11 @@ def test_runner_scaling(tmp_path):
         "effective_cores": cores,
         "fell_back_to_serial": parallel.fell_back_to_serial,
         "serial_cold_s": round(cold.wall_time, 3),
-        "arena_serial_s": round(arena_serial.wall_time, 3),
-        "trace_gen_s": round(arena_serial.trace_gen_s, 3),
-        "sim_s": round(arena_serial.sim_s, 3),
         "parallel_s": round(parallel.wall_time, 3),
         "warm_cache_s": round(warm.wall_time, 3),
-        "arena_serial_speedup": round(arena_speedup, 2),
         "parallel_speedup": None if parallel_speedup is None
         else round(parallel_speedup, 2),
         "parallel_regression": regression,
-        "arena_generator_identical": True,   # asserted above
         "warm_cache_speedup": round(warm_speedup, 2),
         "serial_throughput_instr_per_s": round(cold.throughput),
     }
@@ -140,10 +125,6 @@ def test_runner_scaling(tmp_path):
     parallel_txt = "skipped (1 core)" if parallel_speedup is None \
         else f"{parallel_speedup:.2f}x"
     print(f"\nserial {cold.wall_time:.2f}s | "
-          f"arena serial {arena_serial.wall_time:.2f}s "
-          f"({arena_speedup:.2f}x, trace gen "
-          f"{arena_serial.trace_gen_s:.2f}s + sim "
-          f"{arena_serial.sim_s:.2f}s) | "
           f"parallel({parallel.jobs}) {parallel.wall_time:.2f}s "
           f"({parallel_txt}){verdict} | "
           f"warm cache {warm.wall_time:.3f}s ({warm_speedup:.0f}x) | "

@@ -155,10 +155,10 @@ RULE_TABLE = (
         "file",
         _explain("""
         Every durable artifact the runner persists (cache entries, the
-        sweep manifest, arenas, triage bundles, the gc
-        journal) must be published through
-        :mod:`repro.run.atomicio` -- the audited tmp + fsync + rename
-        primitive that also hosts deterministic disk-fault injection.
+        sweep manifest, triage bundles, the gc journal) must be
+        published through :mod:`repro.run.atomicio` -- the audited
+        tmp + fsync + rename primitive that also hosts deterministic
+        disk-fault injection.
         A bare ``open(..., "w")``, ``os.replace``/``os.rename`` or
         ``Path.write_text``/``write_bytes`` inside ``repro/run/`` or
         ``repro/trace/`` creates a durable file the crash-consistency

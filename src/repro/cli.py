@@ -30,14 +30,6 @@ Runner options (accepted before or after the subcommand):
 ``--cache-dir DIR``
     Put the result cache at ``DIR`` instead of the default location
     (equivalent to ``REPRO_CACHE_DIR``, but per-invocation).
-``--no-arenas``
-    Disable trace arenas: every job regenerates its instruction streams
-    instead of replaying a materialized arena.  By default sweeps whose
-    jobs share a workload/seed/run-size materialize the streams once
-    (under ``traces/`` beside the result cache) and replay them
-    everywhere; results are byte-identical either way.
-``--trace-dir DIR``
-    Store trace arenas at ``DIR`` (equivalent to ``REPRO_TRACE_DIR``).
 
 Resilience options (accepted before or after the subcommand):
 
@@ -266,15 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="DIR",
                         help="result cache location (default: "
                              "$REPRO_CACHE_DIR or .repro-cache/)")
-    common.add_argument("--no-arenas", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="regenerate traces per job instead of "
-                             "replaying materialized arenas")
-    common.add_argument("--trace-dir", default=argparse.SUPPRESS,
-                        metavar="DIR",
-                        help="trace arena location (default: traces/ "
-                             "beside the result cache, or "
-                             "$REPRO_TRACE_DIR)")
     common.add_argument("--retries", type=int, default=argparse.SUPPRESS,
                         metavar="N",
                         help="extra attempts per failed job before "
@@ -352,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--warmup", type=int, default=None, metavar="N")
     gc = sub.add_parser(
         "gc", parents=[common],
-        help="apply retention caps to triage bundles, arenas and "
-             "quarantined entries beside the result cache")
+        help="apply retention caps to triage bundles and quarantined "
+             "entries beside the result cache")
     gc.add_argument("--dry-run", action="store_true",
                     help="print the eviction plan without deleting")
     gc.add_argument("--verbose", action="store_true",
@@ -364,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser(
         "audit-state", parents=[common],
         help="walk every durable artifact (entries, manifest, "
-             "arenas, triage, gc journal), verify checksums and assert "
-             "the durability contract")
+             "triage, gc journal), verify checksums and assert the "
+             "durability contract")
     audit.add_argument("audit_dir", nargs="?", default=None,
                        metavar="CACHE_DIR",
                        help="directory to audit (default: the active "
@@ -443,10 +426,7 @@ def main(argv=None) -> int:
                              else getattr(args, "cache_dir", None)),
                   retries=getattr(args, "retries", None),
                   job_timeout=getattr(args, "job_timeout", None),
-                  resume=getattr(args, "resume", None),
-                  arenas="off" if getattr(args, "no_arenas", False)
-                  else None,
-                  trace_dir=getattr(args, "trace_dir", None))
+                  resume=getattr(args, "resume", None))
 
     if args.command == "lint":
         from repro.check.lint import RULES, explain_rule, run_lint

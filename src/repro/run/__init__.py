@@ -48,7 +48,6 @@ from repro.run.executor import (
     JobOutcome,
     RetryPolicy,
     RunReport,
-    arena_mode,
     default_jobs,
     run_many,
 )
@@ -75,8 +74,6 @@ _cache: Optional[ResultCache] = None
 _manifest: Optional[SweepManifest] = None
 _policy: RetryPolicy = DEFAULT_POLICY
 _resume: bool = False
-_arenas: str = "auto"
-_trace_dir: Optional[str] = None
 if os.environ.get("REPRO_CACHE") == "1":
     _cache = ResultCache()
     _manifest = SweepManifest(_cache.path / MANIFEST_NAME)
@@ -91,8 +88,6 @@ class RunnerState:
     policy: RetryPolicy
     manifest: Optional[SweepManifest]
     resume: bool
-    arenas: str = "auto"
-    trace_dir: Optional[str] = None
 
 
 def configure(jobs: Optional[int] = None,
@@ -117,21 +112,24 @@ def configure(jobs: Optional[int] = None,
     retried (default: unlimited).
     ``resume``: keep completed entries of an existing sweep manifest
     instead of starting sweeps from a clean slate.
-    ``arenas``: trace-arena policy -- ``auto`` (share traces across
-    sweep groups of 2+ jobs; the default), ``on``, or ``off``
-    (booleans accepted).
-    ``trace_dir``: where arenas are stored (default: ``traces/`` beside
-    the result cache when one is active, else ``REPRO_TRACE_DIR``).
-    ``checkpoint_every``, ``dispatch`` and ``workers`` remain only so
-    existing callers that pass a non-negative ``checkpoint_every`` and
-    ``dispatch="local", workers=()`` keep working; they store nothing.
-    Any other value raises :class:`ValueError`, because the mid-job
-    checkpoints and the multi-host execution mode they selected have
-    been removed.
+    ``arenas``, ``trace_dir``, ``checkpoint_every``, ``dispatch`` and
+    ``workers`` remain only so existing callers that pass
+    ``arenas="auto", trace_dir=""``, a non-negative ``checkpoint_every``
+    and ``dispatch="local", workers=()`` keep working; they store
+    nothing.  Any other value raises :class:`ValueError`, because the
+    trace arenas, mid-job checkpoints and multi-host execution mode they
+    selected have been removed.
     Arguments left as ``None`` keep their current value.
     """
-    global _jobs, _cache, _manifest, _policy, _resume, _arenas, \
-        _trace_dir
+    global _jobs, _cache, _manifest, _policy, _resume
+    if arenas not in (None, "auto"):
+        raise ValueError(
+            f"arenas={arenas!r} is no longer supported: trace arenas "
+            f"were removed; every job generates its own streams")
+    if trace_dir not in (None, ""):
+        raise ValueError(
+            f"trace_dir={trace_dir!r} is no longer supported: trace "
+            f"arenas were removed, so nothing is stored there")
     if checkpoint_every is not None and int(checkpoint_every) < 0:
         raise ValueError(
             f"checkpoint_every={checkpoint_every!r} is no longer "
@@ -167,10 +165,6 @@ def configure(jobs: Optional[int] = None,
             job_timeout=float(job_timeout) if job_timeout > 0 else None)
     if resume is not None:
         _resume = bool(resume)
-    if arenas is not None:
-        _arenas = arena_mode(arenas)
-    if trace_dir is not None:
-        _trace_dir = str(trace_dir) if trace_dir else None
 
 
 def runner_defaults() -> Tuple[int, Optional[ResultCache]]:
@@ -181,8 +175,7 @@ def runner_defaults() -> Tuple[int, Optional[ResultCache]]:
 def runner_state() -> RunnerState:
     """Full runner configuration consumed by :func:`run_many`."""
     return RunnerState(jobs=_jobs, cache=_cache, policy=_policy,
-                       manifest=_manifest, resume=_resume,
-                       arenas=_arenas, trace_dir=_trace_dir)
+                       manifest=_manifest, resume=_resume)
 
 
 def shared_cache() -> Optional[ResultCache]:

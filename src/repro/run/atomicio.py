@@ -1,19 +1,19 @@
 """Audited atomic file I/O for every durable runner artifact.
 
 Every artifact the sweep stack persists -- result-cache entries, the
-sweep manifest, trace arenas, triage bundles, and the gc journal --
-used to carry its own copy of the same tmp + rename
-dance.  This module is the single implementation: one write primitive
-(``mkstemp`` in the target directory, write, flush, fsync, ``os.replace``,
-directory fsync), one checksummed JSON format for side-state, one
-quarantine helper for corrupt files, and one orphaned-``*.tmp`` sweeper.
+sweep manifest, triage bundles, and the gc journal -- used to carry its
+own copy of the same tmp + rename dance.  This module is the single
+implementation: one write primitive (``mkstemp`` in the target
+directory, write, flush, fsync, ``os.replace``, directory fsync), one
+checksummed JSON format for side-state, one quarantine helper for
+corrupt files, and one orphaned-``*.tmp`` sweeper.
 
 Durability policy is declared per call:
 
 * **best-effort** (the default): a storage failure degrades to a
   structured one-time :class:`DurabilityWarning` per (category, error
   kind) and a ``False`` return -- the artifact is recomputable
-  (cache entries, arenas, triage bundles, gc state), so
+  (cache entries, triage bundles, gc state), so
   the sweep continues.
 * **critical** (``critical=True``): the write must land or the caller
   must hear about it; failures raise :class:`CriticalWriteError`.  The
@@ -54,8 +54,8 @@ from repro.run.faults import (FaultPlan, InjectedCrash, InjectedDiskFault,
                               plan_from_env)
 
 #: The known artifact categories (any string is accepted; these are the
-#: five the recovery audit walks).
-CATEGORIES = ("cache", "manifest", "arena", "triage", "gcstate")
+#: four the recovery audit walks).
+CATEGORIES = ("cache", "manifest", "triage", "gcstate")
 
 #: Age (seconds) after which an orphaned ``*.tmp`` file is considered
 #: abandoned and swept.  Generous enough that a live concurrent

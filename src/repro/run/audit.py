@@ -2,8 +2,8 @@
 
 ``repro audit-state [CACHE_DIR]`` (and ``repro check --durability``)
 walks every artifact category the runner persists -- cache entries, the
-sweep manifest, arenas, triage bundles, the gc journal --
-and checks the **durability contract**:
+sweep manifest, triage bundles, the gc journal -- and checks the
+**durability contract**:
 
 * every artifact's checksum verifies (corrupt-but-recoverable files
   are *warnings*: the owning reader quarantines and recomputes them,
@@ -17,6 +17,10 @@ and checks the **durability contract**:
 * orphaned ``*.tmp`` files are classified, not ignored: stale ones
   (older than the orphan TTL) are *warnings* and swept on request,
   young ones are *notes* (a live writer may own them).
+
+The ``checkpoints/`` and ``traces/`` trees that older checkouts left in
+a cache are not audited: nothing reads them, and ``repro gc`` deletes
+them whole.
 
 Severity is the whole point: **violations** are contract breaches that
 should never occur, faulted or not -- ``audit_state`` after a disk-
@@ -42,8 +46,7 @@ class AuditFinding:
     """One classified observation about the durable tree."""
 
     severity: str      # violation | warning | note
-    category: str      # cache | manifest | arena | triage |
-    #                    gcstate | orphan
+    category: str      # cache | manifest | triage | gcstate | orphan
     path: str
     message: str
 
@@ -171,26 +174,6 @@ def _audit_manifest(report: AuditReport, cache_dir: Path,
                 f"have degraded; the job recomputes on resume)")
 
 
-def _audit_arenas(report: AuditReport, cache_dir: Path) -> None:
-    from repro.trace import arena as trace_arena
-    traces = cache_dir / "traces"
-    if not traces.is_dir():
-        return
-    for path in sorted(traces.glob("*.arena")):
-        report.count("arenas")
-        try:
-            handle = trace_arena._read_arena(path)
-        except OSError as exc:
-            report.add("warning", "arena", path, f"unreadable ({exc})")
-            continue
-        except trace_arena.CorruptArena as exc:
-            report.add("warning", "arena", path,
-                       f"corrupt ({exc}); replay quarantines it and "
-                       f"the sweep regenerates")
-            continue
-        handle.close()
-
-
 def _audit_triage(report: AuditReport, cache_dir: Path) -> None:
     from repro.run import triage
     for directory in triage.bundle_dirs(cache_dir):
@@ -223,7 +206,7 @@ def _audit_gc_state(report: AuditReport, cache_dir: Path) -> None:
 
 def _orphan_directories(cache_dir: Path) -> List[Path]:
     from repro.run import triage
-    directories = [cache_dir, cache_dir / "traces"]
+    directories = [cache_dir]
     directories.extend(triage.bundle_dirs(cache_dir))
     return directories
 
@@ -276,7 +259,6 @@ def audit_state(cache_dir: Union[str, Path],
         return report
     valid_entries = _audit_cache_entries(report, cache_dir)
     _audit_manifest(report, cache_dir, valid_entries)
-    _audit_arenas(report, cache_dir)
     _audit_triage(report, cache_dir)
     _audit_gc_state(report, cache_dir)
     _audit_orphans(report, cache_dir, now, sweep)

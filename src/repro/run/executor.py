@@ -6,12 +6,7 @@ so callers (figure sweeps, seed sweeps) see exactly the rows they asked
 for.  Dispatch policy:
 
 * every spec is first looked up in the result cache (when one is given);
-* jobs sharing a workload/seed/run-size are grouped onto a **trace
-  arena** (:mod:`repro.trace.arena`): the group's first member runs in
-  process while recording its instruction streams, which are packed and
-  persisted once, and the remaining members replay the arena instead of
-  regenerating their traces;
-* the remaining misses go through one scheduling loop (:func:`_run`)
+* the misses go through one scheduling loop (:func:`_run`)
   that owns retries, backoff, timeouts and the manifest, and hands
   chunks of jobs to one of two chunk runners: the **persistent
   fork-server pool** (:mod:`repro.run.forkserver`) for ``jobs > 1``
@@ -34,10 +29,8 @@ going.  Progress is journalled through an optional
 from the incomplete remainder.  When ``job_timeout`` is set, chunks
 shrink to one job so each attempt keeps its own deadline.
 
-Arenas never affect results or cache keys: replay is byte-identical to
-generation, an arena defect falls back to the generator path inside the
-job, and the arena reference travels beside the spec -- never inside
-:meth:`~repro.run.jobs.JobSpec.fingerprint`.
+Every attempt builds its job's workload and generates its instruction
+streams itself, wherever it runs, so no attempt depends on another.
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SimulationResult
@@ -55,24 +47,6 @@ from repro.run.cache import ResultCache
 from repro.run.faults import plan_from_env
 from repro.run.jobs import JobSpec
 from repro.run.manifest import SweepManifest
-
-
-def arena_mode(value: Any) -> str:
-    """Normalize an ``arenas`` setting to ``auto``, ``on`` or ``off``.
-
-    ``auto`` shares traces across sweep groups of 2+ jobs, ``on``
-    materializes even singleton groups, ``off`` keeps every job on the
-    generator path; ``True``/``False`` mean ``on``/``off``.  Anything
-    else raises :class:`ValueError`.
-    """
-    if value is True:
-        return "on"
-    if value is False:
-        return "off"
-    if value in ("auto", "on", "off"):
-        return value
-    raise ValueError(
-        f"arenas must be 'auto', 'on' or 'off', got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +123,6 @@ class RunReport:
     wall_time: float = 0.0    # elapsed time of the whole run_many call
     jobs: int = 1             # worker count actually used
     fell_back_to_serial: bool = False
-    trace_gen_s: float = 0.0  # time spent packing/writing trace arenas
-    arena_jobs: int = 0       # jobs dispatched with an arena reference
 
     @property
     def results(self) -> List[Optional[SimulationResult]]:
@@ -188,10 +160,10 @@ class RunReport:
         return 0.0
 
     @property
-    def sim_s(self) -> float:
-        """Wall time net of arena packing/writing: pure simulation
-        time."""
-        return max(0.0, self.wall_time - self.trace_gen_s)
+    def trace_gen_s(self) -> float:
+        """Always 0.0: trace arenas were removed.  Kept because the
+        repository benchmark (``perfbench/harness.py``) sums it."""
+        return 0.0
 
     @property
     def throughput(self) -> float:
@@ -204,10 +176,6 @@ class RunReport:
         text = (f"{len(self.outcomes)} jobs ({self.cache_hits} cached) in "
                 f"{self.wall_time:.2f}s with {self.jobs} worker(s), "
                 f"{self.throughput:,.0f} simulated instr/s")
-        if self.arena_jobs:
-            text += f", {self.arena_jobs} replayed from arenas"
-        if self.trace_gen_s > 0:
-            text += f" (trace gen {self.trace_gen_s:.2f}s)"
         if self.retried:
             text += f", {self.retried} retried"
         if self.failures:
@@ -216,10 +184,10 @@ class RunReport:
 
 
 #: Process-wide execution totals accumulated across ``run_many`` calls.
-#: ``repro report`` samples these around each phase to attribute wall
-#: time to simulation vs. arena generation.
+#: ``repro report`` samples these around each phase to attribute its
+#: wall time to simulation.
 _TOTALS: Dict[str, float] = {
-    "wall_s": 0.0, "trace_gen_s": 0.0,
+    "wall_s": 0.0,
     "jobs": 0, "cache_hits": 0, "failed": 0,
 }
 
@@ -264,81 +232,6 @@ def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
                       bundle=bundle)
 
 
-# ------------------------------------------------------------------ arenas
-
-def _resolve_trace_dir(trace_dir: Optional[str],
-                       cache: Optional[ResultCache]) -> Optional[Path]:
-    """Where arenas live: explicit dir > ``REPRO_TRACE_DIR`` > beside the
-    result cache > nowhere (arenas disabled)."""
-    from repro.trace import arena as trace_arena
-    if trace_dir is not None:
-        return Path(trace_dir)
-    env = trace_arena.default_trace_dir()
-    if env is not None:
-        return Path(env)
-    if cache is not None:
-        return Path(cache.path) / "traces"
-    return None
-
-
-def _materialize_arenas(pending: Sequence[Tuple[int, JobSpec]],
-                        cache: Optional[ResultCache],
-                        outcomes: List[Optional[JobOutcome]],
-                        policy: RetryPolicy,
-                        manifest: Optional[SweepManifest],
-                        trace_dir: Path,
-                        mode: str) -> Tuple[Dict[int, Any], float]:
-    """Group pending jobs by arena key; ensure each group's arena exists.
-
-    Missing arenas are materialized by running the group's *first*
-    member in process with a recording tee (full retry/timeout/fault
-    semantics apply -- the recording job is an ordinary job); its
-    outcome is filled in directly and the remaining members become arena
-    consumers.  Returns ``(index -> arena handle, seconds spent
-    packing/writing)``.  In ``auto`` mode singleton groups are left on
-    the generator path (an arena can't pay for itself there); ``on``
-    materializes unconditionally.
-    """
-    from repro.trace import arena as trace_arena
-    handles: Dict[int, Any] = {}
-    trace_gen_s = 0.0
-    groups: Dict[str, List[Tuple[int, JobSpec]]] = {}
-    for index, spec in pending:
-        key = trace_arena.arena_key(spec.workload.to_dict(),
-                                    spec.params.n_nodes, spec.seed,
-                                    spec.instructions + spec.warmup)
-        groups.setdefault(key, []).append((index, spec))
-    for key, members in groups.items():
-        if mode == "auto" and len(members) < 2:
-            continue
-        path = trace_dir / f"{key}.arena"
-        handle = trace_arena.load_cached(path)
-        consumers = members
-        if handle is None:
-            index, spec = members[0]
-            consumers = members[1:]
-            try:
-                recorder = trace_arena.ArenaRecorder(
-                    spec.workload.build(), spec.params.n_nodes, spec.seed,
-                    spec.workload.to_dict(),
-                    spec.instructions + spec.warmup)
-                recording = recorder.workload()
-            except Exception:  # noqa: BLE001 -- job isolation owns this
-                recorder, recording = None, None
-            _run([(index, spec)], 1, cache, outcomes, policy, manifest,
-                 {index: recording})
-            if recorder is not None and not outcomes[index].failed:
-                started = time.perf_counter()  # repro-lint: disable=R002
-                wrote = recorder.write(path)
-                trace_gen_s += time.perf_counter() - started  # repro-lint: disable=R002
-                if wrote:
-                    handle = trace_arena.load_cached(path)
-        if handle is not None:
-            for index, _spec in consumers:
-                handles[index] = handle
-    return handles, trace_gen_s
-
-
 # ------------------------------------------------------------- scheduling
 
 def _chunk_size(n_pending: int, slots: int, policy: RetryPolicy) -> int:
@@ -357,8 +250,7 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
          cache: Optional[ResultCache],
          outcomes: List[Optional[JobOutcome]],
          policy: RetryPolicy,
-         manifest: Optional[SweepManifest],
-         workloads: Dict[int, Any]) -> bool:
+         manifest: Optional[SweepManifest]) -> bool:
     """Run every ``pending`` job to an outcome: the runner's one
     scheduling loop.  Returns whether the pool was wanted but could not
     be used (or broke), so the in-process runner took over.
@@ -372,12 +264,9 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
       two pending jobs.  The pool keeps ``jobs`` workers (so a small
       sweep does not re-fork it) while at most ``min(jobs, pending)``
       chunks are in flight; each chunk ships plain job dicts with their
-      attempt number and arena path;
+      attempt numbers;
     * the in-process runner otherwise: one slot, one job per chunk, and
-      a future that is already done when it is returned.  It takes the
-      ``workloads`` objects as they are -- arena handles, or the
-      recording tee of an arena's first member, which cannot cross a
-      process boundary.
+      a future that is already done when it is returned.
 
     Scheduling is slot-limited, so a submitted chunk starts essentially
     at once and its deadline is measured from submission (timeouts force
@@ -452,10 +341,8 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 manifest.mark_running(spec.fingerprint())
         if pool is not None:
             payload = forkserver.make_batch_payload(
-                [(spec.to_dict(), attempt,
-                  str(workloads[index].path) if index in workloads
-                  else None)
-                 for index, spec, attempt, _elapsed in entries],
+                [(spec.to_dict(), attempt)
+                 for _index, spec, attempt, _elapsed in entries],
                 cache_dir=cache_dir)
             try:
                 future = pool.submit(forkserver._execute_batch, payload)
@@ -463,11 +350,10 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 future = Future()
                 future.set_exception(exc)
         else:
-            (index, spec, attempt, _elapsed), = entries
+            (_index, spec, attempt, _elapsed), = entries
             future = Future()
             future.set_result([forkserver.run_entry(
-                spec.to_dict(), attempt, workloads.get(index),
-                plan_from_env(), cache_dir)])
+                spec.to_dict(), attempt, plan_from_env(), cache_dir)])
         active[future] = (entries, policy.deadline_for(at))
 
     def restart(at: float, rebuild: bool) -> None:
@@ -590,19 +476,13 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
              cache: Optional[ResultCache] = None,
              policy: Optional[RetryPolicy] = None,
              manifest: Optional[SweepManifest] = None,
-             resume: Optional[bool] = None,
-             arenas: Optional[str] = None,
-             trace_dir: Optional[str] = None) -> RunReport:
+             resume: Optional[bool] = None) -> RunReport:
     """Execute ``specs`` and return a report with results in input order.
 
     Arguments left as ``None`` pick up the process-wide configuration
-    (see :func:`repro.run.configure` / ``REPRO_JOBS`` /
-    ``REPRO_TRACE_DIR``): worker count, shared cache, retry policy,
-    sweep manifest, resume mode, and arena policy.  ``arenas`` is
-    ``auto`` / ``on`` / ``off`` (booleans accepted; anything else raises
-    :class:`ValueError`); ``trace_dir`` overrides where arenas are
-    stored (default: a ``traces/`` directory beside the result cache
-    when one is active).  Triage bundles need somewhere durable to live,
+    (see :func:`repro.run.configure` / ``REPRO_JOBS``): worker count,
+    shared cache, retry policy, sweep manifest and resume mode.  Triage
+    bundles need somewhere durable to live,
     so they are written only when a result cache is in use.  Failed jobs
     (retries exhausted) appear as outcomes with ``result=None`` rather
     than aborting the sweep.
@@ -614,8 +494,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     runners execute the same per-attempt code.
     """
     if jobs is None or cache is None or policy is None \
-            or manifest is None or resume is None or arenas is None \
-            or trace_dir is None:
+            or manifest is None or resume is None:
         from repro.run import runner_state
         state = runner_state()
         jobs = state.jobs if jobs is None else jobs
@@ -623,10 +502,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         policy = state.policy if policy is None else policy
         manifest = state.manifest if manifest is None else manifest
         resume = state.resume if resume is None else resume
-        arenas = state.arenas if arenas is None else arenas
-        trace_dir = state.trace_dir if trace_dir is None else trace_dir
     jobs = max(1, int(jobs))
-    arenas = arena_mode(arenas)
 
     start = time.perf_counter()  # repro-lint: disable=R002
     if manifest is not None:
@@ -646,28 +522,15 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         else:
             pending.append((index, spec))
 
-    trace_gen_s = 0.0
-    workloads: Dict[int, Any] = {}
-    if pending and arenas != "off":
-        directory = _resolve_trace_dir(trace_dir, cache)
-        if directory is not None:
-            workloads, trace_gen_s = _materialize_arenas(
-                pending, cache, outcomes, policy, manifest, directory,
-                arenas)
-            pending = [p for p in pending if outcomes[p[0]] is None]
-
     fell_back = bool(pending) and _run(pending, jobs, cache, outcomes,
-                                       policy, manifest, workloads)
+                                       policy, manifest)
 
     report = RunReport(outcomes=[o for o in outcomes if o is not None],
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002
                        jobs=1 if (jobs == 1 or fell_back) else jobs,
-                       fell_back_to_serial=fell_back,
-                       trace_gen_s=trace_gen_s,
-                       arena_jobs=len(workloads))
+                       fell_back_to_serial=fell_back)
     assert len(report.outcomes) == len(specs)
     _TOTALS["wall_s"] += report.wall_time
-    _TOTALS["trace_gen_s"] += report.trace_gen_s
     _TOTALS["jobs"] += len(report.outcomes)
     _TOTALS["cache_hits"] += report.cache_hits
     _TOTALS["failed"] += len(report.failures)

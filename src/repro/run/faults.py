@@ -212,12 +212,11 @@ class FaultPlan:
         """Which disk fault (if any) fires for one durable write.
 
         ``category`` is the artifact category (``cache`` /
-        ``manifest`` / ``arena`` / ``triage`` /
-        ``gcstate``), ``op`` the operation name, and ``seq`` the
-        category-local operation sequence number.  Kinds roll in
-        :data:`DISK_FAULT_KINDS` order and the first hit wins, so a
-        given (plan, write) pair always resolves to the same single
-        fault -- the whole schedule replays exactly.
+        ``manifest`` / ``triage`` / ``gcstate``), ``op`` the operation
+        name, and ``seq`` the category-local operation sequence number.
+        Kinds roll in :data:`DISK_FAULT_KINDS` order and the first hit
+        wins, so a given (plan, write) pair always resolves to the same
+        single fault -- the whole schedule replays exactly.
         """
         fingerprint = f"{category}:{op}"
         for kind in DISK_FAULT_KINDS:

@@ -1,10 +1,9 @@
 """Persistent fork-server worker pool and the per-attempt job runner.
 
-The original pool paid three per-job taxes that dwarf small simulations:
+The original pool paid two per-job taxes that dwarf small simulations:
 a fresh ``ProcessPoolExecutor`` per ``run_many`` call (interpreter spawn
-plus module imports per worker), one pickle round-trip per job, and full
-workload reconstruction -- trace regeneration included -- inside every
-worker.  This module removes all three:
+plus module imports per worker) and one pickle round-trip per job.  This
+module removes both:
 
 * **Persistent pool.**  One executor lives for the whole process
   (module-level, recycled only on breakage/zombie exhaustion or a
@@ -12,10 +11,9 @@ worker.  This module removes all three:
   reuse warm workers; a call with fewer pending jobs than workers uses
   fewer of them rather than rebuilding the pool.  The start method is
   the first of ``fork`` > ``forkserver`` > ``spawn`` the platform
-  offers: forked workers inherit imported modules *and* any trace
-  arenas already mapped by the parent as shared read-only pages.
+  offers: forked workers inherit the parent's imported modules.
 * **Batched dispatch.**  A chunk ships its plain job dicts, each with
-  its attempt number and arena path, in a single pickle.
+  its attempt number, in a single pickle.
 * **Explicit fault plan.**  The chunk payload carries the parent's
   ``REPRO_FAULTS`` string, because persistent workers must not trust the
   environment they captured at pool creation time.
@@ -43,9 +41,9 @@ def pick_method() -> str:
     """The start method to use: ``fork`` > ``forkserver`` > ``spawn``.
 
     ``fork`` is preferred where available because workers inherit the
-    parent's imported modules and mmap'd arenas for free; ``forkserver``
-    still avoids re-importing per job batch; ``spawn`` is the
-    lowest-common-denominator fallback.
+    parent's imported modules for free; ``forkserver`` still avoids
+    re-importing per job batch; ``spawn`` is the lowest-common-
+    denominator fallback.
     """
     import multiprocessing
     available = multiprocessing.get_all_start_methods()
@@ -102,18 +100,16 @@ atexit.register(recycle_pool)
 
 # ----------------------------------------------------------------- payload
 
-def make_batch_payload(entries: Sequence[Tuple[Dict[str, Any], int,
-                                               Optional[str]]],
+def make_batch_payload(entries: Sequence[Tuple[Dict[str, Any], int]],
                        cache_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Build one chunk payload from ``(job dict, attempt, arena path)``
-    triples.  Captures the parent's current fault plan explicitly so
-    persistent workers never act on a stale inherited environment.
-    ``cache_dir`` (when set) is where workers write crash-triage
-    bundles.
+    """Build one chunk payload from ``(job dict, attempt)`` pairs.
+    Captures the parent's current fault plan explicitly so persistent
+    workers never act on a stale inherited environment.  ``cache_dir``
+    (when set) is where workers write crash-triage bundles.
     """
     return {
-        "jobs": [{"job": job, "attempt": attempt, "arena": arena}
-                 for job, attempt, arena in entries],
+        "jobs": [{"job": job, "attempt": attempt}
+                 for job, attempt in entries],
         "faults": os.environ.get(FAULTS_ENV, ""),
         "cache_dir": cache_dir,
     }
@@ -121,17 +117,14 @@ def make_batch_payload(entries: Sequence[Tuple[Dict[str, Any], int,
 
 # ------------------------------------------------------------- worker side
 
-def run_entry(job: Dict[str, Any], attempt: int,
-              workload: Optional[Any], plan,
+def run_entry(job: Dict[str, Any], attempt: int, plan,
               cache_dir: Optional[str]) -> Dict[str, Any]:
     """Run one attempt of the job dict ``job``; never raises.
 
     This is the runner's one per-attempt function, in pool workers (via
     :func:`_execute_batch`) and in the executor's in-process runner
-    alike.  ``workload`` optionally substitutes a trace arena or
-    recording wrapper for the job's own generators (see
-    :meth:`JobSpec.run`).  The clock starts before fault injection, so
-    an injected hang is charged to the attempt and the executor's
+    alike.  The clock starts before fault injection, so an injected
+    hang is charged to the attempt and the executor's
     timeout sees it; faults come from the explicit ``plan`` (never a
     worker's inherited environment); triage bundles land under
     ``cache_dir`` when one is given; and any exception -- injected or
@@ -144,8 +137,8 @@ def run_entry(job: Dict[str, Any], attempt: int,
     start = time.perf_counter()  # repro-lint: disable=R002
     try:
         spec = JobSpec.from_dict(job)
-        result = triage.run_attempt(spec, attempt, workload=workload,
-                                    faults=plan, cache_dir=cache_dir)
+        result = triage.run_attempt(spec, attempt, faults=plan,
+                                    cache_dir=cache_dir)
     except Exception as exc:  # noqa: BLE001 -- per-job isolation
         return {
             "ok": False,
@@ -161,27 +154,10 @@ def run_entry(job: Dict[str, Any], attempt: int,
 
 
 def _execute_batch(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Worker entry point: run every job of one chunk independently.
-
-    Each job's arena path is resolved to a workload first; then the job
-    goes through :func:`run_entry` with the payload's captured fault
-    plan (not the worker's environment).
-    """
+    """Worker entry point: run every job of one chunk independently,
+    each through :func:`run_entry` with the payload's captured fault
+    plan (not the worker's environment)."""
     plan = plan_from_env(payload["faults"])
-    return [run_entry(entry["job"], entry["attempt"],
-                      _arena_workload(entry["arena"]), plan,
+    return [run_entry(entry["job"], entry["attempt"], plan,
                       payload["cache_dir"])
             for entry in payload["jobs"]]
-
-
-def _arena_workload(path: Optional[str]):
-    """Load a job's arena reference (memoized per worker process).
-
-    Forked workers find it already in the registry; spawned workers map
-    the file on first use (the page cache still shares the bytes).  Any
-    defect degrades to ``None`` -- the job reruns its generators.
-    """
-    if not path:
-        return None
-    from repro.trace import arena
-    return arena.load_cached(path, quarantine=False)

@@ -1,13 +1,13 @@
 """Retention GC for cache-adjacent artifacts: plan first, then apply.
 
-Long sweep campaigns accrete three kinds of disk debris under the
-result cache: crash-**triage** bundles (``triage/<fp12>-aN/``), shared
-trace **arenas** (``traces/*.arena``), and **quarantined** corrupt
-cache entries (``quarantine/*.json``).  Results themselves are never
-touched -- they are the product; everything here is recoverable
-scaffolding.  Caches written before mid-job checkpoints were removed
-may also hold a ``checkpoints/`` tree; nothing reads it, so every
-collection evicts it whole, whatever the rules say.
+Long sweep campaigns accrete two kinds of disk debris under the
+result cache: crash-**triage** bundles (``triage/<fp12>-aN/``) and
+**quarantined** corrupt cache entries (``quarantine/*.json``).  Results
+themselves are never touched -- they are the product; everything here
+is recoverable scaffolding.  Caches written before mid-job checkpoints
+or trace arenas were removed may also hold a ``checkpoints/`` or
+``traces/`` tree; nothing reads either, so every collection evicts them
+whole, whatever the rules say.
 
 ``repro gc`` builds a :class:`GcPlan` from per-category
 :class:`RetentionRule` caps (age, count, total bytes -- applied in that
@@ -19,9 +19,9 @@ still considers in flight (``pending``/``running``/``retrying``) are
 so a GC run concurrent with (or between resumes of) a sweep cannot eat
 the bundle of a crash that has not been triaged.
 
-A fourth category, **orphans**, covers ``*.tmp`` files abandoned by
+A third category, **orphans**, covers ``*.tmp`` files abandoned by
 writers that died between ``mkstemp`` and the final rename (including
-injected ``renamecrash`` faults): the cache root, the trace and triage
+injected ``renamecrash`` faults): the cache root and the triage
 trees.  Race safety: any item -- orphan or artifact -- whose newest
 mtime is younger than :data:`GC_GRACE_S` is pinned outright, so a gc
 run concurrent with a live sweep can never eat an in-flight temp file
@@ -78,17 +78,18 @@ class RetentionRule:
     max_bytes: Optional[int] = None
 
 
-#: Subdirectory of a cache written before mid-job checkpoints were
-#: removed; collected whole (see the module docstring).
-LEGACY_CHECKPOINT_DIR = "checkpoints"
+#: Subdirectories of a cache written before mid-job checkpoints and
+#: trace arenas were removed, with the reason gc gives for collecting
+#: each whole (see the module docstring).
+LEGACY_TREES: Dict[str, str] = {
+    "checkpoints": "legacy checkpoint tree",
+    "traces": "legacy trace tree",
+}
 
-#: Default retention policy per category.  Arenas are cheap to
-#: regenerate, so age and size bound them; triage bundles and
+#: Default retention policy per category.  Triage bundles and
 #: quarantined entries are evidence, so a count cap keeps the newest.
 DEFAULT_RULES: Dict[str, RetentionRule] = {
     "triage": RetentionRule(max_age_s=7 * _DAY, max_count=50),
-    "arenas": RetentionRule(max_age_s=7 * _DAY,
-                            max_bytes=2 * 1024 * 1024 * 1024),
     "quarantine": RetentionRule(max_age_s=7 * _DAY, max_count=200),
     # Abandoned *.tmp files are pure debris once stale; the orphan TTL
     # matches the writers' own startup sweeps.
@@ -234,12 +235,12 @@ def collect_items(cache_dir: Union[str, Path],
     pinned_short = _pinned_fingerprints(manifest)
     items: List[GcItem] = []
 
-    legacy = cache_dir / LEGACY_CHECKPOINT_DIR
-    if legacy.is_dir():
-        mtime, size = _tree_stat(legacy)
-        items.append(GcItem("checkpoints", legacy, mtime, size,
-                            evict=True,
-                            evict_reason="legacy checkpoint tree"))
+    for name, reason in LEGACY_TREES.items():
+        legacy = cache_dir / name
+        if legacy.is_dir():
+            mtime, size = _tree_stat(legacy)
+            items.append(GcItem(name, legacy, mtime, size, evict=True,
+                                evict_reason=reason))
 
     for directory in triage.bundle_dirs(cache_dir):
         mtime, size = _tree_stat(directory)
@@ -248,12 +249,6 @@ def collect_items(cache_dir: Union[str, Path],
         items.append(GcItem(
             "triage", directory, mtime, size, pinned=pinned,
             pin_reason="job in flight" if pinned else ""))
-
-    traces = cache_dir / "traces"
-    if traces.is_dir():
-        for arena in sorted(traces.glob("*.arena")):
-            mtime, size = _tree_stat(arena)
-            items.append(GcItem("arenas", arena, mtime, size))
 
     quarantine = cache_dir / "quarantine"
     if quarantine.is_dir():
@@ -270,10 +265,9 @@ def collect_items(cache_dir: Union[str, Path],
 
 def _orphan_tmp_files(cache_dir: Path) -> List[Path]:
     """Every abandoned ``*.tmp`` across the durable tree, sorted:
-    the cache root (entries + manifest), the trace dir, and triage
-    bundles."""
+    the cache root (entries + manifest) and triage bundles."""
     from repro.run import triage
-    directories = [cache_dir, cache_dir / "traces"]
+    directories = [cache_dir]
     directories.extend(triage.bundle_dirs(cache_dir))
     strays: List[Path] = []
     for directory in directories:

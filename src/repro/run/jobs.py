@@ -192,27 +192,8 @@ class JobSpec:
                 f"w={self.warmup} seed={self.seed} "
                 f"[{self.fingerprint()[:12]}]")
 
-    def run(self, workload: Optional[Any] = None) -> SimulationResult:
-        """Execute the simulation, rebuilding the workload if needed.
-
-        ``workload`` may be a pre-built workload substitute -- typically
-        a :class:`~repro.trace.arena.TraceArena` replaying materialized
-        streams, or a recording wrapper materializing them.  Any
-        :class:`~repro.trace.arena.ArenaError` (shape mismatch, stream
-        exhausted mid-run) falls back to rebuilding the generator path,
-        which is byte-identical by construction, so callers may hand in
-        an arena speculatively.  The arena never enters
-        :meth:`fingerprint`: cache keys and results are independent of
-        *how* the instruction stream was obtained.
-        """
-        if workload is not None:
-            from repro.trace.arena import ArenaError
-            try:
-                return run_simulation(self.params, workload,
-                                      instructions=self.instructions,
-                                      warmup=self.warmup, seed=self.seed)
-            except ArenaError:
-                pass
+    def run(self) -> SimulationResult:
+        """Execute the simulation on a freshly built workload."""
         return run_simulation(self.params, self.workload.build(),
                               instructions=self.instructions,
                               warmup=self.warmup, seed=self.seed)

@@ -1,8 +1,8 @@
 """Per-phase cost log printed at the end of ``repro report``.
 
-:func:`phase` times one report phase and splits its wall time into
-simulation and trace-arena generation by sampling the executor's
-process-wide totals; :func:`format_phase_log` renders the table.
+:func:`phase` times one report phase and charges the part spent inside
+``run_many`` to simulation by sampling the executor's process-wide
+totals; :func:`format_phase_log` renders the table.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import Any, Dict, List
 
 #: Per-phase execution accounting collected by :func:`phase`: for each
 #: report phase, the wall time and how much of it went to simulation
-#: and arena generation (watchdog polling is part of the simulate
-#: column -- it runs inside the cycle loop).
+#: (watchdog polling is part of the simulate column -- it runs inside
+#: the cycle loop).
 _phase_log: List[Dict[str, Any]] = []
 
 
@@ -28,7 +28,7 @@ def phase(name: str):
 
     Samples the executor's process-wide totals before and after, so the
     phase row shows exactly what *this* phase spent on simulation and
-    trace-arena generation, and how many of its jobs were cache hits.
+    how many of its jobs were cache hits.
     """
     from repro.run.executor import run_totals
     before = run_totals()
@@ -42,8 +42,7 @@ def phase(name: str):
         _phase_log.append({
             "phase": name,
             "wall_s": elapsed,
-            "sim_s": max(0.0, delta["wall_s"] - delta["trace_gen_s"]),
-            "trace_gen_s": delta["trace_gen_s"],
+            "sim_s": delta["wall_s"],
             "jobs": int(delta["jobs"]),
             "cache_hits": int(delta["cache_hits"]),
             "failed": int(delta["failed"]),
@@ -54,7 +53,7 @@ def format_phase_log() -> str:
     """The per-phase cost table printed at the end of ``repro report``."""
     if not _phase_log:
         return "per-phase cost: nothing recorded"
-    lines = ["per-phase cost (simulate / arena gen):"]
+    lines = ["per-phase cost (total / simulate):"]
     for row in _phase_log:
         notes = []
         if row["cache_hits"]:
@@ -64,12 +63,11 @@ def format_phase_log() -> str:
         suffix = f"  ({', '.join(notes)})" if notes else ""
         lines.append(
             f"  {row['phase']:<16s} {row['wall_s']:>7.2f}s total: "
-            f"{row['sim_s']:>7.2f}s sim, {row['trace_gen_s']:>5.2f}s "
-            f"arenas, {row['jobs']:>3d} job(s){suffix}")
+            f"{row['sim_s']:>7.2f}s sim, {row['jobs']:>3d} job(s)"
+            f"{suffix}")
     total = {key: sum(row[key] for row in _phase_log)
-             for key in ("wall_s", "sim_s", "trace_gen_s")}
+             for key in ("wall_s", "sim_s")}
     lines.append(
         f"  {'TOTAL':<16s} {total['wall_s']:>7.2f}s total: "
-        f"{total['sim_s']:>7.2f}s sim, {total['trace_gen_s']:>5.2f}s "
-        f"arenas")
+        f"{total['sim_s']:>7.2f}s sim")
     return "\n".join(lines)

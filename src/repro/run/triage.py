@@ -139,7 +139,6 @@ def write_bundle(cache_dir: Union[str, Path], *, spec: JobSpec,
 
 
 def run_attempt(spec: JobSpec, attempt: int = 0, *,
-                workload: Optional[Any] = None,
                 faults: Optional[FaultPlan] = None,
                 cache_dir: Optional[Union[str, Path]] = None
                 ) -> SimulationResult:
@@ -158,7 +157,7 @@ def run_attempt(spec: JobSpec, attempt: int = 0, *,
             fingerprint = spec.fingerprint()
             faults.maybe_crash(fingerprint, attempt)
             faults.maybe_hang(fingerprint, attempt)
-        return spec.run(workload=workload)
+        return spec.run()
     except Exception as exc:
         if cache_dir is not None:
             bundle = write_bundle(

@@ -111,9 +111,9 @@ class TestAtomicWrite:
             assert not atomicio.atomic_write_bytes(target, b"x",
                                                    category="cache")
         # A different category still gets its one warning.
-        with pytest.warns(DurabilityWarning, match="arena write failed"):
+        with pytest.warns(DurabilityWarning, match="triage write failed"):
             assert not atomicio.atomic_write_bytes(target, b"x",
-                                                   category="arena")
+                                                   category="triage")
 
     def test_critical_failure_raises(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -183,7 +183,7 @@ class TestDiskFaultInjection:
         # Multiple kinds actually fire somewhere in the window, and a
         # different category rolls an independent schedule.
         assert len({kind for kind in schedule if kind}) >= 2
-        assert schedule != [plan.disk_fault("arena", "write", seq)
+        assert schedule != [plan.disk_fault("triage", "write", seq)
                             for seq in range(64)]
 
     def test_torn_offset_strictly_damages_the_payload(self):
@@ -198,8 +198,8 @@ class TestDiskFaultInjection:
             atomicio.atomic_write_bytes(tmp_path / f"{i}.bin", b"x",
                                         category="cache", plan=plan)
         atomicio.atomic_write_bytes(tmp_path / "a.bin", b"x",
-                                    category="arena", plan=plan)
-        assert atomicio.sequence_numbers() == {"cache": 3, "arena": 1}
+                                    category="triage", plan=plan)
+        assert atomicio.sequence_numbers() == {"cache": 3, "triage": 1}
 
     def test_enospc_fails_up_front(self, tmp_path):
         target = tmp_path / "entry.json"
@@ -215,7 +215,7 @@ class TestDiskFaultInjection:
         target = tmp_path / "blob.bin"
         payload = b"p" * 100
         assert atomicio.atomic_write_bytes(target, payload,
-                                           category="arena",
+                                           category="triage",
                                            plan=_plan(torn=1.0))
         assert target.exists()
         stored = target.read_bytes()
@@ -302,7 +302,10 @@ class _BoundaryPlan:
         return size // 2 if size > 1 else 0
 
 
-def _sweep(cache_dir, *, arenas="off", seeds=(0, 1)):
+SWEEP_SEEDS = (0, 1)
+
+
+def _sweep(cache_dir, *, seeds=SWEEP_SEEDS):
     cache_dir = Path(cache_dir)
     cache = ResultCache(cache_dir)
     manifest = SweepManifest(cache_dir / MANIFEST_NAME)
@@ -310,8 +313,22 @@ def _sweep(cache_dir, *, arenas="off", seeds=(0, 1)):
     return run_many(
         specs, jobs=1, cache=cache, manifest=manifest,
         policy=RetryPolicy(retries=3, job_timeout=60, **FAST_BACKOFF),
-        resume=True, arenas=arenas,
-        trace_dir=str(cache_dir / "traces"))
+        resume=True)
+
+
+def _crash_once_faults(seeds=SWEEP_SEEDS):
+    """A ``REPRO_FAULTS`` plan under which every job of a ``_sweep``
+    crashes on its first attempt only, so each writes one triage bundle
+    and then completes.  Fault rolls are pure hashes, so the search (and
+    thus the test) is deterministic."""
+    fingerprints = [tiny_spec(seed=s).fingerprint() for s in seeds]
+    for fault_seed in range(10_000):
+        text = f"crash:0.5,seed:{fault_seed}"
+        plan = FaultPlan.parse(text)
+        if all(plan.roll("crash", fp, 0) and not plan.roll("crash", fp, 1)
+               for fp in fingerprints):
+            return text
+    raise AssertionError("no suitable fault seed in search range")
 
 
 def _dumps(report):
@@ -330,13 +347,17 @@ class TestCrashAtEveryWriteBoundary:
     boundary; a resumed sweep must match the fault-free baseline
     byte-for-byte and leave zero audit violations."""
 
-    @pytest.mark.parametrize("category,arenas", [
+    @pytest.mark.parametrize("category,job_crashes", [
         ("cache", "off"),
-        ("arena", "on"),
+        ("triage", "on"),
     ])
     def test_writer_death_at_every_boundary(self, tmp_path, monkeypatch,
-                                            category, arenas):
-        base = _sweep(tmp_path / "base", arenas=arenas)
+                                            category, job_crashes):
+        # Triage bundles are written only for failed attempts, so that
+        # case crashes every job once before it completes.
+        if job_crashes == "on":
+            monkeypatch.setenv("REPRO_FAULTS", _crash_once_faults())
+        base = _sweep(tmp_path / "base")
         assert not base.failures
         base_dumps = _dumps(base)
         boundaries = atomicio.sequence_numbers().get(category, 0)
@@ -352,7 +373,7 @@ class TestCrashAtEveryWriteBoundary:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    _sweep(workdir, arenas=arenas)
+                    _sweep(workdir)
                 except InjectedCrash:
                     pass     # writer death escaped run_many: a real
                     #          process kill looks exactly like this
@@ -363,7 +384,7 @@ class TestCrashAtEveryWriteBoundary:
             atomicio.reset_state()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                resumed = _sweep(workdir, arenas=arenas)
+                resumed = _sweep(workdir)
             assert not resumed.failures
             assert _dumps(resumed) == base_dumps, \
                 f"resume after {category} boundary {seq} diverged"
@@ -453,7 +474,7 @@ class TestCrashAtEveryWriteBoundary:
         """The CI chaos-smoke recipe in miniature: a mixed
         torn+enospc+renamecrash plan, re-invoked until the sweep
         completes, must converge on the fault-free baseline."""
-        base = _sweep(tmp_path / "base", arenas="on")
+        base = _sweep(tmp_path / "base")
         base_dumps = _dumps(base)
         monkeypatch.setenv(
             "REPRO_FAULTS",
@@ -464,7 +485,7 @@ class TestCrashAtEveryWriteBoundary:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    report = _sweep(workdir, arenas="on")
+                    report = _sweep(workdir)
                     break
                 except InjectedCrash:
                     continue    # process died mid-write: run again
@@ -475,7 +496,7 @@ class TestCrashAtEveryWriteBoundary:
         atomicio.reset_state()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            resumed = _sweep(workdir, arenas="on")
+            resumed = _sweep(workdir)
         assert _dumps(resumed) == base_dumps
         _assert_clean_audit(workdir)
 
@@ -584,16 +605,16 @@ class TestGcRaceSafety:
     def test_just_renamed_artifact_survives_aggressive_rules(
             self, tmp_path):
         now = atomicio.time_now()
-        traces = tmp_path / "traces"
-        traces.mkdir()
-        (traces / "fresh.arena").write_bytes(b"x" * 128)
-        rules = {"arenas": run_gc.RetentionRule(max_age_s=0.0,
-                                                max_bytes=0)}
+        quarantine = tmp_path / "quarantine"
+        quarantine.mkdir()
+        (quarantine / "fresh.json").write_bytes(b"x" * 128)
+        rules = {"quarantine": run_gc.RetentionRule(max_age_s=0.0,
+                                                    max_bytes=0)}
         plan = run_gc.plan_gc(tmp_path, rules=rules, now=now)
         assert plan.evictions == []
 
     def test_audit_clean_after_gc_on_a_real_sweep(self, tmp_path):
-        _sweep(tmp_path, arenas="on")
+        _sweep(tmp_path)
         # Age everything past the caps, then collect with audit cross-
         # check: gc plus the journal write must leave zero violations.
         old = atomicio.time_now() - 30 * 86400
@@ -618,12 +639,11 @@ class TestAuditState:
         assert len(report.notes) == 1
 
     def test_clean_sweep_audits_clean(self, tmp_path):
-        _sweep(tmp_path, arenas="on")
+        _sweep(tmp_path)
         report = _assert_clean_audit(tmp_path)
-        assert report.scanned.get("entries") == 2
-        assert report.scanned.get("manifest") == 1
-        assert report.scanned.get("arenas") == 2
+        assert report.scanned == {"entries": 2, "manifest": 1}
         assert not report.findings
+        assert not (tmp_path / "traces").exists()
 
     def test_corrupt_entry_is_a_warning_not_a_violation(self, tmp_path):
         _sweep(tmp_path)
@@ -704,7 +724,7 @@ class TestR013Lint:
 
     def test_fires_on_os_replace_and_path_write(self):
         hits = self._lint_override(
-            os.path.join("trace", "arena.py"),
+            os.path.join("trace", "tracefile.py"),
             "import os\n"
             "def probe(tmp, path):\n"
             "    os.replace(tmp, path)\n"

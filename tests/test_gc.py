@@ -2,7 +2,8 @@
 
 Covers the eviction planner's age, count and byte caps, manifest pins
 that protect in-flight jobs, applying a plan, its rendering, and the
-``checkpoints/`` tree an older checkout may have left in a cache.
+``checkpoints/`` and ``traces/`` trees an older checkout may have left
+in a cache.
 """
 
 import os
@@ -34,7 +35,7 @@ class TestGc:
                age_s=9 * 86400)
         _touch(root / "triage" / (fp_new[:12] + "-a1") / "job.json",
                age_s=1 * 86400)
-        _touch(root / "traces" / "t1.arena", age_s=8 * 86400,
+        _touch(root / "quarantine" / "stale.json", age_s=8 * 86400,
                payload=b"y" * 100)
         _touch(root / "quarantine" / "bad.json", age_s=2 * 86400)
         return fp_old, fp_new
@@ -43,7 +44,7 @@ class TestGc:
         fp_old, fp_new = self.seed_cache(tmp_path)
         plan = run_gc.plan_gc(tmp_path, now=NOW)
         gone = {item.path.name for item in plan.evictions}
-        assert gone == {fp_old[:12] + "-a1", "t1.arena"}
+        assert gone == {fp_old[:12] + "-a1", "stale.json"}
         kept = {item.path.name for item in plan.items if not item.evict}
         assert kept == {fp_new[:12] + "-a1", "bad.json"}
         assert plan.freed_bytes() > 0
@@ -58,7 +59,7 @@ class TestGc:
         # The triage bundle (fp12 prefix) of the running job survives.
         assert pinned == {fp_old[:12] + "-a1"}
         gone = {item.path.name for item in plan.evictions}
-        assert gone == {"t1.arena"}
+        assert gone == {"stale.json"}
 
     def test_count_cap_keeps_newest_and_pins_hold_slots(self, tmp_path):
         root = tmp_path
@@ -79,12 +80,12 @@ class TestGc:
 
     def test_bytes_cap_evicts_oldest_first(self, tmp_path):
         for n, age in enumerate((300.0, 200.0, 100.0)):
-            _touch(tmp_path / "traces" / f"t{n}.arena", age_s=age,
+            _touch(tmp_path / "quarantine" / f"q{n}.json", age_s=age,
                    payload=b"z" * 400)
-        rules = {"arenas": run_gc.RetentionRule(max_bytes=900)}
+        rules = {"quarantine": run_gc.RetentionRule(max_bytes=900)}
         plan = run_gc.plan_gc(tmp_path, rules=rules, now=NOW)
         gone = {item.path.name for item in plan.evictions}
-        assert gone == {"t0.arena"}   # 1200 -> 800 bytes
+        assert gone == {"q0.json"}   # 1200 -> 800 bytes
 
     def test_apply_deletes_plan_and_spares_the_rest(self, tmp_path):
         fp_old, fp_new = self.seed_cache(tmp_path)
@@ -92,7 +93,7 @@ class TestGc:
         removed, freed = plan.apply()
         assert removed == 2 and freed == plan.freed_bytes()
         assert not (tmp_path / "triage" / (fp_old[:12] + "-a1")).exists()
-        assert not (tmp_path / "traces" / "t1.arena").exists()
+        assert not (tmp_path / "quarantine" / "stale.json").exists()
         assert (tmp_path / "triage" / (fp_new[:12] + "-a1")).exists()
         assert (tmp_path / "quarantine" / "bad.json").exists()
 
@@ -101,7 +102,7 @@ class TestGc:
         plan = run_gc.plan_gc(tmp_path, now=NOW)
         text = plan.format_plan(verbose=True)
         assert "gc plan: 2 evictions" in text
-        assert "triage" in text and "arenas" in text
+        assert "triage" in text and "quarantine" in text
         assert "older than 7.0d" in text
 
     def test_empty_cache_dir_plans_nothing(self, tmp_path):
@@ -152,4 +153,44 @@ class TestLegacyCheckpointTree:
         _seed_legacy_checkpoints(tmp_path)
         report = audit_state(tmp_path)
         assert report.ok, report.format_report(verbose=True)
+        assert main(["--no-cache", "audit-state", str(tmp_path)]) == 0
+
+
+def _seed_legacy_traces(root):
+    """A ``traces/`` tree as an older checkout left it, written just now:
+    a trace arena, a quarantined one, and a writer's temp file."""
+    for path in (root / "traces" / ("e" * 64 + ".arena"),
+                 root / "traces" / "quarantine" / ("f" * 64 + ".arena"),
+                 root / "traces" / "tmpa1b2c3.tmp"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"RPARENA1")
+
+
+class TestLegacyTraceTree:
+    @pytest.fixture(autouse=True)
+    def isolated_runner(self, monkeypatch):
+        """The CLI reconfigures the process-wide runner; undo it."""
+        for name in ("_jobs", "_cache", "_manifest", "_policy",
+                     "_resume"):
+            monkeypatch.setattr(repro.run, name, getattr(repro.run, name))
+
+    def test_gc_deletes_the_whole_tree_and_dry_run_lists_it(
+            self, tmp_path, capsys):
+        """Nothing reads the tree any more: gc evicts it whole, even a
+        fresh one, and a dry run only lists it."""
+        _seed_legacy_traces(tmp_path)
+        legacy = tmp_path / "traces"
+        assert main(["gc", "--cache-dir", str(tmp_path), "--dry-run",
+                     "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert f"rm {legacy}" in out and "legacy trace tree" in out
+        assert legacy.is_dir()
+        assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
+        assert not legacy.exists()
+
+    def test_audit_state_passes_a_cache_holding_one(self, tmp_path):
+        _seed_legacy_traces(tmp_path)
+        report = audit_state(tmp_path)
+        assert report.ok, report.format_report(verbose=True)
+        assert not report.findings
         assert main(["--no-cache", "audit-state", str(tmp_path)]) == 0

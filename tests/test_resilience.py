@@ -413,15 +413,15 @@ class TestPoolResilience:
         cache = ResultCache(tmp_path / "cache")
         specs = [tiny_spec(seed=s) for s in range(7)]
 
-        serial = run_many(specs[:3], jobs=1, cache=cache, arenas="off")
+        serial = run_many(specs[:3], jobs=1, cache=cache)
         assert calls == [] and not serial.fell_back_to_serial
         # jobs=2 but only one pending job (three are cache hits).
-        single = run_many(specs[:4], jobs=2, cache=cache, arenas="off")
+        single = run_many(specs[:4], jobs=2, cache=cache)
         assert calls == [] and single.cache_hits == 3
         assert not single.fell_back_to_serial
 
         executed.clear()
-        pooled = run_many(specs[4:], jobs=2, cache=cache, arenas="off")
+        pooled = run_many(specs[4:], jobs=2, cache=cache)
         assert calls == [2] and executed == [4, 5, 6]
         assert pooled.fell_back_to_serial and not pooled.failures
 
@@ -463,7 +463,7 @@ class TestPoolResilience:
         def run(jobs):
             manifest = SweepManifest(tmp_path / f"manifest-{jobs}.json")
             report = run_many(specs, jobs=jobs, cache=None, policy=policy,
-                              manifest=manifest, arenas="off")
+                              manifest=manifest)
             assert not report.fell_back_to_serial
             per_job = [(o.attempts, o.failed, o.error.split(":")[0])
                        for o in report.outcomes]
@@ -501,8 +501,7 @@ class TestPoolResilience:
             for jobs in (1, 2):
                 report = run_many(specs[:2], jobs=jobs, cache=None,
                                   policy=RetryPolicy(retries=1,
-                                                     **FAST_BACKOFF),
-                                  arenas="off")
+                                                     **FAST_BACKOFF))
                 assert [o.attempts for o in report.outcomes] == [2, 2]
                 assert all(o.wall_time >= 0.3 for o in report.outcomes)
         finally:
@@ -768,23 +767,22 @@ class TestSweepManifest:
         finished serially lands exactly one completed outcome per job
         with no duplicate attempts."""
         specs = [tiny_spec(seed=s) for s in range(6)]
-        reference = run_many(specs, jobs=1, cache=None, arenas="off")
+        reference = run_many(specs, jobs=1, cache=None)
         cache = ResultCache(tmp_path / "cache")
 
         first = run_many(specs[:3], jobs=2, cache=cache,
-                         manifest=SweepManifest(cache.path / MANIFEST_NAME),
-                         arenas="off")
+                         manifest=SweepManifest(cache.path / MANIFEST_NAME))
         assert not first.failures and first.jobs == 2
 
         second = run_many(specs[:5], jobs=2, cache=cache,
                           manifest=SweepManifest(cache.path / MANIFEST_NAME),
-                          resume=True, arenas="off")
+                          resume=True)
         assert not second.failures and second.jobs == 2
         assert second.cache_hits == 3   # first-phase results reused
 
         final = SweepManifest(cache.path / MANIFEST_NAME)
         third = run_many(specs, jobs=1, cache=cache, manifest=final,
-                         resume=True, arenas="off")
+                         resume=True)
         assert not third.failures
         assert third.cache_hits == 5
         assert [r.to_dict() for r in third.results] == \

@@ -15,7 +15,7 @@ from repro.core.experiment import SimulationResult, run_simulation
 from repro.core.sweep import seed_sweep
 from repro.core.workloads import dss_workload, oltp_workload
 from repro.params import default_system
-from repro.run import JobSpec, WorkloadSpec, ResultCache, run_many
+from repro.run import JobSpec, ResultCache, RunReport, WorkloadSpec, run_many
 from repro.run import jobs as jobs_mod
 
 TINY = dict(instructions=2500, warmup=2500)
@@ -219,6 +219,23 @@ class TestRunnerDefaults:
             repro.run.configure(jobs=4, checkpoint_every=-1)
         # A rejected call applies none of its other arguments.
         assert repro.run.runner_state() == before
+
+    def test_configure_arena_compat_arguments(self, monkeypatch):
+        monkeypatch.setattr(repro.run, "_jobs", 2)
+        before = repro.run.runner_state()
+        repro.run.configure(arenas="auto", trace_dir="")
+        assert repro.run.runner_state() == before
+        assert not hasattr(before, "arenas")
+        assert not hasattr(before, "trace_dir")
+        for kwargs in ({"arenas": "on"}, {"arenas": "off"},
+                       {"arenas": False}, {"arenas": "sometimes"},
+                       {"trace_dir": "traces"}):
+            with pytest.raises(ValueError, match="arenas were removed"):
+                repro.run.configure(jobs=4, **kwargs)
+        assert repro.run.runner_state() == before
+        with pytest.raises(TypeError):
+            run_many([], jobs=1, arenas="off")
+        assert RunReport().trace_gen_s == 0.0
 
     def test_seed_sweep_uses_runner_cache(self, monkeypatch, tmp_path):
         cache = ResultCache(tmp_path)

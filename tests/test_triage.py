@@ -189,8 +189,7 @@ class TestTriageBundles:
         specs = [small_spec(seed=seed) for seed in (1, 2)]
         report = run_many(specs, jobs=jobs, cache=ResultCache(tmp_path),
                           policy=RetryPolicy(retries=1, backoff_base=0.0),
-                          manifest=None, resume=False, arenas="off",
-                          trace_dir="")
+                          manifest=None, resume=False)
         for outcome in report.outcomes:
             assert outcome.failed
             assert outcome.bundle == str(triage.bundle_dir(
