@@ -54,6 +54,10 @@ from repro.stats.breakdown import (
     ExecutionBreakdown,
 )
 from repro.trace.instr import (
+    I_ADDR,
+    I_LATENCY,
+    I_OP,
+    I_PC,
     OP_BRANCH,
     OP_FLUSH,
     OP_FP,
@@ -106,10 +110,13 @@ LOCK_SPIN_INTERVAL = 120  # retry period for a contended lock
 
 
 class WindowEntry:
-    __slots__ = ("seq", "instr", "state", "done_at", "pending", "dependents",
-                 "category", "retry_at", "prefetched", "mispredicted")
+    """One in-flight instruction: its seq, its trace record and the
+    pipeline's timing state for it."""
 
-    def __init__(self, seq: int, instr):
+    __slots__ = ("seq", "instr", "state", "done_at", "pending", "dependents",
+                 "category", "retry_at", "prefetched", "bp_outcome")
+
+    def __init__(self, seq: int, instr: tuple):
         self.seq = seq
         self.instr = instr
         self.state = ST_WAIT
@@ -119,7 +126,9 @@ class WindowEntry:
         self.category = READ_L1  # read-stall category, set at perform
         self.retry_at = 0
         self.prefetched = False
-        self.mispredicted = False
+        # Branches: True iff the predictor mispredicted this dynamic
+        # branch (observed once per seq; see TraceBuffer._outcomes).
+        self.bp_outcome = False
 
     def __lt__(self, other: "WindowEntry") -> bool:
         # Heap items are (seq, entry) and (done_at, seq, entry), so two
@@ -134,19 +143,24 @@ class WindowEntry:
 class TraceBuffer:
     """Window onto a process's instruction stream supporting re-fetch.
 
-    Instructions are kept from the oldest unretired one onward so the core
+    Records are kept from the oldest unretired one onward so the core
     can rewind after consistency-violation rollbacks and context switches:
-    ``_buf[i]`` is the instruction of seq ``_base + i``.  The core reads
+    ``_buf[i]`` is the record of seq ``_base + i``.  The core reads
     and extends it in ``_fetch`` and releases the retired prefix in
     ``_retire``.
+
+    ``_outcomes`` maps the seq of each squashed, not yet refetched branch
+    to its predictor outcome: a refetched branch reuses it, so it never
+    retrains the predictor or pops the RAS a second time.
     """
 
-    __slots__ = ("_source", "_base", "_buf")
+    __slots__ = ("_source", "_base", "_buf", "_outcomes")
 
     def __init__(self, source: Iterator):
         self._source = source
         self._base = 0
         self._buf: deque = deque()
+        self._outcomes: Dict[int, bool] = {}
 
     @property
     def consumed(self) -> int:
@@ -469,7 +483,7 @@ class ProcessorCore:
         trace = self._trace
         buf = trace._buf
         base = trace._base
-        next_instr = trace._source.__next__
+        next_record = trace._source.__next__
         window = self._window
         limit = self._window_size
         shared = self.shared
@@ -493,17 +507,17 @@ class ProcessorCore:
             if pos < len(buf):
                 instr = buf[pos]  # refetch after a squash
             else:
-                instr = next_instr()
+                instr = next_record()
                 buf.append(instr)
-            line = instr.pc >> line_shift
+            op, pc, _addr, deps, _latency, taken, target, kind = instr
+            line = pc >> line_shift
             if line != cur_line:
-                ready_at, _cat = memsys.access_instr(now, instr.pc)
+                ready_at, _cat = memsys.access_instr(now, pc)
                 cur_line = line
                 if ready_at > now:
                     self._fetch_blocked_until = ready_at
                     self._fetch_block_instr = True
                     break
-            op = instr.op
             if op == OP_BRANCH and \
                     self._unresolved_branches >= self._max_spec_branches:
                 break
@@ -515,7 +529,7 @@ class ProcessorCore:
             entry = WindowEntry(seq, instr)
             pending = 0
             depth = seq - head
-            for distance in instr.deps:
+            for distance in deps:
                 if 0 < distance <= depth:
                     producer = window[depth - distance]
                     if producer.state != ST_DONE:
@@ -542,14 +556,14 @@ class ProcessorCore:
             slots -= 1
             if op == OP_BRANCH:
                 self._unresolved_branches += 1
-                if instr.bp_outcome is None:
-                    instr.bp_outcome = self.bpred.observe(
-                        instr.pc, instr.branch_kind, instr.taken,
-                        instr.target)
-                if instr.taken:
+                # A refetched branch keeps the outcome saved at its squash.
+                outcome = trace._outcomes.pop(entry.seq, None)
+                if outcome is None:
+                    outcome = self.bpred.observe(pc, kind, taken, target)
+                if taken:
                     cur_line = -1  # redirect re-checks the line
-                if instr.bp_outcome:
-                    entry.mispredicted = True
+                if outcome:
+                    entry.bp_outcome = True
                     self._fetch_blocked_until = FAR_FUTURE
                     self._fetch_block_instr = False
                     break
@@ -613,7 +627,7 @@ class ProcessorCore:
                 break  # nothing ready in a class with a unit left
             seq, entry = heappop(ready[cls])
             entry.state = ST_EXEC
-            done_at = now + entry.instr.latency
+            done_at = now + entry.instr[I_LATENCY]
             entry.done_at = done_at
             heappush(completions, (done_at, seq, entry))
             issued += 1
@@ -665,7 +679,7 @@ class ProcessorCore:
                 continue
             if entry.state != ST_READY:
                 break  # data dependence: in-order issue stalls here
-            cls = _FU_CLASS.get(entry.instr.op, 0)
+            cls = _FU_CLASS.get(entry.instr[I_OP], 0)
             if fu[cls] <= 0:
                 self._issue_wake = 1   # fresh units next cycle
                 break
@@ -675,7 +689,7 @@ class ProcessorCore:
             if shared is not None:
                 shared.issue_slots -= 1
             entry.state = ST_EXEC
-            entry.done_at = now + entry.instr.latency
+            entry.done_at = now + entry.instr[I_LATENCY]
             heapq.heappush(self._completions, (entry.done_at, seq, entry))
             seq += 1
             self._inorder_ptr = seq
@@ -700,7 +714,7 @@ class ProcessorCore:
             _t, seq, entry = heappop(completions)
             state = entry.state
             if state == ST_EXEC:
-                op = entry.instr.op
+                op = entry.instr[I_OP]
                 if op in _LOAD_OPS or (sc_mode and op in _STORE_OPS):
                     # Address generated; awaits permission to perform.
                     # PC/RC stores are done once their address is ready:
@@ -710,14 +724,13 @@ class ProcessorCore:
                     continue
                 if op == OP_BRANCH:
                     self._unresolved_branches -= 1
-                    if entry.mispredicted:
-                        entry.mispredicted = False
+                    if entry.bp_outcome:
                         self._fetch_blocked_until = now + MISPREDICT_RESTART
                         self._fetch_block_instr = False
                 elif op == OP_PREFETCH:
-                    self.memsys.prefetch_data(now, entry.instr.addr,
+                    self.memsys.prefetch_data(now, entry.instr[I_ADDR],
                                               exclusive=True,
-                                              pc=entry.instr.pc)
+                                              pc=entry.instr[I_PC])
                     entry.state = ST_DONE
                     continue
                 elif op == OP_FLUSH:
@@ -743,7 +756,7 @@ class ProcessorCore:
                 if dep.pending == 0 and dep.state == ST_WAIT:
                     dep.state = ST_READY
                     if ready is not None:
-                        heappush(ready[_FU_CLASS.get(dep.instr.op, 0)],
+                        heappush(ready[_FU_CLASS.get(dep.instr[I_OP], 0)],
                                  (dseq, dep))
 
     # ------------------------------------------------------------------ memory queue
@@ -780,7 +793,7 @@ class ProcessorCore:
                 still_queued.append(seq)
                 continue
             instr = entry.instr
-            op = instr.op
+            op = instr[I_OP]
             if ordered:
                 if op in _LOAD_OPS:
                     allowed = unit.may_perform_load(seq)
@@ -789,8 +802,8 @@ class ProcessorCore:
                 if not allowed:
                     if unit.wants_prefetch and not entry.prefetched:
                         memsys.prefetch_data(
-                            now, instr.addr,
-                            exclusive=op in _EXCLUSIVE_OPS, pc=instr.pc)
+                            now, instr[I_ADDR],
+                            exclusive=op in _EXCLUSIVE_OPS, pc=instr[I_PC])
                         entry.prefetched = True
                         changed = True
                     # Consistency-blocked: the op becomes performable only
@@ -801,21 +814,21 @@ class ProcessorCore:
                     continue
             changed = True  # lock probe / memory access attempted
             if op == OP_LOCK_ACQ:
-                holder = self.lock_table.get(instr.addr)
+                holder = self.lock_table.get(instr[I_ADDR])
                 if holder is not None and holder != self.process.pid:
                     entry.retry_at = now + LOCK_SPIN_INTERVAL
                     still_queued.append(seq)
                     continue
-                self.lock_table[instr.addr] = self.process.pid
-            result = memsys.access_data(now, instr.addr,
-                                        op in _EXCLUSIVE_OPS, instr.pc)
+                self.lock_table[instr[I_ADDR]] = self.process.pid
+            result = memsys.access_data(now, instr[I_ADDR],
+                                        op in _EXCLUSIVE_OPS, instr[I_PC])
             if result.stalled:
                 entry.retry_at = result.retry_at
                 if op == OP_LOCK_ACQ:
                     # Retry the whole acquire; drop the provisional grab.
-                    if self.lock_table.get(instr.addr) == \
+                    if self.lock_table.get(instr[I_ADDR]) == \
                             self.process.pid:
-                        del self.lock_table[instr.addr]
+                        del self.lock_table[instr[I_ADDR]]
                 still_queued.append(seq)
                 continue
             entry.state = ST_MEMACC
@@ -826,7 +839,7 @@ class ProcessorCore:
             heapq.heappush(completions, (done_at, seq, entry))
             if ordered and op == OP_LOAD and unit.load_is_speculative(seq):
                 line = memsys.page_table.translate_line(
-                    instr.addr, memsys.line_shift)
+                    instr[I_ADDR], memsys.line_shift)
                 unit.note_speculative_load(seq, line)
         self._memq = still_queued
         return changed
@@ -855,24 +868,24 @@ class ProcessorCore:
             if entry.state != ST_DONE:
                 stall_category = self._classify_stall(entry)
                 break
-            op = entry.instr.op
+            op = entry.instr[I_OP]
             if op in _RETIRE_OPS:
                 if op == OP_MB and not self.storebuf.empty:
                     stall_category = SYNC
                     break
                 if op in _STORE_OPS and not self._sc_mode:
                     if op == OP_LOCK_REL:
-                        self.lock_table.pop(entry.instr.addr, None)
-                    if not self.storebuf.push_store(entry.instr.addr,
-                                                    entry.instr.pc):
+                        self.lock_table.pop(entry.instr[I_ADDR], None)
+                    if not self.storebuf.push_store(entry.instr[I_ADDR],
+                                                    entry.instr[I_PC]):
                         stall_category = WRITE
                         break
                 elif op == OP_LOCK_REL:  # SC: already performed in order
-                    self.lock_table.pop(entry.instr.addr, None)
+                    self.lock_table.pop(entry.instr[I_ADDR], None)
                 elif op == OP_WMB:
                     self.storebuf.push_barrier()
                 elif op == OP_FLUSH:
-                    self.memsys.flush_line(now, entry.instr.addr)
+                    self.memsys.flush_line(now, entry.instr[I_ADDR])
             window.popleft()
             entry.state = ST_GONE
             last_seq = entry.seq
@@ -911,7 +924,7 @@ class ProcessorCore:
             self._gap_category = CPU_STALL
 
     def _classify_stall(self, entry: WindowEntry) -> int:
-        op = entry.instr.op
+        op = entry.instr[I_OP]
         if op in (OP_LOCK_ACQ, OP_LOCK_REL, OP_MB, OP_WMB):
             return SYNC
         if entry.state == ST_MEMACC:
@@ -930,15 +943,18 @@ class ProcessorCore:
         """Remove all entries with seq >= ``seq`` and refetch from there."""
         window = self._window
         ordered = self._ordered
+        outcomes = self._trace._outcomes
         while window and window[-1].seq >= seq:
             entry = window.pop()
-            op = entry.instr.op
+            op = entry.instr[I_OP]
             if op in _MEMQ_OPS:
                 self._mem_inflight -= 1
             if ordered:
                 self.consistency.note_removed(entry.seq)
-            if op == OP_BRANCH and entry.state != ST_DONE:
-                self._unresolved_branches -= 1
+            if op == OP_BRANCH:
+                outcomes[entry.seq] = entry.bp_outcome
+                if entry.state != ST_DONE:
+                    self._unresolved_branches -= 1
             entry.state = ST_GONE
         self._memq = [s for s in self._memq if s < seq]
         self._next_seq = seq

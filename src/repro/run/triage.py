@@ -44,7 +44,7 @@ from repro.run import atomicio
 from repro.run.faults import FaultPlan
 from repro.run.jobs import MODEL_VERSION, JobSpec
 from repro.system.machine import Machine, WedgeError
-from repro.trace.instr import OP_NAMES
+from repro.trace.instr import I_ADDR, I_OP, I_PC, OP_NAMES
 
 #: Subdirectory of the result cache holding triage bundles.
 TRIAGE_DIR = "triage"
@@ -85,9 +85,9 @@ def _stream_tails(machine: Machine) -> List[Dict[str, Any]]:
             "cpu": process.cpu,
             "consumed": process.trace.consumed,
             "resume_seq": process.resume_seq,
-            "tail": [{"op": OP_NAMES.get(ins.op, str(ins.op)),
-                      "pc": f"{ins.pc:#x}",
-                      "addr": f"{ins.addr:#x}"} for ins in buf],
+            "tail": [{"op": OP_NAMES.get(rec[I_OP], str(rec[I_OP])),
+                      "pc": f"{rec[I_PC]:#x}",
+                      "addr": f"{rec[I_ADDR]:#x}"} for rec in buf],
         })
     return tails
 

@@ -25,7 +25,7 @@ from repro.cpu.core import (
     ST_WAIT,
     ProcessorCore,
 )
-from repro.trace.instr import OP_NAMES
+from repro.trace.instr import I_OP, OP_NAMES
 
 _STATE_CHARS = {
     ST_WAIT: "w",     # waiting for operands
@@ -71,7 +71,7 @@ class PipeTracer:
         if head is None:
             detail = "(window empty)"
         else:
-            op = OP_NAMES.get(head.instr.op, "?")
+            op = OP_NAMES.get(head.instr[I_OP], "?")
             detail = (f"head seq={head.seq} {op} "
                       f"{_STATE_CHARS.get(head.state, '?')}")
         return (f"{now:>10d} |{picture:<{self.window_chars}s}| "

@@ -32,7 +32,7 @@ from repro.stats.breakdown import ExecutionBreakdown
 from repro.stats.mshr import MshrOccupancyGroup
 from repro.system.process import Process
 from repro.system.scheduler import CpuScheduler
-from repro.trace.instr import OP_LOCK_ACQ, OP_NAMES
+from repro.trace.instr import I_ADDR, I_OP, I_PC, OP_LOCK_ACQ, OP_NAMES
 
 #: Exclusive-ownership transfers on a single line, with no instruction
 #: retiring anywhere, before the watchdog calls it a coherence livelock.
@@ -333,14 +333,14 @@ class Machine:
                     head = phys._window[0]
                     if head.state not in (ST_MEMQ, ST_MEMACC):
                         continue
-                    op = head.instr.op
+                    op = head.instr[I_OP]
                     detail = (f"head of ROB: {OP_NAMES[op]} "
-                              f"pc={head.instr.pc:#x} "
-                              f"addr={head.instr.addr:#x} "
+                              f"pc={head.instr[I_PC]:#x} "
+                              f"addr={head.instr[I_ADDR]:#x} "
                               f"state={'memq' if head.state == ST_MEMQ else 'memacc'} "
                               f"retry_at={head.retry_at}")
                     if op == OP_LOCK_ACQ:
-                        holder = self.lock_table.get(head.instr.addr)
+                        holder = self.lock_table.get(head.instr[I_ADDR])
                         detail += f" (lock held by pid {holder})"
                     return WedgeError("memory-stall", now, node=cpu,
                                       retired=retired, detail=detail)

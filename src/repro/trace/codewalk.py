@@ -20,22 +20,20 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.trace.instr import BR_CALL, BR_COND, BR_JUMP, BR_RETURN
+from repro.trace.instr import BR_CALL, BR_COND, BR_JUMP, BR_RETURN, \
+    OP_BRANCH
 
 INSTR_BYTES = 4
 
 
-@dataclass
-class BranchDescriptor:
-    """Outcome of one dynamic branch placed by the walker."""
-
-    pc: int
-    taken: bool
-    target: int
-    kind: int  # BR_* constant
+def _site_hash(pc: int) -> int:
+    """Stable per-PC hash: static code properties (block boundaries,
+    branch kinds, biases, call targets) are functions of the PC, so
+    every revisit of an address behaves like the same static code."""
+    h = (pc * 2654435761) & 0xFFFFFFFF
+    return (h ^ (h >> 13)) & 0xFFFFFFFF
 
 
 class CodeWalker:
@@ -87,7 +85,7 @@ class CodeWalker:
         self._stack: List[int] = []
         start, length = self._routines[0]
         #: PC of the next instruction.  Straight-line code advances it by
-        #: ``INSTR_BYTES`` per instruction (the assembler does this
+        #: ``INSTR_BYTES`` per instruction (the emitter does this
         #: itself); :meth:`end_block` and the phase/loop jumps move it.
         self.pc = start
         self._routine_end = start + length
@@ -110,20 +108,13 @@ class CodeWalker:
     # -- branch bias -------------------------------------------------------
 
     @staticmethod
-    def _site_hash(pc: int) -> int:
-        """Stable per-PC hash: static code properties (block boundaries,
-        branch kinds, biases, call targets) are functions of the PC, so
-        every revisit of an address behaves like the same static code."""
-        h = (pc * 2654435761) & 0xFFFFFFFF
-        return (h ^ (h >> 13)) & 0xFFFFFFFF
-
-    def block_len_at(self, pc: int, lo: int, hi: int) -> int:
+    def block_len_at(pc: int, lo: int, hi: int) -> int:
         """Deterministic basic-block length starting at ``pc``."""
-        return lo + self._site_hash(pc) % (hi - lo + 1)
+        return lo + _site_hash(pc) % (hi - lo + 1)
 
-    def _bias_for(self, pc: int) -> float:
-        """Per-static-branch taken probability, stable for a given PC."""
-        h = self._site_hash(pc)
+    def _bias_for(self, h: int) -> float:
+        """Taken probability of the static branch whose PC hashes to
+        ``h``."""
         if (h % 1000) / 1000.0 < self._hard_fraction:
             return 0.55 if h & 0x100 else 0.45    # weakly biased: hard
         return 0.97 if h & 0x200 else 0.03        # strongly biased: easy
@@ -171,20 +162,22 @@ class CodeWalker:
 
     # -- public walking API --------------------------------------------------
 
-    def end_block(self) -> BranchDescriptor:
+    def end_block(self) -> Tuple:
         """Terminate the current basic block with a branch.
 
         The branch *kind* and its static properties are deterministic in
         the branch PC (real code does not change shape between visits);
         only conditional outcomes and occasional indirect-target
-        variations are dynamic.  Returns the branch descriptor and
-        repositions the walk at the branch's actual successor.
+        variations are dynamic.  Returns the branch's instruction record
+        (see :mod:`repro.trace.instr`) and repositions the walk at the
+        branch's actual successor.
         """
         br_pc = self.pc
         fallthrough = br_pc + INSTR_BYTES
         rng = self._rng
         at_end = br_pc >= self._routine_end
-        roll = (self._site_hash(br_pc) % 9973) / 9973.0
+        h = _site_hash(br_pc)
+        roll = (h % 9973) / 9973.0
         p_call, p_return, p_jump = self._p_call, self._p_return, self._p_jump
 
         if at_end:
@@ -198,34 +191,33 @@ class CodeWalker:
         else:
             kind = BR_COND
 
+        taken = True
         if kind == BR_RETURN:
-            desc = BranchDescriptor(br_pc, True, self._stack.pop(), BR_RETURN)
+            target = self._stack.pop()
+            # Re-derive the routine end loosely; precision is not needed
+            # for fetch behaviour, only for stream lengths.
+            self._routine_end = target + 2 * self._line
         elif kind == BR_CALL:
-            start, length = self._site_routine(br_pc, self._call_variability)
+            target, length = self._site_routine(br_pc,
+                                                self._call_variability)
             self._stack.append(fallthrough)
-            self._routine_end = start + length
-            desc = BranchDescriptor(br_pc, True, start, BR_CALL)
+            self._routine_end = target + length
         elif kind == BR_JUMP:
-            start, length = self._site_routine(br_pc, self._jump_variability)
-            self._routine_end = start + length
-            desc = BranchDescriptor(br_pc, True, start, BR_JUMP)
+            target, length = self._site_routine(br_pc,
+                                                self._jump_variability)
+            self._routine_end = target + length
         else:
-            taken = rng.random() < self._bias_for(br_pc)
+            taken = rng.random() < self._bias_for(h)
             if taken:
                 # Short forward skip within the routine: keeps the stream
                 # property (same or next couple of lines).
-                skip = 2 + self._site_hash(br_pc + 4) % 8
+                skip = 2 + _site_hash(br_pc + 4) % 8
                 target = min(br_pc + skip * INSTR_BYTES, self._routine_end)
             else:
                 target = fallthrough
-            desc = BranchDescriptor(br_pc, taken, target, BR_COND)
 
-        self.pc = desc.target if desc.taken else fallthrough
-        if desc.kind == BR_RETURN:
-            # Re-derive the routine end loosely; precision is not needed for
-            # fetch behaviour, only for stream lengths.
-            self._routine_end = self.pc + 2 * self._line
-        return desc
+        self.pc = target if taken else fallthrough
+        return (OP_BRANCH, br_pc, 0, (), 1, taken, target, kind)
 
     def jump_to_loop_head(self, head_pc: int) -> None:
         """Force the walk to a loop head (used by the DSS scan kernel)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from repro.trace.codewalk import CodeWalker
 from repro.trace.database import (
@@ -32,9 +32,9 @@ from repro.trace.database import (
     PRIVATE_STRIDE,
     DatabaseLayout,
 )
-from repro.trace.emitter import SemanticHelpers, SemanticOp, assemble
-from repro.trace.instr import OP_LOCK_ACQ, OP_LOCK_REL, OP_MB, OP_SYSCALL, \
-    OP_WMB, Instruction
+from repro.trace.emitter import FP_LATENCY, Emitter
+from repro.trace.instr import OP_FP, OP_INT, OP_LOAD, OP_LOCK_ACQ, \
+    OP_LOCK_REL, OP_MB, OP_STORE, OP_SYSCALL, OP_WMB
 
 LINE = 64
 
@@ -79,7 +79,7 @@ class DssParams:
         )
 
 
-class DssTraceGenerator(SemanticHelpers):
+class DssTraceGenerator(Emitter):
     """Instruction stream of one DSS (parallel query) server process.
 
     Each process scans its own partition of the table: partitions are
@@ -95,31 +95,29 @@ class DssTraceGenerator(SemanticHelpers):
         self.params = params or DssParams()
         self.n_processes = max(1, n_processes)
         rng = random.Random((seed << 20) ^ (pid * 0x85EBCA77) ^ 0x0D55)
-        super().__init__(rng)
-        self._walker = CodeWalker(
+        walker = CodeWalker(
             base=0x0100_0000, code_bytes=self.params.code_bytes, rng=rng,
             hot_fraction=0.9, hot_routines=8,
             hard_branch_fraction=self.params.hard_branch_fraction,
             avg_routine_lines=4,
             call_target_variability=0.02, jump_target_variability=0.05)
+        super().__init__(rng, walker, block_instrs=(6, 10))
         self.rows_scanned = 0
         self.batches = 0
         self._agg_cursor = 0
 
-    def __iter__(self) -> Iterator[Instruction]:
-        return assemble(self._semantics(), self._walker, self._rng,
-                        block_instrs=(6, 10))
+    # -- record stream -----------------------------------------------------
 
-    # -- semantic stream ---------------------------------------------------
-
-    def _semantics(self) -> Iterator[SemanticOp]:
+    def _chunks(self) -> Iterator[List[tuple]]:
+        """Two chunks per scanned row (see :meth:`_scan_batch`); a
+        checkpoint joins the next row's first chunk."""
         p = self.params
         while True:
             yield from self._scan_batch()
             self.batches += 1
             if p.checkpoint_blocks and \
                     self.batches % p.batches_per_checkpoint == 0:
-                yield from self._checkpoint()
+                self._checkpoint()
 
     def _row_addr(self, row_index: int) -> int:
         """Partitioned scan: process p reads pages p, p+N, p+2N, ..."""
@@ -130,8 +128,13 @@ class DssTraceGenerator(SemanticHelpers):
         offset = (virtual_page * 8192 + slot * p.row_bytes)
         return BLOCK_BUFFER_BASE + offset % p.table_bytes
 
-    def _scan_batch(self) -> Iterator[SemanticOp]:
+    def _scan_batch(self) -> Iterator[List[tuple]]:
+        """Scan one batch of rows.  Each row yields two chunks: its
+        field loads and arithmetic, then its buffer, aggregation and
+        result accesses (about a hundred records each, which keeps the
+        records produced ahead of the core small)."""
         p, rng = self.params, self._rng
+        emit = self.emit
         for _ in range(p.rows_per_batch):
             addr = self._row_addr(self.rows_scanned)
             self.rows_scanned += 1
@@ -140,11 +143,8 @@ class DssTraceGenerator(SemanticHelpers):
             # Field loads of one row are independent of each other (only the
             # row pointer feeds them), giving memory parallelism within the
             # spatially-local line.
-            field_tags = []
-            for field in range(4):
-                op, tag = self.load(addr + field * 2)
-                yield op
-                field_tags.append(tag)
+            field_tags = [emit(OP_LOAD, addr + field * 2)
+                          for field in range(4)]
 
             # Predicate and revenue arithmetic: dependence chains are kept
             # shallow (most ops consume the row's fields directly), so the
@@ -161,9 +161,12 @@ class DssTraceGenerator(SemanticHelpers):
                 else:
                     srcs = (rng.choice(field_tags),)
                     chain_depth = 1
-                op, chain_tag = self.alu(srcs, is_fp)
-                yield op
+                if is_fp:
+                    chain_tag = emit(OP_FP, 0, srcs, FP_LATENCY)
+                else:
+                    chain_tag = emit(OP_INT, 0, srcs)
             tags = [chain_tag if chain_tag is not None else field_tags[-1]]
+            yield self._take()
 
             # Row-processing work: copies, expression temporaries, and
             # evaluator state on the (L1-resident) private work buffers.
@@ -172,11 +175,9 @@ class DssTraceGenerator(SemanticHelpers):
                 off = rng.randrange(self.layout.hot_private_bytes // 8) * 8
                 hot_addr = self.layout.hot_private_addr(self.pid, off)
                 if rng.random() < p.hot_store_fraction:
-                    yield self.store(hot_addr, (tags[-1],))
+                    emit(OP_STORE, hot_addr, (tags[-1],))
                 else:
-                    op, tag = self.load(hot_addr)
-                    yield op
-                    tags.append(tag)
+                    tags.append(emit(OP_LOAD, hot_addr))
                     if len(tags) > 5:
                         tags.pop(0)
 
@@ -197,32 +198,29 @@ class DssTraceGenerator(SemanticHelpers):
                     bucket = rng.randrange(p.agg_working_set // 16) * 16
                 agg_addr = (PRIVATE_BASE + self.pid * PRIVATE_STRIDE
                             + PRIVATE_STRIDE // 2 + bucket)
-                op, tag = self.load(agg_addr)
-                yield op
-                upd, utag = self.alu(dep_tags=(tag,), fp=True)
-                yield upd
-                yield self.store(agg_addr, dep_tags=(utag,))
+                tag = emit(OP_LOAD, agg_addr)
+                utag = emit(OP_FP, 0, (tag,), FP_LATENCY)
+                emit(OP_STORE, agg_addr, (utag,))
 
             # Qualifying rows append to a private result scratch buffer.
             if rng.random() < p.selectivity:
                 for s in range(4):
                     off = (self.rows_scanned * 16 + s * 8)
-                    yield self.store(self.layout.hot_private_addr(
-                        self.pid, off), dep_tags=(tags[-1],))
+                    emit(OP_STORE, self.layout.hot_private_addr(self.pid, off),
+                         (tags[-1],))
+            yield self._take()
 
-    def _checkpoint(self) -> Iterator[SemanticOp]:
+    def _checkpoint(self) -> None:
         """Rare coordination with the query coordinator (negligible
         locking, matching the paper's DSS characterization)."""
+        emit = self.emit
         lock = self.layout.lock_addr(self.pid % 4)
-        yield self.simple(OP_LOCK_ACQ, addr=lock)
-        yield self.simple(OP_MB)
-        op, tag = self.load(self.layout.metadata_addr(self.pid * LINE))
-        yield op
-        upd, utag = self.alu(dep_tags=(tag,))
-        yield upd
-        yield self.store(self.layout.metadata_addr(self.pid * LINE),
-                         dep_tags=(utag,))
-        yield self.simple(OP_WMB)
-        yield self.simple(OP_LOCK_REL, addr=lock)
+        emit(OP_LOCK_ACQ, lock)
+        emit(OP_MB)
+        tag = emit(OP_LOAD, self.layout.metadata_addr(self.pid * LINE))
+        utag = emit(OP_INT, 0, (tag,))
+        emit(OP_STORE, self.layout.metadata_addr(self.pid * LINE), (utag,))
+        emit(OP_WMB)
+        emit(OP_LOCK_REL, lock)
         if self.params.checkpoint_blocks:
-            yield self.simple(OP_SYSCALL)
+            emit(OP_SYSCALL)

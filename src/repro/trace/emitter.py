@@ -1,16 +1,19 @@
-"""Assembly of semantic micro-op streams into full instruction traces.
+"""Emission of instruction records by the workload generators.
 
 Workload generators describe *what* a process does (loads/stores to the
-database regions, ALU work, locking, commits) as a stream of
-:class:`SemanticOp` records with symbolic dependence *tags*.  The assembler
-then merges that stream with the instruction-fetch behaviour from a
-:class:`~repro.trace.codewalk.CodeWalker` -- assigning PCs, inserting the
-branch instructions that terminate basic blocks, and resolving dependence
-tags into backward dynamic distances.
+database regions, ALU work, locking, commits) by calling
+:meth:`Emitter.emit` once per micro-op.  The emitter merges each op with
+the instruction-fetch behaviour of a
+:class:`~repro.trace.codewalk.CodeWalker` -- inserting the branch that
+terminates a basic block, assigning the PC -- and appends the finished
+record (see :mod:`repro.trace.instr`) to the current *chunk*.
 
-Separating semantics from assembly keeps dependence bookkeeping correct:
-inserted branches shift dynamic distances, which the assembler accounts for
-because tags are resolved only at final emission.
+Tags are stream indices: :meth:`Emitter.emit` returns the op's index in
+the process's dynamic stream (inserted branches included), and a later
+op names its producers by those indices.  The dependence distance is
+``index - producer_index``, kept when ``0 < d <= MAX_DEP_DISTANCE``; a
+producer further back has necessarily completed, and an index not yet
+emitted names nothing.
 
 Stream contract
 ---------------
@@ -21,148 +24,106 @@ one extra or missing draw shifts every later instruction.  Rewrites of
 this package must keep the draw sequence exactly; for example
 ``rng.choice(x)`` may replace ``rng.sample(x, 1)[0]`` because on CPython
 both make exactly one ``_randbelow(len(x))`` draw and pick the same
-element.
+element.  Emitting into chunks rather than yielding one op at a time
+left that sequence unchanged: each op's block-end branch is drawn at its
+:meth:`~Emitter.emit`, after the op's own draws and before the next op's,
+exactly where the former one-op-per-yield assembler drew it.
 
-The assembler keeps a tag -> dynamic-position map and prunes it to the
-entries within :data:`MAX_DEP_DISTANCE` of the current position.
-Positions only grow, so an entry pruned as too far back would be further
-back still for every later consumer, and dependences beyond
-``MAX_DEP_DISTANCE`` are dropped anyway: pruning never drops a dependence
-that would have been emitted.
+A generator's ``__iter__`` hands out one record per ``next()`` from a
+chain over its chunks.  A chunk holds at most one DSS row section (its
+arithmetic, or its memory accesses; a checkpoint between row batches
+joins the next section) or one OLTP/TPC-C transaction step (the span
+between two ``_phase`` calls).  So the records produced but not yet
+consumed stay bounded, and the generators' counters
+(``transactions_emitted``, ``tx_counts``, ``rows_scanned``, ``batches``)
+run ahead of what the consumer has pulled by at most one chunk.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.trace.codewalk import INSTR_BYTES, CodeWalker
-from repro.trace.instr import (
-    OP_BRANCH,
-    OP_FP,
-    OP_INT,
-    OP_LOAD,
-    OP_STORE,
-    Instruction,
-)
+from repro.trace.instr import BR_COND
 
 #: Dependences further back than this are dropped: the producer is
 #: guaranteed complete before the consumer can possibly enter the window.
 MAX_DEP_DISTANCE = 192
 
-#: Size at which the assembler's tag map is pruned back to the live
-#: entries (at most ``MAX_DEP_DISTANCE + 1`` survive a pruning).
-_PRUNE_AT = 4 * MAX_DEP_DISTANCE
+#: ``(d,)`` for every keepable distance ``d``: records share these
+#: one-dependence tuples instead of each allocating its own.
+_ONE_DEP = tuple((d,) for d in range(MAX_DEP_DISTANCE + 1))
+
+#: Execution latency of a floating-point ALU op (integer ops take 1).
+FP_LATENCY = 3
 
 
-class SemanticOp:
-    """One micro-op emitted by a workload generator, pre-assembly."""
+class Emitter:
+    """Base of the workload generators: chunked record emission.
 
-    __slots__ = ("op", "addr", "dep_tags", "latency", "tag", "fixed_pc")
-
-    def __init__(self, op: int, addr: int = 0,
-                 dep_tags: Sequence[int] = (), latency: int = 1,
-                 tag: Optional[int] = None, fixed_pc: Optional[int] = None):
-        self.op = op
-        self.addr = addr
-        self.dep_tags = dep_tags
-        self.latency = latency
-        self.tag = tag
-        self.fixed_pc = fixed_pc
-
-
-def assemble(semantics: Iterator[SemanticOp], walker: CodeWalker,
-             rng: random.Random,
-             block_instrs: Tuple[int, int] = (4, 7)) -> Iterator[Instruction]:
-    """Merge a semantic stream with the code walk into Instructions.
-
-    Every ``block_instrs``-sized run of sequential PCs is terminated by a
-    branch instruction taken from the walker, reproducing the basic-block
-    structure (and therefore the branch frequency and instruction-fetch
-    streaming behaviour) of the workload.
+    Subclasses implement :meth:`_chunks`, which runs the workload and
+    yields each finished chunk (:meth:`_take`) at its step boundaries.
+    ``block_instrs`` bounds the basic-block length of the code walk.
     """
-    lo, hi = block_instrs
-    tag_pos = {}
-    index = 0
-    # Block boundaries are deterministic in the starting PC so branch
-    # sites are stable static locations (predictors can learn them).
-    remaining = walker.block_len_at(walker.pc, lo, hi)
 
-    for sop in semantics:
-        pc = sop.fixed_pc
-        if pc is None:
-            if remaining <= 0:
-                desc = walker.end_block()
-                yield Instruction(OP_BRANCH, desc.pc, 0, (), 1, desc.taken,
-                                  desc.target, desc.kind)
+    def __init__(self, rng: random.Random, walker: CodeWalker,
+                 block_instrs: Tuple[int, int]):
+        self._rng = rng
+        self._walker = walker
+        self._block_lo, self._block_hi = block_instrs
+        # Block boundaries are deterministic in the starting PC so branch
+        # sites are stable static locations (predictors can learn them).
+        self._remaining = walker.block_len_at(walker.pc, *block_instrs)
+        self._index = 0
+        self._chunk: List[tuple] = []
+
+    def __iter__(self) -> Iterator[tuple]:
+        return chain.from_iterable(self._chunks())
+
+    def _chunks(self) -> Iterator[List[tuple]]:
+        raise NotImplementedError
+
+    def _take(self) -> List[tuple]:
+        """Close the current chunk and return it."""
+        chunk = self._chunk
+        self._chunk = []
+        return chunk
+
+    def emit(self, op: int, addr: int = 0, deps: Sequence[int] = (),
+             latency: int = 1, fixed_pc: Optional[int] = None) -> int:
+        """Append one op's record; returns its stream index.
+
+        ``deps`` are producer stream indices.  Ops without a
+        ``fixed_pc`` follow the code walk: every ``block_instrs``-sized
+        run of sequential PCs is first closed by a branch from the
+        walker, reproducing the basic-block structure (and therefore the
+        branch frequency and instruction-fetch streaming behaviour) of
+        the workload.
+        """
+        chunk = self._chunk
+        index = self._index
+        if fixed_pc is None:
+            walker = self._walker
+            if self._remaining <= 0:
+                chunk.append(walker.end_block())
                 index += 1
-                remaining = walker.block_len_at(walker.pc, lo, hi)
+                self._remaining = walker.block_len_at(
+                    walker.pc, self._block_lo, self._block_hi) - 1
+            else:
+                self._remaining -= 1
             pc = walker.pc
             walker.pc = pc + INSTR_BYTES
-            remaining -= 1
-
-        deps = ()
-        if sop.dep_tags:
-            found = []
-            for tag in sop.dep_tags:
-                pos = tag_pos.get(tag)
-                if pos is not None:
-                    distance = index - pos
-                    if 0 < distance <= MAX_DEP_DISTANCE:
-                        found.append(distance)
-            deps = tuple(found)
-        tag = sop.tag
-        if tag is not None:
-            tag_pos[tag] = index
-            if len(tag_pos) > _PRUNE_AT:
-                oldest = index - MAX_DEP_DISTANCE
-                tag_pos = {t: p for t, p in tag_pos.items() if p >= oldest}
-        yield Instruction(sop.op, pc, sop.addr, deps, sop.latency)
-        index += 1
-
-
-class SemanticHelpers:
-    """Mixin with emit helpers shared by the workload generators.
-
-    Producer tags come from a per-generator counter: each helper that
-    returns a tag hands out the next integer.
-    """
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._next_tag = 0
-
-    def alu(self, dep_tags: Sequence[int] = (), fp: bool = False,
-            fixed_pc: Optional[int] = None) -> Tuple[SemanticOp, int]:
-        """An ALU op producing a new value; returns (op, result tag)."""
-        tag = self._next_tag
-        self._next_tag = tag + 1
-        if fp:
-            return SemanticOp(OP_FP, 0, dep_tags, 3, tag, fixed_pc), tag
-        return SemanticOp(OP_INT, 0, dep_tags, 1, tag, fixed_pc), tag
-
-    def load(self, addr: int, dep_tags: Sequence[int] = (),
-             fixed_pc: Optional[int] = None) -> Tuple[SemanticOp, int]:
-        """A load producing a value; returns (op, result tag)."""
-        tag = self._next_tag
-        self._next_tag = tag + 1
-        return SemanticOp(OP_LOAD, addr, dep_tags, 1, tag, fixed_pc), tag
-
-    def store(self, addr: int, dep_tags: Sequence[int] = (),
-              fixed_pc: Optional[int] = None) -> SemanticOp:
-        return SemanticOp(OP_STORE, addr, dep_tags, 1, None, fixed_pc)
-
-    def simple(self, op_kind: int, addr: int = 0,
-               fixed_pc: Optional[int] = None,
-               dep_tags: Sequence[int] = ()) -> SemanticOp:
-        """A non-producing op (locks, fences, syscalls, hints)."""
-        return SemanticOp(op_kind, addr, dep_tags, 1, None, fixed_pc)
-
-    def tagged(self, op_kind: int, addr: int = 0,
-               fixed_pc: Optional[int] = None
-               ) -> Tuple[SemanticOp, int]:
-        """A non-ALU op that later ops can order themselves after (e.g. a
-        lock acquire that a critical section's prefetch must follow)."""
-        tag = self._next_tag
-        self._next_tag = tag + 1
-        return SemanticOp(op_kind, addr, (), 1, tag, fixed_pc), tag
+        else:
+            pc = fixed_pc
+        if deps:
+            found = ()
+            for producer in deps:
+                distance = index - producer
+                if 0 < distance <= MAX_DEP_DISTANCE:
+                    found += _ONE_DEP[distance]
+            deps = found
+        chunk.append((op, pc, addr, deps, latency, False, 0, BR_COND))
+        self._index = index + 1
+        return index

@@ -1,11 +1,19 @@
 """Instruction records produced by the workload generators.
 
 The simulator is trace-driven (like the paper, section 2.2): generators emit
-a dynamic stream of :class:`Instruction` records per server process.  Each
-record carries everything the timing model needs -- operation kind, program
+a dynamic stream of instruction *records* per server process.  Each record
+carries everything the timing model needs -- operation kind, program
 counter, data address, register dependences expressed as *backward dynamic
 distances*, execution latency, and branch outcome -- so the simulator never
 needs an architectural register file.
+
+A record is a plain tuple ``(op, pc, addr, deps, latency, taken, target,
+branch_kind)``; the ``I_*`` constants name its fields.  The generators
+build plain tuples (one allocation per instruction, no per-field
+attribute stores), and the core reads them by index or by unpacking.
+:class:`Instruction` is a named view of the same tuple for hand-built
+streams, tests, the pipe tracer and trace files: it compares equal to
+the plain record and the core accepts either.
 
 Dependence encoding
 -------------------
@@ -17,6 +25,8 @@ matter for timing.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Tuple
 
 # Operation kinds (small ints for speed on the simulator hot path).
 OP_INT = 0        # integer ALU
@@ -53,8 +63,19 @@ BR_CALL = 2     # call: BTB + RAS push
 BR_RETURN = 3   # return: RAS pop
 
 
-class Instruction:
-    """One dynamic instruction.
+# Record field indices.
+I_OP = 0
+I_PC = 1
+I_ADDR = 2
+I_DEPS = 3
+I_LATENCY = 4
+I_TAKEN = 5
+I_TARGET = 6
+I_KIND = 7
+
+
+class Instruction(NamedTuple):
+    """Named view of one dynamic instruction record.
 
     Attributes
     ----------
@@ -72,22 +93,14 @@ class Instruction:
         Branch outcome metadata (``op == OP_BRANCH`` only).
     """
 
-    __slots__ = ("op", "pc", "addr", "deps", "latency",
-                 "taken", "target", "branch_kind", "bp_outcome")
-
-    def __init__(self, op, pc, addr=0, deps=(), latency=1,
-                 taken=False, target=0, branch_kind=BR_COND):
-        self.op = op
-        self.pc = pc
-        self.addr = addr
-        self.deps = deps
-        self.latency = latency
-        self.taken = taken
-        self.target = target
-        self.branch_kind = branch_kind
-        # Cached predictor outcome: a squashed-and-refetched branch must
-        # not retrain the predictor or pop the RAS a second time.
-        self.bp_outcome = None
+    op: int
+    pc: int
+    addr: int = 0
+    deps: Tuple[int, ...] = ()
+    latency: int = 1
+    taken: bool = False
+    target: int = 0
+    branch_kind: int = BR_COND
 
     @property
     def is_memory(self) -> bool:

@@ -30,12 +30,11 @@ relative to TPC-B -- the "somewhat worse" direction the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from repro.trace.database import DatabaseLayout, MigratoryHints
-from repro.trace.instr import OP_SYSCALL, OP_WMB
+from repro.trace.instr import OP_INT, OP_LOAD, OP_STORE, OP_SYSCALL, OP_WMB
 from repro.trace.oltp import OltpParams, OltpTraceGenerator
-from repro.trace.emitter import SemanticOp
 
 LINE = 64
 
@@ -62,8 +61,8 @@ class TpccParams:
 class TpccTraceGenerator(OltpTraceGenerator):
     """Instruction stream of one TPC-C-like server process.
 
-    Reuses the engine-block emitters of :class:`OltpTraceGenerator`; only
-    the transaction composition differs.
+    Reuses the engine blocks of :class:`OltpTraceGenerator`; only the
+    transaction composition differs.
     """
 
     def __init__(self, pid: int, layout: DatabaseLayout,
@@ -76,7 +75,7 @@ class TpccTraceGenerator(OltpTraceGenerator):
                           "order_status": 0, "delivery": 0,
                           "stock_level": 0}
 
-    def _transaction(self) -> Iterator[SemanticOp]:
+    def _transaction(self) -> Iterator[List[tuple]]:
         t = self.tpcc
         roll = self._rng.random()
         if roll < t.p_new_order:
@@ -102,17 +101,18 @@ class TpccTraceGenerator(OltpTraceGenerator):
                     + rng.randrange(t.n_districts_per_warehouse))
         return warehouse, district
 
-    def _tx_new_order(self) -> Iterator[SemanticOp]:
+    def _tx_new_order(self) -> Iterator[List[tuple]]:
         p, t, rng = self.params, self.tpcc, self._rng
+        emit = self.emit
         warehouse, district = self._warehouse_district()
         n_lines = rng.randint(t.min_order_lines, t.max_order_lines)
 
-        self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 5)
+        yield self._phase(0)
+        self._filler(p.txn_filler_ops // 5)
 
         # Next order-id sequence: a contended district structure.
-        self._phase(5)
-        yield from self._critical_section(
+        yield self._phase(5)
+        self._critical_section(
             lock_id=t.n_warehouses + district, structure=district,
             hot_prob=p.p_hot_migratory)
 
@@ -120,93 +120,89 @@ class TpccTraceGenerator(OltpTraceGenerator):
         # private buffers, and only every third line dirties a shared
         # stock block (TPC-C's writes are spread far wider than TPC-B's).
         for line in range(n_lines):
-            self._phase(1 + line % 3)
+            yield self._phase(1 + line % 3)
             item = rng.randrange(100_000)
-            row_tag = yield from self._index_walk(item)
+            row_tag = self._index_walk(item)
             if line % 3 == 0:
-                yield from self._block_update(item, row_tag)
-            yield from self._filler(p.txn_filler_ops // 10)
+                self._block_update(item, row_tag)
+            self._filler(p.txn_filler_ops // 10)
 
         # Order insert (sequential, per-process) + commit.
-        self._phase(7)
+        yield self._phase(7)
         partition = self.layout.history_bytes // 64
         base = (self.pid * partition
                 + (self.transactions_emitted * 16 * 8) % partition)
         for i in range(16):
-            yield self.store(self.layout.history_addr(base + i * 8))
-        self._phase(8)
+            emit(OP_STORE, self.layout.history_addr(base + i * 8))
+        yield self._phase(8)
         log_off = self.transactions_emitted * p.log_stores * 8
         for i in range(p.log_stores):
-            yield self.store(self.layout.log_addr(self.pid,
-                                                  log_off + i * 8))
-        yield self.simple(OP_WMB)
+            emit(OP_STORE, self.layout.log_addr(self.pid, log_off + i * 8))
+        emit(OP_WMB)
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            emit(OP_SYSCALL)
 
-    def _tx_payment(self) -> Iterator[SemanticOp]:
+    def _tx_payment(self) -> Iterator[List[tuple]]:
         """Structurally the TPC-B transaction: balance updates under
         warehouse and district locks."""
         yield from super()._transaction()
 
-    def _tx_order_status(self) -> Iterator[SemanticOp]:
+    def _tx_order_status(self) -> Iterator[List[tuple]]:
         p, rng = self.params, self._rng
-        self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 6)
+        emit = self.emit
+        yield self._phase(0)
+        self._filler(p.txn_filler_ops // 6)
         customer = rng.randrange(30_000)
-        self._phase(2)
-        row_tag = yield from self._index_walk(customer)
+        yield self._phase(2)
+        row_tag = self._index_walk(customer)
         for i in range(3):  # read the most recent order's lines
-            self._phase(3)
-            op, row_tag = self.load(
-                self.layout.block_buffer_addr(
-                    (customer * 640 + i * 64)),
-                dep_tags=(row_tag,) if row_tag is not None else ())
-            yield op
-            yield from self._filler(p.txn_filler_ops // 12)
+            yield self._phase(3)
+            row_tag = emit(
+                OP_LOAD,
+                self.layout.block_buffer_addr(customer * 640 + i * 64),
+                (row_tag,) if row_tag is not None else ())
+            self._filler(p.txn_filler_ops // 12)
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            emit(OP_SYSCALL)
 
-    def _tx_delivery(self) -> Iterator[SemanticOp]:
+    def _tx_delivery(self) -> Iterator[List[tuple]]:
         p, t, rng = self.params, self.tpcc, self._rng
+        emit = self.emit
         warehouse, district = self._warehouse_district()
-        self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 8)
+        yield self._phase(0)
+        self._filler(p.txn_filler_ops // 8)
         for order in range(4):
-            self._phase(4)
+            yield self._phase(4)
             key = district * 1000 + order
-            row_tag = yield from self._index_walk(key)
-            yield from self._block_update(key, row_tag)
-            yield from self._filler(p.txn_filler_ops // 10)
-        self._phase(6)
-        yield from self._critical_section(
+            row_tag = self._index_walk(key)
+            self._block_update(key, row_tag)
+            self._filler(p.txn_filler_ops // 10)
+        yield self._phase(6)
+        self._critical_section(
             lock_id=t.n_warehouses + district, structure=district,
             hot_prob=0.4)
-        self._phase(8)
+        yield self._phase(8)
         log_off = self.transactions_emitted * p.log_stores * 8
         for i in range(p.log_stores):
-            yield self.store(self.layout.log_addr(self.pid,
-                                                  log_off + i * 8))
-        yield self.simple(OP_WMB)
+            emit(OP_STORE, self.layout.log_addr(self.pid, log_off + i * 8))
+        emit(OP_WMB)
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            emit(OP_SYSCALL)
 
-    def _tx_stock_level(self) -> Iterator[SemanticOp]:
+    def _tx_stock_level(self) -> Iterator[List[tuple]]:
         """Read-heavy: scan recent stock rows (no shared writes)."""
         p, t, rng = self.params, self.tpcc, self._rng
-        self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 8)
+        emit = self.emit
+        yield self._phase(0)
+        self._filler(p.txn_filler_ops // 8)
         base = rng.randrange(1 << 20) * 64
         tag = None
         for row in range(t.stock_scan_rows):
-            self._phase(1 + row % 2)
-            op, tag = self.load(
-                self.layout.block_buffer_addr(base + row * 80),
-                dep_tags=(tag,) if tag is not None and row % 4 == 0
-                else ())
-            yield op
-            cmp_op, _ = self.alu(dep_tags=(tag,))
-            yield cmp_op
+            yield self._phase(1 + row % 2)
+            tag = emit(OP_LOAD, self.layout.block_buffer_addr(base + row * 80),
+                       (tag,) if tag is not None and row % 4 == 0 else ())
+            emit(OP_INT, 0, (tag,))
             if row % 8 == 7:
-                yield from self._filler(p.txn_filler_ops // 24)
+                self._filler(p.txn_filler_ops // 24)
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            emit(OP_SYSCALL)

@@ -22,7 +22,18 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional
 
-from repro.trace.instr import OP_BRANCH, Instruction
+from repro.trace.instr import (
+    I_ADDR,
+    I_DEPS,
+    I_KIND,
+    I_LATENCY,
+    I_OP,
+    I_PC,
+    I_TAKEN,
+    I_TARGET,
+    OP_BRANCH,
+    Instruction,
+)
 
 _RECORD = struct.Struct("<BBBBIQQQ")
 MAGIC = b"RPTRACE1"
@@ -32,19 +43,21 @@ class TraceWriteError(ValueError):
     """The instruction cannot be represented in the file format."""
 
 
-def write_trace(instructions: Iterable[Instruction], fh: BinaryIO,
+def write_trace(instructions: Iterable[tuple], fh: BinaryIO,
                 limit: Optional[int] = None) -> int:
-    """Write up to ``limit`` instructions; returns the count written."""
+    """Write up to ``limit`` instruction records; returns the count
+    written."""
     fh.write(MAGIC)
     count = 0
-    for instr in instructions:
+    for record in instructions:
         if limit is not None and count >= limit:
             break
-        if instr.op == OP_BRANCH:
-            last = instr.target
+        op = record[I_OP]
+        if op == OP_BRANCH:
+            last = record[I_TARGET]
             n_deps = 0
         else:
-            deps = tuple(instr.deps)[:3]
+            deps = tuple(record[I_DEPS])[:3]
             if any(d > 0xFFFF for d in deps):
                 raise TraceWriteError(
                     f"dependence distance too large: {deps}")
@@ -52,9 +65,10 @@ def write_trace(instructions: Iterable[Instruction], fh: BinaryIO,
             last = 0
             for i, d in enumerate(deps):
                 last |= d << (16 * i)
-        fh.write(_RECORD.pack(instr.op, instr.branch_kind,
-                              1 if instr.taken else 0, n_deps,
-                              instr.latency, instr.pc, instr.addr, last))
+        fh.write(_RECORD.pack(op, record[I_KIND],
+                              1 if record[I_TAKEN] else 0, n_deps,
+                              record[I_LATENCY], record[I_PC],
+                              record[I_ADDR], last))
         count += 1
     return count
 
@@ -83,7 +97,7 @@ def read_trace(fh: BinaryIO) -> Iterator[Instruction]:
                               latency=latency)
 
 
-def capture(generator: Iterable[Instruction], path: str,
+def capture(generator: Iterable[tuple], path: str,
             n_instructions: int) -> int:
     """Capture the first ``n_instructions`` of a generator to ``path``.
 

@@ -4,7 +4,8 @@ import random
 from collections import Counter
 
 from repro.trace.codewalk import INSTR_BYTES, CodeWalker
-from repro.trace.instr import BR_CALL, BR_COND, BR_JUMP, BR_RETURN
+from repro.trace.instr import BR_CALL, BR_COND, BR_JUMP, BR_RETURN, \
+    OP_BRANCH, Instruction
 
 
 def walker(seed=1, code_bytes=64 * 1024, **kw):
@@ -12,8 +13,15 @@ def walker(seed=1, code_bytes=64 * 1024, **kw):
                       rng=random.Random(seed), **kw)
 
 
+def end_block(w):
+    """Close ``w``'s current block; returns the branch record's view."""
+    branch = Instruction._make(w.end_block())
+    assert branch.op == OP_BRANCH
+    return branch
+
+
 def straight(w, n):
-    """Walk ``n`` straight-line instructions the way the assembler does
+    """Walk ``n`` straight-line instructions the way the emitter does
     (step ``pc`` by one instruction each); return their PCs."""
     pcs = [w.pc + i * INSTR_BYTES for i in range(n)]
     w.pc += n * INSTR_BYTES
@@ -27,7 +35,7 @@ class TestBlocks:
         w = walker()
         for _ in range(200):
             pcs = straight(w, 5)
-            assert w.end_block().pc == pcs[-1] + INSTR_BYTES
+            assert end_block(w).pc == pcs[-1] + INSTR_BYTES
 
     def test_block_len_deterministic_per_pc(self):
         w1, w2 = walker(seed=1), walker(seed=2)
@@ -41,7 +49,7 @@ class TestBlocks:
             pcs = straight(w, 4)
             assert all(0x100000 <= pc < 0x100000 + 8 * 1024 + 64 * 16
                        for pc in pcs)
-            w.end_block()
+            end_block(w)
 
 
 class TestBranches:
@@ -52,8 +60,8 @@ class TestBranches:
         per_site = {}
         for _ in range(6000):
             straight(w, 4)
-            desc = w.end_block()
-            per_site.setdefault(desc.pc, Counter())[desc.kind] += 1
+            desc = end_block(w)
+            per_site.setdefault(desc.pc, Counter())[desc.branch_kind] += 1
         revisited = {pc: c for pc, c in per_site.items()
                      if sum(c.values()) >= 5}
         assert revisited
@@ -66,7 +74,7 @@ class TestBranches:
         kinds = Counter()
         for _ in range(3000):
             straight(w, 4)
-            kinds[w.end_block().kind] += 1
+            kinds[end_block(w).branch_kind] += 1
         assert set(kinds) == {BR_COND, BR_CALL, BR_RETURN, BR_JUMP}
         assert kinds[BR_COND] > kinds[BR_CALL]
 
@@ -75,7 +83,7 @@ class TestBranches:
         kinds = Counter()
         for _ in range(5000):
             straight(w, 4)
-            kinds[w.end_block().kind] += 1
+            kinds[end_block(w).branch_kind] += 1
         # Returns can only follow calls; counts track each other.
         assert abs(kinds[BR_CALL] - kinds[BR_RETURN]) <= 10
 
@@ -83,7 +91,7 @@ class TestBranches:
         w = walker()
         for _ in range(2000):
             straight(w, 4)
-            desc = w.end_block()
+            desc = end_block(w)
             next_pc = w.pc
             if desc.taken:
                 assert next_pc == desc.target
@@ -96,8 +104,8 @@ class TestBranches:
         targets = {}
         for _ in range(5000):
             straight(w, 4)
-            desc = w.end_block()
-            if desc.kind in (BR_CALL, BR_JUMP):
+            desc = end_block(w)
+            if desc.branch_kind in (BR_CALL, BR_JUMP):
                 if desc.pc in targets:
                     assert targets[desc.pc] == desc.target
                 targets[desc.pc] = desc.target
@@ -112,7 +120,7 @@ class TestStreams:
         for _ in range(4000):
             for pc in straight(w, 4):
                 lines.append(pc >> 6)
-            w.end_block()
+            end_block(w)
         transitions = [b - a for a, b in zip(lines, lines[1:]) if b != a]
         sequential = sum(1 for d in transitions if d == 1)
         # A large fraction of line transitions are to the next line.
@@ -132,11 +140,12 @@ class TestStreams:
         w = walker()
         for _ in range(50):
             straight(w, 4)
-            w.end_block()
+            end_block(w)
         w.enter_phase(0, 4)
         straight(w, 4)
-        desc = w.end_block()
-        assert desc.kind != BR_RETURN or desc.target  # no stale stack pop
+        desc = end_block(w)
+        # No stale stack pop.
+        assert desc.branch_kind != BR_RETURN or desc.target
 
 
 class TestLocality:
@@ -146,8 +155,8 @@ class TestLocality:
         spans = []
         for _ in range(4000):
             straight(w, 4)
-            desc = w.end_block()
-            if desc.kind == BR_CALL:
+            desc = end_block(w)
+            if desc.branch_kind == BR_CALL:
                 spans.append(abs(desc.target - desc.pc))
         assert spans
         near = sum(1 for s in spans if s < 16 * 1024)

@@ -46,9 +46,9 @@ def branch(pc, taken=False, target=0):
 
 
 def looped(program):
-    """Endless trace cycling over ``program`` (instruction objects are
-    reused; the simulator treats them read-only apart from the cached
-    branch-predictor outcome)."""
+    """Endless trace cycling over ``program`` (records are reused; the
+    simulator treats them read-only, and consults the predictor once
+    per dynamic branch)."""
     return itertools.cycle(program)
 
 
@@ -153,8 +153,7 @@ class TestBranches:
         assert m.misprediction_rate() < 0.2
 
     def test_mispredictions_counted(self):
-        # Outcome alternates between two *different* instruction objects
-        # at the same PC, defeating the cached-outcome optimization.
+        # The branch at one PC alternates between taken and not taken.
         a = branch(CODE + 16, taken=True, target=CODE + 64)
         b = branch(CODE + 16, taken=False)
 

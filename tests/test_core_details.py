@@ -4,6 +4,7 @@ limits, per-FU-class issue, the partial-squash wake."""
 import dataclasses
 import heapq
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,8 @@ from repro.params import default_system
 from repro.system.machine import Machine
 from repro.trace.instr import (
     BR_COND,
+    I_LATENCY,
+    I_OP,
     OP_BRANCH,
     OP_FP,
     OP_INT,
@@ -113,6 +116,72 @@ class TestTraceBuffer:
         # The released boundary's next seq is still in the buffer.
         assert core._window[0].seq == head.seq
         assert core._window[0].instr is head.instr
+
+
+#: Branch targets name the branch's seq: ``TAG + seq``.
+TAG = 0x4000_0000
+
+
+def branchy():
+    """An endless stream of fresh records: a never-taken conditional
+    branch every eighth instruction, its target naming its own seq (the
+    predictor ignores conditional targets)."""
+    for seq in itertools.count():
+        pc = CODE + 4 * (seq % 64)
+        if seq % 8 == 7:
+            yield Instruction(OP_BRANCH, pc, target=TAG + seq,
+                              branch_kind=BR_COND)
+        else:
+            yield alu(pc)
+
+
+def observe_counter(core):
+    """Count ``bpred.observe`` calls per branch seq."""
+    counts = Counter()
+    observe = core.bpred.observe
+
+    def counted(pc, kind, taken, target):
+        counts[target - TAG] += 1
+        return observe(pc, kind, taken, target)
+    core.bpred.observe = counted
+    return counts
+
+
+class TestBranchOutcome:
+    """A squashed branch keeps its predictor outcome in the trace
+    buffer: the refetch reuses it instead of observing the branch
+    again."""
+
+    def _in_flight_branches(self, core, now):
+        now = tick_until(core, now, lambda: core.retired >= 40 and sum(
+            e.instr[I_OP] == OP_BRANCH for e in core._window) >= 2)
+        return now, [e.seq for e in core._window
+                     if e.instr[I_OP] == OP_BRANCH]
+
+    def test_rollback_refetch_observes_once(self):
+        core = seated_core(branchy())
+        counts = observe_counter(core)
+        now, branches = self._in_flight_branches(core, 0)
+        core._rollback_to = branches[0]
+        core.apply_pending_rollback(now)
+        assert core._next_seq == branches[0]
+        assert set(core._trace._outcomes) == set(branches)
+        tick_until(core, now, lambda: core.retired > branches[-1])
+        assert all(counts[seq] == 1 for seq in branches)
+        assert set(counts.values()) == {1}
+        assert not core._trace._outcomes  # every saved outcome was reused
+
+    def test_preempt_refetch_observes_once(self):
+        core = seated_core(branchy())
+        counts = observe_counter(core)
+        now, branches = self._in_flight_branches(core, 0)
+        process = core.preempt(now)
+        assert set(process.trace._outcomes) == set(branches)
+        core.assign_process(process, now)
+        tick_until(core, now, lambda: core.retired > branches[-1])
+        assert all(counts[seq] == 1 for seq in branches)
+        assert set(counts.values()) == {1}
+        assert not process.trace._outcomes
 
 
 class TestStructuralLimits:
@@ -244,16 +313,18 @@ _CLASS_OPS = ((OP_INT, OP_BRANCH), (OP_FP,), (OP_LOAD, OP_STORE))
 
 
 class _LoggedInstr:
-    """Instruction stand-in that logs when issue reads its latency, so a
-    test sees the order in which entries issued."""
+    """Record stand-in that logs when issue reads its latency, so a test
+    sees the order in which entries issued."""
 
     def __init__(self, op, seq, log):
         self.op = op
         self._seq = seq
         self._log = log
 
-    @property
-    def latency(self):
+    def __getitem__(self, field):
+        if field == I_OP:
+            return self.op
+        assert field == I_LATENCY, field
         self._log.append(self._seq)
         return 1
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cpu.smt import SharedPipeline
 from repro.params import default_system
 from repro.trace.database import DatabaseLayout, MigratoryHints
-from repro.trace.instr import OP_LOCK_ACQ, OP_PREFETCH
+from repro.trace.instr import OP_LOCK_ACQ, OP_PREFETCH, Instruction
 from repro.trace.oltp import OltpTraceGenerator
 
 
@@ -43,7 +43,8 @@ class TestHintOrdering:
         layout = DatabaseLayout().scaled(16)
         hints = MigratoryHints(prefetch=True, flush=True)
         gen = OltpTraceGenerator(0, layout, seed=1, hints=hints)
-        instrs = list(itertools.islice(iter(gen), 40_000))
+        instrs = [Instruction._make(record)
+                  for record in itertools.islice(iter(gen), 40_000)]
         found = 0
         for i, instr in enumerate(instrs):
             if instr.op != OP_PREFETCH:

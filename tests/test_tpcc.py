@@ -12,12 +12,15 @@ from repro.trace.instr import (
     OP_LOCK_REL,
     OP_STORE,
     OP_SYSCALL,
+    Instruction,
 )
 from repro.trace.tpcc import TpccParams, TpccTraceGenerator
 
 
 def take(gen, n):
-    return list(itertools.islice(iter(gen), n))
+    """The first ``n`` records of ``gen``, as Instruction views."""
+    return [Instruction._make(record)
+            for record in itertools.islice(iter(gen), n)]
 
 
 class TestTpccGenerator:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.workloads import oltp_workload
+from repro.core.workloads import dss_workload, oltp_workload, tpcc_workload
 from repro.params import default_system
 from repro.system.machine import Machine
 from repro.trace.instr import (
@@ -64,7 +64,8 @@ class TestRoundTrip:
 
     def test_workload_segment_roundtrips(self):
         gen = oltp_workload().generators(4)[0]
-        original = list(itertools.islice(iter(gen), 5000))
+        original = [Instruction._make(record)
+                    for record in itertools.islice(iter(gen), 5000)]
         out = roundtrip(original)
         assert len(out) == 5000
         for a, b in zip(original, out):
@@ -72,6 +73,15 @@ class TestRoundTrip:
                     a.target if a.op == OP_BRANCH else 0) == \
                    (b.op, b.pc, b.addr, b.deps, b.taken,
                     b.target if b.op == OP_BRANCH else 0)
+
+    @pytest.mark.parametrize("factory", [oltp_workload, dss_workload,
+                                         tpcc_workload])
+    def test_generated_records_read_back_equal(self, factory):
+        """Generated streams fit the format whole (at most 3 deps, no
+        branch deps): a written file reads back to equal records."""
+        gen = factory().generators(1)[0]
+        original = list(itertools.islice(iter(gen), 4000))
+        assert [tuple(record) for record in roundtrip(original)] == original
 
     @given(st.lists(st.tuples(
         st.sampled_from([OP_INT, OP_LOAD, OP_STORE]),

@@ -29,12 +29,14 @@ from repro.trace.instr import (
     OP_SYSCALL,
     Instruction,
 )
-from repro.trace.oltp import OltpTraceGenerator
+from repro.trace.oltp import OltpParams, OltpTraceGenerator
 from repro.trace.dss import DssTraceGenerator
 
 
 def take(gen, n):
-    return list(itertools.islice(iter(gen), n))
+    """The first ``n`` records of ``gen``, as Instruction views."""
+    return [Instruction._make(record)
+            for record in itertools.islice(iter(gen), n)]
 
 
 def mix(instrs):
@@ -138,6 +140,16 @@ class TestOltpGenerator:
                     and 0x1000_0000 <= i.addr < 0x1000_0000 + span}
         shared = migratory_lines(0) & migratory_lines(1)
         assert len(shared) >= 4
+
+    def test_block_update_without_producer(self):
+        """With no index levels and no block reads, the block update's
+        ALU op has no producer: it is emitted without a dependence."""
+        params = OltpParams(index_depth=0, block_reads=0)
+        gen = OltpTraceGenerator(0, self.layout, params=params, seed=1)
+        instrs = take(gen, 5_000)
+        block_pcs = set(gen._block_pcs)
+        updates = [i for i in instrs if i.op == OP_INT and i.pc in block_pcs]
+        assert updates and all(i.deps == () for i in updates)
 
 
 class TestDssGenerator:
