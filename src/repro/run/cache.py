@@ -54,12 +54,33 @@ def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
+def _canonical_payload(job: Dict[str, object],
+                       result: Dict[str, object]) -> str:
+    """Canonical JSON text of one entry's job + result payload."""
+    return json.dumps({"job": job, "result": result}, sort_keys=True,
+                      separators=(",", ":"))
+
+
+def _text_checksum(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _payload_checksum(job: Dict[str, object],
                       result: Dict[str, object]) -> str:
     """Canonical checksum over one entry's job + result payload."""
-    text = json.dumps({"job": job, "result": result}, sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _text_checksum(_canonical_payload(job, result))
+
+
+def _entry_text(job: Dict[str, object], result: Dict[str, object]) -> str:
+    """One stored entry, encoded once: the canonical payload text with
+    its checksum and the entry format spliced in front.  "checksum" and
+    "format" sort before "job" and "result", so the entry is itself
+    sorted, compact JSON; :meth:`ResultCache.get` verifies it by
+    re-encoding the parsed job and result."""
+    canonical = _canonical_payload(job, result)
+    head = (f'{{"checksum":"{_text_checksum(canonical)}",'
+            f'"format":{_ENTRY_FORMAT},')
+    return canonical.replace("{", head, 1)
 
 
 class CorruptEntry(ValueError):
@@ -153,14 +174,7 @@ class ResultCache:
         computed result stays usable in memory and the sweep continues.
         """
         fingerprint = spec.fingerprint()
-        job_dict, result_dict = spec.to_dict(), result.to_dict()
-        payload = {
-            "format": _ENTRY_FORMAT,
-            "checksum": _payload_checksum(job_dict, result_dict),
-            "job": job_dict,
-            "result": result_dict,
-        }
-        text = json.dumps(payload, sort_keys=True)
+        text = _entry_text(spec.to_dict(), result.to_dict())
         plan = plan_from_env()
         if plan is not None:
             # Deterministic write-fault injection (REPRO_FAULTS=corrupt:p):

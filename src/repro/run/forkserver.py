@@ -131,8 +131,8 @@ def run_entry(job: Dict[str, Any], attempt: int, plan,
     real -- is folded into the returned outcome dict so one bad job
     cannot poison its neighbours in the chunk.  A success carries the
     :class:`~repro.core.experiment.SimulationResult` itself: pickling
-    it back from a worker is exact, and the in-process runner hands it
-    over without a copy of its occupancy lists.
+    it back from a worker is exact (its MSHR occupancy columns travel
+    as byte buffers), and the in-process runner hands it over uncopied.
     """
     start = time.perf_counter()  # repro-lint: disable=R002
     try:

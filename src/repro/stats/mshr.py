@@ -7,11 +7,31 @@ in use -- once for all misses and once for read misses only.
 MSHR files report ``(start, end, is_read)`` intervals as misses are
 registered; the distribution is computed by an event sweep at the end of
 the run.
+
+The interval log is the only simulator structure that grows with run
+length, so it is kept as flat ``array('q')`` columns of ``start, end``
+pairs: 16 bytes per interval, where two boxed ``(time, delta)`` tuples
+in a list cost about 170.  The sweep sorts the starts and the ends as
+two plain int lists and merges them, ends first on equal times, which
+visits the events in exactly the order a sort of ``(time, delta)``
+tuples would, so every float it sums is the same.  Pickles carry the
+columns as byte buffers; :meth:`MshrOccupancy.to_dict` still spells the
+log as the ``[[start, 1], [end, -1], ...]`` event lists that result
+digests hash.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from array import array
+from typing import Dict, List
+
+
+def _fractions(time_at: List[float], max_n: int) -> Dict[int, float]:
+    """``{n: share of busy time with >= n outstanding}`` from a sweep."""
+    busy = sum(time_at[1:])
+    if busy <= 0:
+        return {n: 0.0 for n in range(1, max_n + 1)}
+    return {n: sum(time_at[n:]) / busy for n in range(1, max_n + 1)}
 
 
 class MshrOccupancy:
@@ -19,50 +39,102 @@ class MshrOccupancy:
 
     def __init__(self, max_n: int = 8):
         self.max_n = max_n
-        self._events_all: List[Tuple[int, int]] = []
-        self._events_read: List[Tuple[int, int]] = []
+        # start, end, start, end, ... of every kept interval, and of the
+        # read misses among them.
+        self._all = array("q")
+        self._read = array("q")
 
     def add_interval(self, start: int, end: int, is_read: bool) -> None:
         if end <= start:
             return
-        self._events_all.append((start, 1))
-        self._events_all.append((end, -1))
+        self._all.append(start)
+        self._all.append(end)
         if is_read:
-            self._events_read.append((start, 1))
-            self._events_read.append((end, -1))
+            self._read.append(start)
+            self._read.append(end)
 
     def reset(self) -> None:
-        self._events_all.clear()
-        self._events_read.clear()
+        del self._all[:]
+        del self._read[:]
+
+    @staticmethod
+    def _events(column: array) -> List[List[int]]:
+        out = []
+        pairs = iter(column)
+        for start, end in zip(pairs, pairs):
+            out.append([start, 1])
+            out.append([end, -1])
+        return out
+
+    @staticmethod
+    def _column(events) -> array:
+        """Intervals of a ``[[start, 1], [end, -1], ...]`` event list;
+        raises ``ValueError`` on anything else."""
+        if len(events) % 2:
+            raise ValueError("MSHR event list has an unpaired event")
+        column = array("q")
+        pairs = iter(events)
+        for (start, up), (end, down) in zip(pairs, pairs):
+            if int(up) != 1 or int(down) != -1:
+                raise ValueError(
+                    f"MSHR events are not +1/-1 start/end pairs: "
+                    f"{[start, up]}, {[end, down]}")
+            start, end = int(start), int(end)
+            if end <= start:
+                raise ValueError(
+                    f"MSHR interval ends before it starts: {start}, {end}")
+            column.append(start)
+            column.append(end)
+        return column
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable snapshot: the raw (time, delta) event lists,
         so distributions recompute exactly after a round trip."""
         return {"max_n": self.max_n,
-                "events_all": [list(e) for e in self._events_all],
-                "events_read": [list(e) for e in self._events_read]}
+                "events_all": self._events(self._all),
+                "events_read": self._events(self._read)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MshrOccupancy":
         out = cls(max_n=int(data["max_n"]))
-        out._events_all = [(int(t), int(d)) for t, d in data["events_all"]]
-        out._events_read = [(int(t), int(d)) for t, d in data["events_read"]]
+        out._all = cls._column(data["events_all"])
+        out._read = cls._column(data["events_read"])
         return out
 
-    @staticmethod
-    def _sweep(events: List[Tuple[int, int]], max_n: int) -> List[float]:
-        """time spent at each occupancy level, index 0 unused."""
-        time_at = [0.0] * (max_n + 2)
-        if not events:
+    def time_at(self, reads_only: bool = False) -> List[float]:
+        """Time spent at each occupancy level, index 0 unused and the
+        last index counting every level above ``max_n``."""
+        column = self._read if reads_only else self._all
+        top = self.max_n + 1
+        time_at = [0.0] * (top + 1)
+        if not column:
             return time_at
-        events.sort()
+        starts = sorted(column[0::2])
+        ends = sorted(column[1::2])
+        # Every end is after its own start, so the k-th end is after the
+        # k-th start: the first event is a start, the ends due before a
+        # start never run out, and the level is positive at every end.
         level = 0
-        prev_t = events[0][0]
-        for t, delta in events:
+        prev_t = starts[0]
+        j = 0
+        for t in starts:
+            end = ends[j]
+            while end <= t:
+                if end > prev_t:
+                    time_at[min(level, top)] += end - prev_t
+                level -= 1
+                prev_t = end
+                j += 1
+                end = ends[j]
             if t > prev_t and level > 0:
-                time_at[min(level, max_n + 1)] += t - prev_t
-            level += delta
+                time_at[min(level, top)] += t - prev_t
+            level += 1
             prev_t = t
+        for end in ends[j:]:
+            if end > prev_t:
+                time_at[min(level, top)] += end - prev_t
+            level -= 1
+            prev_t = end
         return time_at
 
     def distribution(self, reads_only: bool = False) -> Dict[int, float]:
@@ -71,20 +143,11 @@ class MshrOccupancy:
         ``distribution()[1]`` is 1.0 by construction whenever any miss
         occurred.
         """
-        events = self._events_read if reads_only else self._events_all
-        time_at = self._sweep(list(events), self.max_n)
-        busy = sum(time_at[1:])
-        if busy <= 0:
-            return {n: 0.0 for n in range(1, self.max_n + 1)}
-        out = {}
-        for n in range(1, self.max_n + 1):
-            out[n] = sum(time_at[n:]) / busy
-        return out
+        return _fractions(self.time_at(reads_only), self.max_n)
 
     def mean_occupancy(self, reads_only: bool = False) -> float:
         """Average number of MSHRs in use over miss-busy time."""
-        events = self._events_read if reads_only else self._events_all
-        time_at = self._sweep(list(events), self.max_n)
+        time_at = self.time_at(reads_only)
         busy = sum(time_at[1:])
         if busy <= 0:
             return 0.0
@@ -124,14 +187,11 @@ class MshrOccupancyGroup:
         weighted = {n: 0.0 for n in range(1, self.max_n + 1)}
         total_busy = 0.0
         for collector in self.collectors:
-            events = collector._events_read if reads_only \
-                else collector._events_all
-            time_at = MshrOccupancy._sweep(list(events), self.max_n)
+            time_at = collector.time_at(reads_only)
             busy = sum(time_at[1:])
             if busy <= 0:
                 continue
-            dist = collector.distribution(reads_only)
-            for n, frac in dist.items():
+            for n, frac in _fractions(time_at, collector.max_n).items():
                 weighted[n] += frac * busy
             total_busy += busy
         if total_busy <= 0:
@@ -139,5 +199,4 @@ class MshrOccupancyGroup:
         return {n: v / total_busy for n, v in weighted.items()}
 
     def mean_occupancy(self, reads_only: bool = False) -> float:
-        dist = self.distribution(reads_only)
-        return sum(dist.values())
+        return sum(self.distribution(reads_only).values())

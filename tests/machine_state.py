@@ -7,6 +7,7 @@ in the model has to list its fields for this: a new attribute is
 covered the moment it exists.
 """
 
+from array import array
 from collections import OrderedDict, deque
 from enum import Enum
 
@@ -40,7 +41,8 @@ def machine_state(machine):
     dicts and sets are sorted.  Callables are not state: the sanitizer
     wraps bound methods on instances and hooks in lists, so callable
     attributes are skipped and a callable in a container compares equal
-    to any other.  Dict keys and set members are compared by value.
+    to any other.  Dict keys and set members are compared by value,
+    and arrays by type code and contents.
     """
     seen = {}
     alive = []   # keeps every visited object alive, so ids stay unique
@@ -69,6 +71,8 @@ def machine_state(machine):
                                         key=repr)))
         if isinstance(obj, (list, tuple, deque)):
             return (type(obj).__name__, tuple(walk(x) for x in obj))
+        if isinstance(obj, array):
+            return ("array", obj.typecode, tuple(obj))
         attrs = _attributes(obj)
         return (type(obj).__name__,
                 tuple((name, walk(attrs[name])) for name in sorted(attrs)

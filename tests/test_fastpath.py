@@ -242,6 +242,16 @@ def _first_directory_entry(memory):
     return memory._entries[min(memory._entries)]
 
 
+def _bump_last(column):
+    """Add one to the last entry of the array ``column``; returns the
+    undo."""
+    column[-1] += 1
+
+    def undo():
+        column[-1] -= 1
+    return undo
+
+
 #: One seeded change per major component: (label, change) where the
 #: change edits the machine and returns its undo.
 SEEDED_CHANGES = [
@@ -256,6 +266,8 @@ SEEDED_CHANGES = [
     ("scheduler switches",
      lambda m: _edit(m.schedulers[0], "context_switches")),
     ("core sequence number", lambda m: _edit(m.cores[0], "_next_seq")),
+    ("L1D MSHR occupancy log",
+     lambda m: _bump_last(m.l1d_mshr_stats[0]._all)),
 ]
 
 

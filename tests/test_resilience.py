@@ -36,6 +36,7 @@ from repro.run import (
     plan_from_env,
     run_many,
 )
+from repro.run.cache import _payload_checksum
 
 # Small enough that retries stay cheap, large enough to exercise the
 # simulator for real.  One attempt takes ~0.1s serially on a slow box;
@@ -563,15 +564,45 @@ class TestCacheIntegrity:
         hit = cache.get(spec)
         assert hit is not None and hit.dump() == spec.run().dump()
 
+    def test_entry_is_the_checksummed_text_encoded_once(self, tmp_path):
+        cache, spec, entry = self._seed_entry(tmp_path)
+        job, result = spec.to_dict(), spec.run().to_dict()
+        payload = {"format": 2, "checksum": _payload_checksum(job, result),
+                   "job": job, "result": result}
+        text = entry.read_text()
+        assert json.loads(text) == payload
+        assert text == json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+        # An entry spelled with default separators (as older writers
+        # stored them) verifies too: get re-encodes what it parsed.
+        entry.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        assert cache.get(spec).dump() == spec.run().dump()
+        assert cache.quarantined == 0
+
     def test_bit_flip_quarantined(self, tmp_path):
         cache, spec, entry = self._seed_entry(tmp_path)
         text = entry.read_text()
-        entry.write_text(text.replace('"checksum": "',
-                                      '"checksum": "0', 1))
+        stored = json.loads(text)["checksum"]
+        flipped = text.replace(stored, "0" + stored, 1)
+        assert flipped != text
+        entry.write_text(flipped)
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.get(spec) is None
         assert (cache.quarantine_path / entry.name).exists()
         assert cache.stats()["quarantine_entries"] == 1
+
+    def test_malformed_mshr_log_quarantined(self, tmp_path):
+        # A checksum-valid entry whose MSHR event list is not start/end
+        # pairs fails to decode and is quarantined like a bit flip.
+        cache, spec, entry = self._seed_entry(tmp_path)
+        data = json.loads(entry.read_text())
+        collector = data["result"]["l1d_mshr"]["collectors"][0]
+        collector["events_all"].append([7, 1])
+        data["checksum"] = _payload_checksum(data["job"], data["result"])
+        entry.write_text(json.dumps(data, sort_keys=True))
+        with pytest.warns(RuntimeWarning, match="undecodable result"):
+            assert cache.get(spec) is None
+        assert cache.quarantined == 1
 
     def test_truncation_quarantined(self, tmp_path):
         cache, spec, entry = self._seed_entry(tmp_path)

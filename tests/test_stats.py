@@ -1,5 +1,7 @@
 """Tests for the statistics modules: breakdown, MSHR occupancy, sharing."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.stats.breakdown import (
     WRITE,
     ExecutionBreakdown,
 )
-from repro.stats.mshr import MshrOccupancy
+from repro.stats.mshr import MshrOccupancy, MshrOccupancyGroup
 from repro.stats.sharing import sharing_characterization
 
 
@@ -154,6 +156,137 @@ class TestMshrOccupancy:
         values = [d[n] for n in sorted(d)]
         assert values[0] == 1.0
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TupleLog:
+    """The occupancy log as ``(time, +-1)`` tuples sorted by a plain
+    sort: the reference the flat columns must match bit for bit."""
+
+    def __init__(self, max_n):
+        self.max_n = max_n
+        self.events = {False: [], True: []}
+
+    def add_interval(self, start, end, is_read):
+        if end <= start:
+            return
+        for reads_only in (False, True) if is_read else (False,):
+            self.events[reads_only] += [(start, 1), (end, -1)]
+
+    def to_dict(self):
+        return {"max_n": self.max_n,
+                "events_all": [list(e) for e in self.events[False]],
+                "events_read": [list(e) for e in self.events[True]]}
+
+    def time_at(self, reads_only):
+        time_at = [0.0] * (self.max_n + 2)
+        events = sorted(self.events[reads_only])
+        level, prev_t = 0, events[0][0] if events else 0
+        for t, delta in events:
+            if t > prev_t and level > 0:
+                time_at[min(level, self.max_n + 1)] += t - prev_t
+            level += delta
+            prev_t = t
+        return time_at
+
+    def distribution(self, reads_only):
+        time_at = self.time_at(reads_only)
+        busy = sum(time_at[1:])
+        if busy <= 0:
+            return {n: 0.0 for n in range(1, self.max_n + 1)}
+        return {n: sum(time_at[n:]) / busy
+                for n in range(1, self.max_n + 1)}
+
+    def mean_occupancy(self, reads_only):
+        time_at = self.time_at(reads_only)
+        busy = sum(time_at[1:])
+        if busy <= 0:
+            return 0.0
+        return sum(n * t for n, t in enumerate(time_at)) / busy
+
+
+# (start, length, is_read, extension): lengths <= 0 are dropped, starts
+# crowd a short span so start and end times collide, and an extension
+# interval starts at its miss's end, in the future of the miss's start.
+MISSES = st.lists(st.tuples(st.integers(0, 40), st.integers(-2, 30),
+                            st.booleans(), st.integers(-3, 20)),
+                  max_size=60)
+
+
+def replay(misses, *logs):
+    for start, length, is_read, extension in misses:
+        for log in logs:
+            log.add_interval(start, start + length, is_read)
+            log.add_interval(start + length, start + length + extension,
+                             is_read)
+
+
+class TestMshrColumns:
+    @given(MISSES, st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tuple_reference(self, misses, max_n):
+        occ, ref = MshrOccupancy(max_n), TupleLog(max_n)
+        replay(misses, occ, ref)
+        assert occ.to_dict() == ref.to_dict()
+        again = MshrOccupancy.from_dict(occ.to_dict())
+        for reads_only in (False, True):
+            expected = ref.distribution(reads_only)
+            for log in (occ, again):
+                # Exact float equality: the sweep adds the same terms
+                # in the same order as the tuple sort.
+                assert log.time_at(reads_only) == ref.time_at(reads_only)
+                assert log.distribution(reads_only) == expected
+                assert log.mean_occupancy(reads_only) == \
+                    ref.mean_occupancy(reads_only)
+
+    @given(MISSES, MISSES)
+    @settings(max_examples=100, deadline=None)
+    def test_group_matches_tuple_reference(self, first, second):
+        group = MshrOccupancyGroup(2, max_n=3)
+        refs = [TupleLog(3), TupleLog(3)]
+        replay(first, group[0], refs[0])
+        replay(second, group[1], refs[1])
+        for reads_only in (False, True):
+            weighted, total = {n: 0.0 for n in range(1, 4)}, 0.0
+            for ref in refs:
+                busy = sum(ref.time_at(reads_only)[1:])
+                if busy <= 0:
+                    continue
+                for n, frac in ref.distribution(reads_only).items():
+                    weighted[n] += frac * busy
+                total += busy
+            expected = {n: v / total for n, v in weighted.items()} \
+                if total > 0 else {n: 0.0 for n in range(1, 4)}
+            assert group.distribution(reads_only) == expected
+
+    @pytest.mark.parametrize("events", [
+        [[0, 1]],                      # unpaired start
+        [[0, 1], [10, -1], [20, 1]],   # odd length
+        [[0, 1], [10, 1]],             # two starts
+        [[10, -1], [0, 1]],            # end before its start
+        [[0, 1], [10, -2]],            # not a unit delta
+        [[10, 1], [10, -1]],           # zero-length interval
+    ])
+    def test_from_dict_rejects_malformed_events(self, events):
+        with pytest.raises(ValueError):
+            MshrOccupancy.from_dict({"max_n": 4, "events_all": events,
+                                     "events_read": []})
+        with pytest.raises(ValueError):
+            MshrOccupancy.from_dict({"max_n": 4, "events_all": [],
+                                     "events_read": events})
+
+    def test_log_costs_at_most_40_bytes_per_interval(self):
+        occ = MshrOccupancy()
+        n = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                start = 10**6 + 1000 * i
+                occ.add_interval(start, start + 500, is_read=i % 2 == 0)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth / n <= 40, f"{growth / n:.0f} B per interval"
 
 
 class TestSharingReport:
