@@ -155,7 +155,7 @@ RULE_TABLE = (
         "file",
         _explain("""
         Every durable artifact the runner persists (cache entries, the
-        sweep manifest, triage bundles, the gc journal) must be
+        sweep manifest, triage bundles) must be
         published through :mod:`repro.run.atomicio` -- the audited
         tmp + fsync + rename primitive that also hosts deterministic
         disk-fault injection.

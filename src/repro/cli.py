@@ -11,7 +11,7 @@ Usage::
     python -m repro lint [paths...]             # determinism linter
     python -m repro replay BUNDLE               # re-run a crash-triage bundle
     python -m repro sweep [oltp|dss|tpcc]       # seed sweep
-    python -m repro gc [--dry-run]              # retention GC for cache debris
+    python -m repro gc [--dry-run]              # evict what no reader can use
 
 ``--quick`` runs small simulations (~seconds each) for smoke testing;
 the defaults match the benchmark harness.  ``validate``, ``check`` and
@@ -215,27 +215,18 @@ def cmd_sweep(args, quick: bool) -> int:
 
 
 def cmd_gc(args) -> int:
-    """Plan (and, without ``--dry-run``, apply) cache-debris retention."""
-    import dataclasses as _dc
-
+    """Plan (and, without ``--dry-run``, apply) cache garbage collection."""
     from repro.run import gc as run_gc
     cache = run.shared_cache()
     cache_dir = cache.path if cache is not None \
         else run.default_cache_dir()
-    rules = run_gc.DEFAULT_RULES
-    if args.max_age_days is not None:
-        age = max(0.0, args.max_age_days) * 86400.0
-        rules = {category: _dc.replace(rule, max_age_s=age)
-                 for category, rule in rules.items()}
-    plan = run_gc.plan_gc(cache_dir, rules=rules,
-                          manifest=run.shared_manifest())
+    plan = run_gc.plan_gc(cache_dir)
     print(f"gc: {cache_dir}")
     print(plan.format_plan(verbose=args.verbose))
     if args.dry_run:
         print("gc: dry run, nothing deleted")
         return 0
     removed, freed = plan.apply()
-    run_gc.write_gc_state(cache_dir, plan, removed, freed)
     print(f"gc: removed {removed} item(s), freed {freed} bytes")
     return 0
 
@@ -335,20 +326,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--warmup", type=int, default=None, metavar="N")
     gc = sub.add_parser(
         "gc", parents=[common],
-        help="apply retention caps to triage bundles and quarantined "
-             "entries beside the result cache")
+        help="delete what no current reader can use beside the result "
+             "cache: entries of another model version, quarantined "
+             "entries, bundles of done jobs, stale temp files")
     gc.add_argument("--dry-run", action="store_true",
                     help="print the eviction plan without deleting")
     gc.add_argument("--verbose", action="store_true",
                     help="list every planned eviction and pin")
-    gc.add_argument("--max-age-days", type=float, default=None,
-                    metavar="D",
-                    help="override every category's age cap to D days")
     audit = sub.add_parser(
         "audit-state", parents=[common],
-        help="walk every durable artifact (entries, manifest, "
-             "triage, gc journal), verify checksums and assert the "
-             "durability contract")
+        help="walk every artifact beside the result cache (entries, "
+             "manifest, quarantine, triage, temp files), verify checksums "
+             "and assert the durability contract")
     audit.add_argument("audit_dir", nargs="?", default=None,
                        metavar="CACHE_DIR",
                        help="directory to audit (default: the active "

@@ -36,11 +36,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.run.atomicio import (
-    CriticalWriteError,
-    DurabilityWarning,
-    FramedReadError,
-)
+from repro.run.atomicio import CriticalWriteError, DurabilityWarning
 from repro.run.audit import AuditFinding, AuditReport, audit_state
 from repro.run.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
 from repro.run.executor import (
@@ -63,7 +59,7 @@ __all__ = [
     "RetryPolicy", "DEFAULT_POLICY",
     "SweepManifest", "JobRecord", "MANIFEST_NAME",
     "FaultPlan", "InjectedCrash", "InjectedDiskFault", "plan_from_env",
-    "CriticalWriteError", "DurabilityWarning", "FramedReadError",
+    "CriticalWriteError", "DurabilityWarning",
     "AuditFinding", "AuditReport", "audit_state",
     "configure", "runner_defaults", "runner_state",
     "shared_cache", "shared_manifest", "retry_policy",

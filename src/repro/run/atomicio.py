@@ -1,11 +1,10 @@
 """Audited atomic file I/O for every durable runner artifact.
 
 Every artifact the sweep stack persists -- result-cache entries, the
-sweep manifest, triage bundles, and the gc journal -- used to carry its
-own copy of the same tmp + rename dance.  This module is the single
-implementation: one write primitive (``mkstemp`` in the target
-directory, write, flush, fsync, ``os.replace``, directory fsync), one
-checksummed JSON format for side-state, one quarantine helper for
+sweep manifest and triage bundles -- used to carry its own copy of the
+same tmp + rename dance.  This module is the single implementation: one
+write primitive (``mkstemp`` in the target directory, write, flush,
+fsync, ``os.replace``, directory fsync), one quarantine helper for
 corrupt files, and one orphaned-``*.tmp`` sweeper.
 
 Durability policy is declared per call:
@@ -13,8 +12,7 @@ Durability policy is declared per call:
 * **best-effort** (the default): a storage failure degrades to a
   structured one-time :class:`DurabilityWarning` per (category, error
   kind) and a ``False`` return -- the artifact is recomputable
-  (cache entries, triage bundles, gc state), so
-  the sweep continues.
+  (cache entries, triage bundles), so the sweep continues.
 * **critical** (``critical=True``): the write must land or the caller
   must hear about it; failures raise :class:`CriticalWriteError`.  The
   sweep manifest is the only critical artifact -- it is the attempt
@@ -42,7 +40,6 @@ housekeeping cutoff; no simulated state is ever touched.
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import tempfile
@@ -54,8 +51,8 @@ from repro.run.faults import (FaultPlan, InjectedCrash, InjectedDiskFault,
                               plan_from_env)
 
 #: The known artifact categories (any string is accepted; these are the
-#: four the recovery audit walks).
-CATEGORIES = ("cache", "manifest", "triage", "gcstate")
+#: three the recovery audit walks).
+CATEGORIES = ("cache", "manifest", "triage")
 
 #: Age (seconds) after which an orphaned ``*.tmp`` file is considered
 #: abandoned and swept.  Generous enough that a live concurrent
@@ -65,16 +62,8 @@ ORPHAN_TTL = 3600.0
 #: Subdirectory name used for quarantined corrupt artifacts.
 QUARANTINE_DIR = "quarantine"
 
-#: Format tag for :func:`write_checked_json` payloads.
-CHECKED_JSON_FORMAT = 1
-
-
 class CriticalWriteError(OSError):
     """A critical durable write (the sweep manifest) could not land."""
-
-
-class FramedReadError(ValueError):
-    """A checked artifact failed format/checksum validation."""
 
 
 class DurabilityWarning(RuntimeWarning):
@@ -246,56 +235,6 @@ def atomic_write_json(path: Union[str, Path], payload: Any, *,
     return atomic_write_text(path, text, category=category,
                              critical=critical, fsync=fsync, plan=plan,
                              stacklevel=stacklevel)
-
-
-def body_checksum(body: Any) -> str:
-    """Canonical sha256 over a JSON-serialisable body."""
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def write_checked_json(path: Union[str, Path], body: Any, *,
-                       category: str, critical: bool = False,
-                       plan: Any = _UNSET) -> bool:
-    """Write ``{"format", "checksum", "body"}`` JSON atomically.
-
-    The stored checksum is over the canonical encoding of ``body``, so
-    the recovery audit can verify the artifact without knowing its
-    schema.
-    """
-    payload = {"format": CHECKED_JSON_FORMAT,
-               "checksum": body_checksum(body),
-               "body": body}
-    return atomic_write_json(path, payload, category=category,
-                             critical=critical, plan=plan)
-
-
-def read_checked_json(path: Union[str, Path]) -> Any:
-    """Read and verify a :func:`write_checked_json` artifact.
-
-    Returns the ``body``; raises :class:`FramedReadError` on any
-    structural or checksum defect and ``OSError`` when unreadable.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise FramedReadError(f"unparseable JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FramedReadError("payload is not a JSON object")
-    if data.get("format") != CHECKED_JSON_FORMAT:
-        raise FramedReadError(
-            f"format {data.get('format')!r} != {CHECKED_JSON_FORMAT}")
-    if "body" not in data:
-        raise FramedReadError("missing body")
-    stored = data.get("checksum")
-    computed = body_checksum(data["body"])
-    if stored != computed:
-        raise FramedReadError(
-            f"checksum mismatch (stored {str(stored)[:12]}..., "
-            f"computed {computed[:12]}...)")
-    return data["body"]
 
 
 # ------------------------------------------------------------ quarantine

@@ -5,7 +5,7 @@ under ``.repro-cache/`` (override with the ``REPRO_CACHE_DIR``
 environment variable) and keyed by the spec's content fingerprint --
 which already folds in :data:`~repro.run.jobs.MODEL_VERSION`, so results
 produced by an older simulator simply stop matching after a version bump
-(they are dead weight until :meth:`ResultCache.purge` removes them).
+(``repro gc`` evicts them).
 
 Each entry stores the job description next to the result plus a sha256
 **content checksum** over both.  On read the checksum is re-verified:
@@ -18,6 +18,11 @@ reported as a miss so the job simply re-runs.  Writes go through
 warning instead of failing the sweep that computed the result.
 Orphaned ``*.tmp`` files left by a writer killed mid-write are swept on
 startup (when stale) and by :meth:`purge`.
+
+:data:`ARTIFACT_KINDS` is the layout of the whole cache directory: every
+kind of file the runner leaves there, with the check ``repro
+audit-state`` applies to it and the test ``repro gc`` evicts it by.
+Both commands walk that one table (:func:`inventory`).
 """
 
 from __future__ import annotations
@@ -26,28 +31,22 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.experiment import SimulationResult
-from repro.run import atomicio
+from repro.run import atomicio, triage
 from repro.run.faults import plan_from_env
-from repro.run.jobs import JobSpec
+from repro.run.jobs import JobSpec, fingerprint_of
+from repro.run.manifest import MANIFEST_NAME, SweepManifest
 
 #: Default cache location (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Subdirectory (inside the cache) holding corrupt entries for autopsy.
-QUARANTINE_DIR = "quarantine"
-
 #: 2: entries carry a sha256 checksum over the job+result payload.
 #: Format-1 entries (no checksum) are quarantined on first read.
 _ENTRY_FORMAT = 2
-
-#: Age (seconds) after which an orphaned ``*.tmp`` file is considered
-#: abandoned and removed by the startup sweep.  Generous enough that a
-#: concurrent writer's in-flight temp file is never touched.
-_ORPHAN_TTL = 3600.0
 
 
 def default_cache_dir() -> str:
@@ -105,7 +104,7 @@ class ResultCache:
 
     @property
     def quarantine_path(self) -> Path:
-        return self.path / QUARANTINE_DIR
+        return self.path / atomicio.QUARANTINE_DIR
 
     def _quarantine(self, entry: Path, reason: str) -> None:
         """Move a corrupt entry aside (never silently overwrite it).
@@ -199,13 +198,14 @@ class ResultCache:
         """Remove stale ``*.tmp`` files abandoned by killed writers.
 
         Runs once per cache instance (before the first write).  Only
-        temp files older than :data:`_ORPHAN_TTL` are removed, so a
-        concurrent writer's in-flight file is left alone.
+        temp files older than :data:`~repro.run.atomicio.ORPHAN_TTL`
+        are removed, so a concurrent writer's in-flight file is left
+        alone.
         """
         if self._swept_orphans:
             return 0
         self._swept_orphans = True
-        return atomicio.sweep_orphans(self.path, ttl=_ORPHAN_TTL)
+        return atomicio.sweep_orphans(self.path)
 
     @staticmethod
     def _is_entry(path: Path) -> bool:
@@ -216,41 +216,20 @@ class ResultCache:
                                        for c in stem)
 
     def __len__(self) -> int:
-        if not self.path.is_dir():
-            return 0
-        return sum(1 for entry in self.path.glob("*.json")
-                   if self._is_entry(entry))
+        return len(_entry_paths(self.path))
 
     def quarantine_entries(self) -> int:
         """Number of entries currently sitting in ``quarantine/``."""
-        return len(self.quarantine_files())
-
-    def quarantine_files(self) -> List[Path]:
-        """Quarantined entries, sorted; ``repro gc`` evicts the oldest
-        beyond the retention caps (they are autopsy evidence, not
-        results, so bounded retention is safe)."""
-        if not self.quarantine_path.is_dir():
-            return []
-        return sorted(self.quarantine_path.glob("*.json"))
+        return len(_quarantine_paths(self.path))
 
     def purge(self) -> int:
         """Delete every cached entry, orphaned temp file, and
         quarantined entry; returns the number removed."""
         removed = 0
-        if self.path.is_dir():
-            for pattern in ("*.json", "*.tmp"):
-                for entry in self.path.glob(pattern):
-                    if pattern == "*.json" and not self._is_entry(entry):
-                        continue   # e.g. the sweep manifest
-                    try:
-                        entry.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-        if self.quarantine_path.is_dir():
-            for entry in self.quarantine_path.glob("*"):
+        for kind, path in inventory(self.path):
+            if kind in (ENTRIES, QUARANTINE, ORPHANS):
                 try:
-                    entry.unlink()
+                    path.unlink()
                     removed += 1
                 except OSError:
                     pass
@@ -275,11 +254,176 @@ class ResultCache:
         return text
 
 
-def time_now() -> float:
-    """Wall-clock seconds for cache housekeeping only (orphan aging).
+# ------------------------------------------------------------------ layout
 
-    Isolated in one function so the determinism linter exemption is
-    explicit: nothing simulated ever reads this.
+class CacheScan:
+    """What an artifact's check and eviction test read besides the
+    artifact: the housekeeping clock and the sweep manifest beside it.
+
+    A torn or missing manifest has no records, so no job reads as done.
     """
-    import time
-    return time.time()  # repro-lint: disable=R002
+
+    def __init__(self, cache_dir: Union[str, Path],
+                 now: Optional[float] = None):
+        self.now = atomicio.time_now() if now is None else now
+        self.manifest = SweepManifest(Path(cache_dir) / MANIFEST_NAME)
+        self.done = {fingerprint[:12] for fingerprint, record
+                     in self.manifest.records.items()
+                     if record.status == "done"}
+
+
+@dataclass(frozen=True)
+class ArtifactKind:
+    """One kind of artifact under a cache directory.
+
+    ``paths`` lists the artifacts of the kind under a cache directory.
+    ``check`` says what is wrong with one (``""`` when it is sound);
+    ``repro audit-state`` reports that at ``severity``.  ``evict`` says
+    why no current reader can use one (``""`` when one can); ``repro
+    gc`` deletes what it names.  ``None`` means no check, or never
+    evicted.  ``grace=False`` lets gc delete even a young artifact.
+    """
+
+    name: str
+    paths: Callable[[Path], List[Path]]
+    check: Optional[Callable[[Path, CacheScan], str]] = None
+    severity: str = "warning"
+    evict: Optional[Callable[[Path, CacheScan], str]] = None
+    grace: bool = True
+
+
+def _entry_paths(cache_dir: Path) -> List[Path]:
+    return sorted(path for path in cache_dir.glob("*.json")
+                  if ResultCache._is_entry(path))
+
+
+def _check_entry(path: Path, scan: CacheScan) -> str:
+    try:
+        with open(path) as fh:
+            ResultCache._decode_entry(fh.read())
+    except OSError as exc:
+        return f"unreadable ({exc})"
+    except ValueError as exc:
+        return (f"corrupt entry ({exc}); the next read quarantines it "
+                f"and the job recomputes")
+    return ""
+
+
+def _stale_entry(path: Path, scan: CacheScan) -> str:
+    """An entry filed under a key other than its job's current
+    fingerprint (another model version or job format) is one no
+    :meth:`ResultCache.get` can hit.  An unparseable one stays for the
+    reader to quarantine."""
+    try:
+        with open(path) as fh:
+            job = json.load(fh)["job"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return ""
+    if fingerprint_of(job) == path.stem:
+        return ""
+    return "not its job's current fingerprint"
+
+
+def _manifest_paths(cache_dir: Path) -> List[Path]:
+    path = cache_dir / MANIFEST_NAME
+    return [path] if path.exists() else []
+
+
+def _check_manifest(path: Path, scan: CacheScan) -> str:
+    """The manifest is written atomically and loudly, so a torn one
+    means the contract broke (or someone edited it); so does an
+    attempt charged twice."""
+    if scan.manifest.load_error:
+        return f"unparseable ({scan.manifest.load_error})"
+    problems = []
+    for fingerprint in sorted(scan.manifest.records):
+        seen: set = set()
+        for entry in scan.manifest.records[fingerprint].attempt_log:
+            if entry["attempt"] in seen:
+                problems.append(f"job {fingerprint[:12]}: attempt "
+                                f"{entry['attempt']} charged more than "
+                                f"once")
+            seen.add(entry["attempt"])
+    return "; ".join(problems)
+
+
+def _quarantine_paths(cache_dir: Path) -> List[Path]:
+    quarantine = cache_dir / atomicio.QUARANTINE_DIR
+    return sorted(quarantine.iterdir()) if quarantine.is_dir() else []
+
+
+def _check_bundle(path: Path, scan: CacheScan) -> str:
+    try:
+        triage.load_bundle(path)
+    except OSError as exc:
+        return (f"bundle without readable job.json ({exc}); best-effort "
+                f"write may have degraded")
+    except ValueError as exc:
+        return f"malformed bundle ({exc})"
+    return ""
+
+
+def _done_bundle(path: Path, scan: CacheScan) -> str:
+    """A retry resolved the failure once the job is done; bundles of
+    pending, running, retrying or failed jobs stay."""
+    return "job done" if path.name.split("-a")[0] in scan.done else ""
+
+
+def _orphan_paths(cache_dir: Path) -> List[Path]:
+    """Abandoned ``*.tmp`` files: in the cache root (entries, manifest)
+    and in triage bundles."""
+    strays: List[Path] = []
+    for directory in [cache_dir] + triage.bundle_dirs(cache_dir):
+        strays.extend(atomicio.orphan_tmp_files(directory))
+    return strays
+
+
+def _stale_orphan(path: Path, scan: CacheScan) -> str:
+    """A younger temp file may belong to a live writer."""
+    try:
+        if scan.now - path.stat().st_mtime < atomicio.ORPHAN_TTL:
+            return ""
+    except OSError:
+        return ""
+    return (f"stale temp file (older than "
+            f"{atomicio.ORPHAN_TTL / 3600.0:.0f}h) from a writer that "
+            f"died mid-write")
+
+
+#: What a cache written by an older checkout may hold and nothing reads
+#: any more: mid-job checkpoints, trace arenas and the gc journal.
+_LEGACY = {"checkpoints": "legacy checkpoint tree",
+           "traces": "legacy trace tree",
+           "gc-state.json": "leftover gc journal"}
+
+
+def _legacy_paths(cache_dir: Path) -> List[Path]:
+    return [cache_dir / name for name in _LEGACY
+            if (cache_dir / name).exists()]
+
+
+ENTRIES = ArtifactKind("entries", _entry_paths, _check_entry,
+                       evict=_stale_entry)
+MANIFEST = ArtifactKind("manifest", _manifest_paths, _check_manifest,
+                        severity="violation")
+QUARANTINE = ArtifactKind("quarantine", _quarantine_paths,
+                          evict=lambda path, scan: "quarantined")
+TRIAGE = ArtifactKind("triage", triage.bundle_dirs, _check_bundle,
+                      evict=_done_bundle)
+ORPHANS = ArtifactKind("orphans", _orphan_paths, _stale_orphan,
+                       evict=_stale_orphan)
+LEGACY = ArtifactKind("legacy", _legacy_paths, grace=False,
+                      evict=lambda path, scan: _LEGACY[path.name])
+
+#: Every kind of artifact under a cache directory, in audit order.
+ARTIFACT_KINDS = (ENTRIES, MANIFEST, QUARANTINE, TRIAGE, ORPHANS, LEGACY)
+
+
+def inventory(cache_dir: Union[str, Path]
+              ) -> List[Tuple[ArtifactKind, Path]]:
+    """Every artifact under ``cache_dir`` with its kind, in table order."""
+    cache_dir = Path(cache_dir)
+    if not cache_dir.is_dir():
+        return []
+    return [(kind, path) for kind in ARTIFACT_KINDS
+            for path in kind.paths(cache_dir)]

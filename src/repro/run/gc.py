@@ -1,105 +1,52 @@
-"""Retention GC for cache-adjacent artifacts: plan first, then apply.
+"""Cache garbage collection: evict what no current reader can use.
 
-Long sweep campaigns accrete two kinds of disk debris under the
-result cache: crash-**triage** bundles (``triage/<fp12>-aN/``) and
-**quarantined** corrupt cache entries (``quarantine/*.json``).  Results
-themselves are never touched -- they are the product; everything here
-is recoverable scaffolding.  Caches written before mid-job checkpoints
-or trace arenas were removed may also hold a ``checkpoints/`` or
-``traces/`` tree; nothing reads either, so every collection evicts them
-whole, whatever the rules say.
+``repro gc`` walks the artifact table of :mod:`repro.run.cache`
+(:func:`~repro.run.cache.inventory`) and asks each artifact's kind
+whether any current reader can still use it.  What none can goes:
 
-``repro gc`` builds a :class:`GcPlan` from per-category
-:class:`RetentionRule` caps (age, count, total bytes -- applied in that
-order, evicting oldest first) and only deletes when asked
-(``--dry-run`` is the default posture in CI).  The plan is
-**manifest-aware**: artifacts belonging to jobs the sweep manifest
-still considers in flight (``pending``/``running``/``retrying``) are
-*pinned* -- reported, counted against the caps, but never evicted --
-so a GC run concurrent with (or between resumes of) a sweep cannot eat
-the bundle of a crash that has not been triaged.
+* result entries filed under a key other than their job's current
+  fingerprint (another ``MODEL_VERSION`` or an older job format), which
+  :meth:`~repro.run.cache.ResultCache.get` can never hit;
+* every quarantined entry;
+* triage bundles of jobs the sweep manifest beside them records as
+  ``done`` (a retry resolved the failure);
+* orphaned ``*.tmp`` files older than
+  :data:`~repro.run.atomicio.ORPHAN_TTL`;
+* the ``checkpoints/`` and ``traces/`` trees and the ``gc-state.json``
+  journal an older checkout may have left, whole.
 
-A third category, **orphans**, covers ``*.tmp`` files abandoned by
-writers that died between ``mkstemp`` and the final rename (including
-injected ``renamecrash`` faults): the cache root and the triage
-trees.  Race safety: any item -- orphan or artifact -- whose newest
-mtime is younger than :data:`GC_GRACE_S` is pinned outright, so a gc
-run concurrent with a live sweep can never eat an in-flight temp file
-or a just-renamed artifact, even under ``--max-age-days 0``.
-
-After :meth:`GcPlan.apply`, :func:`write_gc_state` journals the run
-(``gc-state.json``, checksummed via
-:func:`repro.run.atomicio.write_checked_json`) so ``repro audit-state``
-can cross-check the last collection.
+Everything else stays: current entries, the manifest, and the bundles
+of pending, running, retrying or failed jobs.  ``repro gc`` builds a
+:class:`GcPlan` first and only deletes when asked (``--dry-run`` is the
+default posture in CI).  Race safety: an item whose newest mtime is
+younger than :data:`GC_GRACE_S` is pinned, not evicted, so a gc run
+concurrent with a live sweep can never eat an in-flight temp file or a
+just-renamed artifact.  Legacy trees are exempt: nothing writes them.
 
 Determinism note: the only clock here is host housekeeping time
-(:func:`repro.run.cache.time_now`); nothing simulated ever reads it.
+(:func:`repro.run.atomicio.time_now`); nothing simulated ever reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.run import atomicio
-from repro.run.cache import time_now
+from repro.run.cache import CacheScan, inventory
 
-#: Seconds per day, for readable rule declarations.
+#: Seconds per day, for the age column of the plan.
 _DAY = 86400.0
 
-#: Manifest statuses that pin a job's artifacts against eviction.
-PINNED_STATUSES = ("pending", "running", "retrying")
-
-#: Grace window (seconds): nothing younger than this is ever evicted,
-#: whatever the rules say -- it may be an in-flight write racing the
-#: collection.  Durable writes land in milliseconds, so one minute is
-#: generous without starving tight count/bytes caps.
+#: Grace window (seconds): nothing younger than this is ever evicted --
+#: it may be an in-flight write racing the collection.  Durable writes
+#: land in milliseconds, so one minute is generous.
 GC_GRACE_S = 60.0
-
-#: File name of the gc journal inside the cache directory.
-GC_STATE_NAME = "gc-state.json"
-
-#: ``gc-state.json`` body schema version.
-GC_STATE_FORMAT = 1
-
-
-@dataclass(frozen=True)
-class RetentionRule:
-    """Retention caps for one artifact category (``None`` = uncapped).
-
-    Applied in order: items older than ``max_age_s`` are evicted first;
-    then the oldest items beyond ``max_count``; then the oldest items
-    until the category fits ``max_bytes``.
-    """
-
-    max_age_s: Optional[float] = None
-    max_count: Optional[int] = None
-    max_bytes: Optional[int] = None
-
-
-#: Subdirectories of a cache written before mid-job checkpoints and
-#: trace arenas were removed, with the reason gc gives for collecting
-#: each whole (see the module docstring).
-LEGACY_TREES: Dict[str, str] = {
-    "checkpoints": "legacy checkpoint tree",
-    "traces": "legacy trace tree",
-}
-
-#: Default retention policy per category.  Triage bundles and
-#: quarantined entries are evidence, so a count cap keeps the newest.
-DEFAULT_RULES: Dict[str, RetentionRule] = {
-    "triage": RetentionRule(max_age_s=7 * _DAY, max_count=50),
-    "quarantine": RetentionRule(max_age_s=7 * _DAY, max_count=200),
-    # Abandoned *.tmp files are pure debris once stale; the orphan TTL
-    # matches the writers' own startup sweeps.
-    "orphans": RetentionRule(max_age_s=atomicio.ORPHAN_TTL),
-}
 
 
 @dataclass
 class GcItem:
-    """One evictable artifact (a directory tree or single file)."""
+    """One artifact under the cache (a directory tree or single file)."""
 
     category: str
     path: Path
@@ -217,180 +164,26 @@ def _tree_stat(path: Path) -> Tuple[float, int]:
     return newest, total
 
 
-def _pinned_fingerprints(manifest) -> set:
-    """The fp12 prefixes of in-flight jobs."""
-    short: set = set()
-    if manifest is not None:
-        for fingerprint in sorted(manifest.records):
-            if manifest.records[fingerprint].status in PINNED_STATUSES:
-                short.add(fingerprint[:12])
-    return short
-
-
-def collect_items(cache_dir: Union[str, Path],
-                  manifest=None) -> List[GcItem]:
-    """Inventory every GC-eligible artifact under ``cache_dir``."""
-    from repro.run import triage
-    cache_dir = Path(cache_dir)
-    pinned_short = _pinned_fingerprints(manifest)
-    items: List[GcItem] = []
-
-    for name, reason in LEGACY_TREES.items():
-        legacy = cache_dir / name
-        if legacy.is_dir():
-            mtime, size = _tree_stat(legacy)
-            items.append(GcItem(name, legacy, mtime, size, evict=True,
-                                evict_reason=reason))
-
-    for directory in triage.bundle_dirs(cache_dir):
-        mtime, size = _tree_stat(directory)
-        fp12 = directory.name.split("-a")[0]
-        pinned = fp12 in pinned_short
-        items.append(GcItem(
-            "triage", directory, mtime, size, pinned=pinned,
-            pin_reason="job in flight" if pinned else ""))
-
-    quarantine = cache_dir / "quarantine"
-    if quarantine.is_dir():
-        for entry in sorted(quarantine.iterdir()):
-            mtime, size = _tree_stat(entry)
-            items.append(GcItem("quarantine", entry, mtime, size))
-
-    for stray in _orphan_tmp_files(cache_dir):
-        mtime, size = _tree_stat(stray)
-        items.append(GcItem("orphans", stray, mtime, size))
-
-    return items
-
-
-def _orphan_tmp_files(cache_dir: Path) -> List[Path]:
-    """Every abandoned ``*.tmp`` across the durable tree, sorted:
-    the cache root (entries + manifest) and triage bundles."""
-    from repro.run import triage
-    directories = [cache_dir]
-    directories.extend(triage.bundle_dirs(cache_dir))
-    strays: List[Path] = []
-    for directory in directories:
-        strays.extend(atomicio.orphan_tmp_files(directory))
-    return sorted(strays)
-
-
 def plan_gc(cache_dir: Union[str, Path],
-            rules: Optional[Dict[str, RetentionRule]] = None,
-            manifest=None, now: Optional[float] = None) -> GcPlan:
+            now: Optional[float] = None) -> GcPlan:
     """Decide what to evict under ``cache_dir``; nothing is deleted.
 
-    ``manifest`` (a :class:`~repro.run.manifest.SweepManifest`) enables
-    pinning; ``now`` overrides the housekeeping clock for tests.
+    The sweep manifest is read from ``cache_dir``; ``now`` overrides
+    the housekeeping clock for tests.
     """
-    if now is None:
-        now = time_now()
-    rules = rules if rules is not None else DEFAULT_RULES
-    plan = GcPlan(now=now, items=collect_items(cache_dir, manifest))
-    for item in plan.items:
-        # Race safety: a fresh mtime means a writer may be mid-flight
-        # (an in-progress temp file, a just-renamed artifact).  Pin it
-        # unconditionally; the next collection gets it once it is
-        # genuinely stale.
-        if not item.pinned and not item.evict \
-                and item.age_s(now) < GC_GRACE_S:
+    scan = CacheScan(cache_dir, now)
+    plan = GcPlan(now=scan.now)
+    for kind, path in inventory(cache_dir):
+        item = GcItem(kind.name, path, *_tree_stat(path))
+        reason = kind.evict(path, scan) if kind.evict else ""
+        if reason and kind.grace and item.age_s(scan.now) < GC_GRACE_S:
+            # A fresh mtime means a writer may be mid-flight; the next
+            # collection gets the item once it is genuinely stale.
             item.pinned = True
             item.pin_reason = (f"younger than grace window "
                                f"({GC_GRACE_S:.0f}s)")
-    by_cat: Dict[str, List[GcItem]] = {}
-    for item in plan.items:
-        by_cat.setdefault(item.category, []).append(item)
-    for category, items in sorted(by_cat.items()):
-        rule = rules.get(category)
-        if rule is None:
-            continue
-        _apply_rule(items, rule, now)
-    return plan
-
-
-def _apply_rule(items: Sequence[GcItem], rule: RetentionRule,
-                now: float) -> None:
-    """Mark evictions for one category, oldest first.
-
-    Pinned items participate in the caps (they still occupy disk) but
-    are never marked.  Ties on mtime break on path for determinism.
-    """
-    ordered = sorted(items, key=lambda item: (item.mtime, str(item.path)))
-
-    def mark(item: GcItem, reason: str) -> None:
-        if not item.pinned and not item.evict:
+        elif reason:
             item.evict = True
             item.evict_reason = reason
-
-    if rule.max_age_s is not None:
-        for item in ordered:
-            if item.age_s(now) > rule.max_age_s:
-                mark(item, f"older than {rule.max_age_s / _DAY:.1f}d")
-
-    if rule.max_count is not None:
-        surviving = [item for item in ordered if not item.evict]
-        excess = len(surviving) - rule.max_count
-        for item in surviving:
-            if excess <= 0:
-                break
-            if not item.pinned:
-                mark(item, f"count cap {rule.max_count}")
-            # A pinned item still uses a slot, so the excess only
-            # shrinks when something actually goes.
-            if item.evict:
-                excess -= 1
-
-    if rule.max_bytes is not None:
-        surviving = [item for item in ordered if not item.evict]
-        total = sum(item.bytes for item in surviving)
-        for item in surviving:
-            if total <= rule.max_bytes:
-                break
-            if not item.pinned:
-                mark(item, f"size cap {_human_bytes(rule.max_bytes)}")
-            if item.evict:
-                total -= item.bytes
-
-
-# ------------------------------------------------------------------ journal
-
-def gc_state_path(cache_dir: Union[str, Path]) -> Path:
-    return Path(cache_dir) / GC_STATE_NAME
-
-
-def write_gc_state(cache_dir: Union[str, Path], plan: GcPlan,
-                   removed: int, freed: int) -> bool:
-    """Journal one applied collection (best-effort, checksummed).
-
-    The body records what the plan decided and what actually went, per
-    category, so ``repro audit-state`` can verify the journal parses
-    and matches its checksum after a faulted run.
-    """
-    by_cat: Dict[str, int] = {}
-    for item in plan.evictions:
-        by_cat[item.category] = by_cat.get(item.category, 0) + 1
-    body: Dict[str, Any] = {
-        "format": GC_STATE_FORMAT,
-        "applied_at": plan.now,
-        "planned": len(plan.evictions),
-        "removed": removed,
-        "freed_bytes": freed,
-        "pinned": len(plan.pinned),
-        "evictions_by_category": {key: by_cat[key]
-                                  for key in sorted(by_cat)},
-    }
-    return atomicio.write_checked_json(gc_state_path(cache_dir), body,
-                                       category="gcstate")
-
-
-def read_gc_state(cache_dir: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    """The last gc journal body, or ``None`` when absent.
-
-    Raises :class:`~repro.run.atomicio.FramedReadError` on a corrupt
-    journal (the audit reports it; the journal is best-effort state,
-    so the caller may simply delete it).
-    """
-    path = gc_state_path(cache_dir)
-    if not path.exists():
-        return None
-    return atomicio.read_checked_json(path)
+        plan.items.append(item)
+    return plan

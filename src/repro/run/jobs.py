@@ -140,6 +140,18 @@ class WorkloadSpec:
                    hints_flush=hints.flush, hints_pcs=pcs, **kw)
 
 
+def fingerprint_of(job: Dict[str, Any]) -> str:
+    """The cache key of a job given as :meth:`JobSpec.to_dict` data: a
+    content hash of the job and the current :data:`MODEL_VERSION`.
+
+    The one recipe for the key, so ``repro gc`` tells an entry stored
+    under its job's current key from one no lookup can reach.
+    """
+    payload = {"model_version": MODEL_VERSION, "job": job}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One `run_simulation` call, described as data.
@@ -176,9 +188,7 @@ class JobSpec:
 
     def fingerprint(self) -> str:
         """Stable content hash of the job (includes the model version)."""
-        payload = {"model_version": MODEL_VERSION, "job": self.to_dict()}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return fingerprint_of(self.to_dict())
 
     def describe(self) -> str:
         """Short human-readable label for manifests and progress output.

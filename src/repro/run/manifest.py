@@ -101,7 +101,8 @@ class SweepManifest:
                 self.records[record.fingerprint] = record
         except FileNotFoundError:
             pass
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
             # A torn manifest must never wedge the sweep: start fresh
             # (the cache still holds the results) but remember why.
             self.load_error = f"{type(exc).__name__}: {exc}"

@@ -28,7 +28,6 @@ from repro.run import (
     CriticalWriteError,
     DurabilityWarning,
     FaultPlan,
-    FramedReadError,
     InjectedCrash,
     InjectedDiskFault,
     JobSpec,
@@ -122,21 +121,6 @@ class TestAtomicWrite:
             atomicio.atomic_write_bytes(blocker / "m.json", b"x",
                                         category="manifest",
                                         critical=True)
-
-    def test_checked_json_round_trip_and_validation(self, tmp_path):
-        target = tmp_path / "state.json"
-        body = {"removed": 3, "freed": 4096}
-        assert atomicio.write_checked_json(target, body,
-                                           category="gcstate")
-        assert atomicio.read_checked_json(target) == body
-        payload = json.loads(target.read_text())
-        payload["body"]["removed"] = 99      # checksum now stale
-        target.write_text(json.dumps(payload))
-        with pytest.raises(FramedReadError, match="checksum mismatch"):
-            atomicio.read_checked_json(target)
-        target.write_text("not json at all")
-        with pytest.raises(FramedReadError, match="unparseable"):
-            atomicio.read_checked_json(target)
 
     def test_quarantine_moves_evidence_and_warns(self, tmp_path):
         corrupt = tmp_path / "bad.json"
@@ -502,7 +486,7 @@ class TestCrashAtEveryWriteBoundary:
 
 
 # ---------------------------------------------------------------------------
-# Focused boundary tests for triage bundles and the gc journal
+# Focused boundary tests for triage bundles and the old gc journal
 # ---------------------------------------------------------------------------
 
 class TestTriageAndGcStateBoundaries:
@@ -517,35 +501,26 @@ class TestTriageAndGcStateBoundaries:
         monkeypatch.delenv("REPRO_FAULTS")
         report = audit_state(tmp_path)
         assert report.ok
-        assert any(f.category == "orphan" for f in report.notes)
+        # A young temp file may belong to a live writer: counted, and
+        # not a warning until it outlives the orphan TTL.
+        assert report.scanned["orphans"] == 1
+        assert not any(f.category == "orphans" for f in report.findings)
+        later = audit_state(tmp_path,
+                            now=atomicio.time_now() + atomicio.ORPHAN_TTL)
+        assert any(f.category == "orphans" for f in later.warnings)
 
-    def test_gc_journal_faulted_write_degrades_and_audits(
-            self, tmp_path, monkeypatch):
-        plan = run_gc.plan_gc(tmp_path)
-        monkeypatch.setenv("REPRO_FAULTS", "enospc:1,seed:0")
-        with pytest.warns(DurabilityWarning):
-            assert not run_gc.write_gc_state(tmp_path, plan, 0, 0)
-        assert run_gc.read_gc_state(tmp_path) is None
-
-        monkeypatch.setenv("REPRO_FAULTS", "torn:1,seed:0")
-        atomicio.reset_state()
-        assert run_gc.write_gc_state(tmp_path, plan, 0, 0)
-        with pytest.raises(FramedReadError):
-            run_gc.read_gc_state(tmp_path)
-        monkeypatch.delenv("REPRO_FAULTS")
-        report = audit_state(tmp_path)
-        assert report.ok
-        assert any(f.category == "gcstate" for f in report.warnings)
-
-    def test_gc_journal_round_trip(self, tmp_path):
-        plan = run_gc.plan_gc(tmp_path)
-        removed, freed = plan.apply()
-        assert run_gc.write_gc_state(tmp_path, plan, removed, freed)
-        body = run_gc.read_gc_state(tmp_path)
-        assert body["removed"] == removed
-        assert body["freed_bytes"] == freed
-        assert body["format"] == run_gc.GC_STATE_FORMAT
-        _assert_clean_audit(tmp_path)
+    def test_leftover_gc_journal_is_evicted_and_audit_stays_clean(
+            self, tmp_path):
+        """Older checkouts journalled each collection to
+        ``gc-state.json``; nothing reads it now, so gc evicts it even
+        when fresh, and audit never flags it."""
+        journal = tmp_path / "gc-state.json"
+        journal.write_text('{"format": 1, "checksum": "0", "body": {}}\n')
+        report = _assert_clean_audit(tmp_path)
+        assert report.scanned == {"legacy": 1} and not report.findings
+        assert cli.main(["gc", "--cache-dir", str(tmp_path)]) == 0
+        assert not journal.exists()
+        assert not _assert_clean_audit(tmp_path).findings
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +554,13 @@ class TestManifestCriticality:
 class TestGcRaceSafety:
     def test_grace_window_pins_fresh_artifacts(self, tmp_path):
         now = atomicio.time_now()
+        manifest = SweepManifest(tmp_path / MANIFEST_NAME)
+        manifest.begin(["a" * 64], ["job-a"])
+        manifest.mark_done("a" * 64)
         bundle = tmp_path / "triage" / ("a" * 12 + "-a0")
         bundle.mkdir(parents=True)
         (bundle / "job.json").write_bytes(b"fresh")
-        rules = {"triage": run_gc.RetentionRule(max_age_s=0.0)}
-        plan = run_gc.plan_gc(tmp_path, rules=rules, now=now)
+        plan = run_gc.plan_gc(tmp_path, now=now)
         assert plan.evictions == []
         (pinned,) = plan.pinned
         assert "grace window" in pinned.pin_reason
@@ -608,24 +585,24 @@ class TestGcRaceSafety:
         quarantine = tmp_path / "quarantine"
         quarantine.mkdir()
         (quarantine / "fresh.json").write_bytes(b"x" * 128)
-        rules = {"quarantine": run_gc.RetentionRule(max_age_s=0.0,
-                                                    max_bytes=0)}
-        plan = run_gc.plan_gc(tmp_path, rules=rules, now=now)
+        # gc evicts every quarantined entry -- but not a fresh one.
+        plan = run_gc.plan_gc(tmp_path, now=now)
         assert plan.evictions == []
+        assert len(plan.pinned) == 1
 
     def test_audit_clean_after_gc_on_a_real_sweep(self, tmp_path):
         _sweep(tmp_path)
-        # Age everything past the caps, then collect with audit cross-
-        # check: gc plus the journal write must leave zero violations.
+        # Age everything past the grace window, then collect: gc must
+        # leave every live entry and zero audit violations.
         old = atomicio.time_now() - 30 * 86400
         for path in tmp_path.rglob("*"):
             if path.name != MANIFEST_NAME:
                 os.utime(path, (old, old))
         plan = run_gc.plan_gc(tmp_path)
-        removed, freed = plan.apply()
-        assert run_gc.write_gc_state(tmp_path, plan, removed, freed)
+        assert plan.evictions == []
+        plan.apply()
         report = _assert_clean_audit(tmp_path)
-        assert report.scanned.get("gcstate") == 1
+        assert report.scanned == {"entries": 2, "manifest": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +633,12 @@ class TestAuditState:
                    for f in report.warnings)
 
     def test_unparseable_manifest_is_a_violation(self, tmp_path):
-        tmp_path.mkdir(exist_ok=True)
-        (tmp_path / MANIFEST_NAME).write_text("{torn mid-write")
-        report = audit_state(tmp_path)
-        assert not report.ok
-        assert any(f.category == "manifest"
-                   for f in report.violations)
+        for text in ("{torn mid-write", "[]", '{"jobs": ["x"]}'):
+            (tmp_path / MANIFEST_NAME).write_text(text)
+            report = audit_state(tmp_path)
+            assert not report.ok, text
+            assert any(f.category == "manifest"
+                       for f in report.violations)
 
     def test_double_charged_attempt_is_a_violation(self, tmp_path):
         record = {
@@ -687,7 +664,7 @@ class TestAuditState:
         now = atomicio.time_now() + 2 * atomicio.ORPHAN_TTL
         report = audit_state(tmp_path, now=now)
         assert report.ok
-        assert any(f.category == "orphan" for f in report.warnings)
+        assert any(f.category == "orphans" for f in report.warnings)
         swept = audit_state(tmp_path, now=now, sweep=True)
         assert swept.swept == 1 and not stray.exists()
         assert not audit_state(tmp_path, now=now).findings

@@ -1,114 +1,232 @@
-"""Tests for the retention GC (``repro gc``).
+"""Tests for the cache garbage collector (``repro gc``).
 
-Covers the eviction planner's age, count and byte caps, manifest pins
-that protect in-flight jobs, applying a plan, its rendering, and the
-``checkpoints/`` and ``traces/`` trees an older checkout may have left
-in a cache.
+gc evicts what no current reader can use: result entries filed under
+a key other than their job's current fingerprint, quarantined entries,
+triage bundles of ``done`` jobs, stale orphaned ``*.tmp`` files, and
+the ``checkpoints/``, ``traces/`` and ``gc-state.json`` an older
+checkout may have left in a cache.  Covers the plan, applying it, its
+rendering, and that gc and ``repro audit-state`` walk one layout.
 """
 
+import json
 import os
+from collections import Counter
 
 import pytest
 
 import repro.run
 from repro.cli import main
-from repro.run import MANIFEST_NAME, SweepManifest, audit_state
+from repro.params import default_system
+from repro.run import (MANIFEST_NAME, JobSpec, ResultCache, SweepManifest,
+                       WorkloadSpec, audit_state)
+from repro.run import atomicio
 from repro.run import gc as run_gc
+from repro.run import jobs as run_jobs
+from repro.run.jobs import fingerprint_of
 
 NOW = 1_000_000.0
+HOUR = 3600.0
 
 
-def _touch(path, age_s, payload=b"x"):
-    """Create ``path`` (file) with mtime ``NOW - age_s``."""
+def _touch(path, age_s, payload=b"x", now=NOW):
+    """Create ``path`` (file) with mtime ``now - age_s``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(payload)
-    stamp = NOW - age_s
+    stamp = now - age_s
     os.utime(path, (stamp, stamp))
     os.utime(path.parent, (stamp, stamp))
 
 
+def _bundle(root, fingerprint, age_s=2 * HOUR, now=NOW):
+    directory = root / "triage" / (fingerprint[:12] + "-a1")
+    _touch(directory / "job.json", age_s=age_s, now=now)
+    return directory
+
+
+def _manifest(root, **statuses):
+    """A sweep manifest recording one job per ``fingerprint=status``."""
+    manifest = SweepManifest(root / MANIFEST_NAME)
+    manifest.begin(list(statuses.values()), list(statuses))
+    for label, fingerprint in statuses.items():
+        if label == "done":
+            manifest.mark_done(fingerprint)
+        elif label == "failed":
+            manifest.mark_failed(fingerprint, "boom")
+        elif label == "running":
+            manifest.mark_running(fingerprint)
+    return manifest
+
+
+@pytest.fixture
+def isolated_runner(monkeypatch):
+    """The CLI reconfigures the process-wide runner; undo it."""
+    for name in ("_jobs", "_cache", "_manifest", "_policy", "_resume"):
+        monkeypatch.setattr(repro.run, name, getattr(repro.run, name))
+
+
+def _tiny_spec(seed=0):
+    return JobSpec(default_system(), WorkloadSpec("oltp"),
+                   instructions=800, warmup=800, seed=seed)
+
+
 class TestGc:
     def seed_cache(self, root):
-        """A cache dir with one artifact per category at known ages."""
-        fp_old, fp_new = "a" * 64, "b" * 64
-        _touch(root / "triage" / (fp_old[:12] + "-a1") / "job.json",
-               age_s=9 * 86400)
-        _touch(root / "triage" / (fp_new[:12] + "-a1") / "job.json",
-               age_s=1 * 86400)
-        _touch(root / "quarantine" / "stale.json", age_s=8 * 86400,
+        """A cache dir past the grace window: bundles of a done and a
+        running job, a quarantined entry, a stale and a young orphan."""
+        fp_done, fp_running = "a" * 64, "b" * 64
+        # First: the manifest's first flush sweeps stale orphans.
+        _manifest(root, done=fp_done, running=fp_running)
+        _bundle(root, fp_done)
+        _bundle(root, fp_running)
+        _touch(root / "quarantine" / "bad.json", age_s=2 * HOUR,
                payload=b"y" * 100)
-        _touch(root / "quarantine" / "bad.json", age_s=2 * 86400)
-        return fp_old, fp_new
+        _touch(root / "dead.tmp", age_s=2 * HOUR)
+        _touch(root / "slow.tmp", age_s=HOUR / 2)
+        return fp_done, fp_running
 
     def test_age_rule_evicts_only_the_old(self, tmp_path):
-        fp_old, fp_new = self.seed_cache(tmp_path)
+        """Orphans are the one kind gc judges by age: older than the
+        orphan TTL goes, younger may still belong to a live writer."""
+        self.seed_cache(tmp_path)
         plan = run_gc.plan_gc(tmp_path, now=NOW)
-        gone = {item.path.name for item in plan.evictions}
-        assert gone == {fp_old[:12] + "-a1", "stale.json"}
-        kept = {item.path.name for item in plan.items if not item.evict}
-        assert kept == {fp_new[:12] + "-a1", "bad.json"}
-        assert plan.freed_bytes() > 0
+        orphans = {item.path.name: item for item in plan.items
+                   if item.category == "orphans"}
+        assert orphans["dead.tmp"].evict
+        assert not orphans["slow.tmp"].evict
+        assert not orphans["slow.tmp"].pinned
 
     def test_manifest_pins_in_flight_jobs(self, tmp_path):
-        fp_old, _ = self.seed_cache(tmp_path)
-        manifest = SweepManifest(tmp_path / MANIFEST_NAME)
-        manifest.begin([fp_old], ["job-a"])
-        manifest.mark_running(fp_old)
-        plan = run_gc.plan_gc(tmp_path, manifest=manifest, now=NOW)
-        pinned = {item.path.name for item in plan.pinned}
-        # The triage bundle (fp12 prefix) of the running job survives.
-        assert pinned == {fp_old[:12] + "-a1"}
+        fp_done, fp_running = self.seed_cache(tmp_path)
+        plan = run_gc.plan_gc(tmp_path, now=NOW)
         gone = {item.path.name for item in plan.evictions}
-        assert gone == {"stale.json"}
-
-    def test_count_cap_keeps_newest_and_pins_hold_slots(self, tmp_path):
-        root = tmp_path
-        for n, age in enumerate((300.0, 200.0, 100.0)):
-            _touch(root / "triage" / (f"{n:012d}" + "-a1") / "job.json",
-                   age_s=age)
-        manifest = SweepManifest(root / MANIFEST_NAME)
-        oldest = "0" * 11 + "0"
-        manifest.begin([oldest + "f" * 52], ["job-a"])
-        manifest.mark_running(oldest + "f" * 52)
-        rules = {"triage": run_gc.RetentionRule(max_count=2)}
-        plan = run_gc.plan_gc(root, rules=rules, manifest=manifest,
-                              now=NOW)
-        # Three bundles, cap two, oldest pinned: the pin occupies a
-        # slot, so the middle bundle goes and the newest survives.
-        gone = {item.path.name for item in plan.evictions}
-        assert gone == {f"{1:012d}" + "-a1"}
-
-    def test_bytes_cap_evicts_oldest_first(self, tmp_path):
-        for n, age in enumerate((300.0, 200.0, 100.0)):
-            _touch(tmp_path / "quarantine" / f"q{n}.json", age_s=age,
-                   payload=b"z" * 400)
-        rules = {"quarantine": run_gc.RetentionRule(max_bytes=900)}
-        plan = run_gc.plan_gc(tmp_path, rules=rules, now=NOW)
-        gone = {item.path.name for item in plan.evictions}
-        assert gone == {"q0.json"}   # 1200 -> 800 bytes
+        assert gone == {fp_done[:12] + "-a1", "bad.json", "dead.tmp"}
+        # The running job's bundle is kept; so is the manifest.
+        kept = {item.path.name for item in plan.items if not item.evict}
+        assert kept == {fp_running[:12] + "-a1", "slow.tmp",
+                        MANIFEST_NAME}
 
     def test_apply_deletes_plan_and_spares_the_rest(self, tmp_path):
-        fp_old, fp_new = self.seed_cache(tmp_path)
+        fp_done, fp_running = self.seed_cache(tmp_path)
         plan = run_gc.plan_gc(tmp_path, now=NOW)
         removed, freed = plan.apply()
-        assert removed == 2 and freed == plan.freed_bytes()
-        assert not (tmp_path / "triage" / (fp_old[:12] + "-a1")).exists()
-        assert not (tmp_path / "quarantine" / "stale.json").exists()
-        assert (tmp_path / "triage" / (fp_new[:12] + "-a1")).exists()
-        assert (tmp_path / "quarantine" / "bad.json").exists()
+        assert removed == 3 and freed == plan.freed_bytes() > 0
+        assert not (tmp_path / "triage" / (fp_done[:12] + "-a1")).exists()
+        assert not (tmp_path / "quarantine" / "bad.json").exists()
+        assert not (tmp_path / "dead.tmp").exists()
+        assert (tmp_path / "triage" / (fp_running[:12] + "-a1")).exists()
+        assert (tmp_path / "slow.tmp").exists()
+        assert (tmp_path / MANIFEST_NAME).exists()
 
     def test_format_plan_mentions_categories_and_reasons(self, tmp_path):
         self.seed_cache(tmp_path)
         plan = run_gc.plan_gc(tmp_path, now=NOW)
         text = plan.format_plan(verbose=True)
-        assert "gc plan: 2 evictions" in text
+        assert "gc plan: 3 evictions" in text
         assert "triage" in text and "quarantine" in text
-        assert "older than 7.0d" in text
+        assert "job done" in text and "older than 1h" in text
 
     def test_empty_cache_dir_plans_nothing(self, tmp_path):
         plan = run_gc.plan_gc(tmp_path / "missing", now=NOW)
         assert plan.items == [] and plan.evictions == []
         assert "0 evictions" in plan.format_plan()
+
+
+class TestDoneBundles:
+    def test_only_the_bundle_of_a_done_job_goes(self, tmp_path):
+        fps = {"done": "a" * 64, "failed": "b" * 64, "running": "c" * 64}
+        for fingerprint in fps.values():
+            _bundle(tmp_path, fingerprint)
+        _manifest(tmp_path, **fps)
+        plan = run_gc.plan_gc(tmp_path, now=NOW)
+        gone = {item.path.name for item in plan.evictions}
+        assert gone == {fps["done"][:12] + "-a1"}
+        kept = {item.path.name for item in plan.items
+                if item.category == "triage" and not item.evict}
+        assert kept == {fps["failed"][:12] + "-a1",
+                        fps["running"][:12] + "-a1"}
+        # With a torn manifest no job reads as done: nothing goes.
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(manifest.read_text()[:40])
+        assert run_gc.plan_gc(tmp_path, now=NOW).evictions == []
+
+
+@pytest.mark.usefixtures("isolated_runner")
+class TestStaleEntries:
+    def test_gc_evicts_entries_of_another_model_version(
+            self, tmp_path, monkeypatch):
+        spec = _tiny_spec()
+        result = spec.run()
+        with monkeypatch.context() as patch:
+            patch.setattr(run_jobs, "MODEL_VERSION",
+                          run_jobs.MODEL_VERSION + 1)
+            stale_key = spec.fingerprint()
+            assert ResultCache(tmp_path).put(spec, result)
+        current_key = spec.fingerprint()
+        assert current_key != stale_key
+        assert ResultCache(tmp_path).put(spec, result)
+        stale = tmp_path / f"{stale_key}.json"
+        # Unparseable entries stay for the reader to quarantine.
+        torn = tmp_path / f"{'e' * 64}.json"
+        torn.write_text('{"job": ')
+        old = atomicio.time_now() - 2 * HOUR
+        for path in (stale, torn):
+            os.utime(path, (old, old))
+
+        assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
+        assert not stale.exists() and torn.exists()
+        assert (tmp_path / f"{current_key}.json").exists()
+        cache = ResultCache(tmp_path)
+        assert cache.get(spec).dump() == result.dump()
+        assert cache.hits == 1
+
+    def test_young_stale_entry_is_pinned(self, tmp_path):
+        spec = _tiny_spec()
+        cache = ResultCache(tmp_path)
+        cache.put(spec, spec.run())
+        entry = tmp_path / f"{spec.fingerprint()}.json"
+        renamed = tmp_path / f"{'f' * 64}.json"
+        entry.rename(renamed)
+        plan = run_gc.plan_gc(tmp_path)
+        assert plan.evictions == []
+        assert [item.path for item in plan.pinned] == [renamed]
+
+    def test_every_entry_of_a_sweep_is_filed_under_fingerprint_of(
+            self, tmp_path):
+        """gc's stale-entry test and ``ResultCache.get`` share one key
+        recipe; were they to drift, gc would evict live results."""
+        assert main(["--quick", "sweep", "oltp", "--seeds", "2",
+                     "--jobs", "1", "--cache-dir", str(tmp_path)]) == 0
+        entries = [path for path in tmp_path.glob("*.json")
+                   if path.name != MANIFEST_NAME]
+        assert len(entries) == 2
+        for path in entries:
+            entry = json.loads(path.read_text())
+            assert fingerprint_of(entry["job"]) == path.stem
+        plan = run_gc.plan_gc(tmp_path, now=atomicio.time_now() + HOUR)
+        assert plan.evictions == []
+
+
+def _seed_every_kind(root, now):
+    """One artifact of each kind in the table, all at ``now``."""
+    _touch(root / f"{'c' * 64}.json", age_s=0, payload=b"{}", now=now)
+    _manifest(root, done="d" * 64)
+    _touch(root / "quarantine" / "bad.json", age_s=0, now=now)
+    _bundle(root, "d" * 64, age_s=0, now=now)
+    _touch(root / "writer.tmp", age_s=0, now=now)
+    _touch(root / "checkpoints" / "x.ckpt", age_s=0, now=now)
+    _touch(root / "gc-state.json", age_s=0, payload=b"{}", now=now)
+
+
+def test_gc_inventory_and_audit_scan_the_same_artifacts(tmp_path):
+    now = atomicio.time_now()
+    _seed_every_kind(tmp_path, now)
+    plan = run_gc.plan_gc(tmp_path, now=now)
+    report = audit_state(tmp_path, now=now)
+    inventory = Counter(item.category for item in plan.items)
+    assert inventory == Counter(report.scanned)
+    assert set(inventory) == {"entries", "manifest", "quarantine",
+                              "triage", "orphans", "legacy"}
+    assert inventory["legacy"] == 2
 
 
 def _seed_legacy_checkpoints(root):
@@ -126,14 +244,8 @@ def _seed_legacy_checkpoints(root):
     manifest.mark_running(fp)
 
 
+@pytest.mark.usefixtures("isolated_runner")
 class TestLegacyCheckpointTree:
-    @pytest.fixture(autouse=True)
-    def isolated_runner(self, monkeypatch):
-        """The CLI reconfigures the process-wide runner; undo it."""
-        for name in ("_jobs", "_cache", "_manifest", "_policy",
-                     "_resume"):
-            monkeypatch.setattr(repro.run, name, getattr(repro.run, name))
-
     def test_gc_deletes_the_whole_tree_and_dry_run_lists_it(
             self, tmp_path, capsys):
         """Nothing reads the tree any more: gc evicts it whole, even a
@@ -166,14 +278,8 @@ def _seed_legacy_traces(root):
         path.write_bytes(b"RPARENA1")
 
 
+@pytest.mark.usefixtures("isolated_runner")
 class TestLegacyTraceTree:
-    @pytest.fixture(autouse=True)
-    def isolated_runner(self, monkeypatch):
-        """The CLI reconfigures the process-wide runner; undo it."""
-        for name in ("_jobs", "_cache", "_manifest", "_policy",
-                     "_resume"):
-            monkeypatch.setattr(repro.run, name, getattr(repro.run, name))
-
     def test_gc_deletes_the_whole_tree_and_dry_run_lists_it(
             self, tmp_path, capsys):
         """Nothing reads the tree any more: gc evicts it whole, even a
