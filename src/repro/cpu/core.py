@@ -36,6 +36,7 @@ from repro.mem.memsys import (
     CAT_LOCAL,
     CAT_REMOTE,
     NodeMemorySystem,
+    weak_method,
 )
 from repro.params import ConsistencyModel, SystemParams
 from repro.stats.breakdown import (
@@ -192,7 +193,7 @@ class ProcessorCore:
         # needs no violation hook.
         self._ordered = params.consistency is not ConsistencyModel.RC
         if self._ordered:
-            memsys.violation_hook = self._on_line_removed
+            memsys.violation_hook = weak_method(self._on_line_removed)
 
         self.stats = ExecutionBreakdown()
         self.retired = 0

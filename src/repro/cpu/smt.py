@@ -22,7 +22,7 @@ import dataclasses
 from typing import List
 
 from repro.cpu.core import FAR_FUTURE, ProcessorCore
-from repro.mem.memsys import NodeMemorySystem
+from repro.mem.memsys import NodeMemorySystem, weak_method
 from repro.params import SystemParams
 from repro.stats.breakdown import ExecutionBreakdown
 
@@ -88,7 +88,7 @@ class SmtCore:
         # Coherence violation hook must fan out to every context (each
         # context registered itself only if its model orders memory).
         if memsys.violation_hook is not None:
-            memsys.violation_hook = self._on_line_removed
+            memsys.violation_hook = weak_method(self._on_line_removed)
 
     # -- aggregate accessors (Machine interface) ---------------------------
 

@@ -13,6 +13,7 @@ can sleep rather than poll.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional, Tuple
 
 from repro.mem.cache import CacheArray, MshrFile
@@ -55,6 +56,27 @@ def _stall(retry_at: int) -> MemResult:
     return MemResult(stalled=True, retry_at=retry_at)
 
 
+def weak_method(method: Callable) -> Callable:
+    """The bound ``method`` as a plain callable that does not keep its
+    object alive.
+
+    A part registers its callbacks on parts it owns or shares (the
+    directory's hook tables, its stream buffer, its node's
+    ``violation_hook``); registering them weakly keeps the machine's
+    object graph acyclic, so reference counting frees a finished
+    machine at once.  The owner keeps the object alive for as long as
+    the callback is called.
+    """
+    func, ref = method.__func__, weakref.ref(method.__self__)
+
+    def call(*args):
+        obj = ref()
+        if obj is None:
+            raise ReferenceError(f"{func.__qualname__}: object was freed")
+        return func(obj, *args)
+    return call
+
+
 class NodeMemorySystem:
     """Caches, TLBs and stream buffer of one node."""
 
@@ -70,12 +92,13 @@ class NodeMemorySystem:
         self.l1i = CacheArray(params.l1i)
         self.l1d = CacheArray(params.l1d)
         self.l2 = CacheArray(params.l2)
-        self.itlb = Tlb(params.itlb)
-        self.dtlb = Tlb(params.dtlb)
+        self.itlb = Tlb(params.itlb, page_table)
+        self.dtlb = Tlb(params.dtlb, page_table)
         self.l1d_mshrs = MshrFile(params.l1d.mshrs, l1d_mshr_stats)
         self.l2_mshrs = MshrFile(params.l2.mshrs, l2_mshr_stats)
         self.stream_buffer = InstructionStreamBuffer(
-            params.stream_buffer_entries, self._prefetch_instr_line)
+            params.stream_buffer_entries,
+            weak_method(self._prefetch_instr_line))
 
         # Optional path-predicting instruction prefetcher (section 4.1:
         # "a predictor that interfaces with a branch target buffer to
@@ -106,6 +129,7 @@ class NodeMemorySystem:
         self._itlb_miss = params.itlb.miss_latency
         self._dtlb_miss = params.dtlb.miss_latency
         self._page_shift = page_table.page_shift
+        self._page_lines = page_table.page_size >> self.line_shift
 
         # Resource occupancy (contention): L1D ports per cycle, L2 port.
         self._l1d_port_cycle = -1
@@ -118,9 +142,11 @@ class NodeMemorySystem:
         # speculative-load violations.
         self.violation_hook: Optional[Callable[[int], None]] = None
 
-        coherent.invalidate_hooks[node_id] = self.external_invalidate
-        coherent.dirty_hooks[node_id] = self.line_dirty
-        coherent.downgrade_hooks[node_id] = self.external_downgrade
+        coherent.invalidate_hooks[node_id] = weak_method(
+            self.external_invalidate)
+        coherent.dirty_hooks[node_id] = weak_method(self.line_dirty)
+        coherent.downgrade_hooks[node_id] = weak_method(
+            self.external_downgrade)
 
         # Statistics.
         self.l1i_accesses = 0
@@ -136,9 +162,10 @@ class NodeMemorySystem:
 
     def _translate(self, vaddr: int, tlb: Tlb) -> Tuple[int, bool]:
         """(physical line, tlb_missed)."""
-        vpage = vaddr >> self._page_shift
-        hit = tlb.access(vpage)
-        line = self.page_table.translate_line(vaddr, self.line_shift)
+        frame, hit = tlb.translate(vaddr >> self._page_shift)
+        page_lines = self._page_lines
+        line = frame * page_lines + \
+            ((vaddr >> self.line_shift) & (page_lines - 1))
         return line, not hit
 
     # -- instruction fetch ---------------------------------------------------

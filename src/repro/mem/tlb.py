@@ -9,7 +9,7 @@ which in a CC-NUMA machine also spreads pages across home nodes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.params import TlbParams
 
@@ -59,29 +59,38 @@ class PageTable:
 
 
 class Tlb:
-    """Fully-associative LRU TLB."""
+    """Fully-associative LRU TLB over a :class:`PageTable`.
 
-    def __init__(self, params: TlbParams):
+    Each entry holds its page's frame, so a hit translates without
+    consulting the page table.  Frames never move once assigned, so a
+    cached frame is always the page table's.
+    """
+
+    def __init__(self, params: TlbParams, page_table: PageTable):
         self.params = params
-        self._entries: "OrderedDict[int, bool]" = OrderedDict()
+        self.page_table = page_table
+        self._entries: "OrderedDict[int, int]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def access(self, vpage: int) -> bool:
-        """True on hit.  A miss installs the translation (refill cost is
-        charged by the caller via ``params.miss_latency``)."""
+    def translate(self, vpage: int) -> Tuple[int, bool]:
+        """``(frame, hit)`` for ``vpage``.  A miss installs the
+        translation (refill cost is charged by the caller via
+        ``params.miss_latency``); a perfect TLB always hits."""
         if self.params.perfect:
             self.hits += 1
-            return True
-        if vpage in self._entries:
-            self._entries.move_to_end(vpage)
+            return self.page_table.frame_of(vpage), True
+        entries = self._entries
+        frame = entries.get(vpage)
+        if frame is not None:
+            entries.move_to_end(vpage)
             self.hits += 1
-            return True
+            return frame, True
         self.misses += 1
-        self._entries[vpage] = True
-        if len(self._entries) > self.params.entries:
-            self._entries.popitem(last=False)
-        return False
+        frame = entries[vpage] = self.page_table.frame_of(vpage)
+        if len(entries) > self.params.entries:
+            entries.popitem(last=False)
+        return frame, False
 
     @property
     def miss_rate(self) -> float:

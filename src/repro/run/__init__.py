@@ -48,7 +48,7 @@ from repro.run.executor import (
     run_many,
 )
 from repro.run.faults import (FaultPlan, InjectedCrash, InjectedDiskFault,
-                              plan_from_env)
+                              InjectedWriterDeath, plan_from_env)
 from repro.run.jobs import MODEL_VERSION, JobSpec, WorkloadSpec
 from repro.run.manifest import MANIFEST_NAME, JobRecord, SweepManifest
 
@@ -58,7 +58,8 @@ __all__ = [
     "run_many", "RunReport", "JobOutcome", "default_jobs",
     "RetryPolicy", "DEFAULT_POLICY",
     "SweepManifest", "JobRecord", "MANIFEST_NAME",
-    "FaultPlan", "InjectedCrash", "InjectedDiskFault", "plan_from_env",
+    "FaultPlan", "InjectedCrash", "InjectedDiskFault",
+    "InjectedWriterDeath", "plan_from_env",
     "CriticalWriteError", "DurabilityWarning",
     "AuditFinding", "AuditReport", "audit_state",
     "configure", "runner_defaults", "runner_state",

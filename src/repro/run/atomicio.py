@@ -25,8 +25,8 @@ truncates the stored bytes at a hash-derived offset but lets the rename
 complete (the next read must detect and quarantine), ``shortwrite``
 writes a prefix then fails with EIO, ``enospc`` fails up front,
 ``eio`` fails the rename, ``renamecrash`` leaves the temp file behind
-and raises :class:`~repro.run.faults.InjectedCrash` like a writer dying
-mid-flight, and ``fsyncdrop`` silently skips the fsync.  Faults roll
+and raises :class:`~repro.run.faults.InjectedWriterDeath` like a writer
+dying mid-flight, and ``fsyncdrop`` silently skips the fsync.  Faults roll
 per (category, op, per-category sequence number) through the plan's
 sha256 scheme, so the same plan string injects the same schedule on a
 serial re-run.  Critical writes are exempt: their only recovery path is
@@ -47,8 +47,8 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.run.faults import (FaultPlan, InjectedCrash, InjectedDiskFault,
-                              plan_from_env)
+from repro.run.faults import (FaultPlan, InjectedDiskFault,
+                              InjectedWriterDeath, plan_from_env)
 
 #: The known artifact categories (any string is accepted; these are the
 #: three the recovery audit walks).
@@ -151,8 +151,9 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes, *,
     and the category-local write sequence number; ``plan`` overrides
     the environment plan (tests).  An injected ``renamecrash``
     deliberately leaks the temp file and raises
-    :class:`~repro.run.faults.InjectedCrash` -- simulating the writer
-    dying, which the retry machinery and orphan sweeping must absorb.
+    :class:`~repro.run.faults.InjectedWriterDeath` -- simulating the
+    writer's process dying, which a resumed sweep and orphan sweeping
+    must absorb.
     """
     path = Path(path)
     active: Optional[FaultPlan] = plan_from_env() if plan is _UNSET \
@@ -184,7 +185,7 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes, *,
                     errno.EIO,
                     f"injected short write ({category} write #{seq})")
             if kind == "renamecrash":
-                raise InjectedCrash(
+                raise InjectedWriterDeath(
                     f"injected crash before rename ({category} write "
                     f"#{seq}; temp file left behind)")
             if kind == "eio":
@@ -193,7 +194,7 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes, *,
                     f"injected EIO at rename ({category} write #{seq})")
             os.replace(tmp, path)
             tmp = None
-        except InjectedCrash:
+        except InjectedWriterDeath:
             raise   # simulated writer death: the orphan stays on disk
         except BaseException:
             if tmp is not None:

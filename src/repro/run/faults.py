@@ -33,7 +33,7 @@ Recognised keys:
 ``renamecrash:P`` per-durable-write probability the writer "dies"
                 between writing the temp file and renaming it,
                 leaving an orphaned ``*.tmp`` behind (raises
-                :class:`InjectedCrash`)
+                :class:`InjectedWriterDeath`)
 ``fsyncdrop:P`` per-durable-write probability the fsync is silently
                 skipped (the content is intact; models a lying disk
                 cache)
@@ -83,6 +83,18 @@ class InjectedCrash(Exception):
     Deliberately a direct :class:`Exception` subclass -- not an
     ``OSError`` or ``RuntimeError`` -- so it exercises the executor's
     *arbitrary* per-job exception isolation, not a lucky catch tuple.
+    """
+
+
+class InjectedWriterDeath(InjectedCrash):
+    """Raised by a durable write selected for a ``renamecrash`` fault:
+    the writing process dies between temp file and rename.
+
+    Unlike a job attempt's :class:`InjectedCrash`, which the runner
+    isolates per attempt, a writer death is not absorbed as a failed
+    attempt: :func:`repro.run.forkserver.run_entry` re-raises it, so it
+    ends an in-process sweep wherever the write was (a cache put or a
+    triage bundle) and fails a pool worker's whole chunk.
     """
 
 

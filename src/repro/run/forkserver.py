@@ -33,7 +33,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.run import triage
-from repro.run.faults import FAULTS_ENV, plan_from_env
+from repro.run.faults import FAULTS_ENV, InjectedWriterDeath, plan_from_env
 from repro.run.jobs import JobSpec
 
 
@@ -119,7 +119,7 @@ def make_batch_payload(entries: Sequence[Tuple[Dict[str, Any], int]],
 
 def run_entry(job: Dict[str, Any], attempt: int, plan,
               cache_dir: Optional[str]) -> Dict[str, Any]:
-    """Run one attempt of the job dict ``job``; never raises.
+    """Run one attempt of the job dict ``job``.
 
     This is the runner's one per-attempt function, in pool workers (via
     :func:`_execute_batch`) and in the executor's in-process runner
@@ -129,7 +129,11 @@ def run_entry(job: Dict[str, Any], attempt: int, plan,
     worker's inherited environment); triage bundles land under
     ``cache_dir`` when one is given; and any exception -- injected or
     real -- is folded into the returned outcome dict so one bad job
-    cannot poison its neighbours in the chunk.  A success carries the
+    cannot poison its neighbours in the chunk.  The one exception that
+    escapes is :class:`~repro.run.faults.InjectedWriterDeath`, a disk
+    fault modelling the writing process dying (say, mid-way through a
+    triage bundle): it ends the in-process sweep, or fails the pool
+    worker's whole chunk, as a real death would.  A success carries the
     :class:`~repro.core.experiment.SimulationResult` itself: pickling
     it back from a worker is exact (its MSHR occupancy columns travel
     as byte buffers), and the in-process runner hands it over uncopied.
@@ -139,6 +143,8 @@ def run_entry(job: Dict[str, Any], attempt: int, plan,
         spec = JobSpec.from_dict(job)
         result = triage.run_attempt(spec, attempt, faults=plan,
                                     cache_dir=cache_dir)
+    except InjectedWriterDeath:
+        raise
     except Exception as exc:  # noqa: BLE001 -- per-job isolation
         return {
             "ok": False,

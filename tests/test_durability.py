@@ -30,6 +30,7 @@ from repro.run import (
     FaultPlan,
     InjectedCrash,
     InjectedDiskFault,
+    InjectedWriterDeath,
     JobSpec,
     ResultCache,
     RetryPolicy,
@@ -354,13 +355,14 @@ class TestCrashAtEveryWriteBoundary:
             atomicio.reset_state()
             monkeypatch.setattr(atomicio, "plan_from_env",
                                 lambda p=plan: p)
+            # The writer's death must escape run_many (a real process
+            # kill looks exactly like this), whether it died in the
+            # parent's cache put or inside a failed attempt's triage
+            # bundle write.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                try:
+                with pytest.raises(InjectedWriterDeath):
                     _sweep(workdir)
-                except InjectedCrash:
-                    pass     # writer death escaped run_many: a real
-                    #          process kill looks exactly like this
             monkeypatch.setattr(atomicio, "plan_from_env",
                                 lambda: None)
             assert plan.fired, \

@@ -52,37 +52,63 @@ class TestPageTable:
         assert len(set(frames.values())) == len(frames)
 
 
+def _tlb(**params):
+    return Tlb(TlbParams(**params), PageTable())
+
+
+def _hit(tlb, vpage):
+    return tlb.translate(vpage)[1]
+
+
 class TestTlb:
     def test_miss_then_hit(self):
-        tlb = Tlb(TlbParams(entries=4))
-        assert not tlb.access(1)
-        assert tlb.access(1)
+        tlb = _tlb(entries=4)
+        assert not _hit(tlb, 1)
+        assert _hit(tlb, 1)
         assert tlb.misses == 1 and tlb.hits == 1
 
     def test_lru_replacement(self):
-        tlb = Tlb(TlbParams(entries=2))
-        tlb.access(1)
-        tlb.access(2)
-        tlb.access(1)          # 1 refreshed; 2 is LRU
-        tlb.access(3)          # evicts 2
-        assert tlb.access(1)
-        assert not tlb.access(2)
+        tlb = _tlb(entries=2)
+        tlb.translate(1)
+        tlb.translate(2)
+        tlb.translate(1)       # 1 refreshed; 2 is LRU
+        tlb.translate(3)       # evicts 2
+        assert _hit(tlb, 1)
+        assert not _hit(tlb, 2)
 
     def test_capacity(self):
-        tlb = Tlb(TlbParams(entries=128))
+        tlb = _tlb(entries=128)
         for vpage in range(128):
-            tlb.access(vpage)
-        hits = sum(tlb.access(v) for v in range(128))
+            tlb.translate(vpage)
+        hits = sum(_hit(tlb, v) for v in range(128))
         assert hits == 128
 
     def test_perfect_mode(self):
-        tlb = Tlb(TlbParams(entries=1, perfect=True))
-        assert tlb.access(1)
-        assert tlb.access(99999)
+        tlb = _tlb(entries=1, perfect=True)
+        assert _hit(tlb, 1)
+        assert _hit(tlb, 99999)
         assert tlb.misses == 0
 
     def test_miss_rate(self):
-        tlb = Tlb(TlbParams(entries=8))
-        tlb.access(1)
-        tlb.access(1)
+        tlb = _tlb(entries=8)
+        tlb.translate(1)
+        tlb.translate(1)
         assert tlb.miss_rate == 0.5
+
+    def test_hit_returns_the_frame_without_the_page_table(self,
+                                                         monkeypatch):
+        tlb = _tlb(entries=4)
+        frames = [tlb.translate(vpage)[0] for vpage in (7, 3)]
+        assert frames == [0, 1]
+
+        def no_walk(vpage):
+            raise AssertionError("TLB hit consulted the page table")
+        monkeypatch.setattr(tlb.page_table, "frame_of", no_walk)
+        assert tlb.translate(7) == (0, True)
+        assert tlb.translate(3) == (1, True)
+
+    def test_refill_after_eviction_keeps_the_frame(self):
+        tlb = _tlb(entries=1)
+        first = tlb.translate(5)[0]
+        tlb.translate(6)       # evicts 5
+        assert tlb.translate(5) == (first, False)
