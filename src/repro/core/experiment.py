@@ -10,8 +10,9 @@ instructions across all processors.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.core.workloads import Workload
 from repro.mem.coherence import CoherenceStats
@@ -24,6 +25,10 @@ from repro.system.machine import Machine
 #: Default measurement length (dynamic instructions across all CPUs).
 DEFAULT_INSTRUCTIONS = 80_000
 DEFAULT_WARMUP = 40_000
+
+
+def _compact_json(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -60,13 +65,8 @@ class SimulationResult:
     def normalized_to(self, base: "SimulationResult") -> float:
         return self.execution_time / base.execution_time
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of the full result.
-
-        The encoding is exact (raw counters and cycle lists, no derived
-        ratios), so ``from_dict(to_dict(r))`` reproduces every figure
-        table byte-for-byte.  This is what the result cache stores.
-        """
+    def _fields(self, l1d_mshr: object,
+                l2_mshr: object) -> Dict[str, object]:
         from repro.params_io import params_to_dict
         return {
             "params": params_to_dict(self.params),
@@ -77,11 +77,41 @@ class SimulationResult:
             "miss_rates": dict(self.miss_rates),
             "misprediction_rate": self.misprediction_rate,
             "coherence": self.coherence.to_dict(),
-            "l1d_mshr": self.l1d_mshr.to_dict(),
-            "l2_mshr": self.l2_mshr.to_dict(),
+            "l1d_mshr": l1d_mshr,
+            "l2_mshr": l2_mshr,
             "stream_buffer_hit_rate": self.stream_buffer_hit_rate,
             "idle_fraction": self.idle_fraction,
         }
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable snapshot of the full result.
+
+        The encoding is exact (raw counters and cycle lists, no derived
+        ratios), so ``from_dict(to_dict(r))`` reproduces every figure
+        table byte-for-byte.  This is what the result cache stores, and
+        what result digests hash.
+        """
+        return self._fields(self.l1d_mshr.to_dict(), self.l2_mshr.to_dict())
+
+    def to_json_chunks(self) -> Iterator[str]:
+        """:meth:`to_dict` as compact, key-sorted JSON text, in chunks.
+
+        The text is ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``, but the MSHR occupancy logs are
+        encoded straight from their columns, so their event lists are
+        never built.  The two logs are adjacent in key order; everything
+        before and after them is encoded by :func:`json.dumps`.
+        """
+        fields = self._fields(None, None)
+        head = _compact_json({key: value for key, value in fields.items()
+                              if key < "l1d_mshr"})
+        tail = _compact_json({key: value for key, value in fields.items()
+                              if key > "l2_mshr"})
+        yield head[:-1] + ',"l1d_mshr":'
+        yield from self.l1d_mshr.json_chunks()
+        yield ',"l2_mshr":'
+        yield from self.l2_mshr.json_chunks()
+        yield "," + tail[1:]
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimulationResult":

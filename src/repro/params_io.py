@@ -75,6 +75,16 @@ def params_to_dict(params: SystemParams) -> Dict[str, Any]:
     return out
 
 
+def tools_to_dict(params: SystemParams) -> Dict[str, Any]:
+    """The ephemeral fields that :func:`params_to_dict` leaves out.
+
+    They configure tooling (the sanitizer, the watchdogs), so they
+    travel beside a job's dict to wherever it runs, never inside its
+    fingerprint; :func:`params_from_dict` takes them back.
+    """
+    return {name: getattr(params, name) for name in sorted(_EPHEMERAL)}
+
+
 def params_from_dict(data: Dict[str, Any]) -> SystemParams:
     """Plain dict -> SystemParams (unknown keys raise ``ValueError``)."""
     known = {f.name for f in dataclasses.fields(SystemParams)}

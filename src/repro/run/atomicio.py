@@ -45,10 +45,12 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.run.faults import (FaultPlan, InjectedDiskFault,
-                              InjectedWriterDeath, plan_from_env)
+                              InjectedWriterDeath, plan_from_env,
+                              prefix_chunks)
 
 #: The known artifact categories (any string is accepted; these are the
 #: three the recovery audit walks).
@@ -133,7 +135,8 @@ def _fsync_dir(directory: Path) -> None:
 _UNSET = object()
 
 
-def atomic_write_bytes(path: Union[str, Path], data: bytes, *,
+def atomic_write_bytes(path: Union[str, Path],
+                       data: Union[bytes, Sequence[bytes]], *,
                        category: str, critical: bool = False,
                        fsync: bool = True, plan: Any = _UNSET,
                        stacklevel: int = 3) -> bool:
@@ -147,6 +150,10 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes, *,
     calls warn once per (category, error kind) and return ``False``;
     ``critical=True`` raises :class:`CriticalWriteError`.
 
+    ``data`` is the bytes, or a list of byte chunks written back to back
+    and never joined, so a large cache entry is not copied whole once
+    more.
+
     Disk-fault injection (``REPRO_FAULTS``) is keyed by ``category``
     and the category-local write sequence number; ``plan`` overrides
     the environment plan (tests).  An injected ``renamecrash``
@@ -156,6 +163,7 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes, *,
     must absorb.
     """
     path = Path(path)
+    chunks = [data] if isinstance(data, (bytes, bytearray)) else data
     active: Optional[FaultPlan] = plan_from_env() if plan is _UNSET \
         else plan
     seq = _next_seq(category)
@@ -173,10 +181,10 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes, *,
         try:
             with os.fdopen(fd, "wb") as fh:
                 if kind in ("torn", "shortwrite"):
-                    fh.write(data[:active.torn_offset(len(data),
-                                                      category, seq)])
-                else:
-                    fh.write(data)
+                    size = sum(map(len, chunks))
+                    chunks = prefix_chunks(
+                        chunks, active.torn_offset(size, category, seq))
+                fh.writelines(chunks)
                 fh.flush()
                 if fsync and kind != "fsyncdrop":
                     os.fsync(fh.fileno())

@@ -28,6 +28,7 @@ Both commands walk that one table (:func:`inventory`).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import warnings
@@ -60,26 +61,40 @@ def _canonical_payload(job: Dict[str, object],
                       separators=(",", ":"))
 
 
-def _text_checksum(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _payload_checksum(job: Dict[str, object],
                       result: Dict[str, object]) -> str:
     """Canonical checksum over one entry's job + result payload."""
-    return _text_checksum(_canonical_payload(job, result))
+    return hashlib.sha256(
+        _canonical_payload(job, result).encode("utf-8")).hexdigest()
 
 
-def _entry_text(job: Dict[str, object], result: Dict[str, object]) -> str:
-    """One stored entry, encoded once: the canonical payload text with
-    its checksum and the entry format spliced in front.  "checksum" and
-    "format" sort before "job" and "result", so the entry is itself
-    sorted, compact JSON; :meth:`ResultCache.get` verifies it by
-    re-encoding the parsed job and result."""
-    canonical = _canonical_payload(job, result)
-    head = (f'{{"checksum":"{_text_checksum(canonical)}",'
+def _entry_chunks(job: Dict[str, object],
+                  result: SimulationResult) -> List[bytes]:
+    """One stored entry, encoded once, as ASCII byte chunks (without
+    the trailing newline).
+
+    The entry is the canonical payload text with its checksum and the
+    entry format spliced in front: "checksum" and "format" sort before
+    "job" and "result", so the entry is itself sorted, compact JSON.
+    The result part comes from :meth:`SimulationResult.to_json_chunks`,
+    so the MSHR event logs are encoded straight from their columns; the
+    checksum is taken over the chunks as they are made.
+    :meth:`ResultCache.get` verifies an entry by re-encoding the parsed
+    job and result with :func:`_canonical_payload`.
+    """
+    digest = hashlib.sha256()
+    chunks = []
+    texts = itertools.chain(
+        ['{"job":' + json.dumps(job, sort_keys=True, separators=(",", ":"))
+         + ',"result":'], result.to_json_chunks(), ["}"])
+    for text in texts:
+        data = text.encode("ascii")
+        digest.update(data)
+        chunks.append(data)
+    head = (f'{{"checksum":"{digest.hexdigest()}",'
             f'"format":{_ENTRY_FORMAT},')
-    return canonical.replace("{", head, 1)
+    chunks[0] = head.encode("ascii") + chunks[0][1:]
+    return chunks
 
 
 class CorruptEntry(ValueError):
@@ -173,17 +188,17 @@ class ResultCache:
         computed result stays usable in memory and the sweep continues.
         """
         fingerprint = spec.fingerprint()
-        text = _entry_text(spec.to_dict(), result.to_dict())
+        chunks = _entry_chunks(spec.to_dict(), result)
         plan = plan_from_env()
         if plan is not None:
             # Deterministic write-fault injection (REPRO_FAULTS=corrupt:p):
             # the stored bytes are truncated or bit-flipped so the next
             # read must detect and quarantine them.
-            text = plan.corrupt_text(text, fingerprint)
+            chunks = plan.corrupt_chunks(chunks, fingerprint)
+        chunks.append(b"\n")
         self._sweep_orphans()
-        if not atomicio.atomic_write_text(
-                self._entry_path(fingerprint), text + "\n",
-                category="cache"):
+        if not atomicio.atomic_write_bytes(self._entry_path(fingerprint),
+                                           chunks, category="cache"):
             self.write_errors += 1
             warnings.warn(
                 f"result cache write failed for {fingerprint[:12]}; "

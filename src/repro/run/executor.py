@@ -234,6 +234,20 @@ def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
 
 # ------------------------------------------------------------- scheduling
 
+class _Ran:
+    """The outcomes of a chunk the in-process runner has run, in the
+    place of a finished future: the scheduling loop imports
+    :mod:`concurrent.futures` only when it builds a pool."""
+
+    __slots__ = ("outcomes",)
+
+    def __init__(self, outcomes: List[Dict[str, Any]]):
+        self.outcomes = outcomes
+
+    def result(self) -> List[Dict[str, Any]]:
+        return self.outcomes
+
+
 def _chunk_size(n_pending: int, slots: int, policy: RetryPolicy) -> int:
     """Jobs per pool dispatch chunk.
 
@@ -265,8 +279,9 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
       sweep does not re-fork it) while at most ``min(jobs, pending)``
       chunks are in flight; each chunk ships plain job dicts with their
       attempt numbers;
-    * the in-process runner otherwise: one slot, one job per chunk, and
-      a future that is already done when it is returned.
+    * the in-process runner otherwise: one slot, one job per chunk, run
+      at submission; its outcomes stand in for a finished future, so
+      :mod:`concurrent.futures` is imported only with a pool.
 
     Scheduling is slot-limited, so a submitted chunk starts essentially
     at once and its deadline is measured from submission (timeouts force
@@ -278,10 +293,10 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
     with clean workers.  If the pool cannot be built or breaks, the jobs
     in flight are requeued at their current attempt and the loop carries
     on with the in-process runner, so completed outcomes survive and
-    only jobs without one run again.
+    only jobs without one run again.  A chunk a writer death cut short
+    (:func:`~repro.run.forkserver._execute_batch`) requeues the jobs it
+    never reached at their current attempt in the same way.
     """
-    from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                    Future, wait)
     from repro.run import forkserver
 
     cache_dir = str(cache.path) if cache is not None else None
@@ -340,8 +355,9 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
             for _index, spec, _attempt, _elapsed in entries:
                 manifest.mark_running(spec.fingerprint())
         if pool is not None:
+            from concurrent.futures import BrokenExecutor, Future
             payload = forkserver.make_batch_payload(
-                [(spec.to_dict(), attempt)
+                [(spec.to_runner_dict(), attempt)
                  for _index, spec, attempt, _elapsed in entries],
                 cache_dir=cache_dir)
             try:
@@ -351,9 +367,9 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 future.set_exception(exc)
         else:
             (_index, spec, attempt, _elapsed), = entries
-            future = Future()
-            future.set_result([forkserver.run_entry(
-                spec.to_dict(), attempt, plan_from_env(), cache_dir)])
+            future = _Ran([forkserver.run_entry(
+                spec.to_runner_dict(), attempt, plan_from_env(),
+                cache_dir)])
         active[future] = (entries, policy.deadline_for(at))
 
     def restart(at: float, rebuild: bool) -> None:
@@ -407,7 +423,10 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                           default=math.inf)
             wait_for = None if horizon == math.inf \
                 else max(0.0, horizon - now)
-            if active or zombies:
+            if pool is None and active:
+                done = set(active)      # in-process chunks ran in submit
+            elif active or zombies:
+                from concurrent.futures import FIRST_COMPLETED, wait
                 done, _ = wait(list(active) + zombies, timeout=wait_for,
                                return_when=FIRST_COMPLETED)
             else:
@@ -423,15 +442,21 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 entries, _deadline = active.pop(future)
                 try:
                     batch = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    queue.extend((at,) + entry for entry in entries)
-                    continue
                 except Exception as exc:  # noqa: BLE001 -- per-future
+                    # Only pool futures raise, so the pool's module is
+                    # already imported.
+                    from concurrent.futures import BrokenExecutor
+                    if isinstance(exc, BrokenExecutor):
+                        broken = True
+                        queue.extend((at,) + entry for entry in entries)
+                        continue
                     for index, spec, attempt, elapsed in entries:
                         settle(index, spec, attempt, elapsed,
                                _failure_text(exc), at)
                     continue
+                # A writer death ends a worker's chunk early; the jobs
+                # it never reached go back at their current attempt.
+                queue.extend((at,) + entry for entry in entries[len(batch):])
                 for (index, spec, attempt, elapsed), job in \
                         zip(entries, batch):
                     attempt_time = float(job.get("elapsed", 0.0))

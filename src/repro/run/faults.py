@@ -60,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: Environment variable holding the fault plan.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -94,7 +94,9 @@ class InjectedWriterDeath(InjectedCrash):
     isolates per attempt, a writer death is not absorbed as a failed
     attempt: :func:`repro.run.forkserver.run_entry` re-raises it, so it
     ends an in-process sweep wherever the write was (a cache put or a
-    triage bundle) and fails a pool worker's whole chunk.
+    triage bundle).  In a pool worker it fails the attempt it hit and
+    ends the worker's chunk there; the jobs the chunk never reached
+    are requeued uncharged.
     """
 
 
@@ -191,6 +193,19 @@ class FaultPlan:
         time.sleep(self.hang_seconds)
         return True
 
+    def _corruption(self, size: int,
+                    fingerprint: str) -> Optional[Tuple[str, int]]:
+        """How a cache payload of ``size`` characters is corrupted:
+        ``("truncate", keep)`` or ``("flip", position)``, or ``None``
+        when it is not selected."""
+        if not self.roll("corrupt", fingerprint) or not size:
+            return None
+        selector = self._unit("corrupt-mode", fingerprint, 0)
+        if selector < 0.5:
+            return "truncate", max(1, size // 2)
+        return "flip", int(self._unit("corrupt-pos", fingerprint, 0)
+                           * size) % size
+
     def corrupt_text(self, text: str, fingerprint: str) -> str:
         """Corrupt a cache payload if selected (else return unchanged).
 
@@ -200,17 +215,35 @@ class FaultPlan:
         checksum no longer matches, which is exactly what the cache's
         quarantine path must catch.
         """
-        if not self.roll("corrupt", fingerprint):
+        edit = self._corruption(len(text), fingerprint)
+        if edit is None:
             return text
-        if not text:
-            return text
-        selector = self._unit("corrupt-mode", fingerprint, 0)
-        if selector < 0.5:
-            return text[:max(1, len(text) // 2)]
-        position = int(self._unit("corrupt-pos", fingerprint, 0)
-                       * len(text)) % len(text)
-        flipped = chr(ord(text[position]) ^ 0x01)
-        return text[:position] + flipped + text[position + 1:]
+        mode, at = edit
+        if mode == "truncate":
+            return text[:at]
+        return text[:at] + chr(ord(text[at]) ^ 0x01) + text[at + 1:]
+
+    def corrupt_chunks(self, chunks: List[bytes],
+                       fingerprint: str) -> List[bytes]:
+        """:meth:`corrupt_text` for an ASCII payload held as byte chunks
+        written back to back: one byte per character, so the same
+        payloads are cut at the same offsets or flipped at the same
+        character.  Only the chunk that changes is copied."""
+        edit = self._corruption(sum(map(len, chunks)), fingerprint)
+        if edit is None:
+            return chunks
+        mode, at = edit
+        if mode == "truncate":
+            return prefix_chunks(chunks, at)
+        out = list(chunks)
+        for index, chunk in enumerate(out):
+            if at < len(chunk):
+                flipped = bytearray(chunk)
+                flipped[at] ^= 0x01
+                out[index] = bytes(flipped)
+                break
+            at -= len(chunk)
+        return out
 
     # ------------------------------------------------------------ disk ops
 
@@ -244,6 +277,18 @@ class FaultPlan:
             return 0
         unit = self._unit("torn-offset", category, seq)
         return min(size - 1, int(unit * size))
+
+
+def prefix_chunks(chunks: Sequence[bytes], size: int) -> List[bytes]:
+    """The first ``size`` bytes of ``chunks`` written back to back, as
+    chunks (a torn or corrupted write keeps only a prefix)."""
+    out = []
+    for chunk in chunks:
+        if size <= 0:
+            break
+        out.append(chunk[:size])
+        size -= len(chunk)
+    return out
 
 
 def plan_from_env(env: Optional[str] = None) -> Optional[FaultPlan]:

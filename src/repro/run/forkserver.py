@@ -12,8 +12,9 @@ module removes both:
   fewer of them rather than rebuilding the pool.  The start method is
   the first of ``fork`` > ``forkserver`` > ``spawn`` the platform
   offers: forked workers inherit the parent's imported modules.
-* **Batched dispatch.**  A chunk ships its plain job dicts, each with
-  its attempt number, in a single pickle.
+* **Batched dispatch.**  A chunk ships its plain job dicts
+  (:meth:`~repro.run.jobs.JobSpec.to_runner_dict`: the job plus its
+  tooling knobs), each with its attempt number, in a single pickle.
 * **Explicit fault plan.**  The chunk payload carries the parent's
   ``REPRO_FAULTS`` string, because persistent workers must not trust the
   environment they captured at pool creation time.
@@ -119,7 +120,9 @@ def make_batch_payload(entries: Sequence[Tuple[Dict[str, Any], int]],
 
 def run_entry(job: Dict[str, Any], attempt: int, plan,
               cache_dir: Optional[str]) -> Dict[str, Any]:
-    """Run one attempt of the job dict ``job``.
+    """Run one attempt of the job dict ``job``
+    (:meth:`~repro.run.jobs.JobSpec.to_runner_dict` data, so the job's
+    watchdog and sanitizer settings arrive with it).
 
     This is the runner's one per-attempt function, in pool workers (via
     :func:`_execute_batch`) and in the executor's in-process runner
@@ -132,8 +135,8 @@ def run_entry(job: Dict[str, Any], attempt: int, plan,
     cannot poison its neighbours in the chunk.  The one exception that
     escapes is :class:`~repro.run.faults.InjectedWriterDeath`, a disk
     fault modelling the writing process dying (say, mid-way through a
-    triage bundle): it ends the in-process sweep, or fails the pool
-    worker's whole chunk, as a real death would.  A success carries the
+    triage bundle): it ends the in-process sweep, or ends the pool
+    worker's chunk, as a real death would.  A success carries the
     :class:`~repro.core.experiment.SimulationResult` itself: pickling
     it back from a worker is exact (its MSHR occupancy columns travel
     as byte buffers), and the in-process runner hands it over uncopied.
@@ -160,10 +163,26 @@ def run_entry(job: Dict[str, Any], attempt: int, plan,
 
 
 def _execute_batch(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Worker entry point: run every job of one chunk independently,
-    each through :func:`run_entry` with the payload's captured fault
-    plan (not the worker's environment)."""
+    """Worker entry point: run the jobs of one chunk in order, each
+    through :func:`run_entry` with the payload's captured fault plan
+    (not the worker's environment).
+
+    A writer death (:class:`~repro.run.faults.InjectedWriterDeath`)
+    fails the attempt it hit and ends the chunk there, as the death of
+    the worker would; the worker lives on.  The outcomes are then fewer
+    than the jobs, and the executor requeues the jobs the chunk never
+    reached at their current attempt, so none is charged an attempt it
+    did not run.
+    """
     plan = plan_from_env(payload["faults"])
-    return [run_entry(entry["job"], entry["attempt"], plan,
-                      payload["cache_dir"])
-            for entry in payload["jobs"]]
+    outcomes = []
+    for entry in payload["jobs"]:
+        try:
+            outcomes.append(run_entry(entry["job"], entry["attempt"],
+                                      plan, payload["cache_dir"]))
+        except InjectedWriterDeath as exc:
+            outcomes.append({"ok": False,
+                             "error": f"{type(exc).__name__}: {exc}",
+                             "elapsed": 0.0, "bundle": ""})
+            break
+    return outcomes

@@ -35,7 +35,8 @@ from repro.core.workloads import (
     tpcc_workload,
 )
 from repro.params import DEFAULT_SCALE, SystemParams
-from repro.params_io import params_from_dict, params_to_dict
+from repro.params_io import (params_from_dict, params_to_dict,
+                             tools_to_dict)
 from repro.trace.database import MigratoryHints
 
 #: Simulator-semantics version baked into every job fingerprint.
@@ -176,10 +177,21 @@ class JobSpec:
             "seed": self.seed,
         }
 
+    def to_runner_dict(self) -> Dict[str, Any]:
+        """The job as a runner ships it to
+        :func:`~repro.run.forkserver.run_entry`: :meth:`to_dict` plus,
+        under ``"tools"``, the ephemeral fields of :attr:`params` that
+        it leaves out, so the watchdog and the sanitizer arm wherever
+        the job runs.  The fingerprint stays over :meth:`to_dict`."""
+        return dict(self.to_dict(), tools=tools_to_dict(self.params))
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
+        """Rebuild a job from :meth:`to_dict` or
+        :meth:`to_runner_dict` data."""
         return cls(
-            params=params_from_dict(data["params"]),
+            params=params_from_dict({**data["params"],
+                                     **data.get("tools", {})}),
             workload=WorkloadSpec.from_dict(data["workload"]),
             instructions=int(data["instructions"]),
             warmup=int(data["warmup"]),

@@ -15,15 +15,37 @@ in a list cost about 170.  The sweep sorts the starts and the ends as
 two plain int lists and merges them, ends first on equal times, which
 visits the events in exactly the order a sort of ``(time, delta)``
 tuples would, so every float it sums is the same.  Pickles carry the
-columns as byte buffers; :meth:`MshrOccupancy.to_dict` still spells the
-log as the ``[[start, 1], [end, -1], ...]`` event lists that result
-digests hash.
+columns as byte buffers.
+
+The stored format still spells the log as ``[[start, 1], [end, -1],
+...]`` event lists.  The result cache's put writes that text straight
+from the columns, in chunks (:meth:`MshrOccupancy.json_chunks`), so no
+event list is built on the way to disk.  :meth:`MshrOccupancy.to_dict`
+still builds the lists, but only as the digest and format spelling:
+result digests hash it, and :meth:`MshrOccupancy.from_dict` reads the
+same lists back.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List
+from typing import Dict, Iterator, List
+
+#: Intervals per chunk of :meth:`MshrOccupancy.json_chunks` text (about
+#: 50 KB of JSON).
+_CHUNK_INTERVALS = 2048
+
+
+def _events_json(column: array) -> Iterator[str]:
+    """The compact JSON text of the event list of ``column``, in chunks:
+    ``[[start,1],[end,-1],...]`` in insertion order."""
+    yield "["
+    step = 2 * _CHUNK_INTERVALS
+    for i in range(0, len(column), step):
+        part = column[i:i + step]
+        text = ("[%d,1],[%d,-1]," * (len(part) // 2)) % tuple(part)
+        yield text if i + step < len(column) else text[:-1]
+    yield "]"
 
 
 def _fractions(time_at: List[float], max_n: int) -> Dict[int, float]:
@@ -93,6 +115,15 @@ class MshrOccupancy:
         return {"max_n": self.max_n,
                 "events_all": self._events(self._all),
                 "events_read": self._events(self._read)}
+
+    def json_chunks(self) -> Iterator[str]:
+        """:meth:`to_dict` as compact, key-sorted JSON text, in chunks
+        taken straight from the columns."""
+        yield '{"events_all":'
+        yield from _events_json(self._all)
+        yield ',"events_read":'
+        yield from _events_json(self._read)
+        yield f',"max_n":{self.max_n}}}'
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MshrOccupancy":
@@ -174,6 +205,15 @@ class MshrOccupancyGroup:
     def to_dict(self) -> Dict[str, object]:
         return {"max_n": self.max_n,
                 "collectors": [c.to_dict() for c in self.collectors]}
+
+    def json_chunks(self) -> Iterator[str]:
+        """:meth:`to_dict` as compact, key-sorted JSON text, in chunks."""
+        yield '{"collectors":['
+        for index, collector in enumerate(self.collectors):
+            if index:
+                yield ","
+            yield from collector.json_chunks()
+        yield f'],"max_n":{self.max_n}}}'
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MshrOccupancyGroup":

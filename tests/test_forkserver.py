@@ -7,15 +7,20 @@ fork-server sweep under ``REPRO_FAULTS`` produces byte-identical
 results to the in-process runner -- is asserted end to end.
 """
 
+import dataclasses
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.run
 from repro.params import default_system
 from repro.run import DEFAULT_POLICY, JobSpec, RetryPolicy, WorkloadSpec, \
     run_many
-from repro.run import forkserver
+from repro.run import forkserver, triage
+from repro.run.faults import InjectedWriterDeath
 
 TINY = dict(instructions=1200, warmup=400)
 FAST_POLICY = RetryPolicy(retries=4, backoff_base=0.001,
@@ -173,3 +178,122 @@ class TestPoolVsSerial:
         assert not (tmp_path / "cache" / "traces").exists()
         assert [r.to_dict() for r in pooled.results] == \
             [r.to_dict() for r in serial.results]
+
+
+# The watchdog trips on this job: its two nodes stop retiring for more
+# than 40 cycles long before the run ends.
+WEDGE = JobSpec(default_system(n_nodes=2, watchdog_node_cycles=40),
+                WorkloadSpec("oltp"), instructions=2400, warmup=1200)
+
+
+class TestToolsReachTheJob:
+    """Ephemeral ``SystemParams`` fields (watchdog, sanitizer) travel
+    beside the job dict, so they arm under ``run_many`` too."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_watchdog_fails_the_job_under_run_many(self, jobs, tmp_path):
+        specs = [WEDGE, dataclasses.replace(WEDGE, seed=1)][:jobs]
+        report = run_many(specs, jobs=jobs,
+                          cache=repro.run.ResultCache(tmp_path),
+                          policy=RetryPolicy(retries=0))
+        if report.fell_back_to_serial:
+            pytest.skip("no usable multiprocessing start method")
+        outcome = report.outcomes[0]
+        assert outcome.failed
+        assert outcome.error.startswith("WedgeError")
+        bundle = triage.load_bundle(outcome.bundle)
+        assert bundle["watchdog"] == {"cycles": 0, "node_cycles": 40}
+        assert bundle["wedge"] is not None
+        assert bundle["job"] == WEDGE.to_dict()
+
+    def test_sanitized_job_keeps_result_and_fingerprint(
+            self, tmp_path, monkeypatch):
+        from repro.check import invariants
+        armed = []
+        real_init = invariants.InvariantChecker.__init__
+
+        def spy(self, machine):
+            armed.append(machine)
+            real_init(self, machine)
+
+        monkeypatch.setattr(invariants.InvariantChecker, "__init__", spy)
+        plain = _spec()
+        checked = JobSpec(plain.params.replace(check=True),
+                          plain.workload, seed=plain.seed, **TINY)
+        assert checked.fingerprint() == plain.fingerprint()
+        runs = []
+        for name, spec in (("plain", plain), ("checked", checked)):
+            cache = repro.run.ResultCache(tmp_path / name)
+            report = run_many([spec], jobs=1, cache=cache)
+            assert not report.failures
+            runs.append((report.results[0].to_dict(),
+                         cache._entry_path(spec.fingerprint()).read_bytes()))
+            assert len(armed) == (name == "checked")
+        armed.clear()
+        assert runs[0] == runs[1]
+
+    def test_runner_dict_carries_tools_outside_the_fingerprint(self):
+        shipped = WEDGE.to_runner_dict()
+        assert shipped["tools"] == {"check": False, "watchdog_cycles": 0,
+                                    "watchdog_node_cycles": 40}
+        assert {k: v for k, v in shipped.items() if k != "tools"} \
+            == WEDGE.to_dict()
+        assert JobSpec.from_dict(shipped) == WEDGE
+        assert JobSpec.from_dict(WEDGE.to_dict()).params \
+            .watchdog_node_cycles == 0
+
+
+class TestChunkWriterDeath:
+    def test_death_charges_no_attempt_to_the_rest_of_its_chunk(
+            self, tmp_path, monkeypatch):
+        # Seventeen jobs on two workers travel in chunks of three:
+        # seeds 3, 4, 5 share one.  The worker "dies" writing seed 4's
+        # triage bundle, after seed 3 completed and before seed 5 ran.
+        if forkserver.pick_method() != "fork":
+            pytest.skip("the patched attempt reaches workers only by fork")
+        canned = _spec().run()
+
+        def attempt(spec, attempt=0, **kwargs):
+            if spec.seed == 4 and attempt == 0:
+                raise InjectedWriterDeath(
+                    "injected crash before rename (triage write #0)")
+            return canned
+
+        specs = [_spec(seed=s) for s in range(17)]
+        manifest = repro.run.SweepManifest(tmp_path / "manifest.json")
+        forkserver.recycle_pool()
+        monkeypatch.setattr(triage, "run_attempt", attempt)
+        try:
+            report = run_many(specs, jobs=2,
+                              cache=repro.run.ResultCache(tmp_path),
+                              policy=FAST_POLICY, manifest=manifest)
+        finally:
+            forkserver.recycle_pool()
+        if report.fell_back_to_serial:
+            pytest.skip("no usable multiprocessing start method")
+        assert not report.failures
+        assert [o.attempts for o in report.outcomes] == \
+            [1] * 4 + [2] + [1] * 12
+        logs = [manifest.records[spec.fingerprint()].attempt_log
+                for spec in specs]
+        assert [len(log) for log in logs] == [1] * 4 + [2] + [1] * 12
+        assert logs[4][0]["error"].startswith("InjectedWriterDeath")
+
+
+def test_in_process_runner_leaves_concurrent_futures_unimported():
+    code = (
+        "import sys\n"
+        "from repro.params import default_system\n"
+        "from repro.run import JobSpec, WorkloadSpec, run_many\n"
+        "spec = JobSpec(default_system(n_nodes=2), WorkloadSpec('oltp'),\n"
+        "               instructions=400, warmup=100)\n"
+        "assert not run_many([spec], jobs=1).failures\n"
+        "print('concurrent.futures' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("REPRO_FAULTS", None)
+    env.pop("REPRO_JOBS", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

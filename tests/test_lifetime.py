@@ -19,7 +19,6 @@ import dataclasses
 import gc
 import weakref
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import pytest
 
@@ -108,19 +107,14 @@ def test_in_process_chunk_frees_its_machines(instances):
         assert _alive(instances) == []
 
 
-def test_failed_attempt_frees_its_machine(instances, tmp_path,
-                                         monkeypatch):
+def test_failed_attempt_frees_its_machine(instances, tmp_path):
     """A watchdog trip carries the machine on the exception (for its
     triage bundle); once the attempt's outcome is returned, nothing
     holds it."""
     spec = JobSpec(default_system(n_nodes=2, watchdog_node_cycles=40),
                    WorkloadSpec("oltp"), instructions=2400, warmup=1200)
-    # A job dict leaves out the watchdog (an ephemeral, tooling-only
-    # field), so hand run_entry the spec itself.
-    monkeypatch.setattr(forkserver, "JobSpec",
-                        SimpleNamespace(from_dict=lambda data: spec))
     with collector_off():
-        outcome = forkserver.run_entry(spec.to_dict(), 0, None,
+        outcome = forkserver.run_entry(spec.to_runner_dict(), 0, None,
                                        str(tmp_path))
         assert not outcome["ok"]
         assert outcome["error"].startswith("WedgeError")

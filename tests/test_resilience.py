@@ -9,10 +9,13 @@ acceptance property that a fault-injected sweep reproduces the
 fault-free results byte-for-byte.
 """
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -21,8 +24,8 @@ import repro.run.executor as executor
 from repro.core import figures as F
 from repro.core.sweep import seed_sweep
 from repro.core.workloads import oltp_workload
-from repro.params import default_system
-from repro.run import forkserver, triage
+from repro.params import ConsistencyModel, default_system
+from repro.run import atomicio, forkserver, triage
 from repro.run import (
     DEFAULT_POLICY,
     MANIFEST_NAME,
@@ -36,7 +39,8 @@ from repro.run import (
     plan_from_env,
     run_many,
 )
-from repro.run.cache import _payload_checksum
+from repro.run.cache import _entry_chunks, _payload_checksum
+from repro.stats import mshr
 
 # Small enough that retries stay cheap, large enough to exercise the
 # simulator for real.  One attempt takes ~0.1s serially on a slow box;
@@ -671,6 +675,131 @@ class TestCacheIntegrity:
         assert cache.quarantined == 1
         assert cache.quarantine_entries() == 1
         assert second.results[0].dump() == first.results[0].dump()
+
+
+# ---------------------------------------------------------------------------
+# The streamed cache put: same bytes as the one-string encoding
+# ---------------------------------------------------------------------------
+
+def _entry_text(job, result):
+    """The entry as the one-string encoding spelled it: the canonical
+    payload with its checksum and format spliced in front."""
+    canonical = json.dumps({"job": job, "result": result}, sort_keys=True,
+                           separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    head = f'{{"checksum":"{checksum}","format":2,'
+    return canonical.replace("{", head, 1)
+
+
+def _add_intervals(result, n):
+    """Extra MSHR intervals on one L1D and one L2 collector, half of
+    them reads."""
+    for i in range(n):
+        start = 10**7 + 1000 * i
+        result.l1d_mshr[0].add_interval(start, start + 500, i % 2 == 0)
+        result.l2_mshr[1].add_interval(start, start + 700, i % 3 == 0)
+
+
+def _mshr_events(result):
+    return sum(len(c._all) + len(c._read)
+               for group in (result.l1d_mshr, result.l2_mshr)
+               for c in group.collectors)
+
+
+STREAMED_POINTS = {
+    "rc-oltp": dict(),
+    "empty-logs": dict(perfect_dcache=True),
+    "smt": dict(processor=dataclasses.replace(
+        default_system().processor, smt_contexts=2)),
+    "sc": dict(consistency=ConsistencyModel.SC),
+}
+
+
+class TestStreamedEntry:
+    @pytest.mark.parametrize("point", sorted(STREAMED_POINTS))
+    def test_stored_bytes_equal_the_one_string_encoding(
+            self, point, tmp_path, monkeypatch):
+        # Three intervals per chunk, so even a tiny run's logs cross
+        # several chunk boundaries.
+        monkeypatch.setattr(mshr, "_CHUNK_INTERVALS", 3)
+        spec = tiny_spec(**STREAMED_POINTS[point])
+        result = spec.run()
+        if point == "empty-logs":
+            assert all(not c._all and not c._read
+                       for c in result.l1d_mshr.collectors)
+        else:
+            assert max(len(c._all) for c in result.l1d_mshr.collectors) \
+                > 3 * 2 * 3
+        cache = ResultCache(tmp_path)
+        assert cache.put(spec, result)
+        stored = cache._entry_path(spec.fingerprint()).read_bytes()
+        assert stored == (_entry_text(spec.to_dict(), result.to_dict())
+                          + "\n").encode("ascii")
+        assert cache.get(spec).to_dict() == result.to_dict()
+
+    def test_default_chunks_of_a_long_log(self, tmp_path):
+        spec = tiny_spec()
+        result = spec.run()
+        _add_intervals(result, 3 * mshr._CHUNK_INTERVALS + 7)
+        text = "".join(result.to_json_chunks())
+        assert text == json.dumps(result.to_dict(), sort_keys=True,
+                                  separators=(",", ":"))
+        cache = ResultCache(tmp_path)
+        cache.put(spec, result)
+        stored = cache._entry_path(spec.fingerprint()).read_text()
+        assert stored == _entry_text(spec.to_dict(), result.to_dict()) \
+            + "\n"
+
+    def test_put_peak_memory_per_mshr_event(self, tmp_path):
+        # The one-string put built a two-element list per event and
+        # held several whole-entry strings: about 165 B per event.
+        spec = tiny_spec()
+        result = spec.run()
+        _add_intervals(result, 10_000)
+        events = _mshr_events(result)
+        cache = ResultCache(tmp_path)
+        cache.put(spec, result)         # imports and first-write state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache.put(spec, result)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / events <= 40, f"{peak / events:.0f} B per event"
+
+    def test_chunk_corruption_matches_text_corruption(self):
+        spec = tiny_spec()
+        result = spec.run()
+        text = _entry_text(spec.to_dict(), result.to_dict())
+        chunks = _entry_chunks(spec.to_dict(), result)
+        assert len(chunks) > 3
+        modes = set()
+        for seed in range(12):
+            plan = FaultPlan(corrupt=1.0, seed=seed)
+            fingerprint = f"{seed:064x}"
+            mangled = plan.corrupt_text(text, fingerprint)
+            modes.add(len(mangled) < len(text))
+            assert b"".join(plan.corrupt_chunks(chunks, fingerprint)) \
+                == mangled.encode("ascii")
+        assert modes == {True, False}   # both truncation and flips
+        assert FaultPlan(corrupt=0.0).corrupt_chunks(
+            chunks, "a" * 64) is chunks
+
+    def test_torn_chunks_cut_where_torn_bytes_do(self, tmp_path):
+        chunks = [b'{"a":', b"0123456789" * 7, b"", b"[1,2,3]}", b"\n"]
+        whole = b"".join(chunks)
+        for seed in range(8):
+            plan = FaultPlan.parse(f"torn:1.0,seed:{seed}")
+            written = []
+            for name, data in (("chunks", chunks), ("bytes", whole)):
+                atomicio.reset_state()
+                target = tmp_path / f"{name}-{seed}"
+                assert atomicio.atomic_write_bytes(
+                    target, data, category="cache", plan=plan)
+                written.append(target.read_bytes())
+            assert written[0] == written[1] == \
+                whole[:plan.torn_offset(len(whole), "cache", 0)]
 
 
 # ---------------------------------------------------------------------------
