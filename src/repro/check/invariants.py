@@ -19,6 +19,14 @@ Validated on every transition while enabled (``SystemParams.check``):
   (checked against the *model*, not the configured overlap, so a
   mis-configured buffer is caught); under RC the configured overlap is
   respected.
+* **Memory-queue liveness** -- after every tick, each seq in a core's
+  memory queue (queued or parked) names a live ``ST_MEMQ`` window
+  entry, and no seq is both queued and parked.
+* **Memory ordering** -- under SC and PC without speculation, at most
+  one ordered op (SC: any memory op; PC: a load) has its access
+  outstanding (``ST_MEMACC``), and it is the oldest incomplete ordered
+  op in the window.  Derived from the window alone, independently of
+  the consistency unit's bound.
 * **Speculative-load rollback** -- after an invalidation hits a line
   with in-window speculatively-performed loads, the core must have a
   rollback scheduled at least as old as the oldest such load.
@@ -37,8 +45,18 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cpu.core import ST_DONE, ST_MEMACC, ST_MEMQ
 from repro.mem.coherence import DIR_EXCLUSIVE, DIR_INVALID, DIR_SHARED
-from repro.params import ConsistencyModel
+from repro.params import ConsistencyImpl, ConsistencyModel
+from repro.trace.instr import I_OP, OP_LOAD, OP_LOCK_ACQ, OP_LOCK_REL, \
+    OP_STORE
+
+#: The ops each ordered model performs one at a time, in program order.
+ORDERED_OPS = {
+    ConsistencyModel.SC: frozenset((OP_LOAD, OP_STORE, OP_LOCK_ACQ,
+                                    OP_LOCK_REL)),
+    ConsistencyModel.PC: frozenset((OP_LOAD, OP_LOCK_ACQ)),
+}
 
 
 class InvariantViolation(AssertionError):
@@ -148,6 +166,8 @@ class InvariantChecker:
 
     def _wrap_tick(self, core) -> None:
         orig = core.tick
+        physical_cores = core.physical_cores()
+        check_queue = self.check_memory_queue
 
         def tick(now: int) -> int:
             t = orig(now)
@@ -155,6 +175,8 @@ class InvariantChecker:
             if t < now:
                 self._fail(f"core {core.cpu_id}: next-event time {t} runs "
                            f"backwards from cycle {now}")
+            for physical in physical_cores:
+                check_queue(physical)
             return t
 
         core.tick = tick
@@ -192,6 +214,45 @@ class InvariantChecker:
             return ret
 
         buffer.drain = drain
+
+    # -- per-core memory-queue checks ----------------------------------------
+
+    def check_memory_queue(self, core) -> None:
+        """Queue liveness, and the ordering rule of non-speculative SC
+        and PC, on one physical core after its tick."""
+        self.checks += 1
+        window = core._window
+        queued = core._memq
+        parked = core._parked
+        if queued or parked:
+            head = window[0].seq if window else core._next_seq
+            for seq in (*queued, *parked):
+                i = seq - head
+                if not 0 <= i < len(window) or \
+                        window[i].state != ST_MEMQ:
+                    self._fail(f"core {core.cpu_id}: memory-queue seq "
+                               f"{seq} names no live queued entry")
+            both = parked.intersection(queued)
+            if both:
+                self._fail(f"core {core.cpu_id}: seqs {sorted(both)} are "
+                           f"both queued and parked")
+        unit = core.consistency
+        if unit.model is ConsistencyModel.RC or \
+                unit.impl is ConsistencyImpl.SPECULATIVE:
+            return
+        ordered_ops = ORDERED_OPS[unit.model]
+        oldest = None
+        for entry in window:
+            if entry.state == ST_DONE or \
+                    entry.instr[I_OP] not in ordered_ops:
+                continue
+            if oldest is None:
+                oldest = entry.seq
+            elif entry.state == ST_MEMACC:
+                self._fail(
+                    f"core {core.cpu_id}: {unit.model.name} op seq "
+                    f"{entry.seq} performs while older op seq {oldest} "
+                    f"is incomplete")
 
     # -- per-line protocol checks -------------------------------------------
 

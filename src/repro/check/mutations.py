@@ -80,6 +80,24 @@ def mutate_pc_store_overlap():
 
 
 @contextlib.contextmanager
+def mutate_early_bound():
+    """The ordering bound skips the oldest incomplete op: under SC a
+    memory op may perform while an older one is still outstanding."""
+    orig = ConsistencyUnit.order_bound
+
+    def order_bound(self):
+        bound = orig(self)
+        younger = [seq for seq in self._incomplete if seq > bound]
+        return min(younger) if younger else bound
+
+    ConsistencyUnit.order_bound = order_bound
+    try:
+        yield
+    finally:
+        ConsistencyUnit.order_bound = orig
+
+
+@contextlib.contextmanager
 def mutate_no_rollback():
     """Speculative loads ignore invalidations of their lines (stale
     values reach retirement -- the R10000-style rollback is gone)."""
@@ -239,6 +257,10 @@ MUTATIONS: Dict[str, tuple] = {
         mutate_pc_store_overlap,
         "PC store buffer drains with RC-style overlap",
         _oltp_detector(model=ConsistencyModel.PC)),
+    "early-bound": (
+        mutate_early_bound,
+        "a memory op may perform past the oldest incomplete one under SC",
+        _oltp_detector(model=ConsistencyModel.SC)),
     "no-rollback": (
         mutate_no_rollback,
         "speculative loads survive invalidations without rolling back",

@@ -24,7 +24,8 @@ Three implementations per model, cumulative:
   *retires* force a rollback, as in the MIPS R10000 / Pentium Pro.
 
 The unit tracks in-window memory operations in program order and answers
-"may this operation perform now?"; the core owns issue/retire mechanics.
+"how far may operations perform now?"; the core owns issue/retire
+mechanics.
 Under RC every answer is "yes" and no load is ever speculative, so the
 core never consults the unit and it holds no state.
 """
@@ -37,16 +38,24 @@ from typing import Dict, List, Optional, Set
 from repro.params import ConsistencyImpl, ConsistencyModel
 
 
+#: The bound when no ordered operation is incomplete: every seq is below it.
+UNBOUNDED = 1 << 62
+
+
 class ConsistencyUnit:
     """Ordering logic + speculative-load violation tracking for one core.
 
-    Ordering queries reduce to "is there an incomplete memory op (or
-    load) older than seq?", answered in O(log n) from lazy min-heaps of
-    incomplete seqs.  Under SC and PC the core asks for each queued
-    memory op on every memory-queue pass, and notes each memory op's
-    dispatch, completion and removal, so all of these must be cheap.
-    Under RC the core calls none of them (see ``ProcessorCore._ordered``):
-    the RC branches of ``may_perform_load`` and ``load_is_speculative``
+    Every ordering decision reduces to one bound: the seq of the oldest
+    incomplete operation the model orders (under SC every memory op,
+    under PC every load), found by :meth:`order_bound` with one peek at
+    a lazy min-heap of incomplete seqs.  An op may perform iff its seq
+    is at most the bound, and a load that performs above it is
+    speculative.  Under SC and PC the core reads the bound once per
+    memory-queue pass (no memory op completes, dispatches or leaves the
+    window during a pass) and notes each ordered op's dispatch,
+    completion and removal, so all of these must be cheap.  Under RC
+    the core calls none of them (see ``ProcessorCore._ordered``): the
+    RC branches of ``may_perform_load`` and ``load_is_speculative``
     only keep the unit's answers right for every model when it is used
     on its own.
     """
@@ -54,10 +63,11 @@ class ConsistencyUnit:
     def __init__(self, model: ConsistencyModel, impl: ConsistencyImpl):
         self.model = model
         self.impl = impl
-        self._incomplete_mem: Set[int] = set()
-        self._incomplete_loads: Set[int] = set()
-        self._mem_heap: List[int] = []
-        self._load_heap: List[int] = []
+        # Incomplete ordered ops: their seqs, and a min-heap of them
+        # whose stale items (completed or removed seqs) are popped
+        # lazily.
+        self._incomplete: Set[int] = set()
+        self._heap: List[int] = []
         # Speculatively performed loads, by line, until they retire.
         self._spec_by_line: Dict[int, Set[int]] = {}
         self._spec_lines_by_seq: Dict[int, int] = {}
@@ -67,28 +77,23 @@ class ConsistencyUnit:
     # -- bookkeeping ---------------------------------------------------------
 
     def reset(self) -> None:
-        self._incomplete_mem.clear()
-        self._incomplete_loads.clear()
-        self._mem_heap.clear()
-        self._load_heap.clear()
+        self._incomplete.clear()
+        self._heap.clear()
         self._spec_by_line.clear()
         self._spec_lines_by_seq.clear()
 
     def note_dispatch(self, seq: int, is_load: bool) -> None:
-        self._incomplete_mem.add(seq)
-        heapq.heappush(self._mem_heap, seq)
-        if is_load:
-            self._incomplete_loads.add(seq)
-            heapq.heappush(self._load_heap, seq)
+        # PC orders loads only: a store never holds a load back.
+        if is_load or self.model is ConsistencyModel.SC:
+            self._incomplete.add(seq)
+            heapq.heappush(self._heap, seq)
 
     def note_complete(self, seq: int) -> None:
-        self._incomplete_mem.discard(seq)
-        self._incomplete_loads.discard(seq)
+        self._incomplete.discard(seq)
 
     def note_removed(self, seq: int) -> None:
         """Operation left the window (retired or squashed)."""
-        self._incomplete_mem.discard(seq)
-        self._incomplete_loads.discard(seq)
+        self._incomplete.discard(seq)
         line = self._spec_lines_by_seq.pop(seq, None)
         if line is not None:
             group = self._spec_by_line.get(line)
@@ -99,29 +104,21 @@ class ConsistencyUnit:
 
     # -- ordering decisions ------------------------------------------------------
 
-    @staticmethod
-    def _oldest(heap: List[int], live: Set[int]) -> Optional[int]:
+    def order_bound(self) -> int:
+        """Seq of the oldest incomplete ordered op (:data:`UNBOUNDED` if
+        there is none): an op younger than it must not perform yet."""
+        heap = self._heap
+        live = self._incomplete
         while heap and heap[0] not in live:
             heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def _no_older_incomplete_mem(self, seq: int) -> bool:
-        oldest = self._oldest(self._mem_heap, self._incomplete_mem)
-        return oldest is None or oldest >= seq
-
-    def _no_older_incomplete_load(self, seq: int) -> bool:
-        oldest = self._oldest(self._load_heap, self._incomplete_loads)
-        return oldest is None or oldest >= seq
+        return heap[0] if heap else UNBOUNDED
 
     def may_perform_load(self, seq: int) -> bool:
         if self.model is ConsistencyModel.RC:
             return True
         if self.impl is ConsistencyImpl.SPECULATIVE:
             return True  # speculative execution; violations roll back
-        if self.model is ConsistencyModel.SC:
-            return self._no_older_incomplete_mem(seq)
-        # PC: ordered among loads only.
-        return self._no_older_incomplete_load(seq)
+        return seq <= self.order_bound()
 
     def load_is_speculative(self, seq: int) -> bool:
         """Whether a load performing *now* is ahead of the straightforward
@@ -130,16 +127,14 @@ class ConsistencyUnit:
             return False
         if self.impl is not ConsistencyImpl.SPECULATIVE:
             return False
-        if self.model is ConsistencyModel.SC:
-            return not self._no_older_incomplete_mem(seq)
-        return not self._no_older_incomplete_load(seq)
+        return seq > self.order_bound()
 
     def may_perform_store(self, seq: int) -> bool:
         """Whether an in-window store may perform (SC only -- PC and RC
         stores perform from the post-retirement store buffer)."""
         if self.model is not ConsistencyModel.SC:
             return True
-        return self._no_older_incomplete_mem(seq)
+        return seq <= self.order_bound()
 
     @property
     def store_blocks_retire(self) -> bool:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.cpu.bpred import BranchPredictor
-from repro.cpu.consistency import ConsistencyUnit
+from repro.cpu.consistency import UNBOUNDED, ConsistencyUnit
 from repro.cpu.storebuffer import StoreBuffer
 from repro.mem.memsys import (
     CAT_DIRTY,
@@ -38,7 +38,7 @@ from repro.mem.memsys import (
     NodeMemorySystem,
     weak_method,
 )
-from repro.params import ConsistencyModel, SystemParams
+from repro.params import ConsistencyImpl, ConsistencyModel, SystemParams
 from repro.stats.breakdown import (
     BUSY,
     CPU_STALL,
@@ -194,6 +194,9 @@ class ProcessorCore:
         self._ordered = params.consistency is not ConsistencyModel.RC
         if self._ordered:
             memsys.violation_hook = weak_method(self._on_line_removed)
+        # Speculative loads perform whatever the ordering bound says.
+        self._speculative = \
+            params.consistency_impl is ConsistencyImpl.SPECULATIVE
 
         self.stats = ExecutionBreakdown()
         self.retired = 0
@@ -214,7 +217,11 @@ class ProcessorCore:
         # (in-order cores issue by walking the window and never push).
         self._ready: List[List] = [[], [], []]
         self._completions: List = []  # heap of (done_at, seq, entry)
+        # Memory queue: seqs of the ST_MEMQ entries in the order they
+        # joined it, less the parked ones (a set of seqs), which have
+        # nothing to do until the ordering bound reaches them.
         self._memq: List[int] = []
+        self._parked: Set[int] = set()
         self._next_seq = 0
         self._inorder_ptr = 0
         self._fetch_blocked_until = 0
@@ -348,16 +355,9 @@ class ProcessorCore:
             # squashed entries) mutate machine state.
             self._process_completions(now)
             active = True
-        if self._memq:
-            ordered = self._ordered
-            if ordered:
-                unit = self.consistency
-                heaps = len(unit._mem_heap) + len(unit._load_heap)
+        if self._memq or self._parked:
             if self._process_memq(now):
                 active = True
-            elif ordered and \
-                    len(unit._mem_heap) + len(unit._load_heap) != heaps:
-                active = True  # lazy heap cleanup mutated machine state
         storebuf = self.storebuf
         if storebuf._entries:
             storebuf.drain_activity = False
@@ -433,17 +433,14 @@ class ProcessorCore:
                 best = t
         memq = self._memq
         if memq:
-            head = window[0].seq if window else 0
-            live = len(window)
+            head = window[0].seq
             for seq in memq:
-                i = seq - head
-                if not 0 <= i < live:
-                    return now + 1
-                t = window[i].retry_at
+                t = window[seq - head].retry_at
                 if t > now and t < best:
                     best = t
                 # retry_at <= now: consistency-blocked; it wakes with the
                 # next completion, which is already among the candidates.
+                # (Parked ops are consistency-blocked too.)
         fbu = self._fetch_blocked_until
         if fbu != FAR_FUTURE and fbu < best and \
                 len(window) < self._window_size:
@@ -763,56 +760,82 @@ class ProcessorCore:
     # ------------------------------------------------------------------ memory queue
 
     def _process_memq(self, now: int) -> bool:
-        """Give queued memory ops a chance to perform.
+        """Give queued memory ops a chance to perform, in queue order.
 
-        Returns True when the pass changed any state (entries dropped,
-        accesses or lock probes attempted, prefetches issued) -- tick
-        uses this to certify no-op ticks.  Blocked entries are
-        re-examined without leaving any trace: ``retry_at`` is never
-        rewritten on the consistency-blocked path (it is already <= now
-        there, and every comparison is strict), so polling a blocked
-        queue at different times leaves byte-identical machine state.
+        Returns True when the pass changed any state (accesses or lock
+        probes attempted, prefetches issued, stale items popped from the
+        consistency unit's heap) -- tick uses this to certify no-op
+        ticks.  Blocked entries are re-examined without leaving any
+        trace: ``retry_at`` is never rewritten on the consistency-blocked
+        path (it is already <= now there, and every comparison is
+        strict), so polling a blocked queue at different times leaves
+        byte-identical machine state.
+
+        Under SC and PC one ordering decision serves the whole pass: no
+        memory op completes, dispatches or leaves the window during it,
+        so the unit's bound is read once and an op may perform iff its
+        seq is at most the bound (speculative loads perform regardless).
+        Without speculation a blocked op (``retry_at <= now``) has
+        nothing left to do once its prefetch, if any, has issued: it is
+        inert until the bound reaches its seq, so it is parked, and
+        neither this loop nor tick's wake scan sees it until then.  With
+        no rollbacks the bound only grows, and an op that performed was
+        at the bound, so between passes the queue holds at most the op
+        at the bound plus the ops that joined since the last pass.  An
+        op leaving the parked set at the bound therefore goes first:
+        every other op that can act in this pass joined the queue after
+        it.
         """
-        if not self._memq:
+        memq = self._memq
+        parked = self._parked
+        if not memq and not parked:
             return False
         changed = False
         ordered = self._ordered
-        unit = self.consistency
+        if ordered:
+            unit = self.consistency
+            heap = unit._heap
+            stale = len(heap)
+            bound = unit.order_bound()
+            if len(heap) != stale:
+                changed = True  # lazy heap cleanup mutated machine state
+            if bound in parked:
+                parked.discard(bound)
+                memq.insert(0, bound)
+            speculative = self._speculative
+            load_bound = UNBOUNDED if speculative else bound
+            wants_prefetch = unit.wants_prefetch
+        if not memq:
+            return changed
         window = self._window
-        head = window[0].seq if window else 0
-        live = len(window)
+        head = window[0].seq
         memsys = self.memsys
         completions = self._completions
         still_queued: List[int] = []
-        for seq in self._memq:
-            i = seq - head
-            entry = window[i] if 0 <= i < live else None
-            if entry is None or entry.state != ST_MEMQ:
-                changed = True  # stale seq dropped from the queue
-                continue
+        for seq in memq:
+            entry = window[seq - head]
             if entry.retry_at > now:
                 still_queued.append(seq)
                 continue
             instr = entry.instr
             op = instr[I_OP]
-            if ordered:
-                if op in _LOAD_OPS:
-                    allowed = unit.may_perform_load(seq)
-                else:
-                    allowed = unit.may_perform_store(seq)
-                if not allowed:
-                    if unit.wants_prefetch and not entry.prefetched:
-                        memsys.prefetch_data(
-                            now, instr[I_ADDR],
-                            exclusive=op in _EXCLUSIVE_OPS, pc=instr[I_PC])
-                        entry.prefetched = True
-                        changed = True
-                    # Consistency-blocked: the op becomes performable only
-                    # when an older memory op completes, so the next
-                    # completion event (not per-cycle polling) re-examines
-                    # it.
+            if ordered and \
+                    seq > (load_bound if op in _LOAD_OPS else bound):
+                if wants_prefetch and not entry.prefetched:
+                    memsys.prefetch_data(
+                        now, instr[I_ADDR],
+                        exclusive=op in _EXCLUSIVE_OPS, pc=instr[I_PC])
+                    entry.prefetched = True
+                    changed = True
+                # Consistency-blocked: the op becomes performable only
+                # when older memory ops complete, so the next completion
+                # event (not per-cycle polling) wakes the core.  Without
+                # speculation it is inert until the bound reaches it.
+                if speculative:
                     still_queued.append(seq)
-                    continue
+                else:
+                    parked.add(seq)
+                continue
             changed = True  # lock probe / memory access attempted
             if op == OP_LOCK_ACQ:
                 holder = self.lock_table.get(instr[I_ADDR])
@@ -838,7 +861,8 @@ class ProcessorCore:
             entry.category = READ_DTLB if result.tlb_miss \
                 else _CAT_TO_READ[result.category]
             heapq.heappush(completions, (done_at, seq, entry))
-            if ordered and op == OP_LOAD and unit.load_is_speculative(seq):
+            if ordered and op == OP_LOAD and seq > bound:
+                # Performed above the bound: speculative.
                 line = memsys.page_table.translate_line(
                     instr[I_ADDR], memsys.line_shift)
                 unit.note_speculative_load(seq, line)
@@ -944,6 +968,7 @@ class ProcessorCore:
         """Remove all entries with seq >= ``seq`` and refetch from there."""
         window = self._window
         ordered = self._ordered
+        parked = self._parked
         outcomes = self._trace._outcomes
         while window and window[-1].seq >= seq:
             entry = window.pop()
@@ -952,6 +977,7 @@ class ProcessorCore:
                 self._mem_inflight -= 1
             if ordered:
                 self.consistency.note_removed(entry.seq)
+                parked.discard(entry.seq)
             if op == OP_BRANCH:
                 outcomes[entry.seq] = entry.bp_outcome
                 if entry.state != ST_DONE:

@@ -24,7 +24,7 @@ def next_event(core, now, sb_event):
         if t < best:
             best = t
     live = {entry.seq: entry for entry in core._window}
-    for seq in core._memq:
+    for seq in [*core._memq, *core._parked]:
         entry = live.get(seq)
         if entry is None:
             return now + 1

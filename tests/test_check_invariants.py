@@ -7,7 +7,7 @@ from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.check.mutations import MUTATIONS, run_mutation_self_test
 from repro.core.validation import check_sanitizer_neutrality
 from repro.core.workloads import oltp_workload
-from repro.params import default_system
+from repro.params import ConsistencyModel, default_system
 from repro.params_io import params_from_dict, params_to_dict
 from repro.system.machine import Machine
 
@@ -46,6 +46,37 @@ class TestCheckerWiring:
             checker._fail("boom")
         assert checker.last_violation == "boom"
         assert issubclass(InvariantViolation, AssertionError)
+
+
+class TestMemoryQueueChecks:
+    """The memory-queue checks see a seq naming no queued entry, and a
+    clean SC run (whose queue parks blocked ops) passes them."""
+
+    def sanitized_sc_machine(self):
+        params = default_system(consistency=ConsistencyModel.SC,
+                                check=True)
+        machine = Machine(params, oltp_workload().generators(4))
+        machine.run(1_500)
+        return machine
+
+    def test_clean_sc_run_passes(self):
+        machine = self.sanitized_sc_machine()
+        for core in machine.cores:
+            machine.checker.check_memory_queue(core)
+        assert machine.checker.last_violation is None
+
+    @pytest.mark.parametrize("queue", ["_memq", "_parked"])
+    def test_stale_seq_is_caught(self, queue):
+        machine = self.sanitized_sc_machine()
+        core = machine.cores[0]
+        stale = core._next_seq + 3   # not fetched yet
+        container = getattr(core, queue)
+        if isinstance(container, list):
+            container.append(stale)
+        else:
+            container.add(stale)
+        with pytest.raises(InvariantViolation, match="names no live"):
+            machine.checker.check_memory_queue(core)
 
 
 class TestMutationSelfTest:

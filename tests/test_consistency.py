@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.workloads import dss_workload, oltp_workload
-from repro.cpu.consistency import ConsistencyUnit
+from repro.cpu.consistency import UNBOUNDED, ConsistencyUnit
 from repro.params import ConsistencyImpl, ConsistencyModel, default_system
 from repro.system.machine import Machine
 
@@ -66,6 +66,17 @@ class TestScStraightforward:
     def test_stores_block_retire(self):
         assert unit(SC).store_blocks_retire
 
+    def test_order_bound_is_oldest_incomplete(self):
+        u = unit(SC)
+        assert u.order_bound() == UNBOUNDED
+        for seq in (3, 5, 8):
+            u.note_dispatch(seq, is_load=seq != 5)
+        assert u.order_bound() == 3
+        u.note_complete(3)
+        u.note_removed(8)
+        assert u.order_bound() == 5
+        assert u.may_perform_store(5) and not u.may_perform_load(6)
+
     def test_removed_ops_unblock(self):
         u = unit(SC)
         u.note_dispatch(1, is_load=True)
@@ -88,6 +99,12 @@ class TestPcStraightforward:
         u.note_dispatch(1, is_load=False)
         u.note_dispatch(2, is_load=True)
         assert u.may_perform_load(2)
+
+    def test_order_bound_ignores_stores(self):
+        u = unit(PC)
+        u.note_dispatch(1, is_load=False)
+        u.note_dispatch(2, is_load=True)
+        assert u.order_bound() == 2
 
     def test_stores_do_not_block_retire(self):
         assert not unit(PC).store_blocks_retire
@@ -171,7 +188,7 @@ class TestSpeculativeLoads:
 
 #: Every ConsistencyUnit method the core may call while simulating.
 UNIT_METHODS = ("reset", "note_dispatch", "note_complete", "note_removed",
-                "may_perform_load", "may_perform_store",
+                "order_bound", "may_perform_load", "may_perform_store",
                 "load_is_speculative", "note_speculative_load",
                 "check_violation")
 
@@ -207,13 +224,13 @@ class TestCoreUnderRc:
         for core in machine.cores:
             for physical in core.physical_cores():
                 u = physical.consistency
-                assert not u._mem_heap and not u._load_heap
-                assert not u._incomplete_mem and not u._incomplete_loads
+                assert not u._heap and not u._incomplete
                 assert not u._spec_by_line and not u._spec_lines_by_seq
 
     def test_pc_run_consults_the_unit(self, monkeypatch):
-        """Control for the call counter: PC orders loads."""
+        """Control for the call counter: PC orders loads, and the core
+        reads the ordering bound once per memory-queue pass."""
         params = default_system(consistency=PC)
         _machine, calls = run_counting_unit_calls(
             params, oltp_workload(), 2_000, monkeypatch)
-        assert calls["note_dispatch"] and calls["may_perform_load"]
+        assert calls["note_dispatch"] and calls["order_bound"]

@@ -13,7 +13,10 @@ These tests pin both layers to sha256 digests recorded under
   seeds 0 and 7;
 * ``SimulationResult.to_dict()`` of short runs of OLTP, OLTP on 2-way
   SMT, OLTP with one process per CPU (every commit idles the CPU until
-  the scheduler wake seats the process again) and a chunked DSS run.
+  the scheduler wake seats the process again) and a chunked DSS run;
+* the same for OLTP and DSS at each SC and PC design point of Figure 6
+  (straightforward, hardware prefetch and speculative loads), the only
+  runs that take the core's ordered memory-queue path.
 
 A change that moves a digest changes simulated results: it needs a
 ``MODEL_VERSION`` bump and re-recorded pins, never a quiet update.
@@ -30,7 +33,8 @@ import pytest
 from repro.core.experiment import assemble_result
 from repro.core.workloads import dss_workload, oltp_workload, \
     tpcc_workload
-from repro.params import default_system
+from repro.params import ConsistencyImpl, ConsistencyModel, \
+    default_system
 from repro.run.jobs import WorkloadSpec
 from repro.system.machine import Machine
 from repro.trace.database import MigratoryHints
@@ -120,13 +124,49 @@ RESULT_CASES = {
     "dss-chunked": (BASE, dss_workload, 3000, 1000, [900, 2000, 3000]),
 }
 
+#: Figure 6's SC and PC design points, by the suffix of their case names.
+_ORDERED = {
+    f"{model.name.lower()}-{impl.name.lower()[:8]}":
+        BASE.replace(consistency=model, consistency_impl=impl)
+    for model in (ConsistencyModel.SC, ConsistencyModel.PC)
+    for impl in ConsistencyImpl}
+for _suffix, _params in _ORDERED.items():
+    RESULT_CASES[f"oltp-{_suffix}"] = (_params, oltp_workload, 2500, 1000,
+                                       None)
+    RESULT_CASES[f"dss-{_suffix}"] = (_params, dss_workload, 3000, 1000,
+                                      None)
+
 RESULT_DIGESTS = {
     "dss-chunked":
         "cfdd115f2d333b8ffe5e7a24286c13634f7bc51de56a87760173fe108589e4bf",
+    "dss-pc-prefetch":
+        "b4f0e3779c57b68f551941b030da23b7f224491384e1de595198fc45e1209e04",
+    "dss-pc-speculat":
+        "071f7c7f539985e61039cf01f54d3bdf5f458f5cd81b4396cf05a4e5b176e52a",
+    "dss-pc-straight":
+        "f8d21ee5d9249b38408ca00f6e6ff1e26834c407d3e453c3d3ce7c5cc796f21f",
+    "dss-sc-prefetch":
+        "e20d9fe7958d158e9bc802dfe8488d33495db3b17fd7d1dc8d9db3d219e5a80f",
+    "dss-sc-speculat":
+        "b1ed5bcd2117d114c1cd68d7ef808ac9c77b9e0e390faf140f1665ef3dc6001b",
+    "dss-sc-straight":
+        "9a809f0bbf62d5628c8ef57009d8d1ce17eed6b306c088293f8abbab3779379b",
     "oltp":
         "4d7e58958114aead6b3159a49dee1898a407a989f14343f0bb0f5827271a075d",
     "oltp-idle":
         "b38b364620b76ccfb7a233d10193f0370c0d3cf51a2e7d96d1efc17fa69c061d",
+    "oltp-pc-prefetch":
+        "e33855345cb4a4c8d7e4f0c820aa6563c528df681c78c01dfeb11bb8b1995370",
+    "oltp-pc-speculat":
+        "096c3b50d007964633b09e65ad8c90a8579b5f38e0d1daf86ab85e79fc58d6c1",
+    "oltp-pc-straight":
+        "64db0f2138b00a74a1f47413c44a86d31aae6abc721edf061f7ce943d047c587",
+    "oltp-sc-prefetch":
+        "2d26f76c4ef30e9697c51335cbfe8898490fbd4400ea555d72356d4b7339b32c",
+    "oltp-sc-speculat":
+        "e049986af0015d7ded4f2685a2201456acf9eeb86db727c357711c84c5e98bb5",
+    "oltp-sc-straight":
+        "226e2946e2bf1e9efa4527a6a39ce47399c470f246839ceab4155b7ad157e3cb",
     "oltp-smt2":
         "65d76f066e70ca2144bf791ab239a6077fc01f928bc03ee7db9f96cc7e6e98cb",
 }
