@@ -16,14 +16,14 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
   (message passing, Dekker/store buffering, migratory handoff) replayed
   on small machines, asserting each consistency model forbids or allows
   the right outcomes.
-* :mod:`repro.check.lint` -- static analysis for the simulator sources
-  (``repro lint``): per-file determinism rules plus whole-program
-  contract rules (ephemeral-parameter purity, durable-write
-  discipline).
+* :mod:`repro.check.lint` -- ``repro lint``: six AST rules over the
+  simulator sources that keep runs deterministic (R001-R004), tooling
+  knobs out of results (R011) and durable writes atomic (R013).
 
 :mod:`repro.check.mutations` seeds deliberate protocol bugs and proves
-the sanitizer and litmus harness detect every one of them (the
-"has teeth" self-test run by ``repro check``).
+the sanitizer and litmus harness detect every one of them, and seeds
+source violations that R011 and R013 must flag (the "has teeth"
+self-test run by ``repro check``).
 """
 
 from __future__ import annotations

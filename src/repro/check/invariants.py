@@ -38,15 +38,22 @@ The checker attaches by wrapping *bound methods on instances* after the
 machine is fully constructed; with ``check`` off nothing is wrapped, so
 sanitized runs must produce cycle counts identical to plain runs (the
 test suite asserts this).  All checks are read-only: presence probes use
-``lookup(touch=False)`` so LRU state is never perturbed.
+``lookup(touch=False)`` so LRU state is never perturbed.  The checker
+holds the machine, and each wrapper the original it calls and the
+objects it inspects, only weakly (:func:`~repro.mem.memsys.weak_method`,
+``weakref.proxy``), so a sanitized machine, like a plain one, is freed
+by reference counting.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import types
+import weakref
+from typing import Callable, Optional
 
 from repro.cpu.core import ST_DONE, ST_MEMACC, ST_MEMQ
 from repro.mem.coherence import DIR_EXCLUSIVE, DIR_INVALID, DIR_SHARED
+from repro.mem.memsys import weak_method
 from repro.params import ConsistencyImpl, ConsistencyModel
 from repro.trace.instr import I_OP, OP_LOAD, OP_LOCK_ACQ, OP_LOCK_REL, \
     OP_STORE
@@ -59,6 +66,15 @@ ORDERED_OPS = {
 }
 
 
+def _weak(method: Callable) -> Callable:
+    """``method`` without its hold on its object, if it is a bound
+    method; any other callable (a stand-in a test installed on the
+    instance) is wrapped as given."""
+    if isinstance(method, types.MethodType):
+        return weak_method(method)
+    return method
+
+
 class InvariantViolation(AssertionError):
     """A protocol, ordering or accounting invariant failed."""
 
@@ -68,7 +84,8 @@ class InvariantChecker:
     raises :class:`InvariantViolation` on the first broken invariant."""
 
     def __init__(self, machine):
-        self.machine = machine
+        # Weak: the machine owns the checker (``machine.checker``).
+        self.machine = weakref.proxy(machine)
         self.checks = 0
         self.last_violation: Optional[str] = None
 
@@ -89,11 +106,11 @@ class InvariantChecker:
                 self._wrap_drain(physical)
 
     def _wrap_directory(self, memory) -> None:
-        orig_read = memory.read
-        orig_write = memory.write
-        orig_flush = memory.flush
-        orig_writeback = memory.writeback
-        orig_evict = memory.evict_clean
+        orig_read = _weak(memory.read)
+        orig_write = _weak(memory.write)
+        orig_flush = _weak(memory.flush)
+        orig_writeback = _weak(memory.writeback)
+        orig_evict = _weak(memory.evict_clean)
         check_line = self.check_line
 
         def read(node, line, now, pc=0):
@@ -138,12 +155,12 @@ class InvariantChecker:
         orig = hooks[node_id]
         if orig is None:  # pragma: no cover - nodes always register
             return
-        node = machine.nodes[node_id]
-        core = machine.cores[node_id]
 
         def invalidate(line: int) -> None:
             orig(line)
             self.checks += 1
+            node = machine.nodes[node_id]
+            core = machine.cores[node_id]
             if (node.l1d.lookup(line, touch=False)
                     or node.l2.lookup(line, touch=False)
                     or node.l1i.lookup(line, touch=False)):
@@ -165,15 +182,17 @@ class InvariantChecker:
         hooks[node_id] = invalidate
 
     def _wrap_tick(self, core) -> None:
-        orig = core.tick
-        physical_cores = core.physical_cores()
+        orig = _weak(core.tick)
+        cpu = core.cpu_id
+        physical_cores = [weakref.proxy(physical)
+                          for physical in core.physical_cores()]
         check_queue = self.check_memory_queue
 
         def tick(now: int) -> int:
             t = orig(now)
             self.checks += 1
             if t < now:
-                self._fail(f"core {core.cpu_id}: next-event time {t} runs "
+                self._fail(f"core {cpu}: next-event time {t} runs "
                            f"backwards from cycle {now}")
             for physical in physical_cores:
                 check_queue(physical)
@@ -182,8 +201,8 @@ class InvariantChecker:
         core.tick = tick
 
     def _wrap_drain(self, physical) -> None:
-        buffer = physical.storebuf
-        orig = buffer.drain
+        buffer = weakref.proxy(physical.storebuf)
+        orig = _weak(physical.storebuf.drain)
         model = physical.consistency.model
         cpu = physical.cpu_id
 

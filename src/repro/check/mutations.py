@@ -11,15 +11,23 @@ and fails ``repro check``.
 Mutations must be applied *before* machine construction: the checker
 captures bound methods at attach time, so only class-level patches made
 beforehand are seen through the wrappers.
+
+The ``static-*`` entries (:data:`STATIC_MUTATIONS`) do the same for
+``repro lint``: each seeds one violation into a real source file, in
+memory only, and asserts the rule it breaks (R011, R013) fires.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import os
+import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.check.invariants import InvariantViolation
+from repro.check.lint import default_lint_root, lint_paths
 from repro.check.litmus import store_buffering
 from repro.core.experiment import run_simulation
 from repro.core.workloads import oltp_workload
@@ -281,28 +289,68 @@ MUTATIONS: Dict[str, tuple] = {
 }
 
 
-def _static_detector(name: str) -> Callable[[], str]:
-    def detect() -> str:
-        from repro.check.lint.selftest import run_static_mutation
-        return run_static_mutation(name)
-    return detect
+def _ephemeral_read_in_tick(source: str) -> str:
+    """Insert a ``params.check`` read into ProcessorCore.tick()."""
+    mutated, count = re.subn(
+        r"^(    def tick\(self\b[^\n]*\n)",
+        r"\1        _ephemeral_probe = self.params.check\n",
+        source, count=1, flags=re.MULTILINE)
+    if count != 1:
+        raise AssertionError(
+            "mutation anchor 'def tick(self' not found in cpu/core.py")
+    return mutated
 
 
-def _register_static_mutations() -> None:
-    """Seeded *source* mutations caught by the contract passes of
-    ``repro lint`` (R011-R013) rather than by running a simulation.
-    The mutation context is a no-op: the seeded violation lives in an
-    in-memory source override inside the detector, never on disk."""
-    from repro.check.lint.selftest import STATIC_MUTATIONS
-    for name in sorted(STATIC_MUTATIONS):
-        description = STATIC_MUTATIONS[name][0]
-        MUTATIONS[f"static-{name}"] = (
-            contextlib.nullcontext,
-            f"[static] {description}",
-            _static_detector(name))
+def _raw_durable_write(source: str) -> str:
+    """Append a helper that publishes a cache file with bare open()."""
+    return source + (
+        "\n\ndef _r013_probe(path, text):\n"
+        "    with open(path, \"w\") as fh:\n"
+        "        fh.write(text)\n")
 
 
-_register_static_mutations()
+#: Seeded *source* mutations, caught by ``repro lint`` rather than by a
+#: simulation: name -> (description, target path relative to the lint
+#: root, source transformer, rule code expected to fire).
+STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
+    "ephemeral-read-in-tick": (
+        "read params.check inside ProcessorCore.tick() -- an ephemeral "
+        "knob leaking into per-cycle behaviour",
+        os.path.join("cpu", "core.py"),
+        _ephemeral_read_in_tick,
+        "R011"),
+    "raw-durable-write": (
+        "publish a cache file with bare open(..., 'w') in run/cache.py "
+        "-- a durable write dodging atomicio's tmp + rename dance",
+        os.path.join("run", "cache.py"),
+        _raw_durable_write,
+        "R013"),
+}
+
+
+def run_static_mutation(name: str) -> str:
+    """Lint the tree with one seeded violation applied in memory (never
+    on disk); returns '' if the expected rule missed it on the mutated
+    file."""
+    _, rel_target, mutate, expected_code = STATIC_MUTATIONS[name]
+    root = default_lint_root()
+    target = os.path.join(root, rel_target)
+    with open(target, "r", encoding="utf-8") as fh:
+        mutated = mutate(fh.read())
+    violations, _ = lint_paths([root], overrides={target: mutated})
+    hits = [v for v in violations
+            if v.code == expected_code and v.path == target]
+    if not hits:
+        return ""
+    return f"{expected_code} fired: {hits[0].message}"
+
+
+# The mutation context is a no-op: the seeded violation lives in the
+# detector's in-memory source override.
+MUTATIONS.update(
+    (f"static-{name}", (contextlib.nullcontext, f"[static] {entry[0]}",
+                        functools.partial(run_static_mutation, name)))
+    for name, entry in sorted(STATIC_MUTATIONS.items()))
 
 
 def run_mutation_self_test(names=None) -> List[MutationResult]:

@@ -290,20 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "repro package)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
-    lint.add_argument("--explain", metavar="RXXX",
-                      help="print a rule's long-form contract and exit")
-    lint.add_argument("--format", dest="format", default="text",
-                      choices=["text", "json", "sarif"],
-                      help="report format (default: text)")
-    lint.add_argument("--output", metavar="FILE",
-                      help="write the json/sarif report to FILE "
-                           "(stdout keeps the text diagnostics)")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="ignore findings recorded in this baseline "
-                           "file; only new findings count")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="record the current findings as a baseline "
-                           "and exit 0")
     replay = sub.add_parser(
         "replay", parents=[common],
         help="re-run a crash-triage bundle deterministically")
@@ -418,20 +404,17 @@ def main(argv=None) -> int:
                   resume=getattr(args, "resume", None))
 
     if args.command == "lint":
-        from repro.check.lint import RULES, explain_rule, run_lint
+        from repro.check.lint import RULES, run_lint
         if args.list_rules:
             for code, description in sorted(RULES.items()):
                 print(f"{code}  {description}")
             return 0
-        if args.explain:
-            text = explain_rule(args.explain)
-            print(text)
-            return 0 if not text.startswith("unknown rule") else 1
-        count = run_lint(args.paths or None,
-                         fmt=args.format,
-                         output=args.output,
-                         baseline=args.baseline,
-                         write_baseline=args.write_baseline)
+        try:
+            count = run_lint(args.paths or None)
+        except FileNotFoundError as exc:
+            print(f"repro lint: {exc.filename}: no such file or directory",
+                  file=sys.stderr)
+            return 2
         return 1 if count else 0
     if args.command == "check":
         from repro.check import run_check_suite

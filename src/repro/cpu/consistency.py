@@ -72,7 +72,6 @@ class ConsistencyUnit:
         self._spec_by_line: Dict[int, Set[int]] = {}
         self._spec_lines_by_seq: Dict[int, int] = {}
         self.rollbacks = 0
-        self.prefetches = 0
 
     # -- bookkeeping ---------------------------------------------------------
 

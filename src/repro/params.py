@@ -156,12 +156,12 @@ class SchedulerParams:
 
 
 #: The ephemeral registry: SystemParams fields that configure tooling
-#: (checkers, watchdogs) rather than the simulated machine.  They are
-#: excluded from serialization and cache fingerprints, and the static
-#: contract auditor (rule R011) forbids reading them outside a short
-#: list of gates.  Must stay a literal set: ``repro lint``
-#: cross-checks it against its own registry and ``repro.params_io``
-#: aliases it for fingerprint exclusion.
+#: (checkers, watchdogs) rather than the simulated machine.  They must
+#: not leak into saved configs or cache fingerprints (a sanitized run
+#: gives the plain run's results): ``repro.params_io`` leaves them out
+#: of serialization and ships them beside the job, and ``repro lint``
+#: (rule R011) forbids reading them outside a short list of gates.
+#: Both import this one set.
 EPHEMERAL_FIELDS = frozenset({
     "check", "watchdog_cycles", "watchdog_node_cycles"})
 

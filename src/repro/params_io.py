@@ -39,13 +39,6 @@ _ENUMS = {
     "consistency_impl": ConsistencyImpl,
 }
 
-# Fields that configure tooling rather than the simulated machine; they
-# must not leak into saved configs or cache fingerprints (a sanitizer-on
-# run produces bit-identical results to a sanitizer-off run).
-# Aliases the single registry in repro.params; the static contract
-# auditor (R011) verifies the two cannot drift apart.
-_EPHEMERAL = EPHEMERAL_FIELDS
-
 _NESTED = {
     "processor": ProcessorParams,
     "bpred": BranchPredictorParams,
@@ -63,7 +56,7 @@ def params_to_dict(params: SystemParams) -> Dict[str, Any]:
     """SystemParams -> plain JSON-serializable dict."""
     out: Dict[str, Any] = {}
     for field in dataclasses.fields(params):
-        if field.name in _EPHEMERAL:
+        if field.name in EPHEMERAL_FIELDS:
             continue
         value = getattr(params, field.name)
         if field.name in _ENUMS:
@@ -82,7 +75,7 @@ def tools_to_dict(params: SystemParams) -> Dict[str, Any]:
     travel beside a job's dict to wherever it runs, never inside its
     fingerprint; :func:`params_from_dict` takes them back.
     """
-    return {name: getattr(params, name) for name in sorted(_EPHEMERAL)}
+    return {name: getattr(params, name) for name in sorted(EPHEMERAL_FIELDS)}
 
 
 def params_from_dict(data: Dict[str, Any]) -> SystemParams:

@@ -91,8 +91,13 @@ class TestCheckCommands:
     def test_lint_list_rules(self, capsys):
         assert cli.main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R001", "R002", "R003", "R004", "R005"):
+        for code in ("R001", "R002", "R003", "R004", "R011", "R013"):
             assert code in out
+
+    def test_lint_missing_path_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert cli.main(["lint", str(missing)]) != 0
+        assert str(missing) in capsys.readouterr().err
 
     def test_check_exit_codes(self, monkeypatch):
         # The real suite runs in CI and tests/test_check_*; here we only

@@ -738,7 +738,7 @@ class TestR013Lint:
         assert hits == []
 
     def test_static_teeth_mutation_is_detected(self):
-        from repro.check.lint.selftest import run_static_mutation
+        from repro.check.mutations import run_static_mutation
         detail = run_static_mutation("raw-durable-write")
         assert "R013 fired" in detail
 
@@ -746,11 +746,6 @@ class TestR013Lint:
         from repro.check.lint import default_lint_root, lint_paths
         violations, _ = lint_paths([default_lint_root()])
         assert [v for v in violations if v.code == "R013"] == []
-
-    def test_explain_describes_the_contract(self):
-        from repro.check.lint import explain_rule
-        text = explain_rule("R013")
-        assert "atomicio" in text and "R013" in text
 
 
 # ---------------------------------------------------------------------------

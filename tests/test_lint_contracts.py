@@ -1,21 +1,20 @@
-"""Tests for the whole-program contract pass (R011),
-the E001 syntax-error diagnostic, report formats, baselines and the
-static teeth test."""
+"""Tests for R011 (ephemeral-parameter purity), the E001 syntax-error
+diagnostic, the rule table and the static mutations."""
 
-import json
 import textwrap
 
-import pytest
-
+import repro.check.lint as lint_module
 from repro.check.lint import (
     RULES,
-    RULE_INFO,
     default_lint_root,
-    explain_rule,
     lint_paths,
     run_lint,
 )
-from repro.check.lint.selftest import STATIC_MUTATIONS, run_static_teeth_test
+from repro.check.mutations import (
+    STATIC_MUTATIONS,
+    run_mutation_self_test,
+    run_static_mutation,
+)
 
 
 def _lint_sources(tmp_path, files):
@@ -76,35 +75,20 @@ class TestR011EphemeralPurity:
             """})
         assert violations == []
 
-    def test_params_py_must_declare_registry(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"params.py": """
-            class SystemParams:
-                check: bool = False
-                watchdog_cycles: int = 0
-                watchdog_node_cycles: int = 0
-            """})
-        assert _codes(violations) == ["R011"]
-        assert "EPHEMERAL_FIELDS" in violations[0].message
-
-    def test_params_py_registry_must_match(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"params.py": """
-            EPHEMERAL_FIELDS = frozenset({"check"})
-
-
-            class SystemParams:
-                check: bool = False
-                watchdog_cycles: int = 0
-                watchdog_node_cycles: int = 0
-            """})
-        assert _codes(violations) == ["R011"]
-
     def test_real_params_module_is_consistent(self):
+        """One registry: the lint and serialization share
+        ``repro.params.EPHEMERAL_FIELDS``, and it names real fields."""
+        import dataclasses
+
         import repro.params
         import repro.params_io
-        from repro.check.lint.contracts import EPHEMERAL_REGISTRY
 
-        assert repro.params.EPHEMERAL_FIELDS == EPHEMERAL_REGISTRY
-        assert repro.params_io._EPHEMERAL == EPHEMERAL_REGISTRY
+        registry = repro.params.EPHEMERAL_FIELDS
+        assert lint_module.EPHEMERAL_FIELDS is registry
+        assert repro.params_io.EPHEMERAL_FIELDS is registry
+        fields = {f.name for f in
+                  dataclasses.fields(repro.params.SystemParams)}
+        assert registry <= fields
 
 
 class TestSyntaxErrorDiagnostic:
@@ -149,81 +133,26 @@ class TestReportFormats:
         assert checked == 2
         assert _codes(violations) == ["R001", "R004"]
 
-    def test_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("done = a / b\n")
-        count = run_lint([str(bad)], fmt="json")
-        doc = json.loads(capsys.readouterr().out)
-        assert count == 1
-        assert doc["violation_count"] == 1
-        assert doc["checked_files"] == 1
-        assert doc["violations_by_code"] == {"R004": 1}
-        assert doc["violations"][0]["code"] == "R004"
-        assert doc["violations"][0]["line"] == 1
-
-    def test_sarif_format_to_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("done = a / b\n")
-        report = tmp_path / "report.sarif"
-        count = run_lint([str(bad)], fmt="sarif", output=str(report))
-        out = capsys.readouterr().out
-        assert count == 1
-        # stdout keeps the text diagnostics when writing to a file
-        assert "R004" in out
-        doc = json.loads(report.read_text())
-        assert doc["version"] == "2.1.0"
-        results = doc["runs"][0]["results"]
-        assert len(results) == 1
-        assert results[0]["ruleId"] == "R004"
-        rule_ids = {r["id"] for r in
-                    doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert rule_ids == set(RULES)
-
-    def test_baseline_roundtrip(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("done = a / b\n")
-        baseline = tmp_path / "baseline.json"
-        assert run_lint([str(bad)],
-                        write_baseline=str(baseline)) == 0
-        capsys.readouterr()
-        # grandfathered finding disappears...
-        assert run_lint([str(bad)], baseline=str(baseline)) == 0
-        capsys.readouterr()
-        # ...but a new finding still fails
-        bad.write_text("done = a / b\nimport random\n"
-                       "v = random.random()\n")
-        count = run_lint([str(bad)], baseline=str(baseline))
-        out = capsys.readouterr().out
-        assert count == 1
-        assert "R001" in out and "R004" not in out
-
-    def test_explain_known_rule(self):
-        text = explain_rule("R011")
-        assert text.startswith("R011")
-        assert "EPHEMERAL_READ_GATES" in text
-        assert "whole-program" in text
-
-    def test_explain_unknown_rule(self):
-        assert "unknown rule" in explain_rule("R999")
-
     def test_rule_metadata_complete(self):
-        assert set(RULE_INFO) == set(RULES)
-        for rule in RULE_INFO.values():
-            assert rule.scope in ("file", "program")
-            assert rule.explanation
+        """Each rule's contract is written once, in the module
+        docstring's table."""
+        table = lint_module.__doc__
+        for code, summary in RULES.items():
+            assert f"\n{code}    " in table, code
+            assert summary
 
 
 class TestStaticTeeth:
     def test_all_seeded_violations_detected(self):
-        results = run_static_teeth_test()
-        assert len(results) == len(STATIC_MUTATIONS)
-        missed = [r for r in results if not r.detected]
-        assert missed == [], [str(r) for r in missed]
+        missed = [name for name in sorted(STATIC_MUTATIONS)
+                  if not run_static_mutation(name)]
+        assert missed == []
 
     def test_result_format(self):
-        results = run_static_teeth_test(["raw-durable-write"])
+        results = run_mutation_self_test(["static-raw-durable-write"])
         assert len(results) == 1
-        assert str(results[0]).startswith("[DETECTED] raw-durable-write")
+        assert str(results[0]).startswith(
+            "[DETECTED] static-raw-durable-write")
         assert "R013" in results[0].detail
 
     def test_real_tree_is_clean(self):

@@ -80,6 +80,33 @@ class TestJobSpec:
         assert again == spec
         assert again.fingerprint() == spec.fingerprint()
 
+    def test_to_dict_covers_every_field(self):
+        """A field ``to_dict`` forgets would never reach a worker or the
+        cache key."""
+        spec = tiny_spec()
+        for obj in (spec, spec.workload):
+            assert set(obj.to_dict()) == \
+                {f.name for f in dataclasses.fields(obj)}
+
+    def test_every_field_round_trips(self):
+        """Each field, moved off its default, survives the JSON trip
+        jobs take to a worker and into the cache."""
+        workload = WorkloadSpec("oltp", scale=8, processes_per_cpu=3,
+                                hints_prefetch=True, hints_flush=True,
+                                hints_pcs=(0x40, 0x80))
+        spec = JobSpec(default_system(n_nodes=2), workload,
+                       instructions=1234, warmup=567, seed=9)
+        defaults = JobSpec(default_system(), WorkloadSpec("oltp"))
+        for obj, default in ((spec, defaults),
+                             (workload, defaults.workload)):
+            for f in dataclasses.fields(obj):
+                if f.name != "kind":
+                    assert getattr(obj, f.name) != \
+                        getattr(default, f.name), f.name
+        again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == spec
+        assert again.fingerprint() == spec.fingerprint()
+
     def test_run_equals_run_simulation(self):
         spec = tiny_spec()
         direct = run_simulation(spec.params, oltp_workload(),
