@@ -288,7 +288,7 @@ class InvariantChecker:
             if not 0 <= entry.owner < n:
                 self._fail(f"line {line:#x}: exclusive with invalid owner "
                            f"{entry.owner}")
-            if entry.sharers:
+            if entry.sharer_mask:
                 self._fail(f"line {line:#x}: exclusive at node "
                            f"{entry.owner} but sharers "
                            f"{sorted(entry.sharers)} remain registered")
@@ -296,14 +296,14 @@ class InvariantChecker:
             if entry.owner != -1:
                 self._fail(f"line {line:#x}: shared but owner field still "
                            f"{entry.owner}")
-            if not entry.sharers:
+            if not entry.sharer_mask:
                 self._fail(f"line {line:#x}: shared with an empty sharer "
                            f"set")
-            bad = [s for s in sorted(entry.sharers) if not 0 <= s < n]
-            if bad:
+            if entry.sharer_mask >> n:
+                bad = [s for s in sorted(entry.sharers) if s >= n]
                 self._fail(f"line {line:#x}: sharer ids {bad} out of range")
         elif entry.state == DIR_INVALID:
-            if entry.sharers:
+            if entry.sharer_mask:
                 self._fail(f"line {line:#x}: invalid but sharers "
                            f"{sorted(entry.sharers)} remain registered")
         else:
@@ -315,7 +315,7 @@ class InvariantChecker:
             member = ((entry.state == DIR_EXCLUSIVE
                        and entry.owner == node_id)
                       or (entry.state == DIR_SHARED
-                          and node_id in entry.sharers))
+                          and entry.sharer_mask >> node_id & 1))
             if not member:
                 if (node.l2.lookup(line, touch=False)
                         or node.l1d.lookup(line, touch=False)

@@ -27,7 +27,9 @@ R004    integer-only cycle arithmetic: no true division assigned to a
 R011    ephemeral-parameter purity: a ``SystemParams`` field named in
         ``repro.params.EPHEMERAL_FIELDS`` (``check``, the watchdog
         knobs) is read only in a function of
-        :data:`EPHEMERAL_READ_GATES` -- those fields stay out of cache
+        :data:`EPHEMERAL_READ_GATES`, whether through ``params``,
+        ``<x>.params``, a local name bound to either, or ``getattr``
+        with a constant field name -- those fields stay out of cache
         fingerprints, so a read that reaches cycle math on a path no
         test sanitizes files a different result under the plain key
 R013    durable writes go through :mod:`repro.run.atomicio`: no bare
@@ -182,6 +184,10 @@ class _FileLinter(ast.NodeVisitor):
                 self._gates |= functions
         self._class_stack: List[str] = []
         self._func_stack: List[str] = []
+        # R011: per scope (module, then each enclosing function), the
+        # local names bound so far, and whether each holds a params
+        # expression (``p = self.params``).
+        self._scope_stack: List[Dict[str, bool]] = [{}]
 
     # -- pragmas -------------------------------------------------------------
 
@@ -218,7 +224,9 @@ class _FileLinter(ast.NodeVisitor):
 
     def _visit_function(self, node) -> None:
         self._func_stack.append(node.name)
+        self._scope_stack.append({})
         self.generic_visit(node)
+        self._scope_stack.pop()
         self._func_stack.pop()
 
     visit_FunctionDef = _visit_function
@@ -288,6 +296,12 @@ class _FileLinter(ast.NodeVisitor):
                 node.args and self._is_setish(node.args[0]):
             self._report(node, "R003",
                          "str.join over a bare set -- wrap in sorted(...)")
+        if isinstance(func, ast.Name) and func.id == "getattr" and \
+                len(node.args) >= 2 and self._is_params(node.args[0]):
+            name = node.args[1]
+            if isinstance(name, ast.Constant) and \
+                    name.value in EPHEMERAL_FIELDS:
+                self._check_ephemeral_read(node, name.value)
         if self._durable_file:
             self._check_raw_durable_write(node)
         self.generic_visit(node)
@@ -338,31 +352,48 @@ class _FileLinter(ast.NodeVisitor):
 
     # -- R011: ephemeral-field reads -------------------------------------------
 
+    def _is_params(self, node: ast.AST) -> bool:
+        """``params``, ``<x>.params``, ``self`` inside ``SystemParams``,
+        or a local name bound to one of those (``p = self.params``)."""
+        if isinstance(node, ast.Attribute):
+            return node.attr == "params"
+        if not isinstance(node, ast.Name):
+            return False
+        if node.id == "params":
+            return True
+        if node.id == "self":
+            return self._class_stack[-1:] == ["SystemParams"]
+        for scope in reversed(self._scope_stack):
+            if node.id in scope:
+                return scope[node.id]
+        return False
+
+    def _bind(self, target: ast.AST, value: ast.AST) -> None:
+        if isinstance(target, ast.Name):
+            self._scope_stack[-1][target.id] = self._is_params(value)
+
+    def _check_ephemeral_read(self, node: ast.AST, field: str) -> None:
+        function = self._func_stack[-1] if self._func_stack else None
+        if function in self._gates:
+            return
+        where = function or "<module>"
+        if function and self._class_stack:
+            where = f"{self._class_stack[-1]}.{function}"
+        self._report(
+            node, "R011",
+            f"read of ephemeral SystemParams field '{field}' "
+            f"in {where}, outside the approved gate list -- "
+            f"ephemeral fields are excluded from fingerprints and "
+            f"must never influence simulated behaviour")
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        """A load of ``params.<field>``, ``<x>.params.<field>`` or, inside
-        ``SystemParams``, ``self.<field>`` for an ephemeral field."""
+        """A load of ``<params expr>.<field>`` for an ephemeral field
+        (``getattr(<params expr>, "<field>")`` is checked in
+        :meth:`visit_Call`)."""
         if node.attr in EPHEMERAL_FIELDS and \
-                isinstance(node.ctx, ast.Load):
-            receiver = node.value
-            if isinstance(receiver, ast.Attribute):
-                reads_params = receiver.attr == "params"
-            elif isinstance(receiver, ast.Name):
-                reads_params = receiver.id == "params" or (
-                    receiver.id == "self" and
-                    self._class_stack[-1:] == ["SystemParams"])
-            else:
-                reads_params = False
-            function = self._func_stack[-1] if self._func_stack else None
-            if reads_params and function not in self._gates:
-                where = function or "<module>"
-                if function and self._class_stack:
-                    where = f"{self._class_stack[-1]}.{function}"
-                self._report(
-                    node, "R011",
-                    f"read of ephemeral SystemParams field '{node.attr}' "
-                    f"in {where}, outside the approved gate list -- "
-                    f"ephemeral fields are excluded from fingerprints and "
-                    f"must never influence simulated behaviour")
+                isinstance(node.ctx, ast.Load) and \
+                self._is_params(node.value):
+            self._check_ephemeral_read(node, node.attr)
         self.generic_visit(node)
 
     # -- R003: iteration -------------------------------------------------------
@@ -395,11 +426,15 @@ class _FileLinter(ast.NodeVisitor):
         for target in node.targets:
             self._check_cycle_division(target, node.value, node)
         self.generic_visit(node)
+        for target in node.targets:
+            self._bind(target, node.value)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self._check_cycle_division(node.target, node.value, node)
         self.generic_visit(node)
+        if node.value is not None:
+            self._bind(node.target, node.value)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         name = self._target_name(node.target)

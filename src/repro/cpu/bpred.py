@@ -13,6 +13,7 @@ rates (the paper reports a cumulative 11% for OLTP).
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from typing import List
 
@@ -34,13 +35,15 @@ class BranchPredictor:
     def __init__(self, params: BranchPredictorParams):
         self.params = params
         p = params
-        self._pa_hist: List[int] = [0] * p.pa_table_entries
+        # Typed tables: local histories in unsigned 16-bit slots (the
+        # paper's are 12 bits), 2-bit counters one byte each.
+        self._pa_hist = array("H", [0]) * p.pa_table_entries
         self._pa_mask = (1 << p.pa_history_bits) - 1
-        self._pa_pht: List[int] = [2] * (1 << p.pa_history_bits)
+        self._pa_pht = bytearray(b"\x02") * (1 << p.pa_history_bits)
         self._g_hist = 0
         self._g_mask = (1 << p.global_history_bits) - 1
-        self._g_pht: List[int] = [2] * (1 << p.global_history_bits)
-        self._choice: List[int] = [2] * p.choice_entries
+        self._g_pht = bytearray(b"\x02") * (1 << p.global_history_bits)
+        self._choice = bytearray(b"\x02") * p.choice_entries
         self._btb: "OrderedDict[int, int]" = OrderedDict()
         self._ras: List[int] = []
         self.predictions = 0

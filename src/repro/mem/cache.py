@@ -9,7 +9,6 @@ distributions via :class:`repro.stats.mshr.MshrOccupancy`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.params import CacheParams
@@ -20,75 +19,88 @@ class CacheArray:
 
     Addresses are *line* numbers (byte address >> log2(line size)); the
     caller performs the shift once so hot-path arithmetic stays cheap.
+
+    Layout (SNIPPETS.md Snippet 1 keeps per-set tag, dirty and LRU state
+    the same way, with no hash table per set): one dict for the whole
+    cache maps each resident line to its dirty bit, so membership and
+    the dirty bit cost one probe; each set keeps its resident lines in
+    LRU order (least recent first) in a small list, created at the
+    set's first fill.
     """
 
     def __init__(self, params: CacheParams):
         self.params = params
         self._set_mask = params.num_sets - 1
         self._assoc = params.assoc
-        # One OrderedDict per set: line -> dirty flag, LRU order = insertion
-        # order with move_to_end on touch.
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(params.num_sets)]
+        self._dirty: Dict[int, bool] = {}
+        self._sets: List[Optional[List[int]]] = [None] * params.num_sets
 
     def lookup(self, line: int, touch: bool = True) -> bool:
         """True on hit; refreshes LRU order unless ``touch`` is False."""
-        s = self._sets[line & self._set_mask]
+        if line not in self._dirty:
+            return False
         if touch:
-            # move_to_end doubles as the membership probe: one dict
-            # lookup instead of two on the (dominant) hit path.
-            try:
-                s.move_to_end(line)
-            except KeyError:
-                return False
-            return True
-        return line in s
+            s = self._sets[line & self._set_mask]
+            if s[-1] != line:
+                s.remove(line)
+                s.append(line)
+        return True
 
     def insert(self, line: int, dirty: bool = False
                ) -> Optional[Tuple[int, bool]]:
         """Insert ``line``; returns the evicted ``(line, was_dirty)`` or
         ``None``.  Inserting a present line just updates its dirty bit."""
-        s = self._sets[line & self._set_mask]
-        if line in s:
-            s[line] = s[line] or dirty
-            s.move_to_end(line)
+        d = self._dirty
+        index = line & self._set_mask
+        s = self._sets[index]
+        if line in d:
+            d[line] = d[line] or dirty
+            if s[-1] != line:
+                s.remove(line)
+                s.append(line)
+            return None
+        d[line] = dirty
+        if s is None:
+            self._sets[index] = [line]
             return None
         victim = None
         if len(s) >= self._assoc:
-            victim = s.popitem(last=False)
-        s[line] = dirty
+            oldest = s.pop(0)
+            victim = (oldest, d.pop(oldest))
+        s.append(line)
         return victim
 
     def mark_dirty(self, line: int) -> bool:
         """Set the dirty bit; returns False if the line is absent."""
-        s = self._sets[line & self._set_mask]
-        if line not in s:
+        d = self._dirty
+        if line not in d:
             return False
-        s[line] = True
+        d[line] = True
         return True
 
     def mark_clean(self, line: int) -> bool:
         """Clear the dirty bit (ownership downgrade: memory now holds the
         data); returns False if the line is absent."""
-        s = self._sets[line & self._set_mask]
-        if line not in s:
+        d = self._dirty
+        if line not in d:
             return False
-        s[line] = False
+        d[line] = False
         return True
 
     def invalidate(self, line: int) -> Tuple[bool, bool]:
         """Remove ``line``; returns (was_present, was_dirty)."""
-        s = self._sets[line & self._set_mask]
-        dirty = s.pop(line, None)
-        return (dirty is not None, bool(dirty))
+        dirty = self._dirty.pop(line, None)
+        if dirty is None:
+            return (False, False)
+        self._sets[line & self._set_mask].remove(line)
+        return (True, bool(dirty))
 
     def is_dirty(self, line: int) -> bool:
-        s = self._sets[line & self._set_mask]
-        return bool(s.get(line, False))
+        return bool(self._dirty.get(line, False))
 
     def occupancy(self) -> int:
         """Number of valid lines (testing / introspection)."""
-        return sum(len(s) for s in self._sets)
+        return len(self._dirty)
 
 
 class MshrEntry:

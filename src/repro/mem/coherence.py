@@ -26,7 +26,7 @@ subsequent remote read is serviced by memory instead of cache-to-cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.params import MemoryLatencies
 from repro.mem.interconnect import MeshNetwork
@@ -42,15 +42,43 @@ SVC_REMOTE = 1
 SVC_DIRTY = 2
 
 
+def mask_nodes(mask: int) -> List[int]:
+    """Node ids whose bits are set in ``mask``, in ascending order."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return nodes
+
+
 class DirectoryEntry:
-    __slots__ = ("state", "owner", "sharers", "last_writer", "migratory")
+    """Directory state of one line.  Sharers are a node bitmask
+    (``sharer_mask``, bit ``n`` = node ``n``): masks of a few nodes are
+    cached small ints, where a ``set`` per entry costs 216 bytes even
+    when empty.  The protocol uses the mask; :attr:`sharers` reads and
+    assigns it as a set of node ids."""
+
+    __slots__ = ("state", "owner", "sharer_mask", "last_writer",
+                 "migratory")
 
     def __init__(self) -> None:
         self.state = DIR_INVALID
         self.owner = -1
-        self.sharers: Set[int] = set()
+        self.sharer_mask = 0
         self.last_writer = -1
         self.migratory = False
+
+    @property
+    def sharers(self) -> Set[int]:
+        return set(mask_nodes(self.sharer_mask))
+
+    @sharers.setter
+    def sharers(self, nodes: Iterable[int]) -> None:
+        mask = 0
+        for node in nodes:
+            mask |= 1 << node
+        self.sharer_mask = mask
 
 
 @dataclass
@@ -254,7 +282,7 @@ class CoherentMemory:
                     self._invalidate_node(owner, line)
                     e.state = DIR_EXCLUSIVE
                     e.owner = node
-                    e.sharers = set()
+                    e.sharer_mask = 0
                     self.migratory_exclusive_grants += 1
                     if self._ping is not None:
                         self._ping[line] = self._ping.get(line, 0) + 1
@@ -262,7 +290,7 @@ class CoherentMemory:
                 # Owner's copy is demoted to shared; memory has the data.
                 self._downgrade_node(owner, line)
                 e.state = DIR_SHARED
-                e.sharers = {owner, node}
+                e.sharer_mask = (1 << owner) | (1 << node)
                 e.owner = -1
                 return done, SVC_DIRTY, False
             # Exclusive but clean (E): memory supplies; owner demoted.
@@ -273,7 +301,7 @@ class CoherentMemory:
                 self.stats.reads_remote += 1
             self._downgrade_node(owner, line)
             e.state = DIR_SHARED
-            e.sharers = {owner, node}
+            e.sharer_mask = (1 << owner) | (1 << node)
             e.owner = -1
             return done, svc, False
 
@@ -286,13 +314,13 @@ class CoherentMemory:
             # Exclusive-clean grant (MESI E state).
             e.state = DIR_EXCLUSIVE
             e.owner = node
-            e.sharers = set()
+            e.sharer_mask = 0
             return done, svc, True
         if e.state == DIR_EXCLUSIVE:
             # Owner re-reading after a silent drop of its own line.
             e.state = DIR_SHARED
             e.owner = -1
-        e.sharers.add(node)
+        e.sharer_mask |= 1 << node
         return done, svc, False
 
     def write(self, node: int, line: int, now: int, pc: int = 0
@@ -304,11 +332,13 @@ class CoherentMemory:
         start = self._queue(self._dir_next_free, home, inject,
                             self.lat.directory_occupancy)
 
-        copies = len(e.sharers) if e.state == DIR_SHARED else (
+        bit = 1 << node
+        mask = e.sharer_mask
+        copies = bin(mask).count("1") if e.state == DIR_SHARED else (
             1 if e.state == DIR_EXCLUSIVE else 0)
         cached_elsewhere = (
             (e.state == DIR_EXCLUSIVE and e.owner != node)
-            or (e.state == DIR_SHARED and (e.sharers - {node})))
+            or (e.state == DIR_SHARED and (mask & ~bit) != 0))
         if cached_elsewhere:
             self.stats.shared_writes += 1
             if self._ping is not None:
@@ -316,7 +346,7 @@ class CoherentMemory:
 
         # Migratory detection heuristic (paper footnote 2).
         if (copies == 2 and e.last_writer != -1 and e.last_writer != node
-                and node in (e.sharers | {e.owner})):
+                and ((mask & bit) or node == e.owner)):
             if not e.migratory:
                 e.migratory = True
                 self.stats.migratory_lines.add(line)
@@ -337,11 +367,10 @@ class CoherentMemory:
                 else:
                     self.stats.writes_remote += 1
             self._invalidate_node(owner, line)
-        elif e.state == DIR_SHARED and node in e.sharers:
+        elif e.state == DIR_SHARED and mask & bit:
             # Upgrade: ownership grant + invalidations, no data transfer.
-            # Sorted so invalidation-hook order never depends on set
-            # iteration order (repro lint R003).
-            for sharer in sorted(e.sharers - {node}):
+            # Invalidations go out in ascending node order.
+            for sharer in mask_nodes(mask & ~bit):
                 self._invalidate_node(sharer, line)
             if node == home:
                 done = start + self.lat.local_read // 2
@@ -357,7 +386,7 @@ class CoherentMemory:
             else:
                 self.stats.writes_remote += 1
         else:
-            for sharer in sorted(e.sharers - {node}):
+            for sharer in mask_nodes(mask & ~bit):
                 self._invalidate_node(sharer, line)
             done, svc = self._memory_latency(node, home, start)
             if svc == SVC_LOCAL:
@@ -367,7 +396,7 @@ class CoherentMemory:
 
         e.state = DIR_EXCLUSIVE
         e.owner = node
-        e.sharers = set()
+        e.sharer_mask = 0
         e.last_writer = node
         return done, svc
 
@@ -387,7 +416,7 @@ class CoherentMemory:
         self._queue(self._mem_next_free, home, start,
                     self.lat.memory_occupancy)
         e.state = DIR_SHARED
-        e.sharers = {node}
+        e.sharer_mask = 1 << node
         e.owner = -1
         self.stats.flushes += 1
         if e.migratory:
@@ -413,6 +442,6 @@ class CoherentMemory:
         e = self._entries.get(line)
         if e is None:
             return
-        e.sharers.discard(node)
-        if e.state == DIR_SHARED and not e.sharers:
+        e.sharer_mask &= ~(1 << node)
+        if e.state == DIR_SHARED and not e.sharer_mask:
             e.state = DIR_INVALID

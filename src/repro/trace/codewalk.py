@@ -19,6 +19,7 @@ predictor achieves realistic accuracy instead of being fed oracle bits.
 from __future__ import annotations
 
 import bisect
+import functools
 import random
 from typing import List, Tuple
 
@@ -34,6 +35,29 @@ def _site_hash(pc: int) -> int:
     every revisit of an address behaves like the same static code."""
     h = (pc * 2654435761) & 0xFFFFFFFF
     return (h ^ (h >> 13)) & 0xFFFFFFFF
+
+
+@functools.lru_cache(maxsize=16)
+def code_image(base: int, code_bytes: int, avg_lines: int, line_size: int
+               ) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """The routine table of a code region and its routine starts.
+
+    The region is split into contiguous routines ``(start, bytes)``.
+    The layout is a pure function of the arguments, so every walker of
+    one image (the 24 processes of an OLTP machine) shares one table,
+    carved once per process; the tuples are never mutated.
+    """
+    routines = []
+    offset = 0
+    # Deterministic local generator so routine layout does not depend on
+    # how much of the walk-RNG has been consumed.
+    layout_rng = random.Random(0xC0DE ^ code_bytes)
+    while offset < code_bytes:
+        lines = max(1, int(layout_rng.expovariate(1.0 / avg_lines)) + 1)
+        length = min(lines * line_size, code_bytes - offset)
+        routines.append((base + offset, length))
+        offset += length
+    return tuple(routines), tuple(start for start, _ in routines)
 
 
 class CodeWalker:
@@ -67,7 +91,6 @@ class CodeWalker:
                  jump_target_variability: float = 0.25,
                  p_call: float = 0.12, p_return: float = 0.12,
                  p_jump: float = 0.06, call_locality: int = 0):
-        self._base = base
         self._rng = rng
         self._line = line_size
         self._hard_fraction = hard_branch_fraction
@@ -79,8 +102,8 @@ class CodeWalker:
         self._p_return = p_return
         self._p_jump = p_jump
         self._call_locality = call_locality
-        self._routines = self._carve_routines(code_bytes, avg_routine_lines)
-        self._starts = [start for start, _ in self._routines]
+        self._routines, self._starts = code_image(
+            base, code_bytes, avg_routine_lines, line_size)
         self._hot_n = min(hot_routines, len(self._routines))
         self._stack: List[int] = []
         start, length = self._routines[0]
@@ -89,21 +112,6 @@ class CodeWalker:
         #: itself); :meth:`end_block` and the phase/loop jumps move it.
         self.pc = start
         self._routine_end = start + length
-
-    def _carve_routines(self, code_bytes: int,
-                        avg_lines: int) -> List[Tuple[int, int]]:
-        """Split the code region into contiguous routines (start, bytes)."""
-        routines = []
-        offset = 0
-        # Deterministic local generator so routine layout does not depend on
-        # how much of the walk-RNG has been consumed.
-        layout_rng = random.Random(0xC0DE ^ code_bytes)
-        while offset < code_bytes:
-            lines = max(1, int(layout_rng.expovariate(1.0 / avg_lines)) + 1)
-            length = min(lines * self._line, code_bytes - offset)
-            routines.append((self._base + offset, length))
-            offset += length
-        return routines
 
     # -- branch bias -------------------------------------------------------
 

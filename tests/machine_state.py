@@ -42,7 +42,7 @@ def machine_state(machine):
     wraps bound methods on instances and hooks in lists, so callable
     attributes are skipped and a callable in a container compares equal
     to any other.  Dict keys and set members are compared by value,
-    and arrays by type code and contents.
+    arrays by type code and contents, and bytearrays by contents.
     """
     seen = {}
     alive = []   # keeps every visited object alive, so ids stay unique
@@ -73,6 +73,8 @@ def machine_state(machine):
             return (type(obj).__name__, tuple(walk(x) for x in obj))
         if isinstance(obj, array):
             return ("array", obj.typecode, tuple(obj))
+        if isinstance(obj, bytearray):
+            return ("bytearray", bytes(obj))
         attrs = _attributes(obj)
         return (type(obj).__name__,
                 tuple((name, walk(attrs[name])) for name in sorted(attrs)

@@ -1,5 +1,8 @@
 """Tests for the cache tag arrays and MSHR files."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +105,139 @@ class TestCacheArray:
         for line in lines:
             cache.insert(line)
             assert cache.lookup(line, touch=False)
+
+
+class ReferenceCacheArray:
+    """The tag array as it was kept before the compact layout: one
+    ``OrderedDict`` per set mapping line -> dirty bit, in LRU order."""
+
+    def __init__(self, assoc, sets):
+        self._assoc = assoc
+        self._mask = sets - 1
+        self.sets = [OrderedDict() for _ in range(sets)]
+
+    def lookup(self, line, touch=True):
+        s = self.sets[line & self._mask]
+        if touch:
+            try:
+                s.move_to_end(line)
+            except KeyError:
+                return False
+            return True
+        return line in s
+
+    def insert(self, line, dirty=False):
+        s = self.sets[line & self._mask]
+        if line in s:
+            s[line] = s[line] or dirty
+            s.move_to_end(line)
+            return None
+        victim = None
+        if len(s) >= self._assoc:
+            victim = s.popitem(last=False)
+        s[line] = dirty
+        return victim
+
+    def mark_dirty(self, line):
+        s = self.sets[line & self._mask]
+        if line not in s:
+            return False
+        s[line] = True
+        return True
+
+    def mark_clean(self, line):
+        s = self.sets[line & self._mask]
+        if line not in s:
+            return False
+        s[line] = False
+        return True
+
+    def invalidate(self, line):
+        dirty = self.sets[line & self._mask].pop(line, None)
+        return (dirty is not None, bool(dirty))
+
+    def is_dirty(self, line):
+        return bool(self.sets[line & self._mask].get(line, False))
+
+    def occupancy(self):
+        return sum(len(s) for s in self.sets)
+
+
+LINES = st.integers(0, 11)
+CACHE_OPS = st.one_of(
+    st.tuples(st.just("lookup"), LINES, st.booleans()),
+    st.tuples(st.just("insert"), LINES, st.booleans()),
+    st.tuples(st.sampled_from(["mark_dirty", "mark_clean", "invalidate",
+                               "is_dirty"]), LINES),
+    st.tuples(st.just("occupancy")),
+)
+SHAPES = [(1, 4), (2, 4), (4, 2), (4, 1)]   # (assoc, sets)
+
+
+def random_ops(rng, n):
+    """``n`` operations in the form ``CACHE_OPS`` draws, spread evenly
+    over the kinds and over twelve lines."""
+    ops = []
+    for _ in range(n):
+        kind = rng.choice(["lookup", "insert", "mark_dirty", "mark_clean",
+                           "invalidate", "is_dirty", "occupancy"])
+        if kind in ("lookup", "insert"):
+            ops.append((kind, rng.randrange(12), rng.random() < 0.5))
+        elif kind == "occupancy":
+            ops.append((kind,))
+        else:
+            ops.append((kind, rng.randrange(12)))
+    return ops
+
+
+def assert_agrees_with_reference(shape, ops):
+    assoc, sets = shape
+    cache = small_cache(assoc=assoc, sets=sets)
+    reference = ReferenceCacheArray(assoc, sets)
+    for op in ops:
+        name, args = op[0], op[1:]
+        if name == "lookup":
+            line, touch = args
+            got = cache.lookup(line, touch=touch)
+            want = reference.lookup(line, touch=touch)
+        elif name == "insert":
+            line, dirty = args
+            got = cache.insert(line, dirty=dirty)
+            want = reference.insert(line, dirty=dirty)
+        else:
+            got = getattr(cache, name)(*args)
+            want = getattr(reference, name)(*args)
+        assert got == want, op
+    for index, ref_set in enumerate(reference.sets):
+        lines = cache._sets[index] or []
+        assert lines == list(ref_set), index
+        assert [cache.is_dirty(line) for line in lines] == \
+            list(ref_set.values()), index
+
+
+class TestAgainstReference:
+    """The compact tag array is a drop-in for the ``OrderedDict``-per-set
+    layout: every return value and each set's final LRU order agree."""
+
+    @given(st.sampled_from(SHAPES), st.lists(CACHE_OPS, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_every_return_value_and_lru_order_agree(self, shape, ops):
+        assert_agrees_with_reference(shape, ops)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_long_seeded_traces_agree(self, shape):
+        """Hypothesis favours short, repetitive sequences; long uniform
+        traces reach full sets and touches of non-MRU lines every few
+        operations."""
+        for seed in range(10):
+            assert_agrees_with_reference(
+                shape, random_ops(random.Random(seed), 2000))
+
+    def test_sets_are_built_at_first_fill(self):
+        cache = small_cache(assoc=2, sets=4)
+        assert cache._sets == [None] * 4
+        cache.insert(5)
+        assert cache._sets == [None, [5], None, None]
 
 
 class TestMshrFile:

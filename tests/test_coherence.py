@@ -2,6 +2,8 @@
 and the flush (sharing-writeback) primitive of paper section 4.2."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mem.coherence import (
     DIR_EXCLUSIVE,
@@ -11,6 +13,8 @@ from repro.mem.coherence import (
     SVC_LOCAL,
     SVC_REMOTE,
     CoherentMemory,
+    DirectoryEntry,
+    mask_nodes,
 )
 from repro.mem.interconnect import MeshNetwork
 from repro.params import MemoryLatencies
@@ -28,6 +32,30 @@ def make_memory(n_nodes=4, speedup=0.0):
 
 LINE_LOCAL_0 = 0        # page 0 -> home node 0
 LINE_LOCAL_1 = 128      # page 1 -> home node 1
+
+
+class TestSharerMask:
+    @given(st.sets(st.integers(0, 63)), st.integers(0, 63))
+    def test_walk_is_sorted_set_minus_requester(self, sharers, node):
+        """The invalidation walk over the mask visits exactly the nodes
+        ``sorted(sharers - {node})`` names, in that order."""
+        entry = DirectoryEntry()
+        entry.sharers = sharers
+        assert mask_nodes(entry.sharer_mask & ~(1 << node)) == \
+            sorted(sharers - {node})
+        assert entry.sharers == sharers
+
+    def test_upgrade_invalidates_in_ascending_node_order(self):
+        mem, _ = make_memory()
+        order = []
+        for i in range(4):
+            mem.invalidate_hooks[i] = (
+                lambda line, node=i: order.append(node))
+        for node in (3, 0, 2, 1):
+            mem.read(node, LINE_LOCAL_0, now=0)
+        assert mem.entry(LINE_LOCAL_0).sharers == {0, 1, 2, 3}
+        mem.write(2, LINE_LOCAL_0, now=0)
+        assert order == [0, 1, 3]
 
 
 class TestReadProtocol:

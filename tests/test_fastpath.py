@@ -234,10 +234,18 @@ def test_chunked_run_boundaries_identical():
 
 def _set_lru_swap(cache):
     """Swap the two oldest lines of the first set holding two or more."""
-    lines = next(s for s in cache._sets if len(s) >= 2)
-    oldest = next(iter(lines))
-    lines.move_to_end(oldest)
-    return lambda: lines.move_to_end(oldest, last=False)
+    lines = next(s for s in cache._sets if s is not None and len(s) >= 2)
+
+    def swap():
+        lines[0], lines[1] = lines[1], lines[0]
+    swap()
+    return swap
+
+
+def _flip_dirty_bit(cache):
+    """Flip the dirty bit of the lowest resident line."""
+    line = min(cache._dirty)
+    return _edit_item(cache._dirty, line, lambda dirty: not dirty)
 
 
 def _edit(obj, name, change=lambda value: value + 1):
@@ -245,6 +253,16 @@ def _edit(obj, name, change=lambda value: value + 1):
     before = getattr(obj, name)
     setattr(obj, name, change(before))
     return lambda: setattr(obj, name, before)
+
+
+def _edit_item(table, key, change):
+    """Apply ``change`` to ``table[key]``; returns the undo."""
+    before = table[key]
+    table[key] = change(before)
+
+    def undo():
+        table[key] = before
+    return undo
 
 
 def _first_directory_entry(memory):
@@ -266,12 +284,18 @@ def _bump_last(column):
 SEEDED_CHANGES = [
     ("bpred global history",
      lambda m: _edit(m.cores[0].bpred, "_g_hist", lambda h: h ^ 1)),
+    ("bpred PA pattern-table counter",
+     lambda m: _edit_item(m.cores[0].bpred._pa_pht, 0, lambda c: c ^ 1)),
     ("store buffer count",
      lambda m: _edit(m.cores[0].storebuf, "stores_pushed")),
     ("L1D LRU order", lambda m: _set_lru_swap(m.nodes[0].l1d)),
     ("L2 LRU order", lambda m: _set_lru_swap(m.nodes[1].l2)),
+    ("L2 dirty bit", lambda m: _flip_dirty_bit(m.nodes[1].l2)),
     ("directory last writer",
      lambda m: _edit(_first_directory_entry(m.memory), "last_writer")),
+    ("directory sharer bit",
+     lambda m: _edit(_first_directory_entry(m.memory), "sharer_mask",
+                     lambda mask: mask ^ (1 << 3))),
     ("scheduler switches",
      lambda m: _edit(m.schedulers[0], "context_switches")),
     ("core sequence number", lambda m: _edit(m.cores[0], "_next_seq")),

@@ -5,9 +5,8 @@ that point back up the ownership tree (each node's directory hooks, its
 stream buffer's prefetch callback, and the core's ``violation_hook``)
 are registered weakly (:func:`repro.mem.memsys.weak_method`).  So a
 plain machine's object graph holds no reference cycle, and its memory
-hierarchy -- thousands of cache-set dicts -- is freed the moment the
-last reference goes, not whenever the cycle collector next runs a full
-pass.  These tests run with the collector disabled, so anything left
+hierarchy is freed the moment the last reference goes, not whenever
+the cycle collector next runs a full pass.  These tests run with the collector disabled, so anything left
 behind is a cycle.
 
 Sanitized machines (``check=True``) are freed the same way: the

@@ -29,7 +29,7 @@ from repro.trace.instr import (
     OP_SYSCALL,
     Instruction,
 )
-from repro.trace.oltp import OltpParams, OltpTraceGenerator
+from repro.trace.oltp import BLOCK_PCS, OltpParams, OltpTraceGenerator
 from repro.trace.dss import DssTraceGenerator
 
 
@@ -147,7 +147,7 @@ class TestOltpGenerator:
         params = OltpParams(index_depth=0, block_reads=0)
         gen = OltpTraceGenerator(0, self.layout, params=params, seed=1)
         instrs = take(gen, 5_000)
-        block_pcs = set(gen._block_pcs)
+        block_pcs = set(BLOCK_PCS)
         updates = [i for i in instrs if i.op == OP_INT and i.pc in block_pcs]
         assert updates and all(i.deps == () for i in updates)
 
