@@ -222,6 +222,22 @@ class SystemParams:
         """Convenience wrapper around :func:`dataclasses.replace`."""
         return dataclasses.replace(self, **changes)
 
+    def canonical(self) -> "SystemParams":
+        """The same machine with every field this configuration never
+        reads reset to its default: two configurations the model cannot
+        tell apart have one canonical form, so they share one result
+        cache key and one simulation.
+
+        The one such field: under RC the core never consults the
+        consistency unit (``ProcessorCore._ordered``), so
+        ``consistency_impl`` becomes STRAIGHTFORWARD.
+        """
+        if self.consistency is ConsistencyModel.RC and \
+                self.consistency_impl is not ConsistencyImpl.STRAIGHTFORWARD:
+            return self.replace(
+                consistency_impl=ConsistencyImpl.STRAIGHTFORWARD)
+        return self
+
 
 def paper_system(**changes) -> SystemParams:
     """The Figure 1 configuration, optionally overridden via ``changes``."""

@@ -5,7 +5,10 @@ under ``.repro-cache/`` (override with the ``REPRO_CACHE_DIR``
 environment variable) and keyed by the spec's content fingerprint --
 which already folds in :data:`~repro.run.jobs.MODEL_VERSION`, so results
 produced by an older simulator simply stop matching after a version bump
-(``repro gc`` evicts them).
+(``repro gc`` evicts them).  The fingerprint is taken over the job's
+canonical params (:meth:`~repro.params.SystemParams.canonical`), so
+machines that differ only in fields the model never reads share one
+entry; a hit carries the requesting spec's params.
 
 Each entry stores the job description next to the result plus a sha256
 **content checksum** over both.  On read the checksum is re-verified:
@@ -160,6 +163,10 @@ class ResultCache:
     def get(self, spec: JobSpec) -> Optional[SimulationResult]:
         """Checksum-verified cached result for ``spec``, or ``None``.
 
+        The entry may have been stored by another spec with the same
+        canonical machine; the result returned carries ``spec``'s own
+        params, so it reads as if ``spec`` had been simulated.
+
         Counts a hit or miss either way; corrupt entries are moved to
         ``quarantine/`` and reported as misses so the caller re-runs the
         job and rewrites a clean entry.
@@ -178,6 +185,7 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
+        result.params = spec.params
         return result
 
     def put(self, spec: JobSpec, result: SimulationResult) -> bool:
@@ -326,15 +334,16 @@ def _check_entry(path: Path, scan: CacheScan) -> str:
 
 def _stale_entry(path: Path, scan: CacheScan) -> str:
     """An entry filed under a key other than its job's current
-    fingerprint (another model version or job format) is one no
-    :meth:`ResultCache.get` can hit.  An unparseable one stays for the
-    reader to quarantine."""
+    fingerprint (another model version, job format or key recipe, such
+    as a key taken over non-canonical params) is one no
+    :meth:`ResultCache.get` can hit.  An entry or job that does not
+    parse stays for the reader to quarantine."""
     try:
         with open(path) as fh:
-            job = json.load(fh)["job"]
-    except (OSError, ValueError, KeyError, TypeError):
+            current = fingerprint_of(json.load(fh)["job"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return ""
-    if fingerprint_of(job) == path.stem:
+    if current == path.stem:
         return ""
     return "not its job's current fingerprint"
 

@@ -5,7 +5,10 @@ returns their results *in input order*, regardless of completion order,
 so callers (figure sweeps, seed sweeps) see exactly the rows they asked
 for.  Dispatch policy:
 
-* every spec is first looked up in the result cache (when one is given);
+* specs with the same fingerprint run once per call: the first is the
+  one looked up and simulated, and the others are served from it;
+* every such spec is first looked up in the result cache (when one is
+  given);
 * the misses go through one scheduling loop (:func:`_run`)
   that owns retries, backoff, timeouts and the manifest, and hands
   chunks of jobs to one of two chunk runners: the **persistent
@@ -35,6 +38,7 @@ streams itself, wherever it runs, so no attempt depends on another.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -232,6 +236,18 @@ def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
                       bundle=bundle)
 
 
+def _served(spec: JobSpec, leader: JobOutcome) -> JobOutcome:
+    """The outcome of ``spec`` when another spec of the same
+    :func:`run_many` call has its fingerprint: that spec's result
+    under ``spec``'s own params, charged no time and no attempt (a
+    failure is shared too)."""
+    if leader.failed:
+        return JobOutcome(spec, None, 0.0, attempts=0, error=leader.error,
+                          bundle=leader.bundle)
+    result = dataclasses.replace(leader.result, params=spec.params)
+    return JobOutcome(spec, result, 0.0, cached=True, attempts=0)
+
+
 # ------------------------------------------------------------- scheduling
 
 class _Ran:
@@ -388,23 +404,26 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
         fell_back = fell_back or pool is None
         workers, slots, chunk = runner_shape(pool)
 
+    def refill(now: float) -> None:
+        """Submit ready work in chunks, lowest input index first, while
+        slots are free."""
+        nonlocal queue
+        free = min(slots, workers - len(zombies)) - len(active)
+        if free > 0 and queue:
+            ready = sorted((item for item in queue if item[0] <= now),
+                           key=lambda item: item[1])
+            queue = [item for item in queue if item[0] > now]
+            while free > 0 and ready:
+                submit([item[1:] for item in ready[:chunk]], now)
+                ready = ready[chunk:]
+                free -= 1
+            queue += ready
+
     try:
         while queue or active:
             now = time.perf_counter()  # repro-lint: disable=R002
             zombies = [future for future in zombies if not future.done()]
-
-            # Submit ready work in chunks, lowest input index first,
-            # while slots are free.
-            free = min(slots, workers - len(zombies)) - len(active)
-            if free > 0 and queue:
-                ready = sorted((item for item in queue if item[0] <= now),
-                               key=lambda item: item[1])
-                queue = [item for item in queue if item[0] > now]
-                while free > 0 and ready:
-                    submit([item[1:] for item in ready[:chunk]], now)
-                    ready = ready[chunk:]
-                    free -= 1
-                queue += ready
+            refill(now)
 
             # Every worker wedged on an abandoned attempt: recycle the
             # pool so pending retries are not starved forever.
@@ -435,9 +454,11 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
 
             # Collect in submission order.  A collected attempt is over
             # budget if its measured time exceeds the timeout, wherever
-            # it ran.
+            # it ran.  Successes are recorded after the refill below.
             at = time.perf_counter()  # repro-lint: disable=R002
             broken = False
+            finished: List[Tuple[int, JobSpec, SimulationResult, float,
+                                 int]] = []
             for future in [f for f in active if f in done]:
                 entries, _deadline = active.pop(future)
                 try:
@@ -471,24 +492,32 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                         settle(index, spec, attempt, elapsed, timeout_error,
                                at, kind="timeout")
                     else:
-                        outcomes[index] = _finish(spec, job["result"],
-                                                  elapsed, attempt + 1,
-                                                  cache, manifest)
+                        finished.append((index, spec, job["result"],
+                                         elapsed, attempt + 1))
             if broken:
                 restart(at, rebuild=False)
-                continue
-
-            # Abandon attempts whose deadline passed in flight, and retry
-            # them.
-            now = time.perf_counter()  # repro-lint: disable=R002
-            for future in [f for f, record in active.items()
-                           if record[1] <= now]:
-                entries, _deadline = active.pop(future)
-                if not future.cancel():
-                    zombies.append(future)
-                for index, spec, attempt, elapsed in entries:
-                    settle(index, spec, attempt, elapsed, timeout_error,
-                           now, kind="timeout")
+            else:
+                # Abandon attempts whose deadline passed in flight, and
+                # retry them.
+                now = time.perf_counter()  # repro-lint: disable=R002
+                for future in [f for f, record in active.items()
+                               if record[1] <= now]:
+                    entries, _deadline = active.pop(future)
+                    if not future.cancel():
+                        zombies.append(future)
+                    for index, spec, attempt, elapsed in entries:
+                        settle(index, spec, attempt, elapsed,
+                               timeout_error, now, kind="timeout")
+                # Hand the freed workers their next chunks before the
+                # cache put and manifest flushes of the collected
+                # outcomes, so no worker idles through the parent's
+                # bookkeeping.  The in-process runner runs a job at
+                # submission, so it records its outcome first.
+                if pool is not None:
+                    refill(now)
+            for index, spec, result, elapsed, attempts in finished:
+                outcomes[index] = _finish(spec, result, elapsed, attempts,
+                                          cache, manifest)
         return fell_back
     finally:
         # The pool outlives this call (warm workers for the next sweep)
@@ -512,6 +541,12 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     (retries exhausted) appear as outcomes with ``result=None`` rather
     than aborting the sweep.
 
+    Each distinct fingerprint is looked up and simulated once: specs
+    that share a key with an earlier spec of the call (machines that
+    differ only in fields the model never reads,
+    :meth:`~repro.params.SystemParams.canonical`) are served from its
+    outcome, as cached outcomes with their own params and no attempts.
+
     The misses run through :func:`_run`: on the fork-server pool with
     ``jobs > 1`` and at least two pending jobs, else in process, and in
     process too for whatever still lacks an outcome when the pool
@@ -530,25 +565,37 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     jobs = max(1, int(jobs))
 
     start = time.perf_counter()  # repro-lint: disable=R002
+    # The first spec of each fingerprint leads: it alone is looked up
+    # and, on a miss, simulated.
+    fingerprints = [spec.fingerprint() for spec in specs]
+    leaders: Dict[str, int] = {}
+    for index, fingerprint in enumerate(fingerprints):
+        leaders.setdefault(fingerprint, index)
     if manifest is not None:
-        fingerprints = [spec.fingerprint() for spec in specs]
-        manifest.begin(fingerprints, [spec.describe() for spec in specs],
+        manifest.begin(list(leaders),
+                       [specs[index].describe()
+                        for index in leaders.values()],
                        resume=bool(resume))
 
     outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
     pending: List[Tuple[int, JobSpec]] = []
-    for index, spec in enumerate(specs):
+    for fingerprint, index in leaders.items():
+        spec = specs[index]
         hit = cache.get(spec) if cache is not None else None
         if hit is not None:
             outcomes[index] = JobOutcome(spec, hit, 0.0, cached=True,
                                          attempts=0)
             if manifest is not None:
-                manifest.mark_done(spec.fingerprint(), cached=True)
+                manifest.mark_done(fingerprint, cached=True)
         else:
             pending.append((index, spec))
 
     fell_back = bool(pending) and _run(pending, jobs, cache, outcomes,
                                        policy, manifest)
+    for index, fingerprint in enumerate(fingerprints):
+        leader = leaders[fingerprint]
+        if leader != index:
+            outcomes[index] = _served(specs[index], outcomes[leader])
 
     report = RunReport(outcomes=[o for o in outcomes if o is not None],
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002

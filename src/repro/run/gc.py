@@ -5,7 +5,8 @@
 whether any current reader can still use it.  What none can goes:
 
 * result entries filed under a key other than their job's current
-  fingerprint (another ``MODEL_VERSION`` or an older job format), which
+  fingerprint (another ``MODEL_VERSION``, an older job format, or a key
+  taken over non-canonical params), which
   :meth:`~repro.run.cache.ResultCache.get` can never hit;
 * every quarantined entry;
 * triage bundles of jobs the sweep manifest beside them records as

@@ -143,12 +143,17 @@ class WorkloadSpec:
 
 def fingerprint_of(job: Dict[str, Any]) -> str:
     """The cache key of a job given as :meth:`JobSpec.to_dict` data: a
-    content hash of the job and the current :data:`MODEL_VERSION`.
+    content hash of the job, with its params in their
+    :meth:`~repro.params.SystemParams.canonical` form, and the current
+    :data:`MODEL_VERSION`.  Jobs whose machines differ only in fields
+    the model never reads share one key.
 
     The one recipe for the key, so ``repro gc`` tells an entry stored
     under its job's current key from one no lookup can reach.
     """
-    payload = {"model_version": MODEL_VERSION, "job": job}
+    params = params_from_dict(job["params"]).canonical()
+    payload = {"model_version": MODEL_VERSION,
+               "job": dict(job, params=params_to_dict(params))}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -159,7 +164,8 @@ class JobSpec:
 
     Fully picklable and JSON-round-trippable; :meth:`fingerprint` is a
     stable content hash over the canonical JSON encoding plus
-    :data:`MODEL_VERSION`, suitable as a cache key.
+    :data:`MODEL_VERSION`, suitable as a cache key
+    (:func:`fingerprint_of`).
     """
 
     params: SystemParams

@@ -1,7 +1,10 @@
 """Tests for the consistency-model ordering unit (paper section 3.4)."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.experiment import run_simulation
 from repro.core.workloads import dss_workload, oltp_workload
 from repro.cpu.consistency import UNBOUNDED, ConsistencyUnit
 from repro.params import ConsistencyImpl, ConsistencyModel, default_system
@@ -234,3 +237,43 @@ class TestCoreUnderRc:
         _machine, calls = run_counting_unit_calls(
             params, oltp_workload(), 2_000, monkeypatch)
         assert calls["note_dispatch"] and calls["order_bound"]
+
+
+_BASE = default_system()
+#: Machines whose RC results must not depend on the implementation:
+#: out-of-order, in-order and 2-way SMT cores.
+_RC_MACHINES = {
+    "ooo": _BASE,
+    "inorder": _BASE.replace(processor=dataclasses.replace(
+        _BASE.processor, out_of_order=False)),
+    "smt2": _BASE.replace(processor=dataclasses.replace(
+        _BASE.processor, smt_contexts=2)),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(_RC_MACHINES))
+@pytest.mark.parametrize("workload", [oltp_workload, dss_workload],
+                         ids=["oltp", "dss"])
+def test_rc_results_ignore_the_implementation(workload, machine):
+    """RC straightforward, prefetch and speculative give one result.
+
+    ``SystemParams.canonical()`` rests on this: it resets
+    ``consistency_impl`` to STRAIGHTFORWARD under RC, so the three RC
+    bars of Figure 6 share one cache key and one simulation.
+    """
+    base = _RC_MACHINES[machine].replace(consistency=RC)
+    results = {}
+    for impl in ConsistencyImpl:
+        params = base.replace(consistency_impl=impl)
+        assert params.canonical() == base.replace(consistency_impl=STRAIGHT)
+        data = run_simulation(params, workload(), instructions=2000,
+                              warmup=1000).to_dict()
+        del data["params"]
+        results[impl] = data
+    for impl in (PREFETCH, SPEC):
+        assert results[impl] == results[STRAIGHT], (
+            f"RC-{impl.name} differs from RC-STRAIGHTFORWARD on "
+            f"{machine}: the model reads consistency_impl under RC, so "
+            f"the canonical rule of SystemParams.canonical() (RC resets "
+            f"consistency_impl to STRAIGHTFORWARD) no longer holds and "
+            f"would serve one implementation's result for another")

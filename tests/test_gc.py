@@ -8,6 +8,7 @@ checkout may have left in a cache.  Covers the plan, applying it, its
 rendering, and that gc and ``repro audit-state`` walk one layout.
 """
 
+import hashlib
 import json
 import os
 from collections import Counter
@@ -16,7 +17,7 @@ import pytest
 
 import repro.run
 from repro.cli import main
-from repro.params import default_system
+from repro.params import ConsistencyImpl, default_system
 from repro.run import (MANIFEST_NAME, JobSpec, ResultCache, SweepManifest,
                        WorkloadSpec, audit_state)
 from repro.run import atomicio
@@ -178,6 +179,36 @@ class TestStaleEntries:
         cache = ResultCache(tmp_path)
         assert cache.get(spec).dump() == result.dump()
         assert cache.hits == 1
+
+    def test_gc_evicts_entries_under_a_non_canonical_key(self, tmp_path):
+        """Before keys were taken over canonical params, RC-prefetch had
+        a key of its own; no lookup reaches an entry filed under it."""
+        spec = JobSpec(default_system(
+            consistency_impl=ConsistencyImpl.PREFETCH), WorkloadSpec("oltp"),
+            instructions=800, warmup=800)
+        text = json.dumps({"model_version": run_jobs.MODEL_VERSION,
+                           "job": spec.to_dict()}, sort_keys=True,
+                          separators=(",", ":"))
+        old_key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert old_key != spec.fingerprint()
+        result = spec.run()
+        cache = ResultCache(tmp_path)
+        assert cache.put(spec, result)
+        canonical = tmp_path / f"{spec.fingerprint()}.json"
+        stale = tmp_path / f"{old_key}.json"
+        stale.write_bytes(canonical.read_bytes())
+        other = _tiny_spec(seed=1)
+        assert cache.put(other, other.run())
+        old = atomicio.time_now() - 2 * HOUR
+        for path in tmp_path.glob("*.json"):
+            os.utime(path, (old, old))
+
+        plan = run_gc.plan_gc(tmp_path)
+        assert [item.path for item in plan.evictions] == [stale]
+        assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
+        assert not stale.exists() and canonical.exists()
+        assert (tmp_path / f"{other.fingerprint()}.json").exists()
+        assert ResultCache(tmp_path).get(spec).params == spec.params
 
     def test_young_stale_entry_is_pinned(self, tmp_path):
         spec = _tiny_spec()

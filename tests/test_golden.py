@@ -14,6 +14,10 @@ These tests pin both layers to sha256 digests recorded under
 * ``SimulationResult.to_dict()`` of short runs of OLTP, OLTP on 2-way
   SMT, OLTP with one process per CPU (every commit idles the CPU until
   the scheduler wake seats the process again) and a chunked DSS run;
+* the same for OLTP on in-order issue, on a 4-entry stream buffer with
+  the branch-predicting I-prefetcher, on Figure 4's all-perfect machine,
+  with a perfect D-cache, and with flush and prefetch hints on Figure
+  7(b)'s stream-buffer machine;
 * the same for OLTP and DSS at each SC and PC design point of Figure 6
   (straightforward, hardware prefetch and speculative loads), the only
   runs that take the core's ordered memory-queue path.
@@ -34,7 +38,7 @@ from repro.core.experiment import assemble_result
 from repro.core.workloads import dss_workload, oltp_workload, \
     tpcc_workload
 from repro.params import ConsistencyImpl, ConsistencyModel, \
-    default_system
+    TlbParams, default_system
 from repro.run.jobs import WorkloadSpec
 from repro.system.machine import Machine
 from repro.trace.database import MigratoryHints
@@ -113,6 +117,15 @@ def test_trace_stream_pinned(name, seed):
 BASE = default_system()
 _SMT2 = BASE.replace(processor=dataclasses.replace(
     BASE.processor, smt_contexts=2))
+#: Figure 4's last bar: perfect I-cache, predictor and TLBs, infinite
+#: functional units and a 128-entry window.
+_ALL_PERFECT = BASE.replace(
+    perfect_icache=True,
+    bpred=dataclasses.replace(BASE.bpred, perfect=True),
+    itlb=TlbParams(perfect=True), dtlb=TlbParams(perfect=True),
+    processor=dataclasses.replace(BASE.processor,
+                                  infinite_functional_units=True,
+                                  window_size=128))
 
 #: name -> (params, workload factory, instructions, warmup, chunks).
 RESULT_CASES = {
@@ -122,6 +135,18 @@ RESULT_CASES = {
                                           processes_per_cpu=1),
                   6000, 1000, None),
     "dss-chunked": (BASE, dss_workload, 3000, 1000, [900, 2000, 3000]),
+    "oltp-inorder": (BASE.replace(processor=dataclasses.replace(
+        BASE.processor, out_of_order=False)), oltp_workload, 2500, 1000,
+        None),
+    "oltp-sb4-biprefetch": (BASE.replace(stream_buffer_entries=4,
+                                         branch_iprefetch=True),
+                            oltp_workload, 2500, 1000, None),
+    "oltp-all-perfect": (_ALL_PERFECT, oltp_workload, 2500, 1000, None),
+    "oltp-perfect-dcache": (BASE.replace(perfect_dcache=True),
+                            oltp_workload, 2500, 1000, None),
+    "oltp-hints-sb4": (BASE.replace(stream_buffer_entries=4),
+                       functools.partial(oltp_workload, hints=MigratoryHints(
+                           prefetch=True, flush=True)), 2500, 1000, None),
 }
 
 #: Figure 6's SC and PC design points, by the suffix of their case names.
@@ -153,14 +178,24 @@ RESULT_DIGESTS = {
         "9a809f0bbf62d5628c8ef57009d8d1ce17eed6b306c088293f8abbab3779379b",
     "oltp":
         "4d7e58958114aead6b3159a49dee1898a407a989f14343f0bb0f5827271a075d",
+    "oltp-all-perfect":
+        "6b8ae4a86372deba061f8fd9dea18de3bd15f435e6bfa540cb387d503c9c6801",
+    "oltp-hints-sb4":
+        "6a8d32667913d66afdac30fba98d7e60c98b49f35e94423c81f48508208c45b8",
     "oltp-idle":
         "b38b364620b76ccfb7a233d10193f0370c0d3cf51a2e7d96d1efc17fa69c061d",
+    "oltp-inorder":
+        "e64b045b363790189d47882e76c567230ed60621443dfd913d816c777f61f6d3",
     "oltp-pc-prefetch":
         "e33855345cb4a4c8d7e4f0c820aa6563c528df681c78c01dfeb11bb8b1995370",
     "oltp-pc-speculat":
         "096c3b50d007964633b09e65ad8c90a8579b5f38e0d1daf86ab85e79fc58d6c1",
     "oltp-pc-straight":
         "64db0f2138b00a74a1f47413c44a86d31aae6abc721edf061f7ce943d047c587",
+    "oltp-perfect-dcache":
+        "287019fa2bef3c3b5c5452023d21b2db2c1c33ce6689804096da4cc1be700d40",
+    "oltp-sb4-biprefetch":
+        "0da8838a707839601e63bf28eae622238cd220b0976090bea25f6a01c2f9c205",
     "oltp-sc-prefetch":
         "2d26f76c4ef30e9697c51335cbfe8898490fbd4400ea555d72356d4b7339b32c",
     "oltp-sc-speculat":

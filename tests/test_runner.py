@@ -6,6 +6,7 @@ SimulationResult round-trip serialization, and the on-disk cache.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -14,8 +15,9 @@ import repro.run
 from repro.core.experiment import SimulationResult, run_simulation
 from repro.core.sweep import seed_sweep
 from repro.core.workloads import dss_workload, oltp_workload
-from repro.params import default_system
-from repro.run import JobSpec, ResultCache, RunReport, WorkloadSpec, run_many
+from repro.params import ConsistencyImpl, ConsistencyModel, default_system
+from repro.run import (MANIFEST_NAME, JobSpec, ResultCache, RunReport,
+                       SweepManifest, WorkloadSpec, run_many)
 from repro.run import jobs as jobs_mod
 
 TINY = dict(instructions=2500, warmup=2500)
@@ -205,6 +207,127 @@ class TestResultCache:
         monkeypatch.setattr(jobs_mod, "MODEL_VERSION",
                             jobs_mod.MODEL_VERSION + 1)
         assert cache.get(tiny_spec()) is None
+
+
+def _rc(impl):
+    """A tiny OLTP spec on the default RC machine with ``impl``."""
+    return JobSpec(default_system(consistency_impl=impl), WorkloadSpec("oltp"),
+                   **TINY)
+
+
+def _without_params(result):
+    data = result.to_dict()
+    del data["params"]
+    return data
+
+
+class TestCanonicalKey:
+    """Jobs whose machines differ only in fields the model never reads
+    share one cache key, one entry and one simulation."""
+
+    def test_canonical_resets_only_unread_fields(self):
+        for model in ConsistencyModel:
+            for impl in ConsistencyImpl:
+                params = default_system(consistency=model,
+                                        consistency_impl=impl)
+                canonical = params.canonical()
+                if model is ConsistencyModel.RC:
+                    assert canonical == default_system(consistency=model)
+                else:
+                    assert canonical is params
+
+    def test_rc_implementations_share_one_fingerprint(self):
+        keys = {impl: _rc(impl).fingerprint() for impl in ConsistencyImpl}
+        assert len(set(keys.values())) == 1
+        sc = {JobSpec(default_system(consistency=ConsistencyModel.SC,
+                                     consistency_impl=impl),
+                      WorkloadSpec("oltp"), **TINY).fingerprint()
+              for impl in ConsistencyImpl}
+        assert len(sc) == 3
+        # Canonical params leave every other key as it was.
+        job = _rc(ConsistencyImpl.STRAIGHTFORWARD).to_dict()
+        text = json.dumps({"model_version": jobs_mod.MODEL_VERSION,
+                           "job": job}, sort_keys=True,
+                          separators=(",", ":"))
+        assert keys[ConsistencyImpl.STRAIGHTFORWARD] == \
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_hit_carries_the_requesting_params(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        straight = _rc(ConsistencyImpl.STRAIGHTFORWARD)
+        result = straight.run()
+        cache.put(straight, result)
+        prefetch = _rc(ConsistencyImpl.PREFETCH)
+        hit = cache.get(prefetch)
+        assert hit is not None and cache.hits == 1
+        assert hit.params == prefetch.params
+        assert _without_params(hit) == _without_params(result)
+        assert len(cache) == 1
+
+    def test_run_many_simulates_each_key_once(self, tmp_path, monkeypatch):
+        from repro.run import forkserver
+        calls = []
+        original = forkserver.run_entry
+
+        def counted(job, *args):
+            calls.append(job)
+            return original(job, *args)
+        monkeypatch.setattr(forkserver, "run_entry", counted)
+        sc = tiny_spec(consistency=ConsistencyModel.SC)
+        specs = [_rc(ConsistencyImpl.PREFETCH), sc,
+                 _rc(ConsistencyImpl.STRAIGHTFORWARD),
+                 _rc(ConsistencyImpl.SPECULATIVE)]
+        manifest = SweepManifest(tmp_path / MANIFEST_NAME)
+        report = run_many(specs, jobs=1, cache=ResultCache(tmp_path),
+                          manifest=manifest, resume=False)
+        assert len(calls) == 2
+        assert [o.spec for o in report.outcomes] == specs
+        assert [o.result.params for o in report.outcomes] == \
+            [spec.params for spec in specs]
+        assert [o.cached for o in report.outcomes] == \
+            [False, False, True, True]
+        assert [o.attempts for o in report.outcomes] == [1, 1, 0, 0]
+        leader = _without_params(report.outcomes[0].result)
+        for outcome in report.outcomes[2:]:
+            assert _without_params(outcome.result) == leader
+            assert outcome.wall_time == 0.0
+        assert report.simulated_instructions == 2 * (TINY["instructions"]
+                                                     + TINY["warmup"])
+        record = manifest.get(specs[0].fingerprint())
+        assert record.status == "done" and record.attempts == 1
+        assert manifest.total_attempts() == 2 and len(manifest) == 2
+        assert len(ResultCache(tmp_path)) == 2
+
+    def test_refill_precedes_the_bookkeeping(self, tmp_path, monkeypatch):
+        """A freed pool slot gets its next chunk before the parent puts
+        the outcome that freed it.  (A single slot runs in process,
+        where each job is recorded before the next one runs, so the
+        pool here has two workers for three jobs.)"""
+        from concurrent.futures import Future
+
+        from repro.run import forkserver
+        log = []
+
+        class InlinePool:
+            def submit(self, fn, payload):
+                log.append(("submit", payload["jobs"][0]["job"]["seed"]))
+                future = Future()
+                future.set_result(fn(payload))
+                return future
+        monkeypatch.setattr(forkserver, "get_pool",
+                            lambda jobs: InlinePool())
+        original_put = ResultCache.put
+
+        def logged_put(self, spec, result):
+            log.append(("put", spec.seed))
+            return original_put(self, spec, result)
+        monkeypatch.setattr(ResultCache, "put", logged_put)
+        specs = [tiny_spec(seed=s) for s in range(3)]
+        report = run_many(specs, jobs=2, cache=ResultCache(tmp_path))
+        assert not report.failures and not report.fell_back_to_serial
+        assert log.index(("submit", 2)) < log.index(("put", 0))
+        assert sorted(log) == sorted([("submit", s) for s in range(3)]
+                                     + [("put", s) for s in range(3)])
 
 
 class TestRunnerDefaults:
