@@ -12,17 +12,13 @@ the OLTP benefit; read-miss overlap is low (dependent loads).
 
 from conftest import run_once
 
-from repro.core.figures import (
-    figure_ilp_issue_width,
-    figure_ilp_mshrs,
-    figure_ilp_window,
-)
+from repro.core.figures import run_figure
 
 
 def test_figure2a_issue_width(benchmark, oltp_sizes):
     instr, warm = oltp_sizes
-    fig = run_once(benchmark, lambda: figure_ilp_issue_width(
-        "oltp", instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "2a", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     speedup = fig.normalized("inorder-1w") / fig.normalized("ooo-4w")
@@ -39,8 +35,8 @@ def test_figure2a_issue_width(benchmark, oltp_sizes):
 
 def test_figure2b_window_size(benchmark, oltp_sizes):
     instr, warm = oltp_sizes
-    fig = run_once(benchmark, lambda: figure_ilp_window(
-        "oltp", instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "2b", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     # Right-hand side of Figure 2(b): read-stall magnification.
@@ -69,8 +65,8 @@ def test_figure2b_window_size(benchmark, oltp_sizes):
 
 def test_figure2cdefg_mshrs(benchmark, oltp_sizes):
     instr, warm = oltp_sizes
-    fig = run_once(benchmark, lambda: figure_ilp_mshrs(
-        "oltp", instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "2c", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     # Two outstanding misses achieve most of the OLTP benefit.

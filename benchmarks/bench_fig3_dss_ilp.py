@@ -8,17 +8,13 @@ write overlap under the relaxed model.
 
 from conftest import run_once
 
-from repro.core.figures import (
-    figure_ilp_issue_width,
-    figure_ilp_mshrs,
-    figure_ilp_window,
-)
+from repro.core.figures import run_figure
 
 
 def test_figure3a_issue_width(benchmark, dss_sizes):
     instr, warm = dss_sizes
-    fig = run_once(benchmark, lambda: figure_ilp_issue_width(
-        "dss", instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "3a", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     speedup = fig.normalized("inorder-1w") / fig.normalized("ooo-4w")
@@ -35,8 +31,8 @@ def test_figure3a_issue_width(benchmark, dss_sizes):
 
 def test_figure3b_window_size(benchmark, dss_sizes):
     instr, warm = dss_sizes
-    fig = run_once(benchmark, lambda: figure_ilp_window(
-        "dss", instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "3b", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
     gain_16_32 = fig.normalized("win-16") - fig.normalized("win-32")
     gain_32_128 = fig.normalized("win-32") - fig.normalized("win-128")
@@ -53,8 +49,8 @@ def test_figure3b_window_size(benchmark, dss_sizes):
 
 def test_figure3cdefg_mshrs(benchmark, dss_sizes):
     instr, warm = dss_sizes
-    fig = run_once(benchmark, lambda: figure_ilp_mshrs(
-        "dss", instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "3c", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     # DSS exploits more outstanding misses than OLTP (4 vs 2).

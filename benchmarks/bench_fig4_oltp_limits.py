@@ -10,13 +10,13 @@ the dominant component.
 
 from conftest import run_once
 
-from repro.core.figures import figure4
+from repro.core.figures import run_figure
 
 
 def test_figure4_limits(benchmark, oltp_sizes):
     instr, warm = oltp_sizes
-    fig = run_once(benchmark,
-                   lambda: figure4(instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "4", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     base = fig.normalized("base")

@@ -9,15 +9,15 @@ larger read components.
 import pytest
 from conftest import run_once
 
-from repro.core.figures import figure5
+from repro.core.figures import run_figure
 from repro.stats.breakdown import INSTR, READ_DIRTY
 
 
 @pytest.mark.parametrize("workload", ["oltp", "dss"])
 def test_figure5(benchmark, workload, oltp_sizes, dss_sizes):
     instr, warm = oltp_sizes if workload == "oltp" else dss_sizes
-    fig = run_once(benchmark, lambda: figure5(
-        workload, instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        f"5 {workload}", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     up = fig.row("uniprocessor").result.breakdown

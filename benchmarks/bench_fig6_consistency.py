@@ -13,14 +13,14 @@ across implementations.
 import pytest
 from conftest import run_once
 
-from repro.core.figures import figure6
+from repro.core.figures import run_figure
 
 
 @pytest.mark.parametrize("workload", ["oltp", "dss"])
 def test_figure6(benchmark, workload, oltp_sizes, dss_sizes):
     instr, warm = oltp_sizes if workload == "oltp" else dss_sizes
-    fig = run_once(benchmark, lambda: figure6(
-        workload, instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        f"6 {workload}", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     sc_plain = fig.normalized("SC-straight")

@@ -12,13 +12,13 @@ contention); uniprocessor gains are larger (22-27%).
 
 from conftest import run_once
 
-from repro.core.figures import figure7a
+from repro.core.figures import run_figure
 
 
 def test_figure7a_stream_buffer(benchmark, oltp_sizes):
     instr, warm = oltp_sizes
-    fig = run_once(benchmark,
-                   lambda: figure7a(instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "7a", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     base = fig.normalized("base")
@@ -51,8 +51,8 @@ def test_figure7a_uniprocessor(benchmark, oltp_sizes):
     """Uniprocessor variant: instruction stall is a larger share, so the
     stream buffer helps even more (paper: 22-27%)."""
     instr, warm = oltp_sizes
-    fig = run_once(benchmark, lambda: figure7a(
-        instructions=max(4000, instr // 3),
-        warmup=max(4000, warm // 3), uniprocessor=True))
+    fig = run_once(benchmark, lambda: run_figure(
+        "7a up", instructions=max(4000, instr // 3),
+        warmup=max(4000, warm // 3)))
     print("\n" + fig.format_table())
     assert fig.normalized("streambuf-4") < fig.normalized("base")

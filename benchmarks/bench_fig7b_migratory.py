@@ -12,14 +12,14 @@ critical-section entry reaches ~12% total.
 
 from conftest import run_once
 
-from repro.core.figures import figure7b
+from repro.core.figures import run_figure
 from repro.stats.breakdown import READ_DIRTY
 
 
 def test_figure7b_migratory_hints(benchmark, oltp_sizes):
     instr, warm = oltp_sizes
-    fig = run_once(benchmark,
-                   lambda: figure7b(instructions=instr, warmup=warm))
+    fig = run_once(benchmark, lambda: run_figure(
+        "7b", instructions=instr, warmup=warm))
     print("\n" + fig.format_table())
 
     base = fig.normalized("base+sb4")

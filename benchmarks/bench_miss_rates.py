@@ -14,7 +14,7 @@ values next to the paper's.
 
 from conftest import BENCH_SIZES, run_once
 
-from repro.core.figures import characterization_table
+from repro.core.figures import FIGURES, characterization_table
 
 PAPER = {
     "oltp": {"l1i_miss_rate": 0.076, "l1d_miss_rate": 0.141,
@@ -27,7 +27,8 @@ PAPER = {
 
 
 def test_characterization_table(benchmark):
-    instr, warm = BENCH_SIZES["oltp"]
+    # Both workloads run at the characterization entry's (OLTP) sizes.
+    instr, warm = BENCH_SIZES[FIGURES["characterize"].workload]
     table = run_once(benchmark, lambda: characterization_table(
         instructions=instr, warmup=warm))
 

@@ -13,7 +13,9 @@ Usage::
     python -m repro sweep [oltp|dss|tpcc]       # seed sweep
     python -m repro gc [--dry-run]              # evict what no reader can use
 
-``--quick`` runs small simulations (~seconds each) for smoke testing;
+``figure`` and ``report`` are lookups in ``repro.core.figures.FIGURES``
+(figures 5 and 6 take a workload, default OLTP).  ``--quick`` runs its
+small ``SIZES["quick"]`` simulations (~seconds each) for smoke testing;
 the defaults match the benchmark harness.  ``validate``, ``check`` and
 ``lint`` exit nonzero on any failure, so they gate CI directly.
 
@@ -68,13 +70,12 @@ import repro.run as run
 from repro.core import figures as F
 from repro.stats.render import render_figure
 
-_QUICK_SIZES = {"oltp": (12_000, 20_000), "dss": (10_000, 16_000)}
+#: Kept for perfbench only; removed with ROADMAP item 6.
+_QUICK_SIZES = F.SIZES["quick"]
 
 
 def _sizes(workload: str, quick: bool):
-    if quick:
-        return _QUICK_SIZES[workload]
-    return F.RUN_SIZES[workload]
+    return F.SIZES["quick" if quick else "full"][workload]
 
 
 def _print_figure(fig) -> None:
@@ -83,10 +84,19 @@ def _print_figure(fig) -> None:
              row.result.breakdown.summary_row()) for row in fig.rows]
     print(render_figure(rows))
     print()
+    for name, dist in fig.extras.items():
+        row = " ".join(f">={n}:{v:.2f}" for n, v in dist.items())
+        print(f"  {name}: {row}")
+
+
+def _show(key: str, quick: bool) -> None:
+    """Run ``FIGURES[key]`` at its workload's sizes and print it."""
+    _print_figure(F.run_figure(key, *_sizes(F.FIGURES[key].workload,
+                                            quick)))
 
 
 def cmd_characterize(quick: bool) -> None:
-    instr, warm = _sizes("oltp", quick)
+    instr, warm = _sizes(F.FIGURES["characterize"].workload, quick)
     table = F.characterization_table(instructions=instr, warmup=warm)
     print("== In-text characterization ==")
     for name, row in table.items():
@@ -99,39 +109,23 @@ def cmd_characterize(quick: bool) -> None:
 
 
 def cmd_figure(which: str, workload: Optional[str], quick: bool) -> None:
-    wl = workload or "oltp"
-    instr, warm = _sizes(wl if which not in ("4", "7a", "7b") else "oltp",
-                         quick)
-    if which in ("2a", "3a"):
-        wl = "oltp" if which.startswith("2") else "dss"
-        instr, warm = _sizes(wl, quick)
-        _print_figure(F.figure_ilp_issue_width(wl, instr, warm))
-    elif which in ("2b", "3b"):
-        wl = "oltp" if which.startswith("2") else "dss"
-        instr, warm = _sizes(wl, quick)
-        _print_figure(F.figure_ilp_window(wl, instr, warm))
-    elif which in ("2c", "3c"):
-        wl = "oltp" if which.startswith("2") else "dss"
-        instr, warm = _sizes(wl, quick)
-        fig = F.figure_ilp_mshrs(wl, instr, warm)
-        _print_figure(fig)
-        for key, dist in fig.extras.items():
-            row = " ".join(f">={n}:{v:.2f}" for n, v in dist.items())
-            print(f"  {key}: {row}")
-    elif which == "4":
-        _print_figure(F.figure4(instr, warm))
-    elif which == "5":
-        instr, warm = _sizes(wl, quick)
-        _print_figure(F.figure5(wl, instr, warm))
-    elif which == "6":
-        instr, warm = _sizes(wl, quick)
-        _print_figure(F.figure6(wl, instr, warm))
-    elif which == "7a":
-        _print_figure(F.figure7a(instr, warm))
-    elif which == "7b":
-        _print_figure(F.figure7b(instr, warm))
-    else:
-        raise SystemExit(f"unknown figure {which!r}")
+    """Show ``FIGURES[which]``, or ``FIGURES["which workload"]``; a
+    figure of one fixed workload rejects the other."""
+    entry = F.FIGURES.get(which)
+    if entry is None:
+        key = f"{which} {workload or 'oltp'}"
+        if key not in F.FIGURES:
+            raise SystemExit(f"unknown figure {which!r}")
+        which = key
+    elif workload and workload != entry.workload:
+        twin = next((k for k, e in F.FIGURES.items()
+                     if e.workload == workload and e.title == entry.title),
+                    None)
+        where = (f"{workload.upper()} is figure {twin}" if twin
+                 else f"there is no {workload.upper()} figure {which}")
+        raise SystemExit(f"figure {which} is {entry.workload.upper()}; "
+                         f"{where}")
+    _show(which, quick)
 
 
 def cmd_report(quick: bool) -> None:
@@ -144,14 +138,9 @@ def cmd_report(quick: bool) -> None:
     with run_profile.phase("characterize"):
         cmd_characterize(quick)
     print()
-    for which, workload in (("2a", None), ("2b", None), ("2c", None),
-                            ("3a", None), ("3b", None), ("3c", None),
-                            ("4", None), ("5", "oltp"), ("5", "dss"),
-                            ("6", "oltp"), ("6", "dss"),
-                            ("7a", None), ("7b", None)):
-        label = f"figure {which}" + (f" {workload}" if workload else "")
-        with run_profile.phase(label):
-            cmd_figure(which, workload, quick)
+    for key in F.REPORT:
+        with run_profile.phase(f"figure {key}"):
+            _show(key, quick)
     cache = run.shared_cache()
     if cache is not None:
         print(cache.format_stats())

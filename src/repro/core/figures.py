@@ -1,38 +1,29 @@
 """Reproductions of every table and figure in the paper's evaluation.
 
-Each ``figure*`` function runs the simulations behind one figure and
-returns a :class:`FigureResult` whose rows mirror the paper's bars:
-normalized execution time with the paper's breakdown components.  The
-benchmark harness under ``benchmarks/`` prints these tables; EXPERIMENTS.md
-records paper-vs-measured values.
-
-All functions accept ``instructions``/``warmup`` overrides so tests can run
-quick versions; the defaults are sized for stable statistics on the scaled
-system.
+:data:`FIGURES` declares every bar the evaluation shows, as plain data:
+importing this module builds no machine.  :func:`plan` turns an entry
+into its :class:`JobSpec` list without simulating; :func:`run_figure`
+runs it and returns a :class:`FigureResult` whose rows mirror the
+paper's bars (normalized execution time with the breakdown components).
+``repro report`` runs ``"characterize"`` and then :data:`REPORT`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.experiment import SimulationResult
-from repro.core.optimizations import migratory_hints
 from repro.run import JobSpec, WorkloadSpec, run_many
-from repro.params import (
-    ConsistencyImpl,
-    ConsistencyModel,
-    SystemParams,
-    TlbParams,
-    default_system,
-)
+from repro.params import ConsistencyImpl, ConsistencyModel, default_system
 from repro.stats.sharing import sharing_characterization
 
-#: Default measurement sizes per workload (instructions, warmup).
-RUN_SIZES = {
-    "oltp": (100_000, 250_000),
-    "dss": (50_000, 200_000),
+#: (instructions, warmup) per workload: ``"full"`` is the benchmark-sized
+#: default, ``"quick"`` the ``--quick`` smoke size.
+SIZES = {
+    "full": {"oltp": (100_000, 250_000), "dss": (50_000, 200_000)},
+    "quick": {"oltp": (12_000, 20_000), "dss": (10_000, 16_000)},
 }
 
 
@@ -44,11 +35,6 @@ class FigureRow:
     result: SimulationResult
     normalized: float
 
-    def components(self) -> Dict[str, float]:
-        """Paper bar segments scaled to the normalized height."""
-        shares = self.result.breakdown.summary_row()
-        return {k: v * self.normalized for k, v in shares.items()}
-
 
 @dataclass
 class FigureResult:
@@ -56,7 +42,7 @@ class FigureResult:
 
     Configurations whose job exhausted its retries are *gaps*: they get
     no :class:`FigureRow` but are listed (label -> error text) in
-    ``extras["failed"]`` and rendered as explicit ``FAILED`` lines, so a
+    :attr:`failed` and rendered as explicit ``FAILED`` lines, so a
     partially-failed sweep still produces every bar it can.
     """
 
@@ -64,6 +50,7 @@ class FigureResult:
     title: str
     rows: List[FigureRow] = field(default_factory=list)
     extras: Dict[str, object] = field(default_factory=dict)
+    failed: Dict[str, str] = field(default_factory=dict)
 
     def row(self, label: str) -> FigureRow:
         for row in self.rows:
@@ -73,14 +60,6 @@ class FigureResult:
 
     def normalized(self, label: str) -> float:
         return self.row(label).normalized
-
-    @property
-    def failed(self) -> Dict[str, str]:
-        """Labels that produced no bar, with their last error text."""
-        return self.extras.get("failed", {})
-
-    def mark_failed(self, label: str, error: str) -> None:
-        self.extras.setdefault("failed", {})[label] = error
 
     def format_table(self) -> str:
         lines = [f"== {self.figure_id}: {self.title} =="]
@@ -92,281 +71,241 @@ class FigureResult:
         return "\n".join(lines)
 
 
-def _sizes(name: str, instructions: Optional[int],
-           warmup: Optional[int]) -> Tuple[int, int]:
-    default_i, default_w = RUN_SIZES[name]
-    return instructions or default_i, warmup or default_w
+# ---------------------------------------------------------------------------
+# The design-point table
+# ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Bar:
+    """One design point of a figure.
 
-def _workload_spec(name: str, workload_kw: Optional[dict] = None
-                   ) -> WorkloadSpec:
-    """Declarative spec for workload ``name`` built with ``workload_kw``."""
-    kw = dict(workload_kw or {})
-    hints = kw.pop("hints", None)
-    unsupported = set(kw) - {"scale", "processes_per_cpu"}
-    if unsupported:
-        raise ValueError(
-            f"workload kwargs not expressible as a WorkloadSpec: "
-            f"{sorted(unsupported)}")
-    return WorkloadSpec.from_hints(name, hints=hints, **kw)
-
-
-def _sweep(configs: List[Tuple[str, SystemParams]], workload_name: str,
-           figure_id: str, title: str, instructions: Optional[int],
-           warmup: Optional[int], seed: int = 0,
-           workload_kw: Optional[dict] = None) -> FigureResult:
-    """Run one workload across configurations; normalize to the first.
-
-    Runs go through :func:`repro.run.run_many`, so they fan out across
-    worker processes and hit the persistent result cache when the
-    process-wide runner is configured that way (``repro.run.configure``);
-    result order -- and therefore normalization -- is identical to the
-    old serial loop.
+    ``delta`` maps dotted :class:`SystemParams` field names to values
+    over the entry's base machine.  ``hints`` are :class:`WorkloadSpec`
+    hint fields (``hints_flush``, ``hints_prefetch``); ``workload``
+    overrides the entry's workload for this bar; ``size`` scales the
+    entry's (instructions, warmup), each floored at 2000.
     """
-    instructions, warmup = _sizes(workload_name, instructions, warmup)
-    wspec = _workload_spec(workload_name, workload_kw)
-    specs = [JobSpec(params, wspec, instructions=instructions,
-                     warmup=warmup, seed=seed) for _label, params in configs]
-    report = run_many(specs)
-    out = FigureResult(figure_id, title)
+
+    label: str
+    delta: Mapping[str, object] = field(default_factory=dict)
+    hints: Mapping[str, bool] = field(default_factory=dict)
+    workload: Optional[str] = None
+    size: Optional[Tuple[float, float]] = None
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One table entry: a figure (part) and the bars it shows.
+
+    Run sizes come from ``SIZES[mode][workload]``.  With ``normalize``
+    each bar's height is its execution time over the first surviving
+    bar's; without it every height is 1.0.  ``extras`` computes extra
+    named series from the last bar's result, when that bar survived.
+    """
+
+    figure_id: str
+    title: str
+    workload: str
+    bars: Tuple[Bar, ...]
+    base: Mapping[str, object] = field(default_factory=dict)
+    normalize: bool = True
+    extras: Optional[Callable[[SimulationResult], Dict[str, object]]] = None
+
+
+def with_delta(params, delta: Mapping[str, object]):
+    """``params`` with the dotted-name changes of ``delta`` applied.
+
+    All changes to one nested dataclass are applied in one replace, so
+    validation sees only the final machine.  An unknown name raises
+    :class:`ValueError`.
+    """
+    flat: Dict[str, object] = {}
+    nested: Dict[str, Dict[str, object]] = {}
+    names = {f.name for f in dataclasses.fields(params)}
+    for name, value in delta.items():
+        head, _, rest = name.partition(".")
+        if head not in names or (rest and not dataclasses.is_dataclass(
+                getattr(params, head))):
+            raise ValueError(f"unknown parameter {name!r} for "
+                             f"{type(params).__name__}")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            flat[head] = value
+    for head, changes in nested.items():
+        flat[head] = with_delta(getattr(params, head), changes)
+    return dataclasses.replace(params, **flat)
+
+
+def _mshr_occupancy(rich: SimulationResult) -> Dict[str, object]:
+    """Figures 2/3 (d)-(g): MSHR occupancy of the 8-MSHR run."""
+    return {
+        "l1d_occupancy_all": rich.l1d_mshr.distribution(),
+        "l1d_occupancy_reads": rich.l1d_mshr.distribution(reads_only=True),
+        "l2_occupancy_all": rich.l2_mshr.distribution(),
+        "l2_occupancy_reads": rich.l2_mshr.distribution(reads_only=True),
+    }
+
+
+_ISSUE_WIDTH = tuple(
+    Bar(f"{kind}-{width}w", {"processor.out_of_order": ooo,
+                             "processor.issue_width": width})
+    for kind, ooo in (("inorder", False), ("ooo", True))
+    for width in (1, 2, 4, 8))
+_WINDOW = tuple(Bar(f"win-{size}", {"processor.window_size": size})
+                for size in (16, 32, 64, 128))
+_MSHRS = tuple(Bar(f"mshr-{n}", {"l1d.mshrs": n, "l2.mshrs": n})
+               for n in (1, 2, 4, 8))
+_PERFECT_ICACHE = {"perfect_icache": True}
+_ALL_PERFECT = {
+    **_PERFECT_ICACHE, "bpred.perfect": True, "itlb.perfect": True,
+    "dtlb.perfect": True, "processor.infinite_functional_units": True,
+    "processor.window_size": 128}
+_UNIPROCESSOR = {"n_nodes": 1, "mesh_width": 1}
+# Equal per-CPU work on both machines, with 5x warmup so the (shared)
+# code and SGA footprints are cache-steady in both: the paper compares
+# steady-state component shares, and the instruction-share claim only
+# emerges once the code is fully L2-resident on every node.
+_UP_VS_MP = (Bar("uniprocessor", _UNIPROCESSOR, size=(0.25, 1.25)),
+             Bar("multiprocessor", size=(1.0, 5.0)))
+_CONSISTENCY = tuple(
+    Bar(f"{model.name}-{impl.name.lower()[:8]}",
+        {"consistency": model, "consistency_impl": impl})
+    for impl in ConsistencyImpl
+    for model in (ConsistencyModel.SC, ConsistencyModel.PC,
+                  ConsistencyModel.RC))
+_STREAM_BUFFER = (
+    Bar("base"),
+    *(Bar(f"streambuf-{n}", {"stream_buffer_entries": n})
+      for n in (2, 4, 8)),
+    Bar("perfect-icache", _PERFECT_ICACHE),
+    Bar("perfect-icache+itlb", {**_PERFECT_ICACHE, "itlb.perfect": True}))
+
+
+def _ilp(number: str, workload: str) -> Dict[str, Figure]:
+    """Figure 2 (OLTP) or 3 (DSS): the three ILP sweeps."""
+    return {
+        f"{number}a": Figure(f"Figure {number}(a)",
+                             "issue width, in-order vs OOO", workload,
+                             _ISSUE_WIDTH),
+        f"{number}b": Figure(f"Figure {number}(b)",
+                             "instruction window size", workload, _WINDOW),
+        f"{number}c": Figure(f"Figure {number}(c-g)",
+                             "outstanding misses (MSHRs)", workload,
+                             _MSHRS, extras=_mshr_occupancy),
+    }
+
+
+#: Every figure of the evaluation, by the key ``repro figure`` takes.
+FIGURES: Dict[str, Figure] = {
+    # Section 3.1/3.2/4.2 text statistics.  Both workloads run at the
+    # OLTP sizes (the entry's workload); each bar names its own.
+    "characterize": Figure(
+        "Characterization", "in-text statistics, both workloads at "
+        "OLTP sizes", "oltp",
+        (Bar("oltp", workload="oltp"), Bar("dss", workload="dss")),
+        normalize=False),
+    **_ilp("2", "oltp"),
+    **_ilp("3", "dss"),
+    "4": Figure("Figure 4", "factors limiting performance", "oltp", (
+        Bar("base"),
+        Bar("infinite-fu", {"processor.infinite_functional_units": True}),
+        Bar("perfect-bpred", {"bpred.perfect": True}),
+        Bar("perfect-icache", _PERFECT_ICACHE),
+        Bar("128win-all-perfect", _ALL_PERFECT))),
+    **{f"5 {workload}": Figure(
+        "Figure 5", "uniprocessor vs multiprocessor component shares",
+        workload, _UP_VS_MP, normalize=False)
+       for workload in ("oltp", "dss")},
+    **{f"6 {workload}": Figure("Figure 6", "consistency implementations",
+                               workload, _CONSISTENCY)
+       for workload in ("oltp", "dss")},
+    "7a": Figure("Figure 7(a)", "instruction stream buffer", "oltp",
+                 _STREAM_BUFFER),
+    "7a up": Figure("Figure 7(a)",
+                    "instruction stream buffer (uniprocessor)", "oltp",
+                    _STREAM_BUFFER, base=_UNIPROCESSOR),
+    # All bars with a 4-entry stream buffer, as in the paper; the bound
+    # serves migratory dirty reads 40% faster.
+    "7b": Figure("Figure 7(b)", "migratory flush / prefetch hints", "oltp", (
+        Bar("base+sb4"),
+        Bar("flush", hints={"hints_flush": True}),
+        Bar("bound-40pct", {"migratory_read_speedup": 0.4}),
+        Bar("flush+prefetch",
+            hints={"hints_prefetch": True, "hints_flush": True})),
+        base={"stream_buffer_entries": 4}),
+}
+
+#: The figures ``repro report`` prints after the characterization, in order.
+REPORT = ("2a", "2b", "2c", "3a", "3b", "3c", "4", "5 oltp", "5 dss",
+          "6 oltp", "6 dss", "7a", "7b")
+
+
+def plan(key: str, instructions: Optional[int] = None,
+         warmup: Optional[int] = None, seed: int = 0) -> List[JobSpec]:
+    """The jobs behind ``FIGURES[key]``, one per bar, without simulating.
+    Sizes default to ``SIZES["full"]`` of the entry's workload."""
+    entry = FIGURES[key]
+    default_i, default_w = SIZES["full"][entry.workload]
+    instructions, warmup = instructions or default_i, warmup or default_w
+    base = with_delta(default_system(), entry.base)
+    specs = []
+    for bar in entry.bars:
+        n_instr, n_warm = instructions, warmup
+        if bar.size is not None:
+            n_instr = max(2000, int(instructions * bar.size[0]))
+            n_warm = max(2000, int(warmup * bar.size[1]))
+        specs.append(JobSpec(
+            with_delta(base, bar.delta),
+            WorkloadSpec(bar.workload or entry.workload, **bar.hints),
+            instructions=n_instr, warmup=n_warm, seed=seed))
+    return specs
+
+
+def run_figure(key: str, instructions: Optional[int] = None,
+               warmup: Optional[int] = None, seed: int = 0
+               ) -> FigureResult:
+    """Run ``FIGURES[key]`` and build its :class:`FigureResult`.
+
+    The jobs go through this module's ``run_many`` global, so they fan
+    out and hit the result cache as ``repro.run.configure`` set up, and
+    a caller that swaps ``figures.run_many`` sees every report.
+    """
+    entry = FIGURES[key]
+    report = run_many(plan(key, instructions, warmup, seed))
+    out = FigureResult(entry.figure_id,
+                       f"{entry.workload.upper()}: {entry.title}")
     base_time = None
-    for (label, _params), outcome in zip(configs, report.outcomes):
+    for bar, outcome in zip(entry.bars, report.outcomes):
         if outcome.failed:
             # Explicit gap: the sweep survived this job's failure, and
             # the figure says so instead of silently renumbering bars.
-            out.mark_failed(label, outcome.error)
-            continue
-        result = outcome.result
-        if base_time is None:
-            # Normalize to the first *surviving* configuration.
-            base_time = result.execution_time
-        out.rows.append(FigureRow(label, result,
-                                  result.execution_time / base_time))
-    return out
-
-
-def _with_processor(params: SystemParams, **changes) -> SystemParams:
-    return params.replace(
-        processor=dataclasses.replace(params.processor, **changes))
-
-
-def _with_mshrs(params: SystemParams, n: int) -> SystemParams:
-    return params.replace(
-        l1d=dataclasses.replace(params.l1d, mshrs=n),
-        l2=dataclasses.replace(params.l2, mshrs=n))
-
-
-# ---------------------------------------------------------------------------
-# Figures 2 and 3: impact of ILP features on OLTP / DSS
-# ---------------------------------------------------------------------------
-
-def figure_ilp_issue_width(workload_name: str, instructions: int = None,
-                           warmup: int = None, seed: int = 0,
-                           widths: Tuple[int, ...] = (1, 2, 4, 8)
-                           ) -> FigureResult:
-    """Part (a): in-order vs out-of-order across issue widths."""
-    base = default_system()
-    configs = []
-    for width in widths:
-        configs.append((f"inorder-{width}w", _with_processor(
-            base, out_of_order=False, issue_width=width)))
-    for width in widths:
-        configs.append((f"ooo-{width}w", _with_processor(
-            base, out_of_order=True, issue_width=width)))
-    fig = "Figure 2(a)" if workload_name == "oltp" else "Figure 3(a)"
-    return _sweep(configs, workload_name, fig,
-                  f"{workload_name.upper()}: issue width, in-order vs OOO",
-                  instructions, warmup, seed)
-
-
-def figure_ilp_window(workload_name: str, instructions: int = None,
-                      warmup: int = None, seed: int = 0,
-                      windows: Tuple[int, ...] = (16, 32, 64, 128)
-                      ) -> FigureResult:
-    """Part (b): instruction window size sweep (OOO, 4-way)."""
-    base = default_system()
-    configs = [(f"win-{w}", _with_processor(base, window_size=w))
-               for w in windows]
-    fig = "Figure 2(b)" if workload_name == "oltp" else "Figure 3(b)"
-    return _sweep(configs, workload_name, fig,
-                  f"{workload_name.upper()}: instruction window size",
-                  instructions, warmup, seed)
-
-
-def figure_ilp_mshrs(workload_name: str, instructions: int = None,
-                     warmup: int = None, seed: int = 0,
-                     counts: Tuple[int, ...] = (1, 2, 4, 8)) -> FigureResult:
-    """Parts (c)-(g): outstanding-miss (MSHR) sweep + occupancy
-    distributions for the most aggressive configuration."""
-    base = default_system()
-    configs = [(f"mshr-{n}", _with_mshrs(base, n)) for n in counts]
-    fig = "Figure 2(c-g)" if workload_name == "oltp" else "Figure 3(c-g)"
-    out = _sweep(configs, workload_name, fig,
-                 f"{workload_name.upper()}: outstanding misses (MSHRs)",
-                 instructions, warmup, seed)
-    if not out.rows or out.rows[-1].label != f"mshr-{counts[-1]}":
-        return out  # the occupancy-rich run failed; keep the gap visible
-    rich = out.rows[-1].result  # the 8-MSHR run has full occupancy stats
-    out.extras["l1d_occupancy_all"] = rich.l1d_mshr.distribution()
-    out.extras["l1d_occupancy_reads"] = rich.l1d_mshr.distribution(
-        reads_only=True)
-    out.extras["l2_occupancy_all"] = rich.l2_mshr.distribution()
-    out.extras["l2_occupancy_reads"] = rich.l2_mshr.distribution(
-        reads_only=True)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Figure 4: factors limiting OLTP performance
-# ---------------------------------------------------------------------------
-
-def figure4(instructions: int = None, warmup: int = None,
-            seed: int = 0) -> FigureResult:
-    base = default_system()
-    perfect_tlb = TlbParams(perfect=True)
-    all_perfect = _with_processor(
-        base.replace(perfect_icache=True,
-                     bpred=dataclasses.replace(base.bpred, perfect=True),
-                     itlb=perfect_tlb, dtlb=perfect_tlb),
-        infinite_functional_units=True, window_size=128)
-    configs = [
-        ("base", base),
-        ("infinite-fu", _with_processor(base,
-                                        infinite_functional_units=True)),
-        ("perfect-bpred", base.replace(
-            bpred=dataclasses.replace(base.bpred, perfect=True))),
-        ("perfect-icache", base.replace(perfect_icache=True)),
-        ("128win-all-perfect", all_perfect),
-    ]
-    return _sweep(configs, "oltp", "Figure 4",
-                  "OLTP: factors limiting performance",
-                  instructions, warmup, seed)
-
-
-# ---------------------------------------------------------------------------
-# Figure 5: uniprocessor vs multiprocessor
-# ---------------------------------------------------------------------------
-
-def figure5(workload_name: str, instructions: int = None,
-            warmup: int = None, seed: int = 0) -> FigureResult:
-    """Relative importance of components in UP vs MP systems.
-
-    The uniprocessor keeps the same number of processes per CPU; the
-    comparison is of breakdown *shares*, as in the paper.
-    """
-    mp = default_system()
-    up = default_system(n_nodes=1, mesh_width=1)
-    instructions, warmup = _sizes(workload_name, instructions, warmup)
-    out = FigureResult(
-        "Figure 5", f"{workload_name.upper()}: uniprocessor vs "
-        "multiprocessor component shares")
-    # Equal per-CPU work for both machines, with 5x warmup so the
-    # (shared) code and SGA footprints are cache-steady in both -- the
-    # paper's UP-vs-MP comparison is of steady-state component shares,
-    # and the instruction-share claim only emerges once the code is
-    # fully L2-resident on every node.
-    labelled = (("uniprocessor", up, 0.25), ("multiprocessor", mp, 1.0))
-    wspec = _workload_spec(workload_name)
-    specs = [JobSpec(params, wspec,
-                     instructions=max(2000, int(instructions * scale)),
-                     warmup=max(2000, int(5 * warmup * scale)), seed=seed)
-             for _label, params, scale in labelled]
-    report = run_many(specs)
-    for (label, _params, _scale), outcome in zip(labelled,
-                                                 report.outcomes):
-        if outcome.failed:
-            out.mark_failed(label, outcome.error)
-            continue
-        out.rows.append(FigureRow(label, outcome.result, 1.0))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Figure 6: consistency models and their optimized implementations
-# ---------------------------------------------------------------------------
-
-def figure6(workload_name: str, instructions: int = None,
-            warmup: int = None, seed: int = 0) -> FigureResult:
-    base = default_system()
-    configs = []
-    for impl in (ConsistencyImpl.STRAIGHTFORWARD, ConsistencyImpl.PREFETCH,
-                 ConsistencyImpl.SPECULATIVE):
-        for model in (ConsistencyModel.SC, ConsistencyModel.PC,
-                      ConsistencyModel.RC):
-            label = f"{model.name}-{impl.name.lower()[:8]}"
-            configs.append((label, base.replace(consistency=model,
-                                                consistency_impl=impl)))
-    return _sweep(configs, workload_name, "Figure 6",
-                  f"{workload_name.upper()}: consistency implementations",
-                  instructions, warmup, seed)
-
-
-# ---------------------------------------------------------------------------
-# Figure 7(a): instruction stream buffer
-# ---------------------------------------------------------------------------
-
-def figure7a(instructions: int = None, warmup: int = None, seed: int = 0,
-             uniprocessor: bool = False) -> FigureResult:
-    base = default_system()
-    if uniprocessor:
-        base = default_system(n_nodes=1, mesh_width=1)
-    configs = [
-        ("base", base),
-        ("streambuf-2", base.replace(stream_buffer_entries=2)),
-        ("streambuf-4", base.replace(stream_buffer_entries=4)),
-        ("streambuf-8", base.replace(stream_buffer_entries=8)),
-        ("perfect-icache", base.replace(perfect_icache=True)),
-        ("perfect-icache+itlb", base.replace(
-            perfect_icache=True, itlb=TlbParams(perfect=True))),
-    ]
-    title = "OLTP: instruction stream buffer"
-    if uniprocessor:
-        title += " (uniprocessor)"
-    return _sweep(configs, "oltp", "Figure 7(a)", title,
-                  instructions, warmup, seed)
-
-
-# ---------------------------------------------------------------------------
-# Figure 7(b): software prefetch + flush for migratory data
-# ---------------------------------------------------------------------------
-
-def figure7b(instructions: int = None, warmup: int = None,
-             seed: int = 0) -> FigureResult:
-    """Base (4-entry stream buffer), +flush, +flush+prefetch, and the
-    reduced-migratory-latency bound (all with the stream buffer, as in
-    the paper)."""
-    base = default_system(stream_buffer_entries=4)
-    instructions, warmup = _sizes("oltp", instructions, warmup)
-    out = FigureResult("Figure 7(b)",
-                       "OLTP: migratory flush / prefetch hints")
-    variants = [
-        ("base+sb4", base, None),
-        ("flush", base, migratory_hints(prefetch=False, flush=True)),
-        ("bound-40pct", base.replace(migratory_read_speedup=0.4), None),
-        ("flush+prefetch", base,
-         migratory_hints(prefetch=True, flush=True)),
-    ]
-    specs = [JobSpec(params, WorkloadSpec.from_hints("oltp", hints=hints),
-                     instructions=instructions, warmup=warmup, seed=seed)
-             for _label, params, hints in variants]
-    report = run_many(specs)
-    base_time = None
-    for (label, _params, _hints), outcome in zip(variants,
-                                                 report.outcomes):
-        if outcome.failed:
-            out.mark_failed(label, outcome.error)
+            out.failed[bar.label] = outcome.error
             continue
         result = outcome.result
         if base_time is None:
             base_time = result.execution_time
-        out.rows.append(FigureRow(label, result,
-                                  result.execution_time / base_time))
+        out.rows.append(FigureRow(
+            bar.label, result,
+            result.execution_time / base_time if entry.normalize else 1.0))
+    if entry.extras is not None and entry.bars[-1].label not in out.failed:
+        out.extras.update(entry.extras(out.rows[-1].result))
     return out
 
 
-# ---------------------------------------------------------------------------
-# Section 3.1 / 3.2 / 4.2 text statistics
-# ---------------------------------------------------------------------------
+# Kept for perfbench only; removed with ROADMAP item 6.
+def figure_ilp_issue_width(workload, instructions=None, warmup=None, seed=0):
+    return run_figure({"oltp": "2a", "dss": "3a"}[workload], instructions,
+                      warmup, seed)
+
+
+def figure6(workload, instructions=None, warmup=None, seed=0):
+    return run_figure(f"6 {workload}", instructions, warmup, seed)
+
+
+def figure7b(instructions=None, warmup=None, seed=0):
+    return run_figure("7b", instructions, warmup, seed)
+
 
 def characterization_table(instructions: int = None, warmup: int = None,
                            seed: int = 0
@@ -377,21 +316,16 @@ def characterization_table(instructions: int = None, warmup: int = None,
     A workload whose job exhausted its retries maps to ``None`` (an
     explicit gap) instead of aborting the other workload's row.
     """
+    fig = run_figure("characterize", instructions, warmup, seed)
+    results = {row.label: row.result for row in fig.rows}
     out = {}
-    names = ("oltp", "dss")
-    specs = []
-    for name in names:
-        n_instr, n_warm = _sizes(name, instructions, warmup)
-        specs.append(JobSpec(default_system(), _workload_spec(name),
-                             instructions=n_instr, warmup=n_warm,
-                             seed=seed))
-    report = run_many(specs)
-    for name, result in zip(names, report.results):
+    for bar in FIGURES["characterize"].bars:
+        result = results.get(bar.label)
         if result is None:
-            out[name] = None
+            out[bar.label] = None
             continue
         sharing = sharing_characterization(result.coherence)
-        out[name] = {
+        out[bar.label] = {
             "ipc": result.ipc,
             "l1i_miss_rate": result.miss_rates["l1i"],
             "l1d_miss_rate": result.miss_rates["l1d"],

@@ -56,15 +56,6 @@ def render_figure(rows: Iterable[Tuple[str, float, Dict[str, float]]],
     return "\n".join(lines)
 
 
-def render_figure_result(figure, width: int = 60) -> str:
-    """Render a :class:`repro.core.figures.FigureResult`."""
-    rows = [(row.label, row.normalized,
-             row.result.breakdown.summary_row())
-            for row in figure.rows]
-    header = f"== {figure.figure_id}: {figure.title} =="
-    return header + "\n" + render_figure(rows, width)
-
-
 def render_distribution(dist: Dict[int, float], width: int = 40,
                         title: str = "") -> str:
     """Render an MSHR occupancy distribution as a histogram."""

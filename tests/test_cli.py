@@ -4,11 +4,12 @@ import pytest
 
 import repro.cli as cli
 import repro.run
+from repro.core import figures as F
 
 
 @pytest.fixture(autouse=True)
 def tiny_sizes(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "_QUICK_SIZES",
+    monkeypatch.setitem(F.SIZES, "quick",
                         {"oltp": (3000, 3000), "dss": (3000, 3000)})
     # The CLI enables the persistent cache by default; keep test runs
     # isolated in a throwaway directory and restore the previous state.
@@ -40,6 +41,35 @@ class TestCli:
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             cli.main(["--quick", "figure", "99"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["2a", "dss"], "figure 2a is OLTP; DSS is figure 3a"),
+        (["3c", "oltp"], "figure 3c is DSS; OLTP is figure 2c"),
+        (["7b", "dss"], "figure 7b is OLTP; there is no DSS figure 7b"),
+    ])
+    def test_fixed_workload_figure_rejects_the_other(self, argv, message):
+        with pytest.raises(SystemExit, match=message):
+            cli.main(["--quick", "figure", *argv])
+
+    def test_report_runs_exactly_the_table(self, monkeypatch, capsys):
+        monkeypatch.setitem(F.SIZES, "quick",
+                            {"oltp": (600, 400), "dss": (700, 300)})
+        calls = []
+        real_run_many = F.run_many
+
+        def spy(specs, **kwargs):
+            calls.append([spec.to_dict() for spec in specs])
+            return real_run_many(specs, **kwargs)
+
+        monkeypatch.setattr(F, "run_many", spy)
+        assert cli.main(["--quick", "--no-cache", "report"]) == 0
+        expected = [
+            [spec.to_dict() for spec in F.plan(
+                key, *F.SIZES["quick"][F.FIGURES[key].workload])]
+            for key in ("characterize",) + F.REPORT]
+        assert calls == expected
+        out = capsys.readouterr().out
+        assert "FAILED" not in out and "l2_occupancy_reads" in out
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,15 +1,16 @@
 """Tests for the simulation runner and the figure framework (quick runs)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.experiment import SimulationResult, run_simulation
 from repro.core.figures import (
+    FIGURES,
     FigureResult,
     FigureRow,
     characterization_table,
-    figure5,
-    figure7b,
-    figure_ilp_issue_width,
+    run_figure,
 )
 from repro.core.optimizations import migratory_hints, profile_migratory_pcs
 from repro.core.workloads import dss_workload, oltp_workload
@@ -79,19 +80,24 @@ class TestFigureFramework:
         text = fig.format_table()
         assert "F" in text and "a" in text
 
-    def test_issue_width_sweep_quick(self):
-        fig = figure_ilp_issue_width("oltp", instructions=4000,
-                                     warmup=4000, widths=(1, 4))
+    def test_issue_width_sweep_quick(self, monkeypatch):
+        entry = FIGURES["2a"]
+        bars = tuple(bar for bar in entry.bars
+                     if bar.label in ("inorder-1w", "inorder-4w",
+                                      "ooo-1w", "ooo-4w"))
+        monkeypatch.setitem(FIGURES, "2a", dataclasses.replace(
+            entry, bars=bars))
+        fig = run_figure("2a", instructions=4000, warmup=4000)
         assert fig.normalized("inorder-1w") == 1.0
         assert fig.normalized("ooo-4w") < 1.0
 
     def test_figure5_quick(self):
-        fig = figure5("oltp", instructions=6000, warmup=6000)
+        fig = run_figure("5 oltp", instructions=6000, warmup=6000)
         assert {r.label for r in fig.rows} == {"uniprocessor",
                                                "multiprocessor"}
 
     def test_figure7b_quick(self):
-        fig = figure7b(instructions=6000, warmup=6000)
+        fig = run_figure("7b", instructions=6000, warmup=6000)
         labels = {r.label for r in fig.rows}
         assert "flush" in labels and "flush+prefetch" in labels
 

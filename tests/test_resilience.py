@@ -982,7 +982,7 @@ class TestDownstreamGaps:
     def test_figure_renders_explicit_gap_for_failed_config(
             self, monkeypatch):
         _doctor_first_outcome(monkeypatch)
-        out = F.figure5("oltp", **TINY)
+        out = F.run_figure("5 oltp", **TINY)
         assert list(out.failed) == ["uniprocessor"]
         assert "InjectedCrash" in out.failed["uniprocessor"]
         assert [row.label for row in out.rows] == ["multiprocessor"]
@@ -991,10 +991,25 @@ class TestDownstreamGaps:
     def test_sweep_normalizes_to_first_surviving_config(
             self, monkeypatch):
         _doctor_first_outcome(monkeypatch)
-        out = F.figure4(**TINY)
+        out = F.run_figure("4", **TINY)
         assert len(out.failed) == 1
         assert out.rows and out.rows[0].normalized == 1.0
         assert out.rows[0].label not in out.failed
+
+    def test_cli_prints_mshr_figure_with_a_failed_bar(
+            self, monkeypatch, capsys):
+        # A failed bar is a gap, not a crash: the occupancy rows of the
+        # surviving 8-MSHR bar still print, and a report would go on.
+        import repro.cli as cli
+        monkeypatch.setitem(F.SIZES, "quick", {"oltp": (600, 400),
+                                               "dss": (600, 400)})
+        _doctor_first_outcome(monkeypatch)
+        assert cli.main(["--quick", "--no-cache", "figure", "2c"]) == 0
+        out = capsys.readouterr().out
+        assert "mshr-1                   FAILED: InjectedCrash" in out
+        for name in ("l1d_occupancy_all", "l1d_occupancy_reads",
+                     "l2_occupancy_all", "l2_occupancy_reads"):
+            assert f"  {name}: >=1:" in out
 
     def test_characterization_table_maps_failure_to_none(
             self, monkeypatch):
