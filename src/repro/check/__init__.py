@@ -6,7 +6,7 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
   (:class:`~repro.check.invariants.InvariantChecker`) that wraps a
   machine's coherence directory, caches, store buffers and cores and
   validates protocol/ordering/accounting invariants on every transition.
-  Enabled via ``SystemParams.check``.  A sanitized run takes the same
+  Enabled via ``Tools.check``.  A sanitized run takes the same
   main loop and the same ``ProcessorCore.tick`` with tick skipping
   off, stepping every core at every grid point, so the sanitizer
   checks the code plain runs execute and the sanitized run is the
@@ -16,14 +16,14 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
   (message passing, Dekker/store buffering, migratory handoff) replayed
   on small machines, asserting each consistency model forbids or allows
   the right outcomes.
-* :mod:`repro.check.lint` -- ``repro lint``: six AST rules over the
-  simulator sources that keep runs deterministic (R001-R004), tooling
-  knobs out of results (R011) and durable writes atomic (R013).
+* :mod:`repro.check.lint` -- ``repro lint``: five AST rules over the
+  simulator sources that keep runs deterministic (R001-R004) and
+  durable writes atomic (R013).
 
 :mod:`repro.check.mutations` seeds deliberate protocol bugs and proves
 the sanitizer and litmus harness detect every one of them, and seeds
-source violations that R011 and R013 must flag (the "has teeth"
-self-test run by ``repro check``).
+a source violation that R013 must flag (the "has teeth" self-test run
+by ``repro check``).
 """
 
 from __future__ import annotations

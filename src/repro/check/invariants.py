@@ -1,6 +1,6 @@
 """Runtime invariant sanitizer for the simulated machine.
 
-Validated on every transition while enabled (``SystemParams.check``):
+Validated on every transition while enabled (``Tools.check``):
 
 * **Directory well-formedness** -- at most one DIR_EXCLUSIVE owner and
   no sharers alongside it; shared entries have a non-empty sharer set

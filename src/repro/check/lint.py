@@ -24,14 +24,6 @@ R004    integer-only cycle arithmetic: no true division assigned to a
         cycle-carrying name (use ``//`` or wrap in ``int()``/
         ``round()``) -- float cycles whose rounding drifts with
         magnitude, so digests move with run length
-R011    ephemeral-parameter purity: a ``SystemParams`` field named in
-        ``repro.params.EPHEMERAL_FIELDS`` (``check``, the watchdog
-        knobs) is read only in a function of
-        :data:`EPHEMERAL_READ_GATES`, whether through ``params``,
-        ``<x>.params``, a local name bound to either, or ``getattr``
-        with a constant field name -- those fields stay out of cache
-        fingerprints, so a read that reaches cycle math on a path no
-        test sanitizes files a different result under the plain key
 R013    durable writes go through :mod:`repro.run.atomicio`: no bare
         ``open(..., "w")``, ``os.replace``/``os.rename`` or
         ``Path.write_text``/``write_bytes`` in ``repro/run/`` or
@@ -50,8 +42,8 @@ file (codes comma-separated; ``all`` names every rule)::
     # repro-lint: disable-file=CODE[,CODE]
 
 ``repro lint`` runs this over ``src/repro`` and exits nonzero on any
-finding; ``repro check`` proves R011 and R013 have teeth with seeded
-source mutations (``repro.check.mutations.STATIC_MUTATIONS``).
+finding; ``repro check`` proves R013 has teeth with a seeded source
+mutation (``repro.check.mutations.STATIC_MUTATIONS``).
 """
 
 from __future__ import annotations
@@ -61,17 +53,13 @@ import errno
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
-    Set, Tuple
-
-from repro.params import EPHEMERAL_FIELDS
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 RULES: Dict[str, str] = {
     "R001": "unseeded randomness (global random module state)",
     "R002": "wall-clock read in simulation code",
     "R003": "iteration over a bare set (order leaks into behaviour)",
     "R004": "float division assigned to a cycle-carrying name",
-    "R011": "ephemeral SystemParams field read outside its gate list",
     "R013": "durable write bypassing repro.run.atomicio",
 }
 
@@ -79,20 +67,6 @@ RULES: Dict[str, str] = {
 #: deliberately *not* in ``RULES``: no pragma (not even ``disable=all``)
 #: can hide a syntax error.
 SYNTAX_ERROR_CODE = "E001"
-
-#: Approved readers of ephemeral fields (R011; path suffix -> function
-#: names).  Each is a *gate*: code that dispatches on the knob before
-#: simulation starts (checker attachment, watchdog arming) or records
-#: it in a host-side artifact (triage bundles).
-EPHEMERAL_READ_GATES: Dict[str, FrozenSet[str]] = {
-    "params.py": frozenset({"__post_init__"}),      # value validation
-    "system/machine.py": frozenset({
-        "__init__",        # attaches the sanitizer when check=True
-        "run",             # watchdog arming
-    }),
-    "run/triage.py": frozenset({"write_bundle"}),   # bundles re-arm the
-                                                    # watchdog on replay
-}
 
 #: Path fragments marking the durable-artifact tree (R013): everything
 #: under the runner and trace packages persists through
@@ -178,16 +152,6 @@ class _FileLinter(ast.NodeVisitor):
                                  for fragment in _DURABLE_FRAGMENTS) \
             and not any(normalized.endswith(suffix)
                         for suffix in _DURABLE_EXEMPT_SUFFIXES)
-        self._gates: Set[str] = set()
-        for suffix, functions in EPHEMERAL_READ_GATES.items():
-            if normalized.endswith(suffix):
-                self._gates |= functions
-        self._class_stack: List[str] = []
-        self._func_stack: List[str] = []
-        # R011: per scope (module, then each enclosing function), the
-        # local names bound so far, and whether each holds a params
-        # expression (``p = self.params``).
-        self._scope_stack: List[Dict[str, bool]] = [{}]
 
     # -- pragmas -------------------------------------------------------------
 
@@ -214,23 +178,6 @@ class _FileLinter(ast.NodeVisitor):
         self._collect_set_symbols(tree)
         self.visit(tree)
         return self.violations
-
-    # -- scopes (R011 names the enclosing function and class) ------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _visit_function(self, node) -> None:
-        self._func_stack.append(node.name)
-        self._scope_stack.append({})
-        self.generic_visit(node)
-        self._scope_stack.pop()
-        self._func_stack.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
 
     # -- imports -------------------------------------------------------------
 
@@ -296,12 +243,6 @@ class _FileLinter(ast.NodeVisitor):
                 node.args and self._is_setish(node.args[0]):
             self._report(node, "R003",
                          "str.join over a bare set -- wrap in sorted(...)")
-        if isinstance(func, ast.Name) and func.id == "getattr" and \
-                len(node.args) >= 2 and self._is_params(node.args[0]):
-            name = node.args[1]
-            if isinstance(name, ast.Constant) and \
-                    name.value in EPHEMERAL_FIELDS:
-                self._check_ephemeral_read(node, name.value)
         if self._durable_file:
             self._check_raw_durable_write(node)
         self.generic_visit(node)
@@ -350,52 +291,6 @@ class _FileLinter(ast.NodeVisitor):
             return mode.value
         return None
 
-    # -- R011: ephemeral-field reads -------------------------------------------
-
-    def _is_params(self, node: ast.AST) -> bool:
-        """``params``, ``<x>.params``, ``self`` inside ``SystemParams``,
-        or a local name bound to one of those (``p = self.params``)."""
-        if isinstance(node, ast.Attribute):
-            return node.attr == "params"
-        if not isinstance(node, ast.Name):
-            return False
-        if node.id == "params":
-            return True
-        if node.id == "self":
-            return self._class_stack[-1:] == ["SystemParams"]
-        for scope in reversed(self._scope_stack):
-            if node.id in scope:
-                return scope[node.id]
-        return False
-
-    def _bind(self, target: ast.AST, value: ast.AST) -> None:
-        if isinstance(target, ast.Name):
-            self._scope_stack[-1][target.id] = self._is_params(value)
-
-    def _check_ephemeral_read(self, node: ast.AST, field: str) -> None:
-        function = self._func_stack[-1] if self._func_stack else None
-        if function in self._gates:
-            return
-        where = function or "<module>"
-        if function and self._class_stack:
-            where = f"{self._class_stack[-1]}.{function}"
-        self._report(
-            node, "R011",
-            f"read of ephemeral SystemParams field '{field}' "
-            f"in {where}, outside the approved gate list -- "
-            f"ephemeral fields are excluded from fingerprints and "
-            f"must never influence simulated behaviour")
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        """A load of ``<params expr>.<field>`` for an ephemeral field
-        (``getattr(<params expr>, "<field>")`` is checked in
-        :meth:`visit_Call`)."""
-        if node.attr in EPHEMERAL_FIELDS and \
-                isinstance(node.ctx, ast.Load) and \
-                self._is_params(node.value):
-            self._check_ephemeral_read(node, node.attr)
-        self.generic_visit(node)
-
     # -- R003: iteration -------------------------------------------------------
 
     def visit_For(self, node: ast.For) -> None:
@@ -426,15 +321,11 @@ class _FileLinter(ast.NodeVisitor):
         for target in node.targets:
             self._check_cycle_division(target, node.value, node)
         self.generic_visit(node)
-        for target in node.targets:
-            self._bind(target, node.value)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self._check_cycle_division(node.target, node.value, node)
         self.generic_visit(node)
-        if node.value is not None:
-            self._bind(node.target, node.value)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         name = self._target_name(node.target)

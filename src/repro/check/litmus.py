@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.params import ConsistencyImpl, ConsistencyModel, default_system
+from repro.params import (ConsistencyImpl, ConsistencyModel, Tools,
+                          default_system)
 from repro.system.machine import Machine
 from repro.trace.instr import Instruction, OP_INT, OP_LOAD, OP_STORE
 
@@ -137,12 +138,11 @@ def _build_machine(model: ConsistencyModel, impl: ConsistencyImpl,
     params = default_system(
         n_nodes=2, mesh_width=1,
         consistency=model, consistency_impl=impl,
-        migratory_protocol=migratory_protocol,
-        check=check)
+        migratory_protocol=migratory_protocol)
     generators = [
         _thread(ops, _PC_BASE + (i + len(threads)) * _PC_STRIDE)
         for i, ops in enumerate(threads)]
-    return Machine(params, generators)
+    return Machine(params, generators, Tools(check=check))
 
 
 def _run(machine: Machine, tap: MemTap,

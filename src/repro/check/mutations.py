@@ -14,7 +14,7 @@ beforehand are seen through the wrappers.
 
 The ``static-*`` entries (:data:`STATIC_MUTATIONS`) do the same for
 ``repro lint``: each seeds one violation into a real source file, in
-memory only, and asserts the rule it breaks (R011, R013) fires.
+memory only, and asserts the rule it breaks (R013) fires.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -34,7 +33,8 @@ from repro.core.workloads import oltp_workload
 from repro.cpu.consistency import ConsistencyUnit
 from repro.cpu.core import ProcessorCore
 from repro.mem.coherence import CoherentMemory
-from repro.params import ConsistencyImpl, ConsistencyModel, default_system
+from repro.params import (ConsistencyImpl, ConsistencyModel, Tools,
+                          default_system)
 from repro.stats.breakdown import BUSY, ExecutionBreakdown
 from repro.system.machine import WedgeError
 
@@ -197,10 +197,10 @@ def _wedge_detector() -> str:
     ``watchdog_node_cycles`` is sized well above any legitimate stall at
     this scale so the unmutated run passes.
     """
-    params = default_system(watchdog_node_cycles=8_000)
     try:
-        run_simulation(params, oltp_workload(), instructions=12_000,
-                       warmup=0)
+        run_simulation(default_system(), oltp_workload(),
+                       instructions=12_000, warmup=0,
+                       tools=Tools(watchdog_node_cycles=8_000))
     except WedgeError as wedge:
         return str(wedge)
     return ""
@@ -222,11 +222,10 @@ def _sanitized_oltp(model: ConsistencyModel = ConsistencyModel.RC,
                     impl: ConsistencyImpl =
                     ConsistencyImpl.STRAIGHTFORWARD) -> str:
     """A small sanitizer-enabled OLTP run; returns '' or the violation."""
-    params = default_system(consistency=model, consistency_impl=impl,
-                            check=True)
+    params = default_system(consistency=model, consistency_impl=impl)
     try:
         run_simulation(params, oltp_workload(), instructions=6_000,
-                       warmup=3_000)
+                       warmup=3_000, tools=Tools(check=True))
     except InvariantViolation as violation:
         return str(violation)
     return ""
@@ -289,18 +288,6 @@ MUTATIONS: Dict[str, tuple] = {
 }
 
 
-def _ephemeral_read_in_tick(source: str) -> str:
-    """Insert a ``params.check`` read into ProcessorCore.tick()."""
-    mutated, count = re.subn(
-        r"^(    def tick\(self\b[^\n]*\n)",
-        r"\1        _ephemeral_probe = self.params.check\n",
-        source, count=1, flags=re.MULTILINE)
-    if count != 1:
-        raise AssertionError(
-            "mutation anchor 'def tick(self' not found in cpu/core.py")
-    return mutated
-
-
 def _raw_durable_write(source: str) -> str:
     """Append a helper that publishes a cache file with bare open()."""
     return source + (
@@ -313,12 +300,6 @@ def _raw_durable_write(source: str) -> str:
 #: simulation: name -> (description, target path relative to the lint
 #: root, source transformer, rule code expected to fire).
 STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
-    "ephemeral-read-in-tick": (
-        "read params.check inside ProcessorCore.tick() -- an ephemeral "
-        "knob leaking into per-cycle behaviour",
-        os.path.join("cpu", "core.py"),
-        _ephemeral_read_in_tick,
-        "R011"),
     "raw-durable-write": (
         "publish a cache file with bare open(..., 'w') in run/cache.py "
         "-- a durable write dodging atomicio's tmp + rename dance",

@@ -337,7 +337,8 @@ def cmd_audit_state(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    """Re-run the job captured in a triage bundle.
+    """Re-run the job captured in a triage bundle, with the sanitizer
+    and watchdogs it recorded.
 
     The simulator is deterministic, so the failure either reproduces
     exactly (a simulated wedge or modelling bug -- exit 1, with the
@@ -354,20 +355,8 @@ def cmd_replay(args) -> int:
         print(f"replay: cannot load bundle: {exc}")
         return 2
     print(triage.format_bundle(data))
-    spec = JobSpec.from_dict(data["job"])
-    # Watchdog settings are ephemeral (they never enter the job
-    # fingerprint), so the bundle carries them separately; re-arm them
-    # or a genuine simulated wedge would hang the replay instead of
-    # reproducing its classification.
-    watchdog = data.get("watchdog") or {}
-    spec = JobSpec(
-        spec.params.replace(
-            watchdog_cycles=int(watchdog.get("cycles", 0) or 0),
-            watchdog_node_cycles=int(watchdog.get("node_cycles", 0)
-                                     or 0)),
-        spec.workload, spec.instructions, spec.warmup, spec.seed)
     try:
-        result = spec.run()
+        result = JobSpec.from_dict(data["job"]).run()
     except WedgeError as exc:
         print(f"replay: wedge reproduced: {exc}")
         return 1

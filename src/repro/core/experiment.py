@@ -16,7 +16,7 @@ from typing import Dict, Iterator, Optional
 
 from repro.core.workloads import Workload
 from repro.mem.coherence import CoherenceStats
-from repro.params import SystemParams
+from repro.params import SystemParams, Tools
 from repro.stats.breakdown import ExecutionBreakdown
 from repro.stats.mshr import MshrOccupancyGroup
 from repro.stats.sharing import SharingReport, sharing_characterization
@@ -204,17 +204,18 @@ def assemble_result(machine: Machine, workload_name: str, cycles: int,
 def run_simulation(params: SystemParams, workload: Workload,
                    instructions: int = DEFAULT_INSTRUCTIONS,
                    warmup: int = DEFAULT_WARMUP,
-                   seed: int = 0) -> SimulationResult:
+                   seed: int = 0, tools: Tools = Tools()) -> SimulationResult:
     """Simulate ``workload`` on ``params`` and collect statistics.
 
     ``instructions`` counts retired instructions summed over all CPUs; the
     same total work is simulated for every configuration so execution
     times are directly comparable (as in the paper's normalized charts).
+    ``tools`` arms the sanitizer and the watchdogs (:class:`Tools`).
     An exception raised while the machine runs carries the machine as
     ``__machine__``, so crash triage can record where it stopped.
     """
     generators = workload.generators(params.n_nodes, seed=seed)
-    machine = Machine(params, generators)
+    machine = Machine(params, generators, tools)
     try:
         if warmup:
             machine.run(warmup)

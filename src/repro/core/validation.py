@@ -24,7 +24,7 @@ from typing import Callable, Dict, List
 
 from repro.core.experiment import run_simulation
 from repro.core.workloads import Workload, dss_workload, oltp_workload
-from repro.params import SystemParams, default_system
+from repro.params import SystemParams, Tools, default_system
 from repro.system.machine import Machine
 
 
@@ -115,7 +115,7 @@ def check_stall_accounting(instructions: int = 10_000
 def check_sanitizer_neutrality(workload: str = "oltp",
                                instructions: int = 10_000
                                ) -> ValidationResult:
-    """The runtime sanitizer (``SystemParams.check``) must be a pure
+    """The runtime sanitizer (``Tools.check``) must be a pure
     observer: a sanitized run passes every invariant *and* reproduces
     the plain run's cycle count exactly."""
     from repro.check.invariants import InvariantViolation
@@ -124,9 +124,10 @@ def check_sanitizer_neutrality(workload: str = "oltp",
     plain = run_simulation(params, factory(), instructions=instructions,
                            warmup=instructions)
     try:
-        checked = run_simulation(params.replace(check=True), factory(),
+        checked = run_simulation(params, factory(),
                                  instructions=instructions,
-                                 warmup=instructions)
+                                 warmup=instructions,
+                                 tools=Tools(check=True))
     except InvariantViolation as violation:
         return ValidationResult(f"sanitizer-{workload}", False,
                                 f"invariant violated: {violation}")

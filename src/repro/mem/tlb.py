@@ -53,10 +53,6 @@ class PageTable:
         offset_line = (vaddr >> line_shift) & (lines_per_page - 1)
         return frame * lines_per_page + offset_line
 
-    @property
-    def pages_mapped(self) -> int:
-        return len(self._frames)
-
 
 class Tlb:
     """Fully-associative LRU TLB over a :class:`PageTable`.

@@ -10,6 +10,9 @@ Two factory functions build complete systems:
   latencies and processor parameters identical.  The workload generators
   scale their footprints by the same factor, so miss *ratios* and
   execution-time *shares* are preserved at Python-feasible trace lengths.
+
+The run's tooling (sanitizer, watchdogs) is a separate :class:`Tools`
+value: it never belongs to the machine description.
 """
 
 from __future__ import annotations
@@ -155,17 +158,6 @@ class SchedulerParams:
     quantum_cycles: int = 1_000_000   # effectively: switch only on blocking calls
 
 
-#: The ephemeral registry: SystemParams fields that configure tooling
-#: (checkers, watchdogs) rather than the simulated machine.  They must
-#: not leak into saved configs or cache fingerprints (a sanitized run
-#: gives the plain run's results): ``repro.params_io`` leaves them out
-#: of serialization and ships them beside the job, and ``repro lint``
-#: (rule R011) forbids reading them outside a short list of gates.
-#: Both import this one set.
-EPHEMERAL_FIELDS = frozenset({
-    "check", "watchdog_cycles", "watchdog_node_cycles"})
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Complete description of one simulated machine."""
@@ -194,17 +186,6 @@ class SystemParams:
                                             # off migratory dirty-read latency
     migratory_protocol: bool = False        # Stenstrom-style adaptive
                                             # protocol (footnote 2 ablation)
-    check: bool = False                     # run the invariant sanitizer
-                                            # (repro.check); never affects
-                                            # timing, excluded from
-                                            # serialization/fingerprints
-    watchdog_cycles: int = 0                # forward-progress watchdog:
-                                            # abort with WedgeError when no
-                                            # instruction retires machine-wide
-                                            # for this many cycles (0 = off);
-                                            # ephemeral like `check`
-    watchdog_node_cycles: int = 0           # same, per node with a runnable
-                                            # process (0 = off)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -237,6 +218,25 @@ class SystemParams:
             return self.replace(
                 consistency_impl=ConsistencyImpl.STRAIGHTFORWARD)
         return self
+
+
+@dataclass(frozen=True)
+class Tools:
+    """Tooling for one run, apart from the machine it runs on.
+
+    The sanitizer and the forward-progress watchdogs observe a run
+    without changing it, so they are not part of :class:`SystemParams`:
+    a job's cache key and its saved configuration never see them.  Only
+    :class:`~repro.system.machine.Machine` reads them.
+    """
+
+    check: bool = False             # run the invariant sanitizer
+                                    # (repro.check)
+    watchdog_cycles: int = 0        # abort with WedgeError when no
+                                    # instruction retires machine-wide
+                                    # for this many cycles (0 = off)
+    watchdog_node_cycles: int = 0   # same, per node with a runnable
+                                    # process (0 = off)
 
 
 def paper_system(**changes) -> SystemParams:

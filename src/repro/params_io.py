@@ -27,7 +27,6 @@ from repro.params import (
     ConsistencyImpl,
     ConsistencyModel,
     MemoryLatencies,
-    EPHEMERAL_FIELDS,
     ProcessorParams,
     SchedulerParams,
     SystemParams,
@@ -56,8 +55,6 @@ def params_to_dict(params: SystemParams) -> Dict[str, Any]:
     """SystemParams -> plain JSON-serializable dict."""
     out: Dict[str, Any] = {}
     for field in dataclasses.fields(params):
-        if field.name in EPHEMERAL_FIELDS:
-            continue
         value = getattr(params, field.name)
         if field.name in _ENUMS:
             out[field.name] = value.name
@@ -66,16 +63,6 @@ def params_to_dict(params: SystemParams) -> Dict[str, Any]:
         else:
             out[field.name] = value
     return out
-
-
-def tools_to_dict(params: SystemParams) -> Dict[str, Any]:
-    """The ephemeral fields that :func:`params_to_dict` leaves out.
-
-    They configure tooling (the sanitizer, the watchdogs), so they
-    travel beside a job's dict to wherever it runs, never inside its
-    fingerprint; :func:`params_from_dict` takes them back.
-    """
-    return {name: getattr(params, name) for name in sorted(EPHEMERAL_FIELDS)}
 
 
 def params_from_dict(data: Dict[str, Any]) -> SystemParams:

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.core.experiment import SimulationResult
 from repro.run import atomicio, triage
 from repro.run.faults import plan_from_env
-from repro.run.jobs import JobSpec, fingerprint_of
+from repro.run.jobs import JobSpec, fingerprint_of, keyed_job
 from repro.run.manifest import MANIFEST_NAME, SweepManifest
 
 #: Default cache location (relative to the current working directory).
@@ -189,14 +189,15 @@ class ResultCache:
         return result
 
     def put(self, spec: JobSpec, result: SimulationResult) -> bool:
-        """Store ``result`` under ``spec``'s fingerprint (atomic write).
+        """Store ``result`` under ``spec``'s fingerprint (atomic write),
+        with the job as its key sees it (:func:`keyed_job`).
 
         Best-effort: storage faults (read-only directory, disk full)
         degrade to a :class:`RuntimeWarning` and ``False`` -- the
         computed result stays usable in memory and the sweep continues.
         """
         fingerprint = spec.fingerprint()
-        chunks = _entry_chunks(spec.to_dict(), result)
+        chunks = _entry_chunks(keyed_job(spec.to_dict()), result)
         plan = plan_from_env()
         if plan is not None:
             # Deterministic write-fault injection (REPRO_FAULTS=corrupt:p):

@@ -5,10 +5,11 @@ returns their results *in input order*, regardless of completion order,
 so callers (figure sweeps, seed sweeps) see exactly the rows they asked
 for.  Dispatch policy:
 
-* specs with the same fingerprint run once per call: the first is the
-  one looked up and simulated, and the others are served from it;
-* every such spec is first looked up in the result cache (when one is
-  given);
+* specs with the same fingerprint run once per call: one of them leads
+  (the first sanitized one, else the first) and is looked up and
+  simulated, and the others are served from it;
+* every leader but a sanitized one is first looked up in the result
+  cache (when one is given);
 * the misses go through one scheduling loop (:func:`_run`)
   that owns retries, backoff, timeouts and the manifest, and hands
   chunks of jobs to one of two chunk runners: the **persistent
@@ -373,7 +374,7 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
         if pool is not None:
             from concurrent.futures import BrokenExecutor, Future
             payload = forkserver.make_batch_payload(
-                [(spec.to_runner_dict(), attempt)
+                [(spec.to_dict(), attempt)
                  for _index, spec, attempt, _elapsed in entries],
                 cache_dir=cache_dir)
             try:
@@ -384,7 +385,7 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
         else:
             (_index, spec, attempt, _elapsed), = entries
             future = _Ran([forkserver.run_entry(
-                spec.to_runner_dict(), attempt, plan_from_env(),
+                spec.to_dict(), attempt, plan_from_env(),
                 cache_dir)])
         active[future] = (entries, policy.deadline_for(at))
 
@@ -541,11 +542,16 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     (retries exhausted) appear as outcomes with ``result=None`` rather
     than aborting the sweep.
 
-    Each distinct fingerprint is looked up and simulated once: specs
-    that share a key with an earlier spec of the call (machines that
-    differ only in fields the model never reads,
-    :meth:`~repro.params.SystemParams.canonical`) are served from its
-    outcome, as cached outcomes with their own params and no attempts.
+    Each distinct fingerprint is looked up and simulated once, by its
+    leader: the first spec of the call with that key and
+    ``tools.check`` on, else the first with that key.  The other specs
+    of the key (machines that differ only in fields the model never
+    reads, :meth:`~repro.params.SystemParams.canonical`, or runs that
+    differ only in tools) are served from its outcome, as cached
+    outcomes with their own params and no attempts.  A sanitized
+    leader is never looked up in the cache, so a sanitized job always
+    runs under its checker; its result, byte-identical to the plain
+    run's, is stored as usual.
 
     The misses run through :func:`_run`: on the fork-server pool with
     ``jobs > 1`` and at least two pending jobs, else in process, and in
@@ -565,12 +571,14 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     jobs = max(1, int(jobs))
 
     start = time.perf_counter()  # repro-lint: disable=R002
-    # The first spec of each fingerprint leads: it alone is looked up
-    # and, on a miss, simulated.
+    # One spec of each fingerprint leads: the first sanitized one, else
+    # the first.  It alone is looked up and, on a miss, simulated.
     fingerprints = [spec.fingerprint() for spec in specs]
     leaders: Dict[str, int] = {}
     for index, fingerprint in enumerate(fingerprints):
-        leaders.setdefault(fingerprint, index)
+        leader = leaders.setdefault(fingerprint, index)
+        if specs[index].tools.check and not specs[leader].tools.check:
+            leaders[fingerprint] = index
     if manifest is not None:
         manifest.begin(list(leaders),
                        [specs[index].describe()
@@ -581,7 +589,8 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     pending: List[Tuple[int, JobSpec]] = []
     for fingerprint, index in leaders.items():
         spec = specs[index]
-        hit = cache.get(spec) if cache is not None else None
+        hit = cache.get(spec) \
+            if cache is not None and not spec.tools.check else None
         if hit is not None:
             outcomes[index] = JobOutcome(spec, hit, 0.0, cached=True,
                                          attempts=0)

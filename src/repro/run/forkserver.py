@@ -13,8 +13,8 @@ module removes both:
   the first of ``fork`` > ``forkserver`` > ``spawn`` the platform
   offers: forked workers inherit the parent's imported modules.
 * **Batched dispatch.**  A chunk ships its plain job dicts
-  (:meth:`~repro.run.jobs.JobSpec.to_runner_dict`: the job plus its
-  tooling knobs), each with its attempt number, in a single pickle.
+  (:meth:`~repro.run.jobs.JobSpec.to_dict`, tools included), each with
+  its attempt number, in a single pickle.
 * **Explicit fault plan.**  The chunk payload carries the parent's
   ``REPRO_FAULTS`` string, because persistent workers must not trust the
   environment they captured at pool creation time.
@@ -121,7 +121,7 @@ def make_batch_payload(entries: Sequence[Tuple[Dict[str, Any], int]],
 def run_entry(job: Dict[str, Any], attempt: int, plan,
               cache_dir: Optional[str]) -> Dict[str, Any]:
     """Run one attempt of the job dict ``job``
-    (:meth:`~repro.run.jobs.JobSpec.to_runner_dict` data, so the job's
+    (:meth:`~repro.run.jobs.JobSpec.to_dict` data, so the job's
     watchdog and sanitizer settings arrive with it).
 
     This is the runner's one per-attempt function, in pool workers (via

@@ -5,8 +5,9 @@ Trace generators hold closures, RNG state and the shared
 :class:`~repro.core.workloads.Workload` cannot cross a process boundary.
 A :class:`JobSpec` instead carries everything needed to *rebuild* the
 workload inside a worker -- the system parameters, a declarative
-:class:`WorkloadSpec`, and the run sizes/seed -- and exposes a stable
-content fingerprint used as the result-cache key.
+:class:`WorkloadSpec`, the run sizes/seed and the run's
+:class:`~repro.params.Tools` -- and exposes a stable content
+fingerprint, taken without the tools, used as the result-cache key.
 
 :data:`MODEL_VERSION` is part of every fingerprint.  Bump it whenever
 simulator *semantics* change (timing model, protocol behaviour, workload
@@ -34,9 +35,8 @@ from repro.core.workloads import (
     oltp_workload,
     tpcc_workload,
 )
-from repro.params import DEFAULT_SCALE, SystemParams
-from repro.params_io import (params_from_dict, params_to_dict,
-                             tools_to_dict)
+from repro.params import DEFAULT_SCALE, SystemParams, Tools
+from repro.params_io import params_from_dict, params_to_dict
 from repro.trace.database import MigratoryHints
 
 #: Simulator-semantics version baked into every job fingerprint.
@@ -128,32 +128,27 @@ class WorkloadSpec:
             hints_pcs=tuple(pcs) if pcs is not None else None,
         )
 
-    @classmethod
-    def from_hints(cls, kind: str,
-                   hints: Optional[MigratoryHints] = None,
-                   **kw) -> "WorkloadSpec":
-        """Build a spec from a live :class:`MigratoryHints` object."""
-        if hints is None:
-            return cls(kind=kind, **kw)
-        pcs = tuple(sorted(hints.pc_filter)) \
-            if hints.pc_filter is not None else None
-        return cls(kind=kind, hints_prefetch=hints.prefetch,
-                   hints_flush=hints.flush, hints_pcs=pcs, **kw)
+
+def keyed_job(job: Dict[str, Any]) -> Dict[str, Any]:
+    """``job`` (:meth:`JobSpec.to_dict` data) without its ``"tools"``:
+    what a cache key is taken over and a cache entry stores, because a
+    sanitized or watchdog-armed run gives the plain run's result."""
+    return {key: value for key, value in job.items() if key != "tools"}
 
 
 def fingerprint_of(job: Dict[str, Any]) -> str:
     """The cache key of a job given as :meth:`JobSpec.to_dict` data: a
     content hash of the job, with its params in their
     :meth:`~repro.params.SystemParams.canonical` form, and the current
-    :data:`MODEL_VERSION`.  Jobs whose machines differ only in fields
-    the model never reads share one key.
+    :data:`MODEL_VERSION`, over :func:`keyed_job`.  Jobs whose machines
+    differ only in fields the model never reads share one key.
 
     The one recipe for the key, so ``repro gc`` tells an entry stored
     under its job's current key from one no lookup can reach.
     """
     params = params_from_dict(job["params"]).canonical()
     payload = {"model_version": MODEL_VERSION,
-               "job": dict(job, params=params_to_dict(params))}
+               "job": dict(keyed_job(job), params=params_to_dict(params))}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -162,9 +157,11 @@ def fingerprint_of(job: Dict[str, Any]) -> str:
 class JobSpec:
     """One `run_simulation` call, described as data.
 
-    Fully picklable and JSON-round-trippable; :meth:`fingerprint` is a
-    stable content hash over the canonical JSON encoding plus
-    :data:`MODEL_VERSION`, suitable as a cache key
+    Fully picklable and JSON-round-trippable: :meth:`to_dict` is the
+    one job dict the runner ships, the triage bundle records and
+    :meth:`from_dict` rebuilds, ``tools`` included.  :meth:`fingerprint`
+    is a stable content hash over the canonical JSON encoding, without
+    the tools, plus :data:`MODEL_VERSION`, suitable as a cache key
     (:func:`fingerprint_of`).
     """
 
@@ -173,35 +170,32 @@ class JobSpec:
     instructions: int = DEFAULT_INSTRUCTIONS
     warmup: int = DEFAULT_WARMUP
     seed: int = 0
+    tools: Tools = Tools()
 
     def to_dict(self) -> Dict[str, Any]:
+        tools = self.tools
         return {
             "params": params_to_dict(self.params),
             "workload": self.workload.to_dict(),
             "instructions": self.instructions,
             "warmup": self.warmup,
             "seed": self.seed,
+            "tools": {"check": tools.check,
+                      "watchdog_cycles": tools.watchdog_cycles,
+                      "watchdog_node_cycles": tools.watchdog_node_cycles},
         }
-
-    def to_runner_dict(self) -> Dict[str, Any]:
-        """The job as a runner ships it to
-        :func:`~repro.run.forkserver.run_entry`: :meth:`to_dict` plus,
-        under ``"tools"``, the ephemeral fields of :attr:`params` that
-        it leaves out, so the watchdog and the sanitizer arm wherever
-        the job runs.  The fingerprint stays over :meth:`to_dict`."""
-        return dict(self.to_dict(), tools=tools_to_dict(self.params))
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
-        """Rebuild a job from :meth:`to_dict` or
-        :meth:`to_runner_dict` data."""
+        """Rebuild a job from :meth:`to_dict` data (a job stored
+        without ``"tools"`` runs with none)."""
         return cls(
-            params=params_from_dict({**data["params"],
-                                     **data.get("tools", {})}),
+            params=params_from_dict(data["params"]),
             workload=WorkloadSpec.from_dict(data["workload"]),
             instructions=int(data["instructions"]),
             warmup=int(data["warmup"]),
             seed=int(data["seed"]),
+            tools=Tools(**data.get("tools", {})),
         )
 
     def fingerprint(self) -> str:
@@ -224,4 +218,5 @@ class JobSpec:
         """Execute the simulation on a freshly built workload."""
         return run_simulation(self.params, self.workload.build(),
                               instructions=self.instructions,
-                              warmup=self.warmup, seed=self.seed)
+                              warmup=self.warmup, seed=self.seed,
+                              tools=self.tools)

@@ -8,18 +8,18 @@ bundle instead captures everything needed to reproduce and classify the
 failure offline, under ``<cache>/triage/<fingerprint[:12]>-a<attempt>/``:
 
 ``job.json``
-    The full job description (``JobSpec.to_dict()``), fingerprint,
-    model version, attempt number, the error type/message, the
-    structured wedge classification when the watchdog tripped, the
-    watchdog configuration, and the retired count and cycle the
-    machine had reached.
+    The full job description (``JobSpec.to_dict()``, its sanitizer and
+    watchdog settings included), fingerprint, model version, attempt
+    number, the error type/message, the structured wedge
+    classification when the watchdog tripped, and the retired count
+    and cycle the machine had reached.
 ``stream-tail.json``
     The tail of each process's buffered instruction stream at the time
     of death -- the instructions in flight (unretired or buffered ahead
     of fetch), decoded to mnemonics.
 
-``repro replay <bundle>`` rebuilds the job from ``job.json`` and
-re-runs it deterministically; because the simulator is deterministic,
+``repro replay <bundle>`` rebuilds the job from ``job.json``, its
+tools included, and re-runs it; because the simulator is deterministic,
 the failure either reproduces exactly (a simulated wedge or modelling
 bug) or the run completes (the original failure was host-side).
 :func:`run_attempt` is the one job-attempt path of the runner, in
@@ -49,8 +49,10 @@ from repro.trace.instr import I_ADDR, I_OP, I_PC, OP_NAMES
 #: Subdirectory of the result cache holding triage bundles.
 TRIAGE_DIR = "triage"
 
-#: ``job.json`` schema version.
-BUNDLE_FORMAT = 1
+#: ``job.json`` schema version.  2: the job carries its tools, and the
+#: separate ``"watchdog"`` block is gone.  A format-1 bundle is refused:
+#: replayed without its watchdog, a recorded wedge would hang.
+BUNDLE_FORMAT = 2
 
 #: Buffered instructions kept per process in ``stream-tail.json``.
 STREAM_TAIL = 32
@@ -111,8 +113,6 @@ def write_bundle(cache_dir: Union[str, Path], *, spec: JobSpec,
         "error": {"type": type(error).__name__, "message": str(error)},
         "wedge": error.to_dict() if isinstance(error, WedgeError)
         else None,
-        "watchdog": {"cycles": spec.params.watchdog_cycles,
-                     "node_cycles": spec.params.watchdog_node_cycles},
         "retired": machine.total_retired() if machine is not None
         else None,
         "cycle": machine.now if machine is not None else None,

@@ -27,7 +27,7 @@ from repro.mem.coherence import CoherentMemory
 from repro.mem.interconnect import MeshNetwork
 from repro.mem.memsys import NodeMemorySystem
 from repro.mem.tlb import PageTable
-from repro.params import SystemParams
+from repro.params import SystemParams, Tools
 from repro.stats.breakdown import ExecutionBreakdown
 from repro.stats.mshr import MshrOccupancyGroup
 from repro.system.process import Process
@@ -45,7 +45,7 @@ class DeadlockError(RuntimeError):
 
 class WedgeError(RuntimeError):
     """The forward-progress watchdog tripped: no instruction retired for
-    the configured number of cycles (``SystemParams.watchdog_cycles`` /
+    the configured number of cycles (``Tools.watchdog_cycles`` /
     ``watchdog_node_cycles``).  Carries a structured classification so
     crash-triage bundles and ``repro replay`` can report the wedge kind
     without parsing the message."""
@@ -75,8 +75,9 @@ class Machine:
     """A complete simulated multiprocessor running a set of processes."""
 
     def __init__(self, params: SystemParams,
-                 generators: Sequence[Iterator]):
+                 generators: Sequence[Iterator], tools: Tools = Tools()):
         self.params = params
+        self.tools = tools
         n = params.n_nodes
         lines_per_page = params.page_size // params.l2.line_size
         self.page_table = PageTable(params.page_size, n)
@@ -121,7 +122,7 @@ class Machine:
         # wraps fully-constructed components; with ``check`` off nothing
         # is wrapped and the simulator runs the exact same code.
         self.checker = None
-        if params.check:
+        if tools.check:
             from repro.check.invariants import InvariantChecker
             self.checker = InvariantChecker(self)
             self.checker.attach()
@@ -167,7 +168,7 @@ class Machine:
         charges 1.0 cycle to the core's unchanged stall category, exactly
         what ticking it there would have charged.
 
-        Sanitized runs (``params.check``) walk the same grid with
+        Sanitized runs (``tools.check``) walk the same grid with
         certification off: every core is due at every grid point and is
         stepped through the same ``tick``, which the invariant checker
         wraps.  Because every wake a skipped core contributes to the
@@ -210,8 +211,8 @@ class Machine:
         last_step = -1
         # Forward-progress watchdog (off by default: one extra branch per
         # iteration).  Its bookkeeping lives in run()-locals.
-        wd_global = self.params.watchdog_cycles
-        wd_node = self.params.watchdog_node_cycles
+        wd_global = self.tools.watchdog_cycles
+        wd_node = self.tools.watchdog_node_cycles
         wd_on = wd_global > 0 or wd_node > 0
         if wd_on:
             if self.memory._ping is None:
@@ -383,10 +384,6 @@ class Machine:
         self.l2_mshr_stats.reset()
         self.memory.stats = type(self.memory.stats)()
         self._measure_started_at = self.now
-
-    @property
-    def measured_cycles(self) -> int:
-        return self.now - self._measure_started_at
 
     def breakdown(self) -> ExecutionBreakdown:
         """Aggregate execution-time breakdown across all cores."""

@@ -227,11 +227,6 @@ class CodeWalker:
         self.pc = target if taken else fallthrough
         return (OP_BRANCH, br_pc, 0, (), 1, taken, target, kind)
 
-    def jump_to_loop_head(self, head_pc: int) -> None:
-        """Force the walk to a loop head (used by the DSS scan kernel)."""
-        self.pc = head_pc
-        self._routine_end = head_pc + 8 * self._line
-
     @property
     def n_routines(self) -> int:
         return len(self._routines)

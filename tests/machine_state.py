@@ -11,11 +11,11 @@ from array import array
 from collections import OrderedDict, deque
 from enum import Enum
 
-#: Attributes that are not machine state: the sanitizer and the
-#: parameters (which differ only by ``check``), and per-tick
+#: Attributes that are not machine state: the sanitizer, the tools
+#: (which differ only by ``check``), the parameters, and per-tick
 #: certification scratch that only the skipping path writes.
-SKIPPED = frozenset({"checker", "params", "tick_quiet", "drain_activity",
-                     "_ping"})
+SKIPPED = frozenset({"checker", "tools", "params", "tick_quiet",
+                     "drain_activity", "_ping"})
 
 _ATOMS = (int, float, str, bytes, type(None))
 

@@ -1,14 +1,17 @@
 """Runtime sanitizer tests: neutrality, teeth (mutation self-test) and
 parameter plumbing."""
 
+import dataclasses
+
 import pytest
 
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.check.mutations import MUTATIONS, run_mutation_self_test
 from repro.core.validation import check_sanitizer_neutrality
 from repro.core.workloads import oltp_workload
-from repro.params import ConsistencyModel, default_system
-from repro.params_io import params_from_dict, params_to_dict
+from repro.params import ConsistencyModel, Tools, default_system
+from repro.params_io import params_to_dict
+from repro.run.jobs import JobSpec, WorkloadSpec, keyed_job
 from repro.system.machine import Machine
 
 
@@ -27,8 +30,8 @@ class TestNeutrality:
 
 class TestCheckerWiring:
     def test_checker_attached_and_active(self):
-        machine = Machine(default_system(check=True),
-                          oltp_workload().generators(4))
+        machine = Machine(default_system(), oltp_workload().generators(4),
+                          Tools(check=True))
         machine.run(4_000)
         assert isinstance(machine.checker, InvariantChecker)
         assert machine.checker.checks > 1_000
@@ -53,9 +56,9 @@ class TestMemoryQueueChecks:
     clean SC run (whose queue parks blocked ops) passes them."""
 
     def sanitized_sc_machine(self):
-        params = default_system(consistency=ConsistencyModel.SC,
-                                check=True)
-        machine = Machine(params, oltp_workload().generators(4))
+        params = default_system(consistency=ConsistencyModel.SC)
+        machine = Machine(params, oltp_workload().generators(4),
+                          Tools(check=True))
         machine.run(1_500)
         return machine
 
@@ -100,19 +103,26 @@ class TestMutationSelfTest:
 
 
 class TestParamsPlumbing:
+    """The sanitizer is a :class:`Tools` knob, not a machine field: it
+    travels with a job but never enters the machine or the key."""
+
     def test_check_field_not_serialized(self):
-        plain = params_to_dict(default_system())
-        checked = params_to_dict(default_system(check=True))
-        assert plain == checked
-        assert "check" not in checked
+        assert "check" not in params_to_dict(default_system())
+        plain = JobSpec(default_system(), WorkloadSpec("oltp"))
+        checked = dataclasses.replace(plain, tools=Tools(check=True))
+        assert checked.fingerprint() == plain.fingerprint()
+        assert checked.to_dict()["params"] == plain.to_dict()["params"]
 
     def test_round_trip_drops_check(self):
-        params = default_system(check=True)
-        restored = params_from_dict(params_to_dict(params))
-        assert restored.check is False
-        assert params_to_dict(restored) == params_to_dict(params)
+        """A cache entry stores the job as its key sees it: a sanitized
+        job read back from one is the plain job."""
+        plain = JobSpec(default_system(), WorkloadSpec("oltp"))
+        checked = dataclasses.replace(plain, tools=Tools(check=True))
+        assert JobSpec.from_dict(keyed_job(checked.to_dict())) == plain
 
     def test_replace_toggles_check(self):
-        params = default_system()
-        assert params.replace(check=True).check is True
-        assert params.check is False
+        tools = Tools()
+        assert dataclasses.replace(tools, check=True).check is True
+        assert tools.check is False
+        with pytest.raises(TypeError):
+            default_system().replace(check=True)

@@ -106,66 +106,6 @@ class TestR004CycleDivision:
         assert codes("fraction = hits / total\n") == []
 
 
-class TestR011Aliases:
-    """Ephemeral reads through a local alias of the params, or through
-    ``getattr`` with a constant name, are reads all the same."""
-
-    def test_read_through_local_alias_flagged(self):
-        source = ("class Core:\n"
-                  "    def tick(self, now):\n"
-                  "        p = self.params\n"
-                  "        if p.check:\n"
-                  "            return now\n")
-        violations = _FileLinter("cpu/core.py", source).run()
-        assert [v.code for v in violations] == ["R011"]
-        assert "'check'" in violations[0].message
-
-    def test_alias_of_non_ephemeral_field_is_clean(self):
-        assert codes("def tick(self):\n"
-                     "    p = self.params\n"
-                     "    return p.n_nodes\n") == []
-
-    def test_rebound_alias_is_clean(self):
-        assert codes("def tick(self):\n"
-                     "    p = self.params\n"
-                     "    p = self.processor\n"
-                     "    return p.check\n") == []
-
-    def test_alias_is_local_to_its_function(self):
-        assert codes("def setup(self):\n"
-                     "    p = self.params\n"
-                     "    return p.n_nodes\n"
-                     "def tick(p):\n"
-                     "    return p.check\n") == []
-
-    def test_closure_sees_enclosing_alias(self):
-        assert codes("def tick(self):\n"
-                     "    p = self.params\n"
-                     "    def inner():\n"
-                     "        return p.watchdog_cycles\n"
-                     "    return inner\n") == ["R011"]
-
-    def test_getattr_with_constant_name_flagged(self):
-        source = ("class Core:\n"
-                  "    def tick(self, now):\n"
-                  "        return getattr(self.params, 'watchdog_cycles')\n")
-        violations = _FileLinter("cpu/core.py", source).run()
-        assert [v.code for v in violations] == ["R011"]
-        assert "'watchdog_cycles'" in violations[0].message
-
-    def test_getattr_of_non_ephemeral_or_variable_name_is_clean(self):
-        assert codes("def tick(self, name):\n"
-                     "    a = getattr(self.params, 'n_nodes')\n"
-                     "    return a, getattr(self.params, name)\n") == []
-
-    def test_getattr_through_alias_in_gate_is_clean(self):
-        source = ("class Machine:\n"
-                  "    def run(self, until):\n"
-                  "        p = self.params\n"
-                  "        return getattr(p, 'watchdog_cycles'), p.check\n")
-        assert _FileLinter("system/machine.py", source).run() == []
-
-
 class TestPragmaEdgeCases:
     """Lock in the pragma grammar."""
 
@@ -281,8 +221,7 @@ class TestDriver:
         assert text.startswith(str(bad) + ":1: R004")
 
     def test_rule_catalog(self):
-        assert set(RULES) == {"R001", "R002", "R003", "R004", "R011",
-                              "R013"}
+        assert set(RULES) == {"R001", "R002", "R003", "R004", "R013"}
 
 
 class TestNumpyFree:

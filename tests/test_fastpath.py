@@ -2,7 +2,7 @@
 
 ``Machine.run`` ticks a core at a grid point only when something can
 happen there, and credits the skipped cycles to the core's unchanged
-stall category.  A sanitized run (``check=True``) takes the same loop
+stall category.  A sanitized run (``Tools(check=True)``) takes the same loop
 with certification off: every core is stepped through
 ``ProcessorCore.tick`` at every grid point.  The whole contract of
 skipping is *instruction-for-instruction equivalence* with that
@@ -44,7 +44,7 @@ from repro.core.experiment import assemble_result
 from repro.core.workloads import dss_workload, oltp_workload, \
     tpcc_workload
 from repro.cpu.core import ProcessorCore
-from repro.params import ConsistencyImpl, ConsistencyModel, \
+from repro.params import ConsistencyImpl, ConsistencyModel, Tools, \
     default_system
 from repro.params_io import params_from_dict, params_to_dict
 from repro.run.jobs import JobSpec, WorkloadSpec
@@ -53,13 +53,14 @@ from repro.system.machine import Machine, WedgeError
 
 # --------------------------------------------------------------- helpers
 
-def build_machine(params, workload, seed=0):
-    return Machine(params, workload.generators(params.n_nodes,
-                                               seed=seed))
+def build_machine(params, workload, seed=0, tools=Tools()):
+    return Machine(params, workload.generators(params.n_nodes, seed=seed),
+                   tools)
 
 
-def one_run(params, workload, instr, warmup, seed=0, chunks=None):
-    m = build_machine(params, workload, seed)
+def one_run(params, workload, instr, warmup, seed=0, chunks=None,
+            tools=Tools()):
+    m = build_machine(params, workload, seed, tools)
     if warmup:
         m.run(warmup)
         m.reset_stats()
@@ -75,10 +76,10 @@ def one_run(params, workload, instr, warmup, seed=0, chunks=None):
 
 
 def assert_identical(params, workload, instr=2500, warmup=1000, seed=0,
-                     chunks=None):
-    plain = one_run(params, workload, instr, warmup, seed, chunks)
-    checked = one_run(params.replace(check=True), workload, instr,
-                      warmup, seed, chunks)
+                     chunks=None, tools=Tools()):
+    plain = one_run(params, workload, instr, warmup, seed, chunks, tools)
+    checked = one_run(params, workload, instr, warmup, seed, chunks,
+                      dataclasses.replace(tools, check=True))
     assert plain[0] == checked[0], "results diverged from the sanitized run"
     assert plain[1] == checked[1], \
         "machine state diverged from the sanitized run"
@@ -119,9 +120,9 @@ MATRIX = [
         oltp_workload, {}),
     ("oltp-chunked", BASE, oltp_workload,
      {"chunks": [800, 1700, 2500]}),
-    ("oltp-watchdog-armed", BASE.replace(
-        watchdog_cycles=200000, watchdog_node_cycles=150000),
-        oltp_workload, {}),
+    ("oltp-watchdog-armed", BASE, oltp_workload,
+     {"tools": Tools(watchdog_cycles=200000,
+                     watchdog_node_cycles=150000)}),
     # One process per CPU: every commit syscall idles its CPU until the
     # cached scheduler wake seats the process again.
     ("oltp-idle", BASE,
@@ -190,10 +191,11 @@ def test_watchdog_trips_at_identical_cycle():
     """A wedged single-node run trips the watchdog at the same cycle
     with the same classification with and without the sanitizer:
     skip-ahead never jumps past a pending watchdog deadline."""
-    params = BASE.replace(n_nodes=1, mesh_width=1, watchdog_cycles=40)
+    params = BASE.replace(n_nodes=1, mesh_width=1)
     trips = {}
     for check in (False, True):
-        m = build_machine(params.replace(check=check), oltp_workload())
+        m = build_machine(params, oltp_workload(),
+                          tools=Tools(check=check, watchdog_cycles=40))
         with pytest.raises(WedgeError) as err:
             m.run(4000)
         trips[check] = err.value.to_dict()
@@ -209,7 +211,7 @@ def test_chunked_run_boundaries_identical():
     every, target = 600, 3000
     states = {}
     for check in (False, True):
-        m = build_machine(BASE.replace(check=check), oltp_workload())
+        m = build_machine(BASE, oltp_workload(), tools=Tools(check=check))
         boundaries = []
         total = m.total_retired()
         while total < target:
@@ -332,7 +334,8 @@ def test_plain_and_sanitized_states_equal(row):
     state."""
     _name, params, workload, _kw = next(m for m in MATRIX if m[0] == row)
     plain = one_run(params, workload(), 1500, 500)
-    checked = one_run(params.replace(check=True), workload(), 1500, 500)
+    checked = one_run(params, workload(), 1500, 500,
+                      tools=Tools(check=True))
     assert plain == checked
 
 
@@ -358,8 +361,8 @@ def run_spying_on_tick(monkeypatch, check):
         calls.append(now)
         return original(self, now)
     monkeypatch.setattr(ProcessorCore, "tick", spy)
-    params = BASE.replace(check=check, n_nodes=1, mesh_width=1)
-    m = build_machine(params, oltp_workload())
+    params = BASE.replace(n_nodes=1, mesh_width=1)
+    m = build_machine(params, oltp_workload(), tools=Tools(check=check))
     m.run(300)
     return m, calls
 
@@ -369,7 +372,7 @@ def test_sanitized_runs_decline_fast(monkeypatch):
     via the checker's ``_wrap_tick``, so ``checker.checks`` grows with
     every call."""
     m, calls = run_spying_on_tick(monkeypatch, check=True)
-    assert calls, "a check=True run never reached tick"
+    assert calls, "a sanitized run never reached tick"
     assert "_wrap_tick" in m.cores[0].tick.__qualname__
     assert m.checker.checks >= len(calls)
 
@@ -378,7 +381,7 @@ def test_fast_backend_is_dispatched(monkeypatch):
     """A plain run steps cores through ``ProcessorCore.tick`` directly,
     with no checker in between."""
     m, calls = run_spying_on_tick(monkeypatch, check=False)
-    assert calls, "a check=False run never reached tick"
+    assert calls, "a plain run never reached tick"
     assert m.checker is None
     assert "_wrap_tick" not in m.cores[0].tick.__qualname__
 
@@ -399,8 +402,7 @@ def test_backend_is_ephemeral_for_fingerprints():
     sanitized job fingerprints like the plain one."""
     plain = JobSpec(BASE, WorkloadSpec("oltp"), instructions=1000,
                     warmup=0, seed=0)
-    checked = JobSpec(BASE.replace(check=True), WorkloadSpec("oltp"),
-                      instructions=1000, warmup=0, seed=0)
+    checked = dataclasses.replace(plain, tools=Tools(check=True))
     assert plain.fingerprint() == checked.fingerprint()
 
 
@@ -423,7 +425,7 @@ def test_plain_runs_skip_ticks(monkeypatch):
     ends = {}
     for check in (False, True):
         mode[0] = check
-        m = build_machine(BASE.replace(check=check), oltp_workload())
+        m = build_machine(BASE, oltp_workload(), tools=Tools(check=check))
         m.run(2500)
         ends[check] = (m.now, m.total_retired())
     assert ends[False] == ends[True]

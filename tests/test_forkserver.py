@@ -16,7 +16,7 @@ import pytest
 
 import repro
 import repro.run
-from repro.params import default_system
+from repro.params import Tools, default_system
 from repro.run import DEFAULT_POLICY, JobSpec, RetryPolicy, WorkloadSpec, \
     run_many
 from repro.run import forkserver, triage
@@ -182,13 +182,14 @@ class TestPoolVsSerial:
 
 # The watchdog trips on this job: its two nodes stop retiring for more
 # than 40 cycles long before the run ends.
-WEDGE = JobSpec(default_system(n_nodes=2, watchdog_node_cycles=40),
-                WorkloadSpec("oltp"), instructions=2400, warmup=1200)
+WEDGE = JobSpec(default_system(n_nodes=2), WorkloadSpec("oltp"),
+                instructions=2400, warmup=1200,
+                tools=Tools(watchdog_node_cycles=40))
 
 
 class TestToolsReachTheJob:
-    """Ephemeral ``SystemParams`` fields (watchdog, sanitizer) travel
-    beside the job dict, so they arm under ``run_many`` too."""
+    """A job's ``Tools`` (watchdog, sanitizer) travel in its job dict,
+    outside its fingerprint, so they arm under ``run_many`` too."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_watchdog_fails_the_job_under_run_many(self, jobs, tmp_path):
@@ -202,7 +203,9 @@ class TestToolsReachTheJob:
         assert outcome.failed
         assert outcome.error.startswith("WedgeError")
         bundle = triage.load_bundle(outcome.bundle)
-        assert bundle["watchdog"] == {"cycles": 0, "node_cycles": 40}
+        assert bundle["job"]["tools"] == {"check": False,
+                                          "watchdog_cycles": 0,
+                                          "watchdog_node_cycles": 40}
         assert bundle["wedge"] is not None
         assert bundle["job"] == WEDGE.to_dict()
 
@@ -218,8 +221,7 @@ class TestToolsReachTheJob:
 
         monkeypatch.setattr(invariants.InvariantChecker, "__init__", spy)
         plain = _spec()
-        checked = JobSpec(plain.params.replace(check=True),
-                          plain.workload, seed=plain.seed, **TINY)
+        checked = dataclasses.replace(plain, tools=Tools(check=True))
         assert checked.fingerprint() == plain.fingerprint()
         runs = []
         for name, spec in (("plain", plain), ("checked", checked)):
@@ -232,15 +234,15 @@ class TestToolsReachTheJob:
         armed.clear()
         assert runs[0] == runs[1]
 
-    def test_runner_dict_carries_tools_outside_the_fingerprint(self):
-        shipped = WEDGE.to_runner_dict()
+    def test_job_dict_carries_tools_outside_the_fingerprint(self):
+        shipped = WEDGE.to_dict()
         assert shipped["tools"] == {"check": False, "watchdog_cycles": 0,
                                     "watchdog_node_cycles": 40}
-        assert {k: v for k, v in shipped.items() if k != "tools"} \
-            == WEDGE.to_dict()
         assert JobSpec.from_dict(shipped) == WEDGE
-        assert JobSpec.from_dict(WEDGE.to_dict()).params \
-            .watchdog_node_cycles == 0
+        plain = dataclasses.replace(WEDGE, tools=Tools())
+        assert WEDGE.fingerprint() == plain.fingerprint()
+        del shipped["tools"]
+        assert JobSpec.from_dict(shipped) == plain
 
 
 class TestChunkWriterDeath:

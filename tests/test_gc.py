@@ -187,8 +187,8 @@ class TestStaleEntries:
             consistency_impl=ConsistencyImpl.PREFETCH), WorkloadSpec("oltp"),
             instructions=800, warmup=800)
         text = json.dumps({"model_version": run_jobs.MODEL_VERSION,
-                           "job": spec.to_dict()}, sort_keys=True,
-                          separators=(",", ":"))
+                           "job": run_jobs.keyed_job(spec.to_dict())},
+                          sort_keys=True, separators=(",", ":"))
         old_key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert old_key != spec.fingerprint()
         result = spec.run()

@@ -9,7 +9,7 @@ hierarchy is freed the moment the last reference goes, not whenever
 the cycle collector next runs a full pass.  These tests run with the collector disabled, so anything left
 behind is a cycle.
 
-Sanitized machines (``check=True``) are freed the same way: the
+Sanitized machines (``Tools(check=True)``) are freed the same way: the
 invariant checker's wrappers are stored on the instances they wrap, so
 they reach those instances, the originals they call and the machine
 only weakly.
@@ -25,7 +25,8 @@ import pytest
 from repro.core.experiment import run_simulation
 from repro.core.workloads import dss_workload, oltp_workload, tpcc_workload
 from repro.mem.memsys import NodeMemorySystem, weak_method
-from repro.params import ConsistencyImpl, ConsistencyModel, default_system
+from repro.params import ConsistencyImpl, ConsistencyModel, Tools, \
+    default_system
 from repro.run import forkserver
 from repro.run.jobs import JobSpec, WorkloadSpec
 from repro.system.machine import Machine
@@ -100,8 +101,8 @@ def test_plain_run_leaves_no_cycles(point):
 def test_sanitized_run_leaves_no_cycles(point):
     changes, workload = DESIGN_POINTS[point]
     with collector_off():
-        run_simulation(default_system(check=True, **changes), workload(),
-                       **SMALL)
+        run_simulation(default_system(**changes), workload(),
+                       tools=Tools(check=True), **SMALL)
         assert gc.collect() == 0
 
 
@@ -121,10 +122,11 @@ def test_failed_attempt_frees_its_machine(instances, tmp_path):
     """A watchdog trip carries the machine on the exception (for its
     triage bundle); once the attempt's outcome is returned, nothing
     holds it."""
-    spec = JobSpec(default_system(n_nodes=2, watchdog_node_cycles=40),
-                   WorkloadSpec("oltp"), instructions=2400, warmup=1200)
+    spec = JobSpec(default_system(n_nodes=2), WorkloadSpec("oltp"),
+                   instructions=2400, warmup=1200,
+                   tools=Tools(watchdog_node_cycles=40))
     with collector_off():
-        outcome = forkserver.run_entry(spec.to_runner_dict(), 0, None,
+        outcome = forkserver.run_entry(spec.to_dict(), 0, None,
                                        str(tmp_path))
         assert not outcome["ok"]
         assert outcome["error"].startswith("WedgeError")

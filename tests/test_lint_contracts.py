@@ -1,85 +1,33 @@
-"""Tests for R011 (ephemeral-parameter purity), the E001 syntax-error
-diagnostic, the rule table and the static mutations."""
+"""Tests for the cache key's coverage of the machine description, the
+E001 syntax-error diagnostic, the rule table and the static
+mutations."""
 
-import textwrap
+import dataclasses
 
 import repro.check.lint as lint_module
 from repro.check.lint import RULES, lint_paths, run_lint
 from repro.check.mutations import run_mutation_self_test
-
-
-def _lint_sources(tmp_path, files):
-    """Write {relpath: source} under tmp_path and lint the tree."""
-    for rel, source in files.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    violations, _ = lint_paths([str(tmp_path)])
-    return violations
+from repro.params import SystemParams, Tools, default_system
+from repro.params_io import params_to_dict
 
 
 def _codes(violations):
     return sorted(v.code for v in violations)
 
 
-class TestR011EphemeralPurity:
-    def test_ungated_read_flagged(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"cpu/core.py": """
-            class Core:
-                def tick(self, now):
-                    if self.params.check:
-                        self.count = now
-            """})
-        assert _codes(violations) == ["R011"]
-        assert "'check'" in violations[0].message
-        assert "Core.tick" in violations[0].message
+class TestKeyCoversTheMachine:
+    """Every field of the machine description is part of a job's key.
+    The run's tooling (sanitizer, watchdogs) lives in ``Tools``, apart
+    from ``SystemParams``, so no field can change a run while staying
+    out of its cache key."""
 
-    def test_gated_read_is_clean(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"system/machine.py": """
-            class Machine:
-                def run(self, until):
-                    armed = self.params.watchdog_cycles
-                    return armed
-            """})
-        assert violations == []
+    def test_every_params_field_is_serialized(self):
+        fields = {f.name for f in dataclasses.fields(SystemParams)}
+        assert fields == set(params_to_dict(default_system()))
 
-    def test_non_ephemeral_field_read_is_clean(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"cpu/core.py": """
-            class Core:
-                def tick(self, now):
-                    width = self.params.n_nodes
-                    return width
-            """})
-        assert violations == []
-
-    def test_bare_params_name_read_flagged(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"run/helper.py": """
-            def helper(params):
-                return params.watchdog_cycles
-            """})
-        assert _codes(violations) == ["R011"]
-
-    def test_pragma_escape(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"run/helper.py": """
-            def helper(params):
-                return params.check  # repro-lint: disable=R011
-            """})
-        assert violations == []
-
-    def test_real_params_module_is_consistent(self):
-        """One registry: the lint and serialization share
-        ``repro.params.EPHEMERAL_FIELDS``, and it names real fields."""
-        import dataclasses
-
-        import repro.params
-        import repro.params_io
-
-        registry = repro.params.EPHEMERAL_FIELDS
-        assert lint_module.EPHEMERAL_FIELDS is registry
-        assert repro.params_io.EPHEMERAL_FIELDS is registry
-        fields = {f.name for f in
-                  dataclasses.fields(repro.params.SystemParams)}
-        assert registry <= fields
+    def test_tools_are_not_params_fields(self):
+        fields = {f.name for f in dataclasses.fields(SystemParams)}
+        assert fields.isdisjoint(f.name for f in dataclasses.fields(Tools))
 
 
 class TestSyntaxErrorDiagnostic:

@@ -40,6 +40,7 @@ from repro.run import (
     run_many,
 )
 from repro.run.cache import _entry_chunks, _payload_checksum
+from repro.run.jobs import keyed_job
 from repro.stats import mshr
 
 # Small enough that retries stay cheap, large enough to exercise the
@@ -570,7 +571,7 @@ class TestCacheIntegrity:
 
     def test_entry_is_the_checksummed_text_encoded_once(self, tmp_path):
         cache, spec, entry = self._seed_entry(tmp_path)
-        job, result = spec.to_dict(), spec.run().to_dict()
+        job, result = keyed_job(spec.to_dict()), spec.run().to_dict()
         payload = {"format": 2, "checksum": _payload_checksum(job, result),
                    "job": job, "result": result}
         text = entry.read_text()
@@ -733,7 +734,8 @@ class TestStreamedEntry:
         cache = ResultCache(tmp_path)
         assert cache.put(spec, result)
         stored = cache._entry_path(spec.fingerprint()).read_bytes()
-        assert stored == (_entry_text(spec.to_dict(), result.to_dict())
+        assert stored == (_entry_text(keyed_job(spec.to_dict()),
+                                      result.to_dict())
                           + "\n").encode("ascii")
         assert cache.get(spec).to_dict() == result.to_dict()
 
@@ -747,8 +749,8 @@ class TestStreamedEntry:
         cache = ResultCache(tmp_path)
         cache.put(spec, result)
         stored = cache._entry_path(spec.fingerprint()).read_text()
-        assert stored == _entry_text(spec.to_dict(), result.to_dict()) \
-            + "\n"
+        assert stored == _entry_text(keyed_job(spec.to_dict()),
+                                     result.to_dict()) + "\n"
 
     def test_put_peak_memory_per_mshr_event(self, tmp_path):
         # The one-string put built a two-element list per event and

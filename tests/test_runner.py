@@ -15,7 +15,8 @@ import repro.run
 from repro.core.experiment import SimulationResult, run_simulation
 from repro.core.sweep import seed_sweep
 from repro.core.workloads import dss_workload, oltp_workload
-from repro.params import ConsistencyImpl, ConsistencyModel, default_system
+from repro.params import ConsistencyImpl, ConsistencyModel, Tools, \
+    default_system
 from repro.run import (MANIFEST_NAME, JobSpec, ResultCache, RunReport,
                        SweepManifest, WorkloadSpec, run_many)
 from repro.run import jobs as jobs_mod
@@ -45,10 +46,8 @@ class TestWorkloadSpec:
         assert WorkloadSpec.from_factory(lambda: None) is None
 
     def test_hints_round_trip(self):
-        from repro.core.optimizations import migratory_hints
-        hints = migratory_hints(prefetch=True, flush=True,
-                                pc_filter={7, 3})
-        spec = WorkloadSpec.from_hints("oltp", hints=hints)
+        spec = WorkloadSpec("oltp", hints_prefetch=True, hints_flush=True,
+                            hints_pcs=(3, 7))
         rebuilt = WorkloadSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
         assert rebuilt.hints.prefetch and rebuilt.hints.flush
@@ -92,12 +91,14 @@ class TestJobSpec:
 
     def test_every_field_round_trips(self):
         """Each field, moved off its default, survives the JSON trip
-        jobs take to a worker and into the cache."""
+        jobs take to a worker (and, but for the tools, into the
+        cache)."""
         workload = WorkloadSpec("oltp", scale=8, processes_per_cpu=3,
                                 hints_prefetch=True, hints_flush=True,
                                 hints_pcs=(0x40, 0x80))
         spec = JobSpec(default_system(n_nodes=2), workload,
-                       instructions=1234, warmup=567, seed=9)
+                       instructions=1234, warmup=567, seed=9,
+                       tools=Tools(check=True))
         defaults = JobSpec(default_system(), WorkloadSpec("oltp"))
         for obj, default in ((spec, defaults),
                              (workload, defaults.workload)):
@@ -245,7 +246,8 @@ class TestCanonicalKey:
               for impl in ConsistencyImpl}
         assert len(sc) == 3
         # Canonical params leave every other key as it was.
-        job = _rc(ConsistencyImpl.STRAIGHTFORWARD).to_dict()
+        job = jobs_mod.keyed_job(_rc(ConsistencyImpl.STRAIGHTFORWARD)
+                                 .to_dict())
         text = json.dumps({"model_version": jobs_mod.MODEL_VERSION,
                            "job": job}, sort_keys=True,
                           separators=(",", ":"))
@@ -328,6 +330,50 @@ class TestCanonicalKey:
         assert log.index(("submit", 2)) < log.index(("put", 0))
         assert sorted(log) == sorted([("submit", s) for s in range(3)]
                                      + [("put", s) for s in range(3)])
+
+
+class TestSanitizedLeader:
+    """A sanitized job is never served: it leads its key, skips the
+    cache lookup and runs under its checker, while the plain specs of
+    its key are served from its byte-identical result."""
+
+    @pytest.fixture
+    def machines(self, monkeypatch):
+        """Whether each ``Machine`` built had a checker, in order."""
+        from repro.system.machine import Machine
+        built = []
+        original = Machine.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self.checker is not None)
+        monkeypatch.setattr(Machine, "__init__", spy)
+        monkeypatch.setattr(repro.run, "_cache", None)
+        monkeypatch.setattr(repro.run, "_manifest", None)
+        return built
+
+    def test_cached_key_still_runs_sanitized(self, tmp_path, machines):
+        plain = tiny_spec()
+        sanitized = dataclasses.replace(plain, tools=Tools(check=True))
+        cache = ResultCache(tmp_path)
+        run_many([plain], jobs=1, cache=cache)
+        assert machines == [False]
+        report = run_many([sanitized], jobs=1, cache=cache)
+        assert machines == [False, True]
+        outcome = report.outcomes[0]
+        assert not outcome.cached and outcome.attempts == 1
+        assert outcome.result.to_dict() == cache.get(plain).to_dict()
+        assert len(cache) == 1
+
+    def test_one_machine_per_key_and_it_is_sanitized(self, machines):
+        plain = tiny_spec()
+        sanitized = dataclasses.replace(plain, tools=Tools(check=True))
+        report = run_many([plain, sanitized], jobs=1)
+        assert machines == [True]
+        assert [o.cached for o in report.outcomes] == [True, False]
+        assert [o.attempts for o in report.outcomes] == [0, 1]
+        assert report.outcomes[0].result.to_dict() == \
+            report.outcomes[1].result.to_dict()
 
 
 class TestRunnerDefaults:

@@ -7,14 +7,18 @@ path of serial and pooled runs) and the attempt log of the sweep
 manifest.
 """
 
+import json
+
 import pytest
 
 import repro.run
-from repro.check.mutations import mutate_lost_lock_release
+from repro.check.invariants import InvariantViolation
+from repro.check.mutations import (mutate_lost_lock_release,
+                                   mutate_stale_sharer)
 from repro.core.experiment import run_simulation
 from repro.core.workloads import oltp_workload
 from repro.cpu.core import ProcessorCore
-from repro.params import default_system
+from repro.params import Tools, default_system
 from repro.run import triage
 from repro.run.cache import ResultCache
 from repro.run.executor import RetryPolicy, run_many
@@ -32,9 +36,9 @@ def small_params(**changes):
     return default_system(n_nodes=2, **changes)
 
 
-def small_spec(seed=0, kind="oltp", **params_changes):
+def small_spec(seed=0, kind="oltp", tools=Tools(), **params_changes):
     return JobSpec(small_params(**params_changes), WorkloadSpec(kind),
-                   seed=seed, **SMALL)
+                   seed=seed, tools=tools, **SMALL)
 
 
 @pytest.fixture(autouse=True)
@@ -50,17 +54,17 @@ def clean_runner(monkeypatch):
 
 class TestWatchdog:
     def test_clean_run_never_trips(self):
-        params = small_params(watchdog_cycles=50_000,
-                              watchdog_node_cycles=10_000)
-        result = run_simulation(params, oltp_workload(), seed=0, **SMALL)
+        tools = Tools(watchdog_cycles=50_000, watchdog_node_cycles=10_000)
+        result = run_simulation(small_params(), oltp_workload(), seed=0,
+                                tools=tools, **SMALL)
         assert result.cycles > 0
 
     def test_lost_lock_release_classified_as_memory_stall(self):
-        params = default_system(watchdog_node_cycles=8_000)
         with mutate_lost_lock_release():
             with pytest.raises(WedgeError) as info:
-                run_simulation(params, oltp_workload(),
-                               instructions=12_000, warmup=0)
+                run_simulation(default_system(), oltp_workload(),
+                               instructions=12_000, warmup=0,
+                               tools=Tools(watchdog_node_cycles=8_000))
         wedge = info.value
         assert wedge.kind == "memory-stall"
         assert wedge.node is not None
@@ -149,7 +153,7 @@ class TestTriageBundles:
         """A genuine (simulated) wedge reproduces under ``repro
         replay`` -- exit 1 and the same classification."""
         from repro.cli import main
-        spec = small_spec(seed=0, watchdog_node_cycles=40)
+        spec = small_spec(seed=0, tools=Tools(watchdog_node_cycles=40))
         with pytest.raises(WedgeError) as info:
             triage.run_attempt(spec, cache_dir=tmp_path)
         bundle_path = getattr(info.value, "__triage_bundle__", "")
@@ -157,7 +161,46 @@ class TestTriageBundles:
         data = triage.load_bundle(bundle_path)
         assert data["wedge"]["kind"] == info.value.kind
         assert data["retired"] is not None and data["cycle"] is not None
+        assert data["job"] == spec.to_dict()
+        assert "watchdog" not in data
         assert main(["replay", bundle_path, "--no-cache"]) == 1
+
+    def test_sanitized_bundle_replays_to_same_violation(self, tmp_path,
+                                                        capsys):
+        """A job that fails its sanitizer replays sanitized: the bundle
+        records the job's tools, so the violation reproduces (exit 1)
+        instead of the plain run completing."""
+        from repro.cli import main
+        spec = JobSpec(default_system(), WorkloadSpec("oltp"),
+                       instructions=6_000, warmup=3_000, seed=0,
+                       tools=Tools(check=True))
+        with mutate_stale_sharer():
+            with pytest.raises(InvariantViolation) as info:
+                triage.run_attempt(spec, cache_dir=tmp_path)
+            bundle_path = info.value.__triage_bundle__
+            assert triage.load_bundle(bundle_path)["job"]["tools"] == \
+                {"check": True, "watchdog_cycles": 0,
+                 "watchdog_node_cycles": 0}
+            capsys.readouterr()
+            assert main(["replay", bundle_path, "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "replay: failure reproduced: InvariantViolation" in out
+        assert "but sharers" in out
+
+    def test_format_1_bundle_is_refused(self, tmp_path, capsys):
+        """A format-1 bundle kept its watchdog apart from the job;
+        replayed without it, a recorded wedge would hang, so replay
+        refuses the bundle (exit 2)."""
+        from repro.cli import main
+        spec = small_spec()
+        job = {key: value for key, value in spec.to_dict().items()
+               if key != "tools"}
+        (tmp_path / "job.json").write_text(json.dumps({
+            "format": 1, "job": job, "fingerprint": spec.fingerprint(),
+            "attempt": 0, "error": {"type": "WedgeError", "message": ""},
+            "watchdog": {"cycles": 0, "node_cycles": 40}}))
+        assert main(["replay", str(tmp_path), "--no-cache"]) == 2
+        assert "format-2" in capsys.readouterr().out
 
     def test_host_side_crash_replays_clean(self, tmp_path, capsys):
         """An injected (host-side) crash fires before the machine is
