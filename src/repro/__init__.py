@@ -16,31 +16,37 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.params import (
-    ConsistencyImpl,
-    ConsistencyModel,
-    SystemParams,
-    default_system,
-    paper_system,
-)
-from repro.core.workloads import (
-    Workload,
-    dss_workload,
-    oltp_workload,
-    tpcc_workload,
-)
-from repro.core.experiment import SimulationResult, run_simulation
-from repro.core.optimizations import migratory_hints, profile_migratory_pcs
-from repro.system.machine import Machine
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ConsistencyModel", "ConsistencyImpl", "SystemParams",
-    "default_system", "paper_system",
-    "Workload", "oltp_workload", "dss_workload", "tpcc_workload",
-    "SimulationResult", "run_simulation",
-    "profile_migratory_pcs", "migratory_hints",
-    "Machine",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Resolved on first use
+#: (PEP 562), so ``import repro`` compiles this file only.
+_EXPORTS = {
+    "ConsistencyModel": "repro.params",
+    "ConsistencyImpl": "repro.params",
+    "SystemParams": "repro.params",
+    "default_system": "repro.params",
+    "paper_system": "repro.params",
+    "Workload": "repro.core.workloads",
+    "oltp_workload": "repro.core.workloads",
+    "dss_workload": "repro.core.workloads",
+    "tpcc_workload": "repro.core.workloads",
+    "SimulationResult": "repro.core.experiment",
+    "run_simulation": "repro.core.experiment",
+    "profile_migratory_pcs": "repro.core.optimizations",
+    "migratory_hints": "repro.core.optimizations",
+    "Machine": "repro.system.machine",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -30,14 +30,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.check.invariants import InvariantChecker, InvariantViolation
-
-__all__ = [
-    "InvariantChecker",
-    "InvariantViolation",
-    "run_check_suite",
-]
-
 
 def run_check_suite(verbose: bool = True, self_test: bool = True,
                     durability: bool = False) -> bool:

@@ -67,18 +67,25 @@ import sys
 from typing import Optional
 
 import repro.run as run
-from repro.core import figures as F
-from repro.stats.render import render_figure
 
-#: Kept for perfbench only; removed with ROADMAP item 6.
-_QUICK_SIZES = F.SIZES["quick"]
+
+def __getattr__(name: str):
+    # ``_QUICK_SIZES`` is kept for perfbench only (removed with ROADMAP
+    # item 6); it is resolved on use so importing the CLI loads no
+    # figure table.
+    if name == "_QUICK_SIZES":
+        from repro.core import figures as F
+        return F.SIZES["quick"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sizes(workload: str, quick: bool):
+    from repro.core import figures as F
     return F.SIZES["quick" if quick else "full"][workload]
 
 
 def _print_figure(fig) -> None:
+    from repro.stats.render import render_figure
     print(fig.format_table())
     rows = [(row.label, row.normalized,
              row.result.breakdown.summary_row()) for row in fig.rows]
@@ -91,11 +98,13 @@ def _print_figure(fig) -> None:
 
 def _show(key: str, quick: bool) -> None:
     """Run ``FIGURES[key]`` at its workload's sizes and print it."""
+    from repro.core import figures as F
     _print_figure(F.run_figure(key, *_sizes(F.FIGURES[key].workload,
                                             quick)))
 
 
 def cmd_characterize(quick: bool) -> None:
+    from repro.core import figures as F
     instr, warm = _sizes(F.FIGURES["characterize"].workload, quick)
     table = F.characterization_table(instructions=instr, warmup=warm)
     print("== In-text characterization ==")
@@ -111,6 +120,7 @@ def cmd_characterize(quick: bool) -> None:
 def cmd_figure(which: str, workload: Optional[str], quick: bool) -> None:
     """Show ``FIGURES[which]``, or ``FIGURES["which workload"]``; a
     figure of one fixed workload rejects the other."""
+    from repro.core import figures as F
     entry = F.FIGURES.get(which)
     if entry is None:
         key = f"{which} {workload or 'oltp'}"
@@ -129,6 +139,7 @@ def cmd_figure(which: str, workload: Optional[str], quick: bool) -> None:
 
 
 def cmd_report(quick: bool) -> None:
+    from repro.core import figures as F
     from repro.run import profile as run_profile
     manifest = run.shared_manifest()
     if manifest is not None and run.runner_state().resume \

@@ -1,18 +1,3 @@
 """Experiment framework: workload definitions, simulation runner, the
 paper's figure/table reproductions, and the software migratory-data
 optimization pass."""
-
-from repro.core.workloads import (
-    Workload,
-    dss_workload,
-    oltp_workload,
-    tpcc_workload,
-)
-from repro.core.experiment import SimulationResult, run_simulation
-from repro.core.optimizations import migratory_hints, profile_migratory_pcs
-
-__all__ = [
-    "Workload", "oltp_workload", "dss_workload", "tpcc_workload",
-    "SimulationResult", "run_simulation",
-    "profile_migratory_pcs", "migratory_hints",
-]

@@ -14,18 +14,14 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
-from repro.core.workloads import Workload
+from repro.core.workloads import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, \
+    Workload
 from repro.mem.coherence import CoherenceStats
 from repro.params import SystemParams, Tools
 from repro.stats.breakdown import ExecutionBreakdown
 from repro.stats.mshr import MshrOccupancyGroup
 from repro.stats.sharing import SharingReport, sharing_characterization
 from repro.system.machine import Machine
-
-#: Default measurement length (dynamic instructions across all CPUs).
-DEFAULT_INSTRUCTIONS = 80_000
-DEFAULT_WARMUP = 40_000
-
 
 def _compact_json(value: object) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -5,18 +5,27 @@ The paper runs eight server processes per CPU for OLTP and four for DSS
 builds one trace generator per process; all generators of one machine
 share the layout, so cross-process sharing (SGA metadata, locks) produces
 real coherence traffic.
+
+Each factory imports its trace generator when it is called, so loading
+this module (as every job description does) compiles no generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from repro.params import DEFAULT_SCALE
 from repro.trace.database import DatabaseLayout, MigratoryHints
-from repro.trace.dss import DssParams, DssTraceGenerator
-from repro.trace.oltp import OltpParams, OltpTraceGenerator
-from repro.trace.tpcc import TpccParams, TpccTraceGenerator
+
+if TYPE_CHECKING:
+    from repro.trace.dss import DssParams
+    from repro.trace.oltp import OltpParams
+    from repro.trace.tpcc import TpccParams
+
+#: Default measurement length (dynamic instructions across all CPUs).
+DEFAULT_INSTRUCTIONS = 80_000
+DEFAULT_WARMUP = 40_000
 
 
 @dataclass
@@ -43,6 +52,7 @@ def oltp_workload(scale: int = DEFAULT_SCALE,
     ``scale`` divides footprints to match :func:`repro.params.default_system`;
     ``hints`` enables the section-4.2 software prefetch/flush optimization.
     """
+    from repro.trace.oltp import OltpParams, OltpTraceGenerator
     oltp_params = (params or OltpParams()).scaled(scale)
     layout = DatabaseLayout().scaled(scale)
 
@@ -59,6 +69,8 @@ def tpcc_workload(scale: int = DEFAULT_SCALE,
                   hints: Optional[MigratoryHints] = None,
                   processes_per_cpu: int = 6) -> Workload:
     """TPC-C-like OLTP mix (paper section 2.1.1's comparison point)."""
+    from repro.trace.oltp import OltpParams
+    from repro.trace.tpcc import TpccParams, TpccTraceGenerator
     oltp_params = (params or OltpParams()).scaled(scale)
     tpcc_params = (tpcc or TpccParams()).scaled(scale)
     layout = DatabaseLayout().scaled(scale)
@@ -75,6 +87,7 @@ def dss_workload(scale: int = DEFAULT_SCALE,
                  params: Optional[DssParams] = None,
                  processes_per_cpu: int = 4) -> Workload:
     """TPC-D Query-6-like DSS (paper sections 2.1.2, 2.3)."""
+    from repro.trace.dss import DssParams, DssTraceGenerator
     dss_params = (params or DssParams()).scaled(scale)
     layout = DatabaseLayout().scaled(scale)
 

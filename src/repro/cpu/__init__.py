@@ -1,10 +1,2 @@
 """Processor models: branch prediction, consistency implementations,
 store buffer, and the unified in-order / out-of-order core."""
-
-from repro.cpu.bpred import BranchPredictor
-from repro.cpu.consistency import ConsistencyUnit
-from repro.cpu.storebuffer import StoreBuffer
-from repro.cpu.core import ProcessorCore
-
-__all__ = ["BranchPredictor", "ConsistencyUnit", "StoreBuffer",
-           "ProcessorCore"]

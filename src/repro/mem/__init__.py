@@ -1,24 +1,2 @@
 """Memory-system substrate: caches, MSHRs, TLBs, directory coherence,
 mesh interconnect, and the per-node memory hierarchy composition."""
-
-from repro.mem.cache import CacheArray, MshrFile
-from repro.mem.tlb import PageTable, Tlb
-from repro.mem.interconnect import MeshNetwork
-from repro.mem.coherence import CoherentMemory, CoherenceStats
-from repro.mem.memsys import (
-    CAT_DIRTY,
-    CAT_DTLB,
-    CAT_L1_HIT,
-    CAT_L2_HIT,
-    CAT_LOCAL,
-    CAT_REMOTE,
-    MemResult,
-    NodeMemorySystem,
-)
-
-__all__ = [
-    "CacheArray", "MshrFile", "PageTable", "Tlb", "MeshNetwork",
-    "CoherentMemory", "CoherenceStats", "NodeMemorySystem", "MemResult",
-    "CAT_L1_HIT", "CAT_L2_HIT", "CAT_LOCAL", "CAT_REMOTE", "CAT_DIRTY",
-    "CAT_DTLB",
-]

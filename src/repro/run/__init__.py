@@ -32,48 +32,76 @@ the CLI, which enables the cache) opt in::
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.run.atomicio import CriticalWriteError, DurabilityWarning
-from repro.run.audit import AuditFinding, AuditReport, audit_state
-from repro.run.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
-from repro.run.executor import (
-    DEFAULT_POLICY,
-    JobOutcome,
-    RetryPolicy,
-    RunReport,
-    default_jobs,
-    run_many,
-)
-from repro.run.faults import (FaultPlan, InjectedCrash, InjectedDiskFault,
-                              InjectedWriterDeath, plan_from_env)
-from repro.run.jobs import MODEL_VERSION, JobSpec, WorkloadSpec
-from repro.run.manifest import MANIFEST_NAME, JobRecord, SweepManifest
+if TYPE_CHECKING:
+    from repro.run.cache import ResultCache
+    from repro.run.executor import RetryPolicy
+    from repro.run.manifest import SweepManifest
+
+#: Public name -> the submodule that defines it.  Resolved on first use
+#: (PEP 562), so ``import repro.run`` compiles this file only.
+_EXPORTS = {
+    "JobSpec": "jobs", "WorkloadSpec": "jobs", "MODEL_VERSION": "jobs",
+    "ResultCache": "cache", "DEFAULT_CACHE_DIR": "cache",
+    "default_cache_dir": "cache",
+    "run_many": "executor", "RunReport": "executor",
+    "JobOutcome": "executor", "RetryPolicy": "executor",
+    "DEFAULT_POLICY": "executor",
+    "SweepManifest": "manifest", "JobRecord": "manifest",
+    "MANIFEST_NAME": "manifest",
+    "FaultPlan": "faults", "InjectedCrash": "faults",
+    "InjectedDiskFault": "faults", "InjectedWriterDeath": "faults",
+    "plan_from_env": "faults",
+    "CriticalWriteError": "atomicio", "DurabilityWarning": "atomicio",
+    "AuditFinding": "audit", "AuditReport": "audit",
+    "audit_state": "audit",
+}
 
 __all__ = [
-    "JobSpec", "WorkloadSpec", "MODEL_VERSION",
-    "ResultCache", "DEFAULT_CACHE_DIR", "default_cache_dir",
-    "run_many", "RunReport", "JobOutcome", "default_jobs",
-    "RetryPolicy", "DEFAULT_POLICY",
-    "SweepManifest", "JobRecord", "MANIFEST_NAME",
-    "FaultPlan", "InjectedCrash", "InjectedDiskFault",
-    "InjectedWriterDeath", "plan_from_env",
-    "CriticalWriteError", "DurabilityWarning",
-    "AuditFinding", "AuditReport", "audit_state",
+    *_EXPORTS, "default_jobs",
     "configure", "runner_defaults", "runner_state",
     "shared_cache", "shared_manifest", "retry_policy",
 ]
 
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def default_jobs() -> int:
+    """Worker count from ``REPRO_JOBS`` (default 1: serial)."""
+    try:
+        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+    except ValueError:
+        return 1
+
+
+def _open_cache(cache_dir: Optional[str] = None) -> None:
+    """Point the shared cache, and its manifest, at ``cache_dir``."""
+    global _cache, _manifest
+    from repro.run.cache import ResultCache
+    from repro.run.manifest import MANIFEST_NAME, SweepManifest
+    _cache = ResultCache(cache_dir)
+    _manifest = SweepManifest(_cache.path / MANIFEST_NAME)
+
+
 _jobs: int = default_jobs()
 _cache: Optional[ResultCache] = None
 _manifest: Optional[SweepManifest] = None
-_policy: RetryPolicy = DEFAULT_POLICY
+_policy: Optional[RetryPolicy] = None     # None: DEFAULT_POLICY
 _resume: bool = False
 if os.environ.get("REPRO_CACHE") == "1":
-    _cache = ResultCache()
-    _manifest = SweepManifest(_cache.path / MANIFEST_NAME)
+    _open_cache()
 
 
 @dataclass(frozen=True)
@@ -142,23 +170,23 @@ def configure(jobs: Optional[int] = None,
     if jobs is not None:
         _jobs = max(1, int(jobs))
     if cache_dir is not None:
-        _cache = ResultCache(cache_dir)
-        _manifest = SweepManifest(_cache.path / MANIFEST_NAME)
+        _open_cache(cache_dir)
     elif use_cache is not None:
         if use_cache:
             if _cache is None:
-                _cache = ResultCache()
-            if _manifest is None:
+                _open_cache()
+            elif _manifest is None:
+                from repro.run.manifest import MANIFEST_NAME, SweepManifest
                 _manifest = SweepManifest(_cache.path / MANIFEST_NAME)
         else:
             _cache = None
             _manifest = None
     if retries is not None:
-        _policy = dataclasses.replace(_policy,
+        _policy = dataclasses.replace(retry_policy(),
                                       retries=max(0, int(retries)))
     if job_timeout is not None:
         _policy = dataclasses.replace(
-            _policy,
+            retry_policy(),
             job_timeout=float(job_timeout) if job_timeout > 0 else None)
     if resume is not None:
         _resume = bool(resume)
@@ -171,7 +199,7 @@ def runner_defaults() -> Tuple[int, Optional[ResultCache]]:
 
 def runner_state() -> RunnerState:
     """Full runner configuration consumed by :func:`run_many`."""
-    return RunnerState(jobs=_jobs, cache=_cache, policy=_policy,
+    return RunnerState(jobs=_jobs, cache=_cache, policy=retry_policy(),
                        manifest=_manifest, resume=_resume)
 
 
@@ -187,4 +215,7 @@ def shared_manifest() -> Optional[SweepManifest]:
 
 def retry_policy() -> RetryPolicy:
     """The process-wide retry/timeout policy."""
+    if _policy is None:
+        from repro.run.executor import DEFAULT_POLICY
+        return DEFAULT_POLICY
     return _policy

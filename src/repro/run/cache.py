@@ -37,13 +37,16 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple,
+                    Union)
 
-from repro.core.experiment import SimulationResult
 from repro.run import atomicio, triage
 from repro.run.faults import plan_from_env
 from repro.run.jobs import JobSpec, fingerprint_of, keyed_job
 from repro.run.manifest import MANIFEST_NAME, SweepManifest
+
+if TYPE_CHECKING:
+    from repro.core.experiment import SimulationResult
 
 #: Default cache location (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -155,13 +158,16 @@ class ResultCache:
             raise CorruptEntry(
                 f"checksum mismatch (stored {str(stored)[:12]}..., "
                 f"computed {computed[:12]}...)")
+        from repro.core.experiment import SimulationResult
         try:
             return SimulationResult.from_dict(data["result"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptEntry(f"undecodable result: {exc}") from exc
 
-    def get(self, spec: JobSpec) -> Optional[SimulationResult]:
+    def get(self, spec: JobSpec, fingerprint: Optional[str] = None
+            ) -> Optional[SimulationResult]:
         """Checksum-verified cached result for ``spec``, or ``None``.
+        ``fingerprint`` is ``spec``'s key when the caller already has it.
 
         The entry may have been stored by another spec with the same
         canonical machine; the result returned carries ``spec``'s own
@@ -171,7 +177,7 @@ class ResultCache:
         ``quarantine/`` and reported as misses so the caller re-runs the
         job and rewrites a clean entry.
         """
-        entry = self._entry_path(spec.fingerprint())
+        entry = self._entry_path(fingerprint or spec.fingerprint())
         try:
             with open(entry) as fh:
                 text = fh.read()
@@ -188,15 +194,17 @@ class ResultCache:
         result.params = spec.params
         return result
 
-    def put(self, spec: JobSpec, result: SimulationResult) -> bool:
+    def put(self, spec: JobSpec, result: SimulationResult,
+            fingerprint: Optional[str] = None) -> bool:
         """Store ``result`` under ``spec``'s fingerprint (atomic write),
         with the job as its key sees it (:func:`keyed_job`).
+        ``fingerprint`` is that key when the caller already has it.
 
         Best-effort: storage faults (read-only directory, disk full)
         degrade to a :class:`RuntimeWarning` and ``False`` -- the
         computed result stays usable in memory and the sweep continues.
         """
-        fingerprint = spec.fingerprint()
+        fingerprint = fingerprint or spec.fingerprint()
         chunks = _entry_chunks(keyed_job(spec.to_dict()), result)
         plan = plan_from_env()
         if plan is not None:

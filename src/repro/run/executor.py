@@ -42,16 +42,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, \
+    Tuple
 
-from repro.core.experiment import SimulationResult
 from repro.run.cache import ResultCache
 from repro.run.faults import plan_from_env
 from repro.run.jobs import JobSpec
 from repro.run.manifest import SweepManifest
+
+if TYPE_CHECKING:
+    from repro.core.experiment import SimulationResult
 
 
 @dataclass(frozen=True)
@@ -202,37 +204,28 @@ def run_totals() -> Dict[str, float]:
     return dict(_TOTALS)
 
 
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1: serial)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _failure_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
-            attempts: int, cache: Optional[ResultCache],
+def _finish(spec: JobSpec, fingerprint: str, result: SimulationResult,
+            elapsed: float, attempts: int, cache: Optional[ResultCache],
             manifest: Optional[SweepManifest]) -> JobOutcome:
     """Record a successful completion (cache write is best-effort)."""
     if cache is not None:
-        cache.put(spec, result)
+        cache.put(spec, result, fingerprint)
     if manifest is not None:
-        fingerprint = spec.fingerprint()
         manifest.mark_attempt(fingerprint, attempts - 1, "ok")
         manifest.mark_done(fingerprint)
     return JobOutcome(spec, result, elapsed, attempts=attempts)
 
 
-def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
-          manifest: Optional[SweepManifest],
+def _fail(spec: JobSpec, fingerprint: str, error: str, elapsed: float,
+          attempts: int, manifest: Optional[SweepManifest],
           bundle: str = "") -> JobOutcome:
     """Record a job that exhausted its retries; the sweep continues."""
     if manifest is not None:
-        manifest.mark_failed(spec.fingerprint(), error)
+        manifest.mark_failed(fingerprint, error)
     return JobOutcome(spec, None, elapsed, attempts=attempts, error=error,
                       bundle=bundle)
 
@@ -277,14 +270,15 @@ def _chunk_size(n_pending: int, slots: int, policy: RetryPolicy) -> int:
     return max(1, min(8, math.ceil(n_pending / (slots * 4))))
 
 
-def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
-         cache: Optional[ResultCache],
+def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
+         jobs: int, cache: Optional[ResultCache],
          outcomes: List[Optional[JobOutcome]],
          policy: RetryPolicy,
          manifest: Optional[SweepManifest]) -> bool:
     """Run every ``pending`` job to an outcome: the runner's one
     scheduling loop.  Returns whether the pool was wanted but could not
     be used (or broke), so the in-process runner took over.
+    ``fingerprints[index]`` is the key of the job at input ``index``.
 
     The loop owns the retry queue, backoff, deadlines, zombies, manifest
     marks and outcomes.  It hands chunks of jobs to one of two chunk
@@ -353,24 +347,24 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
         worker failure can both reach here for the same attempt, and
         :meth:`SweepManifest.mark_attempt` keeps exactly one outcome.
         """
+        fingerprint = fingerprints[index]
         if manifest is not None:
-            manifest.mark_attempt(spec.fingerprint(), attempt, kind,
-                                  error)
+            manifest.mark_attempt(fingerprint, attempt, kind, error)
         if attempt < policy.retries:
             if manifest is not None:
-                manifest.mark_retrying(spec.fingerprint(), error)
-            delay = policy.backoff_delay(spec.fingerprint(), attempt + 1)
+                manifest.mark_retrying(fingerprint, error)
+            delay = policy.backoff_delay(fingerprint, attempt + 1)
             queue.append((at + delay, index, spec, attempt + 1, elapsed))
         else:
-            outcomes[index] = _fail(spec, error, elapsed, attempt + 1,
-                                    manifest, bundle=bundle)
+            outcomes[index] = _fail(spec, fingerprint, error, elapsed,
+                                    attempt + 1, manifest, bundle=bundle)
 
     def submit(entries: List[Tuple[int, JobSpec, int, float]],
                at: float) -> None:
         """Hand one chunk to the runner in use as a single future."""
         if manifest is not None:
-            for _index, spec, _attempt, _elapsed in entries:
-                manifest.mark_running(spec.fingerprint())
+            for index, _spec, _attempt, _elapsed in entries:
+                manifest.mark_running(fingerprints[index])
         if pool is not None:
             from concurrent.futures import BrokenExecutor, Future
             payload = forkserver.make_batch_payload(
@@ -517,8 +511,8 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 if pool is not None:
                     refill(now)
             for index, spec, result, elapsed, attempts in finished:
-                outcomes[index] = _finish(spec, result, elapsed, attempts,
-                                          cache, manifest)
+                outcomes[index] = _finish(spec, fingerprints[index], result,
+                                          elapsed, attempts, cache, manifest)
         return fell_back
     finally:
         # The pool outlives this call (warm workers for the next sweep)
@@ -571,8 +565,10 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     jobs = max(1, int(jobs))
 
     start = time.perf_counter()  # repro-lint: disable=R002
-    # One spec of each fingerprint leads: the first sanitized one, else
-    # the first.  It alone is looked up and, on a miss, simulated.
+    # Each key is computed once here and handed to every cache lookup,
+    # manifest mark and backoff below.  One spec of each fingerprint
+    # leads: the first sanitized one, else the first.  It alone is
+    # looked up and, on a miss, simulated.
     fingerprints = [spec.fingerprint() for spec in specs]
     leaders: Dict[str, int] = {}
     for index, fingerprint in enumerate(fingerprints):
@@ -581,15 +577,15 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
             leaders[fingerprint] = index
     if manifest is not None:
         manifest.begin(list(leaders),
-                       [specs[index].describe()
-                        for index in leaders.values()],
+                       [specs[index].describe(fingerprint)
+                        for fingerprint, index in leaders.items()],
                        resume=bool(resume))
 
     outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
     pending: List[Tuple[int, JobSpec]] = []
     for fingerprint, index in leaders.items():
         spec = specs[index]
-        hit = cache.get(spec) \
+        hit = cache.get(spec, fingerprint) \
             if cache is not None and not spec.tools.check else None
         if hit is not None:
             outcomes[index] = JobOutcome(spec, hit, 0.0, cached=True,
@@ -599,8 +595,8 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         else:
             pending.append((index, spec))
 
-    fell_back = bool(pending) and _run(pending, jobs, cache, outcomes,
-                                       policy, manifest)
+    fell_back = bool(pending) and _run(pending, fingerprints, jobs, cache,
+                                       outcomes, policy, manifest)
     for index, fingerprint in enumerate(fingerprints):
         leader = leaders[fingerprint]
         if leader != index:

@@ -11,7 +11,9 @@ module removes both:
   reuse warm workers; a call with fewer pending jobs than workers uses
   fewer of them rather than rebuilding the pool.  The start method is
   the first of ``fork`` > ``forkserver`` > ``spawn`` the platform
-  offers: forked workers inherit the parent's imported modules.
+  offers: forked workers inherit the parent's imported modules, so
+  :func:`get_pool` imports everything a job runs (:data:`JOB_MODULES`)
+  before the first fork and no worker compiles a module of its own.
 * **Batched dispatch.**  A chunk ships its plain job dicts
   (:meth:`~repro.run.jobs.JobSpec.to_dict`, tools included), each with
   its attempt number, in a single pickle.
@@ -29,6 +31,7 @@ for the executor's retry machinery.
 from __future__ import annotations
 
 import atexit
+import importlib
 import os
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -56,6 +59,11 @@ def pick_method() -> str:
 
 # ----------------------------------------------------------- pool lifetime
 
+#: What :meth:`~repro.run.jobs.JobSpec.run` imports: the model and the
+#: trace generator of every workload kind.
+JOB_MODULES = ("repro.core.experiment", "repro.trace.dss",
+               "repro.trace.oltp", "repro.trace.tpcc")
+
 _pool = None
 _pool_jobs = 0
 
@@ -66,12 +74,15 @@ def get_pool(jobs: int):
     process).
 
     The pool persists across calls; it is rebuilt only when the worker
-    count changes or after :func:`recycle_pool`.
+    count changes or after :func:`recycle_pool`.  Its workers fork after
+    :data:`JOB_MODULES` are loaded, so they inherit them compiled.
     """
     global _pool, _pool_jobs
     if _pool is not None and _pool_jobs == jobs:
         return _pool
     recycle_pool()
+    for name in JOB_MODULES:
+        importlib.import_module(name)
     try:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

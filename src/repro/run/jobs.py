@@ -21,15 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.core.experiment import (
+from repro.core.workloads import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,
-    SimulationResult,
-    run_simulation,
-)
-from repro.core.workloads import (
     Workload,
     dss_workload,
     oltp_workload,
@@ -38,6 +34,9 @@ from repro.core.workloads import (
 from repro.params import DEFAULT_SCALE, SystemParams, Tools
 from repro.params_io import params_from_dict, params_to_dict
 from repro.trace.database import MigratoryHints
+
+if TYPE_CHECKING:
+    from repro.core.experiment import SimulationResult
 
 #: Simulator-semantics version baked into every job fingerprint.
 #: 2: exclusive->shared demotions revoke the old owner's write
@@ -202,20 +201,22 @@ class JobSpec:
         """Stable content hash of the job (includes the model version)."""
         return fingerprint_of(self.to_dict())
 
-    def describe(self) -> str:
+    def describe(self, fingerprint: Optional[str] = None) -> str:
         """Short human-readable label for manifests and progress output.
 
-        Not a cache key (that is :meth:`fingerprint`); just enough for a
-        person scanning ``repro sweep-status`` to recognise the cell:
+        Not a cache key (that is :meth:`fingerprint`, passed in as
+        ``fingerprint`` when the caller already has it); just enough for
+        a person scanning ``repro sweep-status`` to recognise the cell:
         workload kind, run sizes, seed, and a fingerprint prefix that
         disambiguates the system configuration.
         """
+        fingerprint = fingerprint or self.fingerprint()
         return (f"{self.workload.kind} i={self.instructions} "
-                f"w={self.warmup} seed={self.seed} "
-                f"[{self.fingerprint()[:12]}]")
+                f"w={self.warmup} seed={self.seed} [{fingerprint[:12]}]")
 
     def run(self) -> SimulationResult:
         """Execute the simulation on a freshly built workload."""
+        from repro.core.experiment import run_simulation
         return run_simulation(self.params, self.workload.build(),
                               instructions=self.instructions,
                               warmup=self.warmup, seed=self.seed,

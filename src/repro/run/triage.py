@@ -37,14 +37,15 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.core.experiment import SimulationResult
 from repro.run import atomicio
 from repro.run.faults import FaultPlan
 from repro.run.jobs import MODEL_VERSION, JobSpec
-from repro.system.machine import Machine, WedgeError
-from repro.trace.instr import I_ADDR, I_OP, I_PC, OP_NAMES
+
+if TYPE_CHECKING:
+    from repro.core.experiment import SimulationResult
+    from repro.system.machine import Machine
 
 #: Subdirectory of the result cache holding triage bundles.
 TRIAGE_DIR = "triage"
@@ -79,6 +80,7 @@ def bundle_dirs(cache_dir: Union[str, Path]) -> List[Path]:
 
 def _stream_tails(machine: Machine) -> List[Dict[str, Any]]:
     """Per-process tails of the in-flight instruction window."""
+    from repro.trace.instr import I_ADDR, I_OP, I_PC, OP_NAMES
     tails = []
     for process in machine.processes:
         buf = list(process.trace._buf)[-STREAM_TAIL:]
@@ -103,6 +105,7 @@ def write_bundle(cache_dir: Union[str, Path], *, spec: JobSpec,
     construction (the bundle then holds the job description and error
     only).
     """
+    from repro.system.machine import WedgeError
     directory = bundle_dir(cache_dir, fingerprint, attempt)
     payload: Dict[str, Any] = {
         "format": BUNDLE_FORMAT,

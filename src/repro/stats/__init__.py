@@ -1,28 +1,1 @@
 """Statistics: execution-time breakdown, MSHR occupancy, sharing analysis."""
-
-from repro.stats.breakdown import (
-    BUSY,
-    CPU_STALL,
-    IDLE,
-    INSTR,
-    READ_DIRTY,
-    READ_DTLB,
-    READ_L1,
-    READ_L2,
-    READ_LOCAL,
-    READ_REMOTE,
-    SYNC,
-    WRITE,
-    CATEGORY_NAMES,
-    READ_CATEGORIES,
-    ExecutionBreakdown,
-)
-from repro.stats.mshr import MshrOccupancy
-from repro.stats.sharing import sharing_characterization
-
-__all__ = [
-    "ExecutionBreakdown", "MshrOccupancy", "sharing_characterization",
-    "BUSY", "CPU_STALL", "READ_L1", "READ_L2", "READ_LOCAL", "READ_REMOTE",
-    "READ_DIRTY", "READ_DTLB", "WRITE", "SYNC", "INSTR", "IDLE",
-    "CATEGORY_NAMES", "READ_CATEGORIES",
-]

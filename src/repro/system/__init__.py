@@ -1,7 +1,1 @@
 """Multiprocessor system: processes, OS scheduler model, and the machine."""
-
-from repro.system.process import Process
-from repro.system.scheduler import CpuScheduler
-from repro.system.machine import Machine
-
-__all__ = ["Process", "CpuScheduler", "Machine"]

@@ -13,31 +13,3 @@ equivalent per-process instruction streams:
 * :mod:`repro.trace.oltp` -- TPC-B-like transaction streams.
 * :mod:`repro.trace.dss` -- TPC-D-Q6-like parallel scan streams.
 """
-
-from repro.trace.instr import (
-    OP_BRANCH,
-    OP_FLUSH,
-    OP_FP,
-    OP_INT,
-    OP_LOAD,
-    OP_LOCK_ACQ,
-    OP_LOCK_REL,
-    OP_MB,
-    OP_PREFETCH,
-    OP_STORE,
-    OP_SYSCALL,
-    OP_WMB,
-    Instruction,
-)
-from repro.trace.database import DatabaseLayout, MigratoryHints
-from repro.trace.oltp import OltpParams, OltpTraceGenerator
-from repro.trace.dss import DssParams, DssTraceGenerator
-
-__all__ = [
-    "Instruction",
-    "OP_INT", "OP_FP", "OP_LOAD", "OP_STORE", "OP_BRANCH", "OP_SYSCALL",
-    "OP_LOCK_ACQ", "OP_LOCK_REL", "OP_MB", "OP_WMB", "OP_PREFETCH", "OP_FLUSH",
-    "DatabaseLayout", "MigratoryHints",
-    "OltpParams", "OltpTraceGenerator",
-    "DssParams", "DssTraceGenerator",
-]

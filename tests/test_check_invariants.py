@@ -82,6 +82,24 @@ class TestMemoryQueueChecks:
             machine.checker.check_memory_queue(core)
 
 
+class TestStaleMshrExclusive:
+    @pytest.mark.xfail(strict=True, raises=InvariantViolation, reason=(
+        "known model defect, ROADMAP item 1(b): a downgrade leaves the "
+        "in-flight MSHR entry's exclusive flag set, so a store that "
+        "coalesces with the miss dirties L1D without ownership"))
+    def test_store_merging_into_a_downgraded_miss_stays_coherent(self):
+        """Node 0 misses a load on line 0 and is granted E at issue;
+        node 1's load downgrades it; node 0's store then merges into the
+        in-flight miss.  The line must not end up dirty at node 0 while
+        the directory has it shared."""
+        machine = Machine(default_system().replace(n_nodes=2), [],
+                          Tools(check=True))
+        machine.nodes[0].access_data(0, 0, False)
+        machine.nodes[1].access_data(1, 0, False)
+        machine.nodes[0].access_data(2, 0, True)
+        machine.checker.check_line(0)
+
+
 class TestMutationSelfTest:
     """The ISSUE requires >= 4 seeded bugs, each detected; we ship 6."""
 

@@ -298,6 +298,28 @@ class TestCanonicalKey:
         record = manifest.get(specs[0].fingerprint())
         assert record.status == "done" and record.attempts == 1
         assert manifest.total_attempts() == 2 and len(manifest) == 2
+
+    def test_run_many_fingerprints_each_spec_once(self, tmp_path,
+                                                  monkeypatch):
+        """The key is computed once per spec per call and handed to the
+        cache, the manifest marks and the labels, cold and warm."""
+        calls = []
+        original = JobSpec.fingerprint
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+        specs = [_rc(ConsistencyImpl.PREFETCH), tiny_spec(seed=1),
+                 _rc(ConsistencyImpl.STRAIGHTFORWARD)]
+        cache = ResultCache(tmp_path)
+        manifest = SweepManifest(tmp_path / MANIFEST_NAME)
+        monkeypatch.setattr(JobSpec, "fingerprint", counted)
+        for cached in ([False, False, True], [True] * 3):
+            calls.clear()
+            report = run_many(specs, jobs=1, cache=cache,
+                              manifest=manifest, resume=False)
+            assert [o.cached for o in report.outcomes] == cached
+            assert calls == specs
         assert len(ResultCache(tmp_path)) == 2
 
     def test_refill_precedes_the_bookkeeping(self, tmp_path, monkeypatch):
@@ -320,9 +342,9 @@ class TestCanonicalKey:
                             lambda jobs: InlinePool())
         original_put = ResultCache.put
 
-        def logged_put(self, spec, result):
+        def logged_put(self, spec, result, *key):
             log.append(("put", spec.seed))
-            return original_put(self, spec, result)
+            return original_put(self, spec, result, *key)
         monkeypatch.setattr(ResultCache, "put", logged_put)
         specs = [tiny_spec(seed=s) for s in range(3)]
         report = run_many(specs, jobs=2, cache=ResultCache(tmp_path))
