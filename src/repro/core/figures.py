@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
-                    Tuple)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.experiment import SimulationResult
+from repro.run import JobSpec, WorkloadSpec, run_many
 from repro.params import ConsistencyImpl, ConsistencyModel, default_system
-from repro.run.jobs import JobSpec, WorkloadSpec
-
-if TYPE_CHECKING:
-    from repro.core.experiment import SimulationResult
-    from repro.run.executor import RunReport
+from repro.stats.sharing import sharing_characterization
 
 #: (instructions, warmup) per workload: ``"full"`` is the benchmark-sized
 #: default, ``"quick"`` the ``--quick`` smoke size.
@@ -265,14 +262,6 @@ def plan(key: str, instructions: Optional[int] = None,
     return specs
 
 
-def run_many(specs: List[JobSpec], **kwargs) -> RunReport:
-    """:func:`repro.run.executor.run_many`, imported on first call.
-    :func:`run_figure` calls it through this module global, so a caller
-    can swap it."""
-    from repro.run.executor import run_many as execute
-    return execute(specs, **kwargs)
-
-
 def run_figure(key: str, instructions: Optional[int] = None,
                warmup: Optional[int] = None, seed: int = 0
                ) -> FigureResult:
@@ -335,7 +324,6 @@ def characterization_table(instructions: int = None, warmup: int = None,
         if result is None:
             out[bar.label] = None
             continue
-        from repro.stats.sharing import sharing_characterization
         sharing = sharing_characterization(result.coherence)
         out[bar.label] = {
             "ipc": result.ipc,

@@ -167,7 +167,8 @@ class ResultCache:
     def get(self, spec: JobSpec, fingerprint: Optional[str] = None
             ) -> Optional[SimulationResult]:
         """Checksum-verified cached result for ``spec``, or ``None``.
-        ``fingerprint`` is ``spec``'s key when the caller already has it.
+        ``fingerprint`` is ``spec``'s key: :func:`~repro.run.executor.run_many`
+        passes the one it computed per call; direct callers may omit it.
 
         The entry may have been stored by another spec with the same
         canonical machine; the result returned carries ``spec``'s own
@@ -198,7 +199,7 @@ class ResultCache:
             fingerprint: Optional[str] = None) -> bool:
         """Store ``result`` under ``spec``'s fingerprint (atomic write),
         with the job as its key sees it (:func:`keyed_job`).
-        ``fingerprint`` is that key when the caller already has it.
+        ``fingerprint`` is that key, optional as for :meth:`get`.
 
         Best-effort: storage faults (read-only directory, disk full)
         degrade to a :class:`RuntimeWarning` and ``False`` -- the

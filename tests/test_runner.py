@@ -298,6 +298,7 @@ class TestCanonicalKey:
         record = manifest.get(specs[0].fingerprint())
         assert record.status == "done" and record.attempts == 1
         assert manifest.total_attempts() == 2 and len(manifest) == 2
+        assert len(ResultCache(tmp_path)) == 2
 
     def test_run_many_fingerprints_each_spec_once(self, tmp_path,
                                                   monkeypatch):
