@@ -6,7 +6,7 @@ of the experiment harness itself is tracked across PRs:
 
 1. **serial cold** -- in process, filling a fresh result cache (the
    baseline);
-2. **parallel** -- fork-server pool with batched dispatch
+2. **parallel** -- fork-server pool, one attempt per submission
    (``REPRO_BENCH_INSTR``/``REPRO_BENCH_WARMUP`` shrink the per-job
    size for smoke runs; ``REPRO_BENCH_JOBS`` sets workers);
 3. **warm cache** -- serial rerun against the now-warm result cache.

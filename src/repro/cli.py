@@ -382,16 +382,9 @@ def cmd_replay(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    quick = getattr(args, "quick", False)
-    no_cache = getattr(args, "no_cache", False)
-    run.configure(jobs=getattr(args, "jobs", None) or run.default_jobs(),
-                  use_cache=not no_cache,
-                  cache_dir=(None if no_cache
-                             else getattr(args, "cache_dir", None)),
-                  retries=getattr(args, "retries", None),
-                  job_timeout=getattr(args, "job_timeout", None),
-                  resume=getattr(args, "resume", None))
 
+    # Commands that read no cache and run no sweep leave the runner
+    # unconfigured, so they neither open the cache nor import it.
     if args.command == "lint":
         from repro.check.lint import RULES, run_lint
         if args.list_rules:
@@ -414,6 +407,20 @@ def main(argv=None) -> int:
         return 0 if ok else 1
     if args.command == "replay":
         return cmd_replay(args)
+    if args.command == "validate":
+        from repro.core.validation import run_all
+        results = run_all(verbose=True)
+        return 0 if all(r.passed for r in results) else 1
+
+    quick = getattr(args, "quick", False)
+    no_cache = getattr(args, "no_cache", False)
+    run.configure(jobs=getattr(args, "jobs", None) or run.default_jobs(),
+                  use_cache=not no_cache,
+                  cache_dir=(None if no_cache
+                             else getattr(args, "cache_dir", None)),
+                  retries=getattr(args, "retries", None),
+                  job_timeout=getattr(args, "job_timeout", None),
+                  resume=getattr(args, "resume", None))
     if args.command == "sweep-status":
         return cmd_sweep_status()
     if args.command == "sweep":
@@ -428,10 +435,6 @@ def main(argv=None) -> int:
         cmd_figure(args.which, args.workload, quick)
     elif args.command == "report":
         cmd_report(quick)
-    elif args.command == "validate":
-        from repro.core.validation import run_all
-        results = run_all(verbose=True)
-        return 0 if all(r.passed for r in results) else 1
     return 0
 
 

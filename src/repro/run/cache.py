@@ -164,11 +164,11 @@ class ResultCache:
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptEntry(f"undecodable result: {exc}") from exc
 
-    def get(self, spec: JobSpec, fingerprint: Optional[str] = None
+    def get(self, spec: JobSpec, fingerprint: str
             ) -> Optional[SimulationResult]:
         """Checksum-verified cached result for ``spec``, or ``None``.
-        ``fingerprint`` is ``spec``'s key: :func:`~repro.run.executor.run_many`
-        passes the one it computed per call; direct callers may omit it.
+        ``fingerprint`` is ``spec``'s key (:meth:`JobSpec.fingerprint`;
+        :func:`~repro.run.executor.run_many` computes it once per call).
 
         The entry may have been stored by another spec with the same
         canonical machine; the result returned carries ``spec``'s own
@@ -178,7 +178,7 @@ class ResultCache:
         ``quarantine/`` and reported as misses so the caller re-runs the
         job and rewrites a clean entry.
         """
-        entry = self._entry_path(fingerprint or spec.fingerprint())
+        entry = self._entry_path(fingerprint)
         try:
             with open(entry) as fh:
                 text = fh.read()
@@ -196,16 +196,14 @@ class ResultCache:
         return result
 
     def put(self, spec: JobSpec, result: SimulationResult,
-            fingerprint: Optional[str] = None) -> bool:
-        """Store ``result`` under ``spec``'s fingerprint (atomic write),
-        with the job as its key sees it (:func:`keyed_job`).
-        ``fingerprint`` is that key, optional as for :meth:`get`.
+            fingerprint: str) -> bool:
+        """Store ``result`` under ``spec``'s key ``fingerprint`` (atomic
+        write), with the job as its key sees it (:func:`keyed_job`).
 
         Best-effort: storage faults (read-only directory, disk full)
         degrade to a :class:`RuntimeWarning` and ``False`` -- the
         computed result stays usable in memory and the sweep continues.
         """
-        fingerprint = fingerprint or spec.fingerprint()
         chunks = _entry_chunks(keyed_job(spec.to_dict()), result)
         plan = plan_from_env()
         if plan is not None:

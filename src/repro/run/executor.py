@@ -11,11 +11,11 @@ for.  Dispatch policy:
 * every leader but a sanitized one is first looked up in the result
   cache (when one is given);
 * the misses go through one scheduling loop (:func:`_run`)
-  that owns retries, backoff, timeouts and the manifest, and hands
-  chunks of jobs to one of two chunk runners: the **persistent
+  that owns retries, backoff, timeouts and the manifest, and submits
+  one attempt at a time to one of two runners: the **persistent
   fork-server pool** (:mod:`repro.run.forkserver`) for ``jobs > 1``
-  with at least two pending jobs, each chunk one pickle of plain job
-  dicts; otherwise the **in-process runner**, one job at a time;
+  with at least two pending jobs, each submission one plain job dict;
+  otherwise the **in-process runner**;
 * if the pool cannot be created or breaks (restricted environments
   without ``fork``/semaphores, interpreter shutdown), the same loop
   carries on with the in-process runner instead of failing the sweep.
@@ -30,8 +30,7 @@ that exhausts its retries is reported as a *failed*
 :class:`JobOutcome` (``result=None``) -- the rest of the sweep keeps
 going.  Progress is journalled through an optional
 :class:`~repro.run.manifest.SweepManifest` so interrupted sweeps resume
-from the incomplete remainder.  When ``job_timeout`` is set, chunks
-shrink to one job so each attempt keeps its own deadline.
+from the incomplete remainder.
 
 Every attempt builds its job's workload and generates its instruction
 streams itself, wherever it runs, so no attempt depends on another.
@@ -245,68 +244,58 @@ def _served(spec: JobSpec, leader: JobOutcome) -> JobOutcome:
 # ------------------------------------------------------------- scheduling
 
 class _Ran:
-    """The outcomes of a chunk the in-process runner has run, in the
+    """The outcome of an attempt the in-process runner has run, in the
     place of a finished future: the scheduling loop imports
     :mod:`concurrent.futures` only when it builds a pool."""
 
-    __slots__ = ("outcomes",)
+    __slots__ = ("outcome",)
 
-    def __init__(self, outcomes: List[Dict[str, Any]]):
-        self.outcomes = outcomes
+    def __init__(self, outcome: Dict[str, Any]):
+        self.outcome = outcome
 
-    def result(self) -> List[Dict[str, Any]]:
-        return self.outcomes
-
-
-def _chunk_size(n_pending: int, slots: int, policy: RetryPolicy) -> int:
-    """Jobs per pool dispatch chunk.
-
-    With a ``job_timeout`` every chunk is a single job so each attempt
-    keeps its own deadline; otherwise aim for ~4 chunks per slot (load
-    balance) capped at 8 jobs per pickle.
-    """
-    if policy.job_timeout is not None:
-        return 1
-    return max(1, min(8, math.ceil(n_pending / (slots * 4))))
+    def result(self) -> Dict[str, Any]:
+        return self.outcome
 
 
 def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
          jobs: int, cache: Optional[ResultCache],
          outcomes: List[Optional[JobOutcome]],
          policy: RetryPolicy,
-         manifest: Optional[SweepManifest]) -> bool:
+         manifest: Optional[SweepManifest]) -> Tuple[int, bool]:
     """Run every ``pending`` job to an outcome: the runner's one
-    scheduling loop.  Returns whether the pool was wanted but could not
-    be used (or broke), so the in-process runner took over.
+    scheduling loop.  Returns the worker count it ended with (1 in
+    process) and whether the pool was wanted but could not be used (or
+    broke), so the in-process runner took over.
     ``fingerprints[index]`` is the key of the job at input ``index``.
 
     The loop owns the retry queue, backoff, deadlines, zombies, manifest
-    marks and outcomes.  It hands chunks of jobs to one of two chunk
-    runners, both of which return a future of per-job outcome dicts from
-    :func:`~repro.run.forkserver.run_entry`:
+    marks and outcomes.  It submits one attempt at a time to one of two
+    runners, both of which return a future of the attempt's outcome dict
+    from :func:`~repro.run.forkserver.run_entry`:
 
     * the persistent fork-server pool, for ``jobs > 1`` with at least
       two pending jobs.  The pool keeps ``jobs`` workers (so a small
       sweep does not re-fork it) while at most ``min(jobs, pending)``
-      chunks are in flight; each chunk ships plain job dicts with their
-      attempt numbers;
-    * the in-process runner otherwise: one slot, one job per chunk, run
-      at submission; its outcomes stand in for a finished future, so
+      attempts are in flight; each submission ships the plain job dict,
+      its attempt number and the fault plan read at submission;
+    * the in-process runner otherwise: one slot, run at submission; its
+      outcome stands in for a finished future, so
       :mod:`concurrent.futures` is imported only with a pool.
 
-    Scheduling is slot-limited, so a submitted chunk starts essentially
-    at once and its deadline is measured from submission (timeouts force
-    single-job chunks).  An overdue future is abandoned -- the worker
-    keeps draining in the background as a *zombie* holding one worker
-    until its bounded work finishes -- and the job is retried.  If
-    zombies ever hold every worker the pool is recycled; a run that ends
-    with zombies outstanding also recycles it so the next sweep starts
-    with clean workers.  If the pool cannot be built or breaks, the jobs
-    in flight are requeued at their current attempt and the loop carries
-    on with the in-process runner, so completed outcomes survive and
-    only jobs without one run again.  A chunk a writer death cut short
-    (:func:`~repro.run.forkserver._execute_batch`) requeues the jobs it
-    never reached at their current attempt in the same way.
+    Scheduling is slot-limited, so a submitted attempt starts
+    essentially at once and its deadline is measured from submission.
+    An overdue future is abandoned -- the worker keeps draining in the
+    background as a *zombie* holding one worker until its bounded work
+    finishes -- and the job is retried.  If zombies ever hold every
+    worker the pool is recycled; a run that ends with zombies
+    outstanding also recycles it so the next sweep starts with clean
+    workers.  If the pool cannot be built or breaks, the attempts in
+    flight are requeued at their current attempt number and the loop
+    carries on with the in-process runner, so completed outcomes
+    survive and only jobs without one run again.  A writer death
+    (:class:`~repro.run.faults.InjectedWriterDeath`) in a pool worker
+    comes back as its future's exception and fails that attempt only;
+    in process it ends the sweep.
     """
     from repro.run import forkserver
 
@@ -317,22 +306,20 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
     pool = forkserver.get_pool(jobs) if wants_pool else None
     fell_back = wants_pool and pool is None
 
-    def runner_shape(pool) -> Tuple[int, int, int]:
-        """``(workers, slots, jobs per chunk)`` of the runner in use."""
+    def runner_shape(pool) -> Tuple[int, int]:
+        """``(workers, slots)`` of the runner in use."""
         if pool is None:
-            return 1, 1, 1
-        slots = min(jobs, len(pending))
-        return jobs, slots, _chunk_size(len(pending), slots, policy)
+            return 1, 1
+        return jobs, min(jobs, len(pending))
 
-    workers, slots, chunk = runner_shape(pool)
+    workers, slots = runner_shape(pool)
 
     # Jobs waiting to (re)submit: (not-before time, index, spec, attempt,
-    # elapsed-so-far).  `active` maps future -> (chunk entries,
-    # deadline); `zombies` holds abandoned futures still draining a
-    # worker.
+    # elapsed-so-far).  `active` maps future -> ((index, spec, attempt,
+    # elapsed), deadline); `zombies` holds abandoned futures still
+    # draining a worker.
     queue: List[Tuple[float, int, JobSpec, int, float]] = []
-    active: Dict[Any, Tuple[List[Tuple[int, JobSpec, int, float]],
-                            float]] = {}
+    active: Dict[Any, Tuple[Tuple[int, JobSpec, int, float], float]] = {}
     zombies: List[Any] = []
     now = time.perf_counter()  # repro-lint: disable=R002
     for index, spec in pending:
@@ -359,60 +346,49 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
             outcomes[index] = _fail(spec, fingerprint, error, elapsed,
                                     attempt + 1, manifest, bundle=bundle)
 
-    def submit(entries: List[Tuple[int, JobSpec, int, float]],
-               at: float) -> None:
-        """Hand one chunk to the runner in use as a single future."""
+    def submit(entry: Tuple[int, JobSpec, int, float], at: float) -> None:
+        """Hand one attempt to the runner in use as a future."""
+        index, spec, attempt, _elapsed = entry
         if manifest is not None:
-            for index, _spec, _attempt, _elapsed in entries:
-                manifest.mark_running(fingerprints[index])
+            manifest.mark_running(fingerprints[index])
+        args = (spec.to_dict(), attempt, plan_from_env(), cache_dir)
         if pool is not None:
             from concurrent.futures import BrokenExecutor, Future
-            payload = forkserver.make_batch_payload(
-                [(spec.to_dict(), attempt)
-                 for _index, spec, attempt, _elapsed in entries],
-                cache_dir=cache_dir)
             try:
-                future = pool.submit(forkserver._execute_batch, payload)
+                future = pool.submit(forkserver.run_entry, *args)
             except BrokenExecutor as exc:    # broke between calls
                 future = Future()
                 future.set_exception(exc)
         else:
-            (_index, spec, attempt, _elapsed), = entries
-            future = _Ran([forkserver.run_entry(
-                spec.to_dict(), attempt, plan_from_env(),
-                cache_dir)])
-        active[future] = (entries, policy.deadline_for(at))
+            future = _Ran(forkserver.run_entry(*args))
+        active[future] = (entry, policy.deadline_for(at))
 
     def restart(at: float, rebuild: bool) -> None:
-        """Recycle the pool and requeue the jobs in flight at their
-        current attempt (they were not at fault).  Carry on with a fresh
-        pool when ``rebuild`` asks for one and it can be built, else with
-        the in-process runner."""
-        nonlocal pool, fell_back, workers, slots, chunk, zombies
+        """Recycle the pool and requeue the attempts in flight at their
+        current attempt number (they were not at fault).  Carry on with
+        a fresh pool when ``rebuild`` asks for one and it can be built,
+        else with the in-process runner."""
+        nonlocal pool, fell_back, workers, slots, zombies
         forkserver.recycle_pool()
-        for entries, _deadline in active.values():
-            for index, spec, attempt, elapsed in entries:
-                queue.append((at, index, spec, attempt, elapsed))
+        queue.extend((at,) + entry for entry, _deadline in active.values())
         active.clear()
         zombies = []
         pool = forkserver.get_pool(jobs) if rebuild else None
         fell_back = fell_back or pool is None
-        workers, slots, chunk = runner_shape(pool)
+        workers, slots = runner_shape(pool)
 
     def refill(now: float) -> None:
-        """Submit ready work in chunks, lowest input index first, while
-        slots are free."""
+        """Submit ready attempts, lowest input index first, while slots
+        are free."""
         nonlocal queue
         free = min(slots, workers - len(zombies)) - len(active)
         if free > 0 and queue:
             ready = sorted((item for item in queue if item[0] <= now),
                            key=lambda item: item[1])
             queue = [item for item in queue if item[0] > now]
-            while free > 0 and ready:
-                submit([item[1:] for item in ready[:chunk]], now)
-                ready = ready[chunk:]
-                free -= 1
-            queue += ready
+            for item in ready[:free]:
+                submit(item[1:], now)
+            queue += ready[free:]
 
     try:
         while queue or active:
@@ -438,7 +414,7 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
             wait_for = None if horizon == math.inf \
                 else max(0.0, horizon - now)
             if pool is None and active:
-                done = set(active)      # in-process chunks ran in submit
+                done = set(active)      # in-process attempts ran in submit
             elif active or zombies:
                 from concurrent.futures import FIRST_COMPLETED, wait
                 done, _ = wait(list(active) + zombies, timeout=wait_for,
@@ -455,40 +431,31 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
             finished: List[Tuple[int, JobSpec, SimulationResult, float,
                                  int]] = []
             for future in [f for f in active if f in done]:
-                entries, _deadline = active.pop(future)
+                entry, _deadline = active.pop(future)
                 try:
-                    batch = future.result()
+                    job = future.result()
                 except Exception as exc:  # noqa: BLE001 -- per-future
                     # Only pool futures raise, so the pool's module is
                     # already imported.
                     from concurrent.futures import BrokenExecutor
                     if isinstance(exc, BrokenExecutor):
                         broken = True
-                        queue.extend((at,) + entry for entry in entries)
-                        continue
-                    for index, spec, attempt, elapsed in entries:
-                        settle(index, spec, attempt, elapsed,
-                               _failure_text(exc), at)
-                    continue
-                # A writer death ends a worker's chunk early; the jobs
-                # it never reached go back at their current attempt.
-                queue.extend((at,) + entry for entry in entries[len(batch):])
-                for (index, spec, attempt, elapsed), job in \
-                        zip(entries, batch):
-                    attempt_time = float(job.get("elapsed", 0.0))
-                    elapsed += attempt_time
-                    if not job.get("ok"):
-                        settle(index, spec, attempt, elapsed,
-                               job.get("error", "worker returned no "
-                                                "outcome"), at,
-                               bundle=str(job.get("bundle", "")))
-                    elif policy.job_timeout is not None and \
-                            attempt_time > policy.job_timeout:
-                        settle(index, spec, attempt, elapsed, timeout_error,
-                               at, kind="timeout")
+                        queue.append((at,) + entry)
                     else:
-                        finished.append((index, spec, job["result"],
-                                         elapsed, attempt + 1))
+                        settle(*entry, _failure_text(exc), at)
+                    continue
+                index, spec, attempt, elapsed = entry
+                elapsed += job["elapsed"]
+                if not job["ok"]:
+                    settle(index, spec, attempt, elapsed, job["error"], at,
+                           bundle=job["bundle"])
+                elif policy.job_timeout is not None and \
+                        job["elapsed"] > policy.job_timeout:
+                    settle(index, spec, attempt, elapsed, timeout_error,
+                           at, kind="timeout")
+                else:
+                    finished.append((index, spec, job["result"], elapsed,
+                                     attempt + 1))
             if broken:
                 restart(at, rebuild=False)
             else:
@@ -497,13 +464,11 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
                 now = time.perf_counter()  # repro-lint: disable=R002
                 for future in [f for f, record in active.items()
                                if record[1] <= now]:
-                    entries, _deadline = active.pop(future)
+                    entry, _deadline = active.pop(future)
                     if not future.cancel():
                         zombies.append(future)
-                    for index, spec, attempt, elapsed in entries:
-                        settle(index, spec, attempt, elapsed,
-                               timeout_error, now, kind="timeout")
-                # Hand the freed workers their next chunks before the
+                    settle(*entry, timeout_error, now, kind="timeout")
+                # Hand the freed workers their next attempts before the
                 # cache put and manifest flushes of the collected
                 # outcomes, so no worker idles through the parent's
                 # bookkeeping.  The in-process runner runs a job at
@@ -513,7 +478,7 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
             for index, spec, result, elapsed, attempts in finished:
                 outcomes[index] = _finish(spec, fingerprints[index], result,
                                           elapsed, attempts, cache, manifest)
-        return fell_back
+        return workers, fell_back
     finally:
         # The pool outlives this call (warm workers for the next sweep)
         # unless abandoned attempts are still draining inside it.
@@ -595,8 +560,8 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         else:
             pending.append((index, spec))
 
-    fell_back = bool(pending) and _run(pending, fingerprints, jobs, cache,
-                                       outcomes, policy, manifest)
+    workers, fell_back = _run(pending, fingerprints, jobs, cache, outcomes,
+                              policy, manifest) if pending else (1, False)
     for index, fingerprint in enumerate(fingerprints):
         leader = leaders[fingerprint]
         if leader != index:
@@ -604,7 +569,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
 
     report = RunReport(outcomes=[o for o in outcomes if o is not None],
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002
-                       jobs=1 if (jobs == 1 or fell_back) else jobs,
+                       jobs=workers,
                        fell_back_to_serial=fell_back)
     assert len(report.outcomes) == len(specs)
     _TOTALS["wall_s"] += report.wall_time

@@ -44,8 +44,8 @@ Every decision is a pure function of ``(seed, kind, fingerprint,
 attempt)`` hashed through sha256 -- no global RNG state, no wall clock
 -- so a sweep re-run with the same plan injects exactly the same faults,
 and a retried attempt of the same job rolls independently (which is what
-lets retries eventually succeed).  Each pool chunk carries the
-parent's plan string, so pool workers and the in-process runner inject
+lets retries eventually succeed).  Each pool submission carries the
+parent's plan, so pool workers and the in-process runner inject
 identically.
 
 Disk faults roll per ``(artifact category, op, sequence number)``
@@ -94,9 +94,8 @@ class InjectedWriterDeath(InjectedCrash):
     isolates per attempt, a writer death is not absorbed as a failed
     attempt: :func:`repro.run.forkserver.run_entry` re-raises it, so it
     ends an in-process sweep wherever the write was (a cache put or a
-    triage bundle).  In a pool worker it fails the attempt it hit and
-    ends the worker's chunk there; the jobs the chunk never reached
-    are requeued uncharged.
+    triage bundle).  In a pool worker it comes back as the exception of
+    the attempt's future and fails that attempt only.
     """
 
 

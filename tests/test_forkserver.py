@@ -1,10 +1,11 @@
-"""Tests for the fork-server pool and batched dispatch
+"""Tests for the fork-server pool and the per-attempt runner
 (:mod:`repro.run.forkserver`).
 
-Chunk payloads are exercised on real JobSpec dicts, pool persistence
-across calls is checked directly, and the headline guarantee -- a
-fork-server sweep under ``REPRO_FAULTS`` produces byte-identical
-results to the in-process runner -- is asserted end to end.
+:func:`~repro.run.forkserver.run_entry` is exercised on real JobSpec
+dicts, pool persistence across calls is checked directly, and the
+headline guarantee -- a fork-server sweep under ``REPRO_FAULTS``
+produces byte-identical results to the in-process runner -- is
+asserted end to end.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from repro.params import Tools, default_system
 from repro.run import DEFAULT_POLICY, JobSpec, RetryPolicy, WorkloadSpec, \
     run_many
 from repro.run import forkserver, triage
-from repro.run.faults import InjectedWriterDeath
+from repro.run.faults import InjectedWriterDeath, plan_from_env
 
 TINY = dict(instructions=1200, warmup=400)
 FAST_POLICY = RetryPolicy(retries=4, backoff_base=0.001,
@@ -43,32 +44,36 @@ def _spec(seed=0, kind="oltp", **sizes):
                    **sizes)
 
 
-class TestBatchPayload:
-    def test_payload_ships_faults_string(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "crash:0.5,seed:7")
+class TestRunEntry:
+    def test_plan_reaches_the_attempt(self, monkeypatch, tmp_path):
+        # The plan argument, not the environment, decides the faults.
+        monkeypatch.setenv("REPRO_FAULTS", "crash:1,seed:7")
         spec = _spec()
-        payload = forkserver.make_batch_payload([(spec.to_dict(), 1)])
-        assert payload["faults"] == "crash:0.5,seed:7"
-        assert payload["jobs"] == [{"job": spec.to_dict(), "attempt": 1}]
+        crash = forkserver.run_entry(spec.to_dict(), 1,
+                                     plan_from_env("crash:1,seed:7"),
+                                     str(tmp_path))
+        assert crash["ok"] is False
+        assert crash["error"].startswith("InjectedCrash")
+        clean = forkserver.run_entry(spec.to_dict(), 1, None, None)
+        assert clean["ok"] is True
+        assert clean["result"].to_dict() == spec.run().to_dict()
 
-    def test_execute_batch_runs_jobs(self):
+    def test_attempts_run_their_own_jobs(self):
         spec_a, spec_b = _spec(seed=0), _spec(seed=1)
-        payload = forkserver.make_batch_payload(
-            [(spec_a.to_dict(), 1), (spec_b.to_dict(), 1)])
-        out = forkserver._execute_batch(payload)
+        out = [forkserver.run_entry(spec.to_dict(), 1, None, None)
+               for spec in (spec_a, spec_b)]
         assert [entry["ok"] for entry in out] == [True, True]
         assert out[0]["result"].to_dict() == spec_a.run().to_dict()
         assert out[1]["result"].to_dict() == spec_b.run().to_dict()
 
-    def test_execute_batch_isolates_per_job_errors(self):
+    def test_a_bad_job_fails_only_its_own_attempt(self):
         good = _spec(seed=0)
         bad = good.to_dict()
         bad["workload"]["kind"] = "no-such-workload"
-        payload = forkserver.make_batch_payload(
-            [(bad, 1), (good.to_dict(), 1)])
-        out = forkserver._execute_batch(payload)
-        assert out[0]["ok"] is False and out[0]["error"]
-        assert out[1]["ok"] is True
+        failed = forkserver.run_entry(bad, 1, None, None)
+        assert failed["ok"] is False and failed["error"]
+        assert forkserver.run_entry(good.to_dict(), 1, None,
+                                    None)["ok"] is True
 
 
 class TestPoolLifecycle:
@@ -130,7 +135,7 @@ class TestPoolVsSerial:
                                              tmp_path):
         """Fault-injected fork-server run is byte-identical to serial.
 
-        The faults string rides inside the batch payload, so persistent
+        The fault plan rides with each submission, so persistent
         workers honour the value set *after* the pool was first forked.
         """
         forkserver.recycle_pool()
@@ -162,14 +167,14 @@ class TestPoolVsSerial:
 
         parent = os.getpid()
         in_parent = []
-        real_run_entry = forkserver.run_entry
+        real_attempt = triage.run_attempt
 
-        def spy(job, attempt, *args, **kwargs):
+        def spy(spec, attempt=0, **kwargs):
             if os.getpid() == parent:
-                in_parent.append(job["seed"])
-            return real_run_entry(job, attempt, *args, **kwargs)
+                in_parent.append(spec.seed)
+            return real_attempt(spec, attempt, **kwargs)
 
-        monkeypatch.setattr(forkserver, "run_entry", spy)
+        monkeypatch.setattr(triage, "run_attempt", spy)
         cache = repro.run.ResultCache(tmp_path / "cache")
         pooled = run_many(specs, jobs=2, cache=cache)
         if pooled.fell_back_to_serial:
@@ -178,6 +183,54 @@ class TestPoolVsSerial:
         assert not (tmp_path / "cache" / "traces").exists()
         assert [r.to_dict() for r in pooled.results] == \
             [r.to_dict() for r in serial.results]
+
+
+class TestOneAttemptPerSubmission:
+    def spy_on_submit(self, monkeypatch):
+        """Wrap the real pool so every ``submit`` is recorded."""
+        forkserver.recycle_pool()
+        pool = forkserver.get_pool(2)
+        if pool is None:
+            pytest.skip("no usable multiprocessing start method")
+        calls = []
+
+        class SpyPool:
+            def submit(self, fn, *args):
+                calls.append((fn, args))
+                return pool.submit(fn, *args)
+
+        spy = SpyPool()
+        monkeypatch.setattr(forkserver, "get_pool", lambda jobs: spy)
+        return calls
+
+    def test_each_submission_is_one_attempt(self, monkeypatch):
+        specs = [_spec(seed=s) for s in range(12)]
+        serial = run_many(specs, jobs=1)
+        calls = self.spy_on_submit(monkeypatch)
+        try:
+            pooled = run_many(specs, jobs=2)
+        finally:
+            forkserver.recycle_pool()
+        assert not pooled.fell_back_to_serial and pooled.jobs == 2
+        assert [fn for fn, _args in calls] == [forkserver.run_entry] * 12
+        assert sorted(args[0]["seed"] for _fn, args in calls) == \
+            list(range(12))
+        assert [args[1:] for _fn, args in calls] == [(0, None, None)] * 12
+        assert [r.dump() for r in pooled.results] == \
+            [r.dump() for r in serial.results]
+
+    def test_submission_carries_the_current_fault_plan(self, monkeypatch):
+        calls = self.spy_on_submit(monkeypatch)
+        monkeypatch.setenv("REPRO_FAULTS", "crash:0.3,seed:11")
+        try:
+            report = run_many([_spec(seed=s) for s in range(3)], jobs=2,
+                              policy=FAST_POLICY)
+        finally:
+            forkserver.recycle_pool()
+        assert not report.failures
+        assert len(calls) >= 3
+        assert {args[2] for _fn, args in calls} == \
+            {plan_from_env("crash:0.3,seed:11")}
 
 
 # The watchdog trips on this job: its two nodes stop retiring for more
@@ -245,12 +298,12 @@ class TestToolsReachTheJob:
         assert JobSpec.from_dict(shipped) == plain
 
 
-class TestChunkWriterDeath:
-    def test_death_charges_no_attempt_to_the_rest_of_its_chunk(
+class TestWorkerWriterDeath:
+    def test_death_charges_an_attempt_to_its_own_job_only(
             self, tmp_path, monkeypatch):
-        # Seventeen jobs on two workers travel in chunks of three:
-        # seeds 3, 4, 5 share one.  The worker "dies" writing seed 4's
-        # triage bundle, after seed 3 completed and before seed 5 ran.
+        # Seventeen jobs on two workers, one attempt per submission.
+        # The worker "dies" writing seed 4's triage bundle: that attempt
+        # fails and is retried, and no other job is charged one.
         if forkserver.pick_method() != "fork":
             pytest.skip("the patched attempt reaches workers only by fork")
         canned = _spec().run()

@@ -161,10 +161,10 @@ class TestStaleEntries:
             patch.setattr(run_jobs, "MODEL_VERSION",
                           run_jobs.MODEL_VERSION + 1)
             stale_key = spec.fingerprint()
-            assert ResultCache(tmp_path).put(spec, result)
+            assert ResultCache(tmp_path).put(spec, result, stale_key)
         current_key = spec.fingerprint()
         assert current_key != stale_key
-        assert ResultCache(tmp_path).put(spec, result)
+        assert ResultCache(tmp_path).put(spec, result, current_key)
         stale = tmp_path / f"{stale_key}.json"
         # Unparseable entries stay for the reader to quarantine.
         torn = tmp_path / f"{'e' * 64}.json"
@@ -177,7 +177,7 @@ class TestStaleEntries:
         assert not stale.exists() and torn.exists()
         assert (tmp_path / f"{current_key}.json").exists()
         cache = ResultCache(tmp_path)
-        assert cache.get(spec).dump() == result.dump()
+        assert cache.get(spec, spec.fingerprint()).dump() == result.dump()
         assert cache.hits == 1
 
     def test_gc_evicts_entries_under_a_non_canonical_key(self, tmp_path):
@@ -193,12 +193,12 @@ class TestStaleEntries:
         assert old_key != spec.fingerprint()
         result = spec.run()
         cache = ResultCache(tmp_path)
-        assert cache.put(spec, result)
+        assert cache.put(spec, result, spec.fingerprint())
         canonical = tmp_path / f"{spec.fingerprint()}.json"
         stale = tmp_path / f"{old_key}.json"
         stale.write_bytes(canonical.read_bytes())
         other = _tiny_spec(seed=1)
-        assert cache.put(other, other.run())
+        assert cache.put(other, other.run(), other.fingerprint())
         old = atomicio.time_now() - 2 * HOUR
         for path in tmp_path.glob("*.json"):
             os.utime(path, (old, old))
@@ -208,12 +208,13 @@ class TestStaleEntries:
         assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
         assert not stale.exists() and canonical.exists()
         assert (tmp_path / f"{other.fingerprint()}.json").exists()
-        assert ResultCache(tmp_path).get(spec).params == spec.params
+        hit = ResultCache(tmp_path).get(spec, spec.fingerprint())
+        assert hit.params == spec.params
 
     def test_young_stale_entry_is_pinned(self, tmp_path):
         spec = _tiny_spec()
         cache = ResultCache(tmp_path)
-        cache.put(spec, spec.run())
+        cache.put(spec, spec.run(), spec.fingerprint())
         entry = tmp_path / f"{spec.fingerprint()}.json"
         renamed = tmp_path / f"{'f' * 64}.json"
         entry.rename(renamed)

@@ -78,6 +78,20 @@ class TestImportGraph:
                     if n.split(".")[:2] in (["repro", "cpu"],
                                             ["repro", "mem"])}
 
+    def test_lint_leaves_the_runner_unconfigured(self, tmp_path):
+        """``lint`` reads no cache, so it neither opens nor imports it."""
+        loaded = _loaded_after(
+            "import sys\n"
+            "sys.argv = ['repro', 'lint', '--list-rules']\n"
+            "import runpy\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code",
+            cwd=str(tmp_path), env={"REPRO_CACHE_DIR": str(tmp_path)})
+        assert "repro.check.lint" in loaded
+        assert not loaded & {"repro.run.cache", "repro.run.manifest"}
+
     def test_pool_workers_import_nothing_a_job_runs(self):
         """``get_pool`` loads the job path before it forks, so running a
         job of each workload kind in a worker imports no module."""

@@ -106,13 +106,13 @@ def test_sanitized_run_leaves_no_cycles(point):
         assert gc.collect() == 0
 
 
-def test_in_process_chunk_frees_its_machines(instances):
+def test_in_process_attempts_free_their_machines(instances):
     jobs = [JobSpec(default_system(consistency=model), WorkloadSpec("oltp"),
                     **SMALL).to_dict()
             for model in (ConsistencyModel.RC, ConsistencyModel.SC)]
-    payload = forkserver.make_batch_payload([(job, 0) for job in jobs])
     with collector_off():
-        outcomes = forkserver._execute_batch(payload)
+        outcomes = [forkserver.run_entry(job, 0, None, None)
+                    for job in jobs]
         assert [outcome["ok"] for outcome in outcomes] == [True, True]
         assert len(instances) == 2 * (1 + 4)    # two machines, 4 nodes each
         assert _alive(instances) == []

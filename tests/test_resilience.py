@@ -83,22 +83,20 @@ def _count_pool_waits(monkeypatch):
 
 
 class _HalfDonePool:
-    """Stand-in for the fork-server pool: completes the first chunk it
+    """Stand-in for the fork-server pool: completes the first attempt it
     is given, then fails every later one as a broken pool would."""
 
     def __init__(self):
-        self.chunks = 0
+        self.submissions = 0
 
-    def submit(self, fn, payload):
+    def submit(self, fn, job, *args):
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
-        self.chunks += 1
+        self.submissions += 1
         future = Future()
-        if self.chunks == 1:
-            future.set_result([
-                {"ok": True, "elapsed": 0.0,
-                 "result": JobSpec.from_dict(entry["job"]).run()}
-                for entry in payload["jobs"]])
+        if self.submissions == 1:
+            future.set_result({"ok": True, "elapsed": 0.0,
+                               "result": JobSpec.from_dict(job).run()})
         else:
             future.set_exception(BrokenProcessPool("worker died"))
         return future
@@ -358,7 +356,7 @@ class TestPoolResilience:
 
     def test_pool_parent_blocks_while_slots_are_busy(self, monkeypatch):
         # Jobs that wait only for a free slot set no timer: the parent
-        # wakes about once per completed chunk instead of spinning.
+        # wakes about once per completed attempt instead of spinning.
         specs = [tiny_spec(seed=s) for s in range(6)]
         calls = _count_pool_waits(monkeypatch)
         report = run_many(specs, jobs=2, cache=None)
@@ -390,7 +388,7 @@ class TestPoolResilience:
         # A pool whose worker died between sweeps refuses every submit;
         # the same loop then runs the whole sweep in process.
         class DeadPool:
-            def submit(self, fn, payload):
+            def submit(self, fn, *args):
                 from concurrent.futures.process import BrokenProcessPool
                 raise BrokenProcessPool("a worker died since the last sweep")
 
@@ -430,6 +428,19 @@ class TestPoolResilience:
         pooled = run_many(specs[4:], jobs=2, cache=cache)
         assert calls == [2] and executed == [4, 5, 6]
         assert pooled.fell_back_to_serial and not pooled.failures
+
+    def test_report_counts_only_workers_that_ran(self, tmp_path):
+        # jobs=2 with one pending job, or with every job a cache hit,
+        # runs in this process: the report says one worker.
+        cache = ResultCache(tmp_path / "cache")
+        specs = [tiny_spec(seed=s) for s in range(2)]
+        single = run_many(specs[:1], jobs=2, cache=cache)
+        assert not single.failures and single.jobs == 1
+        assert "with 1 worker(s)" in single.format_summary()
+        assert run_many(specs[1:], jobs=1, cache=cache).jobs == 1
+        rerun = run_many(specs, jobs=2, cache=cache)
+        assert rerun.cache_hits == 2 and rerun.jobs == 1
+        assert not rerun.fell_back_to_serial
 
     def test_serial_and_pool_agree_on_attempt_history(self, monkeypatch,
                                                       tmp_path):
@@ -518,7 +529,7 @@ class TestPoolResilience:
         cache = ResultCache(tmp_path / "cache")
         cached_spec, retried_spec, doomed_spec = \
             tiny_spec(seed=0), tiny_spec(seed=1), tiny_spec(seed=2)
-        cache.put(cached_spec, cached_spec.run())
+        cache.put(cached_spec, cached_spec.run(), cached_spec.fingerprint())
         retried_fp = retried_spec.fingerprint()
         doomed_fp = doomed_spec.fingerprint()
 
@@ -559,14 +570,14 @@ class TestCacheIntegrity:
     def _seed_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
-        cache.put(spec, spec.run())
+        cache.put(spec, spec.run(), spec.fingerprint())
         return cache, spec, next(cache.path.glob("*.json"))
 
     def test_checksum_round_trip(self, tmp_path):
         cache, spec, entry = self._seed_entry(tmp_path)
         data = json.loads(entry.read_text())
         assert data["format"] == 2 and data["checksum"]
-        hit = cache.get(spec)
+        hit = cache.get(spec, spec.fingerprint())
         assert hit is not None and hit.dump() == spec.run().dump()
 
     def test_entry_is_the_checksummed_text_encoded_once(self, tmp_path):
@@ -581,7 +592,7 @@ class TestCacheIntegrity:
         # An entry spelled with default separators (as older writers
         # stored them) verifies too: get re-encodes what it parsed.
         entry.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        assert cache.get(spec).dump() == spec.run().dump()
+        assert cache.get(spec, spec.fingerprint()).dump() == spec.run().dump()
         assert cache.quarantined == 0
 
     def test_bit_flip_quarantined(self, tmp_path):
@@ -592,7 +603,7 @@ class TestCacheIntegrity:
         assert flipped != text
         entry.write_text(flipped)
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert cache.get(spec) is None
+            assert cache.get(spec, spec.fingerprint()) is None
         assert (cache.quarantine_path / entry.name).exists()
         assert cache.stats()["quarantine_entries"] == 1
 
@@ -606,7 +617,7 @@ class TestCacheIntegrity:
         data["checksum"] = _payload_checksum(data["job"], data["result"])
         entry.write_text(json.dumps(data, sort_keys=True))
         with pytest.warns(RuntimeWarning, match="undecodable result"):
-            assert cache.get(spec) is None
+            assert cache.get(spec, spec.fingerprint()) is None
         assert cache.quarantined == 1
 
     def test_truncation_quarantined(self, tmp_path):
@@ -614,7 +625,7 @@ class TestCacheIntegrity:
         text = entry.read_text()
         entry.write_text(text[:len(text) // 2])
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert cache.get(spec) is None
+            assert cache.get(spec, spec.fingerprint()) is None
         assert cache.quarantined == 1
 
     def test_pre_integrity_format_quarantined(self, tmp_path):
@@ -624,7 +635,7 @@ class TestCacheIntegrity:
         data["format"] = 1
         entry.write_text(json.dumps(data))
         with pytest.warns(RuntimeWarning, match="missing checksum"):
-            assert cache.get(spec) is None
+            assert cache.get(spec, spec.fingerprint()) is None
         assert cache.quarantine_entries() == 1
 
     def test_put_is_best_effort_on_unwritable_directory(self, tmp_path):
@@ -634,7 +645,7 @@ class TestCacheIntegrity:
         spec = tiny_spec()
         result = spec.run()
         with pytest.warns(RuntimeWarning, match="cache write failed"):
-            assert cache.put(spec, result) is False
+            assert cache.put(spec, result, spec.fingerprint()) is False
         assert cache.write_errors == 1
         assert "1 write errors" in cache.format_stats()
         # The sweep that computed the result keeps going regardless.
@@ -652,7 +663,9 @@ class TestCacheIntegrity:
         fresh = cache_dir / "live-writer.tmp"
         fresh.write_text("partial")
         cache = ResultCache(cache_dir)
-        cache.put(tiny_spec(), tiny_spec().run())  # triggers the sweep
+        spec = tiny_spec()
+        # The put triggers the sweep.
+        cache.put(spec, spec.run(), spec.fingerprint())
         assert not stale.exists()       # stale orphan removed
         assert fresh.exists()           # in-flight writer left alone
         assert cache.purge() == 2       # entry + fresh tmp
@@ -732,12 +745,13 @@ class TestStreamedEntry:
             assert max(len(c._all) for c in result.l1d_mshr.collectors) \
                 > 3 * 2 * 3
         cache = ResultCache(tmp_path)
-        assert cache.put(spec, result)
+        assert cache.put(spec, result, spec.fingerprint())
         stored = cache._entry_path(spec.fingerprint()).read_bytes()
         assert stored == (_entry_text(keyed_job(spec.to_dict()),
                                       result.to_dict())
                           + "\n").encode("ascii")
-        assert cache.get(spec).to_dict() == result.to_dict()
+        assert cache.get(spec, spec.fingerprint()).to_dict() == \
+            result.to_dict()
 
     def test_default_chunks_of_a_long_log(self, tmp_path):
         spec = tiny_spec()
@@ -747,7 +761,7 @@ class TestStreamedEntry:
         assert text == json.dumps(result.to_dict(), sort_keys=True,
                                   separators=(",", ":"))
         cache = ResultCache(tmp_path)
-        cache.put(spec, result)
+        cache.put(spec, result, spec.fingerprint())
         stored = cache._entry_path(spec.fingerprint()).read_text()
         assert stored == _entry_text(keyed_job(spec.to_dict()),
                                      result.to_dict()) + "\n"
@@ -760,11 +774,12 @@ class TestStreamedEntry:
         _add_intervals(result, 10_000)
         events = _mshr_events(result)
         cache = ResultCache(tmp_path)
-        cache.put(spec, result)         # imports and first-write state
+        # Imports and first-write state.
+        cache.put(spec, result, spec.fingerprint())
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            cache.put(spec, result)
+            cache.put(spec, result, spec.fingerprint())
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -163,10 +163,10 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         spec = tiny_spec()
-        assert cache.get(spec) is None
+        assert cache.get(spec, spec.fingerprint()) is None
         result = spec.run()
-        cache.put(spec, result)
-        hit = cache.get(spec)
+        cache.put(spec, result, spec.fingerprint())
+        hit = cache.get(spec, spec.fingerprint())
         assert hit is not None and hit.dump() == result.dump()
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
@@ -174,11 +174,11 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss_and_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
-        cache.put(spec, spec.run())
+        cache.put(spec, spec.run(), spec.fingerprint())
         entry = next(cache.path.glob("*.json"))
         entry.write_text("{not json")
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert cache.get(spec) is None
+            assert cache.get(spec, spec.fingerprint()) is None
         assert not entry.exists()
         assert (cache.quarantine_path / entry.name).exists()
         assert cache.stats()["quarantined"] == 1
@@ -186,7 +186,7 @@ class TestResultCache:
     def test_purge(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
-        cache.put(spec, spec.run())
+        cache.put(spec, spec.run(), spec.fingerprint())
         assert cache.purge() == 1
         assert len(cache) == 0
         assert "0 entries" in cache.format_stats()
@@ -204,10 +204,10 @@ class TestResultCache:
     def test_model_version_invalidates(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
-        cache.put(spec, spec.run())
+        cache.put(spec, spec.run(), spec.fingerprint())
         monkeypatch.setattr(jobs_mod, "MODEL_VERSION",
                             jobs_mod.MODEL_VERSION + 1)
-        assert cache.get(tiny_spec()) is None
+        assert cache.get(tiny_spec(), tiny_spec().fingerprint()) is None
 
 
 def _rc(impl):
@@ -258,9 +258,9 @@ class TestCanonicalKey:
         cache = ResultCache(tmp_path)
         straight = _rc(ConsistencyImpl.STRAIGHTFORWARD)
         result = straight.run()
-        cache.put(straight, result)
+        cache.put(straight, result, straight.fingerprint())
         prefetch = _rc(ConsistencyImpl.PREFETCH)
-        hit = cache.get(prefetch)
+        hit = cache.get(prefetch, prefetch.fingerprint())
         assert hit is not None and cache.hits == 1
         assert hit.params == prefetch.params
         assert _without_params(hit) == _without_params(result)
@@ -324,7 +324,7 @@ class TestCanonicalKey:
         assert len(ResultCache(tmp_path)) == 2
 
     def test_refill_precedes_the_bookkeeping(self, tmp_path, monkeypatch):
-        """A freed pool slot gets its next chunk before the parent puts
+        """A freed pool slot gets its next attempt before the parent puts
         the outcome that freed it.  (A single slot runs in process,
         where each job is recorded before the next one runs, so the
         pool here has two workers for three jobs.)"""
@@ -334,10 +334,10 @@ class TestCanonicalKey:
         log = []
 
         class InlinePool:
-            def submit(self, fn, payload):
-                log.append(("submit", payload["jobs"][0]["job"]["seed"]))
+            def submit(self, fn, job, *args):
+                log.append(("submit", job["seed"]))
                 future = Future()
-                future.set_result(fn(payload))
+                future.set_result(fn(job, *args))
                 return future
         monkeypatch.setattr(forkserver, "get_pool",
                             lambda jobs: InlinePool())
@@ -385,7 +385,8 @@ class TestSanitizedLeader:
         assert machines == [False, True]
         outcome = report.outcomes[0]
         assert not outcome.cached and outcome.attempts == 1
-        assert outcome.result.to_dict() == cache.get(plain).to_dict()
+        assert outcome.result.to_dict() == \
+            cache.get(plain, plain.fingerprint()).to_dict()
         assert len(cache) == 1
 
     def test_one_machine_per_key_and_it_is_sanitized(self, machines):
