@@ -36,19 +36,18 @@ Runner options (accepted before or after the subcommand):
 Resilience options (accepted before or after the subcommand):
 
 ``--retries N``
-    Retry each failing job up to ``N`` extra times with deterministic
-    exponential backoff before recording it as failed (default 2).
-    Jobs that exhaust their retries render as explicit gaps; the sweep
-    keeps going.
+    Retry each failing job at once, up to ``N`` extra times, before
+    recording it as failed (default 2).  Jobs that exhaust their retries
+    render as explicit gaps; the sweep keeps going.
 ``--job-timeout SECONDS``
     Abandon and retry any single attempt running longer than this
     (default: unlimited).  On the process pool the attempt is cancelled
     outright; serially it is discarded after the fact.
-``--resume``
-    Continue an interrupted sweep: keep the completed entries of the
-    sweep manifest (written next to the cache) and execute only the
-    incomplete remainder.  ``repro sweep-status`` prints the manifest
-    without running anything.
+
+An interrupted sweep continues when run again: every completed job is
+served from the result cache, so only the incomplete remainder
+executes.  Progress is journalled in a sweep manifest beside the cache;
+``repro sweep-status`` prints it without running anything.
 
 A failed attempt reruns from the start, and leaves a replayable triage
 bundle under ``triage/`` beside the result cache; ``repro replay
@@ -141,10 +140,6 @@ def cmd_figure(which: str, workload: Optional[str], quick: bool) -> None:
 def cmd_report(quick: bool) -> None:
     from repro.core import figures as F
     from repro.run import profile as run_profile
-    manifest = run.shared_manifest()
-    if manifest is not None and run.runner_state().resume \
-            and len(manifest):
-        print(f"resuming: {manifest.format_summary()}")
     run_profile.reset_phase_log()
     with run_profile.phase("characterize"):
         cmd_characterize(quick)
@@ -155,6 +150,7 @@ def cmd_report(quick: bool) -> None:
     cache = run.shared_cache()
     if cache is not None:
         print(cache.format_stats())
+    manifest = run.shared_manifest()
     if manifest is not None:
         print(manifest.format_summary())
     print(run_profile.format_phase_log())
@@ -257,11 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, metavar="SECONDS",
                         help="abandon and retry any attempt running "
                              "longer than this (default: unlimited)")
-    common.add_argument("--resume", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="continue an interrupted sweep from its "
-                             "manifest; only the incomplete remainder "
-                             "executes")
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,8 +410,7 @@ def main(argv=None) -> int:
                   cache_dir=(None if no_cache
                              else getattr(args, "cache_dir", None)),
                   retries=getattr(args, "retries", None),
-                  job_timeout=getattr(args, "job_timeout", None),
-                  resume=getattr(args, "resume", None))
+                  job_timeout=getattr(args, "job_timeout", None))
     if args.command == "sweep-status":
         return cmd_sweep_status()
     if args.command == "sweep":

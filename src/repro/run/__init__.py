@@ -6,18 +6,18 @@ Public surface:
   -- picklable descriptions of one simulation;
 * :func:`~repro.run.executor.run_many` -- cache-aware fan-out over a
   process pool with deterministic result ordering, per-job retry /
-  timeout / backoff isolation, and failed-job outcomes instead of
-  sweep-aborting exceptions;
+  timeout isolation, and failed-job outcomes instead of sweep-aborting
+  exceptions;
 * :class:`~repro.run.cache.ResultCache` -- on-disk JSON store keyed by
   job fingerprint (includes :data:`~repro.run.jobs.MODEL_VERSION`) with
   content checksums and a quarantine for corrupt entries;
 * :class:`~repro.run.manifest.SweepManifest` -- crash-safe progress
-  journal enabling ``--resume`` and ``repro sweep-status``;
+  journal read by ``repro sweep-status``;
 * :mod:`~repro.run.faults` -- deterministic host-side fault injection
   (``REPRO_FAULTS``) used to prove every recovery path;
 * :func:`configure` -- process-wide defaults (worker count, cache,
-  retry policy, resume mode) that the figure sweeps, seed sweeps, CLI
-  and benchmarks all route through.
+  retry policy) that the figure sweeps, seed sweeps, CLI and benchmarks
+  all route through.
 
 By default the runner is serial and the cache is disabled, so library
 users see exactly the old ``run_simulation`` behaviour unless they (or
@@ -99,9 +99,6 @@ _jobs: int = default_jobs()
 _cache: Optional[ResultCache] = None
 _manifest: Optional[SweepManifest] = None
 _policy: Optional[RetryPolicy] = None     # None: DEFAULT_POLICY
-_resume: bool = False
-if os.environ.get("REPRO_CACHE") == "1":
-    _open_cache()
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,6 @@ class RunnerState:
     cache: Optional[ResultCache]
     policy: RetryPolicy
     manifest: Optional[SweepManifest]
-    resume: bool
 
 
 def configure(jobs: Optional[int] = None,
@@ -135,18 +131,22 @@ def configure(jobs: Optional[int] = None,
     ``retries``: extra attempts per failed job (default 2).
     ``job_timeout``: seconds before one attempt is abandoned and
     retried (default: unlimited).
-    ``resume``: keep completed entries of an existing sweep manifest
-    instead of starting sweeps from a clean slate.
-    ``arenas``, ``trace_dir``, ``checkpoint_every``, ``dispatch`` and
-    ``workers`` remain only so existing callers that pass
-    ``arenas="auto", trace_dir=""``, a non-negative ``checkpoint_every``
-    and ``dispatch="local", workers=()`` keep working; they store
-    nothing.  Any other value raises :class:`ValueError`, because the
-    trace arenas, mid-job checkpoints and multi-host execution mode they
-    selected have been removed.
+    ``resume``, ``arenas``, ``trace_dir``, ``checkpoint_every``,
+    ``dispatch`` and ``workers`` remain only so existing callers that
+    pass ``resume=False, arenas="auto", trace_dir=""``, a non-negative
+    ``checkpoint_every`` and ``dispatch="local", workers=()`` keep
+    working; they store nothing.  Any other value raises
+    :class:`ValueError`, because the resume mode, trace arenas, mid-job
+    checkpoints and multi-host execution mode they selected have been
+    removed.
     Arguments left as ``None`` keep their current value.
     """
-    global _jobs, _cache, _manifest, _policy, _resume
+    global _jobs, _cache, _manifest, _policy
+    if resume:
+        raise ValueError(
+            "resume=True is no longer supported: the resume mode was "
+            "removed; running a sweep again executes only what the "
+            "result cache lacks")
     if arenas not in (None, "auto"):
         raise ValueError(
             f"arenas={arenas!r} is no longer supported: trace arenas "
@@ -188,8 +188,6 @@ def configure(jobs: Optional[int] = None,
         _policy = dataclasses.replace(
             retry_policy(),
             job_timeout=float(job_timeout) if job_timeout > 0 else None)
-    if resume is not None:
-        _resume = bool(resume)
 
 
 def runner_defaults() -> Tuple[int, Optional[ResultCache]]:
@@ -200,7 +198,7 @@ def runner_defaults() -> Tuple[int, Optional[ResultCache]]:
 def runner_state() -> RunnerState:
     """Full runner configuration consumed by :func:`run_many`."""
     return RunnerState(jobs=_jobs, cache=_cache, policy=retry_policy(),
-                       manifest=_manifest, resume=_resume)
+                       manifest=_manifest)
 
 
 def shared_cache() -> Optional[ResultCache]:

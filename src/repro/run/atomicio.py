@@ -159,8 +159,8 @@ def atomic_write_bytes(path: Union[str, Path],
     the environment plan (tests).  An injected ``renamecrash``
     deliberately leaks the temp file and raises
     :class:`~repro.run.faults.InjectedWriterDeath` -- simulating the
-    writer's process dying, which a resumed sweep and orphan sweeping
-    must absorb.
+    writer's process dying, which re-running the sweep and orphan
+    sweeping must absorb.
     """
     path = Path(path)
     chunks = [data] if isinstance(data, (bytes, bytearray)) else data

@@ -19,12 +19,12 @@ check the **durability contract**:
 
 One check spans kinds: completed outcomes survive.  A ``done`` manifest
 record whose cache entry is missing or corrupt is a *warning* (cache
-puts are best-effort by contract -- the job recomputes on resume,
-losing no results), never silent.
+puts are best-effort by contract -- the job recomputes when the sweep
+runs again, losing no results), never silent.
 
 Severity is the whole point: **violations** are contract breaches that
 should never occur, faulted or not -- ``audit_state`` after a disk-
-faulted, resumed sweep must report zero.  **Warnings** are the expected
+faulted sweep that was run again to completion must report zero.  **Warnings** are the expected
 scars of degraded best-effort writes.  **Notes** are informational.
 """
 
@@ -150,5 +150,5 @@ def audit_state(cache_dir: Union[str, Path],
                 "warning", "manifest", scan.manifest.path,
                 f"job {fingerprint[:12]} is done but its cache entry is "
                 f"missing or corrupt (best-effort put may have degraded; "
-                f"the job recomputes on resume)")
+                f"the job recomputes when the sweep runs again)")
     return report

@@ -11,7 +11,7 @@ for.  Dispatch policy:
 * every leader but a sanitized one is first looked up in the result
   cache (when one is given);
 * the misses go through one scheduling loop (:func:`_run`)
-  that owns retries, backoff, timeouts and the manifest, and submits
+  that owns retries, timeouts and the manifest, and submits
   one attempt at a time to one of two runners: the **persistent
   fork-server pool** (:mod:`repro.run.forkserver`) for ``jobs > 1``
   with at least two pending jobs, each submission one plain job dict;
@@ -23,14 +23,16 @@ for.  Dispatch policy:
 Both runners execute every attempt through
 :func:`~repro.run.forkserver.run_entry`, so results are byte-identical
 whichever runs them.  Failures are isolated **per job**: an attempt that
-raises any exception is retried up to :attr:`RetryPolicy.retries` times
-with deterministic exponential backoff, an attempt that exceeds
-:attr:`RetryPolicy.job_timeout` is abandoned and retried, and only a job
+raises any exception is retried at once, up to
+:attr:`RetryPolicy.retries` times; an attempt that exceeds
+:attr:`RetryPolicy.job_timeout` is abandoned and retried; and only a job
 that exhausts its retries is reported as a *failed*
 :class:`JobOutcome` (``result=None``) -- the rest of the sweep keeps
-going.  Progress is journalled through an optional
-:class:`~repro.run.manifest.SweepManifest` so interrupted sweeps resume
-from the incomplete remainder.
+going.  Every attempt is deterministic, so waiting before a retry would
+change nothing.  Progress is journalled through an optional
+:class:`~repro.run.manifest.SweepManifest`; running an interrupted sweep
+again executes only the incomplete remainder, because every completed
+job is served from the result cache.
 
 Every attempt builds its job's workload and generates its instruction
 streams itself, wherever it runs, so no attempt depends on another.
@@ -39,7 +41,6 @@ streams itself, wherever it runs, so no attempt depends on another.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -67,28 +68,11 @@ class RetryPolicy:
     when its result is collected; either way it is discarded and
     retried.  The in-process runner cannot interrupt an attempt, so only
     the second rule reaches it, and it judges the same attempts over
-    budget as the pool.
-
-    Backoff between attempts is exponential with a deterministic
-    fingerprint-derived jitter -- no wall-clock or global RNG feeds the
-    schedule, so two runs of the same sweep back off identically.
+    budget as the pool.  A failed attempt is resubmitted at once.
     """
 
     retries: int = 2
     job_timeout: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-
-    def backoff_delay(self, fingerprint: str, attempt: int) -> float:
-        """Seconds to wait before attempt ``attempt`` (1-based retry)."""
-        if attempt <= 0:
-            return 0.0
-        exponential = min(self.backoff_cap,
-                          self.backoff_base * (2 ** (attempt - 1)))
-        token = f"backoff:{fingerprint}:{attempt}"
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return exponential * (0.5 + unit / 2)
 
     def deadline_for(self, started: float) -> float:
         if self.job_timeout is None:
@@ -214,19 +198,8 @@ def _finish(spec: JobSpec, fingerprint: str, result: SimulationResult,
     if cache is not None:
         cache.put(spec, result, fingerprint)
     if manifest is not None:
-        manifest.mark_attempt(fingerprint, attempts - 1, "ok")
-        manifest.mark_done(fingerprint)
+        manifest.mark_attempt(fingerprint, attempts - 1, "ok", "", "done")
     return JobOutcome(spec, result, elapsed, attempts=attempts)
-
-
-def _fail(spec: JobSpec, fingerprint: str, error: str, elapsed: float,
-          attempts: int, manifest: Optional[SweepManifest],
-          bundle: str = "") -> JobOutcome:
-    """Record a job that exhausted its retries; the sweep continues."""
-    if manifest is not None:
-        manifest.mark_failed(fingerprint, error)
-    return JobOutcome(spec, None, elapsed, attempts=attempts, error=error,
-                      bundle=bundle)
 
 
 def _served(spec: JobSpec, leader: JobOutcome) -> JobOutcome:
@@ -268,8 +241,8 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
     broke), so the in-process runner took over.
     ``fingerprints[index]`` is the key of the job at input ``index``.
 
-    The loop owns the retry queue, backoff, deadlines, zombies, manifest
-    marks and outcomes.  It submits one attempt at a time to one of two
+    The loop owns the retry queue, deadlines, zombies, manifest marks
+    and outcomes.  It submits one attempt at a time to one of two
     runners, both of which return a future of the attempt's outcome dict
     from :func:`~repro.run.forkserver.run_entry`:
 
@@ -314,37 +287,30 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
 
     workers, slots = runner_shape(pool)
 
-    # Jobs waiting to (re)submit: (not-before time, index, spec, attempt,
-    # elapsed-so-far).  `active` maps future -> ((index, spec, attempt,
-    # elapsed), deadline); `zombies` holds abandoned futures still
-    # draining a worker.
-    queue: List[Tuple[float, int, JobSpec, int, float]] = []
+    # Jobs waiting to (re)submit: (index, spec, attempt, elapsed-so-far).
+    # `active` maps future -> (that entry, deadline); `zombies` holds
+    # abandoned futures still draining a worker.
+    queue: List[Tuple[int, JobSpec, int, float]] = [
+        (index, spec, 0, 0.0) for index, spec in pending]
     active: Dict[Any, Tuple[Tuple[int, JobSpec, int, float], float]] = {}
     zombies: List[Any] = []
-    now = time.perf_counter()  # repro-lint: disable=R002
-    for index, spec in pending:
-        queue.append((now, index, spec, 0, 0.0))
 
     def settle(index: int, spec: JobSpec, attempt: int, elapsed: float,
-               error: str, at: float, kind: str = "failed",
-               bundle: str = "") -> None:
-        """Failed attempt: schedule a retry or record the failure.
-
-        The attempt log is written first: the host deadline and a late
-        worker failure can both reach here for the same attempt, and
-        :meth:`SweepManifest.mark_attempt` keeps exactly one outcome.
-        """
-        fingerprint = fingerprints[index]
+               error: str, kind: str = "failed", bundle: str = "") -> None:
+        """Failed attempt: requeue the job at once, or record it as
+        failed once it has no retries left.  Each attempt is settled
+        once: its future leaves ``active`` when it is collected or
+        abandoned."""
+        retry = attempt < policy.retries
         if manifest is not None:
-            manifest.mark_attempt(fingerprint, attempt, kind, error)
-        if attempt < policy.retries:
-            if manifest is not None:
-                manifest.mark_retrying(fingerprint, error)
-            delay = policy.backoff_delay(fingerprint, attempt + 1)
-            queue.append((at + delay, index, spec, attempt + 1, elapsed))
+            manifest.mark_attempt(fingerprints[index], attempt, kind, error,
+                                  "retrying" if retry else "failed")
+        if retry:
+            queue.append((index, spec, attempt + 1, elapsed))
         else:
-            outcomes[index] = _fail(spec, fingerprint, error, elapsed,
-                                    attempt + 1, manifest, bundle=bundle)
+            outcomes[index] = JobOutcome(spec, None, elapsed,
+                                         attempts=attempt + 1, error=error,
+                                         bundle=bundle)
 
     def submit(entry: Tuple[int, JobSpec, int, float], at: float) -> None:
         """Hand one attempt to the runner in use as a future."""
@@ -363,14 +329,14 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
             future = _Ran(forkserver.run_entry(*args))
         active[future] = (entry, policy.deadline_for(at))
 
-    def restart(at: float, rebuild: bool) -> None:
+    def restart(rebuild: bool) -> None:
         """Recycle the pool and requeue the attempts in flight at their
         current attempt number (they were not at fault).  Carry on with
         a fresh pool when ``rebuild`` asks for one and it can be built,
         else with the in-process runner."""
         nonlocal pool, fell_back, workers, slots, zombies
         forkserver.recycle_pool()
-        queue.extend((at,) + entry for entry, _deadline in active.values())
+        queue.extend(entry for entry, _deadline in active.values())
         active.clear()
         zombies = []
         pool = forkserver.get_pool(jobs) if rebuild else None
@@ -378,17 +344,14 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
         workers, slots = runner_shape(pool)
 
     def refill(now: float) -> None:
-        """Submit ready attempts, lowest input index first, while slots
+        """Submit queued attempts, lowest input index first, while slots
         are free."""
-        nonlocal queue
         free = min(slots, workers - len(zombies)) - len(active)
         if free > 0 and queue:
-            ready = sorted((item for item in queue if item[0] <= now),
-                           key=lambda item: item[1])
-            queue = [item for item in queue if item[0] > now]
-            for item in ready[:free]:
-                submit(item[1:], now)
-            queue += ready[free:]
+            queue.sort(key=lambda entry: entry[0])
+            for entry in queue[:free]:
+                submit(entry, now)
+            del queue[:free]
 
     try:
         while queue or active:
@@ -399,34 +362,28 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
             # Every worker wedged on an abandoned attempt: recycle the
             # pool so pending retries are not starved forever.
             if len(zombies) >= workers:
-                restart(now, rebuild=True)
+                restart(rebuild=True)
                 continue
 
             # Block until something can change: an active or zombie
-            # future completes (a finished zombie frees a worker too), an
-            # attempt reaches its deadline, or a backoff-held retry comes
-            # due.  Jobs that wait only for a free slot set no timer --
-            # a slot frees only on completion -- so the parent never
-            # polls while the workers simulate.
-            horizon = min([record[1] for record in active.values()]
-                          + [item[0] for item in queue if item[0] > now],
-                          default=math.inf)
-            wait_for = None if horizon == math.inf \
-                else max(0.0, horizon - now)
-            if pool is None and active:
+            # future completes (a finished zombie frees a worker too) or
+            # an attempt reaches its deadline.  Jobs that wait only for a
+            # free slot set no timer -- a slot frees only on completion
+            # -- so the parent never polls while the workers simulate.
+            if pool is None:
                 done = set(active)      # in-process attempts ran in submit
-            elif active or zombies:
-                from concurrent.futures import FIRST_COMPLETED, wait
-                done, _ = wait(list(active) + zombies, timeout=wait_for,
-                               return_when=FIRST_COMPLETED)
             else:
-                time.sleep(wait_for)    # only backoff-held retries left
-                done = set()
+                from concurrent.futures import FIRST_COMPLETED, wait
+                horizon = min((record[1] for record in active.values()),
+                              default=math.inf)
+                done, _ = wait(list(active) + zombies,
+                               timeout=None if horizon == math.inf
+                               else max(0.0, horizon - now),
+                               return_when=FIRST_COMPLETED)
 
             # Collect in submission order.  A collected attempt is over
             # budget if its measured time exceeds the timeout, wherever
             # it ran.  Successes are recorded after the refill below.
-            at = time.perf_counter()  # repro-lint: disable=R002
             broken = False
             finished: List[Tuple[int, JobSpec, SimulationResult, float,
                                  int]] = []
@@ -440,24 +397,24 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
                     from concurrent.futures import BrokenExecutor
                     if isinstance(exc, BrokenExecutor):
                         broken = True
-                        queue.append((at,) + entry)
+                        queue.append(entry)
                     else:
-                        settle(*entry, _failure_text(exc), at)
+                        settle(*entry, _failure_text(exc))
                     continue
                 index, spec, attempt, elapsed = entry
                 elapsed += job["elapsed"]
                 if not job["ok"]:
-                    settle(index, spec, attempt, elapsed, job["error"], at,
+                    settle(index, spec, attempt, elapsed, job["error"],
                            bundle=job["bundle"])
                 elif policy.job_timeout is not None and \
                         job["elapsed"] > policy.job_timeout:
                     settle(index, spec, attempt, elapsed, timeout_error,
-                           at, kind="timeout")
+                           kind="timeout")
                 else:
                     finished.append((index, spec, job["result"], elapsed,
                                      attempt + 1))
             if broken:
-                restart(at, rebuild=False)
+                restart(rebuild=False)
             else:
                 # Abandon attempts whose deadline passed in flight, and
                 # retry them.
@@ -467,7 +424,7 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
                     entry, _deadline = active.pop(future)
                     if not future.cancel():
                         zombies.append(future)
-                    settle(*entry, timeout_error, now, kind="timeout")
+                    settle(*entry, timeout_error, kind="timeout")
                 # Hand the freed workers their next attempts before the
                 # cache put and manifest flushes of the collected
                 # outcomes, so no worker idles through the parent's
@@ -489,15 +446,14 @@ def _run(pending: Sequence[Tuple[int, JobSpec]], fingerprints: Sequence[str],
 def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
              cache: Optional[ResultCache] = None,
              policy: Optional[RetryPolicy] = None,
-             manifest: Optional[SweepManifest] = None,
-             resume: Optional[bool] = None) -> RunReport:
+             manifest: Optional[SweepManifest] = None) -> RunReport:
     """Execute ``specs`` and return a report with results in input order.
 
     Arguments left as ``None`` pick up the process-wide configuration
     (see :func:`repro.run.configure` / ``REPRO_JOBS``): worker count,
-    shared cache, retry policy, sweep manifest and resume mode.  Triage
-    bundles need somewhere durable to live,
-    so they are written only when a result cache is in use.  Failed jobs
+    shared cache, retry policy and sweep manifest.  Triage bundles need
+    somewhere durable to live, so they are written only when a result
+    cache is in use.  Failed jobs
     (retries exhausted) appear as outcomes with ``result=None`` rather
     than aborting the sweep.
 
@@ -510,7 +466,8 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     outcomes with their own params and no attempts.  A sanitized
     leader is never looked up in the cache, so a sanitized job always
     runs under its checker; its result, byte-identical to the plain
-    run's, is stored as usual.
+    run's, is stored as usual.  The manifest records this call's leaders
+    in one flush after the lookups, the cache hits as ``done``.
 
     The misses run through :func:`_run`: on the fork-server pool with
     ``jobs > 1`` and at least two pending jobs, else in process, and in
@@ -519,19 +476,18 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
     runners execute the same per-attempt code.
     """
     if jobs is None or cache is None or policy is None \
-            or manifest is None or resume is None:
+            or manifest is None:
         from repro.run import runner_state
         state = runner_state()
         jobs = state.jobs if jobs is None else jobs
         cache = state.cache if cache is None else cache
         policy = state.policy if policy is None else policy
         manifest = state.manifest if manifest is None else manifest
-        resume = state.resume if resume is None else resume
     jobs = max(1, int(jobs))
 
     start = time.perf_counter()  # repro-lint: disable=R002
     # Each key is computed once here and handed to every cache lookup,
-    # manifest mark and backoff below.  One spec of each fingerprint
+    # and manifest mark below.  One spec of each fingerprint
     # leads: the first sanitized one, else the first.  It alone is
     # looked up and, on a miss, simulated.
     fingerprints = [spec.fingerprint() for spec in specs]
@@ -540,11 +496,6 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         leader = leaders.setdefault(fingerprint, index)
         if specs[index].tools.check and not specs[leader].tools.check:
             leaders[fingerprint] = index
-    if manifest is not None:
-        manifest.begin(list(leaders),
-                       [specs[index].describe(fingerprint)
-                        for fingerprint, index in leaders.items()],
-                       resume=bool(resume))
 
     outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
     pending: List[Tuple[int, JobSpec]] = []
@@ -555,10 +506,14 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         if hit is not None:
             outcomes[index] = JobOutcome(spec, hit, 0.0, cached=True,
                                          attempts=0)
-            if manifest is not None:
-                manifest.mark_done(fingerprint, cached=True)
         else:
             pending.append((index, spec))
+    if manifest is not None:
+        manifest.begin(list(leaders),
+                       [specs[index].describe(fingerprint)
+                        for fingerprint, index in leaders.items()],
+                       {fingerprint for fingerprint, index in leaders.items()
+                        if outcomes[index] is not None})
 
     workers, fell_back = _run(pending, fingerprints, jobs, cache, outcomes,
                               policy, manifest) if pending else (1, False)

@@ -8,10 +8,11 @@ from the cache, and the last error text.  It is flushed atomically after
 every state transition, so a sweep killed mid-flight leaves an accurate
 record of exactly which cells completed.
 
-``repro report --resume`` / ``repro figure --resume`` reuse the manifest
-(completed jobs keep their records and are served from the cache; only
-the incomplete remainder executes), and ``repro sweep-status`` prints
-progress without touching the simulator at all.
+Re-running an interrupted sweep continues it: every completed job is
+served from the result cache, so only the incomplete remainder
+executes, and the manifest records each served job as ``done`` and
+``cached``.  ``repro sweep-status`` prints progress without touching
+the simulator at all.
 
 The manifest never feeds simulated state: it stores fingerprints and
 bookkeeping only, and results always round-trip through the content-
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Collection, Dict, Iterable, List, Optional, Union
 
 from repro.run import atomicio
 
@@ -46,10 +47,8 @@ class JobRecord:
     attempts: int = 0
     cached: bool = False      # last completion served from the cache
     error: str = ""           # last failure text ("" when clean)
-    #: Per-attempt outcome entries ({attempt, outcome, error}),
-    #: deduplicated by attempt number: the host timeout and a late
-    #: worker failure can both try to close one attempt, and exactly one
-    #: record must win (see SweepManifest.mark_attempt).
+    #: Per-attempt outcome entries ({attempt, outcome, error}) of the
+    #: last sweep that ran this job, one per attempt number.
     attempt_log: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -134,26 +133,19 @@ class SweepManifest:
     # ------------------------------------------------------------ lifecycle
 
     def begin(self, fingerprints: Iterable[str], labels: Iterable[str],
-              resume: bool = False) -> None:
-        """Register the jobs of one sweep.
+              cached: Collection[str] = ()) -> None:
+        """Register the jobs of one sweep in one flush.
 
-        With ``resume=False`` every given job starts from a clean
-        ``pending`` record (attempt counters reset).  With
-        ``resume=True`` completed jobs keep their records untouched and
-        interrupted ones (``running``/``retrying``/``failed``) are
-        re-armed as ``pending`` while *keeping* their accumulated
-        attempt count and last error, so the manifest shows the full
-        history across invocations.
+        Every given job starts from a fresh record: ``done`` and
+        ``cached`` if its fingerprint is in ``cached`` (the result cache
+        served it), else ``pending`` with no attempts.  Records of other
+        fingerprints are left alone.
         """
         for fingerprint, label in zip(fingerprints, labels):
-            existing = self.records.get(fingerprint)
-            if resume and existing is not None:
-                if not existing.label:
-                    existing.label = label
-                if not existing.complete:
-                    existing.status = "pending"
-                continue
-            self.records[fingerprint] = JobRecord(fingerprint, label)
+            hit = fingerprint in cached
+            self.records[fingerprint] = JobRecord(
+                fingerprint, label, status="done" if hit else "pending",
+                cached=hit)
         self.flush()
 
     # ------------------------------------------------------------- events
@@ -171,48 +163,21 @@ class SweepManifest:
         record.attempts += 1
         self.flush()
 
-    def mark_retrying(self, fingerprint: str, error: str) -> None:
-        record = self._record(fingerprint)
-        record.status = "retrying"
-        record.error = error
-        self.flush()
-
-    def mark_done(self, fingerprint: str, cached: bool = False) -> None:
-        record = self._record(fingerprint)
-        record.status = "done"
-        record.cached = cached
-        record.error = ""
-        self.flush()
-
-    def mark_failed(self, fingerprint: str, error: str) -> None:
-        record = self._record(fingerprint)
-        record.status = "failed"
-        record.error = error
-        self.flush()
-
     def mark_attempt(self, fingerprint: str, attempt: int, outcome: str,
-                     error: str = "") -> bool:
-        """Record one attempt's outcome; first writer wins per attempt.
-
-        Two host-side paths can race to close the same attempt: the
-        parent's ``--job-timeout`` deadline abandons it while the worker
-        (or its in-simulator watchdog) reports a failure for it.  The
-        attempt number keys the log, so the second writer is a no-op
-        and the manifest holds exactly one outcome per attempt.
-        Returns whether the entry landed.
-        """
+                     error: str, status: str) -> None:
+        """Close attempt ``attempt`` with ``outcome`` (``ok``,
+        ``failed`` or ``timeout``) and move the job to ``status``
+        (``done``, ``retrying`` or ``failed``), in one flush.  ``error``
+        is the failure text, ``""`` for a success."""
         record = self._record(fingerprint)
-        attempt = int(attempt)
-        if any(entry.get("attempt") == attempt
-               for entry in record.attempt_log):
-            return False
         record.attempt_log.append({
-            "attempt": attempt,
+            "attempt": int(attempt),
             "outcome": outcome,
             "error": error,
         })
+        record.status = status
+        record.error = error
         self.flush()
-        return True
 
     # ------------------------------------------------------------ queries
 

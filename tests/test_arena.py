@@ -27,7 +27,6 @@ def clean_runner(monkeypatch):
     monkeypatch.setattr(repro.run, "_cache", None)
     monkeypatch.setattr(repro.run, "_manifest", None)
     monkeypatch.setattr(repro.run, "_policy", DEFAULT_POLICY)
-    monkeypatch.setattr(repro.run, "_resume", False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 

@@ -14,11 +14,11 @@ def tiny_sizes(monkeypatch, tmp_path):
     # The CLI enables the persistent cache by default; keep test runs
     # isolated in a throwaway directory and restore the previous state.
     previous = (repro.run._jobs, repro.run._cache, repro.run._manifest,
-                repro.run._policy, repro.run._resume)
+                repro.run._policy)
     repro.run.configure(cache_dir=str(tmp_path / "cache"))
     yield
     (repro.run._jobs, repro.run._cache, repro.run._manifest,
-     repro.run._policy, repro.run._resume) = previous
+     repro.run._policy) = previous
 
 
 class TestCli:
@@ -100,11 +100,16 @@ class TestCli:
 
     def test_resilience_flags_configure_runner(self):
         assert cli.main(["--retries", "7", "--job-timeout", "120",
-                         "--resume", "sweep-status"]) == 0
+                         "sweep-status"]) == 0
         state = repro.run.runner_state()
         assert state.policy.retries == 7
         assert state.policy.job_timeout == 120.0
-        assert state.resume is True
+
+    def test_resume_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--quick", "report", "--resume"])
+        assert exc.value.code == 2
+        assert "--resume" in capsys.readouterr().err
 
 
 class TestCheckCommands:

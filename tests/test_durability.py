@@ -46,8 +46,6 @@ from repro.run.faults import DISK_FAULT_KINDS
 
 TINY = dict(instructions=800, warmup=800)
 
-FAST_BACKOFF = dict(backoff_base=0.001, backoff_cap=0.01)
-
 
 def tiny_spec(seed=0, kind="oltp", **params_changes):
     params = default_system(**params_changes)
@@ -61,7 +59,6 @@ def clean_runner(monkeypatch):
     monkeypatch.setattr(repro.run, "_cache", None)
     monkeypatch.setattr(repro.run, "_manifest", None)
     monkeypatch.setattr(repro.run, "_policy", DEFAULT_POLICY)
-    monkeypatch.setattr(repro.run, "_resume", False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     atomicio.reset_state()
     yield
@@ -297,8 +294,7 @@ def _sweep(cache_dir, *, seeds=SWEEP_SEEDS):
     specs = [tiny_spec(seed=s) for s in seeds]
     return run_many(
         specs, jobs=1, cache=cache, manifest=manifest,
-        policy=RetryPolicy(retries=3, job_timeout=60, **FAST_BACKOFF),
-        resume=True)
+        policy=RetryPolicy(retries=3, job_timeout=60))
 
 
 def _crash_once_faults(seeds=SWEEP_SEEDS):
@@ -557,8 +553,7 @@ class TestGcRaceSafety:
     def test_grace_window_pins_fresh_artifacts(self, tmp_path):
         now = atomicio.time_now()
         manifest = SweepManifest(tmp_path / MANIFEST_NAME)
-        manifest.begin(["a" * 64], ["job-a"])
-        manifest.mark_done("a" * 64)
+        manifest.begin(["a" * 64], ["job-a"], {"a" * 64})
         bundle = tmp_path / "triage" / ("a" * 12 + "-a0")
         bundle.mkdir(parents=True)
         (bundle / "job.json").write_bytes(b"fresh")

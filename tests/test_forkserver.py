@@ -24,8 +24,7 @@ from repro.run import forkserver, triage
 from repro.run.faults import InjectedWriterDeath, plan_from_env
 
 TINY = dict(instructions=1200, warmup=400)
-FAST_POLICY = RetryPolicy(retries=4, backoff_base=0.001,
-                          backoff_cap=0.01)
+RETRY_POLICY = RetryPolicy(retries=4)
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +33,6 @@ def clean_runner(monkeypatch):
     monkeypatch.setattr(repro.run, "_cache", None)
     monkeypatch.setattr(repro.run, "_manifest", None)
     monkeypatch.setattr(repro.run, "_policy", DEFAULT_POLICY)
-    monkeypatch.setattr(repro.run, "_resume", False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
@@ -142,8 +140,8 @@ class TestPoolVsSerial:
         specs = [_spec(seed=s) for s in range(4)]
         baseline = run_many(specs, jobs=1)
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.3,seed:11")
-        faulty_serial = run_many(specs, jobs=1, policy=FAST_POLICY)
-        faulty_pool = run_many(specs, jobs=2, policy=FAST_POLICY)
+        faulty_serial = run_many(specs, jobs=1, policy=RETRY_POLICY)
+        faulty_pool = run_many(specs, jobs=2, policy=RETRY_POLICY)
         assert [r.to_dict() for r in faulty_serial.results] == \
             [r.to_dict() for r in baseline.results]
         assert [r.to_dict() for r in faulty_pool.results] == \
@@ -224,7 +222,7 @@ class TestOneAttemptPerSubmission:
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.3,seed:11")
         try:
             report = run_many([_spec(seed=s) for s in range(3)], jobs=2,
-                              policy=FAST_POLICY)
+                              policy=RETRY_POLICY)
         finally:
             forkserver.recycle_pool()
         assert not report.failures
@@ -321,7 +319,7 @@ class TestWorkerWriterDeath:
         try:
             report = run_many(specs, jobs=2,
                               cache=repro.run.ResultCache(tmp_path),
-                              policy=FAST_POLICY, manifest=manifest)
+                              policy=RETRY_POLICY, manifest=manifest)
         finally:
             forkserver.recycle_pool()
         if report.fell_back_to_serial:

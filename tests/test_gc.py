@@ -49,19 +49,20 @@ def _manifest(root, **statuses):
     manifest = SweepManifest(root / MANIFEST_NAME)
     manifest.begin(list(statuses.values()), list(statuses))
     for label, fingerprint in statuses.items():
-        if label == "done":
-            manifest.mark_done(fingerprint)
-        elif label == "failed":
-            manifest.mark_failed(fingerprint, "boom")
-        elif label == "running":
+        if label in ("done", "failed", "running"):
             manifest.mark_running(fingerprint)
+        if label == "done":
+            manifest.mark_attempt(fingerprint, 0, "ok", "", "done")
+        elif label == "failed":
+            manifest.mark_attempt(fingerprint, 0, "failed", "boom",
+                                  "failed")
     return manifest
 
 
 @pytest.fixture
 def isolated_runner(monkeypatch):
     """The CLI reconfigures the process-wide runner; undo it."""
-    for name in ("_jobs", "_cache", "_manifest", "_policy", "_resume"):
+    for name in ("_jobs", "_cache", "_manifest", "_policy"):
         monkeypatch.setattr(repro.run, name, getattr(repro.run, name))
 
 

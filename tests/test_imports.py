@@ -78,9 +78,10 @@ class TestImportGraph:
                     if n.split(".")[:2] in (["repro", "cpu"],
                                             ["repro", "mem"])}
 
-    def test_lint_leaves_the_runner_unconfigured(self, tmp_path):
-        """``lint`` reads no cache, so it neither opens nor imports it."""
-        loaded = _loaded_after(
+    @staticmethod
+    def _lint_list_rules(tmp_path, **env):
+        """The modules ``python -m repro lint --list-rules`` loads."""
+        return _loaded_after(
             "import sys\n"
             "sys.argv = ['repro', 'lint', '--list-rules']\n"
             "import runpy\n"
@@ -88,8 +89,19 @@ class TestImportGraph:
             "    runpy.run_module('repro', run_name='__main__')\n"
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code",
-            cwd=str(tmp_path), env={"REPRO_CACHE_DIR": str(tmp_path)})
+            cwd=str(tmp_path), env={"REPRO_CACHE_DIR": str(tmp_path),
+                                    **env})
+
+    def test_lint_leaves_the_runner_unconfigured(self, tmp_path):
+        """``lint`` reads no cache, so it neither opens nor imports it."""
+        loaded = self._lint_list_rules(tmp_path)
         assert "repro.check.lint" in loaded
+        assert not loaded & {"repro.run.cache", "repro.run.manifest"}
+
+    def test_no_variable_opens_the_cache_at_import(self, tmp_path):
+        """Importing ``repro.run`` opens no cache, whatever the
+        environment says; only ``configure`` does."""
+        loaded = self._lint_list_rules(tmp_path, REPRO_CACHE="1")
         assert not loaded & {"repro.run.cache", "repro.run.manifest"}
 
     def test_pool_workers_import_nothing_a_job_runs(self):

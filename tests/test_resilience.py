@@ -1,8 +1,8 @@
 """Tests for the sweep resilience layer.
 
 Covers deterministic fault injection (``REPRO_FAULTS``), per-job retry /
-timeout / backoff isolation in both the serial and pool executors, the
-persistent sweep manifest with ``--resume`` semantics, cache integrity
+timeout isolation in both the serial and pool executors, the persistent
+sweep manifest and re-running an interrupted sweep, cache integrity
 (checksums, quarantine, best-effort writes, orphan sweeping), failure
 accounting in :class:`RunReport`, explicit figure gaps, and the
 acceptance property that a fault-injected sweep reproduces the
@@ -47,10 +47,6 @@ from repro.stats import mshr
 # simulator for real.  One attempt takes ~0.1s serially on a slow box;
 # every timeout in this file keeps a generous multiple of that.
 TINY = dict(instructions=800, warmup=800)
-
-#: Backoff knobs that keep retry-heavy tests fast without changing the
-#: deterministic schedule's shape.
-FAST_BACKOFF = dict(backoff_base=0.001, backoff_cap=0.01)
 
 
 def tiny_spec(seed=0, kind="oltp", **params_changes):
@@ -109,7 +105,6 @@ def clean_runner(monkeypatch):
     monkeypatch.setattr(repro.run, "_cache", None)
     monkeypatch.setattr(repro.run, "_manifest", None)
     monkeypatch.setattr(repro.run, "_policy", DEFAULT_POLICY)
-    monkeypatch.setattr(repro.run, "_resume", False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
@@ -187,17 +182,6 @@ class TestFaultPlan:
 
 
 class TestRetryPolicy:
-    def test_backoff_deterministic_and_capped(self):
-        policy = RetryPolicy(backoff_base=0.05, backoff_cap=0.4)
-        fingerprint = "e" * 64
-        delays = [policy.backoff_delay(fingerprint, a) for a in range(1, 10)]
-        assert delays == [policy.backoff_delay(fingerprint, a)
-                          for a in range(1, 10)]
-        assert policy.backoff_delay(fingerprint, 0) == 0.0
-        assert all(0.0 < delay <= 0.4 for delay in delays)
-        # Late attempts sit at the cap (modulo the 0.5-1.0 jitter band).
-        assert delays[-1] >= 0.2
-
     def test_deadline(self):
         assert RetryPolicy(job_timeout=None).deadline_for(5.0) == math.inf
         assert RetryPolicy(job_timeout=2.0).deadline_for(5.0) == 7.0
@@ -219,7 +203,7 @@ class TestSerialRetries:
             and not FaultPlan(crash=0.5, seed=s).roll(
                 "crash", fingerprint, 1))
         monkeypatch.setenv("REPRO_FAULTS", f"crash:0.5,seed:{fault_seed}")
-        policy = RetryPolicy(retries=2, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=2)
         report = run_many([spec], jobs=1, cache=None, policy=policy)
         outcome = report.outcomes[0]
         assert not outcome.failed and outcome.attempts == 2
@@ -230,7 +214,7 @@ class TestSerialRetries:
             self, monkeypatch):
         specs = [tiny_spec(seed=s) for s in range(3)]
         monkeypatch.setenv("REPRO_FAULTS", "crash:1,seed:0")
-        policy = RetryPolicy(retries=1, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=1)
         report = run_many(specs, jobs=1, cache=None, policy=policy)
         assert len(report.outcomes) == 3
         assert len(report.failures) == 3
@@ -246,7 +230,7 @@ class TestSerialRetries:
         # over-budget result afterwards and eventually fail the job.
         spec = tiny_spec()
         monkeypatch.setenv("REPRO_FAULTS", "hang:1,hang_s:0.8,seed:0")
-        policy = RetryPolicy(retries=1, job_timeout=0.4, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=1, job_timeout=0.4)
         report = run_many([spec], jobs=1, cache=None, policy=policy)
         outcome = report.outcomes[0]
         assert outcome.failed and outcome.attempts == 2
@@ -265,7 +249,7 @@ class TestSerialRetries:
                            f"hang:0.5,hang_s:1.5,seed:{fault_seed}")
         # A clean attempt takes ~0.1s; 0.6s keeps a wide margin while
         # the injected 1.5s hang reliably overshoots it.
-        policy = RetryPolicy(retries=2, job_timeout=0.6, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=2, job_timeout=0.6)
         report = run_many([spec], jobs=1, cache=None, policy=policy)
         outcome = report.outcomes[0]
         assert not outcome.failed and outcome.attempts == 2
@@ -291,7 +275,7 @@ class TestPoolResilience:
 
         fault_seed = find_fault_seed(crashes_then_succeeds)
         monkeypatch.setenv("REPRO_FAULTS", f"crash:0.5,seed:{fault_seed}")
-        policy = RetryPolicy(retries=2, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=2)
         report = run_many(specs, jobs=2, cache=None, policy=policy)
         assert not report.failures
         assert report.retried >= 1
@@ -313,7 +297,7 @@ class TestPoolResilience:
                            f"hang:0.3,hang_s:6,seed:{fault_seed}")
         # The 6s hang dwarfs the 2s budget; clean attempts (~0.3s even
         # under single-core pool contention) stay far inside it.
-        policy = RetryPolicy(retries=3, job_timeout=2.0, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=3, job_timeout=2.0)
         report = run_many(specs, jobs=2, cache=None, policy=policy)
         assert not report.failures
         assert report.retried >= 1
@@ -346,7 +330,7 @@ class TestPoolResilience:
 
         monkeypatch.setattr(RetryPolicy, "deadline_for", deadline_for)
         calls = _count_pool_waits(monkeypatch)
-        policy = RetryPolicy(retries=2, job_timeout=30.0, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=2, job_timeout=30.0)
         report = run_many(specs, jobs=2, cache=None, policy=policy)
         assert not report.failures and not report.fell_back_to_serial
         assert [o.attempts for o in report.outcomes] == [2] + [1] * 5
@@ -474,8 +458,7 @@ class TestPoolResilience:
         monkeypatch.setenv("REPRO_FAULTS",
                            f"crash:0.4,hang:0.2,hang_s:2,seed:{fault_seed}")
         # The 2s hang doubles the 1s budget; a clean attempt takes ~0.1s.
-        policy = RetryPolicy(retries=retries, job_timeout=1.0,
-                             **FAST_BACKOFF)
+        policy = RetryPolicy(retries=retries, job_timeout=1.0)
 
         def run(jobs):
             manifest = SweepManifest(tmp_path / f"manifest-{jobs}.json")
@@ -517,8 +500,7 @@ class TestPoolResilience:
         try:
             for jobs in (1, 2):
                 report = run_many(specs[:2], jobs=jobs, cache=None,
-                                  policy=RetryPolicy(retries=1,
-                                                     **FAST_BACKOFF))
+                                  policy=RetryPolicy(retries=1))
                 assert [o.attempts for o in report.outcomes] == [2, 2]
                 assert all(o.wall_time >= 0.3 for o in report.outcomes)
         finally:
@@ -542,7 +524,7 @@ class TestPoolResilience:
 
         fault_seed = find_fault_seed(mixed_fates)
         monkeypatch.setenv("REPRO_FAULTS", f"crash:0.6,seed:{fault_seed}")
-        policy = RetryPolicy(retries=2, **FAST_BACKOFF)
+        policy = RetryPolicy(retries=2)
         report = run_many([cached_spec, retried_spec, doomed_spec],
                           jobs=1, cache=cache, policy=policy)
         assert report.cache_hits == 1 and report.cache_misses == 2
@@ -820,7 +802,7 @@ class TestStreamedEntry:
 
 
 # ---------------------------------------------------------------------------
-# Sweep manifest: persistence, recovery, resume
+# Sweep manifest: persistence, recovery, re-running an interrupted sweep
 # ---------------------------------------------------------------------------
 
 class TestSweepManifest:
@@ -829,17 +811,24 @@ class TestSweepManifest:
         manifest = SweepManifest(path)
         manifest.begin(["f1", "f2", "f3"], ["a", "b", "c"])
         manifest.mark_running("f1")
-        manifest.mark_done("f1")
+        manifest.mark_attempt("f1", 0, "ok", "", "done")
         manifest.mark_running("f2")
-        manifest.mark_retrying("f2", "InjectedCrash: boom")
+        manifest.mark_attempt("f2", 0, "failed", "InjectedCrash: boom",
+                              "retrying")
         manifest.mark_running("f2")
-        manifest.mark_failed("f2", "InjectedCrash: boom")
+        manifest.mark_attempt("f2", 1, "timeout", "timeout: boom",
+                              "failed")
         reloaded = SweepManifest(path)
         assert len(reloaded) == 3 and reloaded.load_error is None
         assert reloaded.get("f1").complete
         assert reloaded.get("f2").status == "failed"
         assert reloaded.get("f2").attempts == 2
-        assert "boom" in reloaded.get("f2").error
+        assert reloaded.get("f2").error == "timeout: boom"
+        assert [(entry["attempt"], entry["outcome"])
+                for entry in reloaded.get("f2").attempt_log] == \
+            [(0, "failed"), (1, "timeout")]
+        assert reloaded.get("f1").error == "" and \
+            not reloaded.get("f1").cached
         assert reloaded.get("f3").status == "pending"
         assert reloaded.counts() == {"done": 1, "failed": 1, "pending": 1}
         assert reloaded.total_attempts() == 3
@@ -851,23 +840,24 @@ class TestSweepManifest:
         manifest = SweepManifest(path)
         manifest.begin(["f1", "f2", "f3"], ["a", "b", "c"])
         manifest.mark_running("f1")
-        manifest.mark_done("f1")
+        manifest.mark_attempt("f1", 0, "ok", "", "done")
         manifest.mark_running("f2")
-        manifest.mark_failed("f2", "InjectedCrash: boom")
+        manifest.mark_attempt("f2", 0, "failed", "InjectedCrash: boom",
+                              "failed")
         assert "workers:" not in manifest.format_status()
         raw = json.loads(path.read_text())
         assert "workers" not in raw
 
         # A manifest from an older checkout carries a worker-health
-        # section: it still loads and resumes, and the next flush
-        # drops the section.
+        # section: it still loads and takes the next sweep, and the
+        # next flush drops the section.
         raw["workers"] = {"w1": {"status": "lost", "jobs_done": 2}}
         path.write_text(json.dumps(raw))
         old = SweepManifest(path)
         assert old.load_error is None
         assert old.counts() == {"done": 1, "failed": 1, "pending": 1}
-        old.begin(["f1", "f2", "f3"], ["a", "b", "c"], resume=True)
-        assert old.get("f1").complete
+        old.begin(["f1", "f2", "f3"], ["a", "b", "c"], {"f1"})
+        assert old.get("f1").complete and old.get("f1").cached
         assert old.get("f2").status == "pending"
         assert "workers" not in json.loads(path.read_text())
 
@@ -880,22 +870,24 @@ class TestSweepManifest:
         manifest.begin(["f1"], ["a"])   # still fully usable
         assert SweepManifest(path).get("f1") is not None
 
-    def test_resume_keeps_done_and_rearms_incomplete(self, tmp_path):
+    def test_begin_renews_only_this_sweeps_records(self, tmp_path):
         manifest = SweepManifest(tmp_path / MANIFEST_NAME)
-        manifest.begin(["f1", "f2"], ["a", "b"])
-        manifest.mark_running("f1")
-        manifest.mark_done("f1")
+        manifest.begin(["f1", "f2", "f3"], ["a", "b", "c"])
+        for fingerprint in ("f1", "f3"):
+            manifest.mark_running(fingerprint)
+            manifest.mark_attempt(fingerprint, 0, "ok", "", "done")
         manifest.mark_running("f2")
-        manifest.mark_retrying("f2", "err")
-        manifest.begin(["f1", "f2"], ["a", "b"], resume=True)
-        assert manifest.get("f1").status == "done"
-        assert manifest.get("f1").attempts == 1    # history preserved
-        assert manifest.get("f2").status == "pending"
-        assert manifest.get("f2").attempts == 1    # attempts accumulate
-        # Without resume the same call resets everything.
-        manifest.begin(["f1", "f2"], ["a", "b"], resume=False)
-        assert manifest.get("f1").status == "pending"
-        assert manifest.total_attempts() == 0
+        manifest.mark_attempt("f2", 0, "failed", "err", "retrying")
+        # The next sweep covers f1 (a cache hit) and f2 (a miss).
+        manifest.begin(["f1", "f2"], ["a2", "b2"], {"f1"})
+        f1, f2, f3 = (SweepManifest(manifest.path).get(fingerprint)
+                      for fingerprint in ("f1", "f2", "f3"))
+        assert (f1.status, f1.cached, f1.attempts, f1.attempt_log,
+                f1.label) == ("done", True, 0, [], "a2")
+        assert (f2.status, f2.cached, f2.attempts, f2.attempt_log,
+                f2.error) == ("pending", False, 0, [], "")
+        assert (f3.status, f3.attempts) == ("done", 1)   # left alone
+        assert len(f3.attempt_log) == 1
 
     def test_interrupted_sweep_resumes_only_the_remainder(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -919,30 +911,28 @@ class TestSweepManifest:
         reloaded = SweepManifest(path)
         assert len(reloaded) == 4 and reloaded.load_error is None
         assert "resumed@" not in reloaded.format_status()
-        second = run_many(specs, jobs=1, cache=cache, manifest=reloaded,
-                          resume=True)
+        second = run_many(specs, jobs=1, cache=cache, manifest=reloaded)
         assert not second.failures
         assert second.cache_hits == 4   # completed jobs did not re-run
         assert [r.to_dict() for r in second.results[:4]] == \
             [r.to_dict() for r in first.results]
         assert "start_offset" not in path.read_text()
+        assert set(attempts_before.values()) == {1}
         for spec in specs[:4]:
             record = reloaded.get(spec.fingerprint())
             assert record.status == "done" and record.cached
-            assert record.attempts == \
-                attempts_before[spec.fingerprint()]
+            assert record.attempts == 0 and record.attempt_log == []
         assert reloaded.counts() == {"done": 6}
-        # A third resume run is a pure no-op: zero new attempts.
-        total_attempts = reloaded.total_attempts()
-        third = run_many(specs, jobs=1, cache=cache, manifest=reloaded,
-                         resume=True)
+        assert reloaded.total_attempts() == 2   # only the remainder ran
+        # A third run is a pure no-op: zero attempts.
+        third = run_many(specs, jobs=1, cache=cache, manifest=reloaded)
         assert third.cache_hits == 6
-        assert reloaded.total_attempts() == total_attempts
+        assert reloaded.total_attempts() == 0
 
     def test_mixed_dispatch_resume_one_outcome_per_job(self, tmp_path):
-        """A sweep started on the pool, resumed on the pool, and
-        finished serially lands exactly one completed outcome per job
-        with no duplicate attempts."""
+        """A sweep started on the pool, run again on the pool, and
+        finished serially executes each job exactly once and lands
+        exactly one completed outcome per job."""
         specs = [tiny_spec(seed=s) for s in range(6)]
         reference = run_many(specs, jobs=1, cache=None)
         cache = ResultCache(tmp_path / "cache")
@@ -952,28 +942,70 @@ class TestSweepManifest:
         assert not first.failures and first.jobs == 2
 
         second = run_many(specs[:5], jobs=2, cache=cache,
-                          manifest=SweepManifest(cache.path / MANIFEST_NAME),
-                          resume=True)
+                          manifest=SweepManifest(cache.path / MANIFEST_NAME))
         assert not second.failures and second.jobs == 2
         assert second.cache_hits == 3   # first-phase results reused
 
         final = SweepManifest(cache.path / MANIFEST_NAME)
-        third = run_many(specs, jobs=1, cache=cache, manifest=final,
-                         resume=True)
+        third = run_many(specs, jobs=1, cache=cache, manifest=final)
         assert not third.failures
         assert third.cache_hits == 5
         assert [r.to_dict() for r in third.results] == \
             [r.to_dict() for r in reference.results]
 
+        executed = [o.attempts for report in (first, second, third)
+                    for o in report.outcomes if not o.cached]
+        assert executed == [1] * len(specs), \
+            f"jobs ran {executed} times across the three passes"
         assert final.counts() == {"done": 6}
-        for spec in specs:
+        for spec in specs[:5]:
             record = final.get(spec.fingerprint())
-            assert record.status == "done"
-            assert record.attempts == 1, \
-                f"job {spec.fingerprint()[:12]} ran {record.attempts}x"
-            logged = [entry["attempt"] for entry in record.attempt_log]
-            assert len(logged) == len(set(logged)) == 1, \
-                "duplicate attempt entries across executors"
+            assert record.cached and record.attempts == 0
+        record = final.get(specs[5].fingerprint())
+        assert not record.cached and record.attempts == 1
+        assert record.attempt_log == [
+            {"attempt": 0, "outcome": "ok", "error": ""}]
+
+    def test_rerun_after_a_failed_sweep_logs_only_its_own_attempt(
+            self, tmp_path, monkeypatch):
+        """A job that failed in one sweep and succeeds in the next reads
+        ``done`` with the new sweep's attempt only: each call starts its
+        jobs' ledgers afresh, so attempt numbers never collide."""
+        spec = tiny_spec()
+        cache = ResultCache(tmp_path / "cache")
+        manifest = SweepManifest(cache.path / MANIFEST_NAME)
+        monkeypatch.setenv("REPRO_FAULTS", "crash:1.0,seed:0")
+        failed = run_many([spec], jobs=1, cache=cache, manifest=manifest,
+                          policy=RetryPolicy(retries=0))
+        assert failed.outcomes[0].failed
+        assert manifest.get(spec.fingerprint()).status == "failed"
+        monkeypatch.delenv("REPRO_FAULTS")
+        again = run_many([spec], jobs=1, cache=cache, manifest=manifest,
+                         policy=RetryPolicy(retries=0))
+        assert not again.failures
+        record = SweepManifest(manifest.path).get(spec.fingerprint())
+        assert (record.status, record.cached, record.attempts,
+                record.error) == ("done", False, 1, "")
+        assert record.attempt_log == [
+            {"attempt": 0, "outcome": "ok", "error": ""}]
+
+    def test_manifest_flushes_once_per_sweep_and_twice_per_attempt(
+            self, tmp_path):
+        """``begin`` records every cache hit in its one flush; each
+        executed attempt adds a start flush and a close flush."""
+        specs = [tiny_spec(seed=s) for s in range(2)]
+        cache = ResultCache(tmp_path / "cache")
+        manifest = SweepManifest(cache.path / MANIFEST_NAME)
+
+        def flushes(**kwargs):
+            before = atomicio.sequence_numbers().get("manifest", 0)
+            run_many(specs, cache=cache, manifest=manifest, **kwargs)
+            return atomicio.sequence_numbers().get("manifest", 0) - before
+
+        assert flushes(jobs=1) == 1 + 2 * len(specs)   # cold
+        assert flushes(jobs=1) == 1                    # warm
+        assert flushes(jobs=2) == 1
+        assert manifest.counts() == {"done": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -1045,7 +1077,7 @@ class TestDownstreamGaps:
             and not FaultPlan(crash=0.5, seed=s).roll("crash", fp1, 0))
         monkeypatch.setenv("REPRO_FAULTS", f"crash:0.5,seed:{fault_seed}")
         monkeypatch.setattr(repro.run, "_policy",
-                            RetryPolicy(retries=0, **FAST_BACKOFF))
+                            RetryPolicy(retries=0))
         sweep = seed_sweep(params, oltp_workload, seeds=(0, 1),
                            label="partial", **TINY)
         assert sweep.failures == 1 and len(sweep.cycles) == 1
@@ -1054,7 +1086,7 @@ class TestDownstreamGaps:
     def test_seed_sweep_raises_when_every_seed_fails(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash:1,seed:0")
         monkeypatch.setattr(repro.run, "_policy",
-                            RetryPolicy(retries=0, **FAST_BACKOFF))
+                            RetryPolicy(retries=0))
         with pytest.raises(RuntimeError, match="every seed failed"):
             seed_sweep(default_system(), oltp_workload, seeds=(0, 1),
                        label="doomed", **TINY)
@@ -1109,8 +1141,7 @@ class TestAcceptance:
         manifest = SweepManifest(cache.path / MANIFEST_NAME)
         # Injected hangs (6s) trip the 2s deadline; clean attempts stay
         # far inside it even with two workers contending on one core.
-        policy = RetryPolicy(retries=retries, job_timeout=2.0,
-                             **FAST_BACKOFF)
+        policy = RetryPolicy(retries=retries, job_timeout=2.0)
         report = run_many(specs, jobs=2, cache=cache, manifest=manifest,
                           policy=policy)
         assert not report.failures
@@ -1122,8 +1153,7 @@ class TestAcceptance:
         # quarantined, re-run -- and the results still match.
         with pytest.warns(RuntimeWarning, match="quarantined"):
             again = run_many(specs, jobs=1, cache=cache,
-                             manifest=manifest, policy=policy,
-                             resume=True)
+                             manifest=manifest, policy=policy)
         assert not again.failures
         assert cache.quarantined >= 1
         assert cache.stats()["quarantine_entries"] >= 1

@@ -281,7 +281,7 @@ class TestCanonicalKey:
                  _rc(ConsistencyImpl.SPECULATIVE)]
         manifest = SweepManifest(tmp_path / MANIFEST_NAME)
         report = run_many(specs, jobs=1, cache=ResultCache(tmp_path),
-                          manifest=manifest, resume=False)
+                          manifest=manifest)
         assert len(calls) == 2
         assert [o.spec for o in report.outcomes] == specs
         assert [o.result.params for o in report.outcomes] == \
@@ -318,7 +318,7 @@ class TestCanonicalKey:
         for cached in ([False, False, True], [True] * 3):
             calls.clear()
             report = run_many(specs, jobs=1, cache=cache,
-                              manifest=manifest, resume=False)
+                              manifest=manifest)
             assert [o.cached for o in report.outcomes] == cached
             assert calls == specs
         assert len(ResultCache(tmp_path)) == 2
@@ -406,20 +406,19 @@ class TestRunnerDefaults:
         monkeypatch.setattr(repro.run, "_cache", None)
         monkeypatch.setattr(repro.run, "_manifest", None)
         monkeypatch.setattr(repro.run, "_policy", repro.run.DEFAULT_POLICY)
-        monkeypatch.setattr(repro.run, "_resume", False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         repro.run.configure(jobs=3, use_cache=False)
         jobs, cache = repro.run.runner_defaults()
         assert jobs == 3 and cache is None
         assert repro.run.shared_manifest() is None
         repro.run.configure(use_cache=True, retries=5, job_timeout=90,
-                            resume=True)
+                            resume=False)
         assert repro.run.shared_cache() is not None
         assert repro.run.shared_manifest() is not None
         state = repro.run.runner_state()
         assert state.policy.retries == 5
         assert state.policy.job_timeout == 90.0
-        assert state.resume is True
+        assert not hasattr(state, "resume")
 
     def test_configure_dispatch_compat_arguments(self, monkeypatch):
         monkeypatch.setattr(repro.run, "_jobs", 2)
@@ -437,6 +436,10 @@ class TestRunnerDefaults:
             repro.run.configure(jobs=4, workers=("spawn:2",))
         with pytest.raises(ValueError, match="removed"):
             repro.run.configure(jobs=4, checkpoint_every=-1)
+        with pytest.raises(ValueError, match="resume mode was removed"):
+            repro.run.configure(jobs=4, resume=True)
+        with pytest.raises(TypeError):
+            run_many([], jobs=1, resume=False)
         # A rejected call applies none of its other arguments.
         assert repro.run.runner_state() == before
 

@@ -24,7 +24,7 @@ from repro.run.cache import ResultCache
 from repro.run.executor import RetryPolicy, run_many
 from repro.run.faults import FaultPlan, InjectedCrash
 from repro.run.jobs import JobSpec, WorkloadSpec
-from repro.run.manifest import JobRecord, SweepManifest
+from repro.run.manifest import MANIFEST_NAME, JobRecord, SweepManifest
 from repro.system.machine import LIVELOCK_TRANSFERS, Machine, WedgeError
 
 #: Small but real: crosses the warmup boundary and touches every
@@ -231,8 +231,7 @@ class TestTriageBundles:
         monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
         specs = [small_spec(seed=seed) for seed in (1, 2)]
         report = run_many(specs, jobs=jobs, cache=ResultCache(tmp_path),
-                          policy=RetryPolicy(retries=1, backoff_base=0.0),
-                          manifest=None, resume=False)
+                          policy=RetryPolicy(retries=1), manifest=None)
         for outcome in report.outcomes:
             assert outcome.failed
             assert outcome.bundle == str(triage.bundle_dir(
@@ -241,25 +240,34 @@ class TestTriageBundles:
 
 
 # ---------------------------------------------------------------------------
-# Attempt-log dedup (host timeout vs. watchdog race)
+# Attempt log: one entry per closed attempt; the audit flags duplicates
 # ---------------------------------------------------------------------------
 
 class TestAttemptDedup:
-    def test_first_writer_wins_per_attempt(self, tmp_path):
-        manifest = SweepManifest(tmp_path / "m.json")
-        assert manifest.mark_attempt("fp", 0, "timeout", "host deadline")
-        # The late worker failure for the same attempt must not land.
-        assert not manifest.mark_attempt("fp", 0, "failed",
-                                         "WedgeError: ...")
-        assert manifest.mark_attempt("fp", 1, "ok")
-        log = manifest.get("fp").attempt_log
+    def test_an_attempt_closed_twice_is_an_audit_violation(self,
+                                                            tmp_path):
+        """The runner closes each attempt once (its future leaves the
+        in-flight set when it is collected or abandoned), so the writer
+        keeps every entry it is given and the audit catches a second
+        close of one attempt instead of the writer hiding it."""
+        from repro.run.audit import audit_state
+        manifest = SweepManifest(tmp_path / MANIFEST_NAME)
+        manifest.mark_attempt("fp", 0, "timeout", "host deadline",
+                              "retrying")
+        manifest.mark_attempt("fp", 0, "failed", "WedgeError: ...",
+                              "retrying")
+        manifest.mark_attempt("fp", 1, "ok", "", "done")
+        log = SweepManifest(manifest.path).get("fp").attempt_log
         assert [(e["attempt"], e["outcome"]) for e in log] == \
-            [(0, "timeout"), (1, "ok")]
+            [(0, "timeout"), (0, "failed"), (1, "ok")]
+        report = audit_state(tmp_path)
+        assert any("attempt 0 charged more than once" in f.message
+                   for f in report.violations)
 
     def test_attempt_log_survives_reload(self, tmp_path):
         path = tmp_path / "m.json"
         manifest = SweepManifest(path)
-        manifest.mark_attempt("fp", 0, "failed", "boom")
+        manifest.mark_attempt("fp", 0, "failed", "boom", "failed")
         reloaded = SweepManifest(path)
         assert reloaded.get("fp").attempt_log == \
             [{"attempt": 0, "outcome": "failed", "error": "boom"}]
